@@ -135,7 +135,7 @@ def _cmd_analyze(args) -> int:
     report: dict = {"n": code.n, "k": code.k, "q": code.q, "is_lrc": is_lrc}
     exit_code = 0
     run_all = not (args.distance or args.weights or args.locality or args.bounds)
-    d = loaded.d if is_lrc else None
+    d = None  # only a distance certified here feeds the bounds
 
     if args.distance or run_all or args.bounds:
         try:

@@ -18,11 +18,10 @@ from . import gf4
 from .errors import BudgetExceeded, NonIntegerResult, RankDeficient
 from .matrix import (
     FieldMatrix,
-    leading_column,
     lo_mask,
-    row_entry,
     row_weight,
     scale_row,
+    smallest_dependent_set,
     unpack_row,
 )
 
@@ -200,9 +199,10 @@ class LinearCode:
         """Exact minimum distance with witness.
 
         Enumerates all q^k codewords when that fits the budget; otherwise
-        searches for a smallest dependent column set of the parity check,
-        spending at most ``budget`` search nodes.  Raises BudgetExceeded
-        (carrying the bracket proven so far) if neither route finishes.
+        ``smallest_dependent_set`` finds a smallest dependent column set of
+        the parity check, examining at most ``budget`` full-size column
+        sets.  Raises BudgetExceeded, whose ``lower`` is the proven lower
+        bound and ``upper`` None, if neither route finishes.
         """
         if self._distance is not None:
             return self._distance
@@ -235,62 +235,18 @@ class LinearCode:
             best_w, unpack_row(self.q, best, self.n), METHOD_EXHAUSTIVE
         )
 
-    def _min_distance_columns(self, node_budget: int) -> DistanceCertificate:
-        q = self.q
-        h = self.parity_check
-        cols = [h.col_packed(j) for j in range(self.n)]
-        lo = lo_mask(h.nrows) if q == 4 else None
-        nodes = 0
-        n = self.n
-
-        def dfs(w: int, start: int, depth: int, basis: list, chosen: list):
-            nonlocal nodes
-            for idx in range(start, n - (w - depth) + 1):
-                nodes += 1
-                if nodes > node_budget:
-                    raise BudgetExceeded(
-                        f"column search exceeded {node_budget} nodes",
-                        lower=w,
-                        upper=None,
-                    )
-                r = cols[idx]
-                for pos, prow in basis:
-                    e = row_entry(q, r, pos)
-                    if e:
-                        r ^= scale_row(q, prow, e, lo)
-                if r == 0:
-                    chosen.append(idx)
-                    return True
-                if depth + 1 < w:
-                    pos = leading_column(q, r, lo)
-                    lead = row_entry(q, r, pos)
-                    if lead != 1:
-                        r = scale_row(q, r, gf4.gf4_inv(lead), lo)
-                    basis.append((pos, r))
-                    chosen.append(idx)
-                    if dfs(w, idx + 1, depth + 1, basis, chosen):
-                        return True
-                    basis.pop()
-                    chosen.pop()
-            return False
-
-        for w in range(1, self.n + 1):
-            chosen: list[int] = []
-            if dfs(w, 0, 0, [], chosen):
-                return self._certificate_from_columns(chosen)
-        raise AssertionError("no dependent column set found in a k>0 code")
-
-    def _certificate_from_columns(self, indices: list[int]) -> DistanceCertificate:
-        sub = FieldMatrix.from_cols(
-            self.q, [self.parity_check.col_tuple(j) for j in indices]
-        )
-        kernel = sub.nullspace()
-        if kernel.nrows == 0:
-            raise AssertionError("dependent column set has trivial kernel")
-        coeffs = kernel.row_tuple(0)
+    def _min_distance_columns(self, set_budget: int) -> DistanceCertificate:
+        """Smallest dependent parity-check column set, as a codeword."""
+        cols = [self.parity_check.col_packed(j) for j in range(self.n)]
+        blocks = [(c, scale_row(4, c, gf4.W)) if self.q == 4 else (c,) for c in cols]
+        found = smallest_dependent_set(blocks, set_budget)
+        if found is None:
+            raise AssertionError("no dependent column set found in a k>0 code")
+        indices, mask = found
+        width = len(blocks[0])
         word = [0] * self.n
-        for j, c in zip(indices, coeffs):
-            word[j] = c
+        for j, i in enumerate(indices):
+            word[i] = (mask >> (width * j)) & (self.q - 1)
         witness = tuple(word)
         if not self.contains(witness):
             raise AssertionError("column-search witness is not a codeword")

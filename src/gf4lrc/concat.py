@@ -11,7 +11,6 @@ the GF(2) expansions of the outer parity-check column and w times it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional, Sequence
 
 from . import gf4
@@ -22,8 +21,8 @@ from .code import (
     LinearCode,
     WeightDistribution,
 )
-from .errors import FieldMismatch, Mismatch, ParseError, SubsetBudgetExceeded
-from .matrix import FieldMatrix, pack_row, row_entry, rows_rank
+from .errors import BudgetExceeded, FieldMismatch, Mismatch, ParseError, SubsetBudgetExceeded
+from .matrix import FieldMatrix, pack_row, row_entry, rows_rank, smallest_dependent_set
 
 #: Default cap on repair-group subsets examined by the distance certifier.
 DEFAULT_SUBSET_BUDGET = 10_000_000
@@ -133,9 +132,19 @@ class BinaryLrc:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BinaryLrc":
+        if not isinstance(obj, dict) or not isinstance(obj.get("H"), str):
+            raise ParseError('LRC JSON must be an object with matrix text under "H"')
+        groups = obj.get("groups")
+        if not isinstance(groups, list) or not all(
+            isinstance(g, list) and len(g) == 3 and all(type(i) is int and i >= 0 for i in g)
+            for g in groups
+        ):
+            raise ParseError('"groups" must be a list of three-coordinate lists')
+        if obj.get("d") is not None and type(obj["d"]) is not int:
+            raise ParseError('"d" must be an integer or null')
         h, _ = FieldMatrix.from_text(obj["H"])
         code = LinearCode.from_parity(h)
-        groups = [tuple(g) for g in obj["groups"]]
+        groups = [tuple(g) for g in groups]
         ell = len(groups)
         u = code.n - code.k - ell
         e_vectors = []
@@ -218,49 +227,28 @@ def certify_distance(
 
     The distance is 2s where s is the smallest number of groups whose 2s
     lower-block columns are dependent; the certificate carries a weight-2s
-    codeword built from one deficient subset.  All subsets of smaller sizes
-    are enumerated to prove the lower bound.  Subsets are visited in
-    lexicographic order, so the reported witness is the least deficient
-    subset and the result does not depend on how the range is partitioned.
+    codeword built from the lexicographically first such set, found by
+    ``smallest_dependent_set`` over the groups' (e1, e2) pairs.  Every
+    smaller set is examined to prove the lower bound, one unit of
+    ``subset_budget`` per set.  On exhaustion the bracket holds only the
+    proven lower bound; its upper end is None.
     """
-    u = lrc.u
-    pairs = [(pack_row(2, e1), pack_row(2, e2)) for e1, e2 in lrc.e_vectors]
-    nodes = 0
-    for s in range(1, lrc.ell + 1):
-        for subset in combinations(range(lrc.ell), s):
-            nodes += 1
-            if nodes > subset_budget:
-                raise SubsetBudgetExceeded(
-                    f"group-subset enumeration exceeded {subset_budget}",
-                    lower=2 * (s - 1) + 2,
-                    upper=lrc.d,
-                )
-            vecs = []
-            for i in subset:
-                vecs.extend(pairs[i])
-            if rows_rank(2, vecs, u) < 2 * s:
-                return _certificate_from_deficient_subset(lrc, subset)
-    raise AssertionError("no deficient group subset in a k>0 code")
-
-
-def _certificate_from_deficient_subset(
-    lrc: BinaryLrc, subset: tuple[int, ...]
-) -> DistanceCertificate:
-    cols = []
-    for i in subset:
-        e1, e2 = lrc.e_vectors[i]
-        cols.append(list(e1))
-        cols.append(list(e2))
-    kernel = FieldMatrix.from_cols(2, cols).nullspace()
-    if kernel.nrows == 0:
-        raise AssertionError("deficient subset has independent columns")
-    coeffs = kernel.row_tuple(0)
+    blocks = [(pack_row(2, e1), pack_row(2, e2)) for e1, e2 in lrc.e_vectors]
+    try:
+        found = smallest_dependent_set(blocks, subset_budget)
+    except BudgetExceeded as exc:
+        raise SubsetBudgetExceeded(
+            f"group-subset enumeration exceeded {subset_budget}", lower=2 * exc.lower
+        ) from exc
+    if found is None:
+        raise AssertionError("no deficient group subset in a k>0 code")
+    subset, mask = found
     word = [0] * lrc.n
     # Per group, the coefficient pair is a GF(4) symbol selecting which two
     # of the three group columns sum to the dependency contribution.
     pair_to_positions = {1: (0, 1), gf4.W: (0, 2), gf4.W2: (1, 2)}
     for j, i in enumerate(subset):
-        alpha = gf4.g_unmap((coeffs[2 * j], coeffs[2 * j + 1]))
+        alpha = (mask >> (2 * j)) & 3
         if alpha == 0:
             raise AssertionError("dependency skips a group; smaller subset missed")
         for pos in pair_to_positions[alpha]:
@@ -303,8 +291,6 @@ def locality_check(
     dual = code.dual()
     total = dual.codeword_count()
     if total > budget:
-        from .errors import BudgetExceeded
-
         raise BudgetExceeded(f"dual enumeration of {total} words exceeds {budget}")
     covering = [None] * code.n
     remaining = code.n

@@ -14,6 +14,7 @@ from typing import Sequence
 from . import gf4
 from .code import LinearCode, WeightDistribution, macwilliams
 from .errors import (
+    BudgetExceeded,
     InvalidParameters,
     NotADivisor,
     ParseError,
@@ -258,7 +259,7 @@ def ingest(path: str | Path, verify_budget: int = 1 << 20) -> LinearCode:
         advertised = int(extras["d"])
         try:
             cert = code.min_distance(budget=verify_budget)
-        except Exception as exc:  # distance may be out of reach of the budget
+        except BudgetExceeded as exc:
             logger.warning("%s: advertised d=%s unverified (%s)", path, advertised, exc)
         else:
             if cert.d != advertised:

@@ -15,10 +15,11 @@ followed by r lines of c whitespace-separated symbols from the alphabet
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 from . import gf4
-from .errors import FieldMismatch, ParseError, ShapeMismatch
+from .errors import BudgetExceeded, FieldMismatch, ParseError, ShapeMismatch
 
 _HEADER_EXTRA_KEYS = ("kind", "n", "k", "d")
 
@@ -338,14 +339,100 @@ class FieldMatrix:
         return f"FieldMatrix(GF({self.q}), {self.nrows}x{self.ncols})"
 
 
-def mat_mul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
-    """Standard matrix product; raises ShapeMismatch / FieldMismatch."""
-    return a.mat_mul(b)
+def smallest_dependent_set(
+    blocks: Sequence[Sequence[int]], budget: int
+) -> tuple[tuple[int, ...], int] | None:
+    """Lexicographically first smallest set of blocks whose vectors are dependent.
+
+    A block is a tuple of packed GF(2) vectors, all blocks of one width: a
+    repair group enters as its pair (e1, e2), a GF(4) column c as
+    (c, w*c), whose packed forms are its GF(2) expansion, and a binary
+    column as (c,).  Sizes are searched in increasing order and the sets of
+    one size in lexicographic order.  One unit of ``budget`` is spent per
+    full-size set examined; BudgetExceeded (``lower`` = the size being
+    searched) is raised instead of examining set budget + 1.
+
+    Returns ``(indices, mask)``, where bit width*j + b of ``mask`` is the
+    coefficient of vector b of block indices[j] in the dependency found by
+    eliminating the set's vectors in order, or None if no set is dependent.
+    """
+    blocks = [tuple(b) for b in blocks]
+    bits = max((v.bit_length() for b in blocks for v in b), default=0)
+    examined = 0
+
+    def spend(sets: int) -> None:
+        nonlocal examined
+        examined += sets
+        if examined > budget:
+            raise BudgetExceeded(f"dependent-set search exceeded {budget} sets", lower=size)
+
+    def extend(idx: list[int], cols: list[list[int]], need: int, room: int):
+        # Candidate p is block idx[p]; its vector b, reduced against the
+        # chosen prefix, is cols[b][p].  Pivots are eliminated in insertion
+        # order, so reduced forms are canonical: a combination of vectors
+        # lies in the span of the prefix exactly when it reduces to 0.  The
+        # reduced vectors have the prefix's pivot bits clear, so they fit in
+        # ``room`` dimensions; when they are all independent, no set of them
+        # is dependent and their sets are counted without being visited.
+        if len(cols) * len(idx) <= room and _pivots([v for c in cols for v in c]) is not None:
+            spend(math.comb(len(idx), need))
+            return None
+        if need == 1:  # nothing is chosen yet
+            bad = [p for p, vecs in enumerate(zip(*cols)) if _pivots(vecs) is None]
+            spend(bad[0] + 1 if bad else len(idx))
+            return (idx[bad[0]],) if bad else None
+        if need > 2:
+            for pos in range(len(idx) - need + 1):
+                rest = [col[pos + 1 :] for col in cols]
+                for low, p in _pivots([col[pos] for col in cols]):
+                    rest = [[v ^ p if v & low else v for v in col] for col in rest]
+                found = extend(idx[pos + 1 :], rest, need - 1, room - len(cols))
+                if found is not None:
+                    return (idx[pos],) + found
+            return None
+        # Two more blocks complete a dependent set exactly when their
+        # reduced spans share a nonzero vector.  The least such pair (p, q)
+        # pairs the first carrier of a shared vector with a later one.
+        spans = [[0] * len(idx)]
+        for col in cols:
+            spans += [[x ^ y for x, y in zip(s, col)] for s in spans]
+        first: dict[int, int] = {}
+        pairs = []
+        for pos, span in enumerate(zip(*spans[1:])):
+            for v in span:
+                p = first.setdefault(v, pos)
+                if p != pos:
+                    pairs.append((p, pos))
+        # The pairs before (p, q) in lexicographic order, then (p, q) itself;
+        # with no pair, the sentinel (last, last) counts every pair.
+        p, q = min(pairs, default=(len(idx) - 1,) * 2)
+        spend(p * (len(idx) - 1) - p * (p - 1) // 2 + q - p)
+        return (idx[p], idx[q]) if p < q else None
+
+    for size in range(1, len(blocks) + 1):
+        chosen = extend(list(range(len(blocks))), [list(c) for c in zip(*blocks)], size, bits)
+        if chosen is None:
+            continue
+        basis: list[tuple[int, int, int]] = []  # (pivot bit, vector, provenance)
+        for t, v in enumerate([v for i in chosen for v in blocks[i]]):
+            mask = 1 << t
+            for low, p, pmask in basis:
+                if v & low:
+                    v, mask = v ^ p, mask ^ pmask
+            if not v:
+                return chosen, mask
+            basis.append((v & -v, v, mask))
+    return None
 
 
-def rref(m: FieldMatrix) -> tuple[FieldMatrix, int, tuple[int, ...]]:
-    return m.rref()
-
-
-def nullspace(m: FieldMatrix) -> FieldMatrix:
-    return m.nullspace()
+def _pivots(vecs) -> list[tuple[int, int]] | None:
+    """(pivot bit, vector) of vecs eliminated in order; None if dependent."""
+    pivots: list[tuple[int, int]] = []
+    for v in vecs:
+        for low, p in pivots:
+            if v & low:
+                v ^= p
+        if not v:
+            return None
+        pivots.append((v & -v, v))
+    return pivots

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gf4lrc.cli import main
 
 
@@ -98,6 +100,50 @@ def test_analyze_budget_exhaustion_exits_3(tmp_path, capsys):
     assert code == 3
     report = json.loads(out)
     assert "bracket" in report["distance"]
+
+    # A distance claimed by the file is not certified: with the search cut
+    # short, no bound verdict is given and the bracket has no upper end.
+    run_cli(capsys, "construct", "hamming4", "--t", "2", "--concat", "--output", str(base))
+    claimed = json.loads((tmp_path / "hex.lrc.json").read_text())
+    assert (claimed["n"], claimed["k"], claimed["d"]) == (15, 6, 6)
+    claimed["d"] = 10
+    path = tmp_path / "claimed.lrc.json"
+    path.write_text(json.dumps(claimed))
+    code, out, _ = run_cli(
+        capsys, "analyze", str(path), "--bounds", "--max-subsets", "3"
+    )
+    assert code == 3
+    report = json.loads(out)
+    assert report["distance"]["bracket"] == [2, None]
+    assert report["bounds"] == {"error": "distance unavailable within budget"}
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda obj: obj.pop("H"),
+        lambda obj: obj.update(H=7),
+        lambda obj: obj.update(groups=5),
+        lambda obj: obj.update(groups=[[0, 1, "2"]] + obj["groups"][1:]),
+        lambda obj: obj.update(groups=[[0, 1]] + obj["groups"][1:]),
+        lambda obj: obj.update(groups=[[0, 1, -2]] + obj["groups"][1:]),
+        lambda obj: obj.update(d="6"),
+        lambda obj: obj.clear(),
+    ],
+    ids=["missing-H", "non-text-H", "non-list-groups", "non-integer-entry",
+         "short-group", "negative-entry", "non-integer-d", "empty-object"],
+)
+def test_analyze_malformed_lrc_json_exits_2(tmp_path, capsys, mutate):
+    base = tmp_path / "ham"
+    run_cli(capsys, "construct", "hamming4", "--t", "2", "--concat", "--output", str(base))
+    obj = json.loads((tmp_path / "ham.lrc.json").read_text())
+    mutate(obj)
+    path = tmp_path / "bad.lrc.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_bounds_command(capsys):

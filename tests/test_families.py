@@ -4,7 +4,7 @@ import pytest
 
 from gf4lrc import gf4
 from gf4lrc.bounds import griesmer_classical_min_n
-from gf4lrc.code import macwilliams
+from gf4lrc.code import LinearCode, macwilliams
 from gf4lrc.errors import (
     InvalidParameters,
     NotACap,
@@ -263,3 +263,18 @@ def test_ingest_logs_advertised_mismatch(tmp_path, caplog):
         code = ingest(path)
     assert code.params() == (3, 1)
     assert any("advertised d=2" in rec.getMessage() for rec in caplog.records)
+
+
+def test_ingest_propagates_engine_failures(tmp_path, monkeypatch):
+    """Only an exhausted budget leaves an advertised d unverified; a failed
+    witness check inside the distance engine is not a log line."""
+    path = tmp_path / "rep.code"
+    path.write_text(FieldMatrix.from_rows(2, [[1, 1, 1]]).to_text({"kind": "generator", "d": 3}))
+
+    def broken(self, budget=None):
+        raise AssertionError("column-search witness is not a codeword")
+
+    monkeypatch.setattr(LinearCode, "min_distance", broken)
+    with pytest.raises(AssertionError):
+        ingest(path)
+
