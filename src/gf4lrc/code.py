@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import gf4
-from .errors import BudgetExceeded, NonIntegerResult, RankDeficient
+from .errors import BudgetExceeded, NonIntegerResult, RankDeficient, ShapeMismatch
 from .matrix import (
     FieldMatrix,
+    binary_expansion,
     lo_mask,
     row_weight,
     scale_row,
@@ -89,8 +90,11 @@ class LinearCode:
         self.parity_check = parity_check
         if parity_check.nrows != self.n - self.k:
             raise RankDeficient("parity check must have n-k rows")
-        if not generator.mat_mul(parity_check.transpose()).is_zero():
+        h_t = parity_check.transpose()
+        if not generator.mat_mul(h_t).is_zero():
             raise ValueError("generator rows are not orthogonal to parity check")
+        #: Column j of the parity check, packed as a length-(n-k) vector.
+        self.parity_columns = h_t.rows
         self._distance: Optional[DistanceCertificate] = None
         self._weights: Optional[WeightDistribution] = None
 
@@ -127,12 +131,7 @@ class LinearCode:
         return self.q**self.k
 
     def _message_bit_rows(self) -> list[int]:
-        rows = []
-        for g in self.generator.rows:
-            rows.append(g)
-            if self.q == 4:
-                rows.append(scale_row(4, g, gf4.W, self.generator._lo))
-        return rows
+        return binary_expansion(self.q, self.generator.rows, self.generator._lo)
 
     def encode(self, message: Sequence[int]) -> tuple[int, ...]:
         """Codeword for a length-k message vector."""
@@ -140,8 +139,18 @@ class LinearCode:
         return unpack_row(self.q, packed, self.n)
 
     def contains(self, word: Sequence[int]) -> bool:
-        vec = FieldMatrix.from_rows(self.q, [list(word)])
-        return self.parity_check.mat_mul(vec.transpose()).is_zero()
+        """Whether the syndrome, the XOR of x_j times column j of H, is 0."""
+        q = self.q
+        for x in word:
+            if not 0 <= x < q:
+                raise ValueError(f"symbol {x} invalid over GF({q})")
+        if len(word) != self.n:
+            raise ShapeMismatch(f"{self.n - self.k}x{self.n} times {len(word)}x1")
+        syndrome, lo = 0, lo_mask(self.n - self.k)
+        for x, col in zip(word, self.parity_columns):
+            if x:
+                syndrome ^= scale_row(q, col, x, lo)
+        return not syndrome
 
     def _iter_packed(self, start: int, stop: int, bit_rows: list[int]):
         gray = start ^ (start >> 1)
@@ -237,8 +246,9 @@ class LinearCode:
 
     def _min_distance_columns(self, set_budget: int) -> DistanceCertificate:
         """Smallest dependent parity-check column set, as a codeword."""
-        cols = [self.parity_check.col_packed(j) for j in range(self.n)]
-        blocks = [(c, scale_row(4, c, gf4.W)) if self.q == 4 else (c,) for c in cols]
+        blocks = [
+            (c, scale_row(4, c, gf4.W)) if self.q == 4 else (c,) for c in self.parity_columns
+        ]
         found = smallest_dependent_set(blocks, set_budget)
         if found is None:
             raise AssertionError("no dependent column set found in a k>0 code")

@@ -22,7 +22,7 @@ from .code import (
     WeightDistribution,
 )
 from .errors import BudgetExceeded, FieldMismatch, Mismatch, ParseError, SubsetBudgetExceeded
-from .matrix import FieldMatrix, pack_row, row_entry, rows_rank, smallest_dependent_set
+from .matrix import FieldMatrix, pack_row, row_entry, smallest_dependent_set, xor_insert
 
 #: Default cap on repair-group subsets examined by the distance certifier.
 DEFAULT_SUBSET_BUDGET = 10_000_000
@@ -152,7 +152,10 @@ class BinaryLrc:
             e1 = tuple(h.entry(ell + b, g[1]) for b in range(u))
             e2 = tuple(h.entry(ell + b, g[2]) for b in range(u))
             e_vectors.append((e1, e2))
-        lrc = cls(code, groups, e_vectors, d=obj.get("d"))
+        try:
+            lrc = cls(code, groups, e_vectors, d=obj.get("d"))
+        except ValueError as exc:
+            raise ParseError(f"not a locality-2 LRC: {exc}") from exc
         if obj.get("n") != lrc.n or obj.get("k") != lrc.k:
             raise ParseError("stored n/k disagree with the parity-check matrix")
         return lrc
@@ -169,27 +172,16 @@ def concatenate(outer: LinearCode) -> BinaryLrc:
         raise FieldMismatch("outer code must be over GF(4)")
     n1, k1 = outer.n, outer.k
     ell, u = n1, 2 * (n1 - k1)
-    n = 3 * n1
-    rows = []
-    for i in range(ell):
-        rows.append([1 if j // 3 == i else 0 for j in range(n)])
     e_vectors = []
-    cols_e1 = []
-    cols_e2 = []
+    cols = []
     for i in range(ell):
         h_col = outer.parity_check.col_tuple(i)
         e1 = gf4.vector_map(h_col)
         e2 = gf4.vector_map(tuple(gf4.gf4_mul(gf4.W, c) for c in h_col))
         e_vectors.append((e1, e2))
-        cols_e1.append(e1)
-        cols_e2.append(e2)
-    for b in range(u):
-        row = [0] * n
-        for i in range(ell):
-            row[3 * i + 1] = cols_e1[i][b]
-            row[3 * i + 2] = cols_e2[i][b]
-        rows.append(row)
-    parity = FieldMatrix.from_rows(2, rows)
+        top = [int(j == i) for j in range(ell)]
+        cols += [top + [0] * u, top + list(e1), top + list(e2)]
+    parity = FieldMatrix.from_cols(2, cols)
     code = LinearCode.from_parity(parity)
     cached = outer.cached_distance
     d = 2 * cached.d if cached is not None else None
@@ -208,15 +200,9 @@ def encode_outer_word(word: Sequence[int]) -> tuple[int, ...]:
 def group_subspaces(lrc: BinaryLrc) -> list[list[tuple[int, ...]]]:
     """Per group, a basis of the span of its two lower-block columns."""
     bases = []
-    for e1, e2 in lrc.e_vectors:
-        basis: list[tuple[int, ...]] = []
-        packed: list[int] = []
-        for vec in (e1, e2):
-            p = pack_row(2, vec)
-            if rows_rank(2, packed + [p], lrc.u) > len(packed):
-                basis.append(vec)
-                packed.append(p)
-        bases.append(basis)
+    for pair in lrc.e_vectors:
+        kernel: list = []
+        bases.append([vec for vec in pair if xor_insert(kernel, pack_row(2, vec))[0]])
     return bases
 
 

@@ -257,6 +257,10 @@ def ingest(path: str | Path, verify_budget: int = 1 << 20) -> LinearCode:
     """
     text = Path(path).read_text()
     mat, extras = FieldMatrix.from_text(text)
+    try:
+        advertised = {key: int(extras[key]) for key in ("n", "k", "d") if key in extras}
+    except ValueError as exc:
+        raise ParseError(f"non-integer advertised n/k/d: {exc}") from exc
     kind = extras.get("kind")
     if kind == "generator":
         code = LinearCode.from_generator(mat)
@@ -265,19 +269,18 @@ def ingest(path: str | Path, verify_budget: int = 1 << 20) -> LinearCode:
     else:
         raise ParseError(f"header must carry kind=generator|parity, got {kind!r}")
     for key, actual in (("n", code.n), ("k", code.k)):
-        if key in extras and int(extras[key]) != actual:
+        if key in advertised and advertised[key] != actual:
             logger.warning(
-                "%s: advertised %s=%s but computed %s", path, key, extras[key], actual
+                "%s: advertised %s=%s but computed %s", path, key, advertised[key], actual
             )
-    if "d" in extras:
-        advertised = int(extras["d"])
+    if "d" in advertised:
         try:
             cert = code.min_distance(budget=verify_budget)
         except BudgetExceeded as exc:
-            logger.warning("%s: advertised d=%s unverified (%s)", path, advertised, exc)
+            logger.warning("%s: advertised d=%s unverified (%s)", path, advertised["d"], exc)
         else:
-            if cert.d != advertised:
+            if cert.d != advertised["d"]:
                 logger.warning(
-                    "%s: advertised d=%s but computed d=%s", path, advertised, cert.d
+                    "%s: advertised d=%s but computed d=%s", path, advertised["d"], cert.d
                 )
     return code

@@ -5,6 +5,15 @@ per symbol over GF(4) (bit 2j = coordinate on 1, bit 2j+1 = coordinate on w
 of column j).  Row addition is XOR in both cases, which keeps row
 operations O(1) per machine word regardless of width.
 
+All elimination (rank, RREF, nullspace, the dependent-set search, erasure
+decoding) runs on one binary XOR-basis kernel, ``xor_reduce`` and
+``xor_insert``, over a list of ``(pivot bit, vector, provenance mask)``
+entries: each vector has the pivots of the entries before it clear and its
+lowest set bit as pivot, and its mask names the inputs that XOR to it.
+GF(4) enters through its binary pair expansion: the GF(4) span of packed
+rows r is the GF(2) span of the pairs (r, w*r), so a GF(4) rank is half a
+binary rank.
+
 Matrix text format (strict): a header line
 
     field=<2|4> rows=<r> cols=<c> [kind=...] [n=...] [k=...] [d=...]
@@ -83,32 +92,40 @@ def row_weight(q: int, row: int, lo: int | None = None) -> int:
     return ((row | (row >> 1)) & lo).bit_count()
 
 
-def leading_column(q: int, row: int, lo: int | None = None) -> int:
-    """Index of the first (lowest) nonzero symbol; row must be nonzero."""
+def xor_reduce(basis: list, v: int, mask: int = 0) -> tuple[int, int]:
+    """``v`` reduced against a kernel basis, and its provenance ``mask``."""
+    for low, p, pmask in basis:
+        if v & low:
+            v ^= p
+            mask ^= pmask
+    return v, mask
+
+
+def xor_insert(basis: list, v: int, mask: int = 0) -> tuple[int, int]:
+    """Reduce ``v`` and append it to the basis unless it reduces to 0.
+
+    Returns the reduced ``(v, mask)``: ``v == 0`` reports that the input
+    was dependent, and ``mask`` is then the provenance of the dependency.
+    """
+    v, mask = xor_reduce(basis, v, mask)
+    if v:
+        basis.append((v & -v, v, mask))
+    return v, mask
+
+
+def binary_expansion(q: int, rows: Iterable[int], lo: int | None = None) -> list[int]:
+    """Packed GF(2) vectors spanning the rows' GF(q) span: r, or r and w*r."""
     if q == 2:
-        return (row & -row).bit_length() - 1
-    if lo is None:
-        lo = _lo_for(row)
-    support = (row | (row >> 1)) & lo
-    return ((support & -support).bit_length() - 1) // 2
+        return list(rows)
+    return [v for r in rows for v in (r, scale_row(4, r, gf4.W, lo))]
 
 
 def rows_rank(q: int, rows: Iterable[int], ncols: int) -> int:
-    """Rank of packed rows via incremental elimination."""
-    lo = lo_mask(ncols) if q == 4 else None
-    basis: list[tuple[int, int]] = []  # (pivot column, normalized row)
-    for row in rows:
-        for col, pivot in basis:
-            e = row_entry(q, row, col)
-            if e:
-                row ^= scale_row(q, pivot, e, lo)
-        if row:
-            col = leading_column(q, row, lo)
-            lead = row_entry(q, row, col)
-            if lead != 1:
-                row = scale_row(q, row, gf4.gf4_inv(lead), lo)
-            basis.append((col, row))
-    return len(basis)
+    """Rank of packed rows; over GF(4), half the rank of the pair expansion."""
+    basis: list = []
+    for v in binary_expansion(q, rows, lo_mask(ncols) if q == 4 else None):
+        xor_insert(basis, v)
+    return len(basis) if q == 2 else len(basis) // 2
 
 
 class FieldMatrix:
@@ -172,10 +189,6 @@ class FieldMatrix:
     def col_tuple(self, j: int) -> tuple[int, ...]:
         return tuple(self.entry(i, j) for i in range(self.nrows))
 
-    def col_packed(self, j: int) -> int:
-        """Column j packed as a length-nrows vector."""
-        return pack_row(self.q, self.col_tuple(j))
-
     def to_rows(self) -> list[tuple[int, ...]]:
         return [self.row_tuple(i) for i in range(self.nrows)]
 
@@ -196,19 +209,8 @@ class FieldMatrix:
             raise ShapeMismatch(
                 f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}"
             )
-        out = []
-        for i in range(self.nrows):
-            acc = 0
-            row = self.rows[i]
-            for k in range(self.ncols):
-                e = row_entry(self.q, row, k)
-                if e:
-                    acc ^= scale_row(self.q, other.rows[k], e, other._lo)
-            out.append(acc)
+        out = [other.row_combination(self.row_tuple(i)) for i in range(self.nrows)]
         return FieldMatrix(self.q, self.nrows, other.ncols, out)
-
-    def __matmul__(self, other: "FieldMatrix") -> "FieldMatrix":
-        return self.mat_mul(other)
 
     def row_combination(self, coeffs: Sequence[int]) -> int:
         """Packed row equal to sum_i coeffs[i] * row_i."""
@@ -221,31 +223,25 @@ class FieldMatrix:
         return acc
 
     def rref(self) -> tuple["FieldMatrix", int, tuple[int, ...]]:
-        """Reduced row-echelon form, rank, and pivot columns."""
-        rows = list(self.rows)
-        pivots = []
-        r = 0
-        for col in range(self.ncols):
-            pivot_row = None
-            for i in range(r, len(rows)):
-                if row_entry(self.q, rows[i], col):
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            lead = row_entry(self.q, rows[r], col)
-            if lead != 1:
-                rows[r] = scale_row(self.q, rows[r], gf4.gf4_inv(lead), self._lo)
-            for i in range(len(rows)):
-                if i == r:
-                    continue
-                e = row_entry(self.q, rows[i], col)
-                if e:
-                    rows[i] ^= scale_row(self.q, rows[r], e, self._lo)
-            pivots.append(col)
-            r += 1
-        return FieldMatrix(self.q, self.nrows, self.ncols, rows), r, tuple(pivots)
+        """Reduced row-echelon form, rank, and pivot columns.
+
+        The fully reduced kernel basis of the pair expansion is the unique
+        binary RREF; over GF(4) it holds each RREF row R (pivot bit 2j) and
+        w*R (pivot bit 2j + 1), so the GF(4) RREF is its even-pivot rows.
+        """
+        basis: list = []
+        for v in binary_expansion(self.q, self.rows, self._lo):
+            xor_insert(basis, v)
+        # An entry holds no pivot bit of the entries before it, so reducing
+        # from the last entry back clears every other pivot from each one.
+        reduced: list = []
+        for low, v, _ in reversed(basis):
+            reduced.append((low, xor_reduce(reduced, v)[0], 0))
+        rows = sorted((low, v) for low, v, _ in reduced if self.q == 2 or low & self._lo)
+        width = 1 if self.q == 2 else 2
+        pivots = tuple((low.bit_length() - 1) // width for low, _ in rows)
+        packed = [v for _, v in rows] + [0] * (self.nrows - len(rows))
+        return FieldMatrix(self.q, self.nrows, self.ncols, packed), len(rows), pivots
 
     def rank(self) -> int:
         return rows_rank(self.q, self.rows, self.ncols)
@@ -306,6 +302,8 @@ class FieldMatrix:
             raise ParseError(f"non-integer header value: {exc}") from exc
         if q not in (2, 4):
             raise ParseError(f"unsupported field={q}")
+        if nrows < 0 or ncols < 0:
+            raise ParseError(f"negative shape rows={nrows} cols={ncols}")
         if len(lines) - 1 != nrows:
             raise ParseError(f"expected {nrows} matrix rows, found {len(lines) - 1}")
         rows = []
@@ -360,6 +358,11 @@ def smallest_dependent_set(
     bits = max((v.bit_length() for b in blocks for v in b), default=0)
     examined = 0
 
+    def basis_of(vecs) -> list | None:
+        """Kernel basis of vecs inserted in order; None if they are dependent."""
+        basis: list = []
+        return basis if all(xor_insert(basis, v)[0] for v in vecs) else None
+
     def spend(sets: int) -> None:
         nonlocal examined
         examined += sets
@@ -374,17 +377,17 @@ def smallest_dependent_set(
         # reduced vectors have the prefix's pivot bits clear, so they fit in
         # ``room`` dimensions; when they are all independent, no set of them
         # is dependent and their sets are counted without being visited.
-        if len(cols) * len(idx) <= room and _pivots([v for c in cols for v in c]) is not None:
+        if len(cols) * len(idx) <= room and basis_of([v for c in cols for v in c]) is not None:
             spend(math.comb(len(idx), need))
             return None
         if need == 1:  # nothing is chosen yet
-            bad = [p for p, vecs in enumerate(zip(*cols)) if _pivots(vecs) is None]
+            bad = [p for p, vecs in enumerate(zip(*cols)) if basis_of(vecs) is None]
             spend(bad[0] + 1 if bad else len(idx))
             return (idx[bad[0]],) if bad else None
         if need > 2:
             for pos in range(len(idx) - need + 1):
                 rest = [col[pos + 1 :] for col in cols]
-                for low, p in _pivots([col[pos] for col in cols]):
+                for low, p, _ in basis_of([col[pos] for col in cols]):
                     rest = [[v ^ p if v & low else v for v in col] for col in rest]
                 found = extend(idx[pos + 1 :], rest, need - 1, room - len(cols))
                 if found is not None:
@@ -413,26 +416,10 @@ def smallest_dependent_set(
         chosen = extend(list(range(len(blocks))), [list(c) for c in zip(*blocks)], size, bits)
         if chosen is None:
             continue
-        basis: list[tuple[int, int, int]] = []  # (pivot bit, vector, provenance)
+        basis: list = []
         for t, v in enumerate([v for i in chosen for v in blocks[i]]):
-            mask = 1 << t
-            for low, p, pmask in basis:
-                if v & low:
-                    v, mask = v ^ p, mask ^ pmask
+            v, mask = xor_insert(basis, v, 1 << t)
             if not v:
                 return chosen, mask
-            basis.append((v & -v, v, mask))
     return None
 
-
-def _pivots(vecs) -> list[tuple[int, int]] | None:
-    """(pivot bit, vector) of vecs eliminated in order; None if dependent."""
-    pivots: list[tuple[int, int]] = []
-    for v in vecs:
-        for low, p in pivots:
-            if v & low:
-                v ^= p
-        if not v:
-            return None
-        pivots.append((v & -v, v))
-    return pivots

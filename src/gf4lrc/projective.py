@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from . import gf4
 from .errors import BudgetExceeded, NotACap, ParseError, SearchExhausted
-from .matrix import FieldMatrix
+from .matrix import pack_row, rows_rank
 
 Point = tuple[int, ...]
 
@@ -91,9 +91,9 @@ class CapSet:
             if p in seen:
                 raise NotACap(f"duplicate point {p}", triple=None)
             seen.add(p)
-        for triple in combinations(range(len(self.points)), 3):
-            mat = FieldMatrix.from_rows(4, [list(self.points[t]) for t in triple])
-            if mat.rank() != 3:
+        packed = [pack_row(4, p) for p in self.points]
+        for triple in combinations(range(len(packed)), 3):
+            if rows_rank(4, [packed[t] for t in triple], self.ambient + 1) != 3:
                 raise NotACap(f"collinear triple at indices {triple}", triple=triple)
 
     def to_text(self) -> str:
@@ -107,10 +107,9 @@ class CapSet:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ParseError("empty cap text")
-        header = dict(
-            token.partition("=")[::2] for token in lines[0].split() if "=" in token
-        )
-        if set(header) != {"pg", "q", "size"}:
+        tokens = [token.partition("=") for token in lines[0].split()]
+        header = {key: value for key, _, value in tokens}
+        if len(tokens) != 3 or set(header) != {"pg", "q", "size"}:
             raise ParseError(f"bad cap header {lines[0]!r}")
         if header["q"] != "4":
             raise ParseError("only q=4 caps supported")
@@ -119,6 +118,8 @@ class CapSet:
             size = int(header["size"])
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
+        if ambient < 0:
+            raise ParseError(f"ambient dimension pg={ambient} must be >= 0")
         if len(lines) - 1 != size:
             raise ParseError(f"expected {size} points, found {len(lines) - 1}")
         points = []
@@ -126,7 +127,10 @@ class CapSet:
             syms = ln.split()
             if len(syms) != ambient + 1:
                 raise ParseError(f"point {ln!r} has wrong coordinate count")
-            points.append(tuple(gf4.symbol_to_value(s, 4) for s in syms))
+            try:
+                points.append(tuple(gf4.symbol_to_value(s, 4) for s in syms))
+            except ValueError as exc:
+                raise ParseError(str(exc)) from exc
         return cls(ambient, tuple(points))
 
 

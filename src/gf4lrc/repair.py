@@ -1,9 +1,12 @@
 """Erasure repair on locality-2 LRCs and a reproducible failure simulator.
 
 Local repair of a single erasure XORs the two group partners.  Global
-decoding solves the erased-column subsystem of the parity check by Gaussian
-elimination; it is exact and succeeds iff the erased columns are linearly
-independent (guaranteed for up to d-1 erasures).
+decoding is one pass of the XOR-basis kernel of ``gf4lrc.matrix``: the
+syndrome (XOR of the parity-check columns at the known ones) reduced
+against the still-erased columns leaves a residual, meaning no codeword
+fits, or a provenance mask holding the erased values.  It is exact and
+succeeds iff the erased columns are linearly independent (guaranteed for
+up to d-1 erasures).
 
 Randomness comes from SplitMix64 so runs are reproducible across
 implementations.  State update per draw, all mod 2^64:
@@ -24,7 +27,7 @@ from typing import Optional, Sequence
 
 from .concat import BinaryLrc
 from .errors import AmbiguousDecode, GroupDamaged
-from .matrix import FieldMatrix
+from .matrix import xor_insert, xor_reduce
 
 _MASK64 = (1 << 64) - 1
 
@@ -136,27 +139,22 @@ def _decode(lrc, word, pattern):
             accessed[p] = 2
     rest = sorted(p for p in erased if p not in methods)
     if rest:
-        h = lrc.code.parity_check
-        known = [0 if v is None else v for v in values]
-        syndrome = [
-            sum(h.entry(row, j) & known[j] for j in range(n)) & 1
-            for row in range(h.nrows)
-        ]
-        augmented = FieldMatrix.from_rows(
-            2,
-            [
-                [h.entry(row, p) for p in rest] + [syndrome[row]]
-                for row in range(h.nrows)
-            ],
-        )
-        reduced, rank, pivots = augmented.rref()
-        if len(rest) in pivots:
+        cols = lrc.code.parity_columns
+        syndrome = 0
+        for col, v in zip(cols, values):
+            if v:
+                syndrome ^= col
+        basis: list = []
+        dependent = 0
+        for i, p in enumerate(rest):
+            dependent += not xor_insert(basis, cols[p], 1 << i)[0]
+        residual, solution = xor_reduce(basis, syndrome)
+        if residual:
             raise ValueError("word is not consistent with any codeword")
-        if rank < len(rest):
-            return None, len(rest) - rank, methods, accessed
-        solution = [reduced.entry(i, len(rest)) for i in range(rank)]
-        for p, v in zip(rest, solution):
-            values[p] = v
+        if dependent:
+            return None, dependent, methods, accessed
+        for i, p in enumerate(rest):
+            values[p] = (solution >> i) & 1
             methods[p] = "global"
             accessed[p] = n - len(erased)
     recovered = tuple(values)

@@ -1,0 +1,81 @@
+"""The scalar GF(2)/GF(4) elimination that the XOR-basis kernel replaced.
+
+These are the former ``matrix.leading_column``, ``matrix.rows_rank``,
+``FieldMatrix.rref`` and ``FieldMatrix.nullspace``: pivots are found one
+symbol at a time and normalized with GF(4) scalars.  They stay here as the
+reference the kernel is checked against.
+"""
+
+from gf4lrc import gf4
+from gf4lrc.matrix import FieldMatrix, _lo_for, lo_mask, pack_row, row_entry, scale_row
+
+
+def leading_column(q: int, row: int, lo: int | None = None) -> int:
+    """Index of the first (lowest) nonzero symbol; row must be nonzero."""
+    if q == 2:
+        return (row & -row).bit_length() - 1
+    if lo is None:
+        lo = _lo_for(row)
+    support = (row | (row >> 1)) & lo
+    return ((support & -support).bit_length() - 1) // 2
+
+
+def rows_rank(q: int, rows, ncols: int) -> int:
+    """Rank of packed rows via incremental elimination."""
+    lo = lo_mask(ncols) if q == 4 else None
+    basis = []  # (pivot column, normalized row)
+    for row in rows:
+        for col, pivot in basis:
+            e = row_entry(q, row, col)
+            if e:
+                row ^= scale_row(q, pivot, e, lo)
+        if row:
+            col = leading_column(q, row, lo)
+            lead = row_entry(q, row, col)
+            if lead != 1:
+                row = scale_row(q, row, gf4.gf4_inv(lead), lo)
+            basis.append((col, row))
+    return len(basis)
+
+
+def rref(m: FieldMatrix):
+    """Reduced row-echelon form, rank, and pivot columns."""
+    rows = list(m.rows)
+    pivots = []
+    r = 0
+    for col in range(m.ncols):
+        pivot_row = None
+        for i in range(r, len(rows)):
+            if row_entry(m.q, rows[i], col):
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        lead = row_entry(m.q, rows[r], col)
+        if lead != 1:
+            rows[r] = scale_row(m.q, rows[r], gf4.gf4_inv(lead), m._lo)
+        for i in range(len(rows)):
+            if i == r:
+                continue
+            e = row_entry(m.q, rows[i], col)
+            if e:
+                rows[i] ^= scale_row(m.q, rows[r], e, m._lo)
+        pivots.append(col)
+        r += 1
+    return FieldMatrix(m.q, m.nrows, m.ncols, rows), r, tuple(pivots)
+
+
+def nullspace(m: FieldMatrix) -> FieldMatrix:
+    """Basis (as rows) of {x : m @ x^T = 0}; has ncols - rank rows."""
+    reduced, _, pivots = rref(m)
+    pivot_set = set(pivots)
+    free_cols = [j for j in range(m.ncols) if j not in pivot_set]
+    basis = []
+    for f in free_cols:
+        vec = [0] * m.ncols
+        vec[f] = 1
+        for i, p in enumerate(pivots):
+            vec[p] = reduced.entry(i, f)
+        basis.append(pack_row(m.q, vec))
+    return FieldMatrix(m.q, len(basis), m.ncols, basis)

@@ -16,7 +16,7 @@ from gf4lrc.concat import (
     lrc_weights_from_outer,
     weight_map_check,
 )
-from gf4lrc.errors import FieldMismatch, Mismatch, SubsetBudgetExceeded
+from gf4lrc.errors import FieldMismatch, Mismatch, ParseError, SubsetBudgetExceeded
 from gf4lrc.families import hamming4, hexacode, mds_rs
 from gf4lrc.matrix import FieldMatrix
 from gf4lrc.projective import bundled_cap_pg3_17
@@ -230,3 +230,10 @@ def test_lrc_json_round_trip():
     assert again.groups == lrc.groups
     assert again.e_vectors == lrc.e_vectors
     assert again.d == lrc.d
+
+
+def test_lrc_json_groups_must_partition_the_coordinates():
+    obj = concatenate(hamming4(2)).to_json()
+    obj["groups"][1] = list(obj["groups"][0])
+    with pytest.raises(ParseError):
+        BinaryLrc.from_json(obj)

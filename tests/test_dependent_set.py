@@ -16,13 +16,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_code_corpus
+from scalar_elimination import leading_column
 from gf4lrc import gf4
 from gf4lrc.code import METHOD_COLUMN, METHOD_GROUP_RANK, DistanceCertificate, LinearCode
 from gf4lrc.concat import certify_distance, concatenate
 from gf4lrc.errors import BudgetExceeded, SubsetBudgetExceeded
 from gf4lrc.matrix import (
     FieldMatrix,
-    leading_column,
     lo_mask,
     pack_row,
     row_entry,
@@ -82,7 +82,7 @@ def reference_certify(lrc, budget):
 def reference_columns(code: LinearCode, budget):
     q, n = code.q, code.n
     h = code.parity_check
-    cols = [h.col_packed(j) for j in range(n)]
+    cols = [pack_row(q, h.col_tuple(j)) for j in range(n)]
     lo = lo_mask(h.nrows) if q == 4 else None
     examined = 0
 

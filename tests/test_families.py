@@ -278,3 +278,11 @@ def test_ingest_propagates_engine_failures(tmp_path, monkeypatch):
     with pytest.raises(AssertionError):
         ingest(path)
 
+
+
+@pytest.mark.parametrize("key", ["n", "k", "d"])
+def test_ingest_rejects_non_integer_advertised_value(tmp_path, key):
+    path = tmp_path / "bad.code"
+    path.write_text(f"field=2 rows=1 cols=3 kind=generator {key}=three\n1 1 1\n")
+    with pytest.raises(ParseError):
+        ingest(path)

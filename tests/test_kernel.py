@@ -1,0 +1,73 @@
+"""The XOR-basis kernel against the scalar elimination it replaced.
+
+``scalar_elimination`` keeps the former ``rows_rank``, ``rref`` and
+``nullspace``, which normalize GF(4) pivots one symbol at a time.  RREF is
+unique, so the kernel's results must be identical, not merely equivalent:
+the same reduced rows, rank, pivot columns and nullspace basis.
+"""
+
+from functools import reduce
+from operator import xor
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import scalar_elimination as scalar
+from gf4lrc.concat import concatenate
+from gf4lrc.matrix import FieldMatrix, pack_row, rows_rank, xor_insert, xor_reduce
+
+
+@st.composite
+def matrices(draw):
+    """GF(2)/GF(4) matrices with ncols >= 0, some zero and duplicate rows."""
+    q = draw(st.sampled_from([2, 4]))
+    ncols = draw(st.integers(0, 7))
+    row = st.lists(st.integers(0, q - 1), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=6))
+    extra = st.one_of(st.just([0] * ncols), st.sampled_from(rows)) if rows else st.just([0] * ncols)
+    rows = draw(st.permutations(rows + draw(st.lists(extra, max_size=3))))
+    return FieldMatrix(q, len(rows), ncols, [pack_row(q, r) for r in rows])
+
+
+def assert_matches_scalar(m: FieldMatrix) -> None:
+    expected = scalar.rref(m)
+    assert m.rref() == expected
+    assert m.rank() == rows_rank(m.q, m.rows, m.ncols) == expected[1]
+    assert expected[1] == scalar.rows_rank(m.q, m.rows, m.ncols)
+    assert m.nullspace() == scalar.nullspace(m)
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrices())
+def test_kernel_matches_scalar_elimination(m):
+    assert_matches_scalar(m)
+
+
+def test_kernel_matches_scalar_elimination_on_code_corpus(outer_corpus):
+    for outer in outer_corpus:
+        assert_matches_scalar(outer.generator)
+        assert_matches_scalar(outer.parity_check)
+        assert_matches_scalar(outer.parity_check.transpose())
+    for outer in outer_corpus[:40]:
+        assert_matches_scalar(concatenate(outer).code.parity_check)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 255), max_size=10), st.integers(0, 255))
+def test_provenance_names_the_inputs(vecs, target):
+    """An entry, a dependency and a reduced vector each equal the XOR of the
+    inputs their provenance mask names."""
+
+    def combine(mask):
+        return reduce(xor, (v for i, v in enumerate(vecs) if mask >> i & 1), 0)
+
+    basis: list = []
+    for i, v in enumerate(vecs):
+        reduced, mask = xor_insert(basis, v, 1 << i)
+        assert combine(mask) == reduced
+        assert mask >> i & 1
+    assert all(combine(mask) == p for _, p, mask in basis)
+    assert all(p & -p == low for low, p, _ in basis)
+    residual, mask = xor_reduce(basis, target)
+    assert combine(mask) == residual ^ target
+    assert residual == 0 or all(not residual & low for low, _, _ in basis)

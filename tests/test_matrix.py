@@ -141,3 +141,9 @@ def test_text_parse_errors():
         FieldMatrix.from_text("field=3 rows=1 cols=1\n1\n")
     with pytest.raises(ParseError):
         FieldMatrix.from_text("field=2 rows=1 cols=2\n1 w\n")
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_text_rejects_negative_shape(q):
+    with pytest.raises(ParseError):
+        FieldMatrix.from_text(f"field={q} rows=0 cols=-3\n")

@@ -115,3 +115,16 @@ def test_cap_text_parse_errors():
         CapSet.from_text("pg=2 q=4 size=2\n1 0 0\n")
     with pytest.raises(ParseError):
         CapSet.from_text("pg=2 q=4 size=1\n1 0\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "pg=2 q=4 size=1\n1 x 0\n",  # a symbol outside the alphabet
+        "pg=2 q=4 size=1 size=2\n1 0 0\n1 1 0\n",  # a repeated header key
+        "pg=-1 q=4 size=0\n",  # a negative ambient dimension
+    ],
+)
+def test_cap_text_malformed_raises_parse_error(text):
+    with pytest.raises(ParseError):
+        CapSet.from_text(text)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -186,3 +187,41 @@ def test_weight_eight_support_is_ambiguous_on_hexacode_lrc():
         word[p] = None
     with pytest.raises(AmbiguousDecode):
         global_decode(lrc, word)
+
+
+def _erase(codeword, pattern):
+    return [None if i in pattern else v for i, v in enumerate(codeword)]
+
+
+def test_exact_decoder_oracle_on_15_6_6(lrc):
+    """Erasing a set of columns fails exactly when the set holds the support
+    of a codeword, so on [15,6,6;2] every pattern of at most 5 erasures
+    decodes and a 6-set fails exactly when it is a weight-6 support."""
+    assert (lrc.n, lrc.k) == (15, 6)
+    words = [lrc.code.encode(list(m)) for m in itertools.product((0, 1), repeat=lrc.k)]
+    supports = {frozenset(i for i, v in enumerate(w) if v) for w in words if sum(w) == 6}
+    assert len(supports) == 30 and min(sum(w) for w in words if any(w)) == 6
+    cw = words[45]
+    for t in range(6):
+        for pattern in itertools.combinations(range(lrc.n), t):
+            assert global_decode(lrc, _erase(cw, pattern)).word == cw
+    ambiguous = set()
+    for pattern in itertools.combinations(range(lrc.n), 6):
+        try:
+            out = global_decode(lrc, _erase(cw, pattern))
+        except AmbiguousDecode as exc:
+            assert exc.solution_dim == 1
+            ambiguous.add(frozenset(pattern))
+        else:
+            assert out.word == cw
+    assert ambiguous == supports
+
+
+def test_simulated_failure_rate_at_t_equal_d_on_15_6_6(lrc):
+    """Six uniform erasures fail with probability A_6 / C(15, 6) = 30/5005;
+    the simulated failure count lies within 5 binomial standard deviations
+    of its mean."""
+    trials, p = 20_000, 30 / math.comb(15, 6)
+    report = simulate(lrc, trials, RandomErasures(6), seed=2026)
+    failures = round((1.0 - report.success_rate) * trials)
+    assert abs(failures - trials * p) <= 5 * math.sqrt(trials * p * (1 - p))
