@@ -76,7 +76,11 @@ def default_kopt(q: int = 2) -> KoptOracle:
 def kopt_from_table(path: str | Path, fallback: Optional[KoptOracle] = None) -> KoptOracle:
     """Oracle backed by a table of ``n d kmax`` lines, falling back otherwise."""
     table: dict[tuple[int, int], int] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"table is not UTF-8 text: {exc}") from exc
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -87,6 +91,8 @@ def kopt_from_table(path: str | Path, fallback: Optional[KoptOracle] = None) -> 
             n, d, kmax = (int(p) for p in parts)
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
+        if min(n, d, kmax) < 0:
+            raise ParseError(f"line {lineno}: negative entry in {line!r}")
         table[(n, d)] = kmax
     fallback = fallback or default_kopt()
 

@@ -1,11 +1,20 @@
 """Linear codes over GF(2)/GF(4): distance, weight enumerator, duality.
 
-Codeword enumeration walks the message space in binary-reflected Gray order
-so each successive codeword costs one row XOR.  Over GF(4) the message is
-viewed as a GF(2) bit vector of length 2k (bits 2i, 2i+1 select row i and
-w*row i), which keeps the Gray walk binary.  The walk is partitionable: any
-split of the message-index range yields partial weight histograms that merge
-by addition into the single-pass result.
+Codewords are enumerated in binary-reflected Gray-step order: step m stands
+for the message gray(m) = m ^ (m >> 1).  Over GF(4) the message is viewed as
+a GF(2) bit vector of length 2k (bits 2i, 2i+1 select row i and w*row i),
+which keeps the enumeration binary.  Since sum_i gray(m)_i r_i equals
+sum_i m_i (r_i ^ r_(i-1)), step m's codeword is the XOR of the step rows
+r_i ^ r_(i-1) over the set bits of m.
+
+The enumerator is bit-sliced (Biham 1997): it handles aligned blocks of
+2^BLOCK_BITS steps, one big-int bit plane per codeword bit, where bit x of
+a plane is that codeword bit at step base + x.  A plane is a fixed truth
+table of the low step bits, complemented when the block's high bits flip
+it.  The coordinates' nonzero planes are summed into a bit-sliced counter,
+which splits into one plane per weight.  Step ranges are partitionable: any
+split of [0, q^k) yields partial weight histograms that merge by addition
+into the single-pass result.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from .matrix import (
     FieldMatrix,
     binary_expansion,
     lo_mask,
-    row_weight,
+    row_support,
     scale_row,
     smallest_dependent_set,
     unpack_row,
@@ -29,6 +38,10 @@ from .matrix import (
 #: Default cap on enumerated codewords; larger codes fall back to
 #: column-dependence search in min_distance and refuse weight_distribution.
 DEFAULT_ENUM_BUDGET = 1 << 26
+
+#: log2 of the steps handled per bit-sliced block; a bit plane is a
+#: 2^14-bit big int, small enough to stay in cache.
+BLOCK_BITS = 14
 
 METHOD_EXHAUSTIVE = "exhaustive"
 METHOD_COLUMN = "column_dependence"
@@ -90,13 +103,14 @@ class LinearCode:
         self.parity_check = parity_check
         if parity_check.nrows != self.n - self.k:
             raise RankDeficient("parity check must have n-k rows")
-        h_t = parity_check.transpose()
-        if not generator.mat_mul(h_t).is_zero():
-            raise ValueError("generator rows are not orthogonal to parity check")
         #: Column j of the parity check, packed as a length-(n-k) vector.
-        self.parity_columns = h_t.rows
+        self.parity_columns = parity_check.transpose().rows
+        if any(self._packed_syndrome(g) for g in generator.rows):
+            raise ValueError("generator rows are not orthogonal to parity check")
         self._distance: Optional[DistanceCertificate] = None
         self._weights: Optional[WeightDistribution] = None
+        #: Weight histogram left by a full exhaustive distance pass.
+        self._counts: Optional[tuple[int, ...]] = None
 
     # -- construction --------------------------------------------------------
 
@@ -152,22 +166,91 @@ class LinearCode:
                 syndrome ^= scale_row(q, col, x, lo)
         return not syndrome
 
-    def _iter_packed(self, start: int, stop: int, bit_rows: list[int]):
-        gray = start ^ (start >> 1)
-        cur = 0
-        g = gray
-        b = 0
-        while g:
-            if g & 1:
-                cur ^= bit_rows[b]
-            g >>= 1
-            b += 1
-        m = start
-        yield cur
-        while m + 1 < stop:
-            m += 1
-            cur ^= bit_rows[(m & -m).bit_length() - 1]
-            yield cur
+    def _packed_syndrome(self, word: int) -> int:
+        """The syndrome of a packed word, one XOR per nonzero symbol.
+
+        ``contains`` takes a symbol list and keeps its own per-symbol loop:
+        packing the list first costs more than the loop.
+        """
+        syndrome, lo = 0, lo_mask(self.n - self.k)
+        for j, x in row_support(self.q, word, self.generator._lo):
+            syndrome ^= scale_row(self.q, self.parity_columns[j], x, lo)
+        return syndrome
+
+    def _step_rows(self) -> list[int]:
+        """Packed rows whose XOR over the set bits of m is step m's codeword."""
+        rows = self._message_bit_rows()
+        return [r ^ prev for r, prev in zip(rows, [0] + rows)]
+
+    def _step_word(self, m: int) -> tuple[int, ...]:
+        """The codeword at step m, i.e. of the message gray(m)."""
+        packed = 0
+        for i, row in enumerate(self._step_rows()):
+            if m >> i & 1:
+                packed ^= row
+        return unpack_row(self.q, packed, self.n)
+
+    def _weight_planes(self, start: int, stop: int):
+        """Bit-sliced enumeration of steps [start, stop), start < stop.
+
+        Yields ``(base, planes, nonzero)`` per aligned block of steps that
+        meets the range: bit x of ``planes[w]`` is set when step base + x
+        lies in the range and its codeword has weight w (``planes`` runs
+        past n with empty planes), and ``nonzero(j)`` is the plane of the
+        block's steps whose codeword is nonzero at coordinate j.
+        """
+        steps = self._step_rows()
+        low = min(len(steps), BLOCK_BITS)
+        size = 1 << low
+        full = (1 << size) - 1
+        ones = [(1 << (1 << i)) - 1 for i in range(low)]
+        tables, highs = [], []
+        for c in range((1 if self.q == 2 else 2) * self.n):
+            col = 0
+            for i, row in enumerate(steps):
+                col |= (row >> c & 1) << i
+            # Doubling: bit x of the table is parity(x & col) for x < 2^i.
+            table = 0
+            for i in range(low):
+                table |= (table ^ (ones[i] if col >> i & 1 else 0)) << (1 << i)
+            tables.append(table)
+            highs.append(col >> low)
+        levels = self.n.bit_length()
+        for h in range(start >> low, ((stop - 1) >> low) + 1):
+            base = h << low
+
+            def bit_plane(c: int) -> int:
+                if (h & highs[c]).bit_count() & 1:
+                    return tables[c] ^ full
+                return tables[c]
+
+            if self.q == 2:
+                nonzero = bit_plane
+            else:
+
+                def nonzero(j: int) -> int:
+                    return bit_plane(2 * j) | bit_plane(2 * j + 1)
+
+            counter = [0] * levels
+            for j in range(self.n):
+                carry = nonzero(j)
+                for level in range(levels):
+                    held = counter[level]
+                    counter[level] = held ^ carry
+                    carry &= held
+                    if not carry:
+                        break
+            mask = full & (full << max(start - base, 0))
+            if stop - base < size:
+                mask &= (1 << (stop - base)) - 1
+            planes = [mask]
+            for held in reversed(counter):
+                split = []
+                for plane in planes:
+                    high = plane & held
+                    split += (plane ^ high, high)
+                planes = split
+            yield base, planes, nonzero
 
     def weight_counts_range(self, start: int, stop: int) -> list[int]:
         """Partial weight histogram over message indices [start, stop).
@@ -181,10 +264,9 @@ class LinearCode:
         counts = [0] * (self.n + 1)
         if start == stop:
             return counts
-        lo = lo_mask(self.n) if self.q == 4 else None
-        bit_rows = self._message_bit_rows()
-        for packed in self._iter_packed(start, stop, bit_rows):
-            counts[row_weight(self.q, packed, lo)] += 1
+        for _, planes, _ in self._weight_planes(start, stop):
+            for w in range(self.n + 1):
+                counts[w] += planes[w].bit_count()
         return counts
 
     def weight_distribution(self, budget: int = DEFAULT_ENUM_BUDGET) -> WeightDistribution:
@@ -196,7 +278,7 @@ class LinearCode:
             raise BudgetExceeded(
                 f"{total} codewords exceed enumeration budget {budget}"
             )
-        counts = self.weight_counts_range(0, total)
+        counts = self._counts or self.weight_counts_range(0, total)
         self._weights = WeightDistribution(self.n, self.k, self.q, tuple(counts))
         if self._distance is not None and self._weights.distance() != self._distance.d:
             raise AssertionError("weight distribution contradicts cached distance")
@@ -225,24 +307,25 @@ class LinearCode:
         return cert
 
     def _min_distance_exhaustive(self) -> DistanceCertificate:
-        lo = lo_mask(self.n) if self.q == 4 else None
-        bit_rows = self._message_bit_rows()
-        best_w = self.n + 1
-        best = None
-        first = True
-        for packed in self._iter_packed(0, self.codeword_count(), bit_rows):
-            if first:  # message index 0 is the zero codeword
-                first = False
-                continue
-            w = row_weight(self.q, packed, lo)
-            if w < best_w:
-                best_w = w
-                best = packed
-                if w == 1:
+        """The first minimum-weight codeword in step order.
+
+        Stops after the block that holds a weight-1 word; a pass that runs
+        to the end keeps its weight histogram for ``weight_distribution``.
+        """
+        counts = [0] * (self.n + 1)
+        best_w, best = self.n + 1, 0
+        for base, planes, _ in self._weight_planes(0, self.codeword_count()):
+            for w in range(1, best_w):
+                if planes[w]:
+                    best_w, best = w, base + (planes[w] & -planes[w]).bit_length() - 1
                     break
-        return DistanceCertificate(
-            best_w, unpack_row(self.q, best, self.n), METHOD_EXHAUSTIVE
-        )
+            if best_w == 1:
+                break
+            for w in range(self.n + 1):
+                counts[w] += planes[w].bit_count()
+        else:
+            self._counts = tuple(counts)
+        return DistanceCertificate(best_w, self._step_word(best), METHOD_EXHAUSTIVE)
 
     def _min_distance_columns(self, set_budget: int) -> DistanceCertificate:
         """Smallest dependent parity-check column set, as a codeword."""

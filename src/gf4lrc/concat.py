@@ -22,7 +22,7 @@ from .code import (
     WeightDistribution,
 )
 from .errors import BudgetExceeded, FieldMismatch, Mismatch, ParseError, SubsetBudgetExceeded
-from .matrix import FieldMatrix, pack_row, row_entry, smallest_dependent_set, xor_insert
+from .matrix import FieldMatrix, pack_row, smallest_dependent_set, xor_insert
 
 #: Default cap on repair-group subsets examined by the distance certifier.
 DEFAULT_SUBSET_BUDGET = 10_000_000
@@ -280,20 +280,20 @@ def locality_check(
         raise BudgetExceeded(f"dual enumeration of {total} words exceeds {budget}")
     covering = [None] * code.n
     remaining = code.n
-    bit_rows = dual._message_bit_rows()
-    first = True
-    for packed in dual._iter_packed(0, total, bit_rows):
-        if first:
-            first = False
+    # Each coordinate takes the first dual word in step order of weight
+    # 1..r+1 whose support holds it.
+    for base, planes, nonzero in dual._weight_planes(0, total):
+        short = 0
+        for w in range(1, min(r + 1, code.n) + 1):
+            short |= planes[w]
+        if not short:
             continue
-        word = [row_entry(code.q, packed, j) for j in range(code.n)]
-        support = [j for j, v in enumerate(word) if v]
-        if not 0 < len(support) <= r + 1:
-            continue
-        for j in support:
+        for j in range(code.n):
             if covering[j] is None:
-                covering[j] = tuple(word)
-                remaining -= 1
+                hit = short & nonzero(j)
+                if hit:
+                    covering[j] = dual._step_word(base + (hit & -hit).bit_length() - 1)
+                    remaining -= 1
         if remaining == 0:
             break
     return CoverageReport(r, tuple(covering), remaining == 0)

@@ -25,7 +25,7 @@ followed by r lines of c whitespace-separated symbols from the alphabet
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import gf4
 from .errors import BudgetExceeded, FieldMismatch, ParseError, ShapeMismatch
@@ -83,13 +83,17 @@ def scale_row(q: int, row: int, scalar: int, lo: int | None = None) -> int:
     return (lo_part ^ hi_part) | (lo_part << 1)
 
 
-def row_weight(q: int, row: int, lo: int | None = None) -> int:
-    """Number of nonzero symbols in a packed row."""
+def row_support(q: int, row: int, lo: int | None = None) -> Iterator[tuple[int, int]]:
+    """``(j, symbol)`` for each nonzero symbol of a packed row, by column."""
     if q == 2:
-        return row.bit_count()
-    if lo is None:
-        lo = _lo_for(row)
-    return ((row | (row >> 1)) & lo).bit_count()
+        width, support = 1, row
+    else:
+        width, support = 2, (row | (row >> 1)) & (_lo_for(row) if lo is None else lo)
+    while support:
+        low = support & -support
+        bit = low.bit_length() - 1
+        yield bit // width, row >> bit & (q - 1)
+        support ^= low
 
 
 def xor_reduce(basis: list, v: int, mask: int = 0) -> tuple[int, int]:
@@ -247,18 +251,20 @@ class FieldMatrix:
         return rows_rank(self.q, self.rows, self.ncols)
 
     def nullspace(self) -> "FieldMatrix":
-        """Basis (as rows) of {x : self @ x^T = 0}; has ncols - rank rows."""
+        """Basis (as rows) of {x : self @ x^T = 0}; has ncols - rank rows.
+
+        Row f sets free column f to 1 and pivot column p_i to entry (i, f)
+        of the RREF, built by one pass over the RREF rows' nonzero entries.
+        """
         reduced, _, pivots = self.rref()
+        width = 1 if self.q == 2 else 2
         pivot_set = set(pivots)
-        free_cols = [j for j in range(self.ncols) if j not in pivot_set]
-        basis = []
-        for f in free_cols:
-            vec = [0] * self.ncols
-            vec[f] = 1
-            for i, p in enumerate(pivots):
-                vec[p] = reduced.entry(i, f)
-            basis.append(pack_row(self.q, vec))
-        return FieldMatrix(self.q, len(basis), self.ncols, basis)
+        basis = {j: 1 << (width * j) for j in range(self.ncols) if j not in pivot_set}
+        for p, row in zip(pivots, reduced.rows):
+            for j, value in row_support(self.q, row, self._lo):
+                if j != p:
+                    basis[j] |= value << (width * p)
+        return FieldMatrix(self.q, len(basis), self.ncols, list(basis.values()))
 
     # -- text format -------------------------------------------------------
 

@@ -86,6 +86,8 @@ class CapSet:
         for i, p in enumerate(self.points):
             if len(p) != self.ambient + 1:
                 raise NotACap(f"point {i} has wrong length", triple=None)
+            if not any(p):
+                raise NotACap(f"point {i} is the zero vector", triple=None)
             if normalize_point(p) != p:
                 raise NotACap(f"point {i} is not normalized", triple=None)
             if p in seen:

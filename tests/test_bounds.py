@@ -217,9 +217,10 @@ def test_kopt_table_override(tmp_path):
     assert oracle(9, 6) == 2
     assert oracle(10, 6) == bounds.default_kopt()(10, 6)
     bad = tmp_path / "bad.txt"
-    bad.write_text("1 2\n")
-    with pytest.raises(ParseError):
-        bounds.kopt_from_table(bad)
+    for content in (b"1 2\n", b"10 4 -3\n", b"9 6 2\n\xff\n"):
+        bad.write_bytes(content)
+        with pytest.raises(ParseError):
+            bounds.kopt_from_table(bad)
 
 
 def test_default_kopt_zero_when_distance_exceeds_length():

@@ -1,0 +1,123 @@
+"""The bit-sliced enumerator against the Gray walk it replaced.
+
+``gray_walk`` keeps the former per-codeword walk.  Both visit the same
+Gray steps, so results must be identical, not merely equivalent: the same
+full and partial weight histograms, the same first minimum-weight witness
+and the same first covering dual word per coordinate.  Codes include ones
+that span several 2^BLOCK_BITS blocks (binary k >= 15, GF(4) k >= 8), ones
+whose message bits sit on a block boundary, and d = 1 codes, whose
+exhaustive pass stops early.  Patching BLOCK_BITS down makes small codes
+span many blocks as well.
+"""
+
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gray_walk as gray
+from gf4lrc import code as code_module
+from gf4lrc.code import BLOCK_BITS, LinearCode
+from gf4lrc.concat import locality_check
+from gf4lrc.errors import BudgetExceeded
+from gf4lrc.matrix import FieldMatrix, scale_row
+
+
+@st.composite
+def codes(draw, message_bits, max_redundancy: int = 6):
+    """A random [n, k] code over GF(2) or GF(4) with 2^message_bits words.
+
+    The generator is systematic [I | A], mixed by random row operations and
+    a column permutation; an all-zero row of A makes a weight-1 codeword.
+    """
+    q = draw(st.sampled_from([2, 4]))
+    bits = draw(message_bits)
+    k = bits if q == 2 else max(1, bits // 2)
+    n = k + draw(st.integers(0, max_redundancy))
+    width = 1 if q == 2 else 2
+    tails = st.one_of(st.just(0), st.integers(0, (1 << (width * (n - k))) - 1))
+    rows = [(1 << (width * i)) | (draw(tails) << (width * k)) for i in range(k)]
+    for _ in range(draw(st.integers(0, 2 * k))):
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        if i != j:
+            rows[i] ^= scale_row(q, rows[j], draw(st.integers(1, q - 1)))
+    perm = draw(st.permutations(range(n)))
+    mat = FieldMatrix(q, k, n, rows)
+    cols = [mat.col_tuple(j) for j in perm]
+    return LinearCode.from_generator(FieldMatrix.from_cols(q, cols))
+
+
+small = codes(st.integers(1, 6))
+boundary = codes(st.sampled_from([BLOCK_BITS - 1, BLOCK_BITS, BLOCK_BITS + 1, BLOCK_BITS + 2]))
+block_bits = st.sampled_from([1, 3, BLOCK_BITS])
+
+
+def with_block_bits(bits: int):
+    return mock.patch.object(code_module, "BLOCK_BITS", bits)
+
+
+def fresh(code: LinearCode) -> LinearCode:
+    return LinearCode(code.generator, code.parity_check)
+
+
+def assert_matches_gray_walk(code: LinearCode) -> None:
+    total = code.codeword_count()
+    assert code.weight_counts_range(0, total) == gray.weight_counts_range(code, 0, total)
+    assert code._min_distance_exhaustive() == gray.min_distance_exhaustive(code)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small, block_bits)
+def test_histogram_and_certificate_match_gray_walk(code, bits):
+    with with_block_bits(bits):
+        assert_matches_gray_walk(code)
+
+
+@settings(max_examples=25, deadline=None)
+@given(boundary)
+def test_multi_block_codes_match_gray_walk(code):
+    assert_matches_gray_walk(code)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small, codes(st.integers(7, 10))), block_bits, st.data())
+def test_partial_histograms_match_gray_walk(code, bits, data):
+    total = code.codeword_count()
+    cuts = sorted(data.draw(st.lists(st.integers(0, total), max_size=5)))
+    merged = [0] * (code.n + 1)
+    with with_block_bits(bits):
+        for start, stop in zip([0] + cuts, cuts + [total]):
+            part = code.weight_counts_range(start, stop)
+            assert part == gray.weight_counts_range(code, start, stop)
+            merged = [a + b for a, b in zip(merged, part)]
+    assert merged == gray.weight_counts_range(code, 0, total)
+
+
+@settings(max_examples=200, deadline=None)
+@given(codes(st.integers(1, 4), max_redundancy=6), block_bits, st.integers(0, 3))
+def test_locality_coverings_match_gray_walk(code, bits, r):
+    with with_block_bits(bits):
+        assert locality_check(code, r) == gray.locality_dual_scan(code, r)
+
+
+@settings(max_examples=12, deadline=None)
+@given(codes(st.integers(BLOCK_BITS - 1, BLOCK_BITS + 1), max_redundancy=4), st.integers(0, 3))
+def test_multi_block_dual_coverings_match_gray_walk(dual, r):
+    code = dual.dual()
+    assert locality_check(code, r) == gray.locality_dual_scan(code, r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small, codes(st.integers(7, 10))))
+def test_weight_distribution_budget_after_a_cached_distance_pass(code):
+    total = code.codeword_count()
+    expected = tuple(gray.weight_counts_range(code, 0, total))
+    code.min_distance(budget=total)  # the exhaustive route
+    for budget in (total - 1, total // 2):
+        with pytest.raises(BudgetExceeded) as cached:
+            code.weight_distribution(budget=budget)
+        with pytest.raises(BudgetExceeded) as uncached:
+            fresh(code).weight_distribution(budget=budget)
+        assert str(cached.value) == str(uncached.value)
+    assert code.weight_distribution(budget=total).counts == expected

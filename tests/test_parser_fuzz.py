@@ -4,7 +4,8 @@ Each parser gets inputs built near its format (headers with small,
 negative, repeated or non-integer values, rows of alphabet and foreign
 symbols, LRC objects with mutated fields) as well as arbitrary text or JSON.
 A parser may return or raise a ``Gf4LrcError``; any other exception is a
-defect.  Header integers stay small, so no input asks for a huge matrix.
+defect.  The k_opt table parser reads a file, so it gets bytes: table
+lines, comments and stray bytes that need not be UTF-8.  Header integers stay small, so no input asks for a huge matrix.
 """
 
 import json
@@ -12,6 +13,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gf4lrc.bounds import kopt_from_table
 from gf4lrc.concat import BinaryLrc, concatenate
 from gf4lrc.errors import Gf4LrcError
 from gf4lrc.families import hamming4
@@ -87,7 +89,7 @@ def test_matrix_text_parser_raises_only_package_errors(text):
 @settings(max_examples=250, deadline=None)
 @given(cap_texts)
 def test_cap_text_parser_raises_only_package_errors(text):
-    only_package_errors(CapSet.from_text, text)
+    only_package_errors(lambda t: CapSet.from_text(t).verify(), text)
 
 
 VALID_LRC = concatenate(hamming4(2)).to_json()
@@ -130,3 +132,28 @@ def lrc_objects(draw):
 @given(st.one_of(lrc_objects(), json_values))
 def test_lrc_json_parser_raises_only_package_errors(obj):
     only_package_errors(BinaryLrc.from_json, obj)
+
+
+table_lines = st.one_of(
+    st.lists(values, min_size=3, max_size=3).map(" ".join),
+    st.lists(values, max_size=4).map(" ".join),
+    st.sampled_from(["", "# comment", "  9 6 2  ", "10 4 -3"]),
+)
+table_bytes = st.one_of(
+    st.lists(
+        st.one_of(
+            table_lines.map(str.encode),
+            st.sampled_from([b"\xff", b"\xc3", b"9 6 \xe9", b"\x00", b"\r"]),
+        ),
+        max_size=5,
+    ).map(b"\n".join),
+    st.binary(max_size=40),
+)
+
+
+@settings(max_examples=250, deadline=None)
+@given(table_bytes)
+def test_kopt_table_parser_raises_only_package_errors(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("kopt") / "table.txt"
+    path.write_bytes(data)
+    only_package_errors(kopt_from_table, path)

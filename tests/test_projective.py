@@ -77,6 +77,13 @@ def test_verify_rejects_duplicates_and_unnormalized():
         CapSet(1, ((W, 0), (0, 1))).verify()
 
 
+def test_verify_rejects_the_zero_point():
+    with pytest.raises(NotACap):
+        CapSet.from_text("pg=1 q=4 size=1\n0 0\n").verify()
+    with pytest.raises(NotACap):
+        CapSet(2, ((1, 0, 0), (0, 0, 0))).verify()
+
+
 def test_hyperoval_search_in_pg2():
     cap = cap_search(2, 6)
     cap.verify()
