@@ -13,7 +13,6 @@ from .bounds import (
     BoundQuery,
     BoundReport,
     classify,
-    classify_lrc,
     default_kopt,
     griesmer_classical_min_n,
     griesmer_like_max_d,
@@ -30,12 +29,9 @@ from .code import (
     WeightDistribution,
     krawtchouk,
     macwilliams,
-    make_code,
 )
 from .concat import (
-    INNER,
     BinaryLrc,
-    InnerCode,
     certify_distance,
     concatenate,
     group_subspaces,

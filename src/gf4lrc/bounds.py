@@ -394,9 +394,3 @@ def classify(
         omega_prime_original=omega_orig,
     )
 
-
-def classify_lrc(lrc, kopt: Optional[KoptOracle] = None) -> BoundReport:
-    """Classify a BinaryLrc; its distance must already be certified."""
-    if lrc.d is None:
-        raise ValueError("certify the LRC distance before classifying")
-    return classify(lrc.n, lrc.k, lrc.d, 2, kopt)

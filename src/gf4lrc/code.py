@@ -347,17 +347,6 @@ class LinearCode:
         return DistanceCertificate(d, witness, METHOD_COLUMN)
 
 
-def make_code(
-    generator: FieldMatrix | None = None, parity_check: FieldMatrix | None = None
-) -> LinearCode:
-    """Build a LinearCode from either matrix; the other comes from nullspace."""
-    if (generator is None) == (parity_check is None):
-        raise ValueError("provide exactly one of generator / parity_check")
-    if generator is not None:
-        return LinearCode.from_generator(generator)
-    return LinearCode.from_parity(parity_check)
-
-
 def krawtchouk(j: int, i: int, n: int, q: int) -> int:
     """K_j(i; n; q) = sum_a (-1)^a (q-1)^(j-a) C(i,a) C(n-i, j-a), exact."""
     if not 0 <= j <= n:

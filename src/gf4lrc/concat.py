@@ -5,7 +5,10 @@ codeword (x0+x1, x0, x1), so every nonzero symbol occupies exactly two of
 its group's three binary coordinates.  The assembled parity check has the
 disjoint-repair-group block form: one all-ones row per group on top, and
 below it each group contributes the columns (0, e1, e2) where e1, e2 are
-the GF(2) expansions of the outer parity-check column and w times it.
+the GF(2) expansions of the outer parity-check column h and of w*h.  A
+packed GF(4) vector is its own GF(2) expansion (bit 2j is the coordinate
+on 1 and bit 2j+1 the coordinate on w of symbol j), so e1 is h and e2 is
+``scale_row(4, h, W)`` as plain ints.
 """
 
 from __future__ import annotations
@@ -22,43 +25,29 @@ from .code import (
     WeightDistribution,
 )
 from .errors import BudgetExceeded, FieldMismatch, Mismatch, ParseError, SubsetBudgetExceeded
-from .matrix import FieldMatrix, pack_row, smallest_dependent_set, xor_insert
+from .matrix import (
+    FieldMatrix,
+    lo_mask,
+    scale_row,
+    smallest_dependent_set,
+    unpack_row,
+    xor_insert,
+)
 
 #: Default cap on repair-group subsets examined by the distance certifier.
 DEFAULT_SUBSET_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class InnerCode:
-    """The fixed [3,2,2] binary inner code and its encoding context."""
-
-    generator: tuple[tuple[int, ...], ...]
-    parity: tuple[int, ...]
-    right_inverse: tuple[tuple[int, ...], ...]  # Q with Q * generator^T = I
-
-    def encode_symbol(self, a: int) -> tuple[int, int, int]:
-        """Inner codeword for one GF(4) symbol; nonzero symbols get weight 2."""
-        x0, x1 = gf4.g_map(a)
-        return (x0 ^ x1, x0, x1)
-
-
-INNER = InnerCode(
-    generator=((1, 1, 0), (1, 0, 1)),
-    parity=(1, 1, 1),
-    right_inverse=((0, 1, 0), (0, 0, 1)),
-)
-
-
 class BinaryLrc:
-    """A binary code with disjoint 3-coordinate repair groups (locality 2)."""
+    """A binary code with disjoint 3-coordinate repair groups (locality 2).
+
+    It is fixed by its parity check and its groups: the top ``ell`` rows
+    are the group parities, and in the ``u`` rows below, group i's columns
+    are (0, e1, e2).  ``e_vectors[i]`` is that pair, packed.
+    """
 
     def __init__(
-        self,
-        code: LinearCode,
-        groups: Sequence[tuple[int, int, int]],
-        e_vectors: Sequence[tuple[tuple[int, ...], tuple[int, ...]]],
-        d: Optional[int] = None,
-        outer: Optional[LinearCode] = None,
+        self, code: LinearCode, groups: Sequence[tuple[int, int, int]], d: Optional[int] = None
     ):
         if code.q != 2:
             raise FieldMismatch("BinaryLrc requires a GF(2) code")
@@ -66,10 +55,10 @@ class BinaryLrc:
         self.ell = len(groups)
         self.u = code.n - code.k - self.ell
         self.groups = tuple(tuple(g) for g in groups)
-        self.e_vectors = tuple((tuple(a), tuple(b)) for a, b in e_vectors)
         self.d = d
-        self.outer = outer
         self._validate()
+        lower = [col >> self.ell for col in code.parity_columns]
+        self.e_vectors = tuple((lower[b], lower[c]) for _, b, c in self.groups)
 
     def _validate(self) -> None:
         if self.code.n != 3 * self.ell:
@@ -83,20 +72,27 @@ class BinaryLrc:
             seen.update(g)
         if seen != set(range(self.code.n)):
             raise ValueError("groups must partition the coordinates")
-        if len(self.e_vectors) != self.ell:
-            raise ValueError("one e-vector pair required per group")
-        h = self.code.parity_check
-        for i, (a, b, c) in enumerate(self.groups):
-            row = h.rows[i]
-            support = {j for j in range(self.code.n) if (row >> j) & 1}
-            if support != {a, b, c}:
-                raise ValueError(f"parity row {i} is not the group-{i} parity")
-            e1, e2 = self.e_vectors[i]
-            for rb in range(self.u):
-                if h.entry(self.ell + rb, a):
-                    raise ValueError(f"lower block under group {i} position 0 not zero")
-                if h.entry(self.ell + rb, b) != e1[rb] or h.entry(self.ell + rb, c) != e2[rb]:
-                    raise ValueError(f"e-vectors of group {i} disagree with the parity check")
+        cols = self.code.parity_columns
+        top = (1 << self.ell) - 1
+        for i, g in enumerate(self.groups):
+            for pos in g:
+                if cols[pos] & top != 1 << i:
+                    raise ValueError(f"top rows at coordinate {pos} are not the group-{i} parity")
+            if cols[g[0]] >> self.ell:
+                raise ValueError(f"lower block under group {i} position 0 not zero")
+
+    def outer_parity_check(self) -> Optional[FieldMatrix]:
+        """The GF(4) parity check of the outer code this LRC concatenates.
+
+        Its columns are the e1s, returned when every group's pair is
+        (h, w*h); otherwise None.
+        """
+        if self.u % 2:
+            return None
+        lo = lo_mask(self.u // 2)
+        if any(e2 != scale_row(4, e1, gf4.W, lo) for e1, e2 in self.e_vectors):
+            return None
+        return FieldMatrix(4, self.ell, self.u // 2, [e1 for e1, _ in self.e_vectors]).transpose()
 
     @property
     def n(self) -> int:
@@ -144,16 +140,8 @@ class BinaryLrc:
             raise ParseError('"d" must be an integer or null')
         h, _ = FieldMatrix.from_text(obj["H"])
         code = LinearCode.from_parity(h)
-        groups = [tuple(g) for g in groups]
-        ell = len(groups)
-        u = code.n - code.k - ell
-        e_vectors = []
-        for i, g in enumerate(groups):
-            e1 = tuple(h.entry(ell + b, g[1]) for b in range(u))
-            e2 = tuple(h.entry(ell + b, g[2]) for b in range(u))
-            e_vectors.append((e1, e2))
         try:
-            lrc = cls(code, groups, e_vectors, d=obj.get("d"))
+            lrc = cls(code, groups, d=obj.get("d"))
         except ValueError as exc:
             raise ParseError(f"not a locality-2 LRC: {exc}") from exc
         if obj.get("n") != lrc.n or obj.get("k") != lrc.k:
@@ -170,31 +158,17 @@ def concatenate(outer: LinearCode) -> BinaryLrc:
     """
     if outer.q != 4:
         raise FieldMismatch("outer code must be over GF(4)")
-    n1, k1 = outer.n, outer.k
-    ell, u = n1, 2 * (n1 - k1)
-    e_vectors = []
+    ell, u = outer.n, 2 * (outer.n - outer.k)
+    lo = lo_mask(u // 2)
     cols = []
-    for i in range(ell):
-        h_col = outer.parity_check.col_tuple(i)
-        e1 = gf4.vector_map(h_col)
-        e2 = gf4.vector_map(tuple(gf4.gf4_mul(gf4.W, c) for c in h_col))
-        e_vectors.append((e1, e2))
-        top = [int(j == i) for j in range(ell)]
-        cols += [top + [0] * u, top + list(e1), top + list(e2)]
-    parity = FieldMatrix.from_cols(2, cols)
-    code = LinearCode.from_parity(parity)
+    for i, h in enumerate(outer.parity_columns):
+        top = 1 << i
+        cols += [top, top | h << ell, top | scale_row(4, h, gf4.W, lo) << ell]
+    code = LinearCode.from_parity(FieldMatrix(2, 3 * ell, ell + u, cols).transpose())
     cached = outer.cached_distance
     d = 2 * cached.d if cached is not None else None
     groups = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(ell)]
-    return BinaryLrc(code, groups, e_vectors, d=d, outer=outer)
-
-
-def encode_outer_word(word: Sequence[int]) -> tuple[int, ...]:
-    """Symbolwise inner encoding of a GF(4) word."""
-    out: list[int] = []
-    for a in word:
-        out.extend(INNER.encode_symbol(a))
-    return tuple(out)
+    return BinaryLrc(code, groups, d=d)
 
 
 def group_subspaces(lrc: BinaryLrc) -> list[list[tuple[int, ...]]]:
@@ -202,7 +176,7 @@ def group_subspaces(lrc: BinaryLrc) -> list[list[tuple[int, ...]]]:
     bases = []
     for pair in lrc.e_vectors:
         kernel: list = []
-        bases.append([vec for vec in pair if xor_insert(kernel, pack_row(2, vec))[0]])
+        bases.append([unpack_row(2, v, lrc.u) for v in pair if xor_insert(kernel, v)[0]])
     return bases
 
 
@@ -219,9 +193,8 @@ def certify_distance(
     ``subset_budget`` per set.  On exhaustion the bracket holds only the
     proven lower bound; its upper end is None.
     """
-    blocks = [(pack_row(2, e1), pack_row(2, e2)) for e1, e2 in lrc.e_vectors]
     try:
-        found = smallest_dependent_set(blocks, subset_budget)
+        found = smallest_dependent_set(lrc.e_vectors, subset_budget)
     except BudgetExceeded as exc:
         raise SubsetBudgetExceeded(
             f"group-subset enumeration exceeded {subset_budget}", lower=2 * exc.lower

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from .errors import ZeroInverse
 
-ZERO = 0
-ONE = 1
 W = 2  # the primitive element w
 W2 = 3  # w^2 = w + 1
 
@@ -90,14 +88,6 @@ def mul_matrix(a: int) -> tuple[tuple[int, int], tuple[int, int]]:
     c0 = g_map(a)  # coordinates of 1*a
     c1 = g_map(gf4_mul(W, a))  # coordinates of w*a
     return ((c0[0], c1[0]), (c0[1], c1[1]))
-
-
-def apply_mul_matrix(mat, pair: tuple[int, int]) -> tuple[int, int]:
-    """Multiply a 2x2 GF(2) matrix by a column pair."""
-    return (
-        (mat[0][0] & pair[0]) ^ (mat[0][1] & pair[1]),
-        (mat[1][0] & pair[0]) ^ (mat[1][1] & pair[1]),
-    )
 
 
 def symbol_to_value(sym: str, q: int) -> int:

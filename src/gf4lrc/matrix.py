@@ -166,21 +166,12 @@ class FieldMatrix:
 
     @classmethod
     def from_cols(cls, q: int, cols: Sequence[Sequence[int]]) -> "FieldMatrix":
-        ncols = len(cols)
-        nrows = len(cols[0]) if ncols else 0
-        if nrows == 0:
-            return cls(q, 0, ncols, [])
-        rows = [[cols[j][i] for j in range(ncols)] for i in range(nrows)]
-        return cls.from_rows(q, rows)
+        return cls.from_rows(q, cols).transpose()
 
     @classmethod
     def identity(cls, q: int, n: int) -> "FieldMatrix":
         shift = 1 if q == 2 else 2
         return cls(q, n, n, [1 << (shift * i) for i in range(n)])
-
-    @classmethod
-    def zeros(cls, q: int, nrows: int, ncols: int) -> "FieldMatrix":
-        return cls(q, nrows, ncols, [0] * nrows)
 
     # -- element access ----------------------------------------------------
 
@@ -193,18 +184,16 @@ class FieldMatrix:
     def col_tuple(self, j: int) -> tuple[int, ...]:
         return tuple(self.entry(i, j) for i in range(self.nrows))
 
-    def to_rows(self) -> list[tuple[int, ...]]:
-        return [self.row_tuple(i) for i in range(self.nrows)]
-
-    def is_zero(self) -> bool:
-        return not any(self.rows)
-
     # -- algebra -----------------------------------------------------------
 
     def transpose(self) -> "FieldMatrix":
-        return FieldMatrix.from_rows(
-            self.q, [[self.entry(i, j) for i in range(self.nrows)] for j in range(self.ncols)]
-        )
+        """The transpose, built from each row's nonzero entries."""
+        width = 1 if self.q == 2 else 2
+        cols = [0] * self.ncols
+        for i, row in enumerate(self.rows):
+            for j, value in row_support(self.q, row, self._lo):
+                cols[j] |= value << (width * i)
+        return FieldMatrix(self.q, self.ncols, self.nrows, cols)
 
     def mat_mul(self, other: "FieldMatrix") -> "FieldMatrix":
         if self.q != other.q:
@@ -318,13 +307,11 @@ class FieldMatrix:
             if len(syms) != ncols:
                 raise ParseError(f"expected {ncols} symbols, found {len(syms)}")
             try:
-                rows.append([gf4.symbol_to_value(s, q) for s in syms])
+                rows.append(pack_row(q, [gf4.symbol_to_value(s, q) for s in syms]))
             except ValueError as exc:
                 raise ParseError(str(exc)) from exc
         extras = {k: v for k, v in fields.items() if k in _HEADER_EXTRA_KEYS}
-        if not rows:
-            return cls(q, 0, ncols, []), extras
-        return cls.from_rows(q, rows), extras
+        return cls(q, nrows, ncols, rows), extras
 
     # -- dunder ------------------------------------------------------------
 

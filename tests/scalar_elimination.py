@@ -2,7 +2,8 @@
 
 These are the former ``matrix.leading_column``, ``matrix.rows_rank``,
 ``FieldMatrix.rref`` and ``FieldMatrix.nullspace``: pivots are found one
-symbol at a time and normalized with GF(4) scalars.  They stay here as the
+symbol at a time and normalized with GF(4) scalars.  ``transpose`` is the
+former entry-by-entry ``FieldMatrix.transpose``.  They stay here as the
 reference the kernel is checked against.
 """
 
@@ -79,3 +80,9 @@ def nullspace(m: FieldMatrix) -> FieldMatrix:
             vec[p] = reduced.entry(i, f)
         basis.append(pack_row(m.q, vec))
     return FieldMatrix(m.q, len(basis), m.ncols, basis)
+
+
+def transpose(m: FieldMatrix) -> FieldMatrix:
+    """The transpose, read one entry at a time."""
+    cols = [pack_row(m.q, [m.entry(i, j) for i in range(m.nrows)]) for j in range(m.ncols)]
+    return FieldMatrix(m.q, m.ncols, m.nrows, cols)

@@ -32,7 +32,7 @@ from gf4lrc.families import (
     solomon_stiffler,
 )
 from gf4lrc.gf4 import W, W2
-from gf4lrc.matrix import FieldMatrix, rows_rank, pack_row
+from gf4lrc.matrix import FieldMatrix, rows_rank
 from gf4lrc.projective import bundled_cap_pg3_17
 from gf4lrc.repair import ErasurePattern, global_decode
 from test_concat import HAMMING_LRC_PARITY
@@ -126,9 +126,8 @@ def test_criterion_05_cap_pipeline():
         assert (lrc.n, lrc.k, cert.d) == (51, 26, 8)
         # every 3-group subset spans dimension 6; the witness exhibits a
         # deficient 4-subset as a weight-8 codeword across 4 groups
-        pairs = [(pack_row(2, e1), pack_row(2, e2)) for e1, e2 in lrc.e_vectors]
         for subset in itertools.combinations(range(lrc.ell), 3):
-            vecs = [v for i in subset for v in pairs[i]]
+            vecs = [v for i in subset for v in lrc.e_vectors[i]]
             assert rows_rank(2, vecs, lrc.u) == 6
         touched_groups = {
             i for i, g in enumerate(lrc.groups) if any(cert.witness[p] for p in g)

@@ -6,12 +6,7 @@ import pytest
 
 from conftest import random_code_corpus, random_linear_code
 from gf4lrc import gf4
-from gf4lrc.code import (
-    WeightDistribution,
-    krawtchouk,
-    macwilliams,
-    make_code,
-)
+from gf4lrc.code import LinearCode, WeightDistribution, krawtchouk, macwilliams
 from gf4lrc.errors import BudgetExceeded, NonIntegerResult, RankDeficient
 from gf4lrc.families import hexacode
 from gf4lrc.matrix import FieldMatrix
@@ -22,30 +17,25 @@ HAMMING_PARITY = FieldMatrix.from_rows(4, [[1, 0, 1, 1, 1], [0, 1, 1, W, W2]])
 
 
 def test_make_code_repetition():
-    code = make_code(generator=FieldMatrix.from_rows(2, [[1, 1, 1]]))
+    code = LinearCode.from_generator(FieldMatrix.from_rows(2, [[1, 1, 1]]))
     assert code.params() == (3, 1)
     assert code.parity_check.nrows == 2
     assert code.parity_check.rank() == 2
 
 
 def test_make_code_from_hamming_parity():
-    code = make_code(parity_check=HAMMING_PARITY)
+    code = LinearCode.from_parity(HAMMING_PARITY)
     assert code.params() == (5, 3)
     assert code.min_distance().d == 3
 
 
 def test_make_code_rejects_dependent_rows():
     with pytest.raises(RankDeficient):
-        make_code(generator=FieldMatrix.from_rows(2, [[1, 0, 1], [1, 0, 1]]))
-
-
-def test_make_code_needs_exactly_one_matrix():
-    with pytest.raises(ValueError):
-        make_code()
+        LinearCode.from_generator(FieldMatrix.from_rows(2, [[1, 0, 1], [1, 0, 1]]))
 
 
 def test_min_distance_full_space():
-    code = make_code(generator=FieldMatrix.identity(2, 3))
+    code = LinearCode.from_generator(FieldMatrix.identity(2, 3))
     cert = code.min_distance()
     assert cert.d == 1
     assert sum(cert.witness) == 1
@@ -56,7 +46,7 @@ def test_min_distance_hexacode():
 
 
 def test_distance_witness_is_a_codeword():
-    code = make_code(parity_check=HAMMING_PARITY)
+    code = LinearCode.from_parity(HAMMING_PARITY)
     cert = code.min_distance()
     assert code.contains(cert.witness)
     assert sum(1 for v in cert.witness if v) == cert.d
@@ -79,12 +69,12 @@ def test_min_distance_budget_bracket():
 
 
 def test_weight_distribution_repetition():
-    code = make_code(generator=FieldMatrix.from_rows(2, [[1, 1, 1]]))
+    code = LinearCode.from_generator(FieldMatrix.from_rows(2, [[1, 1, 1]]))
     assert code.weight_distribution().counts == (1, 0, 0, 1)
 
 
 def test_weight_distribution_hamming():
-    code = make_code(parity_check=HAMMING_PARITY)
+    code = LinearCode.from_parity(HAMMING_PARITY)
     assert code.weight_distribution().counts == (1, 0, 0, 30, 15, 18)
 
 
@@ -108,14 +98,14 @@ def test_weight_counts_partition_determinism():
 
 
 def test_dual_repetition_is_parity_code():
-    code = make_code(generator=FieldMatrix.from_rows(2, [[1, 1, 1]]))
+    code = LinearCode.from_generator(FieldMatrix.from_rows(2, [[1, 1, 1]]))
     d = code.dual()
     assert d.params() == (3, 2)
     assert d.weight_distribution().counts == (1, 0, 3, 0)
 
 
 def test_dual_of_hamming_has_simplex_weights():
-    dual = make_code(parity_check=HAMMING_PARITY).dual()
+    dual = LinearCode.from_parity(HAMMING_PARITY).dual()
     assert dual.params() == (5, 2)
     assert dual.weight_distribution().counts == (1, 0, 0, 0, 15, 0)
 
@@ -126,7 +116,7 @@ def test_hexacode_dual_same_weight_distribution():
 
 
 def test_dual_of_dual_is_same_code_set():
-    code = make_code(parity_check=HAMMING_PARITY)
+    code = LinearCode.from_parity(HAMMING_PARITY)
     double = code.dual().dual()
     # same row space: stack and compare ranks
     stacked = FieldMatrix(

@@ -3,24 +3,30 @@ import json
 import pytest
 
 from conftest import random_code_corpus
+from inner_code import INNER, encode_outer_word, reference_concatenate
 from gf4lrc import gf4
 from gf4lrc.code import LinearCode
 from gf4lrc.concat import (
-    INNER,
     BinaryLrc,
     certify_distance,
     concatenate,
-    encode_outer_word,
     group_subspaces,
     locality_check,
     lrc_weights_from_outer,
     weight_map_check,
 )
 from gf4lrc.errors import FieldMismatch, Mismatch, ParseError, SubsetBudgetExceeded
-from gf4lrc.families import hamming4, hexacode, mds_rs
-from gf4lrc.matrix import FieldMatrix
+from gf4lrc.families import (
+    cap_code,
+    cyclic4,
+    hamming4,
+    hexacode,
+    macdonald,
+    mds_rs,
+    solomon_stiffler,
+)
+from gf4lrc.matrix import FieldMatrix, pack_row
 from gf4lrc.projective import bundled_cap_pg3_17
-from gf4lrc.families import cap_code
 
 W, W2 = gf4.W, gf4.W2
 
@@ -237,3 +243,90 @@ def test_lrc_json_groups_must_partition_the_coordinates():
     obj["groups"][1] = list(obj["groups"][0])
     with pytest.raises(ParseError):
         BinaryLrc.from_json(obj)
+
+
+@pytest.fixture(scope="module")
+def family_outers():
+    return [
+        mds_rs(4, 4),
+        mds_rs(5, 3),
+        hamming4(2),
+        hamming4(3),
+        hexacode(),
+        macdonald(3, 1, 1),
+        solomon_stiffler(3, [2, 1]),
+        cap_code(bundled_cap_pg3_17()),
+        cyclic4(43, [1, 0, W2, 1, 1, W, 0, 1]),
+    ]
+
+
+def test_concatenate_matches_tuple_assembly(outer_corpus, family_outers):
+    for outer in outer_corpus + family_outers:
+        parity, groups, d, e_vectors = reference_concatenate(outer)
+        lrc = concatenate(outer)
+        assert lrc.code.parity_check == parity
+        assert lrc.groups == groups
+        assert lrc.d == d
+        assert lrc.e_vectors == tuple(
+            (pack_row(2, e1), pack_row(2, e2)) for e1, e2 in e_vectors
+        )
+
+
+def test_outer_parity_check_survives_a_json_round_trip(outer_corpus, family_outers):
+    for outer in outer_corpus + family_outers:
+        lrc = concatenate(outer)
+        again = BinaryLrc.from_json(json.loads(json.dumps(lrc.to_json())))
+        assert lrc.outer_parity_check() == outer.parity_check
+        assert again.outer_parity_check() == outer.parity_check
+        assert again.e_vectors == lrc.e_vectors
+
+
+def _with_group_reordered(obj, i, order):
+    obj = dict(obj)
+    obj["groups"] = [list(g) for g in obj["groups"]]
+    obj["groups"][i] = [obj["groups"][i][p] for p in order]
+    return obj
+
+
+def test_outer_parity_check_is_none_for_a_swapped_group():
+    # listing (a, c, b) makes the group's pair (w*h, h), which is not of
+    # the form (h', w*h'): w*(w*h) = w^2*h differs from h for h != 0
+    obj = concatenate(hamming4(2)).to_json()
+    swapped = BinaryLrc.from_json(_with_group_reordered(obj, 2, (0, 2, 1)))
+    assert swapped.outer_parity_check() is None
+
+
+def test_loading_makes_no_entry_calls(monkeypatch):
+    outer = cyclic4(43, [1, 0, W2, 1, 1, W, 0, 1])
+    obj = json.loads(json.dumps(concatenate(outer).to_json()))
+    outer_text = outer.parity_check.to_text()
+    calls = []
+    real_entry = FieldMatrix.entry
+
+    def counted(self, i, j):
+        calls.append((i, j))
+        return real_entry(self, i, j)
+
+    monkeypatch.setattr(FieldMatrix, "entry", counted)
+    lrc = BinaryLrc.from_json(obj)
+    again = LinearCode.from_parity(FieldMatrix.from_text(outer_text)[0])
+    assert (lrc.n, lrc.k, again.n, again.k) == (129, 72, 43, 36)
+    assert calls == []
+
+
+def test_lrc_json_top_row_with_a_one_outside_its_group():
+    obj = concatenate(hamming4(2)).to_json()
+    lines = obj["H"].splitlines()
+    row = lines[1].split()
+    row[3] = "1"  # coordinate 3 belongs to group 1, not group 0
+    lines[1] = " ".join(row)
+    obj["H"] = "\n".join(lines) + "\n"
+    with pytest.raises(ParseError, match="group-1 parity"):
+        BinaryLrc.from_json(obj)
+
+
+def test_lrc_json_lower_block_nonzero_under_position_0():
+    obj = concatenate(hamming4(2)).to_json()
+    # listing (b, a, c) puts the nonzero column e1 at position 0
+    with pytest.raises(ParseError, match="position 0 not zero"):
+        BinaryLrc.from_json(_with_group_reordered(obj, 1, (1, 0, 2)))

@@ -57,7 +57,7 @@ def reference_dependent_set(blocks, budget):
 
 
 def reference_certify(lrc, budget):
-    pairs = [(pack_row(2, e1), pack_row(2, e2)) for e1, e2 in lrc.e_vectors]
+    pairs = lrc.e_vectors
     examined = 0
     for s in range(1, lrc.ell + 1):
         for subset in combinations(range(lrc.ell), s):
@@ -66,7 +66,7 @@ def reference_certify(lrc, budget):
                 raise SubsetBudgetExceeded("", lower=2 * s)
             vecs = [v for i in subset for v in pairs[i]]
             if rows_rank(2, vecs, lrc.u) < 2 * s:
-                cols = [list(e) for i in subset for e in lrc.e_vectors[i]]
+                cols = [unpack_row(2, e, lrc.u) for i in subset for e in pairs[i]]
                 coeffs = FieldMatrix.from_cols(2, cols).nullspace().row_tuple(0)
                 word = [0] * lrc.n
                 pair_to_positions = {1: (0, 1), gf4.W: (0, 2), gf4.W2: (1, 2)}

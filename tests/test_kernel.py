@@ -3,13 +3,14 @@
 ``scalar_elimination`` keeps the former ``rows_rank``, ``rref`` and
 ``nullspace``, which normalize GF(4) pivots one symbol at a time.  RREF is
 unique, so the kernel's results must be identical, not merely equivalent:
-the same reduced rows, rank, pivot columns and nullspace basis.
+the same reduced rows, rank, pivot columns and nullspace basis.  The
+packed ``transpose`` is checked against the entry-by-entry one it replaced.
 """
 
 from functools import reduce
 from operator import xor
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalar_elimination as scalar
@@ -41,6 +42,19 @@ def assert_matches_scalar(m: FieldMatrix) -> None:
 @given(matrices())
 def test_kernel_matches_scalar_elimination(m):
     assert_matches_scalar(m)
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrices())
+@example(FieldMatrix(2, 0, 5, []))
+@example(FieldMatrix(4, 0, 3, []))
+@example(FieldMatrix(2, 4, 0, [0] * 4))
+@example(FieldMatrix(4, 2, 0, [0] * 2))
+def test_transpose_matches_entrywise_transpose(m):
+    t = m.transpose()
+    assert t == scalar.transpose(m)
+    assert (t.q, t.nrows, t.ncols) == (m.q, m.ncols, m.nrows)
+    assert t.transpose() == m
 
 
 def test_kernel_matches_scalar_elimination_on_code_corpus(outer_corpus):

@@ -35,7 +35,7 @@ def test_rref_gf4_dependent_rows():
     # [[1, w^2], [0, 0]] with a single pivot
     m = FieldMatrix.from_rows(4, [[W, 1], [W2, W]])
     reduced, rank, pivots = m.rref()
-    assert reduced.to_rows() == [(1, W2), (0, 0)]
+    assert [reduced.row_tuple(i) for i in range(2)] == [(1, W2), (0, 0)]
     assert rank == 1 and pivots == (0,)
 
 
@@ -69,7 +69,7 @@ def test_nullspace_identity_is_empty():
 def test_nullspace_of_all_ones_row():
     ns = FieldMatrix.from_rows(2, [[1, 1, 1]]).nullspace()
     assert ns.nrows == 2
-    assert set(ns.to_rows()) == {(1, 1, 0), (1, 0, 1)}
+    assert {ns.row_tuple(i) for i in range(2)} == {(1, 1, 0), (1, 0, 1)}
 
 
 def test_nullspace_of_hamming_parity():
@@ -96,7 +96,7 @@ def test_nullspace_orthogonality_random():
             ns = m.nullspace()
             assert ns.nrows == m.ncols - m.rank()
             if ns.nrows:
-                assert m.mat_mul(ns.transpose()).is_zero()
+                assert not any(m.mat_mul(ns.transpose()).rows)
 
 
 def test_mat_mul_right_inverse_of_inner_generator():
@@ -107,8 +107,8 @@ def test_mat_mul_right_inverse_of_inner_generator():
 
 def test_mat_mul_zero_and_scalar():
     a = FieldMatrix.from_rows(4, [[1, W], [W2, 0]])
-    z = FieldMatrix.zeros(4, 2, 2)
-    assert a.mat_mul(z).is_zero()
+    z = FieldMatrix(4, 2, 2, [0, 0])
+    assert not any(a.mat_mul(z).rows)
     assert FieldMatrix.from_rows(4, [[W]]).mat_mul(
         FieldMatrix.from_rows(4, [[W]])
     ) == FieldMatrix.from_rows(4, [[W2]])
