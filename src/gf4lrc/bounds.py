@@ -4,12 +4,16 @@ All evaluations are exact: denominators are Fractions and every ceil-log is
 computed by integer comparison against powers, never through floats.  The
 LRC-specific bounds assume disjoint 3-coordinate repair groups (n = 3*ell)
 and even distance; callers get InvalidShape / OddDistance otherwise.
+
+A [3*ell, k, d; 2] LRC concatenates a GF(4) outer code of length ell and
+distance d/2, so its packing denominators are the outer code's classical
+GF(4) ones at (ell, d/2); only the space they divide, 2^(2*ell), is binary.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional
@@ -45,17 +49,25 @@ def singleton_like_max_d(n: int, k: int, r: int) -> int:
     return n - k - ceil_div(k, r) + 2
 
 
+def griesmer_sum(m: int, d: int, q: int) -> int:
+    """Sum of ceil(d / q^i) over 0 <= i < m; every term from q^i >= d on is 1."""
+    total, i, power = 0, 0, 1
+    while i < m and power < d:
+        total += ceil_div(d, power)
+        i, power = i + 1, power * q
+    return total + m - i
+
+
 def griesmer_inverted_max_k(n: int, d: int, q: int) -> int:
     """Largest k with the classical Griesmer length sum still <= n."""
-    if d > n:
-        return 0
-    total = 0
+    if d < 1:
+        raise ValueError("d must be >= 1")
     k = 0
-    while True:
-        total += ceil_div(d, q**k)
-        if total > n:
-            return k
+    while griesmer_sum(k + 1, d, q) <= n:
         k += 1
+        if q**k >= d:  # every further term is 1
+            return k + n - griesmer_sum(k, d, q)
+    return k
 
 
 def default_kopt(q: int = 2) -> KoptOracle:
@@ -103,27 +115,16 @@ def kopt_from_table(path: str | Path, fallback: Optional[KoptOracle] = None) -> 
     return oracle
 
 
-def cm_bound_max_k(
-    n: int, d: int, r: int, kopt: Optional[KoptOracle] = None
-) -> int:
+def cm_bound_max_k(n: int, d: int, r: int, kopt: Optional[KoptOracle] = None) -> int:
     """Field-size-aware dimension bound min_tau [tau*r + kopt(n-tau(r+1), d)].
 
-    tau ranges over 1..ceil(n/(r+1)); values making the residual length
-    negative are skipped.
+    tau ranges over 1..floor(n/(r+1)), where the residual length is >= 0.
     """
-    if kopt is None:
-        kopt = default_kopt()
-    best = None
-    for tau in range(1, ceil_div(n, r + 1) + 1):
-        residual = n - tau * (r + 1)
-        if residual < 0:
-            continue
-        value = tau * r + kopt(residual, d)
-        if best is None or value < best:
-            best = value
-    if best is None:
+    kopt = kopt or default_kopt()
+    values = [tau * r + kopt(n - tau * (r + 1), d) for tau in range(1, n // (r + 1) + 1)]
+    if not values:
         raise ValueError("no admissible tau")
-    return best
+    return min(values)
 
 
 # -- Griesmer -----------------------------------------------------------------
@@ -133,18 +134,17 @@ def griesmer_classical_min_n(k: int, d: int, q: int) -> int:
     """Classical Griesmer length bound: sum of ceil(d / q^i), i < k."""
     if k < 1 or d < 1:
         raise ValueError("k and d must be >= 1")
-    return sum(ceil_div(d, q**i) for i in range(k))
+    return griesmer_sum(k, d, q)
 
 
 def griesmer_like_terms(k: int, d: int, r: int, q: int) -> list[tuple[int, int]]:
     """The per-tau terms whose maximum is the locality-aware length bound."""
     if k <= r:
         raise EmptyTauRange(f"k={k} <= r={r} leaves no tau")
-    terms = []
-    for tau in range(1, ceil_div(k, r)):
-        value = tau * (r + 1) + sum(ceil_div(d, q**i) for i in range(k - r * tau))
-        terms.append((tau, value))
-    return terms
+    return [
+        (tau, tau * (r + 1) + griesmer_sum(k - r * tau, d, q))
+        for tau in range(1, ceil_div(k, r))
+    ]
 
 
 def griesmer_like_min_n(k: int, d: int, r: int, q: int) -> int:
@@ -160,15 +160,12 @@ def griesmer_like_max_d(n: int, k: int, r: int, q: int) -> int:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    best = 0
     d = 1
-    while True:
-        if griesmer_classical_min_n(k, d, q) > n:
-            return best
-        if k > r and griesmer_like_min_n(k, d, r, q) > n:
-            return best
-        best = d
+    while griesmer_classical_min_n(k, d, q) <= n and (
+        k <= r or griesmer_like_min_n(k, d, r, q) <= n
+    ):
         d += 1
+    return d - 1
 
 
 # -- sphere-packing -----------------------------------------------------------
@@ -190,10 +187,10 @@ def sphere_packing_classical_max_k(n: int, d: int, q: int) -> tuple[int, int]:
 def lrc_ball_size(ell: int, d: int) -> int:
     """Size Omega_d of the locality-respecting ball: sum C(ell,s) 3^s.
 
-    Closed form of the constrained sum over per-group weights (each group
-    contributes weight 0 or 2, C(3,0)=1 and C(3,2)=3 ways).
+    Each group holds weight 0 or 2 (C(3,0)=1 and C(3,2)=3 ways), so this is
+    the GF(4) Hamming ball of radius (d/2 - 1)//2 on the ell groups.
     """
-    return sum(math.comb(ell, s) * 3**s for s in range((d - 1) // 4 + 1))
+    return ball_size(ell, (d - 1) // 4, 4)
 
 
 def sphere_packing_like_max_k(n: int, d: int) -> tuple[int, int]:
@@ -228,21 +225,18 @@ def johnson_like_improved_max_k(n: int, d: int) -> tuple[int, Fraction, Fraction
     """Sharpened dimension bound for [n=3*ell, k, d; r=2] LRCs with 4 | d.
 
     Returns (max dimension, improved denominator, pre-improvement
-    denominator); the improvement replaces the divisor floor(2n/d) with
-    floor(4n/(3d)), which only counts weight-(d/2) words whose per-group
-    weights are 0 or 2.  The improved bound value never exceeds the old one.
+    denominator).  The improved one is the GF(4) Johnson denominator at
+    (ell, d/2): its divisor floor(4n/(3d)) replaces floor(2n/d).  The
+    improved bound value never exceeds the old one.
     """
     if n % 3:
         raise InvalidShape(f"n={n} is not a multiple of 3")
-    if d % 4 or d < 4:
-        raise InvalidShape(f"distance {d} must be a positive multiple of 4")
-    if 3 * d > 4 * n:
-        raise InvalidShape(f"distance {d} too large for length {n}")
+    if d % 4 or not 4 <= d <= 4 * n // 3:
+        raise InvalidShape(f"distance {d} must be a multiple of 4 in 4..{4 * n // 3}")
     ell = n // 3
-    omega = lrc_ball_size(ell, d)
+    _, improved = johnson_classical_max_k(ell, d // 2, 4)
     mass = math.comb(ell, d // 4) * 3 ** (d // 4)
-    improved = omega + Fraction(mass, 4 * n // (3 * d))
-    original = omega + Fraction(mass, 2 * n // d)
+    original = lrc_ball_size(ell, d) + Fraction(mass, 2 * n // d)
     return 2 * n // 3 - ceil_log(2, improved), improved, original
 
 
@@ -258,14 +252,6 @@ class BoundQuery:
     d: int
     r: int = 2
 
-    @property
-    def ell(self) -> Optional[int]:
-        return self.n // (self.r + 1) if self.n % (self.r + 1) == 0 else None
-
-    @property
-    def t(self) -> Optional[int]:
-        return (self.d - 2) // 2 if self.d % 2 == 0 else None
-
 
 @dataclass(frozen=True)
 class BoundEntry:
@@ -275,12 +261,7 @@ class BoundEntry:
     attained: bool
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "direction": self.direction,
-            "value": self.value,
-            "attained": self.attained,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -341,50 +322,40 @@ def classify(
     same (n, k, r).  Perfection and near-perfection are exact equalities of
     the code size against the packing denominators.
     """
-    query = BoundQuery(n, k, d, r)
+    if min(n, k, d, r) < 1:
+        raise InvalidShape(f"n, k, d and r must be >= 1, got {n}, {k}, {d}, {r}")
     entries = []
 
-    singleton = singleton_like_max_d(n, k, r)
-    entries.append(BoundEntry("singleton_like", "max-d", singleton, d == singleton))
+    def add(name: str, direction: str, value: int, actual: int) -> bool:
+        entries.append(BoundEntry(name, direction, value, actual == value))
+        return entries[-1].attained
 
-    cm = cm_bound_max_k(n, d, r, kopt)
-    entries.append(BoundEntry("cm", "max-k", cm, k == cm))
-
-    classical_n = griesmer_classical_min_n(k, d, 2)
-    entries.append(
-        BoundEntry("griesmer_classical", "min-n", classical_n, n == classical_n)
-    )
+    singleton_optimal = add("singleton_like", "max-d", singleton_like_max_d(n, k, r), d)
+    add("cm", "max-k", cm_bound_max_k(n, d, r, kopt), k)
+    add("griesmer_classical", "min-n", griesmer_classical_min_n(k, d, 2), n)
     if k > r:
-        like_n = griesmer_like_min_n(k, d, r, 2)
-        entries.append(BoundEntry("griesmer_like", "min-n", like_n, n == like_n))
-    max_d = griesmer_like_max_d(n, k, r, 2)
-    entries.append(BoundEntry("griesmer_like_max_d", "max-d", max_d, d == max_d))
+        add("griesmer_like", "min-n", griesmer_like_min_n(k, d, r, 2), n)
+    d_optimal = add("griesmer_like_max_d", "max-d", griesmer_like_max_d(n, k, r, 2), d)
 
-    perfect = k_optimal_sp = None
-    omega = None
-    if n % 3 == 0 and d % 2 == 0 and d >= 2 and r == 2:
+    perfect = k_optimal_sp = omega = None
+    nearly_perfect = k_optimal_johnson = omega_imp = omega_orig = None
+    if n % 3 == 0 and d % 2 == 0 and r == 2:
+        space = 2 ** (2 * n // 3)
         sp_k, omega = sphere_packing_like_max_k(n, d)
-        entries.append(BoundEntry("sphere_packing_like", "max-k", sp_k, k == sp_k))
-        k_optimal_sp = k == sp_k
-        perfect = 2**k * omega == 2 ** (2 * n // 3)
-
-    nearly_perfect = k_optimal_johnson = None
-    omega_imp = omega_orig = None
-    if n % 3 == 0 and d % 4 == 0 and 4 <= d and 3 * d <= 4 * n and r == 2:
-        j_k, omega_imp, omega_orig = johnson_like_improved_max_k(n, d)
-        entries.append(BoundEntry("johnson_like_improved", "max-k", j_k, k == j_k))
-        orig_k = 2 * n // 3 - ceil_log(2, omega_orig)
-        entries.append(
-            BoundEntry("johnson_like_original", "max-k", orig_k, k == orig_k)
-        )
-        k_optimal_johnson = k == j_k
-        nearly_perfect = 2**k * omega_imp == 2 ** (2 * n // 3)
+        k_optimal_sp = add("sphere_packing_like", "max-k", sp_k, k)
+        perfect = 2**k * omega == space
+        if d % 4 == 0 and 3 * d <= 4 * n:
+            j_k, omega_imp, omega_orig = johnson_like_improved_max_k(n, d)
+            k_optimal_johnson = add("johnson_like_improved", "max-k", j_k, k)
+            orig_k = 2 * n // 3 - ceil_log(2, omega_orig)
+            add("johnson_like_original", "max-k", orig_k, k)
+            nearly_perfect = 2**k * omega_imp == space
 
     return BoundReport(
-        query=query,
+        query=BoundQuery(n, k, d, r),
         entries=tuple(entries),
-        singleton_optimal=d == singleton,
-        griesmer_like_d_optimal=d == max_d,
+        singleton_optimal=singleton_optimal,
+        griesmer_like_d_optimal=d_optimal,
         perfect=perfect,
         k_optimal_sp=k_optimal_sp,
         nearly_perfect=nearly_perfect,
@@ -393,4 +364,3 @@ def classify(
         omega_prime_improved=omega_imp,
         omega_prime_original=omega_orig,
     )
-

@@ -1,7 +1,8 @@
 """Command-line interface: construct, analyze, bounds, repair, reproduce.
 
-Exit codes: 0 success, 1 reproduction mismatch, 2 usage or parameter error,
-3 enumeration budget exhausted (partial results are still emitted).
+Exit codes: 0 success, 1 reproduction mismatch, 2 usage, parameter or file
+error (any OSError), 3 enumeration budget exhausted (partial results are
+still emitted).
 Output is deterministic JSON (sorted keys, no timestamps unless
 --timestamps is given).
 """
@@ -129,6 +130,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    if args.r is not None and args.r < 1:
+        raise Gf4LrcError(f"--r must be >= 1, got {args.r}")
     loaded = _load_input(args.path)
     is_lrc = isinstance(loaded, BinaryLrc)
     code = loaded.code if is_lrc else loaded
@@ -325,7 +328,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (Gf4LrcError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (Gf4LrcError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -62,12 +62,6 @@ def unpack_row(q: int, row: int, ncols: int) -> tuple[int, ...]:
     return tuple((row >> (2 * j)) & 3 for j in range(ncols))
 
 
-def row_entry(q: int, row: int, j: int) -> int:
-    if q == 2:
-        return (row >> j) & 1
-    return (row >> (2 * j)) & 3
-
-
 def scale_row(q: int, row: int, scalar: int, lo: int | None = None) -> int:
     """Packed row times a field scalar."""
     if scalar == 0:
@@ -175,14 +169,8 @@ class FieldMatrix:
 
     # -- element access ----------------------------------------------------
 
-    def entry(self, i: int, j: int) -> int:
-        return row_entry(self.q, self.rows[i], j)
-
     def row_tuple(self, i: int) -> tuple[int, ...]:
         return unpack_row(self.q, self.rows[i], self.ncols)
-
-    def col_tuple(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entry(i, j) for i in range(self.nrows))
 
     # -- algebra -----------------------------------------------------------
 

@@ -187,8 +187,7 @@ def _example_6_1() -> ReproduceItem:
 
 def _example_6_2(heavy: bool = False) -> ReproduceItem:
     cap = bundled_cap_pg3_17()
-    cap.verify()
-    outer = families.cap_code(cap)
+    outer = families.cap_code(cap)  # verifies the cap
     lrc = concatenate(outer)
     cert = certify_distance(lrc)
     report = bounds.classify(lrc.n, lrc.k, cert.d)

@@ -7,9 +7,10 @@ gray(m) = m ^ (m >> 1), so each step costs one row XOR and one popcount.
 They stay here as the reference the enumerator is checked against.
 """
 
+from scalar_elimination import row_entry
 from gf4lrc.code import METHOD_EXHAUSTIVE, DistanceCertificate
 from gf4lrc.concat import CoverageReport
-from gf4lrc.matrix import lo_mask, row_entry, unpack_row
+from gf4lrc.matrix import lo_mask, unpack_row
 
 
 def row_weight(q: int, row: int, lo: int | None) -> int:

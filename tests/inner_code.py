@@ -1,18 +1,60 @@
 """The inner-code context and the tuple-based concatenation it replaced.
 
-``InnerCode``, ``INNER`` and ``encode_outer_word`` are the former symbolwise
-[3,2,2] inner encoding of ``gf4lrc.concat``.  ``reference_concatenate`` is
-the former assembly of ``concatenate``: each outer parity-check column is
-read entry by entry, expanded with ``gf4.vector_map``, and the binary parity
-check is assembled column by column from symbol lists.  They stay here as
-the reference the packed construction is checked against.
+``g_map``, ``g_unmap``, ``vector_map``, ``vector_unmap`` and ``mul_matrix``
+are the former GF(4) -> GF(2) structure maps of ``gf4lrc.gf4``, one scalar
+or tuple at a time; the packed layout of ``gf4lrc.matrix`` is checked
+against them.  ``InnerCode``, ``INNER`` and ``encode_outer_word`` are the
+former symbolwise [3,2,2] inner encoding of ``gf4lrc.concat``.
+``reference_concatenate`` is the former assembly of ``concatenate``: each
+outer parity-check column is read entry by entry, expanded with
+``vector_map``, and the binary parity check is assembled column by column
+from symbol lists.  They stay here as the reference the packed
+construction is checked against.
 """
 
 from dataclasses import dataclass
 from typing import Sequence
 
+from scalar_elimination import col_tuple
 from gf4lrc import gf4
 from gf4lrc.matrix import FieldMatrix
+
+
+def g_map(a: int) -> tuple[int, int]:
+    """Additive bijection GF(4) -> GF(2)^2 in the basis {1, w}.
+
+    g(0)=(0,0), g(1)=(1,0), g(w)=(0,1), g(w^2)=(1,1).
+    """
+    return (a & 1, a >> 1)
+
+
+def g_unmap(pair: tuple[int, int]) -> int:
+    """Inverse of :func:`g_map`."""
+    return pair[0] | (pair[1] << 1)
+
+
+def vector_map(x) -> tuple[int, ...]:
+    """Componentwise g over a GF(4) vector: length m -> length 2m over GF(2)."""
+    return tuple(bit for a in x for bit in g_map(a))
+
+
+def vector_unmap(bits) -> tuple[int, ...]:
+    """Inverse of :func:`vector_map`; input length must be even."""
+    if len(bits) % 2:
+        raise ValueError("bit vector length must be even")
+    return tuple(g_unmap(bits[i : i + 2]) for i in range(0, len(bits), 2))
+
+
+def mul_matrix(a: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """2x2 GF(2) matrix of multiplication-by-a in the basis {1, w}.
+
+    Column j holds the basis coordinates of (basis_j * a), so the map is a
+    ring homomorphism: mul_matrix(a*b) is the matrix product, and
+    mul_matrix(a+b) the matrix sum.
+    """
+    c0 = g_map(a)  # coordinates of 1*a
+    c1 = g_map(gf4.gf4_mul(gf4.W, a))  # coordinates of w*a
+    return ((c0[0], c1[0]), (c0[1], c1[1]))
 
 
 @dataclass(frozen=True)
@@ -25,7 +67,7 @@ class InnerCode:
 
     def encode_symbol(self, a: int) -> tuple[int, int, int]:
         """Inner codeword for one GF(4) symbol; nonzero symbols get weight 2."""
-        x0, x1 = gf4.g_map(a)
+        x0, x1 = g_map(a)
         return (x0 ^ x1, x0, x1)
 
 
@@ -51,9 +93,9 @@ def reference_concatenate(outer):
     e_vectors = []
     cols = []
     for i in range(ell):
-        h_col = outer.parity_check.col_tuple(i)
-        e1 = gf4.vector_map(h_col)
-        e2 = gf4.vector_map(tuple(gf4.gf4_mul(gf4.W, c) for c in h_col))
+        h_col = col_tuple(outer.parity_check, i)
+        e1 = vector_map(h_col)
+        e2 = vector_map(tuple(gf4.gf4_mul(gf4.W, c) for c in h_col))
         e_vectors.append((e1, e2))
         top = [int(j == i) for j in range(ell)]
         cols += [top + [0] * u, top + list(e1), top + list(e2)]

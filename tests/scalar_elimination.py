@@ -3,12 +3,29 @@
 These are the former ``matrix.leading_column``, ``matrix.rows_rank``,
 ``FieldMatrix.rref`` and ``FieldMatrix.nullspace``: pivots are found one
 symbol at a time and normalized with GF(4) scalars.  ``transpose`` is the
-former entry-by-entry ``FieldMatrix.transpose``.  They stay here as the
-reference the kernel is checked against.
+former entry-by-entry ``FieldMatrix.transpose``, on the former one-symbol
+accessors ``matrix.row_entry``, ``FieldMatrix.entry`` and
+``FieldMatrix.col_tuple``.  They stay here as the reference the kernel is
+checked against.
 """
 
 from gf4lrc import gf4
-from gf4lrc.matrix import FieldMatrix, _lo_for, lo_mask, pack_row, row_entry, scale_row
+from gf4lrc.matrix import FieldMatrix, _lo_for, lo_mask, pack_row, scale_row
+
+
+def row_entry(q: int, row: int, j: int) -> int:
+    """Symbol j of a packed row."""
+    if q == 2:
+        return (row >> j) & 1
+    return (row >> (2 * j)) & 3
+
+
+def entry(m: FieldMatrix, i: int, j: int) -> int:
+    return row_entry(m.q, m.rows[i], j)
+
+
+def col_tuple(m: FieldMatrix, j: int) -> tuple[int, ...]:
+    return tuple(entry(m, i, j) for i in range(m.nrows))
 
 
 def leading_column(q: int, row: int, lo: int | None = None) -> int:
@@ -77,12 +94,12 @@ def nullspace(m: FieldMatrix) -> FieldMatrix:
         vec = [0] * m.ncols
         vec[f] = 1
         for i, p in enumerate(pivots):
-            vec[p] = reduced.entry(i, f)
+            vec[p] = entry(reduced, i, f)
         basis.append(pack_row(m.q, vec))
     return FieldMatrix(m.q, len(basis), m.ncols, basis)
 
 
 def transpose(m: FieldMatrix) -> FieldMatrix:
     """The transpose, read one entry at a time."""
-    cols = [pack_row(m.q, [m.entry(i, j) for i in range(m.nrows)]) for j in range(m.ncols)]
+    cols = [pack_row(m.q, col_tuple(m, j)) for j in range(m.ncols)]
     return FieldMatrix(m.q, m.ncols, m.nrows, cols)

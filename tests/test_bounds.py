@@ -3,7 +3,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bound_formulas as parent
 from gf4lrc import bounds
 from gf4lrc.errors import EmptyTauRange, InvalidShape, OddDistance, ParseError
 from gf4lrc.families import cap_code, cyclic4, hamming4, hexacode
@@ -228,3 +231,90 @@ def test_default_kopt_zero_when_distance_exceeds_length():
     assert oracle(4, 5) == 0
     assert oracle(0, 1) == 0
     assert oracle(5, 1) == 5
+
+
+def test_griesmer_sum_tail_and_inverse():
+    # once q^i >= d every term is 1
+    assert bounds.griesmer_sum(6, 26, 2) == 26 + 13 + 7 + 4 + 2 + 1
+    assert bounds.griesmer_sum(9, 26, 2) == 26 + 13 + 7 + 4 + 2 + 1 + 3
+    assert bounds.griesmer_sum(0, 26, 2) == 0
+    assert bounds.griesmer_sum(4, 1, 4) == 4
+    assert bounds.griesmer_inverted_max_k(5, 9, 2) == 0
+    assert bounds.griesmer_inverted_max_k(57, 26, 2) == 10
+    for d in (0, -2):
+        with pytest.raises(ValueError):
+            bounds.griesmer_inverted_max_k(15, d, 2)
+        with pytest.raises(ValueError):
+            bounds.default_kopt()(15, d)
+
+
+@pytest.mark.parametrize(
+    "args", [(0, 6, 6, 2), (15, 0, 6, 2), (15, 6, 0, 2), (15, 6, -2, 2), (15, 6, 6, 0)]
+)
+def test_classify_below_one_raises_invalid_shape(args):
+    with pytest.raises(InvalidShape):
+        bounds.classify(*args)
+
+
+def _outcome(func, *args):
+    """The value, or the exact type raised."""
+    try:
+        return "value", func(*args)
+    except Exception as exc:  # the exact type is what is compared
+        return "raises", type(exc)
+
+
+def _same(name, *args):
+    assert _outcome(getattr(bounds, name), *args) == _outcome(getattr(parent, name), *args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 150),
+    st.integers(1, 150),
+    st.integers(1, 150),
+    st.integers(1, 5),
+    st.sampled_from([2, 4]),
+)
+def test_public_bounds_match_parent_formulas(n, k, d, r, q):
+    _same("singleton_like_max_d", n, k, r)
+    _same("griesmer_inverted_max_k", n, d, q)
+    _same("cm_bound_max_k", n, d, r)
+    _same("griesmer_classical_min_n", k, d, q)
+    _same("griesmer_like_terms", k, d, r, q)
+    _same("griesmer_like_min_n", k, d, r, q)
+    _same("griesmer_like_max_d", n, k, r, q)
+    _same("lrc_ball_size", n, d)
+    _same("sphere_packing_like_max_k", n, d)
+    _same("johnson_classical_max_k", n, d, q)
+    _same("johnson_like_improved_max_k", n, d)
+    assert bounds.default_kopt(q)(n, d) == parent.default_kopt(q)(n, d)
+    ours = _outcome(lambda: bounds.classify(n, k, d, r).to_json())
+    theirs = _outcome(lambda: parent.classify(n, k, d, r).to_json())
+    assert ours == theirs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 80), st.integers(1, 42).map(lambda h: 2 * h))
+def test_lrc_classify_matches_parent_formulas(ell, k, d):
+    # the LRC shape n = 3*ell with even d, where every packing bound applies;
+    # a Singleton-only oracle also checks that kopt is passed through
+    n = 3 * ell
+    weak = lambda m, e: max(0, m - e + 1)
+    for kopt, old_kopt in ((None, None), (weak, weak)):
+        ours = _outcome(lambda: bounds.classify(n, k, d, 2, kopt).to_json())
+        theirs = _outcome(lambda: parent.classify(n, k, d, 2, old_kopt).to_json())
+        assert ours == theirs
+
+
+def test_lrc_packing_bounds_are_outer_bounds_at_half_distance():
+    # Omega_d is the GF(4) ball of radius (d/2 - 1)//2 on the ell groups, and
+    # the improved Johnson-like denominator is the GF(4) Johnson one at (ell, d/2)
+    for ell in range(1, 60):
+        for d in range(2, 4 * ell + 1, 2):
+            half = d // 2
+            assert bounds.lrc_ball_size(ell, d) == parent.lrc_ball_size(ell, d)
+            assert parent.lrc_ball_size(ell, d) == bounds.ball_size(ell, (half - 1) // 2, 4)
+            if d % 4 == 0:
+                _, improved, _ = parent.johnson_like_improved_max_k(3 * ell, d)
+                assert improved == bounds.johnson_classical_max_k(ell, half, 4)[1]

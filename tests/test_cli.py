@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gf4lrc
 from gf4lrc.cli import main
 
 
@@ -152,6 +157,73 @@ def test_bounds_command(capsys):
     report = json.loads(out)
     assert report["verdicts"]["k_optimal_johnson"] is True
     assert report["denominators"]["omega_prime_improved"]["exact"] == "205"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--d", "0"],
+        ["--d", "-2"],
+        ["--r", "0"],
+        ["--n", "0"],
+        ["--k", "0"],
+    ],
+    ids=["d-zero", "d-negative", "r-zero", "n-zero", "k-zero"],
+)
+def test_bounds_below_one_exits_2(capsys, flags):
+    argv = {"--n": "15", "--k": "6", "--d": "6"}
+    argv[flags[0]] = flags[1]
+    code, out, err = run_cli(capsys, "bounds", *[x for kv in argv.items() for x in kv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "must be >= 1" in err
+
+
+def test_bounds_zero_distance_exits_2_in_a_subprocess():
+    # The inverted Griesmer sum never grows at d = 0; the query must be
+    # refused before any bound loops.
+    env = dict(os.environ, PYTHONPATH=str(Path(gf4lrc.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gf4lrc.cli", "bounds", "--n", "15", "--k", "6", "--d", "0"],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("path_flag", ["--locality", "--bounds", None])
+@pytest.mark.parametrize("kind", ["lrc.json", "code"])
+def test_analyze_r_below_one_exits_2(tmp_path, capsys, path_flag, kind):
+    base = tmp_path / "ham"
+    run_cli(capsys, "construct", "hamming4", "--t", "2", "--concat", "--output", str(base))
+    argv = ["analyze", str(tmp_path / f"ham.{kind}"), "--r", "0"]
+    code, out, err = run_cli(capsys, *argv, *([path_flag] if path_flag else []))
+    assert code == 2
+    assert out == ""
+    assert err == "error: --r must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda d: ["analyze", str(d)],
+        lambda d: ["bounds", "--n", "15", "--k", "6", "--d", "6", "--kopt-table", str(d)],
+        lambda d: ["analyze", str(d / "ham.lrc.json"), "--bounds", "--kopt-table", str(d)],
+        lambda d: ["construct", "cap", "--cap-file", str(d)],
+        lambda d: ["construct", "hexacode", "--output", str(d / "ham.code" / "x")],
+        lambda d: ["repair", str(d / "missing.lrc.json"), "--random-t", "1"],
+    ],
+    ids=["analyze-directory", "bounds-kopt-directory", "analyze-kopt-directory",
+         "cap-file-directory", "output-under-a-file", "missing-file"],
+)
+def test_os_errors_exit_2(tmp_path, capsys, argv):
+    base = tmp_path / "ham"
+    run_cli(capsys, "construct", "hamming4", "--t", "2", "--concat", "--output", str(base))
+    code, out, err = run_cli(capsys, *argv(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_repair_command(tmp_path, capsys):

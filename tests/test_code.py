@@ -144,7 +144,7 @@ def _krawtchouk_character_sum(j: int, i: int, n: int) -> int:
             continue
         inner = 0
         for a, b in zip(x, y):
-            inner = gf4.gf4_add(inner, gf4.gf4_mul(a, b))
+            inner ^= gf4.gf4_mul(a, b)
         total += _character_gf4(inner)
     return total
 

@@ -4,7 +4,11 @@ import pytest
 
 from conftest import random_code_corpus
 from inner_code import INNER, encode_outer_word, reference_concatenate
+from scalar_elimination import col_tuple
+from gf4lrc import code as code_module
+from gf4lrc import concat as concat_module
 from gf4lrc import gf4
+from gf4lrc import matrix as matrix_module
 from gf4lrc.code import LinearCode
 from gf4lrc.concat import (
     BinaryLrc,
@@ -119,7 +123,7 @@ def test_group_subspace_collapses_on_zero_parity_column():
     # outer code containing the weight-1 word (1, 0): its parity column at
     # coordinate 0 is zero, so that group's subspace is trivial
     outer = LinearCode.from_generator(FieldMatrix.from_rows(4, [[1, 0]]))
-    assert outer.parity_check.col_tuple(0) == (0,)
+    assert col_tuple(outer.parity_check, 0) == (0,)
     lrc = concatenate(outer)
     dims = [len(b) for b in group_subspaces(lrc)]
     assert dims[0] == 0 and dims[1] == 2
@@ -297,21 +301,27 @@ def test_outer_parity_check_is_none_for_a_swapped_group():
 
 
 def test_loading_makes_no_entry_calls(monkeypatch):
+    # No one-symbol accessor is left; the only per-symbol unpacking is
+    # unpack_row, and loading never calls it.
+    assert not any(hasattr(FieldMatrix, a) for a in ("entry", "col_tuple"))
     outer = cyclic4(43, [1, 0, W2, 1, 1, W, 0, 1])
     obj = json.loads(json.dumps(concatenate(outer).to_json()))
     outer_text = outer.parity_check.to_text()
     calls = []
-    real_entry = FieldMatrix.entry
+    real_unpack = matrix_module.unpack_row
 
-    def counted(self, i, j):
-        calls.append((i, j))
-        return real_entry(self, i, j)
+    def counted(q, row, ncols):
+        calls.append(ncols)
+        return real_unpack(q, row, ncols)
 
-    monkeypatch.setattr(FieldMatrix, "entry", counted)
+    for module in (matrix_module, code_module, concat_module):
+        monkeypatch.setattr(module, "unpack_row", counted)
     lrc = BinaryLrc.from_json(obj)
     again = LinearCode.from_parity(FieldMatrix.from_text(outer_text)[0])
     assert (lrc.n, lrc.k, again.n, again.k) == (129, 72, 43, 36)
     assert calls == []
+    again.parity_check.row_tuple(0)
+    assert calls == [43]
 
 
 def test_lrc_json_top_row_with_a_one_outside_its_group():

@@ -16,7 +16,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_code_corpus
-from scalar_elimination import leading_column
+from inner_code import g_unmap
+from scalar_elimination import col_tuple, leading_column, row_entry
 from gf4lrc import gf4
 from gf4lrc.code import METHOD_COLUMN, METHOD_GROUP_RANK, DistanceCertificate, LinearCode
 from gf4lrc.concat import certify_distance, concatenate
@@ -25,7 +26,6 @@ from gf4lrc.matrix import (
     FieldMatrix,
     lo_mask,
     pack_row,
-    row_entry,
     rows_rank,
     scale_row,
     smallest_dependent_set,
@@ -71,7 +71,7 @@ def reference_certify(lrc, budget):
                 word = [0] * lrc.n
                 pair_to_positions = {1: (0, 1), gf4.W: (0, 2), gf4.W2: (1, 2)}
                 for j, i in enumerate(subset):
-                    alpha = gf4.g_unmap((coeffs[2 * j], coeffs[2 * j + 1]))
+                    alpha = g_unmap((coeffs[2 * j], coeffs[2 * j + 1]))
                     for pos in pair_to_positions[alpha]:
                         word[lrc.groups[i][pos]] = 1
                 cert = DistanceCertificate(2 * s, tuple(word), METHOD_GROUP_RANK)
@@ -82,7 +82,7 @@ def reference_certify(lrc, budget):
 def reference_columns(code: LinearCode, budget):
     q, n = code.q, code.n
     h = code.parity_check
-    cols = [pack_row(q, h.col_tuple(j)) for j in range(n)]
+    cols = [pack_row(q, col_tuple(h, j)) for j in range(n)]
     lo = lo_mask(h.nrows) if q == 4 else None
     examined = 0
 
@@ -117,7 +117,7 @@ def reference_columns(code: LinearCode, budget):
     for w in range(1, n + 1):
         chosen: list[int] = []
         if dfs(w, 0, 0, [], chosen):
-            sub = FieldMatrix.from_cols(q, [h.col_tuple(j) for j in chosen])
+            sub = FieldMatrix.from_cols(q, [col_tuple(h, j) for j in chosen])
             coeffs = sub.nullspace().row_tuple(0)
             word = [0] * n
             for j, c in zip(chosen, coeffs):

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gray_walk as gray
+from scalar_elimination import col_tuple
 from gf4lrc import code as code_module
 from gf4lrc.code import BLOCK_BITS, LinearCode
 from gf4lrc.concat import locality_check
@@ -44,7 +45,7 @@ def codes(draw, message_bits, max_redundancy: int = 6):
             rows[i] ^= scale_row(q, rows[j], draw(st.integers(1, q - 1)))
     perm = draw(st.permutations(range(n)))
     mat = FieldMatrix(q, k, n, rows)
-    cols = [mat.col_tuple(j) for j in perm]
+    cols = [col_tuple(mat, j) for j in perm]
     return LinearCode.from_generator(FieldMatrix.from_cols(q, cols))
 
 

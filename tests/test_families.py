@@ -2,6 +2,7 @@ import logging
 
 import pytest
 
+from scalar_elimination import col_tuple
 from gf4lrc import gf4
 from gf4lrc.bounds import griesmer_classical_min_n
 from gf4lrc.code import LinearCode, macwilliams
@@ -55,9 +56,9 @@ def test_mds_unsupported_parameters():
 def test_hamming_t2_matches_reference_parity_columns():
     code = hamming4(2)
     assert code.params() == (5, 3)
-    ours = {code.parity_check.col_tuple(j) for j in range(5)}
+    ours = {col_tuple(code.parity_check, j) for j in range(5)}
     reference = FieldMatrix.from_rows(4, [[1, 0, 1, 1, 1], [0, 1, 1, W, W2]])
-    theirs = {reference.col_tuple(j) for j in range(5)}
+    theirs = {col_tuple(reference, j) for j in range(5)}
     assert ours == theirs
 
 

@@ -1,11 +1,15 @@
 import itertools
+import random
 
 import pytest
 
+from inner_code import g_map, g_unmap, mul_matrix, vector_map, vector_unmap
 from gf4lrc import gf4
 from gf4lrc.errors import ZeroInverse
+from gf4lrc.matrix import lo_mask, pack_row, scale_row, unpack_row
 
 W, W2 = gf4.W, gf4.W2
+ELEMENTS = range(4)
 
 
 def test_mul_examples():
@@ -16,15 +20,12 @@ def test_mul_examples():
 
 
 def test_field_axioms_exhaustive():
-    for a, b, c in itertools.product(gf4.ELEMENTS, repeat=3):
-        assert gf4.gf4_mul(a, gf4.gf4_add(b, c)) == gf4.gf4_add(
-            gf4.gf4_mul(a, b), gf4.gf4_mul(a, c)
-        )
-    for a, b in itertools.product(gf4.ELEMENTS, repeat=2):
+    # addition is XOR of the 2-bit encodings
+    for a, b, c in itertools.product(ELEMENTS, repeat=3):
+        assert gf4.gf4_mul(a, b ^ c) == gf4.gf4_mul(a, b) ^ gf4.gf4_mul(a, c)
+    for a, b in itertools.product(ELEMENTS, repeat=2):
         assert gf4.gf4_mul(a, b) == gf4.gf4_mul(b, a)
-        assert gf4.gf4_add(a, b) == gf4.gf4_add(b, a)
-    for a in gf4.ELEMENTS:
-        assert gf4.gf4_add(a, a) == 0
+    for a in ELEMENTS:
         assert gf4.gf4_mul(a, 1) == a
 
 
@@ -49,60 +50,64 @@ def test_inverse_of_zero_raises():
 
 
 def test_g_map_table():
-    assert gf4.g_map(0) == (0, 0)
-    assert gf4.g_map(1) == (1, 0)
-    assert gf4.g_map(W) == (0, 1)
-    assert gf4.g_map(W2) == (1, 1)
+    # the packed symbol is its own g-image: bit 0 on 1, bit 1 on w
+    assert g_map(0) == (0, 0)
+    assert g_map(1) == (1, 0)
+    assert g_map(W) == (0, 1)
+    assert g_map(W2) == (1, 1)
+    for a in ELEMENTS:
+        assert pack_row(4, (a,)) == pack_row(2, g_map(a)) == a
 
 
 def test_g_map_is_additive_bijection():
-    images = {gf4.g_map(a) for a in gf4.ELEMENTS}
+    images = {g_map(a) for a in ELEMENTS}
     assert len(images) == 4
-    for a, b in itertools.product(gf4.ELEMENTS, repeat=2):
-        ga, gb = gf4.g_map(a), gf4.g_map(b)
-        assert gf4.g_map(gf4.gf4_add(a, b)) == (ga[0] ^ gb[0], ga[1] ^ gb[1])
-    for a in gf4.ELEMENTS:
-        assert gf4.g_unmap(gf4.g_map(a)) == a
+    for a, b in itertools.product(ELEMENTS, repeat=2):
+        ga, gb = g_map(a), g_map(b)
+        assert g_map(a ^ b) == (ga[0] ^ gb[0], ga[1] ^ gb[1])
+    for a in ELEMENTS:
+        assert g_unmap(g_map(a)) == a
 
 
 def test_vector_map_examples():
-    assert gf4.vector_map(()) == ()
-    assert gf4.vector_map((1, W)) == (1, 0, 0, 1)
-    assert gf4.vector_map((W2, 0, W)) == (1, 1, 0, 0, 0, 1)
+    assert vector_map(()) == ()
+    assert vector_map((1, W)) == (1, 0, 0, 1)
+    assert vector_map((W2, 0, W)) == (1, 1, 0, 0, 0, 1)
+    for x in [(), (1, W), (W2, 0, W)]:
+        assert pack_row(4, x) == pack_row(2, vector_map(x))
 
 
 def test_vector_map_bijective_and_additive():
+    # a packed GF(4) row is the packed binary row of its g-expansion, and
+    # row addition is XOR on both sides
     for m in range(1, 4):
         seen = set()
-        for vec in itertools.product(gf4.ELEMENTS, repeat=m):
-            image = gf4.vector_map(vec)
-            assert gf4.vector_unmap(image) == vec
+        for vec in itertools.product(ELEMENTS, repeat=m):
+            image = vector_map(vec)
+            assert vector_unmap(image) == vec
+            assert pack_row(4, vec) == pack_row(2, image)
+            assert unpack_row(2, pack_row(4, vec), 2 * m) == image
             seen.add(image)
         assert len(seen) == 4**m
-    rng = __import__("random").Random(12)
+    rng = random.Random(12)
     for m in range(4, 9):  # sampled above the exhaustive range
         for _ in range(50):
             a = tuple(rng.randrange(4) for _ in range(m))
             b = tuple(rng.randrange(4) for _ in range(m))
-            assert gf4.vector_unmap(gf4.vector_map(a)) == a
+            assert vector_unmap(vector_map(a)) == a
+            assert pack_row(4, a) == pack_row(2, vector_map(a))
             summed = tuple(x ^ y for x, y in zip(a, b))
-            assert gf4.vector_map(summed) == tuple(
-                x ^ y for x, y in zip(gf4.vector_map(a), gf4.vector_map(b))
+            assert vector_map(summed) == tuple(
+                x ^ y for x, y in zip(vector_map(a), vector_map(b))
             )
-    for vec_a in itertools.product(gf4.ELEMENTS, repeat=3):
-        vec_b = (W, 1, W2)
-        summed = tuple(gf4.gf4_add(x, y) for x, y in zip(vec_a, vec_b))
-        expect = tuple(
-            x ^ y for x, y in zip(gf4.vector_map(vec_a), gf4.vector_map(vec_b))
-        )
-        assert gf4.vector_map(summed) == expect
+            assert pack_row(4, summed) == pack_row(4, a) ^ pack_row(4, b)
 
 
 def test_mul_matrix_tables():
-    assert gf4.mul_matrix(0) == ((0, 0), (0, 0))
-    assert gf4.mul_matrix(1) == ((1, 0), (0, 1))
-    assert gf4.mul_matrix(W) == ((0, 1), (1, 1))
-    assert gf4.mul_matrix(W2) == ((1, 1), (1, 0))
+    assert mul_matrix(0) == ((0, 0), (0, 0))
+    assert mul_matrix(1) == ((1, 0), (0, 1))
+    assert mul_matrix(W) == ((0, 1), (1, 1))
+    assert mul_matrix(W2) == ((1, 1), (1, 0))
 
 
 def test_mul_matrix_is_ring_homomorphism():
@@ -117,26 +122,33 @@ def test_mul_matrix_is_ring_homomorphism():
             for i in range(2)
         )
 
-    for a, b in itertools.product(gf4.ELEMENTS, repeat=2):
-        assert gf4.mul_matrix(gf4.gf4_mul(a, b)) == mat_mul(
-            gf4.mul_matrix(a), gf4.mul_matrix(b)
-        )
-        assert gf4.mul_matrix(gf4.gf4_add(a, b)) == mat_add(
-            gf4.mul_matrix(a), gf4.mul_matrix(b)
-        )
+    for a, b in itertools.product(ELEMENTS, repeat=2):
+        assert mul_matrix(gf4.gf4_mul(a, b)) == mat_mul(mul_matrix(a), mul_matrix(b))
+        assert mul_matrix(a ^ b) == mat_add(mul_matrix(a), mul_matrix(b))
 
 
 def test_mul_matrix_compatible_with_g_map():
     # g(a*b) equals the matrix of a applied to g(b); this identity is what
-    # lets the concatenated parity check collapse to the block form.
-    for a, b in itertools.product(gf4.ELEMENTS, repeat=2):
-        mat, (x0, x1) = gf4.mul_matrix(a), gf4.g_map(b)
+    # lets the concatenated parity check collapse to the block form.  The
+    # packed scale_row applies that matrix to every pair of a row at once.
+    for a, b in itertools.product(ELEMENTS, repeat=2):
+        mat, (x0, x1) = mul_matrix(a), g_map(b)
         applied = tuple((mat[i][0] & x0) ^ (mat[i][1] & x1) for i in range(2))
-        assert applied == gf4.g_map(gf4.gf4_mul(a, b))
+        assert applied == g_map(gf4.gf4_mul(a, b))
+    for m in range(1, 4):
+        for vec in itertools.product(ELEMENTS, repeat=m):
+            row = pack_row(4, vec)
+            for a in ELEMENTS:
+                pairs = []
+                for x0, x1 in (g_map(v) for v in vec):
+                    mat = mul_matrix(a)
+                    pairs += [(mat[i][0] & x0) ^ (mat[i][1] & x1) for i in range(2)]
+                assert scale_row(4, row, a) == pack_row(2, pairs)
+                assert scale_row(4, row, a, lo_mask(m)) == pack_row(2, pairs)
 
 
 def test_symbol_alphabet():
-    for v in gf4.ELEMENTS:
+    for v in ELEMENTS:
         assert gf4.symbol_to_value(gf4.value_to_symbol(v, 4), 4) == v
     assert gf4.value_to_symbol(W2, 4) == "W"
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from scalar_elimination import entry
 from gf4lrc import gf4
 from gf4lrc.errors import FieldMismatch, ParseError, ShapeMismatch
 from gf4lrc.matrix import FieldMatrix
@@ -82,7 +83,7 @@ def test_nullspace_of_hamming_parity():
         for r in range(2):
             acc = 0
             for j in range(5):
-                acc ^= gf4.gf4_mul(h.entry(r, j), row[j])
+                acc ^= gf4.gf4_mul(entry(h, r, j), row[j])
             assert acc == 0
 
 

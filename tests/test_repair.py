@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from scalar_elimination import col_tuple
 from gf4lrc.concat import concatenate
 from gf4lrc.errors import AmbiguousDecode, GroupDamaged
 from gf4lrc.families import hamming4, hexacode
@@ -87,10 +88,7 @@ def test_ambiguous_decode_dimension_matches_rank_deficiency(lrc):
     with pytest.raises(AmbiguousDecode) as exc_info:
         global_decode(lrc, word)
     h = lrc.code.parity_check
-    cols = [
-        FieldMatrix.from_rows(2, [[h.entry(r, p) for r in range(h.nrows)]]).rows[0]
-        for p in support
-    ]
+    cols = [FieldMatrix.from_rows(2, [col_tuple(h, p)]).rows[0] for p in support]
     rank = rows_rank(2, cols, h.nrows)
     assert exc_info.value.solution_dim == len(support) - rank == 1
 
