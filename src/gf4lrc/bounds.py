@@ -12,6 +12,7 @@ GF(4) ones at (ell, d/2); only the space they divide, 2^(2*ell), is binary.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -85,8 +86,8 @@ def default_kopt(q: int = 2) -> KoptOracle:
     return oracle
 
 
-def kopt_from_table(path: str | Path, fallback: Optional[KoptOracle] = None) -> KoptOracle:
-    """Oracle backed by a table of ``n d kmax`` lines, falling back otherwise."""
+def kopt_from_table(path: str | Path) -> KoptOracle:
+    """Oracle backed by a table of ``n d kmax`` lines, else ``default_kopt()``."""
     table: dict[tuple[int, int], int] = {}
     try:
         text = Path(path).read_bytes().decode("utf-8")
@@ -106,7 +107,7 @@ def kopt_from_table(path: str | Path, fallback: Optional[KoptOracle] = None) -> 
         if min(n, d, kmax) < 0:
             raise ParseError(f"line {lineno}: negative entry in {line!r}")
         table[(n, d)] = kmax
-    fallback = fallback or default_kopt()
+    fallback = default_kopt()
 
     def oracle(n_prime: int, d: int) -> int:
         hit = table.get((n_prime, d))
@@ -156,16 +157,19 @@ def griesmer_like_max_d(n: int, k: int, r: int, q: int) -> int:
     """Largest d admissible at (n, k, r) under both Griesmer-style bounds.
 
     The locality-aware bound can be slack where the classical one binds, so
-    both are applied; for k <= r only the classical bound constrains.
+    both are applied; for k <= r only the classical bound constrains.  Both
+    length sums grow with d and the classical one exceeds n from d = n + 1
+    on, so the admissible d are a prefix of 1..n, found by bisection.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    d = 1
-    while griesmer_classical_min_n(k, d, q) <= n and (
-        k <= r or griesmer_like_min_n(k, d, r, q) <= n
-    ):
-        d += 1
-    return d - 1
+
+    def too_long(d: int) -> bool:
+        return griesmer_classical_min_n(k, d, q) > n or (
+            k > r and griesmer_like_min_n(k, d, r, q) > n
+        )
+
+    return bisect.bisect_left(range(1, n + 1), True, key=too_long)
 
 
 # -- sphere-packing -----------------------------------------------------------

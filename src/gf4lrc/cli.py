@@ -134,6 +134,9 @@ def _cmd_analyze(args) -> int:
         raise Gf4LrcError(f"--r must be >= 1, got {args.r}")
     loaded = _load_input(args.path)
     is_lrc = isinstance(loaded, BinaryLrc)
+    if is_lrc and args.r not in (None, 2):
+        raise Gf4LrcError(f"an LRC input has locality 2, got --r {args.r}")
+    r = 2 if is_lrc else args.r
     code = loaded.code if is_lrc else loaded
     report: dict = {"n": code.n, "k": code.k, "q": code.q, "is_lrc": is_lrc}
     exit_code = 0
@@ -165,11 +168,10 @@ def _cmd_analyze(args) -> int:
             report["weights"] = {"error": str(exc)}
             exit_code = 3
     if args.locality or run_all:
-        r = 2 if is_lrc else (args.r or 2)
         try:
-            coverage = locality_check(loaded, r, budget=args.max_enum)
+            coverage = locality_check(loaded, r or 2, budget=args.max_enum)
             report["locality"] = {
-                "r": r,
+                "r": r or 2,
                 "ok": coverage.ok,
                 "uncovered": coverage.uncovered(),
                 "covering": [list(c) if c else None for c in coverage.covering],
@@ -182,9 +184,7 @@ def _cmd_analyze(args) -> int:
         except BudgetExceeded as exc:
             report["locality"] = {"error": str(exc)}
             exit_code = 3
-    bounds_applicable = code.q == 2 and (is_lrc or args.r is not None)
-    if args.bounds or (run_all and bounds_applicable):
-        r = 2 if is_lrc else args.r
+    if args.bounds or (run_all and code.q == 2 and r is not None):
         if r is None:
             raise Gf4LrcError("--bounds on a plain code needs --r")
         if code.q != 2:
@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", action="store_true")
     p.add_argument("--locality", action="store_true")
     p.add_argument("--bounds", action="store_true")
-    p.add_argument("--r", type=int, help="locality for bounds on plain codes")
+    p.add_argument("--r", type=int, help="locality for bounds on plain codes (an LRC has 2)")
     p.add_argument("--kopt-table", help="dimension-oracle override table (n d kmax lines)")
     _add_common(p)
     p.set_defaults(func=_cmd_analyze)

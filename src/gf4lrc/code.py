@@ -12,9 +12,8 @@ The enumerator is bit-sliced (Biham 1997): it handles aligned blocks of
 a plane is that codeword bit at step base + x.  A plane is a fixed truth
 table of the low step bits, complemented when the block's high bits flip
 it.  The coordinates' nonzero planes are summed into a bit-sliced counter,
-which splits into one plane per weight.  Step ranges are partitionable: any
-split of [0, q^k) yields partial weight histograms that merge by addition
-into the single-pass result.
+which splits into one plane per weight.  Every caller reads the whole
+code, so a pass walks all q^k steps.
 """
 
 from __future__ import annotations
@@ -114,17 +113,20 @@ class LinearCode:
 
     # -- construction --------------------------------------------------------
 
+    # A nullspace has ncols - rank rows: one elimination also checks the rank.
     @classmethod
     def from_generator(cls, generator: FieldMatrix) -> "LinearCode":
-        if generator.rank() != generator.nrows:
+        parity_check = generator.nullspace()
+        if parity_check.nrows != generator.ncols - generator.nrows:
             raise RankDeficient("generator rows are linearly dependent")
-        return cls(generator, generator.nullspace())
+        return cls(generator, parity_check)
 
     @classmethod
     def from_parity(cls, parity_check: FieldMatrix) -> "LinearCode":
-        if parity_check.rank() != parity_check.nrows:
+        generator = parity_check.nullspace()
+        if generator.nrows != parity_check.ncols - parity_check.nrows:
             raise RankDeficient("parity-check rows are linearly dependent")
-        return cls(parity_check.nullspace(), parity_check)
+        return cls(generator, parity_check)
 
     def dual(self) -> "LinearCode":
         return LinearCode(self.parity_check, self.generator)
@@ -190,19 +192,18 @@ class LinearCode:
                 packed ^= row
         return unpack_row(self.q, packed, self.n)
 
-    def _weight_planes(self, start: int, stop: int):
-        """Bit-sliced enumeration of steps [start, stop), start < stop.
+    def _weight_planes(self):
+        """Bit-sliced enumeration of all q^k steps.
 
-        Yields ``(base, planes, nonzero)`` per aligned block of steps that
-        meets the range: bit x of ``planes[w]`` is set when step base + x
-        lies in the range and its codeword has weight w (``planes`` runs
-        past n with empty planes), and ``nonzero(j)`` is the plane of the
-        block's steps whose codeword is nonzero at coordinate j.
+        Yields ``(base, planes, nonzero)`` per aligned block of steps: bit x
+        of ``planes[w]`` is set when step base + x has a codeword of weight
+        w (``planes`` runs past n with empty planes), and ``nonzero(j)`` is
+        the plane of the block's steps whose codeword is nonzero at
+        coordinate j.
         """
         steps = self._step_rows()
         low = min(len(steps), BLOCK_BITS)
-        size = 1 << low
-        full = (1 << size) - 1
+        full = (1 << (1 << low)) - 1
         ones = [(1 << (1 << i)) - 1 for i in range(low)]
         tables, highs = [], []
         for c in range((1 if self.q == 2 else 2) * self.n):
@@ -216,8 +217,7 @@ class LinearCode:
             tables.append(table)
             highs.append(col >> low)
         levels = self.n.bit_length()
-        for h in range(start >> low, ((stop - 1) >> low) + 1):
-            base = h << low
+        for h in range(self.codeword_count() >> low):
 
             def bit_plane(c: int) -> int:
                 if (h & highs[c]).bit_count() & 1:
@@ -240,34 +240,14 @@ class LinearCode:
                     carry &= held
                     if not carry:
                         break
-            mask = full & (full << max(start - base, 0))
-            if stop - base < size:
-                mask &= (1 << (stop - base)) - 1
-            planes = [mask]
+            planes = [full]
             for held in reversed(counter):
                 split = []
                 for plane in planes:
                     high = plane & held
                     split += (plane ^ high, high)
                 planes = split
-            yield base, planes, nonzero
-
-    def weight_counts_range(self, start: int, stop: int) -> list[int]:
-        """Partial weight histogram over message indices [start, stop).
-
-        Merging partial histograms by elementwise addition over any partition
-        of [0, q^k) reproduces the full distribution exactly.
-        """
-        total = self.codeword_count()
-        if not 0 <= start <= stop <= total:
-            raise ValueError("index range out of bounds")
-        counts = [0] * (self.n + 1)
-        if start == stop:
-            return counts
-        for _, planes, _ in self._weight_planes(start, stop):
-            for w in range(self.n + 1):
-                counts[w] += planes[w].bit_count()
-        return counts
+            yield h << low, planes, nonzero
 
     def weight_distribution(self, budget: int = DEFAULT_ENUM_BUDGET) -> WeightDistribution:
         """Exact weight distribution by full enumeration."""
@@ -278,7 +258,12 @@ class LinearCode:
             raise BudgetExceeded(
                 f"{total} codewords exceed enumeration budget {budget}"
             )
-        counts = self._counts or self.weight_counts_range(0, total)
+        counts = self._counts
+        if counts is None:
+            counts = [0] * (self.n + 1)
+            for _, planes, _ in self._weight_planes():
+                for w in range(self.n + 1):
+                    counts[w] += planes[w].bit_count()
         self._weights = WeightDistribution(self.n, self.k, self.q, tuple(counts))
         if self._distance is not None and self._weights.distance() != self._distance.d:
             raise AssertionError("weight distribution contradicts cached distance")
@@ -314,7 +299,7 @@ class LinearCode:
         """
         counts = [0] * (self.n + 1)
         best_w, best = self.n + 1, 0
-        for base, planes, _ in self._weight_planes(0, self.codeword_count()):
+        for base, planes, _ in self._weight_planes():
             for w in range(1, best_w):
                 if planes[w]:
                     best_w, best = w, base + (planes[w] & -planes[w]).bit_length() - 1

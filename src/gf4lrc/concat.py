@@ -203,15 +203,15 @@ def certify_distance(
         raise AssertionError("no deficient group subset in a k>0 code")
     subset, mask = found
     word = [0] * lrc.n
-    # Per group, the coefficient pair is a GF(4) symbol selecting which two
-    # of the three group columns sum to the dependency contribution.
-    pair_to_positions = {1: (0, 1), gf4.W: (0, 2), gf4.W2: (1, 2)}
+    # A group's coefficients (a, b) on (e1, e2) are met by its inner
+    # codeword (a+b, a, b), whose top-row parity cancels.
     for j, i in enumerate(subset):
         alpha = (mask >> (2 * j)) & 3
         if alpha == 0:
             raise AssertionError("dependency skips a group; smaller subset missed")
-        for pos in pair_to_positions[alpha]:
-            word[lrc.groups[i][pos]] = 1
+        a, b = alpha & 1, alpha >> 1
+        for pos, bit in zip(lrc.groups[i], (a ^ b, a, b)):
+            word[pos] = bit
     witness = tuple(word)
     if not lrc.code.contains(witness):
         raise AssertionError("group-rank witness is not a codeword")
@@ -255,7 +255,7 @@ def locality_check(
     remaining = code.n
     # Each coordinate takes the first dual word in step order of weight
     # 1..r+1 whose support holds it.
-    for base, planes, nonzero in dual._weight_planes(0, total):
+    for base, planes, nonzero in dual._weight_planes():
         short = 0
         for w in range(1, min(r + 1, code.n) + 1):
             short |= planes[w]

@@ -28,6 +28,11 @@ logger = logging.getLogger(__name__)
 
 W, W2 = gf4.W, gf4.W2
 
+#: Budgets of the distance checks in ``cap_code`` and ``ingest``; each picks
+#: the route of the distance the code then caches.
+CAP_VERIFY_BUDGET = 1 << 22
+INGEST_VERIFY_BUDGET = 1 << 20
+
 # Generators of the four non-trivial GF(4) MDS codes: polynomial evaluation
 # at (0, 1, w, w^2) extended by high-coefficient columns.
 _MDS_GENERATORS = {
@@ -182,12 +187,12 @@ def solomon_stiffler(t: int, dims: Sequence[int]) -> LinearCode:
     return _verified(code, 4 ** (t - 1) - sum(4 ** (u - 1) for u in dims))
 
 
-def cap_code(cap: CapSet, budget: int = 1 << 22) -> LinearCode:
+def cap_code(cap: CapSet) -> LinearCode:
     """Code whose parity-check columns are the cap points; d >= 4 by capness."""
     cap.verify()
     parity = FieldMatrix.from_cols(4, [list(p) for p in cap.points])
     code = LinearCode.from_parity(parity)
-    cert = code.min_distance(budget=budget)
+    cert = code.min_distance(budget=CAP_VERIFY_BUDGET)
     if cert.d < 4:
         raise AssertionError("cap code has d < 4; cap verification is broken")
     return code
@@ -248,12 +253,12 @@ def cyclic4(n: int, gen_poly: Sequence[int]) -> LinearCode:
     return LinearCode.from_generator(FieldMatrix.from_rows(4, rows))
 
 
-def ingest(path: str | Path, verify_budget: int = 1 << 20) -> LinearCode:
+def ingest(path: str | Path) -> LinearCode:
     """Load a code from a matrix file with a ``kind=generator|parity`` header.
 
     Advertised n/k/d header values are checked against computed parameters;
     disagreements are logged, not fatal.  Distance verification is skipped
-    (and logged) when it does not fit ``verify_budget``.
+    (and logged) when it does not fit ``INGEST_VERIFY_BUDGET``.
     """
     text = Path(path).read_text()
     mat, extras = FieldMatrix.from_text(text)
@@ -275,7 +280,7 @@ def ingest(path: str | Path, verify_budget: int = 1 << 20) -> LinearCode:
             )
     if "d" in advertised:
         try:
-            cert = code.min_distance(budget=verify_budget)
+            cert = code.min_distance(budget=INGEST_VERIFY_BUDGET)
         except BudgetExceeded as exc:
             logger.warning("%s: advertised d=%s unverified (%s)", path, advertised["d"], exc)
         else:

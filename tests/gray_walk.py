@@ -1,9 +1,10 @@
 """The per-codeword Gray walk that the bit-sliced enumerator replaced.
 
 These are the former ``matrix.row_weight``, ``LinearCode._iter_packed``,
-``weight_counts_range``, ``_min_distance_exhaustive`` and the dual scan of
-``concat.locality_check``: message index m stands for the message
-gray(m) = m ^ (m >> 1), so each step costs one row XOR and one popcount.
+the histogram pass of ``weight_distribution``, ``_min_distance_exhaustive``
+and the dual scan of ``concat.locality_check``: message index m stands for
+the message gray(m) = m ^ (m >> 1), so each step costs one row XOR and one
+popcount.
 They stay here as the reference the enumerator is checked against.
 """
 
@@ -20,33 +21,23 @@ def row_weight(q: int, row: int, lo: int | None) -> int:
     return ((row | (row >> 1)) & lo).bit_count()
 
 
-def iter_packed(start: int, stop: int, bit_rows: list[int]):
-    """Packed codewords of Gray steps start..stop-1."""
-    gray = start ^ (start >> 1)
+def iter_packed(code):
+    """Packed codewords of all Gray steps, starting with the zero word."""
+    bit_rows = code._message_bit_rows()
     cur = 0
-    g = gray
-    b = 0
-    while g:
-        if g & 1:
-            cur ^= bit_rows[b]
-        g >>= 1
-        b += 1
-    m = start
     yield cur
-    while m + 1 < stop:
-        m += 1
+    for m in range(1, code.codeword_count()):
         cur ^= bit_rows[(m & -m).bit_length() - 1]
         yield cur
 
 
-def weight_counts_range(code, start: int, stop: int) -> list[int]:
+def weight_counts(code) -> tuple[int, ...]:
+    """The full weight histogram A_0..A_n."""
     counts = [0] * (code.n + 1)
-    if start == stop:
-        return counts
     lo = lo_mask(code.n) if code.q == 4 else None
-    for packed in iter_packed(start, stop, code._message_bit_rows()):
+    for packed in iter_packed(code):
         counts[row_weight(code.q, packed, lo)] += 1
-    return counts
+    return tuple(counts)
 
 
 def min_distance_exhaustive(code) -> DistanceCertificate:
@@ -55,7 +46,7 @@ def min_distance_exhaustive(code) -> DistanceCertificate:
     best_w = code.n + 1
     best = None
     first = True
-    for packed in iter_packed(0, code.codeword_count(), code._message_bit_rows()):
+    for packed in iter_packed(code):
         if first:  # message index 0 is the zero codeword
             first = False
             continue
@@ -74,7 +65,7 @@ def locality_dual_scan(code, r: int) -> CoverageReport:
     covering = [None] * code.n
     remaining = code.n
     first = True
-    for packed in iter_packed(0, dual.codeword_count(), dual._message_bit_rows()):
+    for packed in iter_packed(dual):
         if first:
             first = False
             continue

@@ -96,6 +96,22 @@ def test_griesmer_like_max_d():
     assert bounds.griesmer_like_max_d(3, 2, 2, 2) == 2
 
 
+def test_griesmer_like_max_d_takes_logarithmically_many_sums(monkeypatch):
+    # Counting calls, not seconds, keeps the check independent of the host.
+    calls = []
+    real_sum = bounds.griesmer_sum
+
+    def counted(m, d, q):
+        calls.append(d)
+        return real_sum(m, d, q)
+
+    monkeypatch.setattr(bounds, "griesmer_sum", counted)
+    assert bounds.griesmer_like_max_d(30000, 60, 2, 2) == parent.griesmer_like_max_d(
+        30000, 60, 2, 2
+    )
+    assert 0 < len(calls) < 2000
+
+
 def test_lrc_ball_size_matches_definition():
     for ell in range(1, 6):
         for d in range(2, 13, 2):

@@ -205,6 +205,33 @@ def test_analyze_r_below_one_exits_2(tmp_path, capsys, path_flag, kind):
 
 
 @pytest.mark.parametrize(
+    "flags", [["--bounds"], ["--locality"], []], ids=["bounds", "locality", "all"]
+)
+@pytest.mark.parametrize("r", [1, 3, 5])
+def test_analyze_lrc_with_r_other_than_2_exits_2(tmp_path, capsys, flags, r):
+    base = tmp_path / "ham"
+    run_cli(capsys, "construct", "hamming4", "--t", "2", "--concat", "--output", str(base))
+    argv = ["analyze", str(tmp_path / "ham.lrc.json"), "--r", str(r), *flags]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: an LRC input has locality 2, got --r {r}\n"
+
+
+def test_analyze_r_2_on_an_lrc_and_r_3_on_a_plain_code(tmp_path, capsys):
+    base = tmp_path / "ham"
+    run_cli(capsys, "construct", "hamming4", "--t", "2", "--concat", "--output", str(base))
+    lrc = str(tmp_path / "ham.lrc.json")
+    default = run_cli(capsys, "analyze", lrc, "--bounds")
+    assert default[0] == 0 and json.loads(default[1])["bounds"]["r"] == 2
+    assert run_cli(capsys, "analyze", lrc, "--bounds", "--r", "2") == default
+    plain = tmp_path / "ham.parity"
+    h = json.loads(Path(lrc).read_text())["H"]
+    plain.write_text(h.replace("\n", " kind=parity\n", 1))
+    code, out, _ = run_cli(capsys, "analyze", str(plain), "--bounds", "--r", "3")
+    assert code == 0 and json.loads(out)["bounds"]["r"] == 3
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         lambda d: ["analyze", str(d)],

@@ -2,8 +2,8 @@
 
 ``gray_walk`` keeps the former per-codeword walk.  Both visit the same
 Gray steps, so results must be identical, not merely equivalent: the same
-full and partial weight histograms, the same first minimum-weight witness
-and the same first covering dual word per coordinate.  Codes include ones
+weight histogram, the same first minimum-weight witness and the same
+first covering dual word per coordinate.  Codes include ones
 that span several 2^BLOCK_BITS blocks (binary k >= 15, GF(4) k >= 8), ones
 whose message bits sit on a block boundary, and d = 1 codes, whose
 exhaustive pass stops early.  Patching BLOCK_BITS down makes small codes
@@ -64,7 +64,7 @@ def fresh(code: LinearCode) -> LinearCode:
 
 def assert_matches_gray_walk(code: LinearCode) -> None:
     total = code.codeword_count()
-    assert code.weight_counts_range(0, total) == gray.weight_counts_range(code, 0, total)
+    assert code.weight_distribution(budget=total).counts == gray.weight_counts(code)
     assert code._min_distance_exhaustive() == gray.min_distance_exhaustive(code)
 
 
@@ -79,20 +79,6 @@ def test_histogram_and_certificate_match_gray_walk(code, bits):
 @given(boundary)
 def test_multi_block_codes_match_gray_walk(code):
     assert_matches_gray_walk(code)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(small, codes(st.integers(7, 10))), block_bits, st.data())
-def test_partial_histograms_match_gray_walk(code, bits, data):
-    total = code.codeword_count()
-    cuts = sorted(data.draw(st.lists(st.integers(0, total), max_size=5)))
-    merged = [0] * (code.n + 1)
-    with with_block_bits(bits):
-        for start, stop in zip([0] + cuts, cuts + [total]):
-            part = code.weight_counts_range(start, stop)
-            assert part == gray.weight_counts_range(code, start, stop)
-            merged = [a + b for a, b in zip(merged, part)]
-    assert merged == gray.weight_counts_range(code, 0, total)
 
 
 @settings(max_examples=200, deadline=None)
@@ -113,7 +99,7 @@ def test_multi_block_dual_coverings_match_gray_walk(dual, r):
 @given(st.one_of(small, codes(st.integers(7, 10))))
 def test_weight_distribution_budget_after_a_cached_distance_pass(code):
     total = code.codeword_count()
-    expected = tuple(gray.weight_counts_range(code, 0, total))
+    expected = gray.weight_counts(code)
     code.min_distance(budget=total)  # the exhaustive route
     for budget in (total - 1, total // 2):
         with pytest.raises(BudgetExceeded) as cached:
