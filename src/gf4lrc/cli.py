@@ -98,7 +98,7 @@ def _cmd_construct(args) -> int:
         d1 = None
     summary = {
         "family": args.family,
-        "outer": {"n": outer.n, "k": outer.k, "d": d1, "q": 4},
+        "outer": {"n": outer.n, "k": outer.k, "d": d1, "q": outer.q},
     }
     extras = {"kind": "generator", "n": outer.n, "k": outer.k}
     if d1 is not None:

@@ -13,7 +13,9 @@ a plane is that codeword bit at step base + x.  A plane is a fixed truth
 table of the low step bits, complemented when the block's high bits flip
 it.  The coordinates' nonzero planes are summed into a bit-sliced counter,
 which splits into one plane per weight.  Every caller reads the whole
-code, so a pass walks all q^k steps.
+code, so a pass walks all q^k steps, and one cached pass serves both
+exhaustive distance and the weight distribution, whichever is asked for
+first.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from . import gf4
 from .errors import BudgetExceeded, NonIntegerResult, RankDeficient, ShapeMismatch
 from .matrix import (
     FieldMatrix,
@@ -108,8 +109,8 @@ class LinearCode:
             raise ValueError("generator rows are not orthogonal to parity check")
         self._distance: Optional[DistanceCertificate] = None
         self._weights: Optional[WeightDistribution] = None
-        #: Weight histogram left by a full exhaustive distance pass.
-        self._counts: Optional[tuple[int, ...]] = None
+        #: The one enumeration pass, read by distance and weights.
+        self._pass: Optional[tuple[tuple[int, ...], tuple[Optional[int], ...]]] = None
 
     # -- construction --------------------------------------------------------
 
@@ -197,7 +198,7 @@ class LinearCode:
 
         Yields ``(base, planes, nonzero)`` per aligned block of steps: bit x
         of ``planes[w]`` is set when step base + x has a codeword of weight
-        w (``planes`` runs past n with empty planes), and ``nonzero(j)`` is
+        w (``planes`` runs past n with empty planes), and ``nonzero[j]`` is
         the plane of the block's steps whose codeword is nonzero at
         coordinate j.
         """
@@ -205,8 +206,9 @@ class LinearCode:
         low = min(len(steps), BLOCK_BITS)
         full = (1 << (1 << low)) - 1
         ones = [(1 << (1 << i)) - 1 for i in range(low)]
-        tables, highs = [], []
-        for c in range((1 if self.q == 2 else 2) * self.n):
+        width = 1 if self.q == 2 else 2
+        columns = []
+        for c in range(width * self.n):
             col = 0
             for i, row in enumerate(steps):
                 col |= (row >> c & 1) << i
@@ -214,26 +216,22 @@ class LinearCode:
             table = 0
             for i in range(low):
                 table |= (table ^ (ones[i] if col >> i & 1 else 0)) << (1 << i)
-            tables.append(table)
-            highs.append(col >> low)
+            columns.append((table, col >> low))
+        # A symbol is nonzero where either of its two bits is (over GF(2)
+        # both are its one bit), and a block complements a bit's table when
+        # the block's high bits flip it: one plane per pair of flips.
+        symbols = []
+        for (t0, h0), (t1, h1) in zip(columns[::width], columns[width - 1 :: width]):
+            n0, n1 = t0 ^ full, t1 ^ full
+            symbols.append(((t0 | t1, n0 | t1, t0 | n1, n0 | n1), h0, h1))
         levels = self.n.bit_length()
         for h in range(self.codeword_count() >> low):
-
-            def bit_plane(c: int) -> int:
-                if (h & highs[c]).bit_count() & 1:
-                    return tables[c] ^ full
-                return tables[c]
-
-            if self.q == 2:
-                nonzero = bit_plane
-            else:
-
-                def nonzero(j: int) -> int:
-                    return bit_plane(2 * j) | bit_plane(2 * j + 1)
-
+            nonzero = [
+                by_flips[(h & h0).bit_count() & 1 | ((h & h1).bit_count() & 1) << 1]
+                for by_flips, h0, h1 in symbols
+            ]
             counter = [0] * levels
-            for j in range(self.n):
-                carry = nonzero(j)
+            for carry in nonzero:
                 for level in range(levels):
                     held = counter[level]
                     counter[level] = held ^ carry
@@ -249,6 +247,25 @@ class LinearCode:
                 planes = split
             yield h << low, planes, nonzero
 
+    def _enumerate(self) -> tuple[tuple[int, ...], tuple[Optional[int], ...]]:
+        """A_0..A_n and the first step of each weight (None if absent).
+
+        One pass serves both exhaustive distance and the weight
+        distribution, whichever is asked for first.
+        """
+        if self._pass is None:
+            counts = [0] * (self.n + 1)
+            first: list[Optional[int]] = [None] * (self.n + 1)
+            for base, planes, _ in self._weight_planes():
+                for w in range(self.n + 1):
+                    plane = planes[w]
+                    if plane:
+                        counts[w] += plane.bit_count()
+                        if first[w] is None:
+                            first[w] = base + (plane & -plane).bit_length() - 1
+            self._pass = (tuple(counts), tuple(first))
+        return self._pass
+
     def weight_distribution(self, budget: int = DEFAULT_ENUM_BUDGET) -> WeightDistribution:
         """Exact weight distribution by full enumeration."""
         if self._weights is not None:
@@ -258,13 +275,8 @@ class LinearCode:
             raise BudgetExceeded(
                 f"{total} codewords exceed enumeration budget {budget}"
             )
-        counts = self._counts
-        if counts is None:
-            counts = [0] * (self.n + 1)
-            for _, planes, _ in self._weight_planes():
-                for w in range(self.n + 1):
-                    counts[w] += planes[w].bit_count()
-        self._weights = WeightDistribution(self.n, self.k, self.q, tuple(counts))
+        counts, _ = self._enumerate()
+        self._weights = WeightDistribution(self.n, self.k, self.q, counts)
         if self._distance is not None and self._weights.distance() != self._distance.d:
             raise AssertionError("weight distribution contradicts cached distance")
         return self._weights
@@ -292,31 +304,14 @@ class LinearCode:
         return cert
 
     def _min_distance_exhaustive(self) -> DistanceCertificate:
-        """The first minimum-weight codeword in step order.
-
-        Stops after the block that holds a weight-1 word; a pass that runs
-        to the end keeps its weight histogram for ``weight_distribution``.
-        """
-        counts = [0] * (self.n + 1)
-        best_w, best = self.n + 1, 0
-        for base, planes, _ in self._weight_planes():
-            for w in range(1, best_w):
-                if planes[w]:
-                    best_w, best = w, base + (planes[w] & -planes[w]).bit_length() - 1
-                    break
-            if best_w == 1:
-                break
-            for w in range(self.n + 1):
-                counts[w] += planes[w].bit_count()
-        else:
-            self._counts = tuple(counts)
-        return DistanceCertificate(best_w, self._step_word(best), METHOD_EXHAUSTIVE)
+        """The first minimum-weight codeword in step order."""
+        counts, first = self._enumerate()
+        d = next(w for w in range(1, self.n + 1) if counts[w])
+        return DistanceCertificate(d, self._step_word(first[d]), METHOD_EXHAUSTIVE)
 
     def _min_distance_columns(self, set_budget: int) -> DistanceCertificate:
         """Smallest dependent parity-check column set, as a codeword."""
-        blocks = [
-            (c, scale_row(4, c, gf4.W)) if self.q == 4 else (c,) for c in self.parity_columns
-        ]
+        blocks = [binary_expansion(self.q, [c]) for c in self.parity_columns]
         found = smallest_dependent_set(blocks, set_budget)
         if found is None:
             raise AssertionError("no dependent column set found in a k>0 code")

@@ -7,8 +7,8 @@ disjoint-repair-group block form: one all-ones row per group on top, and
 below it each group contributes the columns (0, e1, e2) where e1, e2 are
 the GF(2) expansions of the outer parity-check column h and of w*h.  A
 packed GF(4) vector is its own GF(2) expansion (bit 2j is the coordinate
-on 1 and bit 2j+1 the coordinate on w of symbol j), so e1 is h and e2 is
-``scale_row(4, h, W)`` as plain ints.
+on 1 and bit 2j+1 the coordinate on w of symbol j), so (e1, e2) is the
+pair ``binary_expansion`` gives for h, as plain ints.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from . import gf4
 from .code import (
     DEFAULT_ENUM_BUDGET,
     METHOD_GROUP_RANK,
@@ -27,8 +26,8 @@ from .code import (
 from .errors import BudgetExceeded, FieldMismatch, Mismatch, ParseError, SubsetBudgetExceeded
 from .matrix import (
     FieldMatrix,
+    binary_expansion,
     lo_mask,
-    scale_row,
     smallest_dependent_set,
     unpack_row,
     xor_insert,
@@ -90,7 +89,7 @@ class BinaryLrc:
         if self.u % 2:
             return None
         lo = lo_mask(self.u // 2)
-        if any(e2 != scale_row(4, e1, gf4.W, lo) for e1, e2 in self.e_vectors):
+        if any([e1, e2] != binary_expansion(4, [e1], lo) for e1, e2 in self.e_vectors):
             return None
         return FieldMatrix(4, self.ell, self.u // 2, [e1 for e1, _ in self.e_vectors]).transpose()
 
@@ -159,11 +158,11 @@ def concatenate(outer: LinearCode) -> BinaryLrc:
     if outer.q != 4:
         raise FieldMismatch("outer code must be over GF(4)")
     ell, u = outer.n, 2 * (outer.n - outer.k)
-    lo = lo_mask(u // 2)
+    pairs = binary_expansion(4, outer.parity_columns, lo_mask(u // 2))
     cols = []
-    for i, h in enumerate(outer.parity_columns):
+    for i, (e1, e2) in enumerate(zip(pairs[::2], pairs[1::2])):
         top = 1 << i
-        cols += [top, top | h << ell, top | scale_row(4, h, gf4.W, lo) << ell]
+        cols += [top, top | e1 << ell, top | e2 << ell]
     code = LinearCode.from_parity(FieldMatrix(2, 3 * ell, ell + u, cols).transpose())
     cached = outer.cached_distance
     d = 2 * cached.d if cached is not None else None
@@ -193,6 +192,8 @@ def certify_distance(
     ``subset_budget`` per set.  On exhaustion the bracket holds only the
     proven lower bound; its upper end is None.
     """
+    if lrc.k == 0:
+        raise ValueError("zero-dimensional code has no nonzero codeword")
     try:
         found = smallest_dependent_set(lrc.e_vectors, subset_budget)
     except BudgetExceeded as exc:
@@ -263,7 +264,7 @@ def locality_check(
             continue
         for j in range(code.n):
             if covering[j] is None:
-                hit = short & nonzero(j)
+                hit = short & nonzero[j]
                 if hit:
                     covering[j] = dual._step_word(base + (hit & -hit).bit_length() - 1)
                     remaining -= 1

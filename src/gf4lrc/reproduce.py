@@ -129,7 +129,7 @@ def _example_5_1() -> ReproduceItem:
 def _example_5_2() -> ReproduceItem:
     gen_poly = [1, 0, W2, 1, 1, W, 0, 1]
     outer = families.cyclic4(43, gen_poly)
-    cert = outer.min_distance(budget=1 << 22)
+    cert = outer.min_distance()
     k_bound, o_d = bounds.sphere_packing_classical_max_k(43, cert.d, 4)
     lrc = concatenate(outer)
     omega = bounds.lrc_ball_size(43, 10)
@@ -201,7 +201,7 @@ def _example_6_2(heavy: bool = False) -> ReproduceItem:
     }
     computed = {
         "cap_size": cap.size(),
-        "outer": [outer.n, outer.k, outer.min_distance(budget=1 << 22).d],
+        "outer": [outer.n, outer.k, outer.min_distance().d],
         "lrc": [lrc.n, lrc.k, cert.d],
         "improved_denominator": str(report.omega_prime_improved),
         "gap": bounds.ceil_log(2, report.omega_prime_improved),
@@ -214,7 +214,7 @@ def _example_6_2(heavy: bool = False) -> ReproduceItem:
 
         dual_weights = outer.dual().weight_distribution()
         outer_weights = macwilliams(dual_weights, 4**4, 17, 4)
-        lrc_weights = lrc.code.weight_distribution(budget=1 << 26)
+        lrc_weights = lrc.code.weight_distribution()
         expected["weight_map_ok"] = True
         computed["weight_map_ok"] = (
             lrc_weights.counts == lrc_weights_from_outer(outer_weights).counts
@@ -267,7 +267,7 @@ _ITEMS = {
     "example5.1": lambda _id: _example_5_1(),
     "example5.2": lambda _id: _example_5_2(),
     "example6.1": lambda _id: _example_6_1(),
-    "example6.2": lambda _id: _example_6_2(),
+    "example6.2": _example_6_2,
     "example6.3": lambda _id: _example_6_3(),
 }
 
@@ -292,8 +292,6 @@ def run(scope: list[str] | None = None, heavy: bool = False) -> list[ReproduceIt
     2^26-codeword weight enumeration of the cap-based construction."""
     items = []
     for item_id in expand_ids(scope):
-        if item_id == "example6.2":
-            items.append(_example_6_2(heavy=heavy))
-        else:
-            items.append(_ITEMS[item_id](item_id))
+        item = _ITEMS[item_id]
+        items.append(item(heavy) if item_id == "example6.2" else item(item_id))
     return items

@@ -349,3 +349,29 @@ def test_construct_cyclic_and_ingest_roundtrip(tmp_path, capsys):
     )
     assert code2 == 0
     assert json.loads(out2)["outer"]["k"] == 36
+
+
+def zero_dimensional_lrc() -> dict:
+    """One repair group whose parity check has full rank 3, so k = 0."""
+    h = "field=2 rows=3 cols=3\n1 1 1\n0 1 0\n0 0 1\n"
+    return {"n": 3, "k": 0, "d": None, "r": 2, "ell": 1, "u": 2, "groups": [[0, 1, 2]], "H": h}
+
+
+@pytest.mark.parametrize("flags", [[], ["--distance"], ["--bounds"]])
+def test_analyze_zero_dimensional_lrc_exits_2(tmp_path, capsys, flags):
+    path = tmp_path / "zero.lrc.json"
+    path.write_text(json.dumps(zero_dimensional_lrc()))
+    code, out, err = run_cli(capsys, "analyze", str(path), *flags)
+    assert code == 2
+    assert out == ""
+    assert err == "error: zero-dimensional code has no nonzero codeword\n"
+
+
+def test_construct_ingest_reports_the_field_of_a_binary_code(tmp_path, capsys):
+    path = tmp_path / "rep.code"
+    path.write_text("field=2 rows=1 cols=3 kind=generator\n1 1 1\n")
+    code, out, _ = run_cli(capsys, "construct", "ingest", "--file", str(path))
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["outer"] == {"n": 3, "k": 1, "d": 3, "q": 2}
+    assert summary["code_text"].startswith("field=2 ")

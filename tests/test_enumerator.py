@@ -5,9 +5,9 @@ Gray steps, so results must be identical, not merely equivalent: the same
 weight histogram, the same first minimum-weight witness and the same
 first covering dual word per coordinate.  Codes include ones
 that span several 2^BLOCK_BITS blocks (binary k >= 15, GF(4) k >= 8), ones
-whose message bits sit on a block boundary, and d = 1 codes, whose
-exhaustive pass stops early.  Patching BLOCK_BITS down makes small codes
-span many blocks as well.
+whose message bits sit on a block boundary, and d = 1 codes, whose Gray
+walk stops early while the enumerator walks the whole code.  Patching
+BLOCK_BITS down makes small codes span many blocks as well.
 """
 
 from unittest import mock
@@ -63,9 +63,14 @@ def fresh(code: LinearCode) -> LinearCode:
 
 
 def assert_matches_gray_walk(code: LinearCode) -> None:
+    """Weights then distance on ``code``, distance then weights on a copy."""
     total = code.codeword_count()
-    assert code.weight_distribution(budget=total).counts == gray.weight_counts(code)
-    assert code._min_distance_exhaustive() == gray.min_distance_exhaustive(code)
+    counts, cert = gray.weight_counts(code), gray.min_distance_exhaustive(code)
+    assert code.weight_distribution(budget=total).counts == counts
+    assert code.min_distance(budget=total) == cert
+    other = fresh(code)
+    assert other.min_distance(budget=total) == cert
+    assert other.weight_distribution(budget=total).counts == counts
 
 
 @settings(max_examples=300, deadline=None)
@@ -108,3 +113,21 @@ def test_weight_distribution_budget_after_a_cached_distance_pass(code):
             fresh(code).weight_distribution(budget=budget)
         assert str(cached.value) == str(uncached.value)
     assert code.weight_distribution(budget=total).counts == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(small, st.booleans())
+def test_distance_and_weights_walk_the_code_once(code, distance_first):
+    walks = []
+    walk = LinearCode._weight_planes
+
+    def counted(self):
+        walks.append(self)
+        return walk(self)
+
+    total = code.codeword_count()
+    asks = [lambda: code.min_distance(budget=total), lambda: code.weight_distribution(budget=total)]
+    with mock.patch.object(LinearCode, "_weight_planes", counted):
+        for ask in asks if distance_first else asks[::-1]:
+            ask()
+    assert walks == [code]
