@@ -53,7 +53,6 @@ from .families import (
 from .matrix import FieldMatrix
 from .projective import CapSet, bundled_cap_pg3_17, cap_search, pg_points
 from .repair import (
-    ErasurePattern,
     PerSymbolErasures,
     RandomErasures,
     RepairOutcome,

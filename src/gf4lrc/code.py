@@ -29,6 +29,7 @@ from .matrix import (
     FieldMatrix,
     binary_expansion,
     lo_mask,
+    pack_row,
     row_support,
     scale_row,
     smallest_dependent_set,
@@ -105,7 +106,7 @@ class LinearCode:
             raise RankDeficient("parity check must have n-k rows")
         #: Column j of the parity check, packed as a length-(n-k) vector.
         self.parity_columns = parity_check.transpose().rows
-        if any(self._packed_syndrome(g) for g in generator.rows):
+        if any(self.syndrome(g) for g in generator.rows):
             raise ValueError("generator rows are not orthogonal to parity check")
         self._distance: Optional[DistanceCertificate] = None
         self._weights: Optional[WeightDistribution] = None
@@ -156,25 +157,17 @@ class LinearCode:
         return unpack_row(self.q, packed, self.n)
 
     def contains(self, word: Sequence[int]) -> bool:
-        """Whether the syndrome, the XOR of x_j times column j of H, is 0."""
+        """Whether a symbol list is a codeword: its syndrome is 0."""
         q = self.q
         for x in word:
             if not 0 <= x < q:
                 raise ValueError(f"symbol {x} invalid over GF({q})")
         if len(word) != self.n:
             raise ShapeMismatch(f"{self.n - self.k}x{self.n} times {len(word)}x1")
-        syndrome, lo = 0, lo_mask(self.n - self.k)
-        for x, col in zip(word, self.parity_columns):
-            if x:
-                syndrome ^= scale_row(q, col, x, lo)
-        return not syndrome
+        return not self.syndrome(pack_row(q, word))
 
-    def _packed_syndrome(self, word: int) -> int:
-        """The syndrome of a packed word, one XOR per nonzero symbol.
-
-        ``contains`` takes a symbol list and keeps its own per-symbol loop:
-        packing the list first costs more than the loop.
-        """
+    def syndrome(self, word: int) -> int:
+        """The syndrome of a packed word: the XOR of x_j times column j of H."""
         syndrome, lo = 0, lo_mask(self.n - self.k)
         for j, x in row_support(self.q, word, self.generator._lo):
             syndrome ^= scale_row(self.q, self.parity_columns[j], x, lo)

@@ -1,8 +1,10 @@
 """Erasure repair on locality-2 LRCs and a reproducible failure simulator.
 
-Local repair of a single erasure XORs the two group partners.  Global
-decoding is one pass of the XOR-basis kernel of ``gf4lrc.matrix``: the
-syndrome (XOR of the parity-check columns at the known ones) reduced
+Decoding runs on packed words: the intact bits as one int and the erased
+positions as a bit mask.  A group with a single erasure gets it back as
+the XOR of its three bits (the erased one reads 0).  The rest is one pass
+of the XOR-basis kernel of ``gf4lrc.matrix``: the syndrome of the known
+bits (``LinearCode.syndrome``, the package's one syndrome) reduced
 against the still-erased columns leaves a residual, meaning no codeword
 fits, or a provenance mask holding the erased values.  It is exact and
 succeeds iff the erased columns are linearly independent (guaranteed for
@@ -22,12 +24,12 @@ statistics do not depend on scheduling or trial order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from .concat import BinaryLrc
 from .errors import AmbiguousDecode, GroupDamaged
-from .matrix import xor_insert, xor_reduce
+from .matrix import row_support, unpack_row, xor_insert, xor_reduce
 
 _MASK64 = (1 << 64) - 1
 
@@ -55,26 +57,6 @@ class SplitMix64:
 
 
 @dataclass(frozen=True)
-class ErasurePattern:
-    """A set of erased coordinate indices."""
-
-    positions: frozenset[int]
-
-    @classmethod
-    def of(cls, positions) -> "ErasurePattern":
-        return cls(frozenset(int(p) for p in positions))
-
-    def __len__(self) -> int:
-        return len(self.positions)
-
-    def per_group_counts(self, lrc: BinaryLrc) -> list[int]:
-        counts = [0] * lrc.ell
-        for i, g in enumerate(lrc.groups):
-            counts[i] = sum(1 for p in g if p in self.positions)
-        return counts
-
-
-@dataclass(frozen=True)
 class RepairOutcome:
     """Result of decoding one erasure pattern.
 
@@ -90,6 +72,10 @@ class RepairOutcome:
 
 def local_repair(lrc: BinaryLrc, word: Sequence[Optional[int]], pos: int) -> int:
     """Repair one erased symbol from its two group partners."""
+    if len(word) != lrc.n:
+        raise ValueError(f"word length {len(word)} != n = {lrc.n}")
+    if not 0 <= pos < lrc.n:
+        raise ValueError(f"position {pos} outside 0..{lrc.n - 1}")
     if word[pos] is not None:
         raise ValueError(f"position {pos} is not erased")
     group = next(g for g in lrc.groups if pos in g)
@@ -99,68 +85,74 @@ def local_repair(lrc: BinaryLrc, word: Sequence[Optional[int]], pos: int) -> int
     return word[partners[0]] ^ word[partners[1]]
 
 
-def global_decode(
-    lrc: BinaryLrc,
-    word: Sequence[Optional[int]],
-    pattern: Optional[ErasurePattern] = None,
-) -> RepairOutcome:
-    """Recover all erasures; local repairs first, then one linear solve.
+def global_decode(lrc: BinaryLrc, word: Sequence[Optional[int]]) -> RepairOutcome:
+    """Recover all erasures (``None`` symbols); local repairs first, then
+    one linear solve.
 
     Raises AmbiguousDecode (with the solution-space dimension) when the
     parity-check columns at the still-erased positions are dependent.
     """
-    word_out, solution_dim, methods, accessed = _decode(lrc, word, pattern)
+    n = lrc.n
+    if len(word) != n:
+        raise ValueError(f"word length {len(word)} != n = {n}")
+    known = erased = 0
+    for i, x in enumerate(word):
+        if x is None:
+            erased |= 1 << i
+        elif x == 1:
+            known |= 1 << i
+        elif x != 0:
+            raise ValueError(f"symbol {x} invalid over GF(2)")
+    recovered, solution_dim, local = _decode(lrc, known, erased)
     if solution_dim:
         raise AmbiguousDecode(
             f"erased columns are dependent; 2^{solution_dim} candidate words",
             solution_dim,
         )
-    return RepairOutcome(word_out, methods, accessed)
-
-
-def _decode(lrc, word, pattern):
-    """(recovered word or None, solution-space dim, methods, accessed)."""
-    n = lrc.n
-    if len(word) != n:
-        raise ValueError(f"word length {len(word)} != n = {n}")
-    erased = frozenset(i for i in range(n) if word[i] is None)
-    if pattern is not None and pattern.positions != erased:
-        raise ValueError("pattern disagrees with the erased positions")
-    values = list(word)
     methods: dict[int, str] = {}
     accessed: dict[int, int] = {}
     for g in lrc.groups:
-        missing = [p for p in g if p in erased]
-        if len(missing) == 1:
-            p = missing[0]
-            partners = [x for x in g if x != p]
-            values[p] = values[partners[0]] ^ values[partners[1]]
-            methods[p] = "local"
-            accessed[p] = 2
-    rest = sorted(p for p in erased if p not in methods)
+        for p in g:
+            if local >> p & 1:
+                methods[p], accessed[p] = "local", 2
+    intact = n - erased.bit_count()
+    for p, _ in row_support(2, erased ^ local):
+        methods[p], accessed[p] = "global", intact
+    return RepairOutcome(unpack_row(2, recovered, n), methods, accessed)
+
+
+def _decode(lrc: BinaryLrc, known: int, erased: int) -> tuple[Optional[int], int, int]:
+    """(recovered word or None, solution-space dim, mask of local repairs).
+
+    Words are packed: ``known`` holds the intact bits (0 at the erasures),
+    ``erased`` has bit p set for each erased position p.
+    """
+    local = 0
+    for a, b, c in lrc.groups:
+        group = 1 << a | 1 << b | 1 << c
+        hit = erased & group
+        if hit.bit_count() == 1:
+            # The erased bit reads 0, so the group's parity is its value.
+            local |= hit
+            if (known & group).bit_count() & 1:
+                known |= hit
+    rest = [p for p, _ in row_support(2, erased & ~local)]
     if rest:
         cols = lrc.code.parity_columns
-        syndrome = 0
-        for col, v in zip(cols, values):
-            if v:
-                syndrome ^= col
         basis: list = []
         dependent = 0
         for i, p in enumerate(rest):
             dependent += not xor_insert(basis, cols[p], 1 << i)[0]
-        residual, solution = xor_reduce(basis, syndrome)
+        residual, solution = xor_reduce(basis, lrc.code.syndrome(known))
         if residual:
             raise ValueError("word is not consistent with any codeword")
         if dependent:
-            return None, dependent, methods, accessed
+            return None, dependent, local
         for i, p in enumerate(rest):
-            values[p] = (solution >> i) & 1
-            methods[p] = "global"
-            accessed[p] = n - len(erased)
-    recovered = tuple(values)
-    if not lrc.code.contains(recovered):
+            known |= (solution >> i & 1) << p
+    if lrc.code.syndrome(known):
         raise ValueError("word is not consistent with any codeword")
-    return recovered, 0, methods, accessed
+    return known, 0, local
 
 
 # -- failure models ----------------------------------------------------------
@@ -216,14 +208,7 @@ class SimulationReport:
     mean_accessed: float
 
     def to_json(self) -> dict:
-        return {
-            "trials": self.trials,
-            "model": self.model,
-            "seed": self.seed,
-            "success_rate": self.success_rate,
-            "local_fraction": self.local_fraction,
-            "mean_accessed": self.mean_accessed,
-        }
+        return asdict(self)
 
 
 def simulate(lrc: BinaryLrc, trials: int, model, seed: int = 0) -> SimulationReport:
@@ -236,6 +221,7 @@ def simulate(lrc: BinaryLrc, trials: int, model, seed: int = 0) -> SimulationRep
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    n = lrc.n
     successes = 0
     erased_total = 0
     local_total = 0
@@ -244,18 +230,21 @@ def simulate(lrc: BinaryLrc, trials: int, model, seed: int = 0) -> SimulationRep
     for trial in range(trials):
         rng = SplitMix64(seed + trial)
         message = [rng.next_u64() & 1 for _ in range(lrc.k)]
-        codeword = lrc.code.encode(message)
-        pattern = model.draw(rng, lrc.n)
-        erased_total += len(pattern)
-        word = [None if i in pattern else codeword[i] for i in range(lrc.n)]
-        recovered, solution_dim, methods, accessed = _decode(lrc, word, None)
-        for p, method in methods.items():
-            repaired_total += 1
-            accessed_total += accessed[p]
-            if method == "local":
-                local_total += 1
+        codeword = lrc.code.generator.row_combination(message)
+        erased = 0
+        for p in model.draw(rng, n):
+            erased |= 1 << p
+        t = erased.bit_count()
+        erased_total += t
+        recovered, solution_dim, local = _decode(lrc, codeword & ~erased, erased)
+        local_count = local.bit_count()
+        local_total += local_count
+        accessed_total += 2 * local_count
         if solution_dim:
+            repaired_total += local_count
             continue
+        repaired_total += t
+        accessed_total += (t - local_count) * (n - t)
         if recovered != codeword:
             raise AssertionError("decode returned a different codeword")
         successes += 1

@@ -8,7 +8,7 @@ both readings, and do not fail a reproduction run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import bounds, families
@@ -29,12 +29,7 @@ class ReproduceItem:
     status: str
 
     def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "expected": self.expected,
-            "computed": self.computed,
-            "status": self.status,
-        }
+        return asdict(self)
 
 
 def _compare(item_id: str, expected: dict, computed: dict) -> ReproduceItem:

@@ -34,7 +34,7 @@ from gf4lrc.families import (
 from gf4lrc.gf4 import W, W2
 from gf4lrc.matrix import FieldMatrix, rows_rank
 from gf4lrc.projective import bundled_cap_pg3_17
-from gf4lrc.repair import ErasurePattern, global_decode
+from gf4lrc.repair import global_decode
 from test_concat import HAMMING_LRC_PARITY
 
 
@@ -275,7 +275,7 @@ def test_criterion_12_repair_simulator():
             word = list(codeword)
             for p in pattern:
                 word[p] = None
-            out = global_decode(lrc, word, ErasurePattern.of(pattern))
+            out = global_decode(lrc, word)
             assert out.word == codeword
             decoded += 1
         assert decoded == 3003

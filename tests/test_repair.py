@@ -1,15 +1,17 @@
+import collections
 import itertools
 import math
 
 import pytest
 
 from scalar_elimination import col_tuple
+from gf4lrc import repair
+from gf4lrc.code import LinearCode
 from gf4lrc.concat import concatenate
 from gf4lrc.errors import AmbiguousDecode, GroupDamaged
 from gf4lrc.families import hamming4, hexacode
 from gf4lrc.matrix import FieldMatrix, rows_rank
 from gf4lrc.repair import (
-    ErasurePattern,
     PerSymbolErasures,
     RandomErasures,
     SplitMix64,
@@ -52,6 +54,16 @@ def test_local_repair_group_damaged(lrc):
         local_repair(lrc, word, 3)
 
 
+def test_local_repair_rejects_position_and_length(lrc):
+    word = [0] * lrc.n
+    word[-1] = None
+    for pos in (-1, lrc.n):
+        with pytest.raises(ValueError, match="outside"):
+            local_repair(lrc, word, pos)
+    with pytest.raises(ValueError, match="length"):
+        local_repair(lrc, word[:-1], 3)
+
+
 def test_single_erasures_always_local(lrc):
     cw = lrc.code.encode([0, 1, 1, 0, 1, 1])
     for pos in range(lrc.n):
@@ -65,7 +77,7 @@ def test_single_erasures_always_local(lrc):
 
 def test_empty_pattern_returns_word(lrc):
     cw = lrc.code.encode([1, 1, 1, 0, 0, 0])
-    out = global_decode(lrc, list(cw), ErasurePattern.of(()))
+    out = global_decode(lrc, list(cw))
     assert out.word == cw and out.methods == {}
 
 
@@ -75,7 +87,7 @@ def test_all_five_erasure_patterns_decode(lrc):
         word = list(cw)
         for p in pattern:
             word[p] = None
-        out = global_decode(lrc, word, ErasurePattern.of(pattern))
+        out = global_decode(lrc, word)
         assert out.word == cw
 
 
@@ -100,16 +112,33 @@ def test_inconsistent_word_rejected(lrc):
         global_decode(lrc, word)
 
 
-def test_pattern_word_disagreement(lrc):
+def test_invalid_symbol_rejected(lrc):
     word = [0] * lrc.n
-    word[2] = None
-    with pytest.raises(ValueError):
-        global_decode(lrc, word, ErasurePattern.of((3,)))
+    word[0] = None
+    word[4] = 2
+    with pytest.raises(ValueError, match="symbol 2 invalid"):
+        global_decode(lrc, word)
 
 
-def test_per_group_counts(lrc):
-    pattern = ErasurePattern.of((0, 1, 5, 9))
-    assert pattern.per_group_counts(lrc) == [2, 1, 0, 1, 0]
+def test_simulate_trial_stays_packed(lrc, monkeypatch):
+    """No trial goes through a symbol tuple: no encode, contains or unpack."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(LinearCode, "encode", counted("encode", LinearCode.encode))
+    monkeypatch.setattr(LinearCode, "contains", counted("contains", LinearCode.contains))
+    monkeypatch.setattr(repair, "unpack_row", counted("unpack_row", repair.unpack_row))
+    simulate(lrc, 50, RandomErasures(7), seed=3)
+    simulate(lrc, 50, PerSymbolErasures(0.3), seed=3)
+    assert calls == {}
+    global_decode(lrc, [None] + [0] * (lrc.n - 1))
+    assert calls == {"unpack_row": 1}
 
 
 def test_simulate_single_erasure(lrc):

@@ -1,0 +1,104 @@
+"""The packed repair path against the symbol-list path it replaced.
+
+``reference_repair`` keeps the former decoder, simulator trial loop and
+per-symbol ``contains``; the packed ones must give equal reports, equal
+decode results (or the same exception type and message) and equal
+membership answers.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_repair as reference
+from gf4lrc.code import LinearCode
+from gf4lrc.concat import BinaryLrc, concatenate
+from gf4lrc.families import hamming4, hexacode, mds_rs
+from gf4lrc.matrix import FieldMatrix
+from gf4lrc.repair import PerSymbolErasures, RandomErasures, global_decode, simulate
+
+
+def _reordered_hexacode_lrc() -> BinaryLrc:
+    lrc = concatenate(hexacode())
+    g0, g1, g2 = lrc.groups[0]
+    return BinaryLrc(lrc.code, ((g0, g2, g1),) + lrc.groups[1:], lrc.d)
+
+
+LRCS = {
+    "ham15": concatenate(hamming4(2)),
+    "hex18": concatenate(hexacode()),
+    "rs15": concatenate(mds_rs(5, 3)),
+    "hex18_reordered": _reordered_hexacode_lrc(),
+}
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the exception itself is the outcome compared
+        return type(exc), str(exc)
+
+
+@st.composite
+def models(draw, n):
+    if draw(st.booleans()):
+        return RandomErasures(draw(st.integers(0, n)))
+    return PerSymbolErasures(draw(st.floats(0.0, 1.0)))
+
+
+@pytest.mark.parametrize("name", sorted(LRCS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_simulate_matches_reference(name, data):
+    lrc = LRCS[name]
+    model = data.draw(models(lrc.n))
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    trials = data.draw(st.integers(1, 30))
+    assert simulate(lrc, trials, model, seed) == reference.simulate(lrc, trials, model, seed)
+
+
+@pytest.mark.parametrize("name", sorted(LRCS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_global_decode_matches_reference(name, data):
+    lrc = LRCS[name]
+    message = data.draw(st.lists(st.integers(0, 1), min_size=lrc.k, max_size=lrc.k))
+    word = list(lrc.code.encode(message))
+    erased = data.draw(st.sets(st.integers(0, lrc.n - 1)))
+    if data.draw(st.integers(0, 4)) == 0:
+        flip = data.draw(st.integers(0, lrc.n - 1))
+        word[flip] ^= 1
+    for p in erased:
+        word[p] = None
+    ours = _outcome(global_decode, lrc, word)
+    theirs = _outcome(reference.global_decode, lrc, word)
+    assert ours == theirs
+    if not isinstance(ours, tuple):
+        assert list(ours.methods.items()) == list(theirs.methods.items())
+        assert list(ours.accessed.items()) == list(theirs.accessed.items())
+
+
+@st.composite
+def codes_and_words(draw):
+    q = draw(st.sampled_from([2, 4]))
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, n))
+    symbols = st.integers(0, q - 1)
+    tail = draw(st.lists(st.lists(symbols, min_size=n - k, max_size=n - k), min_size=k, max_size=k))
+    rows = [[int(i == j) for j in range(k)] + row for i, row in enumerate(tail)]
+    code = LinearCode.from_generator(FieldMatrix.from_rows(q, rows))
+    if draw(st.booleans()):
+        word = list(code.encode(draw(st.lists(symbols, min_size=k, max_size=k))))
+    else:
+        length = draw(st.sampled_from([n, n, n - 1, n + 1]))
+        word = draw(st.lists(symbols, min_size=length, max_size=length))
+    if word and draw(st.integers(0, 4)) == 0:
+        word[draw(st.integers(0, len(word) - 1))] = draw(st.sampled_from([-1, q, q + 1]))
+    return code, word
+
+
+@settings(max_examples=300, deadline=None)
+@given(codes_and_words())
+def test_contains_matches_reference(case):
+    code, word = case
+    assert _outcome(code.contains, word) == _outcome(reference.contains, code, word)
