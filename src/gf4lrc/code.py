@@ -1,9 +1,11 @@
 """Linear codes over GF(2)/GF(4): distance, weight enumerator, duality.
 
-Codewords are enumerated in binary-reflected Gray-step order: step m stands
-for the message gray(m) = m ^ (m >> 1).  Over GF(4) the message is viewed as
-a GF(2) bit vector of length 2k (bits 2i, 2i+1 select row i and w*row i),
-which keeps the enumeration binary.  Since sum_i gray(m)_i r_i equals
+A code keeps one binary view: ``bit_rows`` and ``bit_columns`` are the
+pair expansions (r, w*r over GF(4), r over GF(2)) of G's rows and H's
+columns, over which a packed message or word is a bit vector, so encoding
+and the syndrome are each one ``xor_combine``.  Codewords are enumerated
+in binary-reflected Gray-step order: step m stands for the message bits
+gray(m) = m ^ (m >> 1).  Since sum_i gray(m)_i r_i equals
 sum_i m_i (r_i ^ r_(i-1)), step m's codeword is the XOR of the step rows
 r_i ^ r_(i-1) over the set bits of m.
 
@@ -28,12 +30,10 @@ from .errors import BudgetExceeded, NonIntegerResult, RankDeficient, ShapeMismat
 from .matrix import (
     FieldMatrix,
     binary_expansion,
-    lo_mask,
     pack_row,
-    row_support,
-    scale_row,
     smallest_dependent_set,
     unpack_row,
+    xor_combine,
 )
 
 #: Default cap on enumerated codewords; larger codes fall back to
@@ -104,8 +104,9 @@ class LinearCode:
         self.parity_check = parity_check
         if parity_check.nrows != self.n - self.k:
             raise RankDeficient("parity check must have n-k rows")
-        #: Column j of the parity check, packed as a length-(n-k) vector.
-        self.parity_columns = parity_check.transpose().rows
+        #: The binary view; over GF(2), G's rows and H's columns themselves.
+        self.bit_rows = binary_expansion(self.q, generator.rows, generator._lo)
+        self.bit_columns = binary_expansion(self.q, parity_check.transpose().rows)
         if any(self.syndrome(g) for g in generator.rows):
             raise ValueError("generator rows are not orthogonal to parity check")
         self._distance: Optional[DistanceCertificate] = None
@@ -148,43 +149,36 @@ class LinearCode:
     def codeword_count(self) -> int:
         return self.q**self.k
 
-    def _message_bit_rows(self) -> list[int]:
-        return binary_expansion(self.q, self.generator.rows, self.generator._lo)
+    def _packed(self, symbols: Sequence[int], length: int, shape: str) -> int:
+        """A symbol list packed, after checking each symbol, then its length."""
+        for x in symbols:
+            if not 0 <= x < self.q:
+                raise ValueError(f"symbol {x} invalid over GF({self.q})")
+        if len(symbols) != length:
+            raise ShapeMismatch(shape)
+        return pack_row(self.q, symbols)
 
     def encode(self, message: Sequence[int]) -> tuple[int, ...]:
         """Codeword for a length-k message vector."""
-        packed = self.generator.row_combination(message)
-        return unpack_row(self.q, packed, self.n)
+        packed = self._packed(message, self.k, "coefficient count != row count")
+        return unpack_row(self.q, xor_combine(self.bit_rows, packed), self.n)
 
     def contains(self, word: Sequence[int]) -> bool:
         """Whether a symbol list is a codeword: its syndrome is 0."""
-        q = self.q
-        for x in word:
-            if not 0 <= x < q:
-                raise ValueError(f"symbol {x} invalid over GF({q})")
-        if len(word) != self.n:
-            raise ShapeMismatch(f"{self.n - self.k}x{self.n} times {len(word)}x1")
-        return not self.syndrome(pack_row(q, word))
+        shape = f"{self.n - self.k}x{self.n} times {len(word)}x1"
+        return not self.syndrome(self._packed(word, self.n, shape))
 
     def syndrome(self, word: int) -> int:
-        """The syndrome of a packed word: the XOR of x_j times column j of H."""
-        syndrome, lo = 0, lo_mask(self.n - self.k)
-        for j, x in row_support(self.q, word, self.generator._lo):
-            syndrome ^= scale_row(self.q, self.parity_columns[j], x, lo)
-        return syndrome
+        """The syndrome of a packed word: sum_j x_j h_j as one XOR."""
+        return xor_combine(self.bit_columns, word)
 
     def _step_rows(self) -> list[int]:
         """Packed rows whose XOR over the set bits of m is step m's codeword."""
-        rows = self._message_bit_rows()
-        return [r ^ prev for r, prev in zip(rows, [0] + rows)]
+        return [r ^ prev for r, prev in zip(self.bit_rows, [0] + self.bit_rows)]
 
     def _step_word(self, m: int) -> tuple[int, ...]:
-        """The codeword at step m, i.e. of the message gray(m)."""
-        packed = 0
-        for i, row in enumerate(self._step_rows()):
-            if m >> i & 1:
-                packed ^= row
-        return unpack_row(self.q, packed, self.n)
+        """The codeword at step m, i.e. of the message bits gray(m)."""
+        return unpack_row(self.q, xor_combine(self._step_rows(), m), self.n)
 
     def _weight_planes(self):
         """Bit-sliced enumeration of all q^k steps.
@@ -304,12 +298,12 @@ class LinearCode:
 
     def _min_distance_columns(self, set_budget: int) -> DistanceCertificate:
         """Smallest dependent parity-check column set, as a codeword."""
-        blocks = [binary_expansion(self.q, [c]) for c in self.parity_columns]
+        width, cols = (1 if self.q == 2 else 2), self.bit_columns
+        blocks = [cols[i : i + width] for i in range(0, len(cols), width)]
         found = smallest_dependent_set(blocks, set_budget)
         if found is None:
             raise AssertionError("no dependent column set found in a k>0 code")
         indices, mask = found
-        width = len(blocks[0])
         word = [0] * self.n
         for j, i in enumerate(indices):
             word[i] = (mask >> (width * j)) & (self.q - 1)

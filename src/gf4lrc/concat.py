@@ -8,7 +8,7 @@ below it each group contributes the columns (0, e1, e2) where e1, e2 are
 the GF(2) expansions of the outer parity-check column h and of w*h.  A
 packed GF(4) vector is its own GF(2) expansion (bit 2j is the coordinate
 on 1 and bit 2j+1 the coordinate on w of symbol j), so (e1, e2) is the
-pair ``binary_expansion`` gives for h, as plain ints.
+pair the outer code's ``bit_columns`` holds for h, as plain ints.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class BinaryLrc:
         self.groups = tuple(tuple(g) for g in groups)
         self.d = d
         self._validate()
-        lower = [col >> self.ell for col in code.parity_columns]
+        lower = [col >> self.ell for col in code.bit_columns]
         self.e_vectors = tuple((lower[b], lower[c]) for _, b, c in self.groups)
 
     def _validate(self) -> None:
@@ -71,7 +71,7 @@ class BinaryLrc:
             seen.update(g)
         if seen != set(range(self.code.n)):
             raise ValueError("groups must partition the coordinates")
-        cols = self.code.parity_columns
+        cols = self.code.bit_columns
         top = (1 << self.ell) - 1
         for i, g in enumerate(self.groups):
             for pos in g:
@@ -158,7 +158,7 @@ def concatenate(outer: LinearCode) -> BinaryLrc:
     if outer.q != 4:
         raise FieldMismatch("outer code must be over GF(4)")
     ell, u = outer.n, 2 * (outer.n - outer.k)
-    pairs = binary_expansion(4, outer.parity_columns, lo_mask(u // 2))
+    pairs = outer.bit_columns
     cols = []
     for i, (e1, e2) in enumerate(zip(pairs[::2], pairs[1::2])):
         top = 1 << i

@@ -12,7 +12,8 @@ entries: each vector has the pivots of the entries before it clear and its
 lowest set bit as pivot, and its mask names the inputs that XOR to it.
 GF(4) enters through its binary pair expansion: the GF(4) span of packed
 rows r is the GF(2) span of the pairs (r, w*r), so a GF(4) rank is half a
-binary rank.
+binary rank, and sum_i c_i r_i is one ``xor_combine``: the XOR of the pairs
+over the packed coefficients' bits (bits 2i, 2i+1 select r_i and w*r_i).
 
 Matrix text format (strict): a header line
 
@@ -88,6 +89,16 @@ def row_support(q: int, row: int, lo: int | None = None) -> Iterator[tuple[int, 
         bit = low.bit_length() - 1
         yield bit // width, row >> bit & (q - 1)
         support ^= low
+
+
+def xor_combine(vectors: Sequence[int], bits: int) -> int:
+    """The XOR of ``vectors[b]`` over the set bits b of ``bits``."""
+    acc = 0
+    while bits:
+        low = bits & -bits
+        acc ^= vectors[low.bit_length() - 1]
+        bits ^= low
+    return acc
 
 
 def xor_reduce(basis: list, v: int, mask: int = 0) -> tuple[int, int]:
@@ -190,18 +201,9 @@ class FieldMatrix:
             raise ShapeMismatch(
                 f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}"
             )
-        out = [other.row_combination(self.row_tuple(i)) for i in range(self.nrows)]
+        vectors = binary_expansion(self.q, other.rows, other._lo)
+        out = [xor_combine(vectors, row) for row in self.rows]
         return FieldMatrix(self.q, self.nrows, other.ncols, out)
-
-    def row_combination(self, coeffs: Sequence[int]) -> int:
-        """Packed row equal to sum_i coeffs[i] * row_i."""
-        if len(coeffs) != self.nrows:
-            raise ShapeMismatch("coefficient count != row count")
-        acc = 0
-        for c, row in zip(coeffs, self.rows):
-            if c:
-                acc ^= scale_row(self.q, row, c, self._lo)
-        return acc
 
     def rref(self) -> tuple["FieldMatrix", int, tuple[int, ...]]:
         """Reduced row-echelon form, rank, and pivot columns.

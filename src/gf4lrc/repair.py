@@ -4,11 +4,11 @@ Decoding runs on packed words: the intact bits as one int and the erased
 positions as a bit mask.  A group with a single erasure gets it back as
 the XOR of its three bits (the erased one reads 0).  The rest is one pass
 of the XOR-basis kernel of ``gf4lrc.matrix``: the syndrome of the known
-bits (``LinearCode.syndrome``, the package's one syndrome) reduced
-against the still-erased columns leaves a residual, meaning no codeword
-fits, or a provenance mask holding the erased values.  It is exact and
-succeeds iff the erased columns are linearly independent (guaranteed for
-up to d-1 erasures).
+bits (``LinearCode.syndrome``, an XOR of the code's ``bit_columns``)
+reduced against the still-erased columns leaves a residual, meaning no
+codeword fits, or a provenance mask holding the erased values.  It is
+exact and succeeds iff the erased columns are linearly independent
+(guaranteed for up to d-1 erasures).
 
 Randomness comes from SplitMix64 so runs are reproducible across
 implementations.  State update per draw, all mod 2^64:
@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 from .concat import BinaryLrc
 from .errors import AmbiguousDecode, GroupDamaged
-from .matrix import row_support, unpack_row, xor_insert, xor_reduce
+from .matrix import pack_row, row_support, unpack_row, xor_combine, xor_insert, xor_reduce
 
 _MASK64 = (1 << 64) - 1
 
@@ -136,20 +136,22 @@ def _decode(lrc: BinaryLrc, known: int, erased: int) -> tuple[Optional[int], int
             local |= hit
             if (known & group).bit_count() & 1:
                 known |= hit
-    rest = [p for p, _ in row_support(2, erased & ~local)]
+    rest = erased & ~local
     if rest:
-        cols = lrc.code.parity_columns
+        # Column p enters with provenance bit p: the solution is in place.
+        cols = lrc.code.bit_columns
         basis: list = []
         dependent = 0
-        for i, p in enumerate(rest):
-            dependent += not xor_insert(basis, cols[p], 1 << i)[0]
+        while rest:
+            low = rest & -rest
+            dependent += not xor_insert(basis, cols[low.bit_length() - 1], low)[0]
+            rest ^= low
         residual, solution = xor_reduce(basis, lrc.code.syndrome(known))
         if residual:
             raise ValueError("word is not consistent with any codeword")
         if dependent:
             return None, dependent, local
-        for i, p in enumerate(rest):
-            known |= (solution >> i & 1) << p
+        known |= solution
     if lrc.code.syndrome(known):
         raise ValueError("word is not consistent with any codeword")
     return known, 0, local
@@ -229,8 +231,8 @@ def simulate(lrc: BinaryLrc, trials: int, model, seed: int = 0) -> SimulationRep
     repaired_total = 0
     for trial in range(trials):
         rng = SplitMix64(seed + trial)
-        message = [rng.next_u64() & 1 for _ in range(lrc.k)]
-        codeword = lrc.code.generator.row_combination(message)
+        message = pack_row(2, [rng.next_u64() & 1 for _ in range(lrc.k)])
+        codeword = xor_combine(lrc.code.bit_rows, message)
         erased = 0
         for p in model.draw(rng, n):
             erased |= 1 << p

@@ -23,7 +23,7 @@ def row_weight(q: int, row: int, lo: int | None) -> int:
 
 def iter_packed(code):
     """Packed codewords of all Gray steps, starting with the zero word."""
-    bit_rows = code._message_bit_rows()
+    bit_rows = code.bit_rows
     cur = 0
     yield cur
     for m in range(1, code.codeword_count()):

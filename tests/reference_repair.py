@@ -12,19 +12,24 @@ from gf4lrc.matrix import lo_mask, scale_row, xor_insert, xor_reduce
 from gf4lrc.repair import RepairOutcome, SimulationReport, SplitMix64
 
 
+def syndrome(code, word) -> int:
+    """The XOR of x_j times column j of H, symbol by symbol."""
+    total, lo = 0, lo_mask(code.n - code.k)
+    for x, col in zip(word, code.parity_check.transpose().rows):
+        if x:
+            total ^= scale_row(code.q, col, x, lo)
+    return total
+
+
 def contains(code, word) -> bool:
-    """Whether the XOR of x_j times column j of H is 0, symbol by symbol."""
+    """Whether a symbol list's per-symbol syndrome is 0."""
     q = code.q
     for x in word:
         if not 0 <= x < q:
             raise ValueError(f"symbol {x} invalid over GF({q})")
     if len(word) != code.n:
         raise ShapeMismatch(f"{code.n - code.k}x{code.n} times {len(word)}x1")
-    syndrome, lo = 0, lo_mask(code.n - code.k)
-    for x, col in zip(word, code.parity_columns):
-        if x:
-            syndrome ^= scale_row(q, col, x, lo)
-    return not syndrome
+    return not syndrome(code, word)
 
 
 def decode(lrc, word):
@@ -46,16 +51,12 @@ def decode(lrc, word):
             accessed[p] = 2
     rest = sorted(p for p in erased if p not in methods)
     if rest:
-        cols = lrc.code.parity_columns
-        syndrome = 0
-        for col, v in zip(cols, values):
-            if v:
-                syndrome ^= col
+        cols = lrc.code.parity_check.transpose().rows
         basis: list = []
         dependent = 0
         for i, p in enumerate(rest):
             dependent += not xor_insert(basis, cols[p], 1 << i)[0]
-        residual, solution = xor_reduce(basis, syndrome)
+        residual, solution = xor_reduce(basis, syndrome(lrc.code, values))
         if residual:
             raise ValueError("word is not consistent with any codeword")
         if dependent:

@@ -7,7 +7,7 @@ import pytest
 from conftest import random_code_corpus, random_linear_code
 from gf4lrc import gf4
 from gf4lrc.code import LinearCode, WeightDistribution, krawtchouk, macwilliams
-from gf4lrc.errors import BudgetExceeded, NonIntegerResult, RankDeficient
+from gf4lrc.errors import BudgetExceeded, NonIntegerResult, RankDeficient, ShapeMismatch
 from gf4lrc.families import hexacode
 from gf4lrc.matrix import FieldMatrix
 
@@ -221,3 +221,26 @@ def test_encode_and_contains():
     word = code.encode([1, W, 0])
     assert code.contains(word)
     assert not code.contains((1,) + (0,) * 5)
+
+
+BINARY_32 = LinearCode.from_generator(FieldMatrix.from_rows(2, [[1, 1, 1], [0, 1, 1]]))
+
+
+@pytest.mark.parametrize(
+    "code, message, error",
+    [
+        (hexacode(), [5, 0, 0], ValueError),
+        (hexacode(), [-1, 0, 0], ValueError),
+        (hexacode(), [4], ValueError),  # a bad symbol is reported before the length
+        (hexacode(), [1, W], ShapeMismatch),
+        (BINARY_32, [2, 0], ValueError),
+        (BINARY_32, [-1, 0], ValueError),
+        (BINARY_32, [W], ValueError),
+        (BINARY_32, [1, 0, 0], ShapeMismatch),
+    ],
+)
+def test_encode_checks_symbols_then_length(code, message, error):
+    """encode checks a message the way contains checks a word."""
+    with pytest.raises(ValueError) as raised:  # ShapeMismatch is a ValueError too
+        code.encode(message)
+    assert raised.type is error

@@ -103,7 +103,7 @@ def test_concatenate_rejects_binary_outer():
 def test_codewords_are_symbolwise_inner_encodings():
     outer = hexacode()
     lrc = concatenate(outer)
-    bit_rows = outer._message_bit_rows()
+    bit_rows = outer.bit_rows
     for m in range(outer.codeword_count()):
         gray = m ^ (m >> 1)
         packed = 0

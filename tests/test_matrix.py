@@ -6,7 +6,7 @@ import pytest
 from scalar_elimination import entry
 from gf4lrc import gf4
 from gf4lrc.errors import FieldMismatch, ParseError, ShapeMismatch
-from gf4lrc.matrix import FieldMatrix
+from gf4lrc.matrix import FieldMatrix, scale_row
 
 W, W2 = gf4.W, gf4.W2
 
@@ -15,7 +15,10 @@ def span_size(q: int, mat: FieldMatrix) -> int:
     """Row-span size by brute-force enumeration of all row combinations."""
     span = set()
     for coeffs in itertools.product(range(q), repeat=mat.nrows):
-        span.add(mat.row_combination(list(coeffs)))
+        combination = 0
+        for c, row in zip(coeffs, mat.rows):
+            combination ^= scale_row(q, row, c)
+        span.add(combination)
     return len(span)
 
 

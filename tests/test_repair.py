@@ -1,11 +1,12 @@
 import collections
 import itertools
 import math
+import sys
 
 import pytest
 
 from scalar_elimination import col_tuple
-from gf4lrc import repair
+from gf4lrc import matrix, repair
 from gf4lrc.code import LinearCode
 from gf4lrc.concat import concatenate
 from gf4lrc.errors import AmbiguousDecode, GroupDamaged
@@ -121,7 +122,8 @@ def test_invalid_symbol_rejected(lrc):
 
 
 def test_simulate_trial_stays_packed(lrc, monkeypatch):
-    """No trial goes through a symbol tuple: no encode, contains or unpack."""
+    """No trial goes through a symbol tuple or walks a word symbol by
+    symbol: no encode, contains, unpack, scale_row or row_support."""
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -134,11 +136,18 @@ def test_simulate_trial_stays_packed(lrc, monkeypatch):
     monkeypatch.setattr(LinearCode, "encode", counted("encode", LinearCode.encode))
     monkeypatch.setattr(LinearCode, "contains", counted("contains", LinearCode.contains))
     monkeypatch.setattr(repair, "unpack_row", counted("unpack_row", repair.unpack_row))
-    simulate(lrc, 50, RandomErasures(7), seed=3)
+    # Every module binding of a per-symbol helper gets the counted one.
+    for name in ("scale_row", "row_support"):
+        fn = getattr(matrix, name)
+        for module in [m for key, m in sys.modules.items() if key.startswith("gf4lrc")]:
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted(name, fn))
+    # Seven erasures in five groups always leave a group to the global solve.
+    assert simulate(lrc, 50, RandomErasures(7), seed=3).local_fraction < 1
     simulate(lrc, 50, PerSymbolErasures(0.3), seed=3)
     assert calls == {}
     global_decode(lrc, [None] + [0] * (lrc.n - 1))
-    assert calls == {"unpack_row": 1}
+    assert calls == {"unpack_row": 1, "row_support": 1}
 
 
 def test_simulate_single_erasure(lrc):
