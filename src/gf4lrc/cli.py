@@ -21,6 +21,7 @@ from .concat import (
     DEFAULT_SUBSET_BUDGET,
     BinaryLrc,
     certify_distance,
+    cheapest_weights,
     concatenate,
     group_subspaces,
     locality_check,
@@ -143,10 +144,23 @@ def _cmd_analyze(args) -> int:
     run_all = not (args.distance or args.weights or args.locality or args.bounds)
     d = None  # only a distance certified here feeds the bounds
 
+    weights = None
+    if args.weights or run_all:
+        try:
+            weights = cheapest_weights(loaded, budget=args.max_enum)
+            report["weights"] = weights.to_json()
+        except BudgetExceeded as exc:
+            report["weights"] = {"error": str(exc)}
+            exit_code = 3
     if args.distance or run_all or args.bounds:
         try:
             if is_lrc:
-                cert = certify_distance(loaded, subset_budget=args.max_subsets)
+                # The weights prove that no set of fewer than d/2 groups is
+                # dependent; a k = 0 code has no d.
+                known = weights.distance() if weights is not None else None
+                cert = certify_distance(
+                    loaded, subset_budget=args.max_subsets, start=known // 2 if known else 1
+                )
             else:
                 cert = code.min_distance(budget=args.max_enum)
             d = cert.d
@@ -160,12 +174,6 @@ def _cmd_analyze(args) -> int:
                 "error": str(exc),
                 "bracket": [exc.lower, exc.upper],
             }
-            exit_code = 3
-    if args.weights or run_all:
-        try:
-            report["weights"] = code.weight_distribution(budget=args.max_enum).to_json()
-        except BudgetExceeded as exc:
-            report["weights"] = {"error": str(exc)}
             exit_code = 3
     if args.locality or run_all:
         try:
@@ -246,7 +254,7 @@ def _cmd_reproduce(args) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-enum", type=int, default=DEFAULT_ENUM_BUDGET,
-                        help="codeword enumeration budget")
+                        help="enumeration budget: words enumerated, on either side")
     parser.add_argument("--max-subsets", type=int, default=DEFAULT_SUBSET_BUDGET,
                         help="repair-group subset budget")
     parser.add_argument("--timestamps", action="store_true",

@@ -22,6 +22,7 @@ from .code import (
     DistanceCertificate,
     LinearCode,
     WeightDistribution,
+    macwilliams,
 )
 from .errors import BudgetExceeded, FieldMismatch, Mismatch, ParseError, SubsetBudgetExceeded
 from .matrix import (
@@ -180,7 +181,7 @@ def group_subspaces(lrc: BinaryLrc) -> list[list[tuple[int, ...]]]:
 
 
 def certify_distance(
-    lrc: BinaryLrc, subset_budget: int = DEFAULT_SUBSET_BUDGET
+    lrc: BinaryLrc, subset_budget: int = DEFAULT_SUBSET_BUDGET, start: int = 1
 ) -> DistanceCertificate:
     """Exact distance from repair-group subspace ranks.
 
@@ -188,14 +189,16 @@ def certify_distance(
     lower-block columns are dependent; the certificate carries a weight-2s
     codeword built from the lexicographically first such set, found by
     ``smallest_dependent_set`` over the groups' (e1, e2) pairs.  Every
-    smaller set is examined to prove the lower bound, one unit of
-    ``subset_budget`` per set.  On exhaustion the bracket holds only the
-    proven lower bound; its upper end is None.
+    set of ``start`` or more groups and below s is examined to prove the
+    lower bound, one unit of ``subset_budget`` per set; a ``start`` above 1
+    must come from a proof that no codeword has weight below 2 * start,
+    such as the weight distribution's d (start = d/2).  On exhaustion the
+    bracket holds only the proven lower bound; its upper end is None.
     """
     if lrc.k == 0:
         raise ValueError("zero-dimensional code has no nonzero codeword")
     try:
-        found = smallest_dependent_set(lrc.e_vectors, subset_budget)
+        found = smallest_dependent_set(lrc.e_vectors, subset_budget, start)
     except BudgetExceeded as exc:
         raise SubsetBudgetExceeded(
             f"group-subset enumeration exceeded {subset_budget}", lower=2 * exc.lower
@@ -280,6 +283,33 @@ def lrc_weights_from_outer(outer_weights: WeightDistribution) -> WeightDistribut
     for j, a in enumerate(outer_weights.counts):
         counts[2 * j] = a
     return WeightDistribution(3 * n1, 2 * outer_weights.k, 2, tuple(counts))
+
+
+def cheapest_weights(
+    loaded: LinearCode | BinaryLrc, budget: int = DEFAULT_ENUM_BUDGET
+) -> WeightDistribution:
+    """Exact weight distribution, enumerating the smallest side.
+
+    An LRC whose pairs are (h, w*h) takes its outer code's weights and
+    lifts them (A'_{2j} = A_j); 4^k1 = 2^k, so that never enumerates more
+    words than the LRC itself.  Any other code reads its cached
+    enumeration pass if it has one; otherwise it enumerates whichever of C
+    and its dual has fewer words, through the MacWilliams transform when
+    that is the dual.  ``budget`` caps the words enumerated, on either
+    side.  ``weight_map_check`` and ``reproduce`` test the weight map
+    itself, so they enumerate the LRC instead.
+    """
+    if isinstance(loaded, BinaryLrc):
+        h = loaded.outer_parity_check()
+        if h is not None:
+            return lrc_weights_from_outer(cheapest_weights(LinearCode.from_parity(h), budget))
+        loaded = loaded.code
+    if loaded._pass is not None:  # reading a cached pass enumerates nothing
+        return loaded.weight_distribution(budget=loaded.codeword_count())
+    if loaded.k <= loaded.n - loaded.k:
+        return loaded.weight_distribution(budget)
+    dual = loaded.dual()
+    return macwilliams(dual.weight_distribution(budget), dual.codeword_count(), loaded.n, loaded.q)
 
 
 def weight_map_check(

@@ -321,17 +321,20 @@ class FieldMatrix:
 
 
 def smallest_dependent_set(
-    blocks: Sequence[Sequence[int]], budget: int
+    blocks: Sequence[Sequence[int]], budget: int, start: int = 1
 ) -> tuple[tuple[int, ...], int] | None:
     """Lexicographically first smallest set of blocks whose vectors are dependent.
 
     A block is a tuple of packed GF(2) vectors, all blocks of one width: a
     repair group enters as its pair (e1, e2), a GF(4) column c as
     (c, w*c), whose packed forms are its GF(2) expansion, and a binary
-    column as (c,).  Sizes are searched in increasing order and the sets of
-    one size in lexicographic order.  One unit of ``budget`` is spent per
-    full-size set examined; BudgetExceeded (``lower`` = the size being
-    searched) is raised instead of examining set budget + 1.
+    column as (c,).  Sizes are searched in increasing order from ``start``
+    and the sets of one size in lexicographic order; a caller passes a
+    ``start`` above 1 only when it already knows every smaller set to be
+    independent, so the answer is the one a search from 1 finds.  One unit
+    of ``budget`` is spent per full-size set examined; BudgetExceeded
+    (``lower`` = the size being searched) is raised instead of examining
+    set budget + 1.
 
     Returns ``(indices, mask)``, where bit width*j + b of ``mask`` is the
     coefficient of vector b of block indices[j] in the dependency found by
@@ -395,7 +398,7 @@ def smallest_dependent_set(
         spend(p * (len(idx) - 1) - p * (p - 1) // 2 + q - p)
         return (idx[p], idx[q]) if p < q else None
 
-    for size in range(1, len(blocks) + 1):
+    for size in range(start, len(blocks) + 1):
         chosen = extend(list(range(len(blocks))), [list(c) for c in zip(*blocks)], size, bits)
         if chosen is None:
             continue

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import gf4lrc
-from gf4lrc.cli import main
+from gf4lrc.cli import _load_input, main
 
 
 def run_cli(capsys, *argv):
@@ -121,6 +121,56 @@ def test_analyze_budget_exhaustion_exits_3(tmp_path, capsys):
     report = json.loads(out)
     assert report["distance"]["bracket"] == [2, None]
     assert report["bounds"] == {"error": "distance unavailable within budget"}
+
+
+def test_default_analyze_starts_the_group_search_where_the_weights_leave_it(tmp_path, capsys):
+    # The weights give d = 8, so no set of fewer than 4 groups is searched;
+    # --distance alone still spends its subset budget on the smaller sets.
+    base = tmp_path / "hex"
+    run_cli(capsys, "construct", "hexacode", "--concat", "--output", str(base))
+    lrc = str(tmp_path / "hex.lrc.json")
+    code, out, _ = run_cli(capsys, "analyze", lrc, "--max-subsets", "3")
+    assert code == 0
+    assert json.loads(out)["distance"]["d"] == 8
+    assert run_cli(capsys, "analyze", lrc, "--distance", "--max-subsets", "3")[0] == 3
+
+
+def test_default_analyze_of_the_cyclic_lrc_takes_weights_from_the_outer_dual(tmp_path, capsys):
+    base = tmp_path / "cyc"
+    run_cli(capsys, "construct", "cyclic4", "--n", "43", "--poly", "1 0 W 1 1 w 0 1",
+            "--concat", "--output", str(base))
+    lrc = str(tmp_path / "cyc.lrc.json")
+    code, out, _ = run_cli(capsys, "analyze", lrc)
+    assert code == 0
+    report = json.loads(out)
+    assert (report["n"], report["k"]) == (129, 72)
+    assert report["distance"]["d"] == 10
+    assert report["distance"]["method"] == "group_rank"
+    weights = report["weights"]["A"]
+    assert weights[10] == 16254 and not any(weights[1:10])
+
+    # The outer dual, the smallest side, has 4^7 = 16384 words.
+    code, out, _ = run_cli(capsys, "analyze", lrc, "--max-enum", "16383")
+    assert code == 3
+    report = json.loads(out)
+    assert report["weights"] == {"error": "16384 codewords exceed enumeration budget 16383"}
+    assert report["distance"]["d"] == 10
+
+
+@pytest.mark.parametrize("family", [["hamming4", "--t", "2"], ["hexacode"]], ids=["ham", "hex"])
+@pytest.mark.parametrize("kind", ["lrc.json", "code"])
+def test_analyze_weights_prints_the_primal_enumeration(tmp_path, capsys, family, kind):
+    base = tmp_path / "x"
+    run_cli(capsys, "construct", *family, "--concat", "--output", str(base))
+    path = str(tmp_path / f"x.{kind}")
+    code, out, _ = run_cli(capsys, "analyze", path, "--weights")
+    loaded = _load_input(path)
+    plain = loaded.code if kind == "lrc.json" else loaded
+    expected = {
+        "n": plain.n, "k": plain.k, "q": plain.q, "is_lrc": kind == "lrc.json",
+        "weights": plain.weight_distribution().to_json(),
+    }
+    assert (code, out) == (0, json.dumps(expected, sort_keys=True, indent=2) + "\n")
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ together with the number of sets they examined, so every budget boundary
 can be checked.
 """
 
+import math
 from itertools import combinations
 
 import pytest
@@ -42,10 +43,10 @@ def _nullspace_mask(vecs, nbits):
     return pack_row(2, kernel.row_tuple(0))
 
 
-def reference_dependent_set(blocks, budget):
+def reference_dependent_set(blocks, budget, start=1):
     examined = 0
     nbits = max([v.bit_length() for b in blocks for v in b] + [1])
-    for s in range(1, len(blocks) + 1):
+    for s in range(start, len(blocks) + 1):
         for subset in combinations(range(len(blocks)), s):
             examined += 1
             if examined > budget:
@@ -160,6 +161,25 @@ def test_engine_matches_subset_loop_on_random_blocks(blocks):
     )
 
 
+@settings(max_examples=150, deadline=None)
+@given(blocks_lists)
+def test_a_later_start_finds_the_same_set_and_spends_only_its_sizes(blocks):
+    found, _ = reference_dependent_set(blocks, UNLIMITED)
+    size = len(found[0]) if found is not None else len(blocks)
+    for start in range(1, size + 1):
+        assert smallest_dependent_set(blocks, UNLIMITED, start=start) == found
+        _, examined = reference_dependent_set(blocks, UNLIMITED, start)
+        _check_budgets(
+            lambda b: smallest_dependent_set(blocks, b, start=start),
+            lambda b: reference_dependent_set(blocks, b, start),
+            examined,
+        )
+        for budget in range(examined):
+            with pytest.raises(BudgetExceeded) as exc:
+                smallest_dependent_set(blocks, budget, start=start)
+            assert exc.value.lower >= start
+
+
 @st.composite
 def codes(draw, q):
     n = draw(st.integers(2, 8))
@@ -189,6 +209,20 @@ def test_certifier_matches_reference_subset_loop(outer):
     _check_budgets(
         lambda b: certify_distance(lrc, b), lambda b: reference_certify(lrc, b), examined
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(codes(4))
+def test_certifier_started_at_half_the_distance_gives_the_same_certificate(outer):
+    lrc = concatenate(outer)
+    cert = certify_distance(lrc)
+    assert certify_distance(lrc, start=cert.d // 2) == cert
+    _, examined = reference_certify(lrc, UNLIMITED)
+    skipped = sum(math.comb(lrc.ell, s) for s in range(1, cert.d // 2))
+    with pytest.raises(SubsetBudgetExceeded) as exc:
+        certify_distance(lrc, examined - skipped - 1, start=cert.d // 2)
+    assert exc.value.lower == cert.d
+    assert certify_distance(lrc, examined - skipped, start=cert.d // 2) == cert
 
 
 def test_engines_match_references_on_code_corpora():

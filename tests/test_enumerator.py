@@ -8,31 +8,36 @@ that span several 2^BLOCK_BITS blocks (binary k >= 15, GF(4) k >= 8), ones
 whose message bits sit on a block boundary, and d = 1 codes, whose Gray
 walk stops early while the enumerator walks the whole code.  Patching
 BLOCK_BITS down makes small codes span many blocks as well.
+
+``cheapest_weights`` enumerates the smallest side of a code, so its
+weights are checked against the primal enumeration together with which
+code it walked.
 """
 
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gray_walk as gray
 from scalar_elimination import col_tuple
 from gf4lrc import code as code_module
 from gf4lrc.code import BLOCK_BITS, LinearCode
-from gf4lrc.concat import locality_check
+from gf4lrc.concat import BinaryLrc, cheapest_weights, concatenate, locality_check
 from gf4lrc.errors import BudgetExceeded
+from gf4lrc.families import hexacode
 from gf4lrc.matrix import FieldMatrix, scale_row
 
 
 @st.composite
-def codes(draw, message_bits, max_redundancy: int = 6):
+def codes(draw, message_bits, max_redundancy: int = 6, fields=(2, 4)):
     """A random [n, k] code over GF(2) or GF(4) with 2^message_bits words.
 
     The generator is systematic [I | A], mixed by random row operations and
     a column permutation; an all-zero row of A makes a weight-1 codeword.
     """
-    q = draw(st.sampled_from([2, 4]))
+    q = draw(st.sampled_from(fields))
     bits = draw(message_bits)
     k = bits if q == 2 else max(1, bits // 2)
     n = k + draw(st.integers(0, max_redundancy))
@@ -60,6 +65,19 @@ def with_block_bits(bits: int):
 
 def fresh(code: LinearCode) -> LinearCode:
     return LinearCode(code.generator, code.parity_check)
+
+
+def walked(ask):
+    """``ask()`` and the (n, k) of every code whose words it enumerated."""
+    walks = []
+    walk = LinearCode._weight_planes
+
+    def counted(self):
+        walks.append((self.n, self.k))
+        return walk(self)
+
+    with mock.patch.object(LinearCode, "_weight_planes", counted):
+        return ask(), walks
 
 
 def assert_matches_gray_walk(code: LinearCode) -> None:
@@ -131,3 +149,71 @@ def test_distance_and_weights_walk_the_code_once(code, distance_first):
         for ask in asks if distance_first else asks[::-1]:
             ask()
     assert walks == [code]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(codes(st.integers(1, 4), max_redundancy=8), codes(st.integers(5, 10), max_redundancy=3)))
+def test_weights_from_the_smaller_side_match_primal_enumeration(code):
+    smaller = min(code.k, code.n - code.k)
+    size = code.q**smaller
+    got, walks = walked(lambda: cheapest_weights(fresh(code), budget=size))
+    assert got == code.weight_distribution(budget=code.codeword_count())
+    assert walks == [(code.n, smaller)]
+    with pytest.raises(BudgetExceeded):
+        cheapest_weights(fresh(code), budget=size - 1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(small)
+def test_weights_read_a_cached_pass_whatever_the_budget(code):
+    code.min_distance(budget=code.codeword_count())  # the exhaustive route
+    got, walks = walked(lambda: cheapest_weights(code, budget=0))
+    assert walks == []
+    assert got.counts == gray.weight_counts(code)
+
+
+# GF(4) outer codes with 2 * k1 <= 16; n1 - k1 = 0 gives k1 = n1.
+outer_codes = codes(st.integers(2, 16), max_redundancy=4, fields=(4,))
+
+
+def _generated(rows) -> LinearCode:
+    return LinearCode.from_generator(FieldMatrix.from_rows(4, rows))
+
+
+@settings(max_examples=40, deadline=None)
+@given(outer_codes)
+@example(_generated([[1, 2, 3, 1]]))  # k1 = 1
+@example(_generated([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))  # k1 = n1
+def test_outer_route_matches_enumerating_the_lrc(outer):
+    lrc = concatenate(outer)
+    size = 4 ** min(outer.k, outer.n - outer.k)
+    got, walks = walked(lambda: cheapest_weights(lrc, budget=size))
+    assert got == lrc.code.weight_distribution()
+    assert walks == [(outer.n, min(outer.k, outer.n - outer.k))]
+    with pytest.raises(BudgetExceeded):
+        cheapest_weights(lrc, budget=size - 1)
+
+
+def _with_group_0_reordered(lrc: BinaryLrc) -> BinaryLrc:
+    """Group 0 listed (g0, g2, g1): its pair becomes (w*h, h), not (h', w*h')."""
+    g0, g1, g2 = lrc.groups[0]
+    return BinaryLrc(fresh(lrc.code), ((g0, g2, g1),) + lrc.groups[1:], lrc.d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(outer_codes)
+def test_an_lrc_not_in_pair_form_takes_the_smaller_side_of_its_code(outer):
+    lrc = concatenate(outer)
+    reordered = _with_group_0_reordered(lrc)
+    assume(reordered.outer_parity_check() is None)
+    got, walks = walked(lambda: cheapest_weights(reordered))
+    assert got == lrc.code.weight_distribution()
+    assert walks == [(lrc.n, min(lrc.k, lrc.n - lrc.k))]
+
+
+def test_the_reordered_hexacode_lrc_falls_back_to_its_code():
+    reordered = _with_group_0_reordered(concatenate(hexacode()))
+    assert reordered.outer_parity_check() is None
+    got, walks = walked(lambda: cheapest_weights(reordered))
+    assert walks == [(18, 6)]
+    assert got == concatenate(hexacode()).code.weight_distribution()
