@@ -36,8 +36,7 @@ from .matrix import (
     xor_combine,
 )
 
-#: Default cap on enumerated codewords; larger codes fall back to
-#: column-dependence search in min_distance and refuse weight_distribution.
+#: Default cap on enumerated codewords and on min_distance's column sets.
 DEFAULT_ENUM_BUDGET = 1 << 26
 
 #: log2 of the steps handled per bit-sliced block; a bit plane is a
@@ -270,23 +269,27 @@ class LinearCode:
 
     # -- minimum distance --------------------------------------------------
 
-    def min_distance(self, budget: int = DEFAULT_ENUM_BUDGET) -> DistanceCertificate:
+    def min_distance(
+        self, budget: int = DEFAULT_ENUM_BUDGET, start: int = 1
+    ) -> DistanceCertificate:
         """Exact minimum distance with witness.
 
-        Enumerates all q^k codewords when that fits the budget; otherwise
-        ``smallest_dependent_set`` finds a smallest dependent column set of
-        the parity check, examining at most ``budget`` full-size column
-        sets.  Raises BudgetExceeded, whose ``lower`` is the proven lower
-        bound and ``upper`` None, if neither route finishes.
+        Reads a cached pass, or enumerates C when it is the smaller side
+        (k <= n-k) and its q^k words fit the budget.  Otherwise
+        ``smallest_dependent_set`` examines at most ``budget`` full-size
+        parity-check column sets, from size ``start`` (above 1 only when
+        smaller sets are known independent); BudgetExceeded's ``lower`` is
+        the proven lower bound and ``upper`` None.
         """
         if self._distance is not None:
             return self._distance
         if self.k == 0:
             raise ValueError("zero-dimensional code has no nonzero codeword")
-        if self.codeword_count() <= budget:
+        smaller_side = self.k <= self.n - self.k and self.codeword_count() <= budget
+        if self._pass is not None or smaller_side:
             cert = self._min_distance_exhaustive()
         else:
-            cert = self._min_distance_columns(budget)
+            cert = self._min_distance_columns(budget, start)
         self._distance = cert
         return cert
 
@@ -296,11 +299,11 @@ class LinearCode:
         d = next(w for w in range(1, self.n + 1) if counts[w])
         return DistanceCertificate(d, self._step_word(first[d]), METHOD_EXHAUSTIVE)
 
-    def _min_distance_columns(self, set_budget: int) -> DistanceCertificate:
+    def _min_distance_columns(self, set_budget: int, start: int = 1) -> DistanceCertificate:
         """Smallest dependent parity-check column set, as a codeword."""
         width, cols = (1 if self.q == 2 else 2), self.bit_columns
         blocks = [cols[i : i + width] for i in range(0, len(cols), width)]
-        found = smallest_dependent_set(blocks, set_budget)
+        found = smallest_dependent_set(blocks, set_budget, start)
         if found is None:
             raise AssertionError("no dependent column set found in a k>0 code")
         indices, mask = found

@@ -2,7 +2,7 @@
 
 Every builder returns a :class:`~gf4lrc.code.LinearCode` over GF(4) and
 re-verifies its advertised parameters with an independent distance
-computation where that fits the stated budget.
+computation, by the route ``LinearCode.min_distance`` picks from its shape.
 """
 
 from __future__ import annotations
@@ -28,9 +28,7 @@ logger = logging.getLogger(__name__)
 
 W, W2 = gf4.W, gf4.W2
 
-#: Budgets of the distance checks in ``cap_code`` and ``ingest``; each picks
-#: the route of the distance the code then caches.
-CAP_VERIFY_BUDGET = 1 << 22
+#: Budget for checking a file's ``d=`` claim at load time; analyze sets its own.
 INGEST_VERIFY_BUDGET = 1 << 20
 
 # Generators of the four non-trivial GF(4) MDS codes: polynomial evaluation
@@ -43,8 +41,8 @@ _MDS_GENERATORS = {
 }
 
 
-def _verified(code: LinearCode, expect_d: int, budget: int = 1 << 22) -> LinearCode:
-    cert = code.min_distance(budget=budget)
+def _verified(code: LinearCode, expect_d: int) -> LinearCode:
+    cert = code.min_distance()
     if cert.d != expect_d:
         raise AssertionError(
             f"builder produced d={cert.d}, expected {expect_d} for [{code.n},{code.k}]"
@@ -61,14 +59,14 @@ def mds_rs(n1: int, k1: int) -> LinearCode:
     """
     if k1 == n1 and n1 >= 1:
         code = LinearCode.from_generator(FieldMatrix.identity(4, n1))
-        return _verified(code, 1, budget=1 << 16)
+        return _verified(code, 1)
     if k1 == n1 - 1 and n1 >= 2:
         rows = [[0] * n1 for _ in range(k1)]
         for i in range(k1):
             rows[i][i] = 1
             rows[i][n1 - 1] = 1
         code = LinearCode.from_generator(FieldMatrix.from_rows(4, rows))
-        return _verified(code, 2, budget=1 << 16)
+        return _verified(code, 2)
     gen = _MDS_GENERATORS.get((n1, k1))
     if gen is None:
         raise UnsupportedParameters(
@@ -88,7 +86,7 @@ def hamming4(t: int) -> LinearCode:
     cols = pg_points(t - 1)
     parity = FieldMatrix.from_cols(4, [list(p) for p in cols])
     code = LinearCode.from_parity(parity)
-    return _verified(code, 3, budget=1 << 16)
+    return _verified(code, 3)
 
 
 def hexacode() -> LinearCode:
@@ -192,8 +190,7 @@ def cap_code(cap: CapSet) -> LinearCode:
     cap.verify()
     parity = FieldMatrix.from_cols(4, [list(p) for p in cap.points])
     code = LinearCode.from_parity(parity)
-    cert = code.min_distance(budget=CAP_VERIFY_BUDGET)
-    if cert.d < 4:
+    if code.min_distance().d < 4:
         raise AssertionError("cap code has d < 4; cap verification is broken")
     return code
 

@@ -151,7 +151,7 @@ def _decode(lrc: BinaryLrc, known: int, erased: int) -> tuple[Optional[int], int
             raise ValueError("word is not consistent with any codeword")
         if dependent:
             return None, dependent, local
-        known |= solution
+        return known | solution, 0, local  # the zero residual makes its syndrome 0
     if lrc.code.syndrome(known):
         raise ValueError("word is not consistent with any codeword")
     return known, 0, local

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import gf4lrc
+from gf4lrc import code as code_module
 from gf4lrc.cli import _load_input, main
 
 
@@ -71,6 +72,30 @@ def test_analyze_plain_gf4_code_default_flags(tmp_path, capsys):
     assert report["distance"]["d"] == 4
     assert report["weights"]["A"][4] == 45
     assert "bounds" not in report  # not applicable without locality over GF(4)
+
+
+def test_analyze_of_a_plain_code_does_not_depend_on_its_d_header(tmp_path, capsys, monkeypatch):
+    """The [17,13]_4 cap code is the larger side: both files take the
+    column search, the header's check at load from size 1, analyze of the
+    header-less file from the weights' d."""
+    run_cli(capsys, "construct", "cap", "--output", str(tmp_path / "cap"))
+    with_header = tmp_path / "cap.code"
+    header, body = with_header.read_text().split("\n", 1)
+    assert " d=4" in header
+    without = tmp_path / "nod.code"
+    without.write_text(header.replace(" d=4", "") + "\n" + body)
+    starts = []
+    search = code_module.smallest_dependent_set
+
+    def recorded(blocks, budget, start=1):
+        starts.append(start)
+        return search(blocks, budget, start)
+
+    monkeypatch.setattr(code_module, "smallest_dependent_set", recorded)
+    code, out, _ = run_cli(capsys, "analyze", str(with_header))
+    assert code == 0 and json.loads(out)["distance"]["method"] == "column_dependence"
+    assert run_cli(capsys, "analyze", str(without)) == (0, out, "")
+    assert starts == [1, 4]
 
 
 def test_analyze_bounds_on_gf4_code_rejected(tmp_path, capsys):

@@ -153,7 +153,7 @@ def test_certificate_witness_weight_and_membership():
 def test_certify_matches_exhaustive_on_random_outers():
     for outer in random_code_corpus(seed=424242, count=60, max_n=8, max_k=4):
         lrc = concatenate(outer)
-        assert certify_distance(lrc).d == lrc.code.min_distance().d
+        assert certify_distance(lrc).d == lrc.code.weight_distribution().distance()
 
 
 def test_certify_budget():

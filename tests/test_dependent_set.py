@@ -225,6 +225,24 @@ def test_certifier_started_at_half_the_distance_gives_the_same_certificate(outer
     assert certify_distance(lrc, examined - skipped, start=cert.d // 2) == cert
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(codes(2), codes(4)))
+def test_plain_column_search_from_any_start_up_to_d_gives_the_same_certificate(code):
+    """A budget below q^k sends a low-rate code to the column search too."""
+    high_rate = code.k > code.n - code.k
+    budget = UNLIMITED if high_rate else code.codeword_count() - 1
+    d = code._min_distance_exhaustive().d
+    try:
+        cert = LinearCode(code.generator, code.parity_check).min_distance(budget)
+    except BudgetExceeded as exc:
+        assert not high_rate and exc.lower <= d
+        return
+    assert cert.method == METHOD_COLUMN and cert.d == d
+    for start in range(1, d + 1):
+        fresh = LinearCode(code.generator, code.parity_check)
+        assert fresh.min_distance(budget, start=start) == cert
+
+
 def test_engines_match_references_on_code_corpora():
     for q in (2, 4):
         for code in random_code_corpus(seed=2605 + q, count=40, max_n=10, max_k=5, q=q):

@@ -11,7 +11,8 @@ BLOCK_BITS down makes small codes span many blocks as well.
 
 ``cheapest_weights`` enumerates the smallest side of a code, so its
 weights are checked against the primal enumeration together with which
-code it walked.
+code it walked.  ``min_distance`` follows the same side rule, so the tests
+that use it as the exhaustive oracle call ``_min_distance_exhaustive``.
 """
 
 from unittest import mock
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 import gray_walk as gray
 from scalar_elimination import col_tuple
 from gf4lrc import code as code_module
-from gf4lrc.code import BLOCK_BITS, LinearCode
+from gf4lrc.code import BLOCK_BITS, METHOD_COLUMN, LinearCode
 from gf4lrc.concat import BinaryLrc, cheapest_weights, concatenate, locality_check
 from gf4lrc.errors import BudgetExceeded
 from gf4lrc.families import hexacode
@@ -81,13 +82,17 @@ def walked(ask):
 
 
 def assert_matches_gray_walk(code: LinearCode) -> None:
-    """Weights then distance on ``code``, distance then weights on a copy."""
+    """Weights then distance on ``code``, distance then weights on a copy.
+
+    ``min_distance`` reads the pass the weights cached; the copy, which
+    has none, asks the exhaustive route itself.
+    """
     total = code.codeword_count()
     counts, cert = gray.weight_counts(code), gray.min_distance_exhaustive(code)
     assert code.weight_distribution(budget=total).counts == counts
     assert code.min_distance(budget=total) == cert
     other = fresh(code)
-    assert other.min_distance(budget=total) == cert
+    assert other._min_distance_exhaustive() == cert
     assert other.weight_distribution(budget=total).counts == counts
 
 
@@ -123,7 +128,7 @@ def test_multi_block_dual_coverings_match_gray_walk(dual, r):
 def test_weight_distribution_budget_after_a_cached_distance_pass(code):
     total = code.codeword_count()
     expected = gray.weight_counts(code)
-    code.min_distance(budget=total)  # the exhaustive route
+    code._min_distance_exhaustive()
     for budget in (total - 1, total // 2):
         with pytest.raises(BudgetExceeded) as cached:
             code.weight_distribution(budget=budget)
@@ -144,11 +149,35 @@ def test_distance_and_weights_walk_the_code_once(code, distance_first):
         return walk(self)
 
     total = code.codeword_count()
-    asks = [lambda: code.min_distance(budget=total), lambda: code.weight_distribution(budget=total)]
+    asks = [code._min_distance_exhaustive, lambda: code.weight_distribution(budget=total)]
     with mock.patch.object(LinearCode, "_weight_planes", counted):
         for ask in asks if distance_first else asks[::-1]:
             ask()
     assert walks == [code]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(small, codes(st.integers(7, 10), max_redundancy=3)),
+    st.booleans(),
+    st.sampled_from(["below", "at", "above"]),
+)
+def test_min_distance_enumerates_only_a_cached_pass_or_the_smaller_side(code, cached, fit):
+    total = code.codeword_count()
+    budget = {"below": total - 1, "at": total, "above": 1 << 30}[fit]
+    if cached:
+        code.weight_distribution(budget=total)
+    exhaustive = cached or (code.k <= code.n - code.k and total <= budget)
+    expected = gray.min_distance_exhaustive(code)
+    try:
+        cert = code.min_distance(budget)
+    except BudgetExceeded as exc:  # only a column search runs out of sets
+        assert not exhaustive and exc.lower <= expected.d
+        return
+    if exhaustive:
+        assert cert == expected
+    else:
+        assert cert.method == METHOD_COLUMN and cert.d == expected.d
 
 
 @settings(max_examples=150, deadline=None)
@@ -166,7 +195,7 @@ def test_weights_from_the_smaller_side_match_primal_enumeration(code):
 @settings(max_examples=50, deadline=None)
 @given(small)
 def test_weights_read_a_cached_pass_whatever_the_budget(code):
-    code.min_distance(budget=code.codeword_count())  # the exhaustive route
+    code._min_distance_exhaustive()
     got, walks = walked(lambda: cheapest_weights(code, budget=0))
     assert walks == []
     assert got.counts == gray.weight_counts(code)

@@ -150,6 +150,29 @@ def test_simulate_trial_stays_packed(lrc, monkeypatch):
     assert calls == {"unpack_row": 1, "row_support": 1}
 
 
+def test_simulate_computes_one_syndrome_per_trial(lrc, monkeypatch):
+    """A global solve's zero residual stands for the final check; only a
+    wholly local repair needs one."""
+    calls = collections.Counter()
+    syndrome = LinearCode.syndrome
+
+    def counted(self, word):
+        calls["syndrome"] += 1
+        return syndrome(self, word)
+
+    monkeypatch.setattr(LinearCode, "syndrome", counted)
+    reports = {}
+    for model in (RandomErasures(1), RandomErasures(5), RandomErasures(9), PerSymbolErasures(0.3)):
+        calls.clear()
+        reports[model] = simulate(lrc, 200, model, seed=7)
+        assert calls["syndrome"] == 200, model
+    # Wholly local, globally solved and ambiguous trials all ran.
+    assert reports[RandomErasures(1)].local_fraction == 1
+    assert reports[RandomErasures(5)].local_fraction < 1
+    assert reports[RandomErasures(5)].success_rate == 1
+    assert reports[RandomErasures(9)].success_rate < 1
+
+
 def test_simulate_single_erasure(lrc):
     report = simulate(lrc, 300, RandomErasures(1), seed=11)
     assert report.success_rate == 1.0
