@@ -154,15 +154,14 @@ def _cmd_analyze(args) -> int:
             exit_code = 3
     if args.distance or run_all or args.bounds:
         try:
-            # The weights prove that no word below their d exists (no set of
-            # fewer than d/2 groups is dependent); a k = 0 code has no d.
-            known = weights.distance() if weights is not None else None
             if is_lrc:
+                # The weights prove no set of fewer than d/2 groups dependent.
+                known = weights.distance() if weights is not None else None
                 cert = certify_distance(
                     loaded, subset_budget=args.max_subsets, start=known // 2 if known else 1
                 )
             else:
-                cert = code.min_distance(budget=args.max_enum, start=known or 1)
+                cert = code.min_distance(budget=args.max_enum)
             d = cert.d
             report["distance"] = {
                 "d": cert.d,

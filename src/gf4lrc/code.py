@@ -22,7 +22,6 @@ first.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -109,7 +108,7 @@ class LinearCode:
         if any(self.syndrome(g) for g in generator.rows):
             raise ValueError("generator rows are not orthogonal to parity check")
         self._distance: Optional[DistanceCertificate] = None
-        self._weights: Optional[WeightDistribution] = None
+        self._cheapest: Optional[WeightDistribution] = None
         #: The one enumeration pass, read by distance and weights.
         self._pass: Optional[tuple[tuple[int, ...], tuple[Optional[int], ...]]] = None
 
@@ -253,40 +252,51 @@ class LinearCode:
         return self._pass
 
     def weight_distribution(self, budget: int = DEFAULT_ENUM_BUDGET) -> WeightDistribution:
-        """Exact weight distribution by full enumeration."""
-        if self._weights is not None:
-            return self._weights
+        """Exact weight distribution by enumerating C itself."""
         total = self.codeword_count()
         if total > budget:
-            raise BudgetExceeded(
-                f"{total} codewords exceed enumeration budget {budget}"
-            )
+            raise BudgetExceeded(f"{total} codewords exceed enumeration budget {budget}")
         counts, _ = self._enumerate()
-        self._weights = WeightDistribution(self.n, self.k, self.q, counts)
-        if self._distance is not None and self._weights.distance() != self._distance.d:
+        weights = WeightDistribution(self.n, self.k, self.q, counts)
+        if self._distance is not None and weights.distance() != self._distance.d:
             raise AssertionError("weight distribution contradicts cached distance")
-        return self._weights
+        return weights
+
+    def cheapest_weights(self, budget: int = DEFAULT_ENUM_BUDGET) -> WeightDistribution:
+        """Exact weights from a cached pass, else C when k <= n-k, else its
+        dual through ``macwilliams``, within ``budget`` words on either side;
+        a cached pass or result is read whatever the budget."""
+        if self._cheapest is None:
+            if self._pass is not None:
+                self._cheapest = self.weight_distribution(budget=self.codeword_count())
+            elif self.k <= self.n - self.k:
+                self._cheapest = self.weight_distribution(budget)
+            else:
+                dual = self.dual()
+                weights = dual.weight_distribution(budget)
+                self._cheapest = macwilliams(weights, dual.codeword_count(), self.n, self.q)
+        return self._cheapest
 
     # -- minimum distance --------------------------------------------------
 
-    def min_distance(
-        self, budget: int = DEFAULT_ENUM_BUDGET, start: int = 1
-    ) -> DistanceCertificate:
-        """Exact minimum distance with witness.
+    def min_distance(self, budget: int = DEFAULT_ENUM_BUDGET) -> DistanceCertificate:
+        """Exact minimum distance with witness, d from ``cheapest_weights``.
 
-        Reads a cached pass, or enumerates C when it is the smaller side
-        (k <= n-k) and its q^k words fit the budget.  Otherwise
-        ``smallest_dependent_set`` examines at most ``budget`` full-size
-        parity-check column sets, from size ``start`` (above 1 only when
-        smaller sets are known independent); BudgetExceeded's ``lower`` is
-        the proven lower bound and ``upper`` None.
+        The witness is C's first minimum-weight word when C was enumerated,
+        else the first dependent set of d parity-check columns.  When neither
+        side fits the budget, the column search examines at most ``budget``
+        full-size sets from size 1; BudgetExceeded's ``lower`` is the proven
+        lower bound and ``upper`` None.
         """
         if self._distance is not None:
             return self._distance
         if self.k == 0:
             raise ValueError("zero-dimensional code has no nonzero codeword")
-        smaller_side = self.k <= self.n - self.k and self.codeword_count() <= budget
-        if self._pass is not None or smaller_side:
+        try:
+            start = self.cheapest_weights(budget).distance()
+        except BudgetExceeded:  # neither side fits: nothing proven below 1
+            start = 1
+        if self._pass is not None:
             cert = self._min_distance_exhaustive()
         else:
             cert = self._min_distance_columns(budget, start)
@@ -317,15 +327,22 @@ class LinearCode:
         return DistanceCertificate(d, witness, METHOD_COLUMN)
 
 
+def krawtchouk_column(i: int, n: int, q: int) -> list[int]:
+    """K_0(i)..K_n(i) of K_j(i; n; q) by the three-term recurrence (j+1) K_(j+1)
+    = ((q-1)(n-j) + j - q*i) K_j - (q-1)(n-j+1) K_(j-1), dividing exactly."""
+    column, before = [1], 0
+    for j in range(n):
+        step = ((q - 1) * (n - j) + j - q * i) * column[j] - (q - 1) * (n - j + 1) * before
+        before = column[j]
+        column.append(step // (j + 1))
+    return column
+
+
 def krawtchouk(j: int, i: int, n: int, q: int) -> int:
     """K_j(i; n; q) = sum_a (-1)^a (q-1)^(j-a) C(i,a) C(n-i, j-a), exact."""
     if not 0 <= j <= n:
         raise ValueError(f"degree {j} out of range [0, {n}]")
-    total = 0
-    for a in range(j + 1):
-        term = (q - 1) ** (j - a) * math.comb(i, a) * math.comb(n - i, j - a)
-        total += -term if a & 1 else term
-    return total
+    return krawtchouk_column(i, n, q)[j]
 
 
 def macwilliams(
@@ -334,8 +351,11 @@ def macwilliams(
     """Weight distribution of the primal code from its dual's, exactly.
 
     A_j = (1/dual_size) * sum_i A_i(dual) K_j(i; n; q).  Raises
-    NonIntegerResult when the input cannot be a valid dual distribution.
+    ShapeMismatch when ``dual_weights`` is not of length n over GF(q), and
+    NonIntegerResult when it cannot be a valid dual distribution.
     """
+    if (dual_weights.n, dual_weights.q) != (n, q):
+        raise ShapeMismatch(f"dual weights are not of length {n} over GF({q})")
     if sum(dual_weights.counts) != dual_size:
         raise NonIntegerResult("dual weight counts do not sum to dual size")
     log = 0
@@ -346,13 +366,13 @@ def macwilliams(
         if rem:
             raise NonIntegerResult(f"dual size {dual_size} is not a power of {q}")
     k = n - log
+    columns = [
+        [a_i * value for value in krawtchouk_column(i, n, q)]
+        for i, a_i in enumerate(dual_weights.counts)
+        if a_i
+    ]
     counts = []
-    for j in range(n + 1):
-        total = sum(
-            a_i * krawtchouk(j, i, n, q)
-            for i, a_i in enumerate(dual_weights.counts)
-            if a_i
-        )
+    for j, total in enumerate(map(sum, zip(*columns))):
         value, rem = divmod(total, dual_size)
         if rem or value < 0:
             raise NonIntegerResult(f"transform gives non-integer A_{j}")

@@ -22,7 +22,6 @@ from .code import (
     DistanceCertificate,
     LinearCode,
     WeightDistribution,
-    macwilliams,
 )
 from .errors import BudgetExceeded, FieldMismatch, Mismatch, ParseError, SubsetBudgetExceeded
 from .matrix import (
@@ -292,24 +291,16 @@ def cheapest_weights(
 
     An LRC whose pairs are (h, w*h) takes its outer code's weights and
     lifts them (A'_{2j} = A_j); 4^k1 = 2^k, so that never enumerates more
-    words than the LRC itself.  Any other code reads its cached
-    enumeration pass if it has one; otherwise it enumerates whichever of C
-    and its dual has fewer words, through the MacWilliams transform when
-    that is the dual.  ``budget`` caps the words enumerated, on either
-    side.  ``weight_map_check`` and ``reproduce`` test the weight map
-    itself, so they enumerate the LRC instead.
+    words than the LRC itself.  Any other code takes
+    ``LinearCode.cheapest_weights``.  ``weight_map_check`` and ``reproduce``
+    test the weight map itself, so they enumerate the LRC instead.
     """
     if isinstance(loaded, BinaryLrc):
         h = loaded.outer_parity_check()
         if h is not None:
-            return lrc_weights_from_outer(cheapest_weights(LinearCode.from_parity(h), budget))
+            return lrc_weights_from_outer(LinearCode.from_parity(h).cheapest_weights(budget))
         loaded = loaded.code
-    if loaded._pass is not None:  # reading a cached pass enumerates nothing
-        return loaded.weight_distribution(budget=loaded.codeword_count())
-    if loaded.k <= loaded.n - loaded.k:
-        return loaded.weight_distribution(budget)
-    dual = loaded.dual()
-    return macwilliams(dual.weight_distribution(budget), dual.codeword_count(), loaded.n, loaded.q)
+    return loaded.cheapest_weights(budget)
 
 
 def weight_map_check(

@@ -2,7 +2,7 @@
 
 Every builder returns a :class:`~gf4lrc.code.LinearCode` over GF(4) and
 re-verifies its advertised parameters with an independent distance
-computation, by the route ``LinearCode.min_distance`` picks from its shape.
+computation, ``LinearCode.min_distance``, which reads d from the side rule.
 """
 
 from __future__ import annotations

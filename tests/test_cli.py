@@ -75,9 +75,9 @@ def test_analyze_plain_gf4_code_default_flags(tmp_path, capsys):
 
 
 def test_analyze_of_a_plain_code_does_not_depend_on_its_d_header(tmp_path, capsys, monkeypatch):
-    """The [17,13]_4 cap code is the larger side: both files take the
-    column search, the header's check at load from size 1, analyze of the
-    header-less file from the weights' d."""
+    """The [17,13]_4 cap code is the larger side: both files take d from
+    the 4^4 dual words and search columns from there, the header's check
+    at load and analyze of the header-less file alike."""
     run_cli(capsys, "construct", "cap", "--output", str(tmp_path / "cap"))
     with_header = tmp_path / "cap.code"
     header, body = with_header.read_text().split("\n", 1)
@@ -95,7 +95,24 @@ def test_analyze_of_a_plain_code_does_not_depend_on_its_d_header(tmp_path, capsy
     code, out, _ = run_cli(capsys, "analyze", str(with_header))
     assert code == 0 and json.loads(out)["distance"]["method"] == "column_dependence"
     assert run_cli(capsys, "analyze", str(without)) == (0, out, "")
-    assert starts == [1, 4]
+    assert starts == [4, 4]
+
+
+def test_analyze_distance_of_a_larger_side_binary_code_reads_d_from_its_dual(tmp_path, capsys):
+    """The [24,14,4] binary code of the [8,7,2]_4 concatenation: its dual's
+    2^10 words fit --max-enum 1024, and the column search starts at d = 4."""
+    run_cli(capsys, "construct", "mds", "--n1", "8", "--k1", "7", "--concat",
+            "--output", str(tmp_path / "spc"))
+    lrc = _load_input(str(tmp_path / "spc.lrc.json"))
+    assert lrc.params() == (24, 14, 4, 2)
+    path = tmp_path / "spc.code"
+    path.write_text(lrc.code.parity_check.to_text({"kind": "parity", "n": 24, "k": 14}))
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--distance", "--max-enum", "1024")
+    assert code == 0
+    distance = json.loads(out)["distance"]
+    assert (distance["d"], distance["method"]) == (4, "column_dependence")
+    code, out, _ = run_cli(capsys, "analyze", str(path))
+    assert code == 0 and json.loads(out)["distance"] == distance
 
 
 def test_analyze_bounds_on_gf4_code_rejected(tmp_path, capsys):

@@ -6,8 +6,20 @@ import pytest
 
 from conftest import random_code_corpus, random_linear_code
 from gf4lrc import gf4
-from gf4lrc.code import LinearCode, WeightDistribution, krawtchouk, macwilliams
-from gf4lrc.errors import BudgetExceeded, NonIntegerResult, RankDeficient, ShapeMismatch
+from gf4lrc.code import (
+    LinearCode,
+    WeightDistribution,
+    krawtchouk,
+    krawtchouk_column,
+    macwilliams,
+)
+from gf4lrc.errors import (
+    BudgetExceeded,
+    Gf4LrcError,
+    NonIntegerResult,
+    RankDeficient,
+    ShapeMismatch,
+)
 from gf4lrc.families import hexacode
 from gf4lrc.matrix import FieldMatrix
 
@@ -144,6 +156,30 @@ def _krawtchouk_character_sum(j: int, i: int, n: int) -> int:
     return total
 
 
+def _krawtchouk_direct(j: int, i: int, n: int, q: int) -> int:
+    """K_j(i; n; q) = sum_a (-1)^a (q-1)^(j-a) C(i,a) C(n-i, j-a)."""
+    total = 0
+    for a in range(j + 1):
+        term = (q - 1) ** (j - a) * math.comb(i, a) * math.comb(n - i, j - a)
+        total += -term if a & 1 else term
+    return total
+
+
+def test_krawtchouk_recurrence_matches_the_direct_sum():
+    for q in (2, 4):
+        for n in range(41):
+            for i in range(n + 1):
+                expected = [_krawtchouk_direct(j, i, n, q) for j in range(n + 1)]
+                assert krawtchouk_column(i, n, q) == expected
+                assert [krawtchouk(j, i, n, q) for j in range(n + 1)] == expected
+
+
+@pytest.mark.parametrize("j", [-1, 6])
+def test_krawtchouk_degree_out_of_range(j):
+    with pytest.raises(ValueError):
+        krawtchouk(j, 2, 5, 4)
+
+
 def test_krawtchouk_degree_zero_is_one():
     for i, n, q in [(0, 5, 4), (3, 5, 4), (2, 7, 2)]:
         assert krawtchouk(0, i, n, q) == 1
@@ -187,6 +223,22 @@ def test_macwilliams_rejects_inconsistent_input():
         macwilliams(bogus, 16, 5, 4)
     with pytest.raises(NonIntegerResult):
         macwilliams(WeightDistribution(5, 2, 4, (1, 0, 0, 0, 15, 0)), 17, 5, 4)
+
+
+@pytest.mark.parametrize(
+    "dual, n, q",
+    [
+        # read as a length-4 dual, it would give (1, 1, 3, 3, 0)
+        (WeightDistribution(3, 1, 2, (1, 0, 0, 1)), 4, 2),
+        (WeightDistribution(6, 1, 2, (1, 0, 0, 0, 0, 0, 1)), 4, 2),
+        (WeightDistribution(5, 2, 4, (1, 0, 0, 0, 15, 0)), 5, 2),
+        (WeightDistribution(5, 1, 2, (1, 0, 0, 0, 0, 1)), 5, 4),
+    ],
+)
+def test_macwilliams_rejects_dual_weights_of_another_length_or_field(dual, n, q):
+    with pytest.raises(Gf4LrcError) as raised:
+        macwilliams(dual, dual.q**dual.k, n, q)
+    assert raised.type is ShapeMismatch
 
 
 def test_macwilliams_involution_on_random_codes():

@@ -240,7 +240,7 @@ def test_plain_column_search_from_any_start_up_to_d_gives_the_same_certificate(c
     assert cert.method == METHOD_COLUMN and cert.d == d
     for start in range(1, d + 1):
         fresh = LinearCode(code.generator, code.parity_check)
-        assert fresh.min_distance(budget, start=start) == cert
+        assert fresh._min_distance_columns(budget, start) == cert
 
 
 def test_engines_match_references_on_code_corpora():

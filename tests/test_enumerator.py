@@ -11,10 +11,11 @@ BLOCK_BITS down makes small codes span many blocks as well.
 
 ``cheapest_weights`` enumerates the smallest side of a code, so its
 weights are checked against the primal enumeration together with which
-code it walked.  ``min_distance`` follows the same side rule, so the tests
-that use it as the exhaustive oracle call ``_min_distance_exhaustive``.
+code it walked.  ``min_distance`` reads its d from those weights, so the
+tests that use it as the exhaustive oracle call ``_min_distance_exhaustive``.
 """
 
+import math
 from unittest import mock
 
 import pytest
@@ -178,6 +179,30 @@ def test_min_distance_enumerates_only_a_cached_pass_or_the_smaller_side(code, ca
         assert cert == expected
     else:
         assert cert.method == METHOD_COLUMN and cert.d == expected.d
+
+
+@settings(max_examples=150, deadline=None)
+@given(codes(st.integers(2, 12), max_redundancy=4), st.booleans())
+def test_a_larger_side_code_takes_d_from_its_dual_and_searches_columns_of_that_size(code, roomy):
+    assume(code.k > code.n - code.k)
+    expected = gray.min_distance_exhaustive(code).d
+    # The dual's words fit, and so do the sets of size d, the only ones
+    # a search started at d examines.
+    budget = 1 << 30 if roomy else max(code.q ** (code.n - code.k), math.comb(code.n, expected))
+    starts = []
+    search = code_module.smallest_dependent_set
+
+    def recorded(blocks, set_budget, start=1):
+        starts.append(start)
+        return search(blocks, set_budget, start)
+
+    with mock.patch.object(code_module, "smallest_dependent_set", recorded):
+        cert, walks = walked(lambda: code.min_distance(budget))
+    assert (cert.d, cert.method) == (expected, METHOD_COLUMN)
+    assert starts == [expected]
+    assert walks == [(code.n, code.n - code.k)]
+    again, walks = walked(lambda: code.cheapest_weights(budget=0))
+    assert walks == [] and again.distance() == expected
 
 
 @settings(max_examples=150, deadline=None)
