@@ -2,7 +2,9 @@
 
 Decoding runs on packed words: the intact bits as one int and the erased
 positions as a bit mask.  A group with a single erasure gets it back as
-the XOR of its three bits (the erased one reads 0).  The rest is one pass
+the XOR of its three bits (the erased one reads 0); only the groups of
+erased positions are visited, through ``BinaryLrc.group_masks``.  The
+rest is one pass
 of the XOR-basis kernel of ``gf4lrc.matrix``: the syndrome of the known
 bits (``LinearCode.syndrome``, an XOR of the code's ``bit_columns``)
 reduced against the still-erased columns leaves a residual, meaning no
@@ -20,18 +22,58 @@ implementations.  State update per draw, all mod 2^64:
 
 Trial i of a simulation uses an independent stream seeded with seed + i, so
 statistics do not depend on scheduling or trial order.
+
+A trial draws in bulk, with the stream of one output per draw unchanged.
+``SplitMix64.lanes(m)`` returns the next m outputs in one int of m 128-bit
+lanes, the (j+1)-th output u_j in bits 128j..128j+63 of lane j.  From
+state s (already reduced mod 2^64), lane j starts as the state
+(s + (j+1)*gamma) mod 2^64 of that draw, built as (s*L + gamma*J) & M64
+with L = sum 2^(128j), J = sum (j+1)*2^(128j) and M64 = (2^64-1)*L.  Each
+mixing step is then one shift, XOR, mask, multiply and mask over all
+lanes.  This is exact because a lane holds at most 64 bits before each
+step: a 64x64-bit product, and the bits a right shift brings in from the
+next lane, both land in the lane's top half, which the mask clears.
+
+A trial's message is bit 0 of its first k outputs, as one ``lanes(k)``.
+The model's ``draw`` takes the outputs after it:
+
+- ``RandomErasures`` runs Fisher-Yates on ``lanes(t)``, swapping
+  position i with i + u_i mod (n - i).
+- ``PerSymbolErasures`` erases position i when u_i drawn as a float,
+  (u_i >> 11) * 2^-53, is below p.  Scaling by 2^53 is exact for p in
+  [0, 1], so for the integer u_i >> 11 the test is (u_i >> 11) < T with
+  T = ceil(p*2^53), that is u_i < T*2^11 <= 2^64.  All n lanes compare in
+  one subtraction: lane i of (T*2^11 + 2^64 - 1)*L - ``lanes(n)`` lies in
+  [0, 2^65), so no lane borrows from the next, and its bit 64 is set
+  exactly when u_i < T*2^11.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import asdict, dataclass
+from itertools import compress
 from typing import Optional, Sequence
 
 from .concat import BinaryLrc
 from .errors import AmbiguousDecode, GroupDamaged
-from .matrix import pack_row, row_support, unpack_row, xor_combine, xor_insert, xor_reduce
+from .matrix import row_support, unpack_row, xor_combine, xor_insert, xor_reduce
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+#: Byte to the ASCII digit of its bit 0.
+_BIT_DIGIT = bytes(48 + (b & 1) for b in range(256))
+
+
+@functools.cache
+def _lane_constants(m: int) -> tuple[int, int, int]:
+    """(L, J, M64) for m lanes; see the module docstring."""
+    ones = sum(1 << 128 * j for j in range(m))
+    steps = sum((j + 1) << 128 * j for j in range(m))
+    return ones, steps, _MASK64 * ones
 
 
 class SplitMix64:
@@ -41,19 +83,26 @@ class SplitMix64:
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + _GAMMA) & _MASK64
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
-    def below(self, n: int) -> int:
-        """Uniform-ish draw in [0, n) as next_u64() mod n."""
-        return self.next_u64() % n
+    def lanes(self, m: int) -> int:
+        """The next m outputs, the (j+1)-th in bits 128j..128j+63 of one int."""
+        ones, steps, mask = _lane_constants(m)
+        z = (self.state * ones + _GAMMA * steps) & mask
+        self.state = (self.state + m * _GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) & mask) * _MIX1 & mask
+        z = ((z ^ (z >> 27)) & mask) * _MIX2 & mask
+        return (z ^ (z >> 31)) & mask
 
-    def unit(self) -> float:
-        """Uniform draw in [0, 1) with 53 bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
+
+def _lane_bits(lanes: int, m: int) -> int:
+    """Bit 0 of each of m lanes, packed: lane j's goes to bit j."""
+    # Big-endian, byte 15 of each 16 is a lane's low byte, last lane first.
+    return int(b"0" + lanes.to_bytes(16 * m, "big")[15::16].translate(_BIT_DIGIT), 2)
 
 
 @dataclass(frozen=True)
@@ -78,11 +127,15 @@ def local_repair(lrc: BinaryLrc, word: Sequence[Optional[int]], pos: int) -> int
         raise ValueError(f"position {pos} outside 0..{lrc.n - 1}")
     if word[pos] is not None:
         raise ValueError(f"position {pos} is not erased")
-    group = next(g for g in lrc.groups if pos in g)
-    partners = [p for p in group if p != pos]
-    if any(word[p] is None for p in partners):
-        raise GroupDamaged(f"group {group} has another erasure besides {pos}")
-    return word[partners[0]] ^ word[partners[1]]
+    others = lrc.group_masks[pos] ^ 1 << pos
+    a, b = (others & -others).bit_length() - 1, others.bit_length() - 1
+    x, y = word[a], word[b]
+    if x is None or y is None:
+        raise GroupDamaged(f"group {tuple(sorted((a, b, pos)))} has another erasure besides {pos}")
+    for v in (x, y):
+        if v != 0 and v != 1:
+            raise ValueError(f"symbol {v} invalid over GF(2)")
+    return x ^ y
 
 
 def global_decode(lrc: BinaryLrc, word: Sequence[Optional[int]]) -> RepairOutcome:
@@ -128,15 +181,18 @@ def _decode(lrc: BinaryLrc, known: int, erased: int) -> tuple[Optional[int], int
     ``erased`` has bit p set for each erased position p.
     """
     local = 0
-    for a, b, c in lrc.groups:
-        group = 1 << a | 1 << b | 1 << c
-        hit = erased & group
-        if hit.bit_count() == 1:
+    masks = lrc.group_masks
+    rest = erased
+    while rest:
+        low = rest & -rest
+        group = masks[low.bit_length() - 1]
+        rest &= ~group
+        if (erased & group) == low:
             # The erased bit reads 0, so the group's parity is its value.
-            local |= hit
+            local |= low
             if (known & group).bit_count() & 1:
-                known |= hit
-    rest = erased & ~local
+                known |= low
+    rest = erased ^ local
     if rest:
         # Column p enters with provenance bit p: the solution is in place.
         cols = lrc.code.bit_columns
@@ -174,8 +230,9 @@ class RandomErasures:
         if self.t > n:
             raise ValueError(f"cannot erase {self.t} of {n} positions")
         pool = list(range(n))
+        lanes = rng.lanes(self.t)
         for i in range(self.t):
-            j = i + rng.below(n - i)
+            j = i + (lanes >> 128 * i & _MASK64) % (n - i)
             pool[i], pool[j] = pool[j], pool[i]
         return frozenset(pool[: self.t])
 
@@ -194,7 +251,11 @@ class PerSymbolErasures:
             raise ValueError("erasure probability must lie in [0, 1]")
 
     def draw(self, rng: SplitMix64, n: int) -> frozenset[int]:
-        return frozenset(i for i in range(n) if rng.unit() < self.p)
+        ones = _lane_constants(n)[0]
+        top = (math.ceil(self.p * 2**53) << 11) + _MASK64
+        # Byte 8 of lane i holds its bit 64: 1 exactly when unit() < p.
+        below = (top * ones - rng.lanes(n)).to_bytes(16 * n, "little")[8::16]
+        return frozenset(compress(range(n), below))
 
     def to_json(self) -> dict:
         return {"name": "per_symbol_prob", "p": self.p}
@@ -223,7 +284,8 @@ def simulate(lrc: BinaryLrc, trials: int, model, seed: int = 0) -> SimulationRep
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    n = lrc.n
+    n, k = lrc.n, lrc.k
+    rows = lrc.code.bit_rows
     successes = 0
     erased_total = 0
     local_total = 0
@@ -231,8 +293,7 @@ def simulate(lrc: BinaryLrc, trials: int, model, seed: int = 0) -> SimulationRep
     repaired_total = 0
     for trial in range(trials):
         rng = SplitMix64(seed + trial)
-        message = pack_row(2, [rng.next_u64() & 1 for _ in range(lrc.k)])
-        codeword = xor_combine(lrc.code.bit_rows, message)
+        codeword = xor_combine(rows, _lane_bits(rng.lanes(k), k))
         erased = 0
         for p in model.draw(rng, n):
             erased |= 1 << p

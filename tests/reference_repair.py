@@ -4,12 +4,21 @@ This is the decoder and simulator as they stood before decoding moved to
 packed words: the word is a list with ``None`` at the erasures, the
 erased set a ``frozenset``, each syndrome a per-symbol loop over the
 parity-check columns, and each trial encodes, erases and checks a tuple.
-The tests compare the packed path of ``gf4lrc.repair`` against it.
+Its erasure draws take one scalar ``next_u64`` output per step, as the
+models drew them before ``SplitMix64.lanes``, so it shares no draw code
+with the package.  The tests compare the packed path of
+``gf4lrc.repair`` against it.
 """
 
 from gf4lrc.errors import AmbiguousDecode, ShapeMismatch
 from gf4lrc.matrix import lo_mask, scale_row, xor_insert, xor_reduce
-from gf4lrc.repair import RepairOutcome, SimulationReport, SplitMix64
+from gf4lrc.repair import (
+    PerSymbolErasures,
+    RandomErasures,
+    RepairOutcome,
+    SimulationReport,
+    SplitMix64,
+)
 
 
 def syndrome(code, word) -> int:
@@ -81,6 +90,20 @@ def global_decode(lrc, word) -> RepairOutcome:
     return RepairOutcome(word_out, methods, accessed)
 
 
+def draw(model, rng, n: int) -> frozenset:
+    """The model's erased positions, one ``next_u64`` per draw."""
+    if isinstance(model, RandomErasures):
+        if model.t > n:
+            raise ValueError(f"cannot erase {model.t} of {n} positions")
+        pool = list(range(n))
+        for i in range(model.t):
+            j = i + rng.next_u64() % (n - i)
+            pool[i], pool[j] = pool[j], pool[i]
+        return frozenset(pool[: model.t])
+    assert isinstance(model, PerSymbolErasures)
+    return frozenset(i for i in range(n) if (rng.next_u64() >> 11) * 2.0**-53 < model.p)
+
+
 def simulate(lrc, trials: int, model, seed: int = 0) -> SimulationReport:
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -93,7 +116,7 @@ def simulate(lrc, trials: int, model, seed: int = 0) -> SimulationReport:
         rng = SplitMix64(seed + trial)
         message = [rng.next_u64() & 1 for _ in range(lrc.k)]
         codeword = lrc.code.encode(message)
-        pattern = model.draw(rng, lrc.n)
+        pattern = draw(model, rng, lrc.n)
         erased_total += len(pattern)
         word = [None if i in pattern else codeword[i] for i in range(lrc.n)]
         recovered, solution_dim, methods, accessed = decode(lrc, word)

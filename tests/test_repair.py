@@ -4,17 +4,21 @@ import math
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_repair as reference
 from scalar_elimination import col_tuple
-from gf4lrc import matrix, repair
+from gf4lrc import gf4, matrix, repair
 from gf4lrc.code import LinearCode
 from gf4lrc.concat import concatenate
 from gf4lrc.errors import AmbiguousDecode, GroupDamaged
-from gf4lrc.families import hamming4, hexacode
+from gf4lrc.families import cyclic4, hamming4, hexacode
 from gf4lrc.matrix import FieldMatrix, rows_rank
 from gf4lrc.repair import (
     PerSymbolErasures,
     RandomErasures,
+    SimulationReport,
     SplitMix64,
     global_decode,
     local_repair,
@@ -35,6 +39,47 @@ def test_splitmix64_reference_stream():
         0x6E789E6AA1B965F4,
         0x06C45D188009454F,
     ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-(2**130), 2**130), st.integers(0, 300))
+def test_lanes_match_scalar_stream(seed, m):
+    """Lane j holds the (j+1)-th output with a zero top half, and the
+    state moves on as after m scalar draws."""
+    bulk, scalar = SplitMix64(seed), SplitMix64(seed)
+    lanes = bulk.lanes(m)
+    assert lanes == sum(scalar.next_u64() << 128 * j for j in range(m))
+    assert bulk.state == scalar.state
+    assert bulk.next_u64() == scalar.next_u64()
+
+
+def _unshift(y: int, k: int) -> int:
+    """The x < 2^64 with x ^ (x >> k) == y."""
+    x = y
+    for _ in range(64 // k):
+        x = y ^ (x >> k)
+    return x
+
+
+def _state_of(u: int) -> int:
+    """The SplitMix64 state whose output is u: the output mix inverted."""
+    z = _unshift(u, 31) * pow(0x94D049BB133111EB, -1, 2**64) % 2**64
+    z = _unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 2**64) % 2**64
+    return _unshift(z, 30)
+
+
+@pytest.mark.parametrize("p", [0.0, 2**-53, 0.05, 1 / 3, 1 - 2**-53, 1.0, 1e-320])
+@pytest.mark.parametrize("lane", [0, 2])
+def test_per_symbol_draw_at_threshold_edges(p, lane):
+    """A lane's output u on either side of T * 2^11, T = ceil(p * 2^53),
+    is erased exactly when unit() = (u >> 11) * 2^-53 < p."""
+    edge = math.ceil(p * 2**53) << 11
+    for u in {u for u in (0, edge - 1, edge, 2**64 - 1) if 0 <= u < 2**64}:
+        seed = _state_of(u) - (lane + 1) * 0x9E3779B97F4A7C15
+        assert SplitMix64(seed).lanes(lane + 1) >> 128 * lane == u
+        pattern = PerSymbolErasures(p).draw(SplitMix64(seed), 4)
+        assert pattern == reference.draw(PerSymbolErasures(p), SplitMix64(seed), 4)
+        assert (lane in pattern) == ((u >> 11) * 2.0**-53 < p), hex(u)
 
 
 def test_local_repair_parity_forced(lrc):
@@ -63,6 +108,13 @@ def test_local_repair_rejects_position_and_length(lrc):
             local_repair(lrc, word, pos)
     with pytest.raises(ValueError, match="length"):
         local_repair(lrc, word[:-1], 3)
+
+
+def test_local_repair_rejects_non_binary_partner(lrc):
+    assert lrc.groups[0] == (0, 1, 2)
+    for partners, bad in (([5, 1], 5), ([1, -1], -1)):
+        with pytest.raises(ValueError, match=rf"symbol {bad} invalid over GF\(2\)"):
+            local_repair(lrc, [None, *partners] + [0] * 12, 0)
 
 
 def test_single_erasures_always_local(lrc):
@@ -148,6 +200,32 @@ def test_simulate_trial_stays_packed(lrc, monkeypatch):
     assert calls == {}
     global_decode(lrc, [None] + [0] * (lrc.n - 1))
     assert calls == {"unpack_row": 1, "row_support": 1}
+
+
+def test_simulate_draws_in_bulk_once_per_trial(lrc, monkeypatch):
+    """No trial takes a scalar ``next_u64``, and each calls its model's
+    ``draw`` exactly once: the erasure count of a run is the sum of the
+    sizes ``draw`` returns."""
+    calls = collections.Counter()
+    next_u64 = SplitMix64.next_u64
+
+    def counted_next(self):
+        calls["next_u64"] += 1
+        return next_u64(self)
+
+    monkeypatch.setattr(SplitMix64, "next_u64", counted_next)
+    for cls in (RandomErasures, PerSymbolErasures):
+        draw = cls.__dict__["draw"]
+
+        def counted_draw(self, rng, n, draw=draw):
+            calls["draw"] += 1
+            return draw(self, rng, n)
+
+        monkeypatch.setattr(cls, "draw", counted_draw)
+    for model in (RandomErasures(7), PerSymbolErasures(0.3)):
+        calls.clear()
+        simulate(lrc, 50, model, seed=3)
+        assert calls == {"draw": 50}, model
 
 
 def test_simulate_computes_one_syndrome_per_trial(lrc, monkeypatch):
@@ -284,3 +362,45 @@ def test_simulated_failure_rate_at_t_equal_d_on_15_6_6(lrc):
     report = simulate(lrc, trials, RandomErasures(6), seed=2026)
     failures = round((1.0 - report.success_rate) * trials)
     assert abs(failures - trials * p) <= 5 * math.sqrt(trials * p * (1 - p))
+
+
+W, W2 = gf4.W, gf4.W2
+GOLDEN_LRCS = {
+    "ham15": concatenate(hamming4(2)),
+    "cyc129": concatenate(cyclic4(43, [1, 0, W2, 1, 1, W, 0, 1])),
+}
+#: (code, model, seed) -> (success_rate, local_fraction, mean_accessed) of
+#: 200 trials, recorded with one scalar next_u64 per draw.
+GOLDEN_REPORTS = {
+    ("ham15", RandomErasures(5), 7): (1.0, 0.499, 6.008),
+    ("ham15", RandomErasures(5), -1): (1.0, 0.504, 5.968),
+    ("ham15", RandomErasures(5), 2**64 + 3): (1.0, 0.5, 6.0),
+    ("ham15", RandomErasures(9), 7): (0.485, 0.1638888888888889, 4.79837067209776),
+    ("ham15", RandomErasures(9), -1): (0.475, 0.16277777777777777, 4.789256198347108),
+    ("ham15", RandomErasures(9), 2**64 + 3): (0.485, 0.16333333333333333, 4.802443991853361),
+    ("ham15", PerSymbolErasures(0.05), 7): (1.0, 0.8115942028985508, 3.9855072463768115),
+    ("ham15", PerSymbolErasures(0.05), -1): (1.0, 0.8074074074074075, 4.014814814814815),
+    ("ham15", PerSymbolErasures(0.05), 2**64 + 3): (1.0, 0.8088235294117647, 4.014705882352941),
+    ("cyc129", RandomErasures(5), 7): (1.0, 0.912, 12.736),
+    ("cyc129", RandomErasures(5), -1): (1.0, 0.916, 12.248),
+    ("cyc129", RandomErasures(5), 2**64 + 3): (1.0, 0.91, 12.98),
+    ("cyc129", RandomErasures(9), 7): (1.0, 0.8688888888888889, 17.47111111111111),
+    ("cyc129", RandomErasures(9), -1): (1.0, 0.8711111111111111, 17.20888888888889),
+    ("cyc129", RandomErasures(9), 2**64 + 3): (1.0, 0.8688888888888889, 17.47111111111111),
+    ("cyc129", PerSymbolErasures(0.05), 7): (1.0, 0.9083665338645418, 12.910756972111553),
+    ("cyc129", PerSymbolErasures(0.05), -1): (1.0, 0.9134920634920635, 12.31031746031746),
+    ("cyc129", PerSymbolErasures(0.05), 2**64 + 3): (1.0, 0.9094488188976378, 12.783464566929133),
+}
+
+
+@pytest.mark.parametrize("name, model, seed", sorted(GOLDEN_REPORTS, key=repr), ids=repr)
+def test_simulate_matches_golden_report(name, model, seed):
+    success_rate, local_fraction, mean_accessed = GOLDEN_REPORTS[name, model, seed]
+    assert simulate(GOLDEN_LRCS[name], 200, model, seed) == SimulationReport(
+        trials=200,
+        model=model.to_json(),
+        seed=seed,
+        success_rate=success_rate,
+        local_fraction=local_fraction,
+        mean_accessed=mean_accessed,
+    )

@@ -15,7 +15,13 @@ from gf4lrc.code import LinearCode
 from gf4lrc.concat import BinaryLrc, concatenate
 from gf4lrc.families import hamming4, hexacode, mds_rs
 from gf4lrc.matrix import FieldMatrix
-from gf4lrc.repair import PerSymbolErasures, RandomErasures, global_decode, simulate
+from gf4lrc.repair import (
+    PerSymbolErasures,
+    RandomErasures,
+    global_decode,
+    local_repair,
+    simulate,
+)
 
 
 def _reordered_hexacode_lrc() -> BinaryLrc:
@@ -39,11 +45,16 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+#: The edges of the threshold T = ceil(p * 2^53) that a draw's u >> 11 is
+#: compared against: T = 0, 1, 2^53 - 1 and 2^53, and T = 1 from a subnormal p.
+EDGE_PROBABILITIES = [0.0, 2**-53, 1 - 2**-53, 1.0, 1e-320]
+
+
 @st.composite
 def models(draw, n):
     if draw(st.booleans()):
         return RandomErasures(draw(st.integers(0, n)))
-    return PerSymbolErasures(draw(st.floats(0.0, 1.0)))
+    return PerSymbolErasures(draw(st.sampled_from(EDGE_PROBABILITIES) | st.floats(0.0, 1.0)))
 
 
 @pytest.mark.parametrize("name", sorted(LRCS))
@@ -52,7 +63,7 @@ def models(draw, n):
 def test_simulate_matches_reference(name, data):
     lrc = LRCS[name]
     model = data.draw(models(lrc.n))
-    seed = data.draw(st.integers(0, 2**64 - 1))
+    seed = data.draw(st.integers(-(2**130), 2**130))
     trials = data.draw(st.integers(1, 30))
     assert simulate(lrc, trials, model, seed) == reference.simulate(lrc, trials, model, seed)
 
@@ -76,6 +87,19 @@ def test_global_decode_matches_reference(name, data):
     if not isinstance(ours, tuple):
         assert list(ours.methods.items()) == list(theirs.methods.items())
         assert list(ours.accessed.items()) == list(theirs.accessed.items())
+
+
+@pytest.mark.parametrize("name", sorted(LRCS))
+def test_group_masks_match_groups(name):
+    """Each position's mask is its group's, in any group order, and
+    ``local_repair`` reads the two partners it names."""
+    lrc = LRCS[name]
+    word = list(lrc.code.encode([1] * lrc.k))
+    for g in lrc.groups:
+        for p in g:
+            assert lrc.group_masks[p] == sum(1 << x for x in g)
+            erased = word[:p] + [None] + word[p + 1 :]
+            assert reference.decode(lrc, erased)[0][p] == local_repair(lrc, erased, p) == word[p]
 
 
 @st.composite
