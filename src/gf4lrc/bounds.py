@@ -89,6 +89,7 @@ def default_kopt(q: int = 2) -> KoptOracle:
 def kopt_from_table(path: str | Path) -> KoptOracle:
     """Oracle backed by a table of ``n d kmax`` lines, else ``default_kopt()``."""
     table: dict[tuple[int, int], int] = {}
+    first_line: dict[tuple[int, int], int] = {}
     try:
         text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -106,6 +107,11 @@ def kopt_from_table(path: str | Path) -> KoptOracle:
             raise ParseError(f"line {lineno}: {exc}") from exc
         if min(n, d, kmax) < 0:
             raise ParseError(f"line {lineno}: negative entry in {line!r}")
+        if (n, d) in first_line:
+            raise ParseError(
+                f"line {lineno}: duplicate (n, d) = ({n}, {d}), first on line {first_line[n, d]}"
+            )
+        first_line[n, d] = lineno
         table[(n, d)] = kmax
     fallback = default_kopt()
 

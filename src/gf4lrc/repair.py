@@ -34,8 +34,14 @@ lanes.  This is exact because a lane holds at most 64 bits before each
 step: a 64x64-bit product, and the bits a right shift brings in from the
 next lane, both land in the lane's top half, which the mask clears.
 
-A trial's message is bit 0 of its first k outputs, as one ``lanes(k)``.
-The model's ``draw`` takes the outputs after it:
+The code is linear, so whether an erased set can be repaired, and which
+of its positions are repaired locally, depends only on the set and not
+on the codeword: a trial decodes the zero word.  Its stream still skips
+its first k outputs, the bits of the random k-bit message that a trial
+which encodes a real codeword draws first, by starting the state at
+seed + i + k*gamma, what k draws add to it.  So the erased sets, and
+every report, equal those of such a trial.  The model's ``draw`` takes
+the outputs after the skipped ones:
 
 - ``RandomErasures`` runs Fisher-Yates on ``lanes(t)``, swapping
   position i with i + u_i mod (n - i).
@@ -58,14 +64,12 @@ from typing import Optional, Sequence
 
 from .concat import BinaryLrc
 from .errors import AmbiguousDecode, GroupDamaged
-from .matrix import row_support, unpack_row, xor_combine, xor_insert, xor_reduce
+from .matrix import row_support, unpack_row, xor_insert, xor_reduce
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-#: Byte to the ASCII digit of its bit 0.
-_BIT_DIGIT = bytes(48 + (b & 1) for b in range(256))
 
 
 @functools.cache
@@ -97,12 +101,6 @@ class SplitMix64:
         z = ((z ^ (z >> 30)) & mask) * _MIX1 & mask
         z = ((z ^ (z >> 27)) & mask) * _MIX2 & mask
         return (z ^ (z >> 31)) & mask
-
-
-def _lane_bits(lanes: int, m: int) -> int:
-    """Bit 0 of each of m lanes, packed: lane j's goes to bit j."""
-    # Big-endian, byte 15 of each 16 is a lane's low byte, last lane first.
-    return int(b"0" + lanes.to_bytes(16 * m, "big")[15::16].translate(_BIT_DIGIT), 2)
 
 
 @dataclass(frozen=True)
@@ -277,29 +275,27 @@ class SimulationReport:
 def simulate(lrc: BinaryLrc, trials: int, model, seed: int = 0) -> SimulationReport:
     """Batch failure injection; deterministic under a fixed seed.
 
-    Per trial a random codeword is drawn, the model erases positions, and
-    decoding is attempted.  local_fraction counts locally repaired symbols
-    over all erased symbols; mean_accessed averages the per-symbol access
-    counts over all repaired symbols.
+    Per trial the model erases positions and decoding is attempted.
+    local_fraction counts locally repaired symbols over all erased
+    symbols; mean_accessed averages the per-symbol access counts over all
+    repaired symbols.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n, k = lrc.n, lrc.k
-    rows = lrc.code.bit_rows
     successes = 0
     erased_total = 0
     local_total = 0
     accessed_total = 0
     repaired_total = 0
     for trial in range(trials):
-        rng = SplitMix64(seed + trial)
-        codeword = xor_combine(rows, _lane_bits(rng.lanes(k), k))
+        rng = SplitMix64(seed + trial + k * _GAMMA)
         erased = 0
         for p in model.draw(rng, n):
             erased |= 1 << p
         t = erased.bit_count()
         erased_total += t
-        recovered, solution_dim, local = _decode(lrc, codeword & ~erased, erased)
+        _, solution_dim, local = _decode(lrc, 0, erased)
         local_count = local.bit_count()
         local_total += local_count
         accessed_total += 2 * local_count
@@ -308,8 +304,6 @@ def simulate(lrc: BinaryLrc, trials: int, model, seed: int = 0) -> SimulationRep
             continue
         repaired_total += t
         accessed_total += (t - local_count) * (n - t)
-        if recovered != codeword:
-            raise AssertionError("decode returned a different codeword")
         successes += 1
     return SimulationReport(
         trials=trials,

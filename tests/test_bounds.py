@@ -236,7 +236,7 @@ def test_kopt_table_override(tmp_path):
     assert oracle(9, 6) == 2
     assert oracle(10, 6) == bounds.default_kopt()(10, 6)
     bad = tmp_path / "bad.txt"
-    for content in (b"1 2\n", b"10 4 -3\n", b"9 6 2\n\xff\n"):
+    for content in (b"1 2\n", b"10 4 -3\n", b"9 6 2\n\xff\n", b"9 6 2\n9 6 3\n"):
         bad.write_bytes(content)
         with pytest.raises(ParseError):
             bounds.kopt_from_table(bad)

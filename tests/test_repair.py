@@ -205,15 +205,21 @@ def test_simulate_trial_stays_packed(lrc, monkeypatch):
 def test_simulate_draws_in_bulk_once_per_trial(lrc, monkeypatch):
     """No trial takes a scalar ``next_u64``, and each calls its model's
     ``draw`` exactly once: the erasure count of a run is the sum of the
-    sizes ``draw`` returns."""
+    sizes ``draw`` returns.  The draw's ``lanes`` is a trial's only one:
+    no message is drawn."""
     calls = collections.Counter()
-    next_u64 = SplitMix64.next_u64
+    next_u64, lanes = SplitMix64.next_u64, SplitMix64.lanes
 
     def counted_next(self):
         calls["next_u64"] += 1
         return next_u64(self)
 
+    def counted_lanes(self, m):
+        calls["lanes"] += 1
+        return lanes(self, m)
+
     monkeypatch.setattr(SplitMix64, "next_u64", counted_next)
+    monkeypatch.setattr(SplitMix64, "lanes", counted_lanes)
     for cls in (RandomErasures, PerSymbolErasures):
         draw = cls.__dict__["draw"]
 
@@ -225,7 +231,7 @@ def test_simulate_draws_in_bulk_once_per_trial(lrc, monkeypatch):
     for model in (RandomErasures(7), PerSymbolErasures(0.3)):
         calls.clear()
         simulate(lrc, 50, model, seed=3)
-        assert calls == {"draw": 50}, model
+        assert calls == {"draw": 50, "lanes": 50}, model
 
 
 def test_simulate_computes_one_syndrome_per_trial(lrc, monkeypatch):

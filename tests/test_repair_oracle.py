@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 import reference_repair as reference
 from gf4lrc.code import LinearCode
 from gf4lrc.concat import BinaryLrc, concatenate
+from gf4lrc.errors import AmbiguousDecode
 from gf4lrc.families import hamming4, hexacode, mds_rs
 from gf4lrc.matrix import FieldMatrix
 from gf4lrc.repair import (
     PerSymbolErasures,
     RandomErasures,
+    SplitMix64,
     global_decode,
     local_repair,
     simulate,
@@ -66,6 +68,34 @@ def test_simulate_matches_reference(name, data):
     seed = data.draw(st.integers(-(2**130), 2**130))
     trials = data.draw(st.integers(1, 30))
     assert simulate(lrc, trials, model, seed) == reference.simulate(lrc, trials, model, seed)
+
+
+@pytest.mark.parametrize("name", sorted(LRCS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_simulated_erasures_decode_real_codewords(name, data):
+    """A trial decodes the zero word; on its erased set, real codewords
+    decode back exactly when the trial counted as a success, and are
+    ambiguous otherwise."""
+    lrc = LRCS[name]
+    model = data.draw(models(lrc.n))
+    seed = data.draw(st.integers(-(2**130), 2**130))
+    messages = st.lists(st.integers(0, 1), min_size=lrc.k, max_size=lrc.k)
+    for trial in range(data.draw(st.integers(1, 10))):
+        # Trial i of a run is the one trial of a run seeded seed + i.
+        success = simulate(lrc, 1, model, seed + trial).success_rate == 1
+        rng = SplitMix64(seed + trial)
+        for _ in range(lrc.k):
+            rng.next_u64()
+        erased = reference.draw(model, rng, lrc.n)
+        for message in data.draw(st.lists(messages, min_size=1, max_size=3)):
+            codeword = lrc.code.encode(message)
+            word = [None if p in erased else x for p, x in enumerate(codeword)]
+            if success:
+                assert global_decode(lrc, word).word == codeword
+            else:
+                with pytest.raises(AmbiguousDecode):
+                    global_decode(lrc, word)
 
 
 @pytest.mark.parametrize("name", sorted(LRCS))
