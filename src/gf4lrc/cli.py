@@ -145,17 +145,23 @@ def _cmd_analyze(args) -> int:
     d = None  # only a distance certified here feeds the bounds
 
     weights = None
-    if args.weights or run_all:
+    show_weights = args.weights or run_all
+    want_distance = args.distance or run_all or args.bounds
+    if show_weights or (is_lrc and want_distance):
         try:
             weights = cheapest_weights(loaded, budget=args.max_enum)
-            report["weights"] = weights.to_json()
+            if show_weights:
+                report["weights"] = weights.to_json()
         except BudgetExceeded as exc:
-            report["weights"] = {"error": str(exc)}
-            exit_code = 3
-    if args.distance or run_all or args.bounds:
+            # Weights wanted only for the distance leave its search at 1.
+            if show_weights:
+                report["weights"] = {"error": str(exc)}
+                exit_code = 3
+    if want_distance:
         try:
             if is_lrc:
-                # The weights prove no set of fewer than d/2 groups dependent.
+                # The weights prove no set of fewer than d/2 groups dependent,
+                # as ``LinearCode.min_distance`` starts a plain code's search.
                 known = weights.distance() if weights is not None else None
                 cert = certify_distance(
                     loaded, subset_budget=args.max_subsets, start=known // 2 if known else 1

@@ -33,6 +33,9 @@ from .errors import BudgetExceeded, FieldMismatch, ParseError, ShapeMismatch
 
 _HEADER_EXTRA_KEYS = ("kind", "n", "k", "d")
 
+#: The symbols w, W as the base-4 digits of their values.
+_DIGITS = str.maketrans("wW", "23")
+
 
 def lo_mask(ncols: int) -> int:
     """0b...0101 with ncols pairs; selects the low bit of every GF(4) slot."""
@@ -292,14 +295,20 @@ class FieldMatrix:
         if len(lines) - 1 != nrows:
             raise ParseError(f"expected {nrows} matrix rows, found {len(lines) - 1}")
         rows = []
+        alphabet = set(gf4.SYMBOLS[:q])
         for ln in lines[1:]:
             syms = ln.split()
             if len(syms) != ncols:
                 raise ParseError(f"expected {ncols} symbols, found {len(syms)}")
-            try:
-                rows.append(pack_row(q, [gf4.symbol_to_value(s, q) for s in syms]))
-            except ValueError as exc:
-                raise ParseError(str(exc)) from exc
+            joined = "".join(syms)
+            if len(joined) != ncols or not alphabet.issuperset(joined):
+                try:  # some symbol is not in the alphabet: name the first
+                    for sym in syms:
+                        gf4.symbol_to_value(sym, q)
+                except ValueError as exc:
+                    raise ParseError(str(exc)) from exc
+            # The symbols are base-q digits, symbol j the one of weight q^j.
+            rows.append(int(joined.translate(_DIGITS)[::-1], q))
         extras = {k: v for k, v in fields.items() if k in _HEADER_EXTRA_KEYS}
         return cls(q, nrows, ncols, rows), extras
 

@@ -21,7 +21,6 @@ from typing import Optional, Sequence
 
 from . import gf4
 from .errors import BudgetExceeded, NotACap, ParseError, SearchExhausted
-from .matrix import pack_row, rows_rank
 
 Point = tuple[int, ...]
 
@@ -93,9 +92,17 @@ class CapSet:
             if p in seen:
                 raise NotACap(f"duplicate point {p}", triple=None)
             seen.add(p)
-        packed = [pack_row(4, p) for p in self.points]
-        for triple in combinations(range(len(packed)), 3):
-            if rows_rank(4, [packed[t] for t in triple], self.ambient + 1) != 3:
+        # Distinct points a, b, c are dependent exactly when c is one of the
+        # line's three other points, so the pairs in lexicographic order,
+        # each with its least later companion, meet the first collinear
+        # triple in lexicographic order.
+        pts = self.points
+        index = {p: i for i, p in enumerate(pts)}
+        for a, b in combinations(range(len(pts)), 2):
+            on_line = [index.get(c, -1) for c in collinear_companions(pts[a], pts[b])]
+            later = [c for c in on_line if c > b]
+            if later:
+                triple = (a, b, min(later))
                 raise NotACap(f"collinear triple at indices {triple}", triple=triple)
 
     def to_text(self) -> str:

@@ -1,14 +1,21 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import gf4lrc
+from conftest import random_linear_code
 from gf4lrc import code as code_module
+from gf4lrc import concat as concat_module
 from gf4lrc.cli import _load_input, main
+from gf4lrc.concat import BinaryLrc, certify_distance, concatenate
+from gf4lrc.families import hexacode
 
 
 def run_cli(capsys, *argv):
@@ -135,6 +142,7 @@ def test_analyze_plain_code_locality_uncovered(tmp_path, capsys):
 
 
 def test_analyze_budget_exhaustion_exits_3(tmp_path, capsys):
+    # --max-enum 1 fits no weights, so the group search starts at 1 group.
     base = tmp_path / "hex"
     run_cli(capsys, "construct", "hexacode", "--concat", "--output", str(base))
     code, out, _ = run_cli(
@@ -143,6 +151,7 @@ def test_analyze_budget_exhaustion_exits_3(tmp_path, capsys):
         str(tmp_path / "hex.lrc.json"),
         "--distance",
         "--max-subsets", "3",
+        "--max-enum", "1",
     )
     assert code == 3
     report = json.loads(out)
@@ -157,7 +166,7 @@ def test_analyze_budget_exhaustion_exits_3(tmp_path, capsys):
     path = tmp_path / "claimed.lrc.json"
     path.write_text(json.dumps(claimed))
     code, out, _ = run_cli(
-        capsys, "analyze", str(path), "--bounds", "--max-subsets", "3"
+        capsys, "analyze", str(path), "--bounds", "--max-subsets", "3", "--max-enum", "1"
     )
     assert code == 3
     report = json.loads(out)
@@ -166,15 +175,98 @@ def test_analyze_budget_exhaustion_exits_3(tmp_path, capsys):
 
 
 def test_default_analyze_starts_the_group_search_where_the_weights_leave_it(tmp_path, capsys):
-    # The weights give d = 8, so no set of fewer than 4 groups is searched;
-    # --distance alone still spends its subset budget on the smaller sets.
+    # The weights give d = 8, so no set of fewer than 4 groups is searched,
+    # with or without --distance.
     base = tmp_path / "hex"
     run_cli(capsys, "construct", "hexacode", "--concat", "--output", str(base))
     lrc = str(tmp_path / "hex.lrc.json")
     code, out, _ = run_cli(capsys, "analyze", lrc, "--max-subsets", "3")
     assert code == 0
     assert json.loads(out)["distance"]["d"] == 8
-    assert run_cli(capsys, "analyze", lrc, "--distance", "--max-subsets", "3")[0] == 3
+    assert run_cli(capsys, "analyze", lrc, "--distance", "--max-subsets", "3")[0] == 0
+
+
+def test_analyze_distance_out_of_subsets_at_half_d_brackets_from_d(tmp_path, capsys):
+    # The weights fit, so the search starts at d/2 = 4 groups and its first
+    # set runs out of --max-subsets 0: d = 8 is proven, not yet attained.
+    base = tmp_path / "hex"
+    run_cli(capsys, "construct", "hexacode", "--concat", "--output", str(base))
+    code, out, _ = run_cli(
+        capsys, "analyze", str(tmp_path / "hex.lrc.json"), "--distance", "--max-subsets", "0"
+    )
+    assert code == 3
+    report = json.loads(out)
+    assert report["distance"]["bracket"] == [8, None]
+    assert "weights" not in report
+
+
+def _write_lrc(tmp_path, lrc) -> str:
+    path = tmp_path / "x.lrc.json"
+    path.write_text(json.dumps(lrc.to_json()))
+    return str(path)
+
+
+def _analyze_distance_and_starts(capsys, monkeypatch, path, *flags):
+    """``analyze --distance``'s report and the start of each group search."""
+    starts = []
+    search = concat_module.smallest_dependent_set
+
+    def recorded(blocks, budget, start=1):
+        starts.append(start)
+        return search(blocks, budget, start)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(concat_module, "smallest_dependent_set", recorded)
+        code, out, _ = run_cli(capsys, "analyze", path, "--distance", *flags)
+    assert code == 0
+    return json.loads(out), starts
+
+
+def _certified_from_one(lrc) -> dict:
+    cert = certify_distance(lrc)
+    return {"d": cert.d, "method": cert.method, "witness": list(cert.witness)}
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(0, 2**32), st.integers(2, 7), st.data())
+def test_analyze_distance_of_a_concatenation_equals_the_search_from_one_group(
+    tmp_path, capsys, monkeypatch, seed, n1, data
+):
+    outer = random_linear_code(random.Random(seed), 4, n1, data.draw(st.integers(1, n1)))
+    lrc = concatenate(outer)
+    report, starts = _analyze_distance_and_starts(capsys, monkeypatch, _write_lrc(tmp_path, lrc))
+    assert set(report) == {"n", "k", "q", "is_lrc", "distance"}
+    assert report["distance"] == _certified_from_one(lrc)
+    assert starts == [report["distance"]["d"] // 2]
+
+
+def test_analyze_distance_of_the_reordered_hexacode_lrc(tmp_path, capsys, monkeypatch):
+    # Group 0 listed (g0, g2, g1) is not in (h, w*h) form: its weights come
+    # from the LRC's own smaller side, and still start the search at d/2.
+    lrc = concatenate(hexacode())
+    g0, g1, g2 = lrc.groups[0]
+    reordered = BinaryLrc(lrc.code, ((g0, g2, g1),) + lrc.groups[1:])
+    assert reordered.outer_parity_check() is None
+    report, starts = _analyze_distance_and_starts(
+        capsys, monkeypatch, _write_lrc(tmp_path, reordered)
+    )
+    assert report["distance"] == _certified_from_one(reordered)
+    assert report["distance"]["d"] == 8 and starts == [4]
+
+
+def test_analyze_distance_searches_from_one_group_when_the_weights_do_not_fit(
+    tmp_path, capsys, monkeypatch
+):
+    # Weights that were not asked for change neither the report nor the
+    # exit code when they run out of --max-enum.
+    lrc = concatenate(hexacode())
+    report, starts = _analyze_distance_and_starts(
+        capsys, monkeypatch, _write_lrc(tmp_path, lrc), "--max-enum", "1"
+    )
+    assert set(report) == {"n", "k", "q", "is_lrc", "distance"}
+    assert report["distance"] == _certified_from_one(lrc)
+    assert starts == [1]
 
 
 def test_default_analyze_of_the_cyclic_lrc_takes_weights_from_the_outer_dual(tmp_path, capsys):

@@ -2,11 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalar_elimination import entry
 from gf4lrc import gf4
 from gf4lrc.errors import FieldMismatch, ParseError, ShapeMismatch
-from gf4lrc.matrix import FieldMatrix, scale_row
+from gf4lrc.matrix import FieldMatrix, pack_row, scale_row
 
 W, W2 = gf4.W, gf4.W2
 
@@ -145,6 +147,42 @@ def test_text_parse_errors():
         FieldMatrix.from_text("field=3 rows=1 cols=1\n1\n")
     with pytest.raises(ParseError):
         FieldMatrix.from_text("field=2 rows=1 cols=2\n1 w\n")
+
+
+def rows_by_symbol(q: int, ncols: int, body: list[str]):
+    """Each row parsed one symbol at a time: the packed rows, or the
+    message of the first row error."""
+    rows = []
+    for ln in body:
+        syms = ln.split()
+        if len(syms) != ncols:
+            return f"expected {ncols} symbols, found {len(syms)}"
+        try:
+            rows.append(pack_row(q, [gf4.symbol_to_value(sym, q) for sym in syms]))
+        except ValueError as exc:
+            return str(exc)
+    return tuple(rows)
+
+
+tokens = st.sampled_from(["0", "1", "w", "W", "0", "1", "w", "W", "x", "2", "10", "1w", "-1"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 4]), st.integers(1, 9), st.data())
+def test_text_rows_parse_as_symbol_by_symbol(q, ncols, data):
+    lengths = st.sampled_from([ncols, ncols, ncols, max(1, ncols - 1), ncols + 1])
+    body = data.draw(st.lists(lengths.flatmap(lambda m: st.lists(tokens, min_size=m,
+                                                                  max_size=m)),
+                              min_size=1, max_size=4))
+    lines = [" ".join(row) for row in body]
+    text = "\n".join([f"field={q} rows={len(lines)} cols={ncols}"] + lines) + "\n"
+    expected = rows_by_symbol(q, ncols, lines)
+    if isinstance(expected, str):
+        with pytest.raises(ParseError) as exc_info:
+            FieldMatrix.from_text(text)
+        assert str(exc_info.value) == expected
+    else:
+        assert FieldMatrix.from_text(text)[0].rows == expected
 
 
 @pytest.mark.parametrize("q", [2, 4])

@@ -1,9 +1,12 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gf4lrc import gf4
 from gf4lrc.errors import BudgetExceeded, NotACap, ParseError, SearchExhausted
+from gf4lrc.matrix import pack_row, rows_rank
 from gf4lrc.projective import (
     CapSet,
     bundled_cap_pg3_17,
@@ -82,6 +85,47 @@ def test_verify_rejects_the_zero_point():
         CapSet.from_text("pg=1 q=4 size=1\n0 0\n").verify()
     with pytest.raises(NotACap):
         CapSet(2, ((1, 0, 0), (0, 0, 0))).verify()
+
+
+def first_collinear_triple_by_rank(cap: CapSet):
+    """The rank test of every triple in lexicographic order: the first
+    triple of rank below 3, or None."""
+    packed = [pack_row(4, p) for p in cap.points]
+    for triple in itertools.combinations(range(len(packed)), 3):
+        if rows_rank(4, [packed[t] for t in triple], cap.ambient + 1) != 3:
+            return triple
+    return None
+
+
+BUNDLED = bundled_cap_pg3_17().points
+PG2, PG3 = pg_points(2), pg_points(3)
+
+
+@st.composite
+def point_sets(draw):
+    """Distinct normalized points in any order: sub-caps of the 17-cap,
+    sub-caps with points of PG(3, 4) added, and sets from PG(2, 4)."""
+    kind = draw(st.sampled_from(["cap", "cap+", "pg2"]))
+    if kind == "pg2":
+        return CapSet(2, tuple(draw(st.lists(st.sampled_from(PG2), unique=True, max_size=8))))
+    points = draw(st.lists(st.sampled_from(BUNDLED), unique=True, max_size=17))
+    if kind == "cap+":
+        points += draw(st.lists(st.sampled_from(PG3), unique=True, min_size=1, max_size=3))
+        points = list(dict.fromkeys(points))
+    return CapSet(3, tuple(draw(st.permutations(points))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_sets())
+def test_verify_reports_the_rank_tests_first_collinear_triple(cap):
+    expected = first_collinear_triple_by_rank(cap)
+    if expected is None:
+        cap.verify()
+        return
+    with pytest.raises(NotACap) as exc_info:
+        cap.verify()
+    assert exc_info.value.triple == expected
+    assert str(exc_info.value) == f"collinear triple at indices {expected}"
 
 
 def test_hyperoval_search_in_pg2():
