@@ -33,7 +33,6 @@ from .code import (
 from .concat import (
     BinaryLrc,
     certify_distance,
-    cheapest_weights,
     concatenate,
     group_subspaces,
     locality_check,

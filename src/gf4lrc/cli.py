@@ -20,8 +20,6 @@ from .code import DEFAULT_ENUM_BUDGET, LinearCode
 from .concat import (
     DEFAULT_SUBSET_BUDGET,
     BinaryLrc,
-    certify_distance,
-    cheapest_weights,
     concatenate,
     group_subspaces,
     locality_check,
@@ -108,8 +106,6 @@ def _cmd_construct(args) -> int:
     lrc_json = None
     if args.concat:
         lrc = concatenate(outer)
-        if lrc.d is None:
-            lrc.d = certify_distance(lrc, subset_budget=args.max_subsets).d
         summary["lrc"] = {"n": lrc.n, "k": lrc.k, "d": lrc.d, "r": 2}
         lrc_json = lrc.to_json()
     if args.output:
@@ -144,28 +140,16 @@ def _cmd_analyze(args) -> int:
     run_all = not (args.distance or args.weights or args.locality or args.bounds)
     d = None  # only a distance certified here feeds the bounds
 
-    weights = None
-    show_weights = args.weights or run_all
-    want_distance = args.distance or run_all or args.bounds
-    if show_weights or (is_lrc and want_distance):
+    if args.weights or run_all:
         try:
-            weights = cheapest_weights(loaded, budget=args.max_enum)
-            if show_weights:
-                report["weights"] = weights.to_json()
+            report["weights"] = loaded.cheapest_weights(args.max_enum).to_json()
         except BudgetExceeded as exc:
-            # Weights wanted only for the distance leave its search at 1.
-            if show_weights:
-                report["weights"] = {"error": str(exc)}
-                exit_code = 3
-    if want_distance:
+            report["weights"] = {"error": str(exc)}
+            exit_code = 3
+    if args.distance or run_all or args.bounds:
         try:
             if is_lrc:
-                # The weights prove no set of fewer than d/2 groups dependent,
-                # as ``LinearCode.min_distance`` starts a plain code's search.
-                known = weights.distance() if weights is not None else None
-                cert = certify_distance(
-                    loaded, subset_budget=args.max_subsets, start=known // 2 if known else 1
-                )
+                cert = loaded.min_distance(args.max_enum, args.max_subsets)
             else:
                 cert = code.min_distance(budget=args.max_enum)
             d = cert.d
@@ -337,6 +321,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag, value in (("--max-enum", args.max_enum), ("--max-subsets", args.max_subsets)):
+            if value < 0:
+                raise Gf4LrcError(f"{flag} must be >= 0, got {value}")
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ pair the outer code's ``bit_columns`` holds for h, as plain ints.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .code import (
@@ -87,18 +88,41 @@ class BinaryLrc:
             if cols[g[0]] >> self.ell:
                 raise ValueError(f"lower block under group {i} position 0 not zero")
 
-    def outer_parity_check(self) -> Optional[FieldMatrix]:
-        """The GF(4) parity check of the outer code this LRC concatenates.
+    @cached_property
+    def outer(self) -> Optional[LinearCode]:
+        """The GF(4) outer code this LRC concatenates, or None.
 
-        Its columns are the e1s, returned when every group's pair is
-        (h, w*h); otherwise None.
+        Its parity check's columns are the e1s when every group's pair is
+        (h, w*h).  ``concatenate`` sets the outer code it was given, so the
+        weights that code has cached serve the LRC.
         """
         if self.u % 2:
             return None
         lo = lo_mask(self.u // 2)
         if any([e1, e2] != binary_expansion(4, [e1], lo) for e1, e2 in self.e_vectors):
             return None
-        return FieldMatrix(4, self.ell, self.u // 2, [e1 for e1, _ in self.e_vectors]).transpose()
+        h = FieldMatrix(4, self.ell, self.u // 2, [e1 for e1, _ in self.e_vectors])
+        return LinearCode.from_parity(h.transpose())
+
+    def cheapest_weights(self, budget: int = DEFAULT_ENUM_BUDGET) -> WeightDistribution:
+        """Exact weights: the outer code's, lifted (A'_{2j} = A_j), which never
+        enumerates more words than the LRC (4^k1 = 2^k); else the binary
+        code's ``LinearCode.cheapest_weights``."""
+        if self.outer is None:
+            return self.code.cheapest_weights(budget)
+        return lrc_weights_from_outer(self.outer.cheapest_weights(budget))
+
+    def min_distance(
+        self, budget: int = DEFAULT_ENUM_BUDGET, subset_budget: int = DEFAULT_SUBSET_BUDGET
+    ) -> DistanceCertificate:
+        """Exact distance by ``certify_distance``, started at d/2 groups when
+        the weights fit ``budget`` (they prove no smaller set dependent), as
+        ``LinearCode.min_distance`` starts at d; else at 1 group."""
+        try:
+            d = self.cheapest_weights(budget).distance()
+        except BudgetExceeded:  # nothing proven below one group
+            d = None
+        return certify_distance(self, subset_budget, start=d // 2 if d else 1)
 
     @property
     def n(self) -> int:
@@ -160,7 +184,8 @@ def concatenate(outer: LinearCode) -> BinaryLrc:
 
     Produces the [3*n1, 2*k1, 2*d1; r=2] code whose codewords are the
     symbolwise inner encodings of outer codewords.  The distance field is
-    filled from the outer code's cached distance certificate when present.
+    filled from the outer code's cached distance certificate when present,
+    and the LRC's ``outer`` is ``outer`` itself.
     """
     if outer.q != 4:
         raise FieldMismatch("outer code must be over GF(4)")
@@ -174,7 +199,9 @@ def concatenate(outer: LinearCode) -> BinaryLrc:
     cached = outer.cached_distance
     d = 2 * cached.d if cached is not None else None
     groups = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(ell)]
-    return BinaryLrc(code, groups, d=d)
+    lrc = BinaryLrc(code, groups, d=d)
+    lrc.outer = outer
+    return lrc
 
 
 def group_subspaces(lrc: BinaryLrc) -> list[list[tuple[int, ...]]]:
@@ -289,25 +316,6 @@ def lrc_weights_from_outer(outer_weights: WeightDistribution) -> WeightDistribut
     for j, a in enumerate(outer_weights.counts):
         counts[2 * j] = a
     return WeightDistribution(3 * n1, 2 * outer_weights.k, 2, tuple(counts))
-
-
-def cheapest_weights(
-    loaded: LinearCode | BinaryLrc, budget: int = DEFAULT_ENUM_BUDGET
-) -> WeightDistribution:
-    """Exact weight distribution, enumerating the smallest side.
-
-    An LRC whose pairs are (h, w*h) takes its outer code's weights and
-    lifts them (A'_{2j} = A_j); 4^k1 = 2^k, so that never enumerates more
-    words than the LRC itself.  Any other code takes
-    ``LinearCode.cheapest_weights``.  ``weight_map_check`` and ``reproduce``
-    test the weight map itself, so they enumerate the LRC instead.
-    """
-    if isinstance(loaded, BinaryLrc):
-        h = loaded.outer_parity_check()
-        if h is not None:
-            return lrc_weights_from_outer(LinearCode.from_parity(h).cheapest_weights(budget))
-        loaded = loaded.code
-    return loaded.cheapest_weights(budget)
 
 
 def weight_map_check(

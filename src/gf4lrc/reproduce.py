@@ -14,7 +14,6 @@ from fractions import Fraction
 from . import bounds, families
 from .concat import (
     certify_distance,
-    cheapest_weights,
     concatenate,
     locality_check,
     lrc_weights_from_outer,
@@ -210,7 +209,7 @@ def _example_6_2(heavy: bool = False) -> ReproduceItem:
     }
     if heavy:
         # Only the 2^26-word LRC is enumerated; the outer weights come from the dual.
-        outer_weights = cheapest_weights(outer)
+        outer_weights = outer.cheapest_weights()
         lrc_weights = lrc.code.weight_distribution()
         expected["weight_map_ok"] = True
         computed["weight_map_ok"] = lrc_weights == lrc_weights_from_outer(outer_weights)

@@ -247,7 +247,7 @@ def test_analyze_distance_of_the_reordered_hexacode_lrc(tmp_path, capsys, monkey
     lrc = concatenate(hexacode())
     g0, g1, g2 = lrc.groups[0]
     reordered = BinaryLrc(lrc.code, ((g0, g2, g1),) + lrc.groups[1:])
-    assert reordered.outer_parity_check() is None
+    assert reordered.outer is None
     report, starts = _analyze_distance_and_starts(
         capsys, monkeypatch, _write_lrc(tmp_path, reordered)
     )
@@ -289,6 +289,46 @@ def test_default_analyze_of_the_cyclic_lrc_takes_weights_from_the_outer_dual(tmp
     report = json.loads(out)
     assert report["weights"] == {"error": "16384 codewords exceed enumeration budget 16383"}
     assert report["distance"]["d"] == 10
+
+
+def test_construct_concat_out_of_budget_writes_an_lrc_whose_d_analyze_certifies(
+    tmp_path, capsys
+):
+    # --max-enum 1 cuts the outer search short, so the LRC's d is null;
+    # construct still writes both files, and analyze certifies d.
+    base = tmp_path / "c1"
+    code, out, _ = run_cli(capsys, "construct", "cyclic4", "--n", "43", "--poly",
+                           "1 0 W 1 1 w 0 1", "--concat", "--max-enum", "1",
+                           "--max-subsets", "1", "--output", str(base))
+    assert code == 0
+    assert json.loads(out)["lrc"] == {"n": 129, "k": 72, "d": None, "r": 2}
+    assert (tmp_path / "c1.code").exists() and (tmp_path / "c1.lrc.json").exists()
+    code, out, _ = run_cli(capsys, "analyze", str(tmp_path / "c1.lrc.json"), "--distance")
+    assert code == 0
+    distance = json.loads(out)["distance"]
+    assert (distance["d"], distance["method"]) == (10, "group_rank")
+
+
+@pytest.mark.parametrize("flag", ["--max-enum", "--max-subsets"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "hamming4", "--t", "2"],
+        ["analyze", "LRC"],
+        ["bounds", "--n", "15", "--k", "6", "--d", "6"],
+        ["repair", "LRC", "--random-t", "1"],
+        ["reproduce"],
+    ],
+    ids=["construct", "analyze", "bounds", "repair", "reproduce"],
+)
+def test_a_negative_budget_exits_2_on_every_subcommand(tmp_path, capsys, argv, flag):
+    base = tmp_path / "ham"
+    run_cli(capsys, "construct", "hamming4", "--t", "2", "--concat", "--output", str(base))
+    lrc = str(tmp_path / "ham.lrc.json")
+    argv = [lrc if a == "LRC" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv, flag, "-1")
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} must be >= 0, got -1\n"
 
 
 @pytest.mark.parametrize("family", [["hamming4", "--t", "2"], ["hexacode"]], ids=["ham", "hex"])

@@ -280,8 +280,8 @@ def test_outer_parity_check_survives_a_json_round_trip(outer_corpus, family_oute
     for outer in outer_corpus + family_outers:
         lrc = concatenate(outer)
         again = BinaryLrc.from_json(json.loads(json.dumps(lrc.to_json())))
-        assert lrc.outer_parity_check() == outer.parity_check
-        assert again.outer_parity_check() == outer.parity_check
+        assert lrc.outer.parity_check == outer.parity_check
+        assert again.outer.parity_check == outer.parity_check
         assert again.e_vectors == lrc.e_vectors
 
 
@@ -297,7 +297,7 @@ def test_outer_parity_check_is_none_for_a_swapped_group():
     # the form (h', w*h'): w*(w*h) = w^2*h differs from h for h != 0
     obj = concatenate(hamming4(2)).to_json()
     swapped = BinaryLrc.from_json(_with_group_reordered(obj, 2, (0, 2, 1)))
-    assert swapped.outer_parity_check() is None
+    assert swapped.outer is None
 
 
 def test_loading_makes_no_entry_calls(monkeypatch):

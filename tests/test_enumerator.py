@@ -26,7 +26,7 @@ import gray_walk as gray
 from scalar_elimination import col_tuple
 from gf4lrc import code as code_module
 from gf4lrc.code import BLOCK_BITS, METHOD_COLUMN, LinearCode
-from gf4lrc.concat import BinaryLrc, cheapest_weights, concatenate, locality_check
+from gf4lrc.concat import BinaryLrc, certify_distance, concatenate, locality_check
 from gf4lrc.errors import BudgetExceeded
 from gf4lrc.families import hexacode
 from gf4lrc.matrix import FieldMatrix, scale_row
@@ -210,18 +210,18 @@ def test_a_larger_side_code_takes_d_from_its_dual_and_searches_columns_of_that_s
 def test_weights_from_the_smaller_side_match_primal_enumeration(code):
     smaller = min(code.k, code.n - code.k)
     size = code.q**smaller
-    got, walks = walked(lambda: cheapest_weights(fresh(code), budget=size))
+    got, walks = walked(lambda: fresh(code).cheapest_weights(budget=size))
     assert got == code.weight_distribution(budget=code.codeword_count())
     assert walks == [(code.n, smaller)]
     with pytest.raises(BudgetExceeded):
-        cheapest_weights(fresh(code), budget=size - 1)
+        fresh(code).cheapest_weights(budget=size - 1)
 
 
 @settings(max_examples=50, deadline=None)
 @given(small)
 def test_weights_read_a_cached_pass_whatever_the_budget(code):
     code._min_distance_exhaustive()
-    got, walks = walked(lambda: cheapest_weights(code, budget=0))
+    got, walks = walked(lambda: code.cheapest_weights(budget=0))
     assert walks == []
     assert got.counts == gray.weight_counts(code)
 
@@ -241,11 +241,11 @@ def _generated(rows) -> LinearCode:
 def test_outer_route_matches_enumerating_the_lrc(outer):
     lrc = concatenate(outer)
     size = 4 ** min(outer.k, outer.n - outer.k)
-    got, walks = walked(lambda: cheapest_weights(lrc, budget=size))
+    got, walks = walked(lambda: lrc.cheapest_weights(budget=size))
     assert got == lrc.code.weight_distribution()
     assert walks == [(outer.n, min(outer.k, outer.n - outer.k))]
     with pytest.raises(BudgetExceeded):
-        cheapest_weights(lrc, budget=size - 1)
+        concatenate(fresh(outer)).cheapest_weights(budget=size - 1)
 
 
 def _with_group_0_reordered(lrc: BinaryLrc) -> BinaryLrc:
@@ -259,15 +259,39 @@ def _with_group_0_reordered(lrc: BinaryLrc) -> BinaryLrc:
 def test_an_lrc_not_in_pair_form_takes_the_smaller_side_of_its_code(outer):
     lrc = concatenate(outer)
     reordered = _with_group_0_reordered(lrc)
-    assume(reordered.outer_parity_check() is None)
-    got, walks = walked(lambda: cheapest_weights(reordered))
+    assume(reordered.outer is None)
+    got, walks = walked(lambda: reordered.cheapest_weights())
     assert got == lrc.code.weight_distribution()
     assert walks == [(lrc.n, min(lrc.k, lrc.n - lrc.k))]
 
 
 def test_the_reordered_hexacode_lrc_falls_back_to_its_code():
     reordered = _with_group_0_reordered(concatenate(hexacode()))
-    assert reordered.outer_parity_check() is None
-    got, walks = walked(lambda: cheapest_weights(reordered))
+    assert reordered.outer is None
+    got, walks = walked(lambda: reordered.cheapest_weights())
     assert walks == [(18, 6)]
     assert got == concatenate(hexacode()).code.weight_distribution()
+
+
+@settings(max_examples=40, deadline=None)
+@given(outer_codes)
+def test_an_lrc_reads_the_weights_its_outer_code_cached(outer):
+    lrc = concatenate(outer)
+    assert lrc.outer is outer
+    outer.min_distance()
+    got, walks = walked(lambda: lrc.cheapest_weights())
+    assert walks == []
+    assert got == lrc.code.weight_distribution()
+
+
+def test_an_lrc_with_an_odd_lower_block_has_no_outer_code():
+    # The hexacode LRC's parity check without its last row is an
+    # [18,7;2] LRC with u = 5 rows below the group parities.
+    hexa = concatenate(hexacode())
+    h = hexa.code.parity_check
+    cut = FieldMatrix(2, h.nrows - 1, h.ncols, h.rows[:-1])
+    lrc = BinaryLrc(LinearCode.from_parity(cut), hexa.groups)
+    assert (lrc.n, lrc.k, lrc.u) == (18, 7, 5)
+    assert lrc.outer is None
+    assert lrc.cheapest_weights() == lrc.code.weight_distribution()
+    assert lrc.min_distance() == certify_distance(lrc)
