@@ -10,6 +10,7 @@ Output is deterministic JSON (sorted keys, no timestamps unless
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -30,11 +31,38 @@ from .projective import CapSet, bundled_cap_pg3_17
 from .repair import PerSymbolErasures, RandomErasures, simulate
 
 
+def _json_text(obj, indent: str = "\n") -> str:
+    """What ``json.dumps`` writes with sorted keys and a two-space indent,
+    for a value with str keys.  Every key and scalar goes through
+    ``json.dumps``; a flat list of plain ints is joined in one step, not
+    item by item as the pure-Python encoder that an indent selects does."""
+    inner = indent + "  "
+    sep = "," + inner
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(json.dumps(key) + ": " + _json_text(value, inner))
+        return "{" + inner + sep.join(items) + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {int}:
+            items = map(int.__repr__, obj)
+        else:
+            items = [_json_text(x, inner) for x in obj]
+        return "[" + inner + sep.join(items) + indent + "]"
+    return json.dumps(obj)
+
+
 def _emit(args, obj) -> None:
     if getattr(args, "timestamps", False):
         obj = dict(obj)
         obj["generated_at"] = datetime.now(timezone.utc).isoformat()
-    print(json.dumps(obj, sort_keys=True, indent=2))
+    print(_json_text(obj))
 
 
 def _parse_poly(text: str) -> list[int]:
@@ -116,7 +144,7 @@ def _cmd_construct(args) -> int:
         summary["code_file"] = str(code_path)
         if lrc_json is not None:
             lrc_path = base.with_suffix(".lrc.json")
-            lrc_path.write_text(json.dumps(lrc_json, sort_keys=True, indent=2) + "\n")
+            lrc_path.write_text(_json_text(lrc_json) + "\n")
             summary["lrc_file"] = str(lrc_path)
     else:
         summary["code_text"] = code_text
@@ -250,7 +278,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="include a generation timestamp in JSON output")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use."""
     parser = argparse.ArgumentParser(
         prog="gf4lrc",
         description="Binary locality-2 LRCs from GF(4) outer codes: "

@@ -272,9 +272,11 @@ class LinearCode:
             elif self.k <= self.n - self.k:
                 self._cheapest = self.weight_distribution(budget)
             else:
-                dual = self.dual()
-                weights = dual.weight_distribution(budget)
-                self._cheapest = macwilliams(weights, dual.codeword_count(), self.n, self.q)
+                total = self.q ** (self.n - self.k)  # checked before the dual is built
+                if total > budget:
+                    raise BudgetExceeded(f"{total} codewords exceed enumeration budget {budget}")
+                weights = self.dual().weight_distribution(budget)
+                self._cheapest = macwilliams(weights, total, self.n, self.q)
         return self._cheapest
 
     # -- minimum distance --------------------------------------------------

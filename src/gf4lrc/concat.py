@@ -284,10 +284,10 @@ def locality_check(
                     covering[pos] = row
             return CoverageReport(r, tuple(covering), True)
         code = code.code
-    dual = code.dual()
-    total = dual.codeword_count()
+    total = code.q ** (code.n - code.k)
     if total > budget:
         raise BudgetExceeded(f"dual enumeration of {total} words exceeds {budget}")
+    dual = code.dual()
     covering = [None] * code.n
     remaining = code.n
     # Each coordinate takes the first dual word in step order of weight

@@ -200,13 +200,14 @@ def _decode(lrc: BinaryLrc, known: int, erased: int) -> tuple[Optional[int], int
             low = rest & -rest
             dependent += not xor_insert(basis, cols[low.bit_length() - 1], low)[0]
             rest ^= low
-        residual, solution = xor_reduce(basis, lrc.code.syndrome(known))
+        # The zero word, all that simulate passes, has syndrome 0: nothing to solve.
+        residual, solution = xor_reduce(basis, lrc.code.syndrome(known)) if known else (0, 0)
         if residual:
             raise ValueError("word is not consistent with any codeword")
         if dependent:
             return None, dependent, local
         return known | solution, 0, local  # the zero residual makes its syndrome 0
-    if lrc.code.syndrome(known):
+    if known and lrc.code.syndrome(known):
         raise ValueError("word is not consistent with any codeword")
     return known, 0, local
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -13,7 +14,8 @@ import gf4lrc
 from conftest import random_linear_code
 from gf4lrc import code as code_module
 from gf4lrc import concat as concat_module
-from gf4lrc.cli import _load_input, main
+from gf4lrc import cli
+from gf4lrc.cli import _json_text, _load_input, main
 from gf4lrc.concat import BinaryLrc, certify_distance, concatenate
 from gf4lrc.families import hexacode
 
@@ -172,6 +174,32 @@ def test_analyze_budget_exhaustion_exits_3(tmp_path, capsys):
     report = json.loads(out)
     assert report["distance"]["bracket"] == [2, None]
     assert report["bounds"] == {"error": "distance unavailable within budget"}
+
+
+def test_out_of_budget_weights_and_locality_build_no_dual(tmp_path, capsys, monkeypatch):
+    # Both codes are the larger side: their weights and coverage come from
+    # dual words, and q^(n-k) is checked before a dual is built.
+    run_cli(capsys, "construct", "cyclic4", "--n", "43", "--poly", "1 0 W 1 1 w 0 1",
+            "--concat", "--output", str(tmp_path / "cyc"))
+    run_cli(capsys, "construct", "cap", "--output", str(tmp_path / "cap"))
+    # Without its d= header, ingest does not verify d, so nothing is cached.
+    cap = tmp_path / "cap.code"
+    cap.write_text(cap.read_text().replace(" d=4", ""))
+    built = []
+    dual = code_module.LinearCode.dual
+    monkeypatch.setattr(code_module.LinearCode, "dual", lambda self: built.append(self) or dual(self))
+
+    code, out, _ = run_cli(capsys, "analyze", str(tmp_path / "cyc.lrc.json"), "--max-enum", "100")
+    assert code == 3
+    report = json.loads(out)
+    assert report["weights"] == {"error": "16384 codewords exceed enumeration budget 100"}
+    assert report["distance"]["d"] == 10
+    code, out, _ = run_cli(capsys, "analyze", str(cap), "--max-enum", "100")
+    assert code == 3
+    report = json.loads(out)
+    assert report["weights"] == {"error": "256 codewords exceed enumeration budget 100"}
+    assert report["locality"] == {"error": "dual enumeration of 256 words exceeds 100"}
+    assert built == []
 
 
 def test_default_analyze_starts_the_group_search_where_the_weights_leave_it(tmp_path, capsys):
@@ -599,3 +627,80 @@ def test_construct_ingest_reports_the_field_of_a_binary_code(tmp_path, capsys):
     summary = json.loads(out)
     assert summary["outer"] == {"n": 3, "k": 1, "d": 3, "q": 2}
     assert summary["code_text"].startswith("field=2 ")
+
+
+# -- in-process reuse and the JSON writer ------------------------------------
+
+
+def test_main_builds_one_parser_tree_per_process(capsys, monkeypatch):
+    cli.build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    argv = ["bounds", "--n", "15", "--k", "6", "--d", "6"]
+    assert run_cli(capsys, *argv) == run_cli(capsys, *argv)
+    # The root parser and one per subcommand, built once.
+    assert built == ["gf4lrc"] + [f"gf4lrc {c}" for c in
+                                  ("construct", "analyze", "bounds", "repair", "reproduce")]
+
+
+def test_back_to_back_calls_leave_no_state_behind(tmp_path, capsys):
+    run_cli(capsys, "construct", "hexacode", "--concat", "--output", str(tmp_path / "hex"))
+    lrc = str(tmp_path / "hex.lrc.json")
+    distance = run_cli(capsys, "analyze", lrc, "--distance")
+    full = run_cli(capsys, "analyze", lrc)
+    assert run_cli(capsys, "analyze", lrc, "--distance") == distance
+    assert set(json.loads(distance[1])) == {"n", "k", "q", "is_lrc", "distance"}
+    cli.build_parser.cache_clear()
+    assert run_cli(capsys, "analyze", lrc) == full
+    assert {"weights", "locality", "bounds"} <= set(json.loads(full[1]))
+
+    helps = []
+    for argv, status in ((["analyze", "--help"], 0), (["analyze", lrc, "--bogus"], 2)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == status
+        helps.append(capsys.readouterr())
+        assert run_cli(capsys, "analyze", lrc) == full
+    assert helps[0].out.startswith("usage: gf4lrc analyze")
+    assert "unrecognized arguments: --bogus" in helps[1].err
+
+
+_ESCAPES = st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x7f", "é", "€", "\U0001f600"])
+_STRINGS = st.text() | st.lists(_ESCAPES | st.text(max_size=3)).map("".join)
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**400), 10**400)
+    | st.floats() | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+    | _STRINGS
+)
+_JSON_VALUES = st.recursive(
+    _SCALARS | st.lists(st.integers()),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+    | st.dictionaries(_STRINGS, inner),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_json_text_is_the_stdlib_indented_text(value):
+    assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_json_text_rejects_a_key_that_is_not_a_str():
+    with pytest.raises(TypeError, match="keys must be str"):
+        _json_text({"a": {1: 2}})
+
+
+def test_reports_and_lrc_files_are_the_stdlib_indented_text(tmp_path, capsys):
+    run_cli(capsys, "construct", "hexacode", "--concat", "--output", str(tmp_path / "hex"))
+    written = (tmp_path / "hex.lrc.json").read_text()
+    assert written == json.dumps(json.loads(written), sort_keys=True, indent=2) + "\n"
+    for argv in (["analyze", str(tmp_path / "hex.lrc.json")], ["reproduce", "--json"]):
+        out = run_cli(capsys, *argv)[1]
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"

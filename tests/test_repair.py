@@ -234,9 +234,7 @@ def test_simulate_draws_in_bulk_once_per_trial(lrc, monkeypatch):
         assert calls == {"draw": 50, "lanes": 50}, model
 
 
-def test_simulate_computes_one_syndrome_per_trial(lrc, monkeypatch):
-    """A global solve's zero residual stands for the final check; only a
-    wholly local repair needs one."""
+def _count_syndromes(monkeypatch) -> collections.Counter:
     calls = collections.Counter()
     syndrome = LinearCode.syndrome
 
@@ -245,16 +243,39 @@ def test_simulate_computes_one_syndrome_per_trial(lrc, monkeypatch):
         return syndrome(self, word)
 
     monkeypatch.setattr(LinearCode, "syndrome", counted)
+    return calls
+
+
+def test_simulate_computes_no_syndrome(lrc, monkeypatch):
+    """Every trial decodes the zero word, whose syndrome is 0."""
+    calls = _count_syndromes(monkeypatch)
     reports = {}
     for model in (RandomErasures(1), RandomErasures(5), RandomErasures(9), PerSymbolErasures(0.3)):
         calls.clear()
         reports[model] = simulate(lrc, 200, model, seed=7)
-        assert calls["syndrome"] == 200, model
+        assert calls["syndrome"] == 0, model
     # Wholly local, globally solved and ambiguous trials all ran.
     assert reports[RandomErasures(1)].local_fraction == 1
     assert reports[RandomErasures(5)].local_fraction < 1
     assert reports[RandomErasures(5)].success_rate == 1
     assert reports[RandomErasures(9)].success_rate < 1
+
+
+def test_global_decode_checks_a_nonzero_word(lrc, monkeypatch):
+    """A nonzero word costs one syndrome, after local repairs or as the
+    right-hand side of the global solve, and one that is no codeword fails."""
+    cw = lrc.code.encode([1, 0, 1, 1, 0, 1])
+    calls = _count_syndromes(monkeypatch)
+    for erased, method in (((0,), "local"), ((0, 1), "global")):
+        word = list(cw)
+        for p in erased:
+            word[p] = None
+        calls.clear()
+        out = global_decode(lrc, word)
+        assert (out.word, out.methods[0], calls["syndrome"]) == (cw, method, 1)
+        word[erased[-1] + 1] ^= 1
+        with pytest.raises(ValueError, match="not consistent with any codeword"):
+            global_decode(lrc, word)
 
 
 def test_simulate_single_erasure(lrc):
