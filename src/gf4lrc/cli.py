@@ -12,8 +12,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import bounds, families, reproduce
@@ -33,9 +35,10 @@ from .repair import PerSymbolErasures, RandomErasures, simulate
 
 def _json_text(obj, indent: str = "\n") -> str:
     """What ``json.dumps`` writes with sorted keys and a two-space indent,
-    for a value with str keys.  Every key and scalar goes through
-    ``json.dumps``; a flat list of plain ints is joined in one step, not
-    item by item as the pure-Python encoder that an indent selects does."""
+    for a value with str keys.  Keys and scalars are written as the
+    stdlib's encoder writes them (``_json_scalar``); a flat list of plain
+    ints is joined in one step, not item by item as the pure-Python
+    encoder that an indent selects does."""
     inner = indent + "  "
     sep = "," + inner
     if isinstance(obj, dict):
@@ -45,7 +48,7 @@ def _json_text(obj, indent: str = "\n") -> str:
         for key, value in sorted(obj.items()):
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(json.dumps(key) + ": " + _json_text(value, inner))
+            items.append(encode_basestring_ascii(key) + ": " + _json_text(value, inner))
         return "{" + inner + sep.join(items) + indent + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -55,7 +58,30 @@ def _json_text(obj, indent: str = "\n") -> str:
         else:
             items = [_json_text(x, inner) for x in obj]
         return "[" + inner + sep.join(items) + indent + "]"
-    return json.dumps(obj)
+    return _json_scalar(obj)
+
+
+def _json_scalar(obj) -> str:
+    """A str, None, bool, int or float as ``json.dumps`` writes it."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj == math.inf:
+            return "Infinity"
+        if obj == -math.inf:
+            return "-Infinity"
+        return float.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit(args, obj) -> None:

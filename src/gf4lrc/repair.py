@@ -23,16 +23,19 @@ implementations.  State update per draw, all mod 2^64:
 Trial i of a simulation uses an independent stream seeded with seed + i, so
 statistics do not depend on scheduling or trial order.
 
-A trial draws in bulk, with the stream of one output per draw unchanged.
-``SplitMix64.lanes(m)`` returns the next m outputs in one int of m 128-bit
-lanes, the (j+1)-th output u_j in bits 128j..128j+63 of lane j.  From
-state s (already reduced mod 2^64), lane j starts as the state
-(s + (j+1)*gamma) mod 2^64 of that draw, built as (s*L + gamma*J) & M64
-with L = sum 2^(128j), J = sum (j+1)*2^(128j) and M64 = (2^64-1)*L.  Each
-mixing step is then one shift, XOR, mask, multiply and mask over all
-lanes.  This is exact because a lane holds at most 64 bits before each
-step: a 64x64-bit product, and the bits a right shift brings in from the
-next lane, both land in the lane's top half, which the mask clears.
+Draws are made in bulk, with the stream of one output per draw unchanged.
+``SplitMix64.lanes(m, c)`` returns the next m outputs of c streams, the
+generator's own and those seeded at its state + 1, ..., + c - 1, in one
+int of 128-bit lanes: output j+1 of stream i, u_ij, in bits 128l..128l+63
+of lane l = i*m + j.  From state s (already reduced mod 2^64), lane l
+starts as the state (s + i + (j+1)*gamma) mod 2^64 of that draw, built as
+(s*L + S) & M64 with L = sum 2^(128l), S = sum (i + (j+1)*gamma)*2^(128l)
+and M64 = (2^64-1)*L.  Each mixing step is then one shift, XOR, mask,
+multiply and mask over all lanes.  This is exact because a lane holds at
+most 64 bits before each step: a 64x64-bit product, and the bits a right
+shift brings in from the next lane, both land in the lane's top half,
+which the mask clears.  ``lanes(m)``, one stream, is the next m outputs of
+the generator.
 
 The code is linear, so whether an erased set can be repaired, and which
 of its positions are repaired locally, depends only on the set and not
@@ -40,24 +43,38 @@ on the codeword: a trial decodes the zero word.  Its stream still skips
 its first k outputs, the bits of the random k-bit message that a trial
 which encodes a real codeword draws first, by starting the state at
 seed + i + k*gamma, what k draws add to it.  So the erased sets, and
-every report, equal those of such a trial.  The model's ``draw`` takes
-the outputs after the skipped ones:
+every report, equal those of such a trial.
 
-- ``RandomErasures`` runs Fisher-Yates on ``lanes(t)``, swapping
-  position i with i + u_i mod (n - i).
-- ``PerSymbolErasures`` erases position i when u_i drawn as a float,
-  (u_i >> 11) * 2^-53, is below p.  Scaling by 2^53 is exact for p in
-  [0, 1], so for the integer u_i >> 11 the test is (u_i >> 11) < T with
-  T = ceil(p*2^53), that is u_i < T*2^11 <= 2^64.  All n lanes compare in
-  one subtraction: lane i of (T*2^11 + 2^64 - 1)*L - ``lanes(n)`` lies in
-  [0, 2^65), so no lane borrows from the next, and its bit 64 is set
-  exactly when u_i < T*2^11.
+``simulate`` takes a block of consecutive trials at a time, at most about
+``_BLOCK_LANES`` lanes, and the model's ``draw(rng, n, c)`` draws the
+erasures of all c trials of a block from one ``lanes`` call: trial i of
+the block takes stream i, its outputs after the skipped ones.  It returns
+the erased cells i*n + p, one for each position p that trial i erases, so
+with c = 1 the cells are the positions.
+
+- ``RandomErasures`` runs Fisher-Yates on each trial's t lanes, swapping
+  position j with j + u_ij mod (n - j).
+- ``PerSymbolErasures`` erases position j of trial i when u_ij drawn as a
+  float, (u_ij >> 11) * 2^-53, is below p.  Scaling by 2^53 is exact for
+  p in [0, 1], so for the integer u_ij >> 11 the test is (u_ij >> 11) < T
+  with T = ceil(p*2^53), that is u_ij < T*2^11 <= 2^64.  All c*n lanes
+  compare in one subtraction: lane l of (T*2^11 + 2^64 - 1)*L -
+  ``lanes(n, c)`` lies in [0, 2^65), so no lane borrows from the next,
+  and its bit 64 is set exactly when its output is below T*2^11.
+
+The cells of a block fold into one erased-position mask per trial, and
+the masks are tallied by erased set, so a run holds one count per
+distinct set and one block of masks.  Each distinct set is decoded once
+and its totals weighted by its count: the outcome depends on the set
+alone.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import struct
+from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import compress
 from typing import Optional, Sequence
@@ -71,13 +88,23 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
+#: A block of ``simulate`` holds _BLOCK_LANES // n trials (at least one),
+#: so a draw takes at most about this many lanes: n per trial for
+#: ``PerSymbolErasures``, t <= n for ``RandomErasures``.  The lane ints of
+#: a block, 16 bytes a lane, stay in cache.
+_BLOCK_LANES = 1024
 
-@functools.cache
-def _lane_constants(m: int) -> tuple[int, int, int]:
-    """(L, J, M64) for m lanes; see the module docstring."""
-    ones = sum(1 << 128 * j for j in range(m))
-    steps = sum((j + 1) << 128 * j for j in range(m))
-    return ones, steps, _MASK64 * ones
+
+@functools.lru_cache(maxsize=64)
+def _lane_constants(m: int, streams: int) -> tuple[int, int, int]:
+    """(L, S, M64) for streams of m lanes each; see the module docstring.
+    Bounded: the last, shorter block of each run adds a key."""
+    count = m * streams
+    ones = int.from_bytes(b"\1".ljust(16, b"\0") * count, "little")
+    starts = b"".join(
+        (i + (j + 1) * _GAMMA).to_bytes(16, "little") for i in range(streams) for j in range(m)
+    )
+    return ones, int.from_bytes(starts, "little"), _MASK64 * ones
 
 
 class SplitMix64:
@@ -93,10 +120,13 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
-    def lanes(self, m: int) -> int:
-        """The next m outputs, the (j+1)-th in bits 128j..128j+63 of one int."""
-        ones, steps, mask = _lane_constants(m)
-        z = (self.state * ones + _GAMMA * steps) & mask
+    def lanes(self, m: int, streams: int = 1) -> int:
+        """The next m outputs of this generator and of those seeded at its
+        state + 1, ..., + streams - 1: output j+1 of stream i in bits
+        128l..128l+63 of one int, l = i*m + j.  The state moves on by m
+        draws, as the first stream's does."""
+        ones, starts, mask = _lane_constants(m, streams)
+        z = (self.state * ones + starts) & mask
         self.state = (self.state + m * _GAMMA) & _MASK64
         z = ((z ^ (z >> 30)) & mask) * _MIX1 & mask
         z = ((z ^ (z >> 27)) & mask) * _MIX2 & mask
@@ -225,15 +255,27 @@ class RandomErasures:
         if self.t < 0:
             raise ValueError("erasure count must be >= 0")
 
-    def draw(self, rng: SplitMix64, n: int) -> frozenset[int]:
-        if self.t > n:
-            raise ValueError(f"cannot erase {self.t} of {n} positions")
-        pool = list(range(n))
-        lanes = rng.lanes(self.t)
-        for i in range(self.t):
-            j = i + (lanes >> 128 * i & _MASK64) % (n - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return frozenset(pool[: self.t])
+    def draw(self, rng: SplitMix64, n: int, trials: int = 1) -> frozenset[int]:
+        """The erased cells i*n + p of ``trials`` trials, trial i erasing
+        position p, drawn from stream i of ``rng.lanes``."""
+        t = self.t
+        if t > n:
+            raise ValueError(f"cannot erase {t} of {n} positions")
+        count = t * trials
+        lanes = rng.lanes(t, trials).to_bytes(16 * count, "little")
+        # A lane's output is its low 8 bytes.
+        draws = iter(struct.unpack("<" + "Q8x" * count, lanes))
+        steps, sizes, positions = range(t), range(n, n - t, -1), list(range(n))
+        cells = []
+        for base in range(0, n * trials, n):
+            # Fisher-Yates; position r is final once step r has run, so the
+            # swap only moves the old entry r to j.
+            pool = positions.copy()
+            for r, u, size in zip(steps, draws, sizes):
+                j = r + u % size
+                cells.append(base + pool[j])
+                pool[j] = pool[r]
+        return frozenset(cells)
 
     def to_json(self) -> dict:
         return {"name": "random_t_erasures", "t": self.t}
@@ -249,12 +291,15 @@ class PerSymbolErasures:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("erasure probability must lie in [0, 1]")
 
-    def draw(self, rng: SplitMix64, n: int) -> frozenset[int]:
-        ones = _lane_constants(n)[0]
+    def draw(self, rng: SplitMix64, n: int, trials: int = 1) -> frozenset[int]:
+        """The erased cells i*n + p of ``trials`` trials, trial i erasing
+        position p, drawn from stream i of ``rng.lanes``."""
+        count = n * trials
+        ones = _lane_constants(n, trials)[0]
         top = (math.ceil(self.p * 2**53) << 11) + _MASK64
-        # Byte 8 of lane i holds its bit 64: 1 exactly when unit() < p.
-        below = (top * ones - rng.lanes(n)).to_bytes(16 * n, "little")[8::16]
-        return frozenset(compress(range(n), below))
+        # Byte 8 of lane l holds its bit 64: 1 exactly when unit() < p.
+        below = (top * ones - rng.lanes(n, trials)).to_bytes(16 * count, "little")[8::16]
+        return frozenset(compress(range(count), below))
 
     def to_json(self) -> dict:
         return {"name": "per_symbol_prob", "p": self.p}
@@ -276,7 +321,8 @@ class SimulationReport:
 def simulate(lrc: BinaryLrc, trials: int, model, seed: int = 0) -> SimulationReport:
     """Batch failure injection; deterministic under a fixed seed.
 
-    Per trial the model erases positions and decoding is attempted.
+    Per trial the model erases positions, and each distinct erased set
+    is decoded once, weighted by the number of trials that drew it.
     local_fraction counts locally repaired symbols over all erased
     symbols; mean_accessed averages the per-symbol access counts over all
     repaired symbols.
@@ -284,28 +330,32 @@ def simulate(lrc: BinaryLrc, trials: int, model, seed: int = 0) -> SimulationRep
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n, k = lrc.n, lrc.k
+    block = max(1, _BLOCK_LANES // n)
+    tally: Counter[int] = Counter()
+    for first in range(0, trials, block):
+        size = min(block, trials - first)
+        masks = [0] * size
+        for cell in model.draw(SplitMix64(seed + first + k * _GAMMA), n, size):
+            masks[cell // n] |= 1 << cell % n
+        tally.update(masks)
     successes = 0
     erased_total = 0
     local_total = 0
     accessed_total = 0
     repaired_total = 0
-    for trial in range(trials):
-        rng = SplitMix64(seed + trial + k * _GAMMA)
-        erased = 0
-        for p in model.draw(rng, n):
-            erased |= 1 << p
+    for erased, count in tally.items():
         t = erased.bit_count()
-        erased_total += t
+        erased_total += count * t
         _, solution_dim, local = _decode(lrc, 0, erased)
         local_count = local.bit_count()
-        local_total += local_count
-        accessed_total += 2 * local_count
+        local_total += count * local_count
+        accessed_total += count * 2 * local_count
         if solution_dim:
-            repaired_total += local_count
+            repaired_total += count * local_count
             continue
-        repaired_total += t
-        accessed_total += (t - local_count) * (n - t)
-        successes += 1
+        repaired_total += count * t
+        accessed_total += count * (t - local_count) * (n - t)
+        successes += count
     return SimulationReport(
         trials=trials,
         model=model.to_json(),

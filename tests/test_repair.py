@@ -202,36 +202,54 @@ def test_simulate_trial_stays_packed(lrc, monkeypatch):
     assert calls == {"unpack_row": 1, "row_support": 1}
 
 
-def test_simulate_draws_in_bulk_once_per_trial(lrc, monkeypatch):
-    """No trial takes a scalar ``next_u64``, and each calls its model's
-    ``draw`` exactly once: the erasure count of a run is the sum of the
-    sizes ``draw`` returns.  The draw's ``lanes`` is a trial's only one:
-    no message is drawn."""
+def test_simulate_draws_once_per_block_and_decodes_each_set_once(lrc, monkeypatch):
+    """No trial takes a scalar ``next_u64``; each block of trials calls its
+    model's ``draw`` once, the sizes ``draw`` returns sum to the run's
+    erasure count, and each distinct erased set is decoded once."""
+    trials, seed = 150, 3
+    block = repair._BLOCK_LANES // lrc.n
+    assert 1 < block < trials and trials % block
     calls = collections.Counter()
-    next_u64, lanes = SplitMix64.next_u64, SplitMix64.lanes
+    next_u64, decode = SplitMix64.next_u64, repair._decode
 
     def counted_next(self):
         calls["next_u64"] += 1
         return next_u64(self)
 
-    def counted_lanes(self, m):
-        calls["lanes"] += 1
-        return lanes(self, m)
+    def counted_decode(lrc, known, erased):
+        calls["_decode"] += 1
+        return decode(lrc, known, erased)
 
     monkeypatch.setattr(SplitMix64, "next_u64", counted_next)
-    monkeypatch.setattr(SplitMix64, "lanes", counted_lanes)
+    monkeypatch.setattr(repair, "_decode", counted_decode)
     for cls in (RandomErasures, PerSymbolErasures):
         draw = cls.__dict__["draw"]
 
-        def counted_draw(self, rng, n, draw=draw):
+        def counted_draw(self, rng, n, trials=1, draw=draw):
+            cells = draw(self, rng, n, trials)
             calls["draw"] += 1
-            return draw(self, rng, n)
+            calls["erasures"] += len(cells)
+            return cells
 
         monkeypatch.setattr(cls, "draw", counted_draw)
-    for model in (RandomErasures(7), PerSymbolErasures(0.3)):
+    distinct = {}
+    for model in (RandomErasures(2), RandomErasures(7), PerSymbolErasures(0.3)):
+        patterns = []
+        for trial in range(trials):
+            rng = SplitMix64(seed + trial)
+            for _ in range(lrc.k):
+                next_u64(rng)
+            patterns.append(reference.draw(model, rng, lrc.n))
         calls.clear()
-        simulate(lrc, 50, model, seed=3)
-        assert calls == {"draw": 50, "lanes": 50}, model
+        simulate(lrc, trials, model, seed)
+        assert calls == {
+            "draw": -(-trials // block),
+            "erasures": sum(map(len, patterns)),
+            "_decode": len(set(patterns)),
+        }, model
+        distinct[model] = len(set(patterns))
+    # Two erasures of 15 positions come in 105 sets: fewer decodes than trials.
+    assert distinct[RandomErasures(2)] < trials
 
 
 def _count_syndromes(monkeypatch) -> collections.Counter:

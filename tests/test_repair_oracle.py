@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_repair as reference
+from gf4lrc import repair
 from gf4lrc.code import LinearCode
 from gf4lrc.concat import BinaryLrc, concatenate
 from gf4lrc.errors import AmbiguousDecode
@@ -68,6 +69,57 @@ def test_simulate_matches_reference(name, data):
     seed = data.draw(st.integers(-(2**130), 2**130))
     trials = data.draw(st.integers(1, 30))
     assert simulate(lrc, trials, model, seed) == reference.simulate(lrc, trials, model, seed)
+
+
+@pytest.mark.parametrize("name", sorted(LRCS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_simulate_across_blocks_matches_reference(name, data):
+    """Blocks of 1 to 40 trials and runs of up to 150, so that most runs
+    span several blocks and end mid-block."""
+    lrc = LRCS[name]
+    model = data.draw(models(lrc.n))
+    seed = data.draw(st.integers(-(2**130), 2**130))
+    trials = data.draw(st.integers(1, 150))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(repair, "_BLOCK_LANES", data.draw(st.integers(1, 40 * lrc.n)))
+        ours = simulate(lrc, trials, model, seed)
+    assert ours == reference.simulate(lrc, trials, model, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-(2**130), 2**130), st.integers(1, 40), st.integers(1, 12), st.data())
+def test_block_draw_is_the_union_of_trial_draws(seed, n, trials, data):
+    """Trial i of a block draws from the stream seeded at seed + i, and
+    its erased positions p come back as the cells i*n + p."""
+    model = data.draw(models(n))
+    cells = model.draw(SplitMix64(seed), n, trials)
+    for draw in (model.draw, lambda rng, n: reference.draw(model, rng, n)):
+        assert cells == {i * n + p for i in range(trials) for p in draw(SplitMix64(seed + i), n)}
+
+
+@pytest.mark.parametrize("name", sorted(LRCS))
+@pytest.mark.parametrize("everything", [False, True])
+@pytest.mark.parametrize("kind", [RandomErasures, PerSymbolErasures])
+def test_simulate_erasing_nothing_or_everything(name, everything, kind, monkeypatch):
+    lrc = LRCS[name]
+    n = lrc.n
+    model = kind(n * everything) if kind is RandomErasures else kind(float(everything))
+    assert model.draw(SplitMix64(5), n, 3) == frozenset(range(3 * n) if everything else ())
+    monkeypatch.setattr(repair, "_BLOCK_LANES", 3 * n)
+    assert simulate(lrc, 10, model, 5) == reference.simulate(lrc, 10, model, 5)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [RandomErasures(0), RandomErasures(4), RandomErasures(15)]
+    + [PerSymbolErasures(p) for p in (0.0, 0.3, 1.0)],
+    ids=repr,
+)
+def test_single_trial_draw_is_the_erased_positions(model):
+    for seed in range(-3, 4):
+        positions = reference.draw(model, SplitMix64(seed), 15)
+        assert model.draw(SplitMix64(seed), 15, 1) == model.draw(SplitMix64(seed), 15) == positions
 
 
 @pytest.mark.parametrize("name", sorted(LRCS))
