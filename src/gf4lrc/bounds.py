@@ -334,6 +334,8 @@ def classify(
     """
     if min(n, k, d, r) < 1:
         raise InvalidShape(f"n, k, d and r must be >= 1, got {n}, {k}, {d}, {r}")
+    if max(k, d) > n:
+        raise InvalidShape(f"k and d must be <= n, got n={n}, k={k}, d={d}")
     entries = []
 
     def add(name: str, direction: str, value: int, actual: int) -> bool:

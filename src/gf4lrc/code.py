@@ -1,9 +1,15 @@
 """Linear codes over GF(2)/GF(4): distance, weight enumerator, duality.
 
-A code keeps one binary view: ``bit_rows`` and ``bit_columns`` are the
-pair expansions (r, w*r over GF(4), r over GF(2)) of G's rows and H's
-columns, over which a packed message or word is a bit vector, so encoding
-and the syndrome are each one ``xor_combine``.  Codewords are enumerated
+A code keeps the matrix it was built from and derives the rest on first
+read.  ``from_parity`` checks H's rank with one elimination
+(``rows_rank``) and derives G as H's nullspace only when G is first read,
+checking there that G is orthogonal to H; ``from_generator`` derives H at
+once, since every caller needs it.  A dual reads its sides through its
+primal, checked once there.  The binary view is derived the same way:
+``bit_rows`` and ``bit_columns`` are the pair expansions (r, w*r over
+GF(4), r over GF(2)) of G's rows and H's columns, over which a packed
+message or word is a bit vector, so encoding and the syndrome are each
+one ``xor_combine``.  Codewords are enumerated
 in binary-reflected Gray-step order: step m stands for the message bits
 gray(m) = m ^ (m >> 1).  Since sum_i gray(m)_i r_i equals
 sum_i m_i (r_i ^ r_(i-1)), step m's codeword is the XOR of the step rows
@@ -23,6 +29,7 @@ first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, NonIntegerResult, RankDeficient, ShapeMismatch
@@ -30,6 +37,7 @@ from .matrix import (
     FieldMatrix,
     binary_expansion,
     pack_row,
+    rows_rank,
     smallest_dependent_set,
     unpack_row,
     xor_combine,
@@ -88,29 +96,34 @@ class WeightDistribution:
 
 
 class LinearCode:
-    """An [n, k] linear code holding generator and parity-check matrices."""
+    """An [n, k] linear code: generator and parity-check matrices, each
+    held or derived on first read (see the module docstring).  The
+    constructor holds both and checks them at once."""
 
     def __init__(self, generator: FieldMatrix, parity_check: FieldMatrix):
         if generator.q != parity_check.q:
             raise ValueError("generator and parity check over different fields")
         if generator.ncols != parity_check.ncols:
             raise ValueError("generator and parity check lengths differ")
-        self.q = generator.q
-        self.n = generator.ncols
-        self.k = generator.nrows
+        if parity_check.nrows != generator.ncols - generator.nrows:
+            raise RankDeficient("parity check must have n-k rows")
+        self._hold(generator.q, generator.ncols, generator.nrows)
         self.generator = generator
         self.parity_check = parity_check
-        if parity_check.nrows != self.n - self.k:
-            raise RankDeficient("parity check must have n-k rows")
-        #: The binary view; over GF(2), G's rows and H's columns themselves.
-        self.bit_rows = binary_expansion(self.q, generator.rows, generator._lo)
-        self.bit_columns = binary_expansion(self.q, parity_check.transpose().rows)
-        if any(self.syndrome(g) for g in generator.rows):
-            raise ValueError("generator rows are not orthogonal to parity check")
+        self._check_orthogonal(generator)
+
+    def _hold(self, q: int, n: int, k: int, dual_of: Optional["LinearCode"] = None) -> None:
+        self.q, self.n, self.k = q, n, k
+        #: The code whose sides, swapped, are this code's (set on a dual).
+        self._dual_of = dual_of
         self._distance: Optional[DistanceCertificate] = None
         self._cheapest: Optional[WeightDistribution] = None
         #: The one enumeration pass, read by distance and weights.
         self._pass: Optional[tuple[tuple[int, ...], tuple[Optional[int], ...]]] = None
+
+    def _check_orthogonal(self, generator: FieldMatrix) -> None:
+        if any(self.syndrome(g) for g in generator.rows):
+            raise ValueError("generator rows are not orthogonal to parity check")
 
     # -- construction --------------------------------------------------------
 
@@ -124,13 +137,44 @@ class LinearCode:
 
     @classmethod
     def from_parity(cls, parity_check: FieldMatrix) -> "LinearCode":
-        generator = parity_check.nullspace()
-        if generator.nrows != parity_check.ncols - parity_check.nrows:
+        n = parity_check.ncols
+        if rows_rank(parity_check.q, parity_check.rows, n) != parity_check.nrows:
             raise RankDeficient("parity-check rows are linearly dependent")
-        return cls(generator, parity_check)
+        code = cls.__new__(cls)
+        code._hold(parity_check.q, n, n - parity_check.nrows)
+        code.parity_check = parity_check
+        return code
 
     def dual(self) -> "LinearCode":
-        return LinearCode(self.parity_check, self.generator)
+        code = LinearCode.__new__(LinearCode)
+        code._hold(self.q, self.n, self.n - self.k, dual_of=self)
+        return code
+
+    # -- the sides and their binary views, each derived on first read -------
+
+    @cached_property
+    def generator(self) -> FieldMatrix:
+        """G: a dual's is its primal's H; else H's nullspace, checked here."""
+        if self._dual_of is not None:
+            return self._dual_of.parity_check
+        generator = self.parity_check.nullspace()
+        self._check_orthogonal(generator)
+        return generator
+
+    @cached_property
+    def parity_check(self) -> FieldMatrix:
+        """H, held by every code but a dual, whose H is its primal's G."""
+        return self._dual_of.generator
+
+    @cached_property
+    def bit_rows(self) -> list[int]:
+        """G's rows as binary vectors; over GF(2), the rows themselves."""
+        return binary_expansion(self.q, self.generator.rows, self.generator._lo)
+
+    @cached_property
+    def bit_columns(self) -> list[int]:
+        """H's columns as binary vectors; over GF(2), the columns themselves."""
+        return binary_expansion(self.q, self.parity_check.transpose().rows)
 
     @property
     def cached_distance(self) -> Optional[DistanceCertificate]:

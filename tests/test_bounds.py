@@ -272,6 +272,14 @@ def test_classify_below_one_raises_invalid_shape(args):
         bounds.classify(*args)
 
 
+@pytest.mark.parametrize("args", [(15, 16, 3, 2), (15, 6, 20, 2), (3, 4, 4, 2)])
+def test_classify_above_n_raises_invalid_shape(args):
+    # no [n, k, d] code has k > n or d > n; the parent reported a
+    # negative Singleton-like bound for (15, 16, 3) instead
+    with pytest.raises(InvalidShape, match="must be <= n"):
+        bounds.classify(*args)
+
+
 def _outcome(func, *args):
     """The value, or the exact type raised."""
     try:
@@ -306,8 +314,10 @@ def test_public_bounds_match_parent_formulas(n, k, d, r, q):
     _same("johnson_like_improved_max_k", n, d)
     assert bounds.default_kopt(q)(n, d) == parent.default_kopt(q)(n, d)
     ours = _outcome(lambda: bounds.classify(n, k, d, r).to_json())
-    theirs = _outcome(lambda: parent.classify(n, k, d, r).to_json())
-    assert ours == theirs
+    if max(k, d) > n:  # no such code: refused where the parent classified it
+        assert ours == ("raises", InvalidShape)
+    else:
+        assert ours == _outcome(lambda: parent.classify(n, k, d, r).to_json())
 
 
 @settings(max_examples=300, deadline=None)
@@ -319,8 +329,10 @@ def test_lrc_classify_matches_parent_formulas(ell, k, d):
     weak = lambda m, e: max(0, m - e + 1)
     for kopt, old_kopt in ((None, None), (weak, weak)):
         ours = _outcome(lambda: bounds.classify(n, k, d, 2, kopt).to_json())
-        theirs = _outcome(lambda: parent.classify(n, k, d, 2, old_kopt).to_json())
-        assert ours == theirs
+        if max(k, d) > n:  # no such code: refused where the parent classified it
+            assert ours == ("raises", InvalidShape)
+        else:
+            assert ours == _outcome(lambda: parent.classify(n, k, d, 2, old_kopt).to_json())
 
 
 def test_lrc_packing_bounds_are_outer_bounds_at_half_distance():

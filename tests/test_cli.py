@@ -1,4 +1,5 @@
 import argparse
+import collections
 import json
 import os
 import random
@@ -18,6 +19,7 @@ from gf4lrc import cli
 from gf4lrc.cli import _json_text, _load_input, main
 from gf4lrc.concat import BinaryLrc, certify_distance, concatenate
 from gf4lrc.families import hexacode
+from gf4lrc.matrix import FieldMatrix
 
 
 def run_cli(capsys, *argv):
@@ -431,6 +433,14 @@ def test_bounds_below_one_exits_2(capsys, flags):
     assert err.startswith("error: ") and "must be >= 1" in err
 
 
+@pytest.mark.parametrize("flags", [["--k", "16", "--d", "3"], ["--k", "6", "--d", "20"]])
+def test_bounds_above_n_exits_2(capsys, flags):
+    code, out, err = run_cli(capsys, "bounds", "--n", "15", *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "must be <= n" in err
+
+
 def test_bounds_zero_distance_exits_2_in_a_subprocess():
     # The inverted Griesmer sum never grows at d = 0; the query must be
     # refused before any bound loops.
@@ -518,6 +528,52 @@ def test_repair_command(tmp_path, capsys):
     assert report["success_rate"] == 1.0
     assert report["local_fraction"] == 1.0
     assert report["mean_accessed"] == 2.0
+
+
+@pytest.fixture(scope="module")
+def lrc_files(tmp_path_factory):
+    """The [15,6,6;2] and [129,72,10;2] LRC JSON files, built once."""
+    out = tmp_path_factory.mktemp("lrcs")
+    for argv in (["hamming4", "--t", "2"], ["cyclic4", "--n", "43", "--poly", "1 0 W 1 1 w 0 1"]):
+        assert main(["construct", *argv, "--concat", "--output", str(out / argv[0])]) == 0
+    return [str(out / "hamming4.lrc.json"), str(out / "cyclic4.lrc.json")]
+
+
+@pytest.mark.parametrize("flags", [[], ["--distance", "--bounds"], ["--random-t", "5"]],
+                         ids=["analyze", "analyze-distance-bounds", "repair"])
+def test_an_lrc_run_derives_no_generator(lrc_files, capsys, monkeypatch, flags):
+    """Every answer about an LRC reads H's columns or the outer code's
+    dual, so loading H computes its rank and no nullspace."""
+    calls = collections.Counter()
+    nullspace = FieldMatrix.nullspace
+
+    def counted(self):
+        calls["nullspace"] += 1
+        return nullspace(self)
+
+    monkeypatch.setattr(FieldMatrix, "nullspace", counted)
+    command = "repair" if "--random-t" in flags else "analyze"
+    for path in lrc_files:
+        assert run_cli(capsys, command, path, *flags)[0] == 0
+        assert calls["nullspace"] == 0, path
+    code = _load_input(lrc_files[0]).code
+    code.weight_distribution()
+    code.weight_distribution()
+    code.encode([1] * 6)
+    assert calls["nullspace"] == 1
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["analyze", "--distance"],
+                                  ["repair", "--random-t", "2"]])
+def test_an_lrc_whose_h_repeats_a_row_exits_2(lrc_files, tmp_path, capsys, argv):
+    obj = json.loads(Path(lrc_files[0]).read_text())
+    header, *rows = obj["H"].splitlines()
+    obj["H"] = "\n".join([header.replace("rows=9", "rows=10"), *rows, rows[-1]]) + "\n"
+    path = tmp_path / "repeated.lrc.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: parity-check rows are linearly dependent\n"
 
 
 def test_repair_requires_exactly_one_model(tmp_path, capsys):

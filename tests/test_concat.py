@@ -324,22 +324,23 @@ def test_loading_makes_no_entry_calls(monkeypatch):
     assert calls == [43]
 
 
-def test_loading_runs_no_separate_rank_elimination(monkeypatch):
-    # The nullspace has ncols - rank rows, so it also checks the rank.
+def test_loading_runs_one_rank_elimination_and_no_nullspace(monkeypatch):
+    # H's rank is checked at load; G, H's nullspace, is derived when read.
     obj = json.loads(json.dumps(concatenate(cyclic4(43, [1, 0, W2, 1, 1, W, 0, 1])).to_json()))
     calls = []
-    real_rank = matrix_module.rows_rank
+    real_rank, real_nullspace = code_module.rows_rank, FieldMatrix.nullspace
 
     def counted(q, rows, ncols):
         calls.append(ncols)
         return real_rank(q, rows, ncols)
 
-    monkeypatch.setattr(matrix_module, "rows_rank", counted)
+    monkeypatch.setattr(code_module, "rows_rank", counted)
+    monkeypatch.setattr(FieldMatrix, "nullspace", lambda h: calls.append("G") or real_nullspace(h))
     lrc = BinaryLrc.from_json(obj)
     assert (lrc.n, lrc.k) == (129, 72)
-    assert calls == []
-    assert lrc.code.parity_check.rank() == 57
     assert calls == [129]
+    assert lrc.code.generator.nrows == 72
+    assert calls == [129, "G"]
 
 
 def test_lrc_json_top_row_with_a_one_outside_its_group():
