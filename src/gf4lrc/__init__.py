@@ -27,7 +27,6 @@ from .code import (
     DistanceCertificate,
     LinearCode,
     WeightDistribution,
-    krawtchouk,
     macwilliams,
 )
 from .concat import (
@@ -37,7 +36,6 @@ from .concat import (
     group_subspaces,
     locality_check,
     lrc_weights_from_outer,
-    weight_map_check,
 )
 from .families import (
     cap_code,
@@ -51,7 +49,7 @@ from .families import (
     solomon_stiffler,
 )
 from .matrix import FieldMatrix
-from .projective import CapSet, bundled_cap_pg3_17, cap_search, pg_points
+from .projective import CapSet, bundled_cap_pg3_17, pg_points
 from .repair import (
     PerSymbolErasures,
     RandomErasures,

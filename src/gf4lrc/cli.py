@@ -27,7 +27,7 @@ from .concat import (
     group_subspaces,
     locality_check,
 )
-from .errors import BudgetExceeded, Gf4LrcError
+from .errors import BudgetExceeded, Gf4LrcError, ParseError
 from .gf4 import symbol_to_value
 from .projective import CapSet, bundled_cap_pg3_17
 from .repair import PerSymbolErasures, RandomErasures, simulate
@@ -99,7 +99,11 @@ def _load_input(path: str):
     """A BinaryLrc for .json inputs, else a LinearCode from matrix text."""
     text = Path(path).read_text()
     if text.lstrip().startswith("{"):
-        return BinaryLrc.from_json(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except RecursionError as exc:
+            raise ParseError(f"{path}: JSON nested too deeply") from exc
+        return BinaryLrc.from_json(obj)
     return families.ingest(path)
 
 

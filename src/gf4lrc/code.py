@@ -384,13 +384,6 @@ def krawtchouk_column(i: int, n: int, q: int) -> list[int]:
     return column
 
 
-def krawtchouk(j: int, i: int, n: int, q: int) -> int:
-    """K_j(i; n; q) = sum_a (-1)^a (q-1)^(j-a) C(i,a) C(n-i, j-a), exact."""
-    if not 0 <= j <= n:
-        raise ValueError(f"degree {j} out of range [0, {n}]")
-    return krawtchouk_column(i, n, q)[j]
-
-
 def macwilliams(
     dual_weights: WeightDistribution, dual_size: int, n: int, q: int
 ) -> WeightDistribution:

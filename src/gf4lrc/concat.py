@@ -24,7 +24,7 @@ from .code import (
     LinearCode,
     WeightDistribution,
 )
-from .errors import BudgetExceeded, FieldMismatch, Mismatch, ParseError, SubsetBudgetExceeded
+from .errors import BudgetExceeded, FieldMismatch, ParseError, SubsetBudgetExceeded
 from .matrix import (
     FieldMatrix,
     binary_expansion,
@@ -68,6 +68,8 @@ class BinaryLrc:
         self.group_masks = tuple(masks)
 
     def _validate(self) -> None:
+        if not self.groups:
+            raise ValueError("at least one repair group is required")
         if self.code.n != 3 * self.ell:
             raise ValueError("length must be 3 * group count")
         if self.u < 0:
@@ -131,10 +133,6 @@ class BinaryLrc:
     @property
     def k(self) -> int:
         return self.code.k
-
-    @property
-    def r(self) -> int:
-        return 2
 
     def params(self) -> tuple[int, int, Optional[int], int]:
         return (self.n, self.k, self.d, 2)
@@ -316,24 +314,3 @@ def lrc_weights_from_outer(outer_weights: WeightDistribution) -> WeightDistribut
     for j, a in enumerate(outer_weights.counts):
         counts[2 * j] = a
     return WeightDistribution(3 * n1, 2 * outer_weights.k, 2, tuple(counts))
-
-
-def weight_map_check(
-    outer: LinearCode, lrc: BinaryLrc, budget: int = DEFAULT_ENUM_BUDGET
-) -> bool:
-    """Verify A_{2j}(concatenation) = A_j(outer) with all odd counts zero.
-
-    Both distributions are enumerated exhaustively; a Mismatch carrying the
-    first differing weight index signals an implementation bug.
-    """
-    wo = outer.weight_distribution(budget)
-    wl = lrc.code.weight_distribution(budget)
-    expected = lrc_weights_from_outer(wo)
-    for i in range(lrc.n + 1):
-        if wl.counts[i] != expected.counts[i]:
-            raise Mismatch(
-                f"A_{i} = {wl.counts[i]} but the outer distribution implies "
-                f"{expected.counts[i]}",
-                index=i,
-            )
-    return True

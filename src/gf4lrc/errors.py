@@ -44,10 +44,6 @@ class SubsetBudgetExceeded(BudgetExceeded):
     """Repair-group subset enumeration ran out of budget."""
 
 
-class SearchExhausted(Gf4LrcError):
-    """A complete search proved that no object of the requested size exists."""
-
-
 class NonIntegerResult(Gf4LrcError, ValueError):
     """A transform that must produce integers did not (inconsistent input)."""
 
@@ -101,14 +97,3 @@ class InvalidShape(Gf4LrcError, ValueError):
 
 class EmptyTauRange(Gf4LrcError, ValueError):
     """No admissible tau value (dimension does not exceed locality)."""
-
-
-class Mismatch(Gf4LrcError, AssertionError):
-    """A cross-check between two exact computations failed.
-
-    ``index`` is the first position where the two sides differ.
-    """
-
-    def __init__(self, message: str, index=None):
-        super().__init__(message)
-        self.index = index

@@ -229,9 +229,6 @@ class FieldMatrix:
         packed = [v for _, v in rows] + [0] * (self.nrows - len(rows))
         return FieldMatrix(self.q, self.nrows, self.ncols, packed), len(rows), pivots
 
-    def rank(self) -> int:
-        return rows_rank(self.q, self.rows, self.ncols)
-
     def nullspace(self) -> "FieldMatrix":
         """Basis (as rows) of {x : self @ x^T = 0}; has ncols - rank rows.
 

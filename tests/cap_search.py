@@ -1,0 +1,109 @@
+"""Deterministic backtracking cap search in PG(n, 4), kept as a test oracle.
+
+The package ships its 17-cap in PG(3, 4) as a data file; this search is
+the one way to see that the bundled cap is the search's first completion.
+It runs on the package's point enumeration and line geometry, and on
+nothing else of it.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+from typing import Optional, Sequence
+
+from gf4lrc.errors import BudgetExceeded, Gf4LrcError
+from gf4lrc.projective import (
+    CapSet,
+    Point,
+    collinear_companions,
+    normalize_point,
+    pg_points,
+    point_sort_key,
+)
+
+
+class SearchExhausted(Gf4LrcError):
+    """A complete search proved that no object of the requested size exists."""
+
+
+def _auto_seed(ambient: int, target: int) -> list[Point]:
+    """Canonical independent seed points the search may fix.
+
+    Any cap's triples are independent, so every cap of size >= 3 maps under
+    the projective group onto one through three unit points; a cap in
+    PG(3, 4) of size >= 7 cannot lie in a plane (planar caps max out at the
+    6-point hyperoval), so it contains four independent points.
+    """
+    m = min(target, 3)
+    if ambient == 3 and target >= 7:
+        m = 4
+    m = min(m, ambient + 1)
+    seed = []
+    for i in range(m):
+        vec = [0] * (ambient + 1)
+        vec[i] = 1
+        seed.append(tuple(vec))
+    return seed
+
+
+def cap_search(
+    ambient: int,
+    target: int,
+    effort: int = 2_000_000,
+    seed: Optional[Sequence[Point]] = None,
+) -> CapSet:
+    """Deterministic lexicographic backtracking search for a `target`-cap.
+
+    Fixes a canonical seed of independent unit points, then extends with
+    points in increasing lexicographic order; the first completion found is
+    returned (points sorted).  Raises SearchExhausted when the full tree
+    proves no such cap exists, BudgetExceeded after `effort` nodes.
+    """
+    points = pg_points(ambient)
+    index = {p: i for i, p in enumerate(points)}
+    npts = len(points)
+    if target > npts:
+        raise SearchExhausted(f"PG({ambient},4) has only {npts} points")
+    seed_pts = list(seed) if seed is not None else _auto_seed(ambient, target)
+    if len(seed_pts) > target:
+        seed_pts = seed_pts[:target]
+    chosen = [normalize_point(p) for p in seed_pts]
+    forbidden = 0
+    for p in chosen:
+        forbidden |= 1 << index[p]
+    for a, b in combinations(chosen, 2):
+        for c in collinear_companions(a, b):
+            forbidden |= 1 << index[c]
+    nodes = 0
+
+    def extend(chosen: list[Point], start: int, forbidden: int):
+        nonlocal nodes
+        if len(chosen) == target:
+            return list(chosen)
+        need = target - len(chosen)
+        for idx in range(start, npts - need + 1):
+            if forbidden & (1 << idx):
+                continue
+            nodes += 1
+            if nodes > effort:
+                raise BudgetExceeded(
+                    f"cap search exceeded {effort} nodes; retry with more effort"
+                )
+            cand = points[idx]
+            new_forbidden = forbidden | (1 << idx)
+            for p in chosen:
+                for c in collinear_companions(p, cand):
+                    new_forbidden |= 1 << index[c]
+            chosen.append(cand)
+            result = extend(chosen, idx + 1, new_forbidden)
+            if result is not None:
+                return result
+            chosen.pop()
+        return None
+
+    result = extend(chosen, 0, forbidden)
+    if result is None:
+        raise SearchExhausted(
+            f"no {target}-cap in PG({ambient},4) extends the canonical seed"
+        )
+    return CapSet(ambient, tuple(sorted(result, key=point_sort_key)))

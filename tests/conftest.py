@@ -3,7 +3,7 @@ import random
 import pytest
 
 from gf4lrc.code import LinearCode
-from gf4lrc.matrix import FieldMatrix
+from gf4lrc.matrix import FieldMatrix, rows_rank
 
 
 def random_linear_code(rng: random.Random, q: int, n: int, k: int) -> LinearCode:
@@ -11,7 +11,7 @@ def random_linear_code(rng: random.Random, q: int, n: int, k: int) -> LinearCode
     while True:
         rows = [[rng.randrange(q if q == 2 else 4) for _ in range(n)] for _ in range(k)]
         mat = FieldMatrix.from_rows(q, rows)
-        if mat.rank() == k:
+        if rows_rank(q, mat.rows, n) == k:
             return LinearCode.from_generator(mat)
 
 

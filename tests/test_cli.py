@@ -576,6 +576,24 @@ def test_an_lrc_whose_h_repeats_a_row_exits_2(lrc_files, tmp_path, capsys, argv)
     assert err == "error: parity-check rows are linearly dependent\n"
 
 
+@pytest.mark.parametrize("argv", [["analyze"], ["repair", "--random-t", "1"]])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"x": ' + "[" * 100_000 + "]" * 100_000 + "}", "JSON nested too deeply"),
+        (json.dumps({"n": 0, "k": 0, "d": None, "groups": [], "H": "field=2 rows=0 cols=0\n"}),
+         "not a locality-2 LRC: at least one repair group is required"),
+    ],
+    ids=["nested", "no-groups"],
+)
+def test_an_lrc_json_that_cannot_load_exits_2(tmp_path, capsys, text, message, argv):
+    path = tmp_path / "bad.lrc.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith(message + "\n")
+
+
 def test_repair_requires_exactly_one_model(tmp_path, capsys):
     base = tmp_path / "ham"
     run_cli(capsys, "construct", "hamming4", "--t", "2", "--concat", "--output", str(base))

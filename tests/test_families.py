@@ -2,6 +2,7 @@ import logging
 
 import pytest
 
+from cap_search import cap_search
 from scalar_elimination import col_tuple
 from gf4lrc import gf4
 from gf4lrc.bounds import griesmer_classical_min_n
@@ -27,7 +28,7 @@ from gf4lrc.families import (
     solomon_stiffler,
 )
 from gf4lrc.matrix import FieldMatrix
-from gf4lrc.projective import CapSet, bundled_cap_pg3_17, cap_search
+from gf4lrc.projective import CapSet, bundled_cap_pg3_17
 
 W, W2 = gf4.W, gf4.W2
 

@@ -33,7 +33,7 @@ def matrices(draw):
 def assert_matches_scalar(m: FieldMatrix) -> None:
     expected = scalar.rref(m)
     assert m.rref() == expected
-    assert m.rank() == rows_rank(m.q, m.rows, m.ncols) == expected[1]
+    assert rows_rank(m.q, m.rows, m.ncols) == expected[1]
     assert expected[1] == scalar.rows_rank(m.q, m.rows, m.ncols)
     assert m.nullspace() == scalar.nullspace(m)
 

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cap_search import SearchExhausted, cap_search
 from gf4lrc import gf4
-from gf4lrc.errors import BudgetExceeded, NotACap, ParseError, SearchExhausted
+from gf4lrc.errors import BudgetExceeded, NotACap, ParseError
 from gf4lrc.matrix import pack_row, rows_rank
 from gf4lrc.projective import (
     CapSet,
     bundled_cap_pg3_17,
-    cap_search,
     collinear_companions,
     normalize_point,
     pg_points,
