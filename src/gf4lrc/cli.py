@@ -96,14 +96,15 @@ def _parse_poly(text: str) -> list[int]:
 
 
 def _load_input(path: str):
-    """A BinaryLrc for .json inputs, else a LinearCode from matrix text."""
+    """A BinaryLrc (.json) or LinearCode (matrix text), and the d its file claims."""
     text = Path(path).read_text()
     if text.lstrip().startswith("{"):
         try:
             obj = json.loads(text)
         except RecursionError as exc:
             raise ParseError(f"{path}: JSON nested too deeply") from exc
-        return BinaryLrc.from_json(obj)
+        lrc = BinaryLrc.from_json(obj)
+        return lrc, lrc.d
     return families.ingest(path)
 
 
@@ -134,9 +135,6 @@ def _build_outer(args) -> LinearCode:
     if family == "cyclic4":
         _require(args, "n", "poly")
         return families.cyclic4(args.n, _parse_poly(args.poly))
-    if family == "ingest":
-        _require(args, "file")
-        return families.ingest(args.file)
     raise Gf4LrcError(f"unknown family {family!r}")
 
 
@@ -148,11 +146,16 @@ def _require(args, *names) -> None:
 
 
 def _cmd_construct(args) -> int:
-    outer = _build_outer(args)
+    if args.family == "ingest":
+        _require(args, "file")
+        outer, claimed = families.ingest(args.file)
+    else:
+        outer, claimed = _build_outer(args), None
     try:
         d1 = outer.min_distance(budget=args.max_enum).d
     except BudgetExceeded:
         d1 = None
+    families.check_claim(args.file, claimed, d1)
     summary = {
         "family": args.family,
         "outer": {"n": outer.n, "k": outer.k, "d": d1, "q": outer.q},
@@ -187,20 +190,27 @@ def _cmd_construct(args) -> int:
 def _cmd_analyze(args) -> int:
     if args.r is not None and args.r < 1:
         raise Gf4LrcError(f"--r must be >= 1, got {args.r}")
-    loaded = _load_input(args.path)
+    loaded, claimed = _load_input(args.path)
     is_lrc = isinstance(loaded, BinaryLrc)
     if is_lrc and args.r not in (None, 2):
         raise Gf4LrcError(f"an LRC input has locality 2, got --r {args.r}")
     r = 2 if is_lrc else args.r
     code = loaded.code if is_lrc else loaded
+    if args.bounds and r is None:
+        raise Gf4LrcError("--bounds on a plain code needs --r")
+    if args.bounds and code.q != 2:
+        raise Gf4LrcError("bounds apply to binary codes only")
     report: dict = {"n": code.n, "k": code.k, "q": code.q, "is_lrc": is_lrc}
     exit_code = 0
     run_all = not (args.distance or args.weights or args.locality or args.bounds)
     d = None  # only a distance certified here feeds the bounds
+    exact_d = None  # the d this run computes, checked against the file's claim
 
     if args.weights or run_all:
         try:
-            report["weights"] = loaded.cheapest_weights(args.max_enum).to_json()
+            weights = loaded.cheapest_weights(args.max_enum)
+            report["weights"] = weights.to_json()
+            exact_d = weights.distance()
         except BudgetExceeded as exc:
             report["weights"] = {"error": str(exc)}
             exit_code = 3
@@ -210,7 +220,7 @@ def _cmd_analyze(args) -> int:
                 cert = loaded.min_distance(args.max_enum, args.max_subsets)
             else:
                 cert = code.min_distance(budget=args.max_enum)
-            d = cert.d
+            d = exact_d = cert.d
             report["distance"] = {
                 "d": cert.d,
                 "method": cert.method,
@@ -240,16 +250,13 @@ def _cmd_analyze(args) -> int:
             report["locality"] = {"error": str(exc)}
             exit_code = 3
     if args.bounds or (run_all and code.q == 2 and r is not None):
-        if r is None:
-            raise Gf4LrcError("--bounds on a plain code needs --r")
-        if code.q != 2:
-            raise Gf4LrcError("bounds apply to binary codes only")
         if d is None:
             report["bounds"] = {"error": "distance unavailable within budget"}
             exit_code = max(exit_code, 3)
         else:
             kopt = bounds.kopt_from_table(args.kopt_table) if args.kopt_table else None
             report["bounds"] = bounds.classify(code.n, code.k, d, r, kopt).to_json()
+    families.check_claim(args.path, claimed, exact_d)
     _emit(args, report)
     return exit_code
 
@@ -262,7 +269,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_repair(args) -> int:
-    loaded = _load_input(args.path)
+    loaded, _ = _load_input(args.path)
     if not isinstance(loaded, BinaryLrc):
         raise Gf4LrcError("repair needs an LRC JSON file (construct --concat)")
     if (args.random_t is None) == (args.prob is None):

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import logging
 from pathlib import Path
-from typing import Sequence
+from typing import Optional, Sequence
 
 from . import gf4
 from .code import LinearCode, WeightDistribution, macwilliams
 from .errors import (
-    BudgetExceeded,
     InvalidParameters,
     NotADivisor,
     ParseError,
@@ -27,9 +26,6 @@ from .projective import CapSet, pg_points, subspace_points
 logger = logging.getLogger(__name__)
 
 W, W2 = gf4.W, gf4.W2
-
-#: Budget for checking a file's ``d=`` claim at load time; analyze sets its own.
-INGEST_VERIFY_BUDGET = 1 << 20
 
 # Generators of the four non-trivial GF(4) MDS codes: polynomial evaluation
 # at (0, 1, w, w^2) extended by high-coefficient columns.
@@ -250,12 +246,11 @@ def cyclic4(n: int, gen_poly: Sequence[int]) -> LinearCode:
     return LinearCode.from_generator(FieldMatrix.from_rows(4, rows))
 
 
-def ingest(path: str | Path) -> LinearCode:
-    """Load a code from a matrix file with a ``kind=generator|parity`` header.
-
-    Advertised n/k/d header values are checked against computed parameters;
-    disagreements are logged, not fatal.  Distance verification is skipped
-    (and logged) when it does not fit ``INGEST_VERIFY_BUDGET``.
+def ingest(path: str | Path) -> tuple[LinearCode, Optional[int]]:
+    """Load a code from a matrix file with a ``kind=generator|parity`` header,
+    and the d the header claims (None without one): no distance is computed
+    here, and a run that computes d compares the two by ``check_claim``.
+    Advertised n/k are checked against the code; a mismatch is logged.
     """
     text = Path(path).read_text()
     mat, extras = FieldMatrix.from_text(text)
@@ -275,14 +270,10 @@ def ingest(path: str | Path) -> LinearCode:
             logger.warning(
                 "%s: advertised %s=%s but computed %s", path, key, advertised[key], actual
             )
-    if "d" in advertised:
-        try:
-            cert = code.min_distance(budget=INGEST_VERIFY_BUDGET)
-        except BudgetExceeded as exc:
-            logger.warning("%s: advertised d=%s unverified (%s)", path, advertised["d"], exc)
-        else:
-            if cert.d != advertised["d"]:
-                logger.warning(
-                    "%s: advertised d=%s but computed d=%s", path, advertised["d"], cert.d
-                )
-    return code
+    return code, advertised.get("d")
+
+
+def check_claim(path, claimed: Optional[int], d: Optional[int]) -> None:
+    """Log a file's claimed d when it disagrees with a d the run computed."""
+    if claimed is not None and d is not None and claimed != d:
+        logger.warning("%s: advertised d=%s but computed d=%s", path, claimed, d)

@@ -269,7 +269,7 @@ ALL_IDS = tuple(_ITEMS)
 
 
 def expand_ids(scope: list[str] | None) -> list[str]:
-    """Expand prefixes like ``table1`` into the matching item ids."""
+    """Expand prefixes like ``table1`` into the matching item ids, each once."""
     if not scope:
         return list(ALL_IDS)
     out = []
@@ -278,7 +278,7 @@ def expand_ids(scope: list[str] | None) -> list[str]:
         if not matches:
             raise KeyError(f"unknown reproduce id {token!r}")
         out.extend(matches)
-    return out
+    return list(dict.fromkeys(out))
 
 
 def run(scope: list[str] | None = None, heavy: bool = False) -> list[ReproduceItem]:

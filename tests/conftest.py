@@ -15,6 +15,16 @@ def random_linear_code(rng: random.Random, q: int, n: int, k: int) -> LinearCode
             return LinearCode.from_generator(mat)
 
 
+def forbid_distance_and_weights(monkeypatch) -> None:
+    """Make every distance or weight computation raise AssertionError."""
+
+    def forbidden(self, *args, **kwargs):
+        raise AssertionError("a distance or weight computation ran")
+
+    for name in ("min_distance", "cheapest_weights", "weight_distribution"):
+        monkeypatch.setattr(LinearCode, name, forbidden)
+
+
 def random_code_corpus(seed: int, count: int, max_n: int, max_k: int, q: int = 4):
     """Deterministic corpus of random codes with 1 <= k <= min(max_k, n)."""
     rng = random.Random(seed)

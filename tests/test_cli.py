@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gf4lrc
-from conftest import random_linear_code
+from conftest import forbid_distance_and_weights, random_linear_code
 from gf4lrc import code as code_module
 from gf4lrc import concat as concat_module
 from gf4lrc import cli
@@ -86,9 +86,9 @@ def test_analyze_plain_gf4_code_default_flags(tmp_path, capsys):
 
 
 def test_analyze_of_a_plain_code_does_not_depend_on_its_d_header(tmp_path, capsys, monkeypatch):
-    """The [17,13]_4 cap code is the larger side: both files take d from
-    the 4^4 dual words and search columns from there, the header's check
-    at load and analyze of the header-less file alike."""
+    """The [17,13]_4 cap code is the larger side: analyze of each file
+    takes d from the 4^4 dual words and searches columns from there, and
+    loading either file searches nothing."""
     run_cli(capsys, "construct", "cap", "--output", str(tmp_path / "cap"))
     with_header = tmp_path / "cap.code"
     header, body = with_header.read_text().split("\n", 1)
@@ -114,7 +114,7 @@ def test_analyze_distance_of_a_larger_side_binary_code_reads_d_from_its_dual(tmp
     2^10 words fit --max-enum 1024, and the column search starts at d = 4."""
     run_cli(capsys, "construct", "mds", "--n1", "8", "--k1", "7", "--concat",
             "--output", str(tmp_path / "spc"))
-    lrc = _load_input(str(tmp_path / "spc.lrc.json"))
+    lrc, _ = _load_input(str(tmp_path / "spc.lrc.json"))
     assert lrc.params() == (24, 14, 4, 2)
     path = tmp_path / "spc.code"
     path.write_text(lrc.code.parity_check.to_text({"kind": "parity", "n": 24, "k": 14}))
@@ -126,12 +126,78 @@ def test_analyze_distance_of_a_larger_side_binary_code_reads_d_from_its_dual(tmp
     assert code == 0 and json.loads(out)["distance"] == distance
 
 
-def test_analyze_bounds_on_gf4_code_rejected(tmp_path, capsys):
+def test_analyze_bounds_on_gf4_code_rejected(tmp_path, capsys, monkeypatch):
+    # The usage error comes before any search.
     base = tmp_path / "hex"
     run_cli(capsys, "construct", "hexacode", "--output", str(base))
-    code, _, err = run_cli(capsys, "analyze", str(tmp_path / "hex.code"), "--bounds", "--r", "2")
-    assert code == 2
-    assert "binary" in err
+    forbid_distance_and_weights(monkeypatch)
+    assert run_cli(capsys, "analyze", str(tmp_path / "hex.code"), "--bounds", "--r", "2") == (
+        2, "", "error: bounds apply to binary codes only\n")
+
+
+def test_analyze_bounds_on_a_plain_code_without_r_exits_before_any_search(
+    tmp_path, capsys, monkeypatch
+):
+    path = tmp_path / "rep.code"
+    path.write_text("field=2 rows=1 cols=3 kind=generator d=3\n1 1 1\n")
+    forbid_distance_and_weights(monkeypatch)
+    assert run_cli(capsys, "analyze", str(path), "--bounds") == (
+        2, "", "error: --bounds on a plain code needs --r\n")
+
+
+def test_repair_of_a_plain_code_exits_2_without_a_distance_call(tmp_path, capsys, monkeypatch):
+    run_cli(capsys, "construct", "hamming4", "--t", "2", "--output", str(tmp_path / "ham"))
+    assert " d=3" in (tmp_path / "ham.code").read_text()
+    forbid_distance_and_weights(monkeypatch)
+    assert run_cli(capsys, "repair", str(tmp_path / "ham.code"), "--random-t", "2") == (
+        2, "", "error: repair needs an LRC JSON file (construct --concat)\n")
+
+
+def claim_warnings(caplog) -> list[str]:
+    found = [rec.getMessage() for rec in caplog.records if "advertised d=" in rec.getMessage()]
+    caplog.clear()
+    return found
+
+
+def test_a_claimed_d_is_checked_against_the_runs_own_distance(tmp_path, capsys, caplog):
+    """A .code header's d= and an LRC JSON's "d" are claims: a run that
+    computes d logs a mismatch once, and its output is the one the file
+    gives without the claim."""
+    claimed = tmp_path / "rep.code"
+    claimed.write_text("field=2 rows=1 cols=3 kind=generator d=2\n1 1 1\n")
+    plain = tmp_path / "rep-nod.code"
+    plain.write_text("field=2 rows=1 cols=3 kind=generator\n1 1 1\n")
+    caplog.set_level("WARNING")
+    for argv in (["analyze", "F", "--distance"], ["analyze", "F", "--weights"],
+                 ["analyze", "F"], ["construct", "ingest", "--file", "F"]):
+        got = run_cli(capsys, *[str(claimed) if a == "F" else a for a in argv])
+        assert claim_warnings(caplog) == [f"{claimed}: advertised d=2 but computed d=3"]
+        assert run_cli(capsys, *[str(plain) if a == "F" else a for a in argv]) == got
+        assert claim_warnings(caplog) == []
+
+    run_cli(capsys, "construct", "hamming4", "--t", "2", "--concat", "--output", str(tmp_path / "ham"))
+    obj = json.loads((tmp_path / "ham.lrc.json").read_text())
+    obj["d"] = 10
+    lrc = tmp_path / "claimed.lrc.json"
+    lrc.write_text(json.dumps(obj))
+    got = run_cli(capsys, "analyze", str(lrc), "--distance")
+    assert claim_warnings(caplog) == [f"{lrc}: advertised d=10 but computed d=6"]
+    assert run_cli(capsys, "analyze", str(tmp_path / "ham.lrc.json"), "--distance") == got
+    assert claim_warnings(caplog) == []
+
+
+@pytest.mark.parametrize("argv", [["analyze", "F", "--max-enum", "1"], ["analyze", "F"],
+                                  ["analyze", "F", "--distance"],
+                                  ["construct", "ingest", "--file", "F", "--max-enum", "1"]])
+def test_a_code_files_d_header_does_not_change_the_run(tmp_path, capsys, argv):
+    run_cli(capsys, "construct", "hamming4", "--t", "2", "--output", str(tmp_path / "h"))
+    with_d = tmp_path / "h.code"
+    without = tmp_path / "h-nod.code"
+    without.write_text(with_d.read_text().replace(" d=3", ""))
+    assert without.read_text() != with_d.read_text()
+    runs = [run_cli(capsys, *[str(path) if a == "F" else a for a in argv])
+            for path in (with_d, without)]
+    assert runs[0] == runs[1]
 
 
 def test_analyze_plain_code_locality_uncovered(tmp_path, capsys):
@@ -178,15 +244,18 @@ def test_analyze_budget_exhaustion_exits_3(tmp_path, capsys):
     assert report["bounds"] == {"error": "distance unavailable within budget"}
 
 
-def test_out_of_budget_weights_and_locality_build_no_dual(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("strip", [False, True], ids=["as-written", "without-d"])
+def test_out_of_budget_weights_and_locality_build_no_dual(tmp_path, capsys, monkeypatch, strip):
     # Both codes are the larger side: their weights and coverage come from
     # dual words, and q^(n-k) is checked before a dual is built.
     run_cli(capsys, "construct", "cyclic4", "--n", "43", "--poly", "1 0 W 1 1 w 0 1",
             "--concat", "--output", str(tmp_path / "cyc"))
     run_cli(capsys, "construct", "cap", "--output", str(tmp_path / "cap"))
-    # Without its d= header, ingest does not verify d, so nothing is cached.
+    # The cap file's d= header is a claim that loading does not check, so
+    # the file gives the same run with and without it.
     cap = tmp_path / "cap.code"
-    cap.write_text(cap.read_text().replace(" d=4", ""))
+    if strip:
+        cap.write_text(cap.read_text().replace(" d=4", ""))
     built = []
     dual = code_module.LinearCode.dual
     monkeypatch.setattr(code_module.LinearCode, "dual", lambda self: built.append(self) or dual(self))
@@ -368,7 +437,7 @@ def test_analyze_weights_prints_the_primal_enumeration(tmp_path, capsys, family,
     run_cli(capsys, "construct", *family, "--concat", "--output", str(base))
     path = str(tmp_path / f"x.{kind}")
     code, out, _ = run_cli(capsys, "analyze", path, "--weights")
-    loaded = _load_input(path)
+    loaded, _ = _load_input(path)
     plain = loaded.code if kind == "lrc.json" else loaded
     expected = {
         "n": plain.n, "k": plain.k, "q": plain.q, "is_lrc": kind == "lrc.json",
@@ -556,7 +625,7 @@ def test_an_lrc_run_derives_no_generator(lrc_files, capsys, monkeypatch, flags):
     for path in lrc_files:
         assert run_cli(capsys, command, path, *flags)[0] == 0
         assert calls["nullspace"] == 0, path
-    code = _load_input(lrc_files[0]).code
+    code = _load_input(lrc_files[0])[0].code
     code.weight_distribution()
     code.weight_distribution()
     code.encode([1] * 6)

@@ -3,9 +3,11 @@ import logging
 import pytest
 
 from cap_search import cap_search
+from conftest import forbid_distance_and_weights
 from scalar_elimination import col_tuple
 from gf4lrc import gf4
 from gf4lrc.bounds import griesmer_classical_min_n
+from gf4lrc.cli import main
 from gf4lrc.code import LinearCode, macwilliams
 from gf4lrc.errors import (
     InvalidParameters,
@@ -238,9 +240,9 @@ def test_ingest_round_trip(tmp_path):
     path = tmp_path / "hamming.code"
     parity = FieldMatrix.from_rows(4, [[1, 0, 1, 1, 1], [0, 1, 1, W, W2]])
     path.write_text(parity.to_text({"kind": "parity", "n": 5, "k": 3, "d": 3}))
-    code = ingest(path)
+    code, claimed = ingest(path)
     assert code.params() == (5, 3)
-    assert code.min_distance().d == 3
+    assert claimed == 3 and code.min_distance().d == 3
 
 
 def test_ingest_unknown_symbol(tmp_path):
@@ -257,19 +259,22 @@ def test_ingest_requires_kind(tmp_path):
         ingest(path)
 
 
-def test_ingest_logs_advertised_mismatch(tmp_path, caplog):
+def test_ingest_returns_the_claimed_d_and_computes_no_distance(tmp_path, monkeypatch, caplog):
+    """A file's d= is a claim that the run checks against its own
+    certificate; loading the file searches and enumerates nothing."""
     path = tmp_path / "wrong.code"
     gen = FieldMatrix.from_rows(2, [[1, 1, 1]])
     path.write_text(gen.to_text({"kind": "generator", "d": 2}))
+    forbid_distance_and_weights(monkeypatch)
     with caplog.at_level(logging.WARNING):
-        code = ingest(path)
-    assert code.params() == (3, 1)
-    assert any("advertised d=2" in rec.getMessage() for rec in caplog.records)
+        code, claimed = ingest(path)
+    assert (code.params(), claimed) == ((3, 1), 2)
+    assert caplog.records == []
 
 
-def test_ingest_propagates_engine_failures(tmp_path, monkeypatch):
-    """Only an exhausted budget leaves an advertised d unverified; a failed
-    witness check inside the distance engine is not a log line."""
+def test_ingest_propagates_engine_failures(tmp_path, monkeypatch, capsys):
+    """A failed witness check inside the distance engine, on a run that
+    checks a file's claimed d, is not turned into a log line."""
     path = tmp_path / "rep.code"
     path.write_text(FieldMatrix.from_rows(2, [[1, 1, 1]]).to_text({"kind": "generator", "d": 3}))
 
@@ -277,9 +282,10 @@ def test_ingest_propagates_engine_failures(tmp_path, monkeypatch):
         raise AssertionError("column-search witness is not a codeword")
 
     monkeypatch.setattr(LinearCode, "min_distance", broken)
-    with pytest.raises(AssertionError):
-        ingest(path)
-
+    for argv in (["analyze", str(path), "--distance"], ["construct", "ingest", "--file", str(path)]):
+        with pytest.raises(AssertionError):
+            main(argv)
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("key", ["n", "k", "d"])

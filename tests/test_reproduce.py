@@ -6,6 +6,7 @@ from gf4lrc import reproduce
 def test_expand_ids_prefix_and_exact():
     assert reproduce.expand_ids(["table1"]) == [f"table1.row{i}" for i in range(1, 5)]
     assert reproduce.expand_ids(["example5.1"]) == ["example5.1"]
+    assert reproduce.expand_ids(["table1", "table1.row1"]) == [f"table1.row{i}" for i in range(1, 5)]
     assert reproduce.expand_ids(None) == list(reproduce.ALL_IDS)
     with pytest.raises(KeyError):
         reproduce.expand_ids(["nope"])
