@@ -343,7 +343,8 @@ def classify(
         return entries[-1].attained
 
     singleton_optimal = add("singleton_like", "max-d", singleton_like_max_d(n, k, r), d)
-    add("cm", "max-k", cm_bound_max_k(n, d, r, kopt), k)
+    if n >= r + 1:  # below that, no tau is admissible
+        add("cm", "max-k", cm_bound_max_k(n, d, r, kopt), k)
     add("griesmer_classical", "min-n", griesmer_classical_min_n(k, d, 2), n)
     if k > r:
         add("griesmer_like", "min-n", griesmer_like_min_n(k, d, r, 2), n)

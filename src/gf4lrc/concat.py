@@ -164,6 +164,8 @@ class BinaryLrc:
             for g in groups
         ):
             raise ParseError('"groups" must be a list of three-coordinate lists')
+        if type(obj.get("n")) is not int or type(obj.get("k")) is not int:
+            raise ParseError('"n" and "k" must be integers')
         if obj.get("d") is not None and type(obj["d"]) is not int:
             raise ParseError('"d" must be an integer or null')
         h, _ = FieldMatrix.from_text(obj["H"])

@@ -17,6 +17,7 @@ from .errors import (
     InvalidParameters,
     NotADivisor,
     ParseError,
+    RankDeficient,
     UnsupportedParameters,
     UnsupportedSubspaceLayout,
 )
@@ -185,7 +186,12 @@ def cap_code(cap: CapSet) -> LinearCode:
     """Code whose parity-check columns are the cap points; d >= 4 by capness."""
     cap.verify()
     parity = FieldMatrix.from_cols(4, [list(p) for p in cap.points])
-    code = LinearCode.from_parity(parity)
+    try:
+        code = LinearCode.from_parity(parity)
+    except RankDeficient as exc:
+        raise InvalidParameters(
+            f"the {cap.size()} cap points do not span PG({cap.ambient}, 4)"
+        ) from exc
     if code.min_distance().d < 4:
         raise AssertionError("cap code has d < 4; cap verification is broken")
     return code

@@ -20,7 +20,8 @@ Matrix text format (strict): a header line
     field=<2|4> rows=<r> cols=<c> [kind=...] [n=...] [k=...] [d=...]
 
 followed by r lines of c whitespace-separated symbols from the alphabet
-``0 1 w W`` (GF(2) uses only ``0`` and ``1``).
+``0 1 w W`` (GF(2) uses only ``0`` and ``1``), read by ``read_symbol_rows``,
+which also reads the points of a cap file.
 """
 
 from __future__ import annotations
@@ -138,6 +139,26 @@ def rows_rank(q: int, rows: Iterable[int], ncols: int) -> int:
     for v in binary_expansion(q, rows, lo_mask(ncols) if q == 4 else None):
         xor_insert(basis, v)
     return len(basis) if q == 2 else len(basis) // 2
+
+
+def read_symbol_rows(q: int, lines: Iterable[str], ncols: int) -> list[int]:
+    """Packed rows of text lines of exactly ncols symbols each (strict)."""
+    rows = []
+    alphabet = set(gf4.SYMBOLS[:q])
+    for ln in lines:
+        syms = ln.split()
+        if len(syms) != ncols:
+            raise ParseError(f"expected {ncols} symbols, found {len(syms)}")
+        joined = "".join(syms)
+        if len(joined) != ncols or not alphabet.issuperset(joined):
+            try:  # some symbol is not in the alphabet: name the first
+                for sym in syms:
+                    gf4.symbol_to_value(sym, q)
+            except ValueError as exc:
+                raise ParseError(str(exc)) from exc
+        # The symbols are base-q digits, symbol j the one of weight q^j.
+        rows.append(int(joined.translate(_DIGITS)[::-1], q))
+    return rows
 
 
 class FieldMatrix:
@@ -291,21 +312,7 @@ class FieldMatrix:
             raise ParseError(f"negative shape rows={nrows} cols={ncols}")
         if len(lines) - 1 != nrows:
             raise ParseError(f"expected {nrows} matrix rows, found {len(lines) - 1}")
-        rows = []
-        alphabet = set(gf4.SYMBOLS[:q])
-        for ln in lines[1:]:
-            syms = ln.split()
-            if len(syms) != ncols:
-                raise ParseError(f"expected {ncols} symbols, found {len(syms)}")
-            joined = "".join(syms)
-            if len(joined) != ncols or not alphabet.issuperset(joined):
-                try:  # some symbol is not in the alphabet: name the first
-                    for sym in syms:
-                        gf4.symbol_to_value(sym, q)
-                except ValueError as exc:
-                    raise ParseError(str(exc)) from exc
-            # The symbols are base-q digits, symbol j the one of weight q^j.
-            rows.append(int(joined.translate(_DIGITS)[::-1], q))
+        rows = read_symbol_rows(q, lines[1:], ncols)
         extras = {k: v for k, v in fields.items() if k in _HEADER_EXTRA_KEYS}
         return cls(q, nrows, ncols, rows), extras
 

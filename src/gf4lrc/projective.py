@@ -9,29 +9,23 @@ column order.
 
 Cap file format: a header line ``pg=<n> q=4 size=<k>`` followed by one
 normalized point per line, coordinates whitespace-separated in the
-``0 1 w W`` alphabet.
+``0 1 w W`` alphabet, read by the matrix text format's row reader.  A cap
+is checked by the one dependent-set search, so this module holds no line
+geometry; the test-only cap search carries its own.
 """
 
 from __future__ import annotations
 
 import importlib.resources
+import math
 from dataclasses import dataclass
-from itertools import combinations, product
-from typing import Sequence
+from itertools import product
 
 from . import gf4
-from .errors import NotACap, ParseError
+from .errors import BudgetExceeded, NotACap, ParseError
+from .matrix import pack_row, read_symbol_rows, scale_row, smallest_dependent_set, unpack_row
 
 Point = tuple[int, ...]
-
-
-def normalize_point(vec: Sequence[int]) -> Point:
-    """Canonical representative: first nonzero coordinate scaled to 1."""
-    for c in vec:
-        if c:
-            inv = gf4.gf4_inv(c)
-            return tuple(gf4.gf4_mul(inv, v) for v in vec)
-    raise ValueError("zero vector has no projective class")
 
 
 def point_sort_key(p: Point) -> Point:
@@ -60,15 +54,6 @@ def subspace_points(total_coords: int, offset: int, dim: int) -> list[Point]:
     return pts
 
 
-def _point_add(p: Point, scalar: int, r: Point) -> tuple[int, ...]:
-    return tuple(a ^ gf4.gf4_mul(scalar, b) for a, b in zip(p, r))
-
-
-def collinear_companions(p: Point, r: Point) -> list[Point]:
-    """The three remaining points of the line through distinct points p, r."""
-    return [normalize_point(_point_add(p, s, r)) for s in gf4.NONZERO]
-
-
 @dataclass(frozen=True)
 class CapSet:
     """A set of PG(ambient, 4) points with no three collinear."""
@@ -85,25 +70,28 @@ class CapSet:
         for i, p in enumerate(self.points):
             if len(p) != self.ambient + 1:
                 raise NotACap(f"point {i} has wrong length", triple=None)
+            if any(c not in range(4) for c in p):
+                raise NotACap(f"point {i} has a coordinate outside GF(4)", triple=None)
             if not any(p):
                 raise NotACap(f"point {i} is the zero vector", triple=None)
-            if normalize_point(p) != p:
+            if next(c for c in p if c) != 1:
                 raise NotACap(f"point {i} is not normalized", triple=None)
             if p in seen:
                 raise NotACap(f"duplicate point {p}", triple=None)
             seen.add(p)
-        # Distinct points a, b, c are dependent exactly when c is one of the
-        # line's three other points, so the pairs in lexicographic order,
-        # each with its least later companion, meet the first collinear
-        # triple in lexicographic order.
-        pts = self.points
-        index = {p: i for i, p in enumerate(pts)}
-        for a, b in combinations(range(len(pts)), 2):
-            on_line = [index.get(c, -1) for c in collinear_companions(pts[a], pts[b])]
-            later = [c for c in on_line if c > b]
-            if later:
-                triple = (a, b, min(later))
-                raise NotACap(f"collinear triple at indices {triple}", triple=triple)
+        # Distinct normalized points are pairwise independent, so a
+        # dependent set of three points, each entering as its pair (p, w*p),
+        # is a collinear triple; the search from size 3 finds the first in
+        # lexicographic order, and spending all C(m, 3) sets proves none.
+        packed = [pack_row(4, p) for p in self.points]
+        blocks = [(v, scale_row(4, v, gf4.W)) for v in packed]
+        try:
+            found = smallest_dependent_set(blocks, math.comb(len(blocks), 3), start=3)
+        except BudgetExceeded:
+            return
+        if found is not None and len(found[0]) == 3:
+            triple = found[0]
+            raise NotACap(f"collinear triple at indices {triple}", triple=triple)
 
     def to_text(self) -> str:
         lines = [f"pg={self.ambient} q=4 size={len(self.points)}"]
@@ -131,16 +119,8 @@ class CapSet:
             raise ParseError(f"ambient dimension pg={ambient} must be >= 0")
         if len(lines) - 1 != size:
             raise ParseError(f"expected {size} points, found {len(lines) - 1}")
-        points = []
-        for ln in lines[1:]:
-            syms = ln.split()
-            if len(syms) != ambient + 1:
-                raise ParseError(f"point {ln!r} has wrong coordinate count")
-            try:
-                points.append(tuple(gf4.symbol_to_value(s, 4) for s in syms))
-            except ValueError as exc:
-                raise ParseError(str(exc)) from exc
-        return cls(ambient, tuple(points))
+        rows = read_symbol_rows(4, lines[1:], ambient + 1)
+        return cls(ambient, tuple(unpack_row(4, row, ambient + 1) for row in rows))
 
 
 def bundled_cap_pg3_17() -> CapSet:

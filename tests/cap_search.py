@@ -2,8 +2,9 @@
 
 The package ships its 17-cap in PG(3, 4) as a data file; this search is
 the one way to see that the bundled cap is the search's first completion.
-It runs on the package's point enumeration and line geometry, and on
-nothing else of it.
+It runs on the package's point enumeration and GF(4) arithmetic, and
+carries its own line geometry (normalization and the companions of a
+pair), since the package checks a cap by its dependent-set search instead.
 """
 
 from __future__ import annotations
@@ -11,19 +12,31 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional, Sequence
 
+from gf4lrc import gf4
 from gf4lrc.errors import BudgetExceeded, Gf4LrcError
-from gf4lrc.projective import (
-    CapSet,
-    Point,
-    collinear_companions,
-    normalize_point,
-    pg_points,
-    point_sort_key,
-)
+from gf4lrc.projective import CapSet, Point, pg_points, point_sort_key
 
 
 class SearchExhausted(Gf4LrcError):
     """A complete search proved that no object of the requested size exists."""
+
+
+def normalize_point(vec: Sequence[int]) -> Point:
+    """Canonical representative: first nonzero coordinate scaled to 1."""
+    for c in vec:
+        if c:
+            inv = gf4.gf4_inv(c)
+            return tuple(gf4.gf4_mul(inv, v) for v in vec)
+    raise ValueError("zero vector has no projective class")
+
+
+def _point_add(p: Point, scalar: int, r: Point) -> tuple[int, ...]:
+    return tuple(a ^ gf4.gf4_mul(scalar, b) for a, b in zip(p, r))
+
+
+def collinear_companions(p: Point, r: Point) -> list[Point]:
+    """The three remaining points of the line through distinct points p, r."""
+    return [normalize_point(_point_add(p, s, r)) for s in gf4.NONZERO]
 
 
 def _auto_seed(ambient: int, target: int) -> list[Point]:

@@ -510,6 +510,44 @@ def test_bounds_above_n_exits_2(capsys, flags):
     assert err.startswith("error: ") and "must be <= n" in err
 
 
+@pytest.mark.parametrize(
+    "flags", [["--n", "2", "--k", "1", "--d", "2"], ["--n", "3", "--k", "1", "--d", "1", "--r", "5"]]
+)
+def test_bounds_with_no_cm_tau_leave_out_the_cm_entry(capsys, flags):
+    # n < r + 1 admits no tau; the parent exited 2 with "no admissible tau"
+    code, out, _ = run_cli(capsys, "bounds", *flags)
+    assert code == 0
+    names = [entry["name"] for entry in json.loads(out)["bounds"]]
+    assert "cm" not in names and "singleton_like" in names
+
+
+def test_default_analyze_of_the_repetition_code_classifies_it(tmp_path, capsys):
+    path = tmp_path / "rep2.code"
+    path.write_text("field=2 rows=1 cols=2 kind=parity\n1 1\n")
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--r", "2")
+    assert code == 0
+    report = json.loads(out)["bounds"]
+    assert "cm" not in [entry["name"] for entry in report["bounds"]]
+    assert report["verdicts"]["singleton_optimal"] is True
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("pg=2 q=4 size=3\n1 0 0\n0 1 0\n1 1 0\n", "collinear triple at indices (0, 1, 2)"),
+        ("pg=3 q=4 size=6\n1 0 0 0\n0 1 0 0\n0 0 1 0\n1 1 1 0\n1 W w 0\n1 w W 0\n",
+         "the 6 cap points do not span PG(3, 4)"),
+        ("pg=2 q=4 size=1\n1 0\n", "expected 3 symbols, found 2"),
+    ],
+    ids=["collinear", "planar-hyperoval", "short-point"],
+)
+def test_construct_cap_from_a_bad_cap_file_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.cap"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "construct", "cap", "--cap-file", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_bounds_zero_distance_exits_2_in_a_subprocess():
     # The inverted Griesmer sum never grows at d = 0; the query must be
     # refused before any bound loops.
@@ -652,8 +690,14 @@ def test_an_lrc_whose_h_repeats_a_row_exits_2(lrc_files, tmp_path, capsys, argv)
         ('{"x": ' + "[" * 100_000 + "]" * 100_000 + "}", "JSON nested too deeply"),
         (json.dumps({"n": 0, "k": 0, "d": None, "groups": [], "H": "field=2 rows=0 cols=0\n"}),
          "not a locality-2 LRC: at least one repair group is required"),
+        (json.dumps({"n": 3.0, "k": 2, "d": 2, "groups": [[0, 1, 2]],
+                     "H": "field=2 rows=1 cols=3\n1 1 1\n"}),
+         '"n" and "k" must be integers'),
+        (json.dumps({"n": 3, "k": 2.0, "d": 2, "groups": [[0, 1, 2]],
+                     "H": "field=2 rows=1 cols=3\n1 1 1\n"}),
+         '"n" and "k" must be integers'),
     ],
-    ids=["nested", "no-groups"],
+    ids=["nested", "no-groups", "float-n", "float-k"],
 )
 def test_an_lrc_json_that_cannot_load_exits_2(tmp_path, capsys, text, message, argv):
     path = tmp_path / "bad.lrc.json"

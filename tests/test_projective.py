@@ -4,18 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cap_search import SearchExhausted, cap_search
+import gf4lrc.projective as projective_module
+from cap_search import SearchExhausted, cap_search, collinear_companions, normalize_point
 from gf4lrc import gf4
 from gf4lrc.errors import BudgetExceeded, NotACap, ParseError
 from gf4lrc.matrix import pack_row, rows_rank
-from gf4lrc.projective import (
-    CapSet,
-    bundled_cap_pg3_17,
-    collinear_companions,
-    normalize_point,
-    pg_points,
-    subspace_points,
-)
+from gf4lrc.projective import CapSet, bundled_cap_pg3_17, pg_points, subspace_points
 
 W, W2 = gf4.W, gf4.W2
 
@@ -80,6 +74,25 @@ def test_verify_rejects_duplicates_and_unnormalized():
         CapSet(1, ((W, 0), (0, 1))).verify()
 
 
+@pytest.mark.parametrize("point", [(1, 5), (5, 1)])
+def test_verify_rejects_a_coordinate_outside_gf4(point):
+    with pytest.raises(NotACap, match="coordinate outside GF\\(4\\)"):
+        CapSet(1, (point,)).verify()
+
+
+def test_verify_makes_one_dependent_set_search(monkeypatch):
+    calls = []
+    search = projective_module.smallest_dependent_set
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(projective_module, "smallest_dependent_set", recorded)
+    bundled_cap_pg3_17().verify()
+    assert len(calls) == 1
+
+
 def test_verify_rejects_the_zero_point():
     with pytest.raises(NotACap):
         CapSet.from_text("pg=1 q=4 size=1\n0 0\n").verify()
@@ -98,16 +111,19 @@ def first_collinear_triple_by_rank(cap: CapSet):
 
 
 BUNDLED = bundled_cap_pg3_17().points
-PG2, PG3 = pg_points(2), pg_points(3)
+PG2, PG3, PG4 = pg_points(2), pg_points(3), pg_points(4)
 
 
 @st.composite
 def point_sets(draw):
     """Distinct normalized points in any order: sub-caps of the 17-cap,
-    sub-caps with points of PG(3, 4) added, and sets from PG(2, 4)."""
-    kind = draw(st.sampled_from(["cap", "cap+", "pg2"]))
+    sub-caps with points of PG(3, 4) added, and sets from PG(2, 4) and
+    PG(4, 4)."""
+    kind = draw(st.sampled_from(["cap", "cap+", "pg2", "pg4"]))
     if kind == "pg2":
         return CapSet(2, tuple(draw(st.lists(st.sampled_from(PG2), unique=True, max_size=8))))
+    if kind == "pg4":
+        return CapSet(4, tuple(draw(st.lists(st.sampled_from(PG4), unique=True, max_size=12))))
     points = draw(st.lists(st.sampled_from(BUNDLED), unique=True, max_size=17))
     if kind == "cap+":
         points += draw(st.lists(st.sampled_from(PG3), unique=True, min_size=1, max_size=3))
