@@ -285,10 +285,7 @@ def _cmd_repair(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    try:
-        items = reproduce.run(args.ids or None, heavy=args.heavy)
-    except KeyError as exc:
-        raise Gf4LrcError(str(exc)) from exc
+    items = reproduce.run(args.ids or None, heavy=args.heavy)
     if args.json:
         _emit(args, {"items": [it.to_json() for it in items]})
     else:

@@ -113,13 +113,6 @@ class SplitMix64:
     def __init__(self, seed: int):
         self.state = seed & _MASK64
 
-    def next_u64(self) -> int:
-        self.state = (self.state + _GAMMA) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
-
     def lanes(self, m: int, streams: int = 1) -> int:
         """The next m outputs of this generator and of those seeded at its
         state + 1, ..., + streams - 1: output j+1 of stream i in bits

@@ -5,9 +5,9 @@ packed words: the word is a list with ``None`` at the erasures, the
 erased set a ``frozenset``, each syndrome a per-symbol loop over the
 parity-check columns, and each trial encodes, erases and checks a tuple.
 Its erasure draws take one scalar ``next_u64`` output per step, as the
-models drew them before ``SplitMix64.lanes``, so it shares no draw code
-with the package.  The tests compare the packed path of
-``gf4lrc.repair`` against it.
+models drew them before ``SplitMix64.lanes``.  ``next_u64`` is written here
+from the recurrence, so the oracle shares no draw code with the package.
+The tests compare the packed path of ``gf4lrc.repair`` against it.
 """
 
 from gf4lrc.errors import AmbiguousDecode, ShapeMismatch
@@ -19,6 +19,18 @@ from gf4lrc.repair import (
     SimulationReport,
     SplitMix64,
 )
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def next_u64(rng: SplitMix64) -> int:
+    """One scalar SplitMix64 output; advances ``rng.state`` by one draw."""
+    rng.state = (rng.state + 0x9E3779B97F4A7C15) & _MASK64
+    z = rng.state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 def syndrome(code, word) -> int:
@@ -97,11 +109,11 @@ def draw(model, rng, n: int) -> frozenset:
             raise ValueError(f"cannot erase {model.t} of {n} positions")
         pool = list(range(n))
         for i in range(model.t):
-            j = i + rng.next_u64() % (n - i)
+            j = i + next_u64(rng) % (n - i)
             pool[i], pool[j] = pool[j], pool[i]
         return frozenset(pool[: model.t])
     assert isinstance(model, PerSymbolErasures)
-    return frozenset(i for i in range(n) if (rng.next_u64() >> 11) * 2.0**-53 < model.p)
+    return frozenset(i for i in range(n) if (next_u64(rng) >> 11) * 2.0**-53 < model.p)
 
 
 def simulate(lrc, trials: int, model, seed: int = 0) -> SimulationReport:
@@ -114,7 +126,7 @@ def simulate(lrc, trials: int, model, seed: int = 0) -> SimulationReport:
     repaired_total = 0
     for trial in range(trials):
         rng = SplitMix64(seed + trial)
-        message = [rng.next_u64() & 1 for _ in range(lrc.k)]
+        message = [next_u64(rng) & 1 for _ in range(lrc.k)]
         codeword = lrc.code.encode(message)
         pattern = draw(model, rng, lrc.n)
         erased_total += len(pattern)

@@ -734,6 +734,7 @@ def test_reproduce_scope_and_json_determinism(capsys):
 def test_reproduce_unknown_id_exits_2(capsys):
     code, _, err = run_cli(capsys, "reproduce", "example9.9")
     assert code == 2
+    assert err == "error: unknown reproduce id 'example9.9'\n"
 
 
 def test_reproduce_mismatch_exits_1(capsys, monkeypatch):

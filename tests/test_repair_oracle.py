@@ -138,7 +138,7 @@ def test_simulated_erasures_decode_real_codewords(name, data):
         success = simulate(lrc, 1, model, seed + trial).success_rate == 1
         rng = SplitMix64(seed + trial)
         for _ in range(lrc.k):
-            rng.next_u64()
+            reference.next_u64(rng)
         erased = reference.draw(model, rng, lrc.n)
         for message in data.draw(st.lists(messages, min_size=1, max_size=3)):
             codeword = lrc.code.encode(message)

@@ -1,6 +1,12 @@
+from pathlib import Path
+
 import pytest
 
-from gf4lrc import reproduce
+from gf4lrc import bounds, cli, concat, reproduce
+from gf4lrc.code import LinearCode
+from gf4lrc.errors import InvalidParameters
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_expand_ids_prefix_and_exact():
@@ -8,7 +14,7 @@ def test_expand_ids_prefix_and_exact():
     assert reproduce.expand_ids(["example5.1"]) == ["example5.1"]
     assert reproduce.expand_ids(["table1", "table1.row1"]) == [f"table1.row{i}" for i in range(1, 5)]
     assert reproduce.expand_ids(None) == list(reproduce.ALL_IDS)
-    with pytest.raises(KeyError):
+    with pytest.raises(InvalidParameters, match="unknown reproduce id 'nope'"):
         reproduce.expand_ids(["nope"])
 
 
@@ -37,3 +43,59 @@ def test_item_json_shape():
     assert obj["id"] == "table1.row3"
     assert obj["status"] == "match"
     assert obj["expected"]["lrc"] == [15, 6, 6]
+
+
+@pytest.mark.parametrize("argv, name", [(["--json"], "reproduce.json"), ([], "reproduce.txt")])
+def test_full_run_output_is_pinned(capsys, argv, name):
+    """A full run prints, byte for byte, what the hand-written item
+    functions that the rows replaced printed: item order, keys and values."""
+    assert cli.main(["reproduce", *argv]) == 0
+    assert capsys.readouterr().out == (DATA / name).read_text()
+
+
+def test_changed_stated_value_is_a_mismatch(capsys, monkeypatch):
+    monkeypatch.setitem(reproduce._ITEMS["table1.row3"].expected, "lrc", [15, 6, 7])
+    assert cli.main(["reproduce", "table1.row3"]) == 1
+    assert capsys.readouterr().out == "table1.row3  mismatch  differs: lrc\n"
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("a forbidden computation ran")
+
+
+def test_example_5_2_certifies_no_lrc_distance(monkeypatch):
+    """Its LRC d is 2 * d1 from the certified outer d: the group search on
+    [129,72,10;2] would cost more than the rest of a full run."""
+    monkeypatch.setattr(concat, "certify_distance", _forbidden)
+    [item] = reproduce.run(["example5.2"])
+    assert item.status == reproduce.MATCH
+    assert item.computed["lrc"] == [129, 72, 10]
+    with pytest.raises(AssertionError, match="forbidden"):
+        reproduce.run(["table1.row1"])  # the other rows certify through it
+
+
+def test_table1_enumerates_no_lrc_and_classifies_nothing(monkeypatch):
+    """A table row reads only the Griesmer-like bound: no ``classify`` and
+    no binary weight enumeration (the GF(4) outer codes are enumerated
+    when their builders verify d)."""
+    fields = []
+    weight_distribution = LinearCode.weight_distribution
+
+    def recorded(self, *args, **kwargs):
+        fields.append(self.q)
+        return weight_distribution(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinearCode, "weight_distribution", recorded)
+    reproduce.run(["example5.1"])
+    assert 2 in fields  # an LRC's enumeration is seen
+    monkeypatch.setattr(bounds, "classify", _forbidden)
+    with pytest.raises(AssertionError, match="forbidden"):
+        reproduce.run(["example6.1"])  # a classify call is seen
+    fields.clear()
+    assert {it.status for it in reproduce.run(["table1"])} == {reproduce.MATCH}
+    assert 2 not in fields
+
+
+def test_every_fact_is_stated_by_some_row():
+    rows = [r for r in reproduce._ITEMS.values() if isinstance(r, reproduce._Row)]
+    assert {key for r in rows for key in {**r.expected, **r.heavy}} == set(reproduce._FACTS)
