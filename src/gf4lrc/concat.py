@@ -176,6 +176,10 @@ class BinaryLrc:
             raise ParseError(f"not a locality-2 LRC: {exc}") from exc
         if obj.get("n") != lrc.n or obj.get("k") != lrc.k:
             raise ParseError("stored n/k disagree with the parity-check matrix")
+        # The other stored fields are optional; one that is present must hold.
+        for key, value in (("r", 2), ("ell", lrc.ell), ("u", lrc.u)):
+            if key in obj and (type(obj[key]) is not int or obj[key] != value):
+                raise ParseError(f'stored "{key}" disagrees with the LRC ({key} = {value})')
         return lrc
 
 

@@ -51,8 +51,3 @@ def symbol_to_value(sym: str, q: int) -> int:
         raise ValueError(f"invalid GF({q}) symbol {sym!r}")
     return v
 
-
-def value_to_symbol(v: int, q: int) -> str:
-    if not 0 <= v < q:
-        raise ValueError(f"value {v} out of range for GF({q})")
-    return SYMBOLS[v]

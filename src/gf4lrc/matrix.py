@@ -15,6 +15,11 @@ rows r is the GF(2) span of the pairs (r, w*r), so a GF(4) rank is half a
 binary rank, and sum_i c_i r_i is one ``xor_combine``: the XOR of the pairs
 over the packed coefficients' bits (bits 2i, 2i+1 select r_i and w*r_i).
 
+Every change of layout (pack, unpack, transpose, text) goes through one
+digit-string codec, ``row_digits``: a packed row is the base-q numeral of
+its symbols, so ``format`` writes its digits and ``int(digits[::-1], q)``
+reads them back, each in one C call rather than one step per symbol.
+
 Matrix text format (strict): a header line
 
     field=<2|4> rows=<r> cols=<c> [kind=...] [n=...] [k=...] [d=...]
@@ -34,8 +39,14 @@ from .errors import BudgetExceeded, FieldMismatch, ParseError, ShapeMismatch
 
 _HEADER_EXTRA_KEYS = ("kind", "n", "k", "d")
 
-#: The symbols w, W as the base-4 digits of their values.
+#: The symbols w, W as the base-4 digits of their values, and back.
 _DIGITS = str.maketrans("wW", "23")
+_SYMBOLS = str.maketrans("23", "wW")
+#: A hex digit as its two base-4 digits, high first.
+_HEX_TO_BASE4 = str.maketrans({f"{v:x}": f"{v >> 2}{v & 3}" for v in range(16)})
+#: Symbol values as base-q digit bytes, and back.
+_VALUE_TO_DIGIT = bytes.maketrans(b"\0\1\2\3", b"0123")
+_DIGIT_TO_VALUE = bytes.maketrans(b"0123", b"\0\1\2\3")
 
 
 def lo_mask(ncols: int) -> int:
@@ -49,22 +60,30 @@ def _lo_for(row: int) -> int:
     return ((1 << bits) - 1) // 3
 
 
-def pack_row(q: int, symbols: Sequence[int]) -> int:
-    row = 0
+def row_digits(q: int, row: int, ncols: int) -> str:
+    """A packed row as ncols base-q digits, symbol j at index j.
+
+    Bits beyond ncols symbols are dropped.  ``int(digits[::-1], q)`` is the
+    inverse: the digits are the row's base-q numeral, lowest digit first.
+    """
     if q == 2:
-        for j, v in enumerate(symbols):
-            if v:
-                row |= 1 << j
-    else:
-        for j, v in enumerate(symbols):
-            row |= v << (2 * j)
-    return row
+        return format(row, f"0{ncols}b")[::-1][:ncols]
+    # Each hex digit holds two symbols; an odd ncols pads one high 0.
+    return format(row, f"0{(ncols + 1) // 2}x").translate(_HEX_TO_BASE4)[::-1][:ncols]
+
+
+def row_text(q: int, row: int, ncols: int) -> str:
+    """A packed row as one line of the text format: ncols symbols."""
+    return " ".join(row_digits(q, row, ncols).translate(_SYMBOLS))
+
+
+def pack_row(q: int, symbols: Sequence[int]) -> int:
+    """Symbols (each in 0..q-1, which callers check) as a packed row."""
+    return int(bytes(symbols).translate(_VALUE_TO_DIGIT)[::-1] or b"0", q)
 
 
 def unpack_row(q: int, row: int, ncols: int) -> tuple[int, ...]:
-    if q == 2:
-        return tuple((row >> j) & 1 for j in range(ncols))
-    return tuple((row >> (2 * j)) & 3 for j in range(ncols))
+    return tuple(row_digits(q, row, ncols).encode().translate(_DIGIT_TO_VALUE))
 
 
 def scale_row(q: int, row: int, scalar: int, lo: int | None = None) -> int:
@@ -210,13 +229,18 @@ class FieldMatrix:
     # -- algebra -----------------------------------------------------------
 
     def transpose(self) -> "FieldMatrix":
-        """The transpose, built from each row's nonzero entries."""
-        width = 1 if self.q == 2 else 2
-        cols = [0] * self.ncols
-        for i, row in enumerate(self.rows):
-            for j, value in row_support(self.q, row, self._lo):
-                cols[j] |= value << (width * i)
-        return FieldMatrix(self.q, self.ncols, self.nrows, cols)
+        """The transpose, each column one strided slice of one digit string.
+
+        The rows' digits, joined and reversed, are the rows' base-q numerals
+        (highest symbol first), last row first, so every ncols-th digit from
+        ncols - 1 - j is column j's numeral, highest row first.
+        """
+        q, n = self.q, self.ncols
+        if any(row >> ((q // 2) * n) for row in self.rows):
+            raise ShapeMismatch(f"a packed row is wider than {n} columns")
+        text = "".join([row_digits(q, row, n) for row in self.rows])[::-1]
+        cols = [int(text[n - 1 - j :: n] or "0", q) for j in range(n)]
+        return FieldMatrix(q, n, self.nrows, cols)
 
     def mat_mul(self, other: "FieldMatrix") -> "FieldMatrix":
         if self.q != other.q:
@@ -274,11 +298,7 @@ class FieldMatrix:
             for key in _HEADER_EXTRA_KEYS:
                 if key in extras:
                     header += f" {key}={extras[key]}"
-        lines = [header]
-        for i in range(self.nrows):
-            lines.append(
-                " ".join(gf4.value_to_symbol(v, self.q) for v in self.row_tuple(i))
-            )
+        lines = [header] + [row_text(self.q, row, self.ncols) for row in self.rows]
         return "\n".join(lines) + "\n"
 
     @classmethod

@@ -23,7 +23,14 @@ from itertools import product
 
 from . import gf4
 from .errors import BudgetExceeded, NotACap, ParseError
-from .matrix import pack_row, read_symbol_rows, scale_row, smallest_dependent_set, unpack_row
+from .matrix import (
+    pack_row,
+    read_symbol_rows,
+    row_text,
+    scale_row,
+    smallest_dependent_set,
+    unpack_row,
+)
 
 Point = tuple[int, ...]
 
@@ -95,8 +102,7 @@ class CapSet:
 
     def to_text(self) -> str:
         lines = [f"pg={self.ambient} q=4 size={len(self.points)}"]
-        for p in self.points:
-            lines.append(" ".join(gf4.value_to_symbol(v, 4) for v in p))
+        lines += [row_text(4, pack_row(4, p), len(p)) for p in self.points]
         return "\n".join(lines) + "\n"
 
     @classmethod

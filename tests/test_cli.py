@@ -21,6 +21,8 @@ from gf4lrc.concat import BinaryLrc, certify_distance, concatenate
 from gf4lrc.families import hexacode
 from gf4lrc.matrix import FieldMatrix
 
+DATA = Path(__file__).parent / "data"
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -696,8 +698,20 @@ def test_an_lrc_whose_h_repeats_a_row_exits_2(lrc_files, tmp_path, capsys, argv)
         (json.dumps({"n": 3, "k": 2.0, "d": 2, "groups": [[0, 1, 2]],
                      "H": "field=2 rows=1 cols=3\n1 1 1\n"}),
          '"n" and "k" must be integers'),
+        (json.dumps({"n": 3, "k": 2, "d": 2, "r": 3, "groups": [[0, 1, 2]],
+                     "H": "field=2 rows=1 cols=3\n1 1 1\n"}),
+         'stored "r" disagrees with the LRC (r = 2)'),
+        (json.dumps({"n": 3, "k": 2, "d": 2, "ell": 7, "groups": [[0, 1, 2]],
+                     "H": "field=2 rows=1 cols=3\n1 1 1\n"}),
+         'stored "ell" disagrees with the LRC (ell = 1)'),
+        (json.dumps({"n": 3, "k": 2, "d": 2, "u": "x", "groups": [[0, 1, 2]],
+                     "H": "field=2 rows=1 cols=3\n1 1 1\n"}),
+         'stored "u" disagrees with the LRC (u = 0)'),
+        (json.dumps({"n": 3, "k": 2, "d": 2, "u": 0.0, "groups": [[0, 1, 2]],
+                     "H": "field=2 rows=1 cols=3\n1 1 1\n"}),
+         'stored "u" disagrees with the LRC (u = 0)'),
     ],
-    ids=["nested", "no-groups", "float-n", "float-k"],
+    ids=["nested", "no-groups", "float-n", "float-k", "r-3", "ell-7", "u-str", "u-float"],
 )
 def test_an_lrc_json_that_cannot_load_exits_2(tmp_path, capsys, text, message, argv):
     path = tmp_path / "bad.lrc.json"
@@ -705,6 +719,15 @@ def test_an_lrc_json_that_cannot_load_exits_2(tmp_path, capsys, text, message, a
     code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.endswith(message + "\n")
+
+
+def test_an_lrc_json_without_r_ell_u_loads(tmp_path, capsys):
+    obj = {"n": 3, "k": 2, "d": 2, "groups": [[0, 1, 2]], "H": "field=2 rows=1 cols=3\n1 1 1\n"}
+    path = tmp_path / "bare.lrc.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli(capsys, "analyze", str(path), "--distance")[0] == 0
+    path.write_text(json.dumps({**obj, "r": 2, "ell": 1, "u": 0}))
+    assert run_cli(capsys, "analyze", str(path), "--distance")[0] == 0
 
 
 def test_repair_requires_exactly_one_model(tmp_path, capsys):
@@ -764,6 +787,17 @@ def test_construct_output_deterministic(tmp_path, capsys):
     run_cli(capsys, "construct", "hexacode", "--concat", "--output", str(a))
     run_cli(capsys, "construct", "hexacode", "--concat", "--output", str(b))
     assert (tmp_path / "a.lrc.json").read_text() == (tmp_path / "b.lrc.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [("cyc", ["cyclic4", "--n", "43", "--poly", "1 0 W 1 1 w 0 1"]), ("cap", ["cap"])],
+)
+def test_construct_writes_the_pinned_files(tmp_path, capsys, name, argv):
+    """The .code and .lrc.json files are byte for byte the ones in tests/data."""
+    assert run_cli(capsys, "construct", *argv, "--concat", "--output", str(tmp_path / name))[0] == 0
+    for suffix in (".code", ".lrc.json"):
+        assert (tmp_path / (name + suffix)).read_bytes() == (DATA / (name + suffix)).read_bytes()
 
 
 def test_timestamps_flag(capsys):

@@ -6,7 +6,7 @@ import pytest
 from inner_code import g_map, g_unmap, mul_matrix, vector_map, vector_unmap
 from gf4lrc import gf4
 from gf4lrc.errors import ZeroInverse
-from gf4lrc.matrix import lo_mask, pack_row, scale_row, unpack_row
+from gf4lrc.matrix import FieldMatrix, lo_mask, pack_row, scale_row, unpack_row
 
 W, W2 = gf4.W, gf4.W2
 ELEMENTS = range(4)
@@ -148,9 +148,10 @@ def test_mul_matrix_compatible_with_g_map():
 
 
 def test_symbol_alphabet():
-    for v in ELEMENTS:
-        assert gf4.symbol_to_value(gf4.value_to_symbol(v, 4), 4) == v
-    assert gf4.value_to_symbol(W2, 4) == "W"
+    text = FieldMatrix.from_rows(4, [list(ELEMENTS)]).to_text()
+    assert text.splitlines()[1] == "0 1 w W"
+    assert FieldMatrix.from_text(text)[0].row_tuple(0) == tuple(ELEMENTS)
+    assert [gf4.symbol_to_value(sym, 4) for sym in "01wW"] == [0, 1, W, W2]
     with pytest.raises(ValueError):
         gf4.symbol_to_value("x", 4)
     with pytest.raises(ValueError):

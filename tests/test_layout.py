@@ -1,0 +1,86 @@
+"""The digit-string codec against the per-symbol layout it replaced."""
+
+import random
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import scalar_layout
+from gf4lrc.errors import ShapeMismatch
+from gf4lrc.matrix import FieldMatrix, pack_row, row_digits, unpack_row
+from gf4lrc.projective import CapSet
+
+
+@st.composite
+def matrices(draw, max_rows=6, max_cols=13):
+    """A GF(2) or GF(4) matrix, 0 rows and 0 columns included."""
+    q = draw(st.sampled_from([2, 4]))
+    nrows = draw(st.integers(0, max_rows))
+    ncols = draw(st.integers(0, max_cols))
+    rows = draw(st.lists(st.integers(0, q**ncols - 1), min_size=nrows, max_size=nrows))
+    return FieldMatrix(q, nrows, ncols, rows)
+
+
+def assert_layout_matches(m: FieldMatrix) -> None:
+    q, n = m.q, m.ncols
+    t = m.transpose()
+    assert (t.q, t.nrows, t.ncols) == (q, n, m.nrows)
+    assert list(t.rows) == scalar_layout.transpose(q, m.rows, n)
+    assert m.to_text() == scalar_layout.matrix_text(q, m.rows, n)
+    for row in m.rows:
+        symbols = scalar_layout.unpack_row(q, row, n)
+        assert unpack_row(q, row, n) == symbols
+        assert pack_row(q, symbols) == scalar_layout.pack_row(q, symbols) == row
+        assert int(row_digits(q, row, n)[::-1] or "0", q) == row
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_layout_matches_the_per_symbol_loops(m):
+    assert_layout_matches(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 4]), st.integers(0, 9), st.integers(1, 2**40))
+def test_unpack_drops_symbols_beyond_ncols(q, ncols, row):
+    assert unpack_row(q, row, ncols) == scalar_layout.unpack_row(q, row, ncols)
+    assert len(row_digits(q, row, ncols)) == ncols
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 5), st.data())
+def test_cap_text_matches_the_per_symbol_loop(ambient, data):
+    point = st.tuples(*[st.integers(0, 3)] * (ambient + 1))
+    points = tuple(data.draw(st.lists(point, max_size=6)))
+    assert CapSet(ambient, points).to_text() == scalar_layout.cap_text(ambient, points)
+
+
+@pytest.mark.parametrize("q", [2, 4])
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5), (0, 6), (4, 0)])
+def test_empty_shapes(q, shape):
+    nrows, ncols = shape
+    m = FieldMatrix(q, nrows, ncols, [0] * nrows)
+    assert_layout_matches(m)
+    assert m.transpose().transpose() == m
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_a_5000_column_row_passes_the_int_digit_limit(q):
+    # int(str) refuses more than sys.get_int_max_str_digits() (4300 by
+    # default) digits in base 10, but not in a power-of-two base like 2 or 4.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and limit < 5000:
+        with pytest.raises(ValueError):
+            int("1" * 5000)
+    rng = random.Random(q)
+    row = rng.getrandbits((q // 2) * 5000) | 1 << ((q // 2) * 5000 - 1)
+    assert_layout_matches(FieldMatrix(q, 1, 5000, [row]))
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_transpose_refuses_a_row_wider_than_ncols(q):
+    m = FieldMatrix(q, 2, 3, [1, 1 << (q // 2) * 3])
+    with pytest.raises(ShapeMismatch):
+        m.transpose()

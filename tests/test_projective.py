@@ -1,3 +1,4 @@
+import importlib.resources
 import itertools
 
 import pytest
@@ -173,6 +174,11 @@ def test_cap_text_round_trip():
     cap = cap_search(2, 6)
     again = CapSet.from_text(cap.to_text())
     assert again == cap
+
+
+def test_bundled_cap_writes_its_own_file():
+    text = importlib.resources.files("gf4lrc").joinpath("data/cap_pg3_size17.txt").read_text()
+    assert bundled_cap_pg3_17().to_text() == text
 
 
 def test_cap_text_parse_errors():
