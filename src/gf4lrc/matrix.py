@@ -190,10 +190,12 @@ class FieldMatrix:
             raise ValueError(f"unsupported field GF({q})")
         if len(rows) != nrows:
             raise ShapeMismatch(f"expected {nrows} rows, got {len(rows)}")
+        self.rows = tuple(rows)
+        if self.rows and (min(self.rows) < 0 or max(self.rows) >> (q // 2) * ncols):
+            raise ShapeMismatch(f"a packed row is negative or wider than {ncols} columns")
         self.q = q
         self.nrows = nrows
         self.ncols = ncols
-        self.rows = tuple(rows)
         self._lo = lo_mask(ncols) if q == 4 else None
 
     # -- constructors ------------------------------------------------------
@@ -236,8 +238,6 @@ class FieldMatrix:
         ncols - 1 - j is column j's numeral, highest row first.
         """
         q, n = self.q, self.ncols
-        if any(row >> ((q // 2) * n) for row in self.rows):
-            raise ShapeMismatch(f"a packed row is wider than {n} columns")
         text = "".join([row_digits(q, row, n) for row in self.rows])[::-1]
         cols = [int(text[n - 1 - j :: n] or "0", q) for j in range(n)]
         return FieldMatrix(q, n, self.nrows, cols)

@@ -26,7 +26,6 @@ from .errors import BudgetExceeded, NotACap, ParseError
 from .matrix import (
     pack_row,
     read_symbol_rows,
-    row_text,
     scale_row,
     smallest_dependent_set,
     unpack_row,
@@ -99,11 +98,6 @@ class CapSet:
         if found is not None and len(found[0]) == 3:
             triple = found[0]
             raise NotACap(f"collinear triple at indices {triple}", triple=triple)
-
-    def to_text(self) -> str:
-        lines = [f"pg={self.ambient} q=4 size={len(self.points)}"]
-        lines += [row_text(4, pack_row(4, p), len(p)) for p in self.points]
-        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "CapSet":

@@ -4,11 +4,11 @@ Decoding runs on packed words: the intact bits as one int and the erased
 positions as a bit mask.  A group with a single erasure gets it back as
 the XOR of its three bits (the erased one reads 0); only the groups of
 erased positions are visited, through ``BinaryLrc.group_masks``.  The
-rest is one pass
-of the XOR-basis kernel of ``gf4lrc.matrix``: the syndrome of the known
-bits (``LinearCode.syndrome``, an XOR of the code's ``bit_columns``)
-reduced against the still-erased columns leaves a residual, meaning no
-codeword fits, or a provenance mask holding the erased values.  It is
+rest is one pass of the XOR-basis kernel of ``gf4lrc.matrix``: the
+syndrome of the known bits (``LinearCode.syndrome``, an XOR of the code's
+``bit_columns``) reduced against the still-erased columns leaves a
+residual, meaning no codeword fits, or a provenance mask holding the
+erased values.  It is
 exact and succeeds iff the erased columns are linearly independent
 (guaranteed for up to d-1 erasures).
 
@@ -39,11 +39,11 @@ the generator.
 
 The code is linear, so whether an erased set can be repaired, and which
 of its positions are repaired locally, depends only on the set and not
-on the codeword: a trial decodes the zero word.  Its stream still skips
-its first k outputs, the bits of the random k-bit message that a trial
-which encodes a real codeword draws first, by starting the state at
-seed + i + k*gamma, what k draws add to it.  So the erased sets, and
-every report, equal those of such a trial.
+on the codeword: a trial needs no word, only its erased set.  Its stream
+still skips its first k outputs, the bits of the random k-bit message
+that a trial which encodes a real codeword draws first, by starting the
+state at seed + i + k*gamma, what k draws add to it.  So the erased sets,
+and every report, equal those of such a trial.
 
 ``simulate`` takes a block of consecutive trials at a time, at most about
 ``_BLOCK_LANES`` lanes, and the model's ``draw(rng, n, c)`` draws the
@@ -62,11 +62,21 @@ with c = 1 the cells are the positions.
   ``lanes(n, c)`` lies in [0, 2^65), so no lane borrows from the next,
   and its bit 64 is set exactly when its output is below T*2^11.
 
-The cells of a block fold into one erased-position mask per trial, and
-the masks are tallied by erased set, so a run holds one count per
-distinct set and one block of masks.  Each distinct set is decoded once
-and its totals weighted by its count: the outcome depends on the set
-alone.
+Each block is then tallied in a few big-int operations.  A table sends
+position p to slot 3i + j when p = groups[i][j], so group i fills slots
+3i..3i+2 (for every ``concatenate`` output the table is the identity),
+and cell i*n + p raises the flag byte i*n + slot(p) of a bytearray read
+as one int B.  With M0 the int of a 1 in each byte 3i, a = B & M0,
+b = B >> 8 & M0 and c = B >> 16 & M0 hold the flags of each group's
+three slots in bit 0 of its byte 3i, a ^ b ^ c ^ (a & b & c) marks the
+groups with exactly one erasure, and its product with 0x10101 (the mark
+copied to the group's three bytes), masked by B, is L, the locally
+repaired cells of all trials.  ``len`` of the drawn cells and
+``L.bit_count()`` count the erased and the locally repaired symbols.
+Only trials whose still-erased flags B ^ L are nonzero, found with
+``bytes.find``, are visited one by one: the still-erased set, packed as
+an int, keys a memo of the XOR-basis rank check over ``bit_columns`` in
+slot order, so each distinct set reaches the kernel once.
 """
 
 from __future__ import annotations
@@ -74,7 +84,6 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import compress
 from typing import Optional, Sequence
@@ -223,7 +232,7 @@ def _decode(lrc: BinaryLrc, known: int, erased: int) -> tuple[Optional[int], int
             low = rest & -rest
             dependent += not xor_insert(basis, cols[low.bit_length() - 1], low)[0]
             rest ^= low
-        # The zero word, all that simulate passes, has syndrome 0: nothing to solve.
+        # A zero word has syndrome 0: nothing to solve.
         residual, solution = xor_reduce(basis, lrc.code.syndrome(known)) if known else (0, 0)
         if residual:
             raise ValueError("word is not consistent with any codeword")
@@ -314,46 +323,71 @@ class SimulationReport:
 def simulate(lrc: BinaryLrc, trials: int, model, seed: int = 0) -> SimulationReport:
     """Batch failure injection; deterministic under a fixed seed.
 
-    Per trial the model erases positions, and each distinct erased set
-    is decoded once, weighted by the number of trials that drew it.
-    local_fraction counts locally repaired symbols over all erased
-    symbols; mean_accessed averages the per-symbol access counts over all
-    repaired symbols.
+    Each block of trials is one int of erasure flags: local repairs come
+    from the group layout for all its trials at once, and the rank check
+    runs once per distinct still-erased set.  local_fraction counts
+    locally repaired symbols over all erased symbols; mean_accessed
+    averages the per-symbol access counts over all repaired symbols.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n, k = lrc.n, lrc.k
     block = max(1, _BLOCK_LANES // n)
-    tally: Counter[int] = Counter()
+    # Slot 3i + j holds position groups[i][j]; cell i*n + p goes to flag i*n + slot[p].
+    order = [p for g in lrc.groups for p in g]
+    slot = [0] * n
+    for s, p in enumerate(order):
+        slot[p] = s
+    flag_of = [base + s for base in range(0, n * block, n) for s in slot]
+    columns = [lrc.code.bit_columns[p] for p in order]
+    firsts = int.from_bytes(b"\1\0\0" * (n // 3 * block), "little")
+    solved: dict[int, int] = {}
+    failures = erased_total = local_total = global_total = global_accessed = 0
     for first in range(0, trials, block):
         size = min(block, trials - first)
-        masks = [0] * size
-        for cell in model.draw(SplitMix64(seed + first + k * _GAMMA), n, size):
-            masks[cell // n] |= 1 << cell % n
-        tally.update(masks)
-    successes = 0
-    erased_total = 0
-    local_total = 0
-    accessed_total = 0
-    repaired_total = 0
-    for erased, count in tally.items():
-        t = erased.bit_count()
-        erased_total += count * t
-        _, solution_dim, local = _decode(lrc, 0, erased)
-        local_count = local.bit_count()
-        local_total += count * local_count
-        accessed_total += count * 2 * local_count
-        if solution_dim:
-            repaired_total += count * local_count
-            continue
-        repaired_total += count * t
-        accessed_total += count * (t - local_count) * (n - t)
-        successes += count
+        cells = model.draw(SplitMix64(seed + first + k * _GAMMA), n, size)
+        flags = bytearray(n * size)
+        for cell in cells:
+            flags[flag_of[cell]] = 1
+        erased = int.from_bytes(flags, "little")
+        a, b, c = erased & firsts, erased >> 8 & firsts, erased >> 16 & firsts
+        # A group with exactly one erasure repairs it locally: a ^ b ^ c
+        # flags an odd count, and a & b & c takes out the count 3.
+        local = (a ^ b ^ c ^ (a & b & c)) * 0x10101 & erased
+        erased_total += len(cells)
+        local_total += local.bit_count()
+        rest = (erased ^ local).to_bytes(n * size, "little")
+        start = rest.find(1)
+        while start >= 0:
+            start -= start % n
+            end = start + n
+            key = int.from_bytes(rest[start:end], "little")
+            still = solved.get(key)
+            if still is None:
+                still = solved[key] = _solved(columns, rest[start:end])
+            if still:
+                global_total += still
+                global_accessed += still * (n - flags.count(1, start, end))
+            else:
+                failures += 1
+            start = rest.find(1, end)
+    repaired_total = local_total + global_total
+    accessed_total = 2 * local_total + global_accessed
     return SimulationReport(
         trials=trials,
         model=model.to_json(),
         seed=seed,
-        success_rate=successes / trials,
+        success_rate=(trials - failures) / trials,
         local_fraction=local_total / erased_total if erased_total else 1.0,
         mean_accessed=accessed_total / repaired_total if repaired_total else 0.0,
     )
+
+
+def _solved(columns: Sequence[int], flags: bytes) -> int:
+    """How many slots are flagged if their columns are linearly independent,
+    else 0: the global solve's count of repaired symbols."""
+    basis: list = []
+    for s in compress(range(len(flags)), flags):
+        if not xor_insert(basis, columns[s])[0]:
+            return 0
+    return len(basis)

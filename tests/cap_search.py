@@ -5,6 +5,8 @@ the one way to see that the bundled cap is the search's first completion.
 It runs on the package's point enumeration and GF(4) arithmetic, and
 carries its own line geometry (normalization and the companions of a
 pair), since the package checks a cap by its dependent-set search instead.
+It also holds ``cap_text``, the cap file writer: the package only reads
+cap files.
 """
 
 from __future__ import annotations
@@ -14,7 +16,16 @@ from typing import Optional, Sequence
 
 from gf4lrc import gf4
 from gf4lrc.errors import BudgetExceeded, Gf4LrcError
+from gf4lrc.matrix import pack_row, row_text
 from gf4lrc.projective import CapSet, Point, pg_points, point_sort_key
+
+
+def cap_text(cap: CapSet) -> str:
+    """The cap file text that ``CapSet.from_text`` reads back, each point
+    one row of the matrix codec."""
+    lines = [f"pg={cap.ambient} q=4 size={len(cap.points)}"]
+    lines += [row_text(4, pack_row(4, p), len(p)) for p in cap.points]
+    return "\n".join(lines) + "\n"
 
 
 class SearchExhausted(Gf4LrcError):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_layout
+from cap_search import cap_text
 from gf4lrc.errors import ShapeMismatch
 from gf4lrc.matrix import FieldMatrix, pack_row, row_digits, unpack_row
 from gf4lrc.projective import CapSet
@@ -54,7 +55,7 @@ def test_unpack_drops_symbols_beyond_ncols(q, ncols, row):
 def test_cap_text_matches_the_per_symbol_loop(ambient, data):
     point = st.tuples(*[st.integers(0, 3)] * (ambient + 1))
     points = tuple(data.draw(st.lists(point, max_size=6)))
-    assert CapSet(ambient, points).to_text() == scalar_layout.cap_text(ambient, points)
+    assert cap_text(CapSet(ambient, points)) == scalar_layout.cap_text(ambient, points)
 
 
 @pytest.mark.parametrize("q", [2, 4])
@@ -80,7 +81,13 @@ def test_a_5000_column_row_passes_the_int_digit_limit(q):
 
 
 @pytest.mark.parametrize("q", [2, 4])
-def test_transpose_refuses_a_row_wider_than_ncols(q):
-    m = FieldMatrix(q, 2, 3, [1, 1 << (q // 2) * 3])
+def test_a_row_wider_than_ncols_or_negative_is_refused_when_built(q):
+    """No matrix holds a symbol beyond its last column, which ``to_text``
+    would drop and ``rref`` would count, or a negative row."""
+    width = (q // 2) * 3
+    assert FieldMatrix(q, 2, 3, [1, (1 << width) - 1]).transpose().ncols == 2
+    for row in (1 << width, 1 << (q // 2) * 4 - 1, -1, -(1 << width)):
+        with pytest.raises(ShapeMismatch, match="negative or wider than 3 columns"):
+            FieldMatrix(q, 2, 3, [1, row])
     with pytest.raises(ShapeMismatch):
-        m.transpose()
+        FieldMatrix(q, 1, 0, [1])

@@ -118,7 +118,7 @@ def lrc_objects(draw):
             # Keep some rows of the valid parity check and flip some bits.
             h = VALID_H.rows
             kept = draw(st.lists(st.sampled_from(range(len(h))), unique=True, max_size=len(h)))
-            flips = draw(st.lists(st.integers(0, VALID_H.ncols - 1), max_size=3))
+            flips = draw(st.lists(st.integers(0, VALID_H.ncols - 1), unique=True, max_size=3))
             rows = [h[i] ^ sum(1 << j for j in flips) for i in sorted(kept)]
             obj["H"] = FieldMatrix(2, len(rows), VALID_H.ncols, rows).to_text()
         elif key == "groups":

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gf4lrc.projective as projective_module
-from cap_search import SearchExhausted, cap_search, collinear_companions, normalize_point
+from cap_search import (
+    SearchExhausted,
+    cap_search,
+    cap_text,
+    collinear_companions,
+    normalize_point,
+)
 from gf4lrc import gf4
 from gf4lrc.errors import BudgetExceeded, NotACap, ParseError
 from gf4lrc.matrix import pack_row, rows_rank
@@ -172,13 +178,13 @@ def test_bundled_cap_matches_fresh_search():
 
 def test_cap_text_round_trip():
     cap = cap_search(2, 6)
-    again = CapSet.from_text(cap.to_text())
+    again = CapSet.from_text(cap_text(cap))
     assert again == cap
 
 
 def test_bundled_cap_writes_its_own_file():
     text = importlib.resources.files("gf4lrc").joinpath("data/cap_pg3_size17.txt").read_text()
-    assert bundled_cap_pg3_17().to_text() == text
+    assert cap_text(bundled_cap_pg3_17()) == text
 
 
 def test_cap_text_parse_errors():

@@ -204,19 +204,20 @@ def test_simulate_trial_stays_packed(lrc, monkeypatch):
 
 def test_simulate_draws_once_per_block_and_decodes_each_set_once(lrc, monkeypatch):
     """Each block of trials calls its model's ``draw`` once, the sizes
-    ``draw`` returns sum to the run's erasure count, and each distinct
-    erased set is decoded once."""
+    ``draw`` returns sum to the run's erasure count, and the rank check
+    runs once per distinct still-erased set, the erasures that no group
+    repairs locally, and never for a set repaired wholly locally."""
     trials, seed = 150, 3
     block = repair._BLOCK_LANES // lrc.n
     assert 1 < block < trials and trials % block
     calls = collections.Counter()
-    decode = repair._decode
+    solved = repair._solved
 
-    def counted_decode(lrc, known, erased):
-        calls["_decode"] += 1
-        return decode(lrc, known, erased)
+    def counted_solved(columns, flags):
+        calls["_solved"] += 1
+        return solved(columns, flags)
 
-    monkeypatch.setattr(repair, "_decode", counted_decode)
+    monkeypatch.setattr(repair, "_solved", counted_solved)
     for cls in (RandomErasures, PerSymbolErasures):
         draw = cls.__dict__["draw"]
 
@@ -229,22 +230,29 @@ def test_simulate_draws_once_per_block_and_decodes_each_set_once(lrc, monkeypatc
         monkeypatch.setattr(cls, "draw", counted_draw)
     distinct = {}
     for model in (RandomErasures(2), RandomErasures(7), PerSymbolErasures(0.3)):
-        patterns = []
+        still_erased = set()
+        erasures = 0
         for trial in range(trials):
             rng = SplitMix64(seed + trial)
             for _ in range(lrc.k):
                 reference.next_u64(rng)
-            patterns.append(reference.draw(model, rng, lrc.n))
+            pattern = reference.draw(model, rng, lrc.n)
+            erasures += len(pattern)
+            groups = [pattern & set(g) for g in lrc.groups]
+            still = frozenset().union(*(e for e in groups if len(e) > 1))
+            if still:
+                still_erased.add(still)
         calls.clear()
         simulate(lrc, trials, model, seed)
         assert calls == {
             "draw": -(-trials // block),
-            "erasures": sum(map(len, patterns)),
-            "_decode": len(set(patterns)),
+            "erasures": erasures,
+            "_solved": len(still_erased),
         }, model
-        distinct[model] = len(set(patterns))
-    # Two erasures of 15 positions come in 105 sets: fewer decodes than trials.
-    assert distinct[RandomErasures(2)] < trials
+        distinct[model] = len(still_erased)
+    # Two erasures leave a still-erased set only inside one of the five
+    # groups, so at most 15 sets: far fewer rank checks than trials.
+    assert 0 < distinct[RandomErasures(2)] <= 15
 
 
 def _count_syndromes(monkeypatch) -> collections.Counter:

@@ -33,12 +33,36 @@ def _reordered_hexacode_lrc() -> BinaryLrc:
     return BinaryLrc(lrc.code, ((g0, g2, g1),) + lrc.groups[1:], lrc.d)
 
 
+def _permuted_hamming_lrc() -> BinaryLrc:
+    """The [15,6,6;2] LRC with position p moved to 7p + 3 mod 15, its
+    columns and its groups alike, so no group is three consecutive
+    positions."""
+    lrc = concatenate(hamming4(2))
+    n = lrc.n
+    moved = [(7 * p + 3) % n for p in range(n)]
+    columns = [0] * n
+    for p, column in zip(moved, lrc.code.parity_check.transpose().rows):
+        columns[p] = column
+    h = FieldMatrix(2, n, n - lrc.k, columns).transpose()
+    groups = [tuple(moved[p] for p in g) for g in lrc.groups]
+    return BinaryLrc(LinearCode.from_parity(h), groups, lrc.d)
+
+
 LRCS = {
     "ham15": concatenate(hamming4(2)),
     "hex18": concatenate(hexacode()),
     "rs15": concatenate(mds_rs(5, 3)),
     "hex18_reordered": _reordered_hexacode_lrc(),
+    "ham15_permuted": _permuted_hamming_lrc(),
 }
+
+
+def test_permuted_lrc_has_no_consecutive_group():
+    """Its groups are not the triples 3i..3i+2, so the simulator's slot
+    table is not the identity; its distance is the LRC's it permutes."""
+    lrc = LRCS["ham15_permuted"]
+    assert not {frozenset(g) for g in lrc.groups} & {frozenset(range(i, i + 3)) for i in range(13)}
+    assert lrc.code.min_distance().d == lrc.d == 6
 
 
 def _outcome(fn, *args):
