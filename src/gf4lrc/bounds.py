@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional
@@ -271,7 +271,12 @@ class BoundEntry:
     attained: bool
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {
+            "name": self.name,
+            "direction": self.direction,
+            "value": self.value,
+            "attained": self.attained,
+        }
 
 
 @dataclass(frozen=True)
@@ -298,7 +303,14 @@ class BoundReport:
 
     def to_json(self) -> dict:
         def frac(f):
-            return None if f is None else {"exact": str(f), "value": float(f)}
+            # "value" is null where the exact value lies beyond float range.
+            if f is None:
+                return None
+            try:
+                value = float(f)
+            except OverflowError:
+                value = None
+            return {"exact": str(f), "value": value}
 
         return {
             "n": self.query.n,

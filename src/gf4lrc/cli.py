@@ -33,12 +33,21 @@ from .projective import CapSet, bundled_cap_pg3_17
 from .repair import PerSymbolErasures, RandomErasures, simulate
 
 
+#: Byte values 0..9 to their digit characters; ``_NOT_DIGITS`` is every
+#: other byte value, which the translation deletes.
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+_NOT_DIGITS = bytes(range(10, 256))
+
+
 def _json_text(obj, indent: str = "\n") -> str:
     """What ``json.dumps`` writes with sorted keys and a two-space indent,
     for a value with str keys.  Keys and scalars are written as the
-    stdlib's encoder writes them (``_json_scalar``); a flat list of plain
-    ints is joined in one step, not item by item as the pure-Python
-    encoder that an indent selects does."""
+    stdlib's encoder writes them (``_json_scalar``).  A flat list of plain
+    ints (no bools) is joined in one step, not item by item as the
+    pure-Python encoder that an indent selects does.  When every item is
+    0..9, as in a report's bit and GF(4) symbol rows, the items are one
+    digit string, made by one ``bytes(...).translate`` pass; otherwise
+    each is written by ``int.__repr__``."""
     inner = indent + "  "
     sep = "," + inner
     if isinstance(obj, dict):
@@ -54,7 +63,14 @@ def _json_text(obj, indent: str = "\n") -> str:
         if not obj:
             return "[]"
         if set(map(type, obj)) == {int}:
-            items = map(int.__repr__, obj)
+            try:
+                digits = bytes(obj).translate(_DIGITS, _NOT_DIGITS)
+            except ValueError:  # an item outside 0..255
+                digits = b""
+            if len(digits) == len(obj):
+                items = digits.decode()
+            else:
+                items = map(int.__repr__, obj)
         else:
             items = [_json_text(x, inner) for x in obj]
         return "[" + inner + sep.join(items) + indent + "]"
@@ -224,7 +240,7 @@ def _cmd_analyze(args) -> int:
             report["distance"] = {
                 "d": cert.d,
                 "method": cert.method,
-                "witness": list(cert.witness),
+                "witness": cert.witness,
             }
         except BudgetExceeded as exc:
             report["distance"] = {
@@ -239,7 +255,7 @@ def _cmd_analyze(args) -> int:
                 "r": r or 2,
                 "ok": coverage.ok,
                 "uncovered": coverage.uncovered(),
-                "covering": [list(c) if c else None for c in coverage.covering],
+                "covering": coverage.covering,
             }
             if is_lrc:
                 report["groups"] = [list(g) for g in loaded.groups]

@@ -19,17 +19,19 @@ The enumerator is bit-sliced (Biham 1997): it handles aligned blocks of
 2^BLOCK_BITS steps, one big-int bit plane per codeword bit, where bit x of
 a plane is that codeword bit at step base + x.  A plane is a fixed truth
 table of the low step bits, complemented when the block's high bits flip
-it.  The coordinates' nonzero planes are summed into a bit-sliced counter,
-which splits into one plane per weight.  Every caller reads the whole
-code, so a pass walks all q^k steps, and one cached pass serves both
-exhaustive distance and the weight distribution, whichever is asked for
-first.
+it.  The step rows' columns come from one ``transpose``, and a column's
+table is the XOR of the cached planes of the low step bits it holds
+(plane i has bit x set when bit i of x is).  The coordinates' nonzero
+planes are summed into a bit-sliced counter, which splits into one plane
+per weight.  Every caller reads the whole code, so a pass walks all q^k
+steps, and one cached pass serves both exhaustive distance and the weight
+distribution, whichever is asked for first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, NonIntegerResult, RankDeficient, ShapeMismatch
@@ -234,18 +236,12 @@ class LinearCode:
         steps = self._step_rows()
         low = min(len(steps), BLOCK_BITS)
         full = (1 << (1 << low)) - 1
-        ones = [(1 << (1 << i)) - 1 for i in range(low)]
+        bit_planes, below = _step_bit_planes(low), (1 << low) - 1
         width = 1 if self.q == 2 else 2
-        columns = []
-        for c in range(width * self.n):
-            col = 0
-            for i, row in enumerate(steps):
-                col |= (row >> c & 1) << i
-            # Doubling: bit x of the table is parity(x & col) for x < 2^i.
-            table = 0
-            for i in range(low):
-                table |= (table ^ (ones[i] if col >> i & 1 else 0)) << (1 << i)
-            columns.append((table, col >> low))
+        # Bit i of column c is bit c of step row i; bit x of its table is
+        # parity(x & col) for x < 2^low, the XOR of the planes of col's bits.
+        cols = FieldMatrix(2, len(steps), width * self.n, steps).transpose().rows
+        columns = [(xor_combine(bit_planes, col & below), col >> low) for col in cols]
         # A symbol is nonzero where either of its two bits is (over GF(2)
         # both are its one bit), and a block complements a bit's table when
         # the block's high bits flip it: one plane per pair of flips.
@@ -371,6 +367,18 @@ class LinearCode:
             raise AssertionError("column-search witness is not a codeword")
         d = sum(1 for c in witness if c)
         return DistanceCertificate(d, witness, METHOD_COLUMN)
+
+
+@cache
+def _step_bit_planes(low: int) -> tuple[int, ...]:
+    """Plane i, for i < low: bit x is set, for x < 2^low, when bit i of x is."""
+    full = (1 << (1 << low)) - 1
+    # The pattern of 2^i clear bits then 2^i set bits, repeated 2^(low-i-1)
+    # times: ``full`` over 2^(2^(i+1)) - 1 has a 1 at each repeat's start.
+    return tuple(
+        full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
+        for i in range(low)
+    )
 
 
 def krawtchouk_column(i: int, n: int, q: int) -> list[int]:

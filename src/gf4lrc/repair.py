@@ -58,9 +58,10 @@ with c = 1 the cells are the positions.
   float, (u_ij >> 11) * 2^-53, is below p.  Scaling by 2^53 is exact for
   p in [0, 1], so for the integer u_ij >> 11 the test is (u_ij >> 11) < T
   with T = ceil(p*2^53), that is u_ij < T*2^11 <= 2^64.  All c*n lanes
-  compare in one subtraction: lane l of (T*2^11 + 2^64 - 1)*L -
-  ``lanes(n, c)`` lies in [0, 2^65), so no lane borrows from the next,
-  and its bit 64 is set exactly when its output is below T*2^11.
+  compare in one subtraction: lane l of (T*2^11 + 2^64 - 1)*L, a
+  constant cached per p, n and c, minus ``lanes(n, c)`` lies in
+  [0, 2^65), so no lane borrows from the next, and its bit 64 is set
+  exactly when its output is below T*2^11.
 
 Each block is then tallied in a few big-int operations.  A table sends
 position p to slot 3i + j when p = groups[i][j], so group i fills slots
@@ -114,6 +115,13 @@ def _lane_constants(m: int, streams: int) -> tuple[int, int, int]:
         (i + (j + 1) * _GAMMA).to_bytes(16, "little") for i in range(streams) for j in range(m)
     )
     return ones, int.from_bytes(starts, "little"), _MASK64 * ones
+
+
+@functools.lru_cache(maxsize=64)
+def _threshold_lanes(p: float, m: int, streams: int) -> int:
+    """p's 2^64-scaled threshold plus 2^64 - 1 in every lane of
+    ``_lane_constants(m, streams)``; bounded like it."""
+    return ((math.ceil(p * 2**53) << 11) + _MASK64) * _lane_constants(m, streams)[0]
 
 
 class SplitMix64:
@@ -297,10 +305,9 @@ class PerSymbolErasures:
         """The erased cells i*n + p of ``trials`` trials, trial i erasing
         position p, drawn from stream i of ``rng.lanes``."""
         count = n * trials
-        ones = _lane_constants(n, trials)[0]
-        top = (math.ceil(self.p * 2**53) << 11) + _MASK64
         # Byte 8 of lane l holds its bit 64: 1 exactly when unit() < p.
-        below = (top * ones - rng.lanes(n, trials)).to_bytes(16 * count, "little")[8::16]
+        top = _threshold_lanes(self.p, n, trials)
+        below = (top - rng.lanes(n, trials)).to_bytes(16 * count, "little")[8::16]
         return frozenset(compress(range(count), below))
 
     def to_json(self) -> dict:

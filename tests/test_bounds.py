@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -227,6 +228,24 @@ def test_report_json_shape():
     assert obj["denominators"]["omega"] == 16
     names = {e["name"] for e in obj["bounds"]}
     assert "singleton_like" in names and "cm" in names
+
+
+def test_report_json_entries_are_their_fields():
+    report = bounds.classify(51, 26, 8)
+    assert [e.to_json() for e in report.entries] == [asdict(e) for e in report.entries]
+
+
+@pytest.mark.parametrize("n, k, d", [(51, 26, 8), (18, 6, 8), (3000, 10, 2000)])
+def test_report_json_value_is_null_only_beyond_float_range(n, k, d):
+    report = bounds.classify(n, k, d)
+    for name in ("omega_prime_improved", "omega_prime_original"):
+        exact = getattr(report, name)
+        try:
+            value = float(exact)
+        except OverflowError:
+            value = None
+        assert (value is None) == (n == 3000)
+        assert report.to_json()["denominators"][name] == {"exact": str(exact), "value": value}
 
 
 def test_kopt_table_override(tmp_path):

@@ -8,11 +8,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import gf4lrc
 from conftest import forbid_distance_and_weights, random_linear_code
+from gf4lrc import bounds
 from gf4lrc import code as code_module
 from gf4lrc import concat as concat_module
 from gf4lrc import cli
@@ -484,6 +485,18 @@ def test_bounds_command(capsys):
     assert report["denominators"]["omega_prime_improved"]["exact"] == "205"
 
 
+def test_bounds_beyond_float_range_write_a_null_value(capsys):
+    # omega' at (3000, 10, 2000) has about 600 digits: no float holds it,
+    # so "value" is null and "exact" still carries it.
+    code, out, err = run_cli(capsys, "bounds", "--n", "3000", "--k", "10", "--d", "2000")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    report = json.loads(out)["denominators"]
+    expected = bounds.classify(3000, 10, 2000)
+    for name in ("omega_prime_improved", "omega_prime_original"):
+        assert report[name] == {"exact": str(getattr(expected, name)), "value": None}
+
+
 @pytest.mark.parametrize(
     "flags",
     [
@@ -900,8 +913,19 @@ _SCALARS = (
     | st.floats() | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
     | _STRINGS
 )
+# Flat rows of digits 0..9, which the writer joins as one digit string,
+# and rows that leave that path: an item just outside 0..9 or outside a
+# byte, or a bool, which ``bytes`` would also take.
+_DIGIT = st.integers(0, 9)
+_EDGES = st.sampled_from([-1, 9, 10, 255, 256])
+_DIGIT_ROWS = (
+    st.lists(_DIGIT, min_size=1)
+    | st.lists(_DIGIT | _EDGES, min_size=1)
+    | st.lists(_DIGIT | st.booleans(), min_size=1)
+    | st.lists(_DIGIT | _EDGES | st.booleans(), min_size=1, max_size=1)
+)
 _JSON_VALUES = st.recursive(
-    _SCALARS | st.lists(st.integers()),
+    _SCALARS | st.lists(st.integers()) | _DIGIT_ROWS | _DIGIT_ROWS.map(tuple),
     lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
     | st.dictionaries(_STRINGS, inner),
     max_leaves=40,
@@ -910,6 +934,16 @@ _JSON_VALUES = st.recursive(
 
 @settings(max_examples=300, deadline=None)
 @given(_JSON_VALUES)
+@example([0, 1, 2, 3, 9])
+@example((3, 0, 2))
+@example([7])
+@example([9, 10])
+@example((255, 0))
+@example([0, 256])
+@example([-1, 1])
+@example([True, 0, 1])
+@example((False,))
+@example({"covering": [(0, 1, 1), None, (2, 3, 0)], "witness": (1, 0, 1)})
 def test_json_text_is_the_stdlib_indented_text(value):
     assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
 

@@ -9,6 +9,7 @@ from gf4lrc import gf4
 from gf4lrc.code import (
     LinearCode,
     WeightDistribution,
+    _step_bit_planes,
     krawtchouk_column,
     macwilliams,
 )
@@ -58,6 +59,26 @@ def test_min_distance_full_space():
     cert = code.min_distance()
     assert cert.d == 1
     assert sum(cert.witness) == 1
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_the_dual_of_a_full_space_code_enumerates_its_zero_word(q):
+    # k = 0: the enumerator's block holds 2^0 steps, so its tables have no
+    # low bits at all.
+    dual = LinearCode.from_generator(FieldMatrix.identity(q, 3)).dual()
+    assert dual.k == 0
+    assert dual.weight_distribution().counts == (1, 0, 0, 0)
+    [(base, planes, nonzero)] = list(dual._weight_planes())
+    assert (base, planes[0], nonzero) == (0, 1, [0, 0, 0])
+
+
+@pytest.mark.parametrize("low", range(7))
+def test_step_bit_planes_hold_each_bit_of_the_step(low):
+    planes = _step_bit_planes(low)
+    assert len(planes) == low
+    for i, plane in enumerate(planes):
+        assert plane >> (1 << low) == 0
+        assert all((plane >> x & 1) == (x >> i & 1) for x in range(1 << low))
 
 
 def test_min_distance_hexacode():
