@@ -15,6 +15,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional
@@ -182,8 +183,13 @@ def griesmer_like_max_d(n: int, k: int, r: int, q: int) -> int:
 
 
 def ball_size(n: int, radius: int, q: int) -> int:
-    """Hamming ball size sum C(n,i)(q-1)^i, i <= radius."""
-    return sum(math.comb(n, i) * (q - 1) ** i for i in range(radius + 1))
+    """Hamming ball size sum C(n,i)(q-1)^i, i <= radius, term by term:
+    term i + 1 is term i times (n - i)(q - 1)/(i + 1), exact in ints."""
+    total = term = int(radius >= 0)
+    for i in range(min(radius, n)):
+        term = term * (n - i) * (q - 1) // (i + 1)
+        total += term
+    return total
 
 
 def sphere_packing_classical_max_k(n: int, d: int, q: int) -> tuple[int, int]:
@@ -303,14 +309,16 @@ class BoundReport:
 
     def to_json(self) -> dict:
         def frac(f):
-            # "value" is null where the exact value lies beyond float range.
+            # "value" is null where the exact value lies beyond float range;
+            # "exact" is str(f) through Decimal, which has no digit limit.
             if f is None:
                 return None
             try:
                 value = float(f)
             except OverflowError:
                 value = None
-            return {"exact": str(f), "value": value}
+            num, den = (str(Decimal(v)) for v in (f.numerator, f.denominator))
+            return {"exact": num if den == "1" else f"{num}/{den}", "value": value}
 
         return {
             "n": self.query.n,

@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
+from decimal import Decimal
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -88,7 +89,10 @@ def _json_scalar(obj) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, int):
-        return int.__repr__(obj)
+        try:
+            return int.__repr__(obj)
+        except ValueError:  # beyond the int-to-str digit limit
+            return str(Decimal(obj))
     if isinstance(obj, float):
         if obj != obj:
             return "NaN"

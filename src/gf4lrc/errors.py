@@ -7,10 +7,6 @@ class Gf4LrcError(Exception):
     """Base class for all package errors."""
 
 
-class ZeroInverse(Gf4LrcError, ZeroDivisionError):
-    """Multiplicative inverse of 0 requested."""
-
-
 class ShapeMismatch(Gf4LrcError, ValueError):
     """Matrix dimensions incompatible with the requested operation."""
 

@@ -3,6 +3,8 @@
 Every builder returns a :class:`~gf4lrc.code.LinearCode` over GF(4) and
 re-verifies its advertised parameters with an independent distance
 computation, ``LinearCode.min_distance``, which reads d from the side rule.
+Generators are packed rows, so no builder does GF(4) arithmetic one symbol
+at a time: ``cyclic4`` checks that g divides x^n - 1 by one syndrome.
 """
 
 from __future__ import annotations
@@ -55,22 +57,16 @@ def mds_rs(n1: int, k1: int) -> LinearCode:
     single-parity case k1 = n1 - 1.
     """
     if k1 == n1 and n1 >= 1:
-        code = LinearCode.from_generator(FieldMatrix.identity(4, n1))
-        return _verified(code, 1)
-    if k1 == n1 - 1 and n1 >= 2:
-        rows = [[0] * n1 for _ in range(k1)]
-        for i in range(k1):
-            rows[i][i] = 1
-            rows[i][n1 - 1] = 1
-        code = LinearCode.from_generator(FieldMatrix.from_rows(4, rows))
-        return _verified(code, 2)
-    gen = _MDS_GENERATORS.get((n1, k1))
-    if gen is None:
+        gen = FieldMatrix.identity(4, n1)
+    elif k1 == n1 - 1 and n1 >= 2:
+        gen = FieldMatrix(4, k1, n1, [1 << 2 * i | 1 << 2 * (n1 - 1) for i in range(k1)])
+    elif (n1, k1) in _MDS_GENERATORS:
+        gen = FieldMatrix.from_rows(4, _MDS_GENERATORS[n1, k1])
+    else:
         raise UnsupportedParameters(
             f"no [{n1},{k1},{n1 - k1 + 1}] MDS code over GF(4) is supported"
         )
-    code = LinearCode.from_generator(FieldMatrix.from_rows(4, gen))
-    return _verified(code, n1 - k1 + 1)
+    return _verified(LinearCode.from_generator(gen), n1 - k1 + 1)
 
 
 def hamming4(t: int) -> LinearCode:
@@ -80,10 +76,8 @@ def hamming4(t: int) -> LinearCode:
     """
     if t < 2:
         raise InvalidParameters("hamming4 requires t >= 2")
-    cols = pg_points(t - 1)
-    parity = FieldMatrix.from_cols(4, [list(p) for p in cols])
-    code = LinearCode.from_parity(parity)
-    return _verified(code, 3)
+    parity = FieldMatrix.from_cols(4, pg_points(t - 1))
+    return _verified(LinearCode.from_parity(parity), 3)
 
 
 def hexacode() -> LinearCode:
@@ -139,7 +133,7 @@ def macdonald(m: int, u: int, t: int = 1) -> LinearCode:
     removed = set(subspace_points(m, 0, u))
     cols: list[Sequence[int]] = []
     for p in pg_points(m - 1):
-        cols.extend([list(p)] * (t - 1 if p in removed else t))
+        cols.extend([p] * (t - 1 if p in removed else t))
     code = LinearCode.from_generator(FieldMatrix.from_cols(4, cols))
     return _verified(code, t * 4 ** (m - 1) - 4 ** (u - 1))
 
@@ -177,7 +171,7 @@ def solomon_stiffler(t: int, dims: Sequence[int]) -> LinearCode:
     for u in dims:
         removed.update(subspace_points(t, offset, u))
         offset += u
-    cols = [list(p) for p in pg_points(t - 1) if p not in removed]
+    cols = [p for p in pg_points(t - 1) if p not in removed]
     code = LinearCode.from_generator(FieldMatrix.from_cols(4, cols))
     return _verified(code, 4 ** (t - 1) - sum(4 ** (u - 1) for u in dims))
 
@@ -185,7 +179,7 @@ def solomon_stiffler(t: int, dims: Sequence[int]) -> LinearCode:
 def cap_code(cap: CapSet) -> LinearCode:
     """Code whose parity-check columns are the cap points; d >= 4 by capness."""
     cap.verify()
-    parity = FieldMatrix.from_cols(4, [list(p) for p in cap.points])
+    parity = FieldMatrix.from_cols(4, cap.points)
     try:
         code = LinearCode.from_parity(parity)
     except RankDeficient as exc:
@@ -197,59 +191,25 @@ def cap_code(cap: CapSet) -> LinearCode:
     return code
 
 
-# -- GF(4) polynomials (ascending coefficient lists) -------------------------
-
-
-def poly_trim(p: Sequence[int]) -> list[int]:
-    out = list(p)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def poly_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of GF(4)[x] division."""
-    b = poly_trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = poly_trim(a)
-    if len(rem) < len(b):
-        return [], rem
-    quot = [0] * (len(rem) - len(b) + 1)
-    inv_lead = gf4.gf4_inv(b[-1])
-    for shift in range(len(rem) - len(b), -1, -1):
-        coeff = gf4.gf4_mul(rem[shift + len(b) - 1], inv_lead)
-        if coeff:
-            quot[shift] = coeff
-            for i, bc in enumerate(b):
-                rem[shift + i] ^= gf4.gf4_mul(coeff, bc)
-    return quot, poly_trim(rem)
-
-
 def cyclic4(n: int, gen_poly: Sequence[int]) -> LinearCode:
     """Cyclic code of length n generated by gen_poly (ascending coefficients).
 
     gen_poly must divide x^n - 1 over GF(4); the generator matrix holds the
-    n - deg(g) cyclic shifts of the coefficient vector.
+    k = n - deg(g) shifts x^i g.  They span a cyclic code exactly when g
+    divides x^n - 1, which holds exactly when the next shift x^k g, whose
+    top coefficient wraps to position 0, is a codeword: one syndrome.
     """
-    g = poly_trim(gen_poly)
+    g = FieldMatrix.from_rows(4, [gen_poly]).rows[0]  # checks every symbol
     if not g:
         raise InvalidParameters("zero generator polynomial")
-    deg = len(g) - 1
+    deg = (g.bit_length() - 1) // 2  # trailing zero coefficients drop out
     if deg >= n:
         raise InvalidParameters(f"deg(g)={deg} must be < n={n}")
-    modulus = [1] + [0] * (n - 1) + [1]  # x^n - 1 = x^n + 1 in characteristic 2
-    _, rem = poly_divmod(modulus, g)
-    if rem:
-        raise NotADivisor(f"generator polynomial does not divide x^{n} - 1")
     k = n - deg
-    rows = []
-    for i in range(k):
-        row = [0] * n
-        for j, c in enumerate(g):
-            row[i + j] = c
-        rows.append(row)
-    return LinearCode.from_generator(FieldMatrix.from_rows(4, rows))
+    code = LinearCode.from_generator(FieldMatrix(4, k, n, [g << 2 * i for i in range(k)]))
+    if code.syndrome((g << 2 * k) & ((1 << 2 * n) - 1) | g >> 2 * deg):
+        raise NotADivisor(f"generator polynomial does not divide x^{n} - 1")
+    return code
 
 
 def ingest(path: str | Path) -> tuple[LinearCode, Optional[int]]:

@@ -2,7 +2,8 @@
 
 The package ships its 17-cap in PG(3, 4) as a data file; this search is
 the one way to see that the bundled cap is the search's first completion.
-It runs on the package's point enumeration and GF(4) arithmetic, and
+It runs on the package's point enumeration and GF(4) product and the
+reference scalar inverse of ``scalar_elimination``, and
 carries its own line geometry (normalization and the companions of a
 pair), since the package checks a cap by its dependent-set search instead.
 It also holds ``cap_text``, the cap file writer: the package only reads
@@ -14,6 +15,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional, Sequence
 
+from scalar_elimination import gf4_inv
 from gf4lrc import gf4
 from gf4lrc.errors import BudgetExceeded, Gf4LrcError
 from gf4lrc.matrix import pack_row, row_text
@@ -36,7 +38,7 @@ def normalize_point(vec: Sequence[int]) -> Point:
     """Canonical representative: first nonzero coordinate scaled to 1."""
     for c in vec:
         if c:
-            inv = gf4.gf4_inv(c)
+            inv = gf4_inv(c)
             return tuple(gf4.gf4_mul(inv, v) for v in vec)
     raise ValueError("zero vector has no projective class")
 

@@ -7,10 +7,50 @@ former entry-by-entry ``FieldMatrix.transpose``, on the former one-symbol
 accessors ``matrix.row_entry``, ``FieldMatrix.entry`` and
 ``FieldMatrix.col_tuple``.  They stay here as the reference the kernel is
 checked against.
+
+``gf4_inv`` is the former ``gf4.gf4_inv``, the scalar inverse that
+normalizes pivots here, and ``poly_divmod`` the former
+``families.poly_divmod``, GF(4)[x] division one coefficient at a time,
+against which ``cyclic4``'s one-syndrome divisibility check is tested.
 """
 
 from gf4lrc import gf4
 from gf4lrc.matrix import FieldMatrix, _lo_for, lo_mask, pack_row, scale_row
+
+#: The inverse of each nonzero GF(4) element (w^-1 = w^2, since w^3 = 1).
+_INVERSE = {1: 1, gf4.W: gf4.W2, gf4.W2: gf4.W}
+
+
+def gf4_inv(a: int) -> int:
+    """Multiplicative inverse of a nonzero GF(4) element."""
+    return _INVERSE[a]
+
+
+def poly_divmod(a, b) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of GF(4)[x] division (ascending coefficients)."""
+    b = poly_trim(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = poly_trim(a)
+    if len(rem) < len(b):
+        return [], rem
+    quot = [0] * (len(rem) - len(b) + 1)
+    inv_lead = gf4_inv(b[-1])
+    for shift in range(len(rem) - len(b), -1, -1):
+        coeff = gf4.gf4_mul(rem[shift + len(b) - 1], inv_lead)
+        if coeff:
+            quot[shift] = coeff
+            for i, bc in enumerate(b):
+                rem[shift + i] ^= gf4.gf4_mul(coeff, bc)
+    return quot, poly_trim(rem)
+
+
+def poly_trim(p) -> list[int]:
+    """The coefficient list without its trailing zeros."""
+    out = list(p)
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
 def row_entry(q: int, row: int, j: int) -> int:
@@ -51,7 +91,7 @@ def rows_rank(q: int, rows, ncols: int) -> int:
             col = leading_column(q, row, lo)
             lead = row_entry(q, row, col)
             if lead != 1:
-                row = scale_row(q, row, gf4.gf4_inv(lead), lo)
+                row = scale_row(q, row, gf4_inv(lead), lo)
             basis.append((col, row))
     return len(basis)
 
@@ -72,7 +112,7 @@ def rref(m: FieldMatrix):
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         lead = row_entry(m.q, rows[r], col)
         if lead != 1:
-            rows[r] = scale_row(m.q, rows[r], gf4.gf4_inv(lead), m._lo)
+            rows[r] = scale_row(m.q, rows[r], gf4_inv(lead), m._lo)
         for i in range(len(rows)):
             if i == r:
                 continue

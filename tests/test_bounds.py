@@ -113,6 +113,13 @@ def test_griesmer_like_max_d_takes_logarithmically_many_sums(monkeypatch):
     assert 0 < len(calls) < 2000
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 80), st.integers(-2, 90), st.sampled_from((2, 3, 4)))
+def test_ball_size_is_the_binomial_sum(n, radius, q):
+    expected = sum(math.comb(n, i) * (q - 1) ** i for i in range(radius + 1))
+    assert bounds.ball_size(n, radius, q) == expected
+
+
 def test_lrc_ball_size_matches_definition():
     for ell in range(1, 6):
         for d in range(2, 13, 2):

@@ -5,6 +5,8 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -495,6 +497,22 @@ def test_bounds_beyond_float_range_write_a_null_value(capsys):
     expected = bounds.classify(3000, 10, 2000)
     for name in ("omega_prime_improved", "omega_prime_original"):
         assert report[name] == {"exact": str(getattr(expected, name)), "value": None}
+
+
+def test_bounds_beyond_the_int_digit_limit_write_every_digit(capsys):
+    # omega at (30000, 10, 20000) has more than 4300 digits, the default
+    # limit of int-to-str conversion: the report still writes them all.
+    code, out, err = run_cli(capsys, "bounds", "--n", "30000", "--k", "10", "--d", "20000")
+    assert (code, err) == (0, "")
+    report = json.loads(out, parse_int=Decimal)["denominators"]
+    expected = bounds.classify(30000, 10, 20000)
+    assert len(str(report["omega"])) > 4300
+    assert int(report["omega"]) == expected.omega == bounds.lrc_ball_size(10000, 20000)
+    for name in ("omega_prime_improved", "omega_prime_original"):
+        num, _, den = report[name]["exact"].partition("/")
+        exact = Fraction(int(Decimal(num)), int(Decimal(den or "1")))
+        assert (exact, report[name]["value"]) == (getattr(expected, name), None)
+    assert _json_text({"x": -(10**4300)}) == '{\n  "x": -1' + "0" * 4300 + "\n}"
 
 
 @pytest.mark.parametrize(

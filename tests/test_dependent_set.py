@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import random_code_corpus
 from inner_code import g_unmap
-from scalar_elimination import col_tuple, leading_column, row_entry
+from scalar_elimination import col_tuple, gf4_inv, leading_column, row_entry
 from gf4lrc import gf4
 from gf4lrc.code import METHOD_COLUMN, METHOD_GROUP_RANK, DistanceCertificate, LinearCode
 from gf4lrc.concat import certify_distance, concatenate
@@ -106,7 +106,7 @@ def reference_columns(code: LinearCode, budget):
                 pos = leading_column(q, r, lo)
                 lead = row_entry(q, r, pos)
                 if lead != 1:
-                    r = scale_row(q, r, gf4.gf4_inv(lead), lo)
+                    r = scale_row(q, r, gf4_inv(lead), lo)
                 basis.append((pos, r))
                 chosen.append(idx)
                 if dfs(w, idx + 1, depth + 1, basis, chosen):

@@ -1,10 +1,12 @@
 import logging
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cap_search import cap_search
 from conftest import forbid_distance_and_weights
-from scalar_elimination import col_tuple
+from scalar_elimination import col_tuple, poly_divmod, poly_trim
 from gf4lrc import gf4
 from gf4lrc.bounds import griesmer_classical_min_n
 from gf4lrc.cli import main
@@ -26,7 +28,6 @@ from gf4lrc.families import (
     ingest,
     macdonald,
     mds_rs,
-    poly_divmod,
     solomon_stiffler,
 )
 from gf4lrc.matrix import FieldMatrix
@@ -209,13 +210,66 @@ def test_cyclic_43_36_distance_confirmed_by_transform():
     assert full.counts[5] > 0
 
 
-def test_poly_divmod():
-    # (x + 1)(x^2 + x + 1) = x^3 + 1 over GF(4)
-    quot, rem = poly_divmod([1, 0, 0, 1], [1, 1])
-    assert rem == []
-    assert quot == [1, 1, 1]
-    _, rem = poly_divmod([1, 0, 0, 0, 0, 1], [1, 0, 1])  # x^5+1 by x^2+1
-    assert rem != []
+def poly_gcd(a, b) -> list[int]:
+    a, b = poly_trim(a), poly_trim(b)
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    return a
+
+
+@st.composite
+def cyclic_generators(draw):
+    """(n, g): g random, or a divisor of x^n - 1 (its gcd with a random
+    polynomial, times a nonzero scalar), with or without trailing zeros."""
+    n = draw(st.integers(1, 12))
+    g = draw(st.lists(st.integers(0, 3), max_size=n))
+    if draw(st.booleans()):
+        c = draw(st.sampled_from(gf4.NONZERO))
+        g = [gf4.gf4_mul(c, v) for v in poly_gcd([1] + [0] * (n - 1) + [1], g)]
+    return n, g + [0] * draw(st.integers(0, 2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(cyclic_generators())
+@example((3, [1, 1]))
+@example((5, [1, 0, 1]))
+@example((7, [1, 1, 0, 1]))
+@example((4, [0, 1]))  # g0 = 0: x never divides x^n - 1
+@example((6, [1, 1, 0, 0]))
+@example((2, [0, 0, 0]))
+@example((2, [1, 0, W]))  # deg g = n
+@example((1, []))
+@example((3, [W]))
+def test_cyclic_accepts_exactly_the_divisors(case):
+    n, g = case
+    trimmed = poly_trim(g)
+    if not trimmed or len(trimmed) > n:
+        with pytest.raises(InvalidParameters):
+            cyclic4(n, g)
+        return
+    _, rem = poly_divmod([1] + [0] * (n - 1) + [1], trimmed)
+    if rem:
+        with pytest.raises(NotADivisor, match=rf"does not divide x\^{n} - 1$"):
+            cyclic4(n, g)
+        return
+    code = cyclic4(n, g)
+    k = n - len(trimmed) + 1
+    assert code.params() == (n, k)
+    for i in range(k):
+        assert code.generator.row_tuple(i) == tuple([0] * i + trimmed + [0] * (k - 1 - i))
+    top = code.generator.row_tuple(k - 1)
+    assert code.contains(top[-1:] + top[:-1])  # the wrapped shift x^k g
+
+
+@pytest.mark.parametrize(
+    "n,g,bad", [(3, [1, 5], 5), (3, [5, 1], 5), (2, [1, 1, 0, 5], 5), (3, [1, -1], -1)]
+)
+def test_cyclic_rejects_a_symbol_outside_gf4(n, g, bad):
+    # checked before trimming and before the degree: a plain ValueError,
+    # not InvalidParameters, worded as FieldMatrix.from_rows words it
+    with pytest.raises(ValueError, match=rf"^symbol {bad} invalid over GF\(4\)$") as info:
+        cyclic4(n, g)
+    assert not isinstance(info.value, InvalidParameters)
 
 
 def test_cyclic_parity_code():
