@@ -301,12 +301,6 @@ class BoundReport:
     omega_prime_improved: Optional[Fraction]
     omega_prime_original: Optional[Fraction]
 
-    def entry(self, name: str) -> BoundEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
     def to_json(self) -> dict:
         def frac(f):
             # "value" is null where the exact value lies beyond float range;

@@ -48,7 +48,8 @@ def _json_text(obj, indent: str = "\n") -> str:
     pure-Python encoder that an indent selects does.  When every item is
     0..9, as in a report's bit and GF(4) symbol rows, the items are one
     digit string, made by one ``bytes(...).translate`` pass; otherwise
-    each is written by ``int.__repr__``."""
+    each is written by ``int.__repr__``, or by ``_json_scalar`` when one
+    has more digits than ``int.__repr__`` allows."""
     inner = indent + "  "
     sep = "," + inner
     if isinstance(obj, dict):
@@ -71,7 +72,10 @@ def _json_text(obj, indent: str = "\n") -> str:
             if len(digits) == len(obj):
                 items = digits.decode()
             else:
-                items = map(int.__repr__, obj)
+                try:
+                    items = list(map(int.__repr__, obj))
+                except ValueError:  # an item beyond the int-to-str digit limit
+                    items = map(_json_scalar, obj)
         else:
             items = [_json_text(x, inner) for x in obj]
         return "[" + inner + sep.join(items) + indent + "]"

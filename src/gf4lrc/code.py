@@ -38,7 +38,6 @@ from .errors import BudgetExceeded, NonIntegerResult, RankDeficient, ShapeMismat
 from .matrix import (
     FieldMatrix,
     binary_expansion,
-    pack_row,
     rows_rank,
     smallest_dependent_set,
     unpack_row,
@@ -91,10 +90,6 @@ class WeightDistribution:
 
     def to_json(self) -> dict:
         return {"n": self.n, "k": self.k, "q": self.q, "A": list(self.counts)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "WeightDistribution":
-        return cls(obj["n"], obj["k"], obj["q"], tuple(obj["A"]))
 
 
 class LinearCode:
@@ -195,12 +190,10 @@ class LinearCode:
 
     def _packed(self, symbols: Sequence[int], length: int, shape: str) -> int:
         """A symbol list packed, after checking each symbol, then its length."""
-        for x in symbols:
-            if not 0 <= x < self.q:
-                raise ValueError(f"symbol {x} invalid over GF({self.q})")
+        packed = FieldMatrix.from_rows(self.q, [symbols]).rows[0]  # checks every symbol
         if len(symbols) != length:
             raise ShapeMismatch(shape)
-        return pack_row(self.q, symbols)
+        return packed
 
     def encode(self, message: Sequence[int]) -> tuple[int, ...]:
         """Codeword for a length-k message vector."""

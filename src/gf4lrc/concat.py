@@ -43,8 +43,7 @@ class BinaryLrc:
 
     It is fixed by its parity check and its groups: the top ``ell`` rows
     are the group parities, and in the ``u`` rows below, group i's columns
-    are (0, e1, e2).  ``e_vectors[i]`` is that pair, packed, and
-    ``group_masks[p]`` has the bits of the group holding position p.
+    are (0, e1, e2).  ``e_vectors[i]`` is that pair, packed.
     """
 
     def __init__(
@@ -60,12 +59,6 @@ class BinaryLrc:
         self._validate()
         lower = [col >> self.ell for col in code.bit_columns]
         self.e_vectors = tuple((lower[b], lower[c]) for _, b, c in self.groups)
-        masks = [0] * code.n
-        for g in self.groups:
-            mask = 1 << g[0] | 1 << g[1] | 1 << g[2]
-            for p in g:
-                masks[p] = mask
-        self.group_masks = tuple(masks)
 
     def _validate(self) -> None:
         if not self.groups:

@@ -1,16 +1,19 @@
 """Erasure repair on locality-2 LRCs and a reproducible failure simulator.
 
 Decoding runs on packed words: the intact bits as one int and the erased
-positions as a bit mask.  A group with a single erasure gets it back as
-the XOR of its three bits (the erased one reads 0); only the groups of
-erased positions are visited, through ``BinaryLrc.group_masks``.  The
-rest is one pass of the XOR-basis kernel of ``gf4lrc.matrix``: the
-syndrome of the known bits (``LinearCode.syndrome``, an XOR of the code's
-``bit_columns``) reduced against the still-erased columns leaves a
-residual, meaning no codeword fits, or a provenance mask holding the
-erased values.  It is
-exact and succeeds iff the erased columns are linearly independent
-(guaranteed for up to d-1 erasures).
+positions as a bit mask.  It is one pass of the XOR-basis kernel of
+``gf4lrc.matrix``: each erased column of ``bit_columns`` enters with its
+position as provenance bit, and the syndrome of the known bits
+(``LinearCode.syndrome``) reduced against that basis leaves a residual,
+meaning no codeword fits, or a provenance mask holding the erased values.
+It is exact and succeeds iff the erased columns are linearly independent
+(guaranteed for up to d-1 erasures).  A group with one erasure is reported
+as repaired locally, from its two partners.  The single solve gives what a
+local pass first would: every codeword has even weight on each group, so a
+codeword supported on the erased set is 0 at a group's lone erasure.  That
+column is therefore independent of the other erased ones (the solution
+space has the dimension of the others alone), and its solved value is the
+XOR of its partners.
 
 Randomness comes from SplitMix64 so runs are reproducible across
 implementations.  State update per draw, all mod 2^64:
@@ -165,11 +168,11 @@ def local_repair(lrc: BinaryLrc, word: Sequence[Optional[int]], pos: int) -> int
         raise ValueError(f"position {pos} outside 0..{lrc.n - 1}")
     if word[pos] is not None:
         raise ValueError(f"position {pos} is not erased")
-    others = lrc.group_masks[pos] ^ 1 << pos
-    a, b = (others & -others).bit_length() - 1, others.bit_length() - 1
+    group = next(g for g in lrc.groups if pos in g)
+    a, b = sorted(set(group) - {pos})
     x, y = word[a], word[b]
     if x is None or y is None:
-        raise GroupDamaged(f"group {tuple(sorted((a, b, pos)))} has another erasure besides {pos}")
+        raise GroupDamaged(f"group {tuple(sorted(group))} has another erasure besides {pos}")
     for v in (x, y):
         if v != 0 and v != 1:
             raise ValueError(f"symbol {v} invalid over GF(2)")
@@ -177,11 +180,10 @@ def local_repair(lrc: BinaryLrc, word: Sequence[Optional[int]], pos: int) -> int
 
 
 def global_decode(lrc: BinaryLrc, word: Sequence[Optional[int]]) -> RepairOutcome:
-    """Recover all erasures (``None`` symbols); local repairs first, then
-    one linear solve.
+    """Recover all erasures (``None`` symbols) in one linear solve.
 
     Raises AmbiguousDecode (with the solution-space dimension) when the
-    parity-check columns at the still-erased positions are dependent.
+    parity-check columns at the erased positions are dependent.
     """
     n = lrc.n
     if len(word) != n:
@@ -194,62 +196,30 @@ def global_decode(lrc: BinaryLrc, word: Sequence[Optional[int]]) -> RepairOutcom
             known |= 1 << i
         elif x != 0:
             raise ValueError(f"symbol {x} invalid over GF(2)")
-    recovered, solution_dim, local = _decode(lrc, known, erased)
-    if solution_dim:
-        raise AmbiguousDecode(
-            f"erased columns are dependent; 2^{solution_dim} candidate words",
-            solution_dim,
-        )
     methods: dict[int, str] = {}
     accessed: dict[int, int] = {}
     for g in lrc.groups:
-        for p in g:
-            if local >> p & 1:
-                methods[p], accessed[p] = "local", 2
+        hit = [p for p in g if erased >> p & 1]
+        if len(hit) == 1:
+            methods[hit[0]], accessed[hit[0]] = "local", 2
+    # Column p enters with provenance bit p: the solution is in place.
+    cols = lrc.code.bit_columns
     intact = n - erased.bit_count()
-    for p, _ in row_support(2, erased ^ local):
-        methods[p], accessed[p] = "global", intact
-    return RepairOutcome(unpack_row(2, recovered, n), methods, accessed)
-
-
-def _decode(lrc: BinaryLrc, known: int, erased: int) -> tuple[Optional[int], int, int]:
-    """(recovered word or None, solution-space dim, mask of local repairs).
-
-    Words are packed: ``known`` holds the intact bits (0 at the erasures),
-    ``erased`` has bit p set for each erased position p.
-    """
-    local = 0
-    masks = lrc.group_masks
-    rest = erased
-    while rest:
-        low = rest & -rest
-        group = masks[low.bit_length() - 1]
-        rest &= ~group
-        if (erased & group) == low:
-            # The erased bit reads 0, so the group's parity is its value.
-            local |= low
-            if (known & group).bit_count() & 1:
-                known |= low
-    rest = erased ^ local
-    if rest:
-        # Column p enters with provenance bit p: the solution is in place.
-        cols = lrc.code.bit_columns
-        basis: list = []
-        dependent = 0
-        while rest:
-            low = rest & -rest
-            dependent += not xor_insert(basis, cols[low.bit_length() - 1], low)[0]
-            rest ^= low
-        # A zero word has syndrome 0: nothing to solve.
-        residual, solution = xor_reduce(basis, lrc.code.syndrome(known)) if known else (0, 0)
-        if residual:
-            raise ValueError("word is not consistent with any codeword")
-        if dependent:
-            return None, dependent, local
-        return known | solution, 0, local  # the zero residual makes its syndrome 0
-    if known and lrc.code.syndrome(known):
+    basis: list = []
+    dependent = 0
+    for p, _ in row_support(2, erased):
+        dependent += not xor_insert(basis, cols[p], 1 << p)[0]
+        if p not in methods:
+            methods[p], accessed[p] = "global", intact
+    residual, solution = xor_reduce(basis, lrc.code.syndrome(known))
+    if residual:
         raise ValueError("word is not consistent with any codeword")
-    return known, 0, local
+    if dependent:
+        raise AmbiguousDecode(
+            f"erased columns are dependent; 2^{dependent} candidate words", dependent
+        )
+    # The zero residual makes the syndrome of known | solution 0.
+    return RepairOutcome(unpack_row(2, known | solution, n), methods, accessed)
 
 
 # -- failure models ----------------------------------------------------------

@@ -225,7 +225,8 @@ def test_classify_cap_lrc():
     assert report.k_optimal_johnson is True
     assert report.nearly_perfect is False
     assert report.omega_prime_improved == 205
-    assert report.entry("johnson_like_improved").value == 26
+    (entry,) = [e for e in report.entries if e.name == "johnson_like_improved"]
+    assert entry.value == 26
 
 
 def test_report_json_shape():

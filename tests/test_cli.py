@@ -966,6 +966,14 @@ def test_json_text_is_the_stdlib_indented_text(value):
     assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
+def test_json_text_writes_a_flat_int_list_beyond_the_digit_limit():
+    # 10**5000 has more digits than int-to-str allows: the flat-list path
+    # falls back to writing each item as _json_scalar does.
+    text = _json_text([10**5000, 3])
+    assert text == "[\n  1" + "0" * 5000 + ",\n  3\n]"
+    assert json.loads(text, parse_int=str) == ["1" + "0" * 5000, "3"]
+
+
 def test_json_text_rejects_a_key_that_is_not_a_str():
     with pytest.raises(TypeError, match="keys must be str"):
         _json_text({"a": {1: 2}})

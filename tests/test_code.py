@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 
@@ -278,7 +279,8 @@ def test_weight_distribution_budget():
 
 def test_weight_distribution_json_round_trip():
     wd = hexacode().weight_distribution()
-    assert WeightDistribution.from_json(wd.to_json()) == wd
+    obj = json.loads(json.dumps(wd.to_json()))
+    assert WeightDistribution(obj["n"], obj["k"], obj["q"], tuple(obj["A"])) == wd
 
 
 def test_encode_and_contains():

@@ -158,6 +158,17 @@ def test_ambiguous_decode_dimension_matches_rank_deficiency(lrc):
     assert exc_info.value.solution_dim == len(support) - rank == 1
 
 
+def test_inconsistent_word_is_refused_before_ambiguity(lrc):
+    """A word that no codeword fits is refused as such even when its
+    erased columns are dependent: the residual is checked first."""
+    support = [i for i, v in enumerate(lrc.code.min_distance().witness) if v]
+    cw = lrc.code.encode([0, 0, 1, 0, 1, 1])
+    for flip in set(range(lrc.n)) - set(support):
+        word = [None if p in support else x ^ (p == flip) for p, x in enumerate(cw)]
+        with pytest.raises(ValueError, match="not consistent with any codeword"):
+            global_decode(lrc, word)
+
+
 def test_inconsistent_word_rejected(lrc):
     word = [0] * lrc.n
     word[0] = 1  # violates group parity with no erasures

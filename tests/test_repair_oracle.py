@@ -16,7 +16,7 @@ from gf4lrc.code import LinearCode
 from gf4lrc.concat import BinaryLrc, concatenate
 from gf4lrc.errors import AmbiguousDecode
 from gf4lrc.families import hamming4, hexacode, mds_rs
-from gf4lrc.matrix import FieldMatrix
+from gf4lrc.matrix import FieldMatrix, rows_rank
 from gf4lrc.repair import (
     PerSymbolErasures,
     RandomErasures,
@@ -196,16 +196,32 @@ def test_global_decode_matches_reference(name, data):
 
 
 @pytest.mark.parametrize("name", sorted(LRCS))
-def test_group_masks_match_groups(name):
-    """Each position's mask is its group's, in any group order, and
-    ``local_repair`` reads the two partners it names."""
+def test_local_repair_reads_group_partners(name):
+    """At every position, in any group order, ``local_repair`` reads the
+    two partners of its group and agrees with the reference decoder."""
     lrc = LRCS[name]
     word = list(lrc.code.encode([1] * lrc.k))
     for g in lrc.groups:
         for p in g:
-            assert lrc.group_masks[p] == sum(1 << x for x in g)
             erased = word[:p] + [None] + word[p + 1 :]
             assert reference.decode(lrc, erased)[0][p] == local_repair(lrc, erased, p) == word[p]
+
+
+@pytest.mark.parametrize("name", sorted(LRCS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_lone_group_erasures_add_their_count_to_the_rank(name, data):
+    """rank(E) = rank(E - L) + |L| for the erased columns E and the set L
+    of erasures alone in their group, the fact that lets ``global_decode``
+    solve local and global erasures in one elimination."""
+    lrc = LRCS[name]
+    erased = data.draw(st.sets(st.integers(0, lrc.n - 1)))
+    lone = {p for g in lrc.groups if len(hit := erased & set(g)) == 1 for p in hit}
+
+    def rank(positions):
+        return rows_rank(2, [lrc.code.bit_columns[p] for p in positions], lrc.n)
+
+    assert rank(erased) == rank(erased - lone) + len(lone)
 
 
 @st.composite
