@@ -33,9 +33,8 @@ def ceil_log(base: int, x) -> int:
     """Smallest m >= 0 with base^m >= x, exact for int or Fraction x > 0."""
     if x <= 0:
         raise ValueError("ceil_log requires x > 0")
-    m = 0
-    power = 1
-    while power < x:
+    m, power = 0, x.denominator  # base^m >= x exactly when power >= x's numerator
+    while power < x.numerator:
         power *= base
         m += 1
     return m
@@ -64,11 +63,12 @@ def griesmer_inverted_max_k(n: int, d: int, q: int) -> int:
     """Largest k with the classical Griesmer length sum still <= n."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    k = 0
-    while griesmer_sum(k + 1, d, q) <= n:
-        k += 1
-        if q**k >= d:  # every further term is 1
-            return k + n - griesmer_sum(k, d, q)
+    k, power, total = 0, 1, d  # total is griesmer_sum(k + 1, d, q)
+    while total <= n:
+        k, power = k + 1, power * q
+        if power >= d:  # every further term is 1
+            return k + n - total
+        total += ceil_div(d, power)
     return k
 
 
@@ -145,19 +145,16 @@ def griesmer_classical_min_n(k: int, d: int, q: int) -> int:
     return griesmer_sum(k, d, q)
 
 
-def griesmer_like_terms(k: int, d: int, r: int, q: int) -> list[tuple[int, int]]:
-    """The per-tau terms whose maximum is the locality-aware length bound."""
+def griesmer_like_min_n(k: int, d: int, r: int, q: int) -> int:
+    """Locality-aware Griesmer length bound: the maximum over 1 <= tau <
+    ceil(k/r) of tau*(r+1) + griesmer_sum(k - r*tau, d, q).  Step tau+1
+    adds r+1 and drops r terms, each at least 1, so the sum rises (by 1)
+    exactly while q^(k - r(tau+1)) >= d: its peak is tau = (k - L) // r,
+    L = ceil_log(q, d), clamped to the range."""
     if k <= r:
         raise EmptyTauRange(f"k={k} <= r={r} leaves no tau")
-    return [
-        (tau, tau * (r + 1) + griesmer_sum(k - r * tau, d, q))
-        for tau in range(1, ceil_div(k, r))
-    ]
-
-
-def griesmer_like_min_n(k: int, d: int, r: int, q: int) -> int:
-    """Locality-aware Griesmer length bound (maximum over tau)."""
-    return max(value for _, value in griesmer_like_terms(k, d, r, q))
+    tau = min(max((k - ceil_log(q, max(d, 1))) // r, 1), ceil_div(k, r) - 1)
+    return tau * (r + 1) + griesmer_sum(k - r * tau, d, q)
 
 
 def griesmer_like_max_d(n: int, k: int, r: int, q: int) -> int:

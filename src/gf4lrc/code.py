@@ -23,9 +23,9 @@ it.  The step rows' columns come from one ``transpose``, and a column's
 table is the XOR of the cached planes of the low step bits it holds
 (plane i has bit x set when bit i of x is).  The coordinates' nonzero
 planes are summed into a bit-sliced counter, which splits into one plane
-per weight.  Every caller reads the whole code, so a pass walks all q^k
-steps, and one cached pass serves both exhaustive distance and the weight
-distribution, whichever is asked for first.
+per weight.  A pass walks every step of the rows it is given: a code's
+q^k, whose one cached pass serves both exhaustive distance and the weight
+distribution, or those of an LRC's pair code (``concat``).
 """
 
 from __future__ import annotations
@@ -209,79 +209,18 @@ class LinearCode:
         """The syndrome of a packed word: sum_j x_j h_j as one XOR."""
         return xor_combine(self.bit_columns, word)
 
-    def _step_rows(self) -> list[int]:
-        """Packed rows whose XOR over the set bits of m is step m's codeword."""
-        return [r ^ prev for r, prev in zip(self.bit_rows, [0] + self.bit_rows)]
-
     def _step_word(self, m: int) -> tuple[int, ...]:
         """The codeword at step m, i.e. of the message bits gray(m)."""
-        return unpack_row(self.q, xor_combine(self._step_rows(), m), self.n)
+        return unpack_row(self.q, xor_combine(self.bit_rows, m ^ m >> 1), self.n)
 
     def _weight_planes(self):
-        """Bit-sliced enumeration of all q^k steps.
-
-        Yields ``(base, planes, nonzero)`` per aligned block of steps: bit x
-        of ``planes[w]`` is set when step base + x has a codeword of weight
-        w (``planes`` runs past n with empty planes), and ``nonzero[j]`` is
-        the plane of the block's steps whose codeword is nonzero at
-        coordinate j.
-        """
-        steps = self._step_rows()
-        low = min(len(steps), BLOCK_BITS)
-        full = (1 << (1 << low)) - 1
-        bit_planes, below = _step_bit_planes(low), (1 << low) - 1
-        width = 1 if self.q == 2 else 2
-        # Bit i of column c is bit c of step row i; bit x of its table is
-        # parity(x & col) for x < 2^low, the XOR of the planes of col's bits.
-        cols = FieldMatrix(2, len(steps), width * self.n, steps).transpose().rows
-        columns = [(xor_combine(bit_planes, col & below), col >> low) for col in cols]
-        # A symbol is nonzero where either of its two bits is (over GF(2)
-        # both are its one bit), and a block complements a bit's table when
-        # the block's high bits flip it: one plane per pair of flips.
-        symbols = []
-        for (t0, h0), (t1, h1) in zip(columns[::width], columns[width - 1 :: width]):
-            n0, n1 = t0 ^ full, t1 ^ full
-            symbols.append(((t0 | t1, n0 | t1, t0 | n1, n0 | n1), h0, h1))
-        levels = self.n.bit_length()
-        for h in range(self.codeword_count() >> low):
-            nonzero = [
-                by_flips[(h & h0).bit_count() & 1 | ((h & h1).bit_count() & 1) << 1]
-                for by_flips, h0, h1 in symbols
-            ]
-            counter = [0] * levels
-            for carry in nonzero:
-                for level in range(levels):
-                    held = counter[level]
-                    counter[level] = held ^ carry
-                    carry &= held
-                    if not carry:
-                        break
-            planes = [full]
-            for held in reversed(counter):
-                split = []
-                for plane in planes:
-                    high = plane & held
-                    split += (plane ^ high, high)
-                planes = split
-            yield h << low, planes, nonzero
+        """``weight_planes`` over the code's q^k steps."""
+        return weight_planes(self.bit_rows, self.n, 1 if self.q == 2 else 2)
 
     def _enumerate(self) -> tuple[tuple[int, ...], tuple[Optional[int], ...]]:
-        """A_0..A_n and the first step of each weight (None if absent).
-
-        One pass serves both exhaustive distance and the weight
-        distribution, whichever is asked for first.
-        """
+        """The ``weight_histogram`` of the one cached pass."""
         if self._pass is None:
-            counts = [0] * (self.n + 1)
-            first: list[Optional[int]] = [None] * (self.n + 1)
-            for base, planes, _ in self._weight_planes():
-                for w in range(self.n + 1):
-                    plane = planes[w]
-                    if plane:
-                        counts[w] += plane.bit_count()
-                        if first[w] is None:
-                            first[w] = base + (plane & -plane).bit_length() - 1
-            self._pass = (tuple(counts), tuple(first))
+            self._pass = weight_histogram(self._weight_planes(), self.n)
         return self._pass
 
     def weight_distribution(self, budget: int = DEFAULT_ENUM_BUDGET) -> WeightDistribution:
@@ -374,6 +313,68 @@ def _step_bit_planes(low: int) -> tuple[int, ...]:
     )
 
 
+def weight_planes(rows: Sequence[int], n: int, width: int):
+    """Bit-sliced enumeration of the 2^len(rows) steps over packed binary
+    rows of n symbols, each ``width`` bits wide.
+
+    Yields ``(base, planes, nonzero)`` per aligned block of steps: bit x
+    of ``planes[w]`` is set when step base + x has a word of weight w
+    (``planes`` runs past n with empty planes), and ``nonzero[j]`` is the
+    plane of the block's steps whose word is nonzero at symbol j.
+    """
+    steps = [r ^ prev for r, prev in zip(rows, (0, *rows))]
+    low = min(len(steps), BLOCK_BITS)
+    full = (1 << (1 << low)) - 1
+    bit_planes, below = _step_bit_planes(low), (1 << low) - 1
+    # Bit i of column c is bit c of step row i; bit x of its table is
+    # parity(x & col) for x < 2^low, the XOR of the planes of col's bits.
+    cols = FieldMatrix(2, len(steps), width * n, steps).transpose().rows
+    columns = [(xor_combine(bit_planes, col & below), col >> low) for col in cols]
+    # A symbol is nonzero where either of its two bits is (at width 1
+    # both are its one bit), and a block complements a bit's table when
+    # the block's high bits flip it: one plane per pair of flips.
+    symbols = []
+    for (t0, h0), (t1, h1) in zip(columns[::width], columns[width - 1 :: width]):
+        n0, n1 = t0 ^ full, t1 ^ full
+        symbols.append(((t0 | t1, n0 | t1, t0 | n1, n0 | n1), h0, h1))
+    levels = n.bit_length()
+    for h in range(1 << (len(steps) - low)):
+        nonzero = [
+            by_flips[(h & h0).bit_count() & 1 | ((h & h1).bit_count() & 1) << 1]
+            for by_flips, h0, h1 in symbols
+        ]
+        counter = [0] * levels
+        for carry in nonzero:
+            for level in range(levels):
+                held = counter[level]
+                counter[level] = held ^ carry
+                carry &= held
+                if not carry:
+                    break
+        planes = [full]
+        for held in reversed(counter):
+            split = []
+            for plane in planes:
+                high = plane & held
+                split += (plane ^ high, high)
+            planes = split
+        yield h << low, planes, nonzero
+
+
+def weight_histogram(walk, n: int) -> tuple[tuple[int, ...], tuple[Optional[int], ...]]:
+    """A_0..A_n of a ``weight_planes`` walk, and each weight's first step or None."""
+    counts = [0] * (n + 1)
+    first: list[Optional[int]] = [None] * (n + 1)
+    for base, planes, _ in walk:
+        for w in range(n + 1):
+            plane = planes[w]
+            if plane:
+                counts[w] += plane.bit_count()
+                if first[w] is None:
+                    first[w] = base + (plane & -plane).bit_length() - 1
+    return tuple(counts), tuple(first)
+
+
 def krawtchouk_column(i: int, n: int, q: int) -> list[int]:
     """K_0(i)..K_n(i) of K_j(i; n; q) by the three-term recurrence (j+1) K_(j+1)
     = ((q-1)(n-j) + j - q*i) K_j - (q-1)(n-j+1) K_(j-1), dividing exactly."""
@@ -388,27 +389,33 @@ def krawtchouk_column(i: int, n: int, q: int) -> list[int]:
 def macwilliams(
     dual_weights: WeightDistribution, dual_size: int, n: int, q: int
 ) -> WeightDistribution:
-    """Weight distribution of the primal code from its dual's, exactly.
-
-    A_j = (1/dual_size) * sum_i A_i(dual) K_j(i; n; q).  Raises
-    ShapeMismatch when ``dual_weights`` is not of length n over GF(q), and
-    NonIntegerResult when it cannot be a valid dual distribution.
+    """Weight distribution of the primal code from its dual's, exactly, by
+    ``krawtchouk_transform``.  Raises ShapeMismatch when ``dual_weights`` is
+    not of length n over GF(q), and NonIntegerResult when it cannot be a
+    valid dual distribution.
     """
     if (dual_weights.n, dual_weights.q) != (n, q):
         raise ShapeMismatch(f"dual weights are not of length {n} over GF({q})")
     if sum(dual_weights.counts) != dual_size:
         raise NonIntegerResult("dual weight counts do not sum to dual size")
     log = 0
-    size = dual_size
-    while size > 1:
-        size, rem = divmod(size, q)
+    while q**log < dual_size:
         log += 1
-        if rem:
-            raise NonIntegerResult(f"dual size {dual_size} is not a power of {q}")
-    k = n - log
+    if q**log != dual_size:
+        raise NonIntegerResult(f"dual size {dual_size} is not a power of {q}")
+    counts = krawtchouk_transform(dual_weights.counts, dual_size, n, q)
+    return WeightDistribution(n, n - log, q, counts)
+
+
+def krawtchouk_transform(
+    dual_counts: Sequence[int], dual_size: int, n: int, q: int
+) -> tuple[int, ...]:
+    """A_j = (1/dual_size) * sum_i A_i(dual) K_j(i; n; q), exactly, or NonIntegerResult.
+    Over GF(4) dual_size may be any power of 2: an additive code and its dual
+    under the binary dot product on symbol pairs obey the same identity."""
     columns = [
         [a_i * value for value in krawtchouk_column(i, n, q)]
-        for i, a_i in enumerate(dual_weights.counts)
+        for i, a_i in enumerate(dual_counts)
         if a_i
     ]
     counts = []
@@ -417,4 +424,4 @@ def macwilliams(
         if rem or value < 0:
             raise NonIntegerResult(f"transform gives non-integer A_{j}")
         counts.append(value)
-    return WeightDistribution(n, k, q, tuple(counts))
+    return tuple(counts)

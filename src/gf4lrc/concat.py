@@ -14,7 +14,6 @@ pair the outer code's ``bit_columns`` holds for h, as plain ints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 from .code import (
@@ -23,16 +22,12 @@ from .code import (
     DistanceCertificate,
     LinearCode,
     WeightDistribution,
+    krawtchouk_transform,
+    weight_histogram,
+    weight_planes,
 )
 from .errors import BudgetExceeded, FieldMismatch, ParseError, SubsetBudgetExceeded
-from .matrix import (
-    FieldMatrix,
-    binary_expansion,
-    lo_mask,
-    smallest_dependent_set,
-    unpack_row,
-    xor_insert,
-)
+from .matrix import FieldMatrix, smallest_dependent_set, unpack_row, xor_insert
 
 #: Default cap on repair-group subsets examined by the distance certifier.
 DEFAULT_SUBSET_BUDGET = 10_000_000
@@ -43,7 +38,12 @@ class BinaryLrc:
 
     It is fixed by its parity check and its groups: the top ``ell`` rows
     are the group parities, and in the ``u`` rows below, group i's columns
-    are (0, e1, e2).  ``e_vectors[i]`` is that pair, packed.
+    are (0, e1, e2).  ``e_vectors[i]`` is that pair, packed.  A codeword
+    is 0 or (a+b, a, b) on group i, (a, b) its bits at the 2nd and 3rd
+    listed positions, so it weighs twice its pair word's symbol weight.
+    The pair words form the pair code P: sum_i a_i e1_i + b_i e2_i = 0.
+    The lower block's u rows (group i at bits 2i, 2i+1) span P's dual, and
+    the weights walk the smaller side, 2^min(k, u) words.
     """
 
     def __init__(
@@ -59,6 +59,7 @@ class BinaryLrc:
         self._validate()
         lower = [col >> self.ell for col in code.bit_columns]
         self.e_vectors = tuple((lower[b], lower[c]) for _, b, c in self.groups)
+        self._weights: Optional[WeightDistribution] = None
 
     def _validate(self) -> None:
         if not self.groups:
@@ -83,29 +84,22 @@ class BinaryLrc:
             if cols[g[0]] >> self.ell:
                 raise ValueError(f"lower block under group {i} position 0 not zero")
 
-    @cached_property
-    def outer(self) -> Optional[LinearCode]:
-        """The GF(4) outer code this LRC concatenates, or None.
-
-        Its parity check's columns are the e1s when every group's pair is
-        (h, w*h).  ``concatenate`` sets the outer code it was given, so the
-        weights that code has cached serve the LRC.
-        """
-        if self.u % 2:
-            return None
-        lo = lo_mask(self.u // 2)
-        if any([e1, e2] != binary_expansion(4, [e1], lo) for e1, e2 in self.e_vectors):
-            return None
-        h = FieldMatrix(4, self.ell, self.u // 2, [e1 for e1, _ in self.e_vectors])
-        return LinearCode.from_parity(h.transpose())
-
     def cheapest_weights(self, budget: int = DEFAULT_ENUM_BUDGET) -> WeightDistribution:
-        """Exact weights: the outer code's, lifted (A'_{2j} = A_j), which never
-        enumerates more words than the LRC (4^k1 = 2^k); else the binary
-        code's ``LinearCode.cheapest_weights``."""
-        if self.outer is None:
-            return self.code.cheapest_weights(budget)
-        return lrc_weights_from_outer(self.outer.cheapest_weights(budget))
+        """Exact weights from the pair code P: A'_{2j} = A_j, its words of
+        symbol weight j.  P when k <= u, else P's dual through the GF(4)
+        Krawtchouk transform, within ``budget`` words; a cached result is
+        read whatever the budget."""
+        if self._weights is None:
+            total = 1 << min(self.k, self.u)
+            if total > budget:
+                raise BudgetExceeded(f"{total} codewords exceed enumeration budget {budget}")
+            dual = FieldMatrix(2, 2 * self.ell, self.u, sum(self.e_vectors, ())).transpose()
+            rows = dual.nullspace().rows if self.k <= self.u else dual.rows
+            counts, _ = weight_histogram(weight_planes(rows, self.ell, 2), self.ell)
+            if self.k > self.u:
+                counts = krawtchouk_transform(counts, total, self.ell, 4)
+            self._weights = _lifted(counts, self.k)
+        return self._weights
 
     def min_distance(
         self, budget: int = DEFAULT_ENUM_BUDGET, subset_budget: int = DEFAULT_SUBSET_BUDGET
@@ -180,9 +174,10 @@ def concatenate(outer: LinearCode) -> BinaryLrc:
     """Concatenate a GF(4) outer code with the [3,2,2] inner code.
 
     Produces the [3*n1, 2*k1, 2*d1; r=2] code whose codewords are the
-    symbolwise inner encodings of outer codewords.  The distance field is
-    filled from the outer code's cached distance certificate when present,
-    and the LRC's ``outer`` is ``outer`` itself.
+    symbolwise inner encodings of outer codewords, so its pair code is the
+    outer code and its weights walk the outer code's smaller side.  The
+    distance field is filled from the outer code's cached distance
+    certificate when present.
     """
     if outer.q != 4:
         raise FieldMismatch("outer code must be over GF(4)")
@@ -196,9 +191,7 @@ def concatenate(outer: LinearCode) -> BinaryLrc:
     cached = outer.cached_distance
     d = 2 * cached.d if cached is not None else None
     groups = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(ell)]
-    lrc = BinaryLrc(code, groups, d=d)
-    lrc.outer = outer
-    return lrc
+    return BinaryLrc(code, groups, d=d)
 
 
 def group_subspaces(lrc: BinaryLrc) -> list[list[tuple[int, ...]]]:
@@ -308,8 +301,11 @@ def locality_check(
 
 def lrc_weights_from_outer(outer_weights: WeightDistribution) -> WeightDistribution:
     """Weight distribution of the concatenation: A'_{2j} = A_j, odd counts 0."""
-    n1 = outer_weights.n
-    counts = [0] * (3 * n1 + 1)
-    for j, a in enumerate(outer_weights.counts):
-        counts[2 * j] = a
-    return WeightDistribution(3 * n1, 2 * outer_weights.k, 2, tuple(counts))
+    return _lifted(outer_weights.counts, 2 * outer_weights.k)
+
+
+def _lifted(pair_counts: Sequence[int], k: int) -> WeightDistribution:
+    """The [3*ell, k] LRC's weights from its pair words' symbol weights."""
+    counts = [0] * (3 * len(pair_counts) - 2)
+    counts[: 2 * len(pair_counts) : 2] = pair_counts
+    return WeightDistribution(len(counts) - 1, k, 2, tuple(counts))

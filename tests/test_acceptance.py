@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+import bound_formulas
 from gf4lrc import bounds, reproduce
 from gf4lrc.code import macwilliams
 from gf4lrc.concat import (
@@ -234,8 +235,9 @@ def test_criterion_11_griesmer_equalities():
             # the sum over 1 <= j < l of 2*ceil(d1/4^j) - ceil(2*d1/4^j)
             level = bounds.ceil_log(4, d1)
             tau_star = k1 - level
-            terms = dict(bounds.griesmer_like_terms(lrc.k, lrc_cert.d, 2, 2))
+            terms = dict(bound_formulas.griesmer_like_terms(lrc.k, lrc_cert.d, 2, 2))
             assert terms[tau_star] == max(terms.values())
+            assert bounds.griesmer_like_min_n(lrc.k, lrc_cert.d, 2, 2) == terms[tau_star]
             shortfall = sum(
                 2 * -(-d1 // 4**j) - -(-2 * d1 // 4**j) for j in range(1, level)
             )

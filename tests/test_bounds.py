@@ -75,13 +75,14 @@ def test_griesmer_classical():
 def test_griesmer_like_values():
     assert bounds.griesmer_like_min_n(4, 6, 2, 2) == 12
     assert bounds.griesmer_like_min_n(6, 30, 2, 2) == 60
-    assert bounds.griesmer_like_terms(6, 8, 2, 2) == [(1, 18), (2, 18)]
+    assert parent.griesmer_like_terms(6, 8, 2, 2) == [(1, 18), (2, 18)]
     assert bounds.griesmer_like_min_n(6, 8, 2, 2) == 18
     # [54,6,26;2] cannot meet either bound with equality: both sums give 53
-    assert bounds.griesmer_like_terms(6, 26, 2, 2) == [
+    assert parent.griesmer_like_terms(6, 26, 2, 2) == [
         (1, 3 + 26 + 13 + 7 + 4),
         (2, 6 + 26 + 13),
     ]
+    assert bounds.griesmer_like_min_n(6, 26, 2, 2) == 53
     assert bounds.griesmer_classical_min_n(6, 26, 2) == 26 + 13 + 7 + 4 + 2 + 1
 
 
@@ -319,6 +320,18 @@ def _same(name, *args):
     assert _outcome(getattr(bounds, name), *args) == _outcome(getattr(parent, name), *args)
 
 
+def test_griesmer_closed_forms_match_the_term_sums_on_a_grid():
+    # The locality-aware bound read at its peak tau, and the inverted bound
+    # in one pass (0 for n < 0), against the oracle's full sums.
+    for q in (2, 4):
+        for d in range(1, 41):
+            for k in range(1, 21):
+                for r in range(1, 5):
+                    _same("griesmer_like_min_n", k, d, r, q)
+            for n in range(-3, 61):
+                _same("griesmer_inverted_max_k", n, d, q)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(1, 150),
@@ -332,7 +345,6 @@ def test_public_bounds_match_parent_formulas(n, k, d, r, q):
     _same("griesmer_inverted_max_k", n, d, q)
     _same("cm_bound_max_k", n, d, r)
     _same("griesmer_classical_min_n", k, d, q)
-    _same("griesmer_like_terms", k, d, r, q)
     _same("griesmer_like_min_n", k, d, r, q)
     _same("griesmer_like_max_d", n, k, r, q)
     _same("lrc_ball_size", n, d)

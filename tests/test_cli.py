@@ -347,11 +347,10 @@ def test_analyze_distance_of_a_concatenation_equals_the_search_from_one_group(
 
 def test_analyze_distance_of_the_reordered_hexacode_lrc(tmp_path, capsys, monkeypatch):
     # Group 0 listed (g0, g2, g1) is not in (h, w*h) form: its weights come
-    # from the LRC's own smaller side, and still start the search at d/2.
+    # from its pair code all the same, and still start the search at d/2.
     lrc = concatenate(hexacode())
     g0, g1, g2 = lrc.groups[0]
     reordered = BinaryLrc(lrc.code, ((g0, g2, g1),) + lrc.groups[1:])
-    assert reordered.outer is None
     report, starts = _analyze_distance_and_starts(
         capsys, monkeypatch, _write_lrc(tmp_path, reordered)
     )

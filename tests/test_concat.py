@@ -268,13 +268,14 @@ def test_concatenate_matches_tuple_assembly(outer_corpus, family_outers):
         )
 
 
-def test_outer_parity_check_survives_a_json_round_trip(outer_corpus, family_outers):
+def test_a_concatenation_weighs_its_outer_code_lifted_after_a_json_round_trip(
+    outer_corpus, family_outers
+):
     for outer in outer_corpus + family_outers:
         lrc = concatenate(outer)
         again = BinaryLrc.from_json(json.loads(json.dumps(lrc.to_json())))
-        assert lrc.outer.parity_check == outer.parity_check
-        assert again.outer.parity_check == outer.parity_check
         assert again.e_vectors == lrc.e_vectors
+        assert again.cheapest_weights() == lrc_weights_from_outer(outer.cheapest_weights())
 
 
 def _with_group_reordered(obj, i, order):
@@ -284,12 +285,15 @@ def _with_group_reordered(obj, i, order):
     return obj
 
 
-def test_outer_parity_check_is_none_for_a_swapped_group():
-    # listing (a, c, b) makes the group's pair (w*h, h), which is not of
-    # the form (h', w*h'): w*(w*h) = w^2*h differs from h for h != 0
-    obj = concatenate(hamming4(2)).to_json()
-    swapped = BinaryLrc.from_json(_with_group_reordered(obj, 2, (0, 2, 1)))
-    assert swapped.outer is None
+def test_a_swapped_group_keeps_the_weights_of_its_code():
+    # Listing (a, c, b) makes the group's pair (w*h, h), which is not of
+    # the form (h', w*h'), so the pair code is no longer the outer code;
+    # the symbol weights, and so the LRC's weights, stay the same.
+    lrc = concatenate(hamming4(2))
+    swapped = BinaryLrc.from_json(_with_group_reordered(lrc.to_json(), 2, (0, 2, 1)))
+    assert swapped.e_vectors[2] == lrc.e_vectors[2][::-1]
+    assert swapped.cheapest_weights() == lrc.cheapest_weights()
+    assert swapped.cheapest_weights() == lrc.code.weight_distribution()
 
 
 def test_loading_makes_no_entry_calls(monkeypatch):

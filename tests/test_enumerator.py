@@ -9,10 +9,11 @@ whose message bits sit on a block boundary, and d = 1 codes, whose Gray
 walk stops early while the enumerator walks the whole code.  Patching
 BLOCK_BITS down makes small codes span many blocks as well.
 
-``cheapest_weights`` enumerates the smallest side of a code, so its
-weights are checked against the primal enumeration together with which
-code it walked.  ``min_distance`` reads its d from those weights, so the
-tests that use it as the exhaustive oracle call ``_min_distance_exhaustive``.
+``cheapest_weights`` enumerates the smallest side of a code, or of an
+LRC's pair code, so its weights are checked against the primal
+enumeration together with how many words it walked.  ``min_distance``
+reads its d from those weights, so the tests that use it as the
+exhaustive oracle call ``_min_distance_exhaustive``.
 """
 
 import math
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 import gray_walk as gray
 from scalar_elimination import col_tuple
 from gf4lrc import code as code_module
+from gf4lrc import concat as concat_module
 from gf4lrc.code import BLOCK_BITS, METHOD_COLUMN, LinearCode
 from gf4lrc.concat import BinaryLrc, certify_distance, concatenate, locality_check
 from gf4lrc.errors import BudgetExceeded
@@ -70,15 +72,18 @@ def fresh(code: LinearCode) -> LinearCode:
 
 
 def walked(ask):
-    """``ask()`` and the (n, k) of every code whose words it enumerated."""
+    """``ask()`` and the (symbol count, word count) of every walk it made,
+    of a code or of an LRC's pair code."""
     walks = []
-    walk = LinearCode._weight_planes
+    walk = code_module.weight_planes
 
-    def counted(self):
-        walks.append((self.n, self.k))
-        return walk(self)
+    def counted(rows, n, width):
+        walks.append((n, 1 << len(rows)))
+        return walk(rows, n, width)
 
-    with mock.patch.object(LinearCode, "_weight_planes", counted):
+    with mock.patch.object(code_module, "weight_planes", counted), mock.patch.object(
+        concat_module, "weight_planes", counted
+    ):
         return ask(), walks
 
 
@@ -200,7 +205,7 @@ def test_a_larger_side_code_takes_d_from_its_dual_and_searches_columns_of_that_s
         cert, walks = walked(lambda: code.min_distance(budget))
     assert (cert.d, cert.method) == (expected, METHOD_COLUMN)
     assert starts == [expected]
-    assert walks == [(code.n, code.n - code.k)]
+    assert walks == [(code.n, code.q ** (code.n - code.k))]
     again, walks = walked(lambda: code.cheapest_weights(budget=0))
     assert walks == [] and again.distance() == expected
 
@@ -212,7 +217,7 @@ def test_weights_from_the_smaller_side_match_primal_enumeration(code):
     size = code.q**smaller
     got, walks = walked(lambda: fresh(code).cheapest_weights(budget=size))
     assert got == code.weight_distribution(budget=code.codeword_count())
-    assert walks == [(code.n, smaller)]
+    assert walks == [(code.n, size)]
     with pytest.raises(BudgetExceeded):
         fresh(code).cheapest_weights(budget=size - 1)
 
@@ -238,60 +243,104 @@ def _generated(rows) -> LinearCode:
 @given(outer_codes)
 @example(_generated([[1, 2, 3, 1]]))  # k1 = 1
 @example(_generated([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))  # k1 = n1
-def test_outer_route_matches_enumerating_the_lrc(outer):
+def test_the_pair_code_of_a_concatenation_is_its_outer_code(outer):
     lrc = concatenate(outer)
     size = 4 ** min(outer.k, outer.n - outer.k)
     got, walks = walked(lambda: lrc.cheapest_weights(budget=size))
     assert got == lrc.code.weight_distribution()
-    assert walks == [(outer.n, min(outer.k, outer.n - outer.k))]
+    assert walks == [(outer.n, size)]
     with pytest.raises(BudgetExceeded):
         concatenate(fresh(outer)).cheapest_weights(budget=size - 1)
 
 
-def _with_group_0_reordered(lrc: BinaryLrc) -> BinaryLrc:
-    """Group 0 listed (g0, g2, g1): its pair becomes (w*h, h), not (h', w*h')."""
+def _lrc(ell: int, lower: list[int], order: list[int], swaps: list[bool]) -> BinaryLrc:
+    """The LRC whose lower block has rows ``lower`` (group i's pair at bits
+    2i and 2i+1) on the coordinates ``order``, group i on the three from
+    3i; group i is listed with its 2nd and 3rd positions swapped where
+    ``swaps[i]``."""
+    groups = [order[3 * i : 3 * i + 3] for i in range(ell)]
+    rows = [sum(1 << pos for pos in g) for g in groups]
+    for row in lower:
+        pairs = enumerate(groups)
+        bits = [(row >> 2 * i & 1) << b | (row >> 2 * i + 1 & 1) << c for i, (_, b, c) in pairs]
+        rows.append(sum(bits))
+    code = LinearCode.from_parity(FieldMatrix(2, ell + len(lower), 3 * ell, rows))
+    listed = [(a, c, b) if swap else (a, b, c) for (a, b, c), swap in zip(groups, swaps)]
+    return BinaryLrc(code, listed)
+
+
+@st.composite
+def lrcs(draw):
+    """A random LRC: ell <= 6, any u in 0..2*ell, a random full-rank lower
+    block (systematic on random columns, mixed by row operations),
+    coordinates in random order, and each group's 2nd and 3rd positions
+    listed in random order."""
+    ell = draw(st.integers(1, 6))
+    u = draw(st.integers(0, 2 * ell))
+    pivots = draw(st.permutations(range(2 * ell)))[:u]
+    free = sum(1 << j for j in range(2 * ell) if j not in pivots)
+    lower = [1 << p | draw(st.integers(0, free)) & free for p in pivots]
+    for _ in range(draw(st.integers(0, 2 * u))):
+        i, j = draw(st.integers(0, u - 1)), draw(st.integers(0, u - 1))
+        if i != j:
+            lower[i] ^= lower[j]
+    order = draw(st.permutations(range(3 * ell)))
+    return _lrc(ell, lower, order, draw(st.lists(st.booleans(), min_size=ell, max_size=ell)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(lrcs())
+@example(_lrc(3, [], list(range(9)), [False] * 3))  # u = 0: P is all of GF(4)^3
+@example(_lrc(2, [1, 2, 4, 8], [5, 0, 3, 1, 4, 2], [True, False]))  # k = 0
+def test_pair_code_weights_match_enumerating_the_lrc(lrc):
+    size = 1 << min(lrc.k, lrc.u)
+    spy = mock.patch.object(
+        concat_module, "krawtchouk_transform", wraps=concat_module.krawtchouk_transform
+    )
+    with spy as transform:
+        got, walks = walked(lambda: lrc.cheapest_weights(budget=size))
+    assert got == lrc.code.weight_distribution()
+    assert walks == [(lrc.ell, size)]
+    assert transform.called == (lrc.k > lrc.u)  # P is walked at a tie
+    again = BinaryLrc(fresh(lrc.code), lrc.groups)
+    with pytest.raises(BudgetExceeded) as exc:
+        again.cheapest_weights(budget=size - 1)
+    assert str(exc.value) == f"{size} codewords exceed enumeration budget {size - 1}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(lrcs())
+def test_an_lrc_walks_its_pair_code_once_for_weights_and_distance(lrc):
+    assume(lrc.k > 0)
+    (weights, cert), walks = walked(lambda: (lrc.cheapest_weights(), lrc.min_distance()))
+    assert len(walks) == 1
+    assert cert.d == weights.distance()
+    assert lrc.cheapest_weights(budget=0) is weights
+
+
+def test_the_reordered_hexacode_lrc_walks_its_pair_code():
+    # Group 0 listed (g0, g2, g1): its pair is (w*h, h), not (h', w*h').
+    lrc = concatenate(hexacode())
     g0, g1, g2 = lrc.groups[0]
-    return BinaryLrc(fresh(lrc.code), ((g0, g2, g1),) + lrc.groups[1:], lrc.d)
-
-
-@settings(max_examples=40, deadline=None)
-@given(outer_codes)
-def test_an_lrc_not_in_pair_form_takes_the_smaller_side_of_its_code(outer):
-    lrc = concatenate(outer)
-    reordered = _with_group_0_reordered(lrc)
-    assume(reordered.outer is None)
+    reordered = BinaryLrc(fresh(lrc.code), ((g0, g2, g1),) + lrc.groups[1:])
     got, walks = walked(lambda: reordered.cheapest_weights())
-    assert got == lrc.code.weight_distribution()
-    assert walks == [(lrc.n, min(lrc.k, lrc.n - lrc.k))]
-
-
-def test_the_reordered_hexacode_lrc_falls_back_to_its_code():
-    reordered = _with_group_0_reordered(concatenate(hexacode()))
-    assert reordered.outer is None
-    got, walks = walked(lambda: reordered.cheapest_weights())
-    assert walks == [(18, 6)]
-    assert got == concatenate(hexacode()).code.weight_distribution()
-
-
-@settings(max_examples=40, deadline=None)
-@given(outer_codes)
-def test_an_lrc_reads_the_weights_its_outer_code_cached(outer):
-    lrc = concatenate(outer)
-    assert lrc.outer is outer
-    outer.min_distance()
-    got, walks = walked(lambda: lrc.cheapest_weights())
-    assert walks == []
+    assert walks == [(6, 64)]
     assert got == lrc.code.weight_distribution()
 
 
-def test_an_lrc_with_an_odd_lower_block_has_no_outer_code():
+def test_an_lrc_with_an_odd_lower_block_walks_the_smaller_side_of_its_pair_code():
     # The hexacode LRC's parity check without its last row is an
-    # [18,7;2] LRC with u = 5 rows below the group parities.
+    # [18,7;2] LRC with u = 5 rows below the group parities: 2^5 words of
+    # P's dual, where its binary code's smaller side has 2^7.
     hexa = concatenate(hexacode())
     h = hexa.code.parity_check
     cut = FieldMatrix(2, h.nrows - 1, h.ncols, h.rows[:-1])
     lrc = BinaryLrc(LinearCode.from_parity(cut), hexa.groups)
     assert (lrc.n, lrc.k, lrc.u) == (18, 7, 5)
-    assert lrc.outer is None
-    assert lrc.cheapest_weights() == lrc.code.weight_distribution()
+    with pytest.raises(BudgetExceeded, match="^32 codewords exceed enumeration budget 31$"):
+        lrc.cheapest_weights(budget=31)
+    got, walks = walked(lambda: lrc.cheapest_weights(budget=32))
+    assert walks == [(6, 32)]
+    assert got == lrc.code.weight_distribution()
+    assert got.counts == (1, 0, 1, 0, 0, 0, 10, 0, 65, 0, 21, 0, 30, 0, 0, 0, 0, 0, 0)
     assert lrc.min_distance() == certify_distance(lrc)
