@@ -25,7 +25,7 @@ table is the XOR of the cached planes of the low step bits it holds
 planes are summed into a bit-sliced counter, which splits into one plane
 per weight.  A pass walks every step of the rows it is given: a code's
 q^k, whose one cached pass serves both exhaustive distance and the weight
-distribution, or those of an LRC's pair code (``concat``).
+distribution, or the smaller side that ``side_weights`` picks.
 """
 
 from __future__ import annotations
@@ -235,20 +235,19 @@ class LinearCode:
         return weights
 
     def cheapest_weights(self, budget: int = DEFAULT_ENUM_BUDGET) -> WeightDistribution:
-        """Exact weights from a cached pass, else C when k <= n-k, else its
-        dual through ``macwilliams``, within ``budget`` words on either side;
-        a cached pass or result is read whatever the budget."""
+        """Exact weights from a cached pass, else C when k <= n-k, else by
+        ``side_weights`` over H's rows, within ``budget`` words on either
+        side; a cached pass or result is read whatever the budget."""
         if self._cheapest is None:
             if self._pass is not None:
                 self._cheapest = self.weight_distribution(budget=self.codeword_count())
             elif self.k <= self.n - self.k:
                 self._cheapest = self.weight_distribution(budget)
             else:
-                total = self.q ** (self.n - self.k)  # checked before the dual is built
-                if total > budget:
-                    raise BudgetExceeded(f"{total} codewords exceed enumeration budget {budget}")
-                weights = self.dual().weight_distribution(budget)
-                self._cheapest = macwilliams(weights, total, self.n, self.q)
+                h, width = self.parity_check, 1 if self.q == 2 else 2
+                rows = binary_expansion(self.q, h.rows, h._lo)
+                counts = side_weights(rows, self.n, width, width * self.k, budget)
+                self._cheapest = WeightDistribution(self.n, self.k, self.q, counts)
         return self._cheapest
 
     # -- minimum distance --------------------------------------------------
@@ -287,18 +286,36 @@ class LinearCode:
         """Smallest dependent parity-check column set, as a codeword."""
         width, cols = (1 if self.q == 2 else 2), self.bit_columns
         blocks = [cols[i : i + width] for i in range(0, len(cols), width)]
-        found = smallest_dependent_set(blocks, set_budget, start)
-        if found is None:
-            raise AssertionError("no dependent column set found in a k>0 code")
-        indices, mask = found
-        word = [0] * self.n
-        for j, i in enumerate(indices):
-            word[i] = (mask >> (width * j)) & (self.q - 1)
-        witness = tuple(word)
+        placed = dict(dependent_symbols(blocks, set_budget, start))
+        witness = tuple(placed.get(i, 0) for i in range(self.n))
         if not self.contains(witness):
             raise AssertionError("column-search witness is not a codeword")
         d = sum(1 for c in witness if c)
         return DistanceCertificate(d, witness, METHOD_COLUMN)
+
+
+def side_weights(dual_rows: Sequence, n: int, width: int, k: int, budget: int) -> tuple[int, ...]:
+    """A_0..A_n of the binary dimension-k code of n width-bit symbols whose
+    dual the c independent ``dual_rows`` span (H's in pair expansion, or an
+    LRC's lower block), from its smaller side: their nullspace when k <= c,
+    else their 2^c words by ``krawtchouk_transform`` at q = 2^width."""
+    c = len(dual_rows)
+    total = 1 << min(k, c)
+    if total > budget:
+        raise BudgetExceeded(f"{total} codewords exceed enumeration budget {budget}")
+    rows = FieldMatrix(2, c, width * n, dual_rows).nullspace().rows if k <= c else dual_rows
+    counts, _ = weight_histogram(weight_planes(rows, n, width), n)
+    return counts if k <= c else krawtchouk_transform(counts, total, n, 1 << width)
+
+
+def dependent_symbols(blocks: Sequence, budget: int, start: int) -> list[tuple[int, int]]:
+    """``smallest_dependent_set`` of ``blocks`` as (index, symbol) pairs, the
+    symbol the block's width-bit coefficient in the dependency found."""
+    found = smallest_dependent_set(blocks, budget, start)
+    if found is None:
+        raise AssertionError("no dependent set found in a k>0 code")
+    (indices, mask), width = found, len(blocks[0])
+    return [(i, mask >> width * j & (1 << width) - 1) for j, i in enumerate(indices)]
 
 
 @cache

@@ -22,12 +22,11 @@ from .code import (
     DistanceCertificate,
     LinearCode,
     WeightDistribution,
-    krawtchouk_transform,
-    weight_histogram,
-    weight_planes,
+    dependent_symbols,
+    side_weights,
 )
 from .errors import BudgetExceeded, FieldMismatch, ParseError, SubsetBudgetExceeded
-from .matrix import FieldMatrix, smallest_dependent_set, unpack_row, xor_insert
+from .matrix import FieldMatrix, unpack_row, xor_insert
 
 #: Default cap on repair-group subsets examined by the distance certifier.
 DEFAULT_SUBSET_BUDGET = 10_000_000
@@ -42,8 +41,7 @@ class BinaryLrc:
     is 0 or (a+b, a, b) on group i, (a, b) its bits at the 2nd and 3rd
     listed positions, so it weighs twice its pair word's symbol weight.
     The pair words form the pair code P: sum_i a_i e1_i + b_i e2_i = 0.
-    The lower block's u rows (group i at bits 2i, 2i+1) span P's dual, and
-    the weights walk the smaller side, 2^min(k, u) words.
+    The lower block's u rows (group i at bits 2i, 2i+1) span P's dual.
     """
 
     def __init__(
@@ -85,20 +83,12 @@ class BinaryLrc:
                 raise ValueError(f"lower block under group {i} position 0 not zero")
 
     def cheapest_weights(self, budget: int = DEFAULT_ENUM_BUDGET) -> WeightDistribution:
-        """Exact weights from the pair code P: A'_{2j} = A_j, its words of
-        symbol weight j.  P when k <= u, else P's dual through the GF(4)
-        Krawtchouk transform, within ``budget`` words; a cached result is
-        read whatever the budget."""
+        """Exact weights from P by ``side_weights`` over the lower block:
+        A'_{2j} = A_j, P's words of symbol weight j; a cached result is read
+        whatever the budget."""
         if self._weights is None:
-            total = 1 << min(self.k, self.u)
-            if total > budget:
-                raise BudgetExceeded(f"{total} codewords exceed enumeration budget {budget}")
             dual = FieldMatrix(2, 2 * self.ell, self.u, sum(self.e_vectors, ())).transpose()
-            rows = dual.nullspace().rows if self.k <= self.u else dual.rows
-            counts, _ = weight_histogram(weight_planes(rows, self.ell, 2), self.ell)
-            if self.k > self.u:
-                counts = krawtchouk_transform(counts, total, self.ell, 4)
-            self._weights = _lifted(counts, self.k)
+            self._weights = _lifted(side_weights(dual.rows, self.ell, 2, self.k, budget), self.k)
         return self._weights
 
     def min_distance(
@@ -211,7 +201,7 @@ def certify_distance(
     The distance is 2s where s is the smallest number of groups whose 2s
     lower-block columns are dependent; the certificate carries a weight-2s
     codeword built from the lexicographically first such set, found by
-    ``smallest_dependent_set`` over the groups' (e1, e2) pairs.  Every
+    ``dependent_symbols`` over the groups' (e1, e2) pairs.  Every
     set of ``start`` or more groups and below s is examined to prove the
     lower bound, one unit of ``subset_budget`` per set; a ``start`` above 1
     must come from a proof that no codeword has weight below 2 * start,
@@ -221,19 +211,15 @@ def certify_distance(
     if lrc.k == 0:
         raise ValueError("zero-dimensional code has no nonzero codeword")
     try:
-        found = smallest_dependent_set(lrc.e_vectors, subset_budget, start)
+        members = dependent_symbols(lrc.e_vectors, subset_budget, start)
     except BudgetExceeded as exc:
         raise SubsetBudgetExceeded(
             f"group-subset enumeration exceeded {subset_budget}", lower=2 * exc.lower
         ) from exc
-    if found is None:
-        raise AssertionError("no deficient group subset in a k>0 code")
-    subset, mask = found
     word = [0] * lrc.n
     # A group's coefficients (a, b) on (e1, e2) are met by its inner
     # codeword (a+b, a, b), whose top-row parity cancels.
-    for j, i in enumerate(subset):
-        alpha = (mask >> (2 * j)) & 3
+    for i, alpha in members:
         if alpha == 0:
             raise AssertionError("dependency skips a group; smaller subset missed")
         a, b = alpha & 1, alpha >> 1
@@ -242,7 +228,7 @@ def certify_distance(
     witness = tuple(word)
     if not lrc.code.contains(witness):
         raise AssertionError("group-rank witness is not a codeword")
-    return DistanceCertificate(2 * len(subset), witness, METHOD_GROUP_RANK)
+    return DistanceCertificate(2 * len(members), witness, METHOD_GROUP_RANK)
 
 
 @dataclass(frozen=True)

@@ -130,12 +130,7 @@ def macdonald(m: int, u: int, t: int = 1) -> LinearCode:
         raise InvalidParameters(
             f"({t}*4^{m} - 4^{u})/3 is not an integer; no such length"
         )
-    removed = set(subspace_points(m, 0, u))
-    cols: list[Sequence[int]] = []
-    for p in pg_points(m - 1):
-        cols.extend([p] * (t - 1 if p in removed else t))
-    code = LinearCode.from_generator(FieldMatrix.from_cols(4, cols))
-    return _verified(code, t * 4 ** (m - 1) - 4 ** (u - 1))
+    return _anticode(m, t, [u])
 
 
 def solomon_stiffler(t: int, dims: Sequence[int]) -> LinearCode:
@@ -166,14 +161,16 @@ def solomon_stiffler(t: int, dims: Sequence[int]) -> LinearCode:
         raise UnsupportedSubspaceLayout(
             f"dims {dims} sum to {sum(dims)} > {t}; no disjoint coordinate blocks"
         )
-    removed = set()
-    offset = 0
-    for u in dims:
-        removed.update(subspace_points(t, offset, u))
-        offset += u
-    cols = [p for p in pg_points(t - 1) if p not in removed]
+    return _anticode(t, 1, dims)
+
+
+def _anticode(m: int, copies: int, dims: Sequence[int]) -> LinearCode:
+    """Each PG(m-1,4) point ``copies`` times, less one copy of each point of
+    the subspaces of ``dims`` on consecutive coordinate blocks, verified."""
+    removed = {p for i, u in enumerate(dims) for p in subspace_points(m, sum(dims[:i]), u)}
+    cols = [p for p in pg_points(m - 1) for _ in range(copies - (p in removed))]
     code = LinearCode.from_generator(FieldMatrix.from_cols(4, cols))
-    return _verified(code, 4 ** (t - 1) - sum(4 ** (u - 1) for u in dims))
+    return _verified(code, copies * 4 ** (m - 1) - sum(4 ** (u - 1) for u in dims))
 
 
 def cap_code(cap: CapSet) -> LinearCode:

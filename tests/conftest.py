@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from gf4lrc import concat
 from gf4lrc.code import LinearCode
 from gf4lrc.matrix import FieldMatrix, rows_rank
 
@@ -16,13 +17,17 @@ def random_linear_code(rng: random.Random, q: int, n: int, k: int) -> LinearCode
 
 
 def forbid_distance_and_weights(monkeypatch) -> None:
-    """Make every distance or weight computation raise AssertionError."""
+    """Make every distance or weight computation raise AssertionError, of a
+    plain code or of an LRC, whose weights and group search are its own."""
 
-    def forbidden(self, *args, **kwargs):
+    def forbidden(*args, **kwargs):
         raise AssertionError("a distance or weight computation ran")
 
     for name in ("min_distance", "cheapest_weights", "weight_distribution"):
         monkeypatch.setattr(LinearCode, name, forbidden)
+    for name in ("min_distance", "cheapest_weights"):
+        monkeypatch.setattr(concat.BinaryLrc, name, forbidden)
+    monkeypatch.setattr(concat, "certify_distance", forbidden)
 
 
 def random_code_corpus(seed: int, count: int, max_n: int, max_k: int, q: int = 4):

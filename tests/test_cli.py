@@ -17,8 +17,8 @@ import gf4lrc
 from conftest import forbid_distance_and_weights, random_linear_code
 from gf4lrc import bounds
 from gf4lrc import code as code_module
-from gf4lrc import concat as concat_module
 from gf4lrc import cli
+from gf4lrc import concat as concat_module
 from gf4lrc.cli import _json_text, _load_input, main
 from gf4lrc.concat import BinaryLrc, certify_distance, concatenate
 from gf4lrc.families import hexacode
@@ -158,6 +158,25 @@ def test_repair_of_a_plain_code_exits_2_without_a_distance_call(tmp_path, capsys
         2, "", "error: repair needs an LRC JSON file (construct --concat)\n")
 
 
+def test_lrc_locality_and_repair_compute_no_weights_or_distance(tmp_path, capsys, monkeypatch):
+    base = tmp_path / "ham"
+    run_cli(capsys, "construct", "hamming4", "--t", "2", "--concat", "--output", str(base))
+    path = str(tmp_path / "ham.lrc.json")
+    lrc, _ = _load_input(path)
+    forbid_distance_and_weights(monkeypatch)
+    # The helper sees an LRC's own weight walk and group search.
+    certify = concat_module.certify_distance
+    for ask in (lrc.cheapest_weights, lrc.min_distance, lambda: certify(lrc)):
+        with pytest.raises(AssertionError, match="a distance or weight computation ran"):
+            ask()
+    code, out, _ = run_cli(capsys, "analyze", path, "--locality")
+    assert code == 0
+    report = json.loads(out)
+    assert report["locality"]["ok"] and "weights" not in report and "distance" not in report
+    code, out, _ = run_cli(capsys, "repair", path, "--random-t", "2", "--trials", "20")
+    assert code == 0 and json.loads(out)["success_rate"] == 1.0
+
+
 def claim_warnings(caplog) -> list[str]:
     found = [rec.getMessage() for rec in caplog.records if "advertised d=" in rec.getMessage()]
     caplog.clear()
@@ -251,8 +270,9 @@ def test_analyze_budget_exhaustion_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("strip", [False, True], ids=["as-written", "without-d"])
 def test_out_of_budget_weights_and_locality_build_no_dual(tmp_path, capsys, monkeypatch, strip):
-    # Both codes are the larger side: their weights and coverage come from
-    # dual words, and q^(n-k) is checked before a dual is built.
+    # Both codes are the larger side: their weights come from dual words,
+    # which ``side_weights`` walks without building a dual, and coverage
+    # checks q^(n-k) before a dual is built.
     run_cli(capsys, "construct", "cyclic4", "--n", "43", "--poly", "1 0 W 1 1 w 0 1",
             "--concat", "--output", str(tmp_path / "cyc"))
     run_cli(capsys, "construct", "cap", "--output", str(tmp_path / "cap"))
@@ -313,14 +333,14 @@ def _write_lrc(tmp_path, lrc) -> str:
 def _analyze_distance_and_starts(capsys, monkeypatch, path, *flags):
     """``analyze --distance``'s report and the start of each group search."""
     starts = []
-    search = concat_module.smallest_dependent_set
+    search = code_module.smallest_dependent_set
 
     def recorded(blocks, budget, start=1):
         starts.append(start)
         return search(blocks, budget, start)
 
     with monkeypatch.context() as patch:
-        patch.setattr(concat_module, "smallest_dependent_set", recorded)
+        patch.setattr(code_module, "smallest_dependent_set", recorded)
         code, out, _ = run_cli(capsys, "analyze", path, "--distance", *flags)
     assert code == 0
     return json.loads(out), starts
