@@ -4,12 +4,12 @@ A code keeps the matrix it was built from and derives the rest on first
 read.  ``from_parity`` checks H's rank with one elimination
 (``rows_rank``) and derives G as H's nullspace only when G is first read,
 checking there that G is orthogonal to H; ``from_generator`` derives H at
-once, since every caller needs it.  A dual reads its sides through its
-primal, checked once there.  The binary view is derived the same way:
-``bit_rows`` and ``bit_columns`` are the pair expansions (r, w*r over
-GF(4), r over GF(2)) of G's rows and H's columns, over which a packed
-message or word is a bit vector, so encoding and the syndrome are each
-one ``xor_combine``.  Codewords are enumerated
+once, since every caller needs it.  A dual holds its code's two matrices
+swapped.  The binary view is derived the same way: ``bit_rows``,
+``check_rows`` and ``bit_columns`` are the pair expansions (r, w*r over
+GF(4), r over GF(2)) of G's rows, H's rows and H's columns, over which a
+packed message or word is a bit vector, so encoding and the syndrome are
+each one ``xor_combine``.  Codewords are enumerated
 in binary-reflected Gray-step order: step m stands for the message bits
 gray(m) = m ^ (m >> 1).  Since sum_i gray(m)_i r_i equals
 sum_i m_i (r_i ^ r_(i-1)), step m's codeword is the XOR of the step rows
@@ -93,9 +93,9 @@ class WeightDistribution:
 
 
 class LinearCode:
-    """An [n, k] linear code: generator and parity-check matrices, each
-    held or derived on first read (see the module docstring).  The
-    constructor holds both and checks them at once."""
+    """An [n, k] linear code: it holds its parity-check matrix H, and its
+    generator G once given or derived on first read (see the module
+    docstring).  The constructor holds both and checks them at once."""
 
     def __init__(self, generator: FieldMatrix, parity_check: FieldMatrix):
         if generator.q != parity_check.q:
@@ -109,10 +109,8 @@ class LinearCode:
         self.parity_check = parity_check
         self._check_orthogonal(generator)
 
-    def _hold(self, q: int, n: int, k: int, dual_of: Optional["LinearCode"] = None) -> None:
+    def _hold(self, q: int, n: int, k: int) -> None:
         self.q, self.n, self.k = q, n, k
-        #: The code whose sides, swapped, are this code's (set on a dual).
-        self._dual_of = dual_of
         self._distance: Optional[DistanceCertificate] = None
         self._cheapest: Optional[WeightDistribution] = None
         #: The one enumeration pass, read by distance and weights.
@@ -143,30 +141,30 @@ class LinearCode:
         return code
 
     def dual(self) -> "LinearCode":
+        """The dual, holding this code's G and H (read here) swapped."""
         code = LinearCode.__new__(LinearCode)
-        code._hold(self.q, self.n, self.n - self.k, dual_of=self)
+        code._hold(self.q, self.n, self.n - self.k)
+        code.generator, code.parity_check = self.parity_check, self.generator
         return code
 
     # -- the sides and their binary views, each derived on first read -------
 
     @cached_property
     def generator(self) -> FieldMatrix:
-        """G: a dual's is its primal's H; else H's nullspace, checked here."""
-        if self._dual_of is not None:
-            return self._dual_of.parity_check
+        """G, when not held: H's nullspace, checked here."""
         generator = self.parity_check.nullspace()
         self._check_orthogonal(generator)
         return generator
 
     @cached_property
-    def parity_check(self) -> FieldMatrix:
-        """H, held by every code but a dual, whose H is its primal's G."""
-        return self._dual_of.generator
-
-    @cached_property
     def bit_rows(self) -> list[int]:
         """G's rows as binary vectors; over GF(2), the rows themselves."""
         return binary_expansion(self.q, self.generator.rows, self.generator._lo)
+
+    @cached_property
+    def check_rows(self) -> list[int]:
+        """H's rows as binary vectors; over GF(2), the rows themselves."""
+        return binary_expansion(self.q, self.parity_check.rows, self.parity_check._lo)
 
     @cached_property
     def bit_columns(self) -> list[int]:
@@ -209,18 +207,11 @@ class LinearCode:
         """The syndrome of a packed word: sum_j x_j h_j as one XOR."""
         return xor_combine(self.bit_columns, word)
 
-    def _step_word(self, m: int) -> tuple[int, ...]:
-        """The codeword at step m, i.e. of the message bits gray(m)."""
-        return unpack_row(self.q, xor_combine(self.bit_rows, m ^ m >> 1), self.n)
-
-    def _weight_planes(self):
-        """``weight_planes`` over the code's q^k steps."""
-        return weight_planes(self.bit_rows, self.n, 1 if self.q == 2 else 2)
-
     def _enumerate(self) -> tuple[tuple[int, ...], tuple[Optional[int], ...]]:
-        """The ``weight_histogram`` of the one cached pass."""
+        """The ``weight_histogram`` of the one cached pass over the q^k steps."""
         if self._pass is None:
-            self._pass = weight_histogram(self._weight_planes(), self.n)
+            walk = weight_planes(self.bit_rows, self.n, 1 if self.q == 2 else 2)
+            self._pass = weight_histogram(walk, self.n)
         return self._pass
 
     def weight_distribution(self, budget: int = DEFAULT_ENUM_BUDGET) -> WeightDistribution:
@@ -244,9 +235,8 @@ class LinearCode:
             elif self.k <= self.n - self.k:
                 self._cheapest = self.weight_distribution(budget)
             else:
-                h, width = self.parity_check, 1 if self.q == 2 else 2
-                rows = binary_expansion(self.q, h.rows, h._lo)
-                counts = side_weights(rows, self.n, width, width * self.k, budget)
+                width = 1 if self.q == 2 else 2
+                counts = side_weights(self.check_rows, self.n, width, width * self.k, budget)
                 self._cheapest = WeightDistribution(self.n, self.k, self.q, counts)
         return self._cheapest
 
@@ -280,7 +270,8 @@ class LinearCode:
         """The first minimum-weight codeword in step order."""
         counts, first = self._enumerate()
         d = next(w for w in range(1, self.n + 1) if counts[w])
-        return DistanceCertificate(d, self._step_word(first[d]), METHOD_EXHAUSTIVE)
+        word = step_word(self.q, self.bit_rows, first[d], self.n)
+        return DistanceCertificate(d, word, METHOD_EXHAUSTIVE)
 
     def _min_distance_columns(self, set_budget: int, start: int = 1) -> DistanceCertificate:
         """Smallest dependent parity-check column set, as a codeword."""
@@ -292,6 +283,11 @@ class LinearCode:
             raise AssertionError("column-search witness is not a codeword")
         d = sum(1 for c in witness if c)
         return DistanceCertificate(d, witness, METHOD_COLUMN)
+
+
+def step_word(q: int, rows: Sequence[int], m: int, n: int) -> tuple[int, ...]:
+    """The word at step m of a walk over ``rows``: of the row bits gray(m)."""
+    return unpack_row(q, xor_combine(rows, m ^ m >> 1), n)
 
 
 def side_weights(dual_rows: Sequence, n: int, width: int, k: int, budget: int) -> tuple[int, ...]:

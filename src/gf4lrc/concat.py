@@ -24,6 +24,8 @@ from .code import (
     WeightDistribution,
     dependent_symbols,
     side_weights,
+    step_word,
+    weight_planes,
 )
 from .errors import BudgetExceeded, FieldMismatch, ParseError, SubsetBudgetExceeded
 from .matrix import FieldMatrix, unpack_row, xor_insert
@@ -249,7 +251,7 @@ def locality_check(
     """Check that every coordinate is covered by a dual word of weight <= r+1.
 
     For a BinaryLrc with r >= 2 the group parity rows cover structurally;
-    otherwise the dual code is enumerated within budget.
+    otherwise it walks the words H's pair rows span, within budget.
     """
     if isinstance(code, BinaryLrc):
         if r >= 2:
@@ -263,12 +265,12 @@ def locality_check(
     total = code.q ** (code.n - code.k)
     if total > budget:
         raise BudgetExceeded(f"dual enumeration of {total} words exceeds {budget}")
-    dual = code.dual()
+    rows = code.check_rows
     covering = [None] * code.n
     remaining = code.n
     # Each coordinate takes the first dual word in step order of weight
     # 1..r+1 whose support holds it.
-    for base, planes, nonzero in dual._weight_planes():
+    for base, planes, nonzero in weight_planes(rows, code.n, 1 if code.q == 2 else 2):
         short = 0
         for w in range(1, min(r + 1, code.n) + 1):
             short |= planes[w]
@@ -278,7 +280,8 @@ def locality_check(
             if covering[j] is None:
                 hit = short & nonzero[j]
                 if hit:
-                    covering[j] = dual._step_word(base + (hit & -hit).bit_length() - 1)
+                    step = base + (hit & -hit).bit_length() - 1
+                    covering[j] = step_word(code.q, rows, step, code.n)
                     remaining -= 1
         if remaining == 0:
             break

@@ -14,6 +14,7 @@ import reference_repair as reference
 from scalar_elimination import entry
 from test_enumerator import codes
 from gf4lrc import gf4
+from gf4lrc.code import step_word
 from gf4lrc.matrix import FieldMatrix, pack_row, scale_row, unpack_row
 
 small = codes(st.integers(1, 6))
@@ -60,4 +61,5 @@ def test_mat_mul_matches_entrywise_product(code, width, data):
 @given(small)
 def test_step_word_matches_gray_walk(code):
     walk = [unpack_row(code.q, packed, code.n) for packed in gray.iter_packed(code)]
-    assert [code._step_word(m) for m in range(code.codeword_count())] == walk
+    steps = range(code.codeword_count())
+    assert [step_word(code.q, code.bit_rows, m, code.n) for m in steps] == walk

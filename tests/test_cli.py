@@ -298,6 +298,30 @@ def test_out_of_budget_weights_and_locality_build_no_dual(tmp_path, capsys, monk
     assert built == []
 
 
+def test_in_budget_locality_builds_no_dual(tmp_path, capsys, monkeypatch):
+    # The locality scan walks the words H's pair rows span: default analyze
+    # of the cap code, whose scan fits, and --locality of a GF(2) code read
+    # from H build no dual, and the latter derives no generator.
+    run_cli(capsys, "construct", "cap", "--output", str(tmp_path / "cap"))
+    run_cli(capsys, "construct", "hamming4", "--t", "2", "--concat",
+            "--output", str(tmp_path / "ham"))
+    lrc = BinaryLrc.from_json(json.loads((tmp_path / "ham.lrc.json").read_text()))
+    spc = tmp_path / "spc.code"
+    spc.write_text(lrc.code.parity_check.to_text({"kind": "parity", "n": lrc.n, "k": lrc.k}))
+    built, nullspaces = [], []
+    dual, nullspace = code_module.LinearCode.dual, FieldMatrix.nullspace
+    monkeypatch.setattr(code_module.LinearCode, "dual", lambda self: built.append(self) or dual(self))
+
+    code, out, _ = run_cli(capsys, "analyze", str(tmp_path / "cap.code"))
+    assert code == 0
+    assert json.loads(out)["locality"]["r"] == 2
+    monkeypatch.setattr(FieldMatrix, "nullspace", lambda m: nullspaces.append(m) or nullspace(m))
+    code, out, _ = run_cli(capsys, "analyze", str(spc), "--locality")
+    assert code == 0
+    assert json.loads(out)["locality"]["ok"]
+    assert (built, nullspaces) == ([], [])
+
+
 def test_default_analyze_starts_the_group_search_where_the_weights_leave_it(tmp_path, capsys):
     # The weights give d = 8, so no set of fewer than 4 groups is searched,
     # with or without --distance.

@@ -13,6 +13,7 @@ from gf4lrc.code import (
     _step_bit_planes,
     krawtchouk_column,
     macwilliams,
+    weight_planes,
 )
 from gf4lrc.errors import (
     BudgetExceeded,
@@ -69,7 +70,7 @@ def test_the_dual_of_a_full_space_code_enumerates_its_zero_word(q):
     dual = LinearCode.from_generator(FieldMatrix.identity(q, 3)).dual()
     assert dual.k == 0
     assert dual.weight_distribution().counts == (1, 0, 0, 0)
-    [(base, planes, nonzero)] = list(dual._weight_planes())
+    [(base, planes, nonzero)] = list(weight_planes(dual.bit_rows, 3, 1 if q == 2 else 2))
     assert (base, planes[0], nonzero) == (0, 1, [0, 0, 0])
 
 

@@ -115,8 +115,17 @@ def test_multi_block_codes_match_gray_walk(code):
 @settings(max_examples=200, deadline=None)
 @given(codes(st.integers(1, 4), max_redundancy=6), block_bits, st.integers(0, 3))
 def test_locality_coverings_match_gray_walk(code, bits, r):
+    # A code that holds only H covers alike, deriving no generator; the
+    # oracle's dual reads G, so only the scan's own nullspaces are counted.
+    held = LinearCode.from_parity(code.parity_check)
+    nullspaces, nullspace = [], FieldMatrix.nullspace
+    counted = lambda m: nullspaces.append(m) or nullspace(m)
     with with_block_bits(bits):
-        assert locality_check(code, r) == gray.locality_dual_scan(code, r)
+        expected = gray.locality_dual_scan(code, r)
+        assert locality_check(code, r) == expected
+        with mock.patch.object(FieldMatrix, "nullspace", counted):
+            assert locality_check(held, r) == expected
+    assert nullspaces == []
 
 
 @settings(max_examples=12, deadline=None)
@@ -145,18 +154,18 @@ def test_weight_distribution_budget_after_a_cached_distance_pass(code):
 @given(small, st.booleans())
 def test_distance_and_weights_walk_the_code_once(code, distance_first):
     walks = []
-    walk = LinearCode._weight_planes
+    walk = code_module.weight_planes
 
-    def counted(self):
-        walks.append(self)
-        return walk(self)
+    def counted(rows, n, width):
+        walks.append(rows)
+        return walk(rows, n, width)
 
     total = code.codeword_count()
     asks = [code._min_distance_exhaustive, lambda: code.weight_distribution(budget=total)]
-    with mock.patch.object(LinearCode, "_weight_planes", counted):
+    with mock.patch.object(code_module, "weight_planes", counted):
         for ask in asks if distance_first else asks[::-1]:
             ask()
-    assert walks == [code]
+    assert walks == [code.bit_rows]
 
 
 @settings(max_examples=200, deadline=None)

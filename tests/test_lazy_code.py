@@ -67,15 +67,14 @@ def test_from_parity_derives_the_generator_once_on_first_read(monkeypatch):
     h = FieldMatrix.from_rows(4, [[1, 0, 1, 1, 1], [0, 1, 1, 2, 3]])
     calls = _count_nullspaces(monkeypatch)
     code = LinearCode.from_parity(h)
-    dual = code.dual()
     code.syndrome(1)
     code.min_distance()
-    dual.weight_distribution()
-    assert (code.k, dual.k, calls) == (3, 2, [])
+    assert (code.k, calls) == (3, [])
     code.weight_distribution()
-    assert dual.parity_check is code.generator
     code.encode([1, 2, 3])
     assert calls == [h]
+    assert code.dual().generator is code.parity_check and code.dual().parity_check is code.generator
+    assert (code.dual().k, calls) == (2, [h])
 
 
 @pytest.mark.parametrize("q, rows", [(2, [[1, 0, 1], [1, 0, 1]]), (4, [[1, 2, 0], [2, 3, 0]])])
