@@ -175,9 +175,6 @@ class LinearCode:
     def cached_distance(self) -> Optional[DistanceCertificate]:
         return self._distance
 
-    def params(self) -> tuple[int, int]:
-        return (self.n, self.k)
-
     def __repr__(self) -> str:
         return f"LinearCode([{self.n},{self.k}] over GF({self.q}))"
 

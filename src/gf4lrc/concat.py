@@ -113,9 +113,6 @@ class BinaryLrc:
     def k(self) -> int:
         return self.code.k
 
-    def params(self) -> tuple[int, int, Optional[int], int]:
-        return (self.n, self.k, self.d, 2)
-
     def __repr__(self) -> str:
         return f"BinaryLrc([{self.n},{self.k},{self.d};2], ell={self.ell})"
 

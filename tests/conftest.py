@@ -4,6 +4,7 @@ import pytest
 
 from gf4lrc import concat
 from gf4lrc.code import LinearCode
+from gf4lrc.families import hamming4
 from gf4lrc.matrix import FieldMatrix, rows_rank
 
 
@@ -39,6 +40,21 @@ def random_code_corpus(seed: int, count: int, max_n: int, max_k: int, q: int = 4
         k = rng.randint(1, min(max_k, n))
         corpus.append(random_linear_code(rng, q, n, k))
     return corpus
+
+
+def permuted_hamming_lrc() -> concat.BinaryLrc:
+    """The [15,6,6;2] LRC with position p moved to 7p + 3 mod 15, its
+    columns and its groups alike, so no group is three consecutive
+    positions."""
+    lrc = concat.concatenate(hamming4(2))
+    n = lrc.n
+    moved = [(7 * p + 3) % n for p in range(n)]
+    columns = [0] * n
+    for p, column in zip(moved, lrc.code.parity_check.transpose().rows):
+        columns[p] = column
+    h = FieldMatrix(2, n, n - lrc.k, columns).transpose()
+    groups = [tuple(moved[p] for p in g) for g in lrc.groups]
+    return concat.BinaryLrc(LinearCode.from_parity(h), groups, lrc.d)
 
 
 @pytest.fixture(scope="session")

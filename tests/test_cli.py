@@ -120,7 +120,7 @@ def test_analyze_distance_of_a_larger_side_binary_code_reads_d_from_its_dual(tmp
     run_cli(capsys, "construct", "mds", "--n1", "8", "--k1", "7", "--concat",
             "--output", str(tmp_path / "spc"))
     lrc, _ = _load_input(str(tmp_path / "spc.lrc.json"))
-    assert lrc.params() == (24, 14, 4, 2)
+    assert (lrc.n, lrc.k, lrc.d) == (24, 14, 4)
     path = tmp_path / "spc.code"
     path.write_text(lrc.code.parity_check.to_text({"kind": "parity", "n": 24, "k": 14}))
     code, out, _ = run_cli(capsys, "analyze", str(path), "--distance", "--max-enum", "1024")

@@ -32,14 +32,14 @@ HAMMING_PARITY = FieldMatrix.from_rows(4, [[1, 0, 1, 1, 1], [0, 1, 1, W, W2]])
 
 def test_make_code_repetition():
     code = LinearCode.from_generator(FieldMatrix.from_rows(2, [[1, 1, 1]]))
-    assert code.params() == (3, 1)
+    assert (code.n, code.k) == (3, 1)
     assert code.parity_check.nrows == 2
     assert rows_rank(2, code.parity_check.rows, 3) == 2
 
 
 def test_make_code_from_hamming_parity():
     code = LinearCode.from_parity(HAMMING_PARITY)
-    assert code.params() == (5, 3)
+    assert (code.n, code.k) == (5, 3)
     assert code.min_distance().d == 3
 
 
@@ -129,13 +129,13 @@ def test_weight_distribution_consistent_with_distance():
 def test_dual_repetition_is_parity_code():
     code = LinearCode.from_generator(FieldMatrix.from_rows(2, [[1, 1, 1]]))
     d = code.dual()
-    assert d.params() == (3, 2)
+    assert (d.n, d.k) == (3, 2)
     assert d.weight_distribution().counts == (1, 0, 3, 0)
 
 
 def test_dual_of_hamming_has_simplex_weights():
     dual = LinearCode.from_parity(HAMMING_PARITY).dual()
-    assert dual.params() == (5, 2)
+    assert (dual.n, dual.k) == (5, 2)
     assert dual.weight_distribution().counts == (1, 0, 0, 0, 15, 0)
 
 

@@ -41,7 +41,7 @@ W, W2 = gf4.W, gf4.W2
 )
 def test_mds_nontrivial_families(n1, k1, d1):
     code = mds_rs(n1, k1)
-    assert code.params() == (n1, k1)
+    assert (code.n, code.k) == (n1, k1)
     assert code.min_distance().d == d1 == n1 - k1 + 1
 
 
@@ -59,7 +59,7 @@ def test_mds_unsupported_parameters():
 
 def test_hamming_t2_matches_reference_parity_columns():
     code = hamming4(2)
-    assert code.params() == (5, 3)
+    assert (code.n, code.k) == (5, 3)
     ours = {col_tuple(code.parity_check, j) for j in range(5)}
     reference = FieldMatrix.from_rows(4, [[1, 0, 1, 1, 1], [0, 1, 1, W, W2]])
     theirs = {col_tuple(reference, j) for j in range(5)}
@@ -68,7 +68,7 @@ def test_hamming_t2_matches_reference_parity_columns():
 
 def test_hamming_t3():
     code = hamming4(3)
-    assert code.params() == (21, 18)
+    assert (code.n, code.k) == (21, 18)
     assert code.cached_distance.d == 3
     # the message space is far beyond enumeration, so the certificate must
     # come from the dependent-column search
@@ -96,7 +96,7 @@ def test_hamming_closed_form_weights():
 
 def test_hexacode_reference_values():
     code = hexacode()
-    assert code.params() == (6, 3)
+    assert (code.n, code.k) == (6, 3)
     assert code.min_distance().d == 4
     assert code.weight_distribution().counts == (1, 0, 0, 0, 45, 0, 18)
     # denominator identity: 19 + 45 = 64 = 4^3
@@ -114,7 +114,7 @@ def test_hexacode_reference_values():
 def test_macdonald_parameters(m, u, t, params):
     code = macdonald(m, u, t)
     n1, k1, d1 = params
-    assert code.params() == (n1, k1)
+    assert (code.n, code.k) == (n1, k1)
     assert code.min_distance().d == d1
     assert griesmer_classical_min_n(k1, d1, 4) == n1
 
@@ -152,7 +152,7 @@ def test_macdonald_multiplicity_four_meets_griesmer():
 def test_solomon_stiffler_parameters(t, dims, params):
     code = solomon_stiffler(t, dims)
     n1, k1, d1 = params
-    assert code.params() == (n1, k1)
+    assert (code.n, code.k) == (n1, k1)
     assert code.min_distance().d == d1
     assert code.n == griesmer_classical_min_n(k1, d1, 4)
 
@@ -176,13 +176,13 @@ def test_solomon_stiffler_validation():
 def test_cap_code_from_small_cap():
     cap = cap_search(2, 5)
     code = cap_code(cap)
-    assert code.params() == (5, 2)
+    assert (code.n, code.k) == (5, 2)
     assert code.cached_distance.d == 4
 
 
 def test_cap_code_from_bundled_17_cap():
     code = cap_code(bundled_cap_pg3_17())
-    assert code.params() == (17, 13)
+    assert (code.n, code.k) == (17, 13)
     assert code.cached_distance.d == 4
     assert code.cached_distance.method == "column_dependence"
 
@@ -254,7 +254,7 @@ def test_cyclic_accepts_exactly_the_divisors(case):
         return
     code = cyclic4(n, g)
     k = n - len(trimmed) + 1
-    assert code.params() == (n, k)
+    assert (code.n, code.k) == (n, k)
     for i in range(k):
         assert code.generator.row_tuple(i) == tuple([0] * i + trimmed + [0] * (k - 1 - i))
     top = code.generator.row_tuple(k - 1)
@@ -274,7 +274,7 @@ def test_cyclic_rejects_a_symbol_outside_gf4(n, g, bad):
 
 def test_cyclic_parity_code():
     code = cyclic4(3, [1, 1])
-    assert code.params() == (3, 2)
+    assert (code.n, code.k) == (3, 2)
 
 
 def test_cyclic_rejects_non_divisor():
@@ -285,7 +285,7 @@ def test_cyclic_rejects_non_divisor():
 def test_cyclic_43_36():
     g = [1, 0, W2, 1, 1, W, 0, 1]
     code = cyclic4(43, g)
-    assert code.params() == (43, 36)
+    assert (code.n, code.k) == (43, 36)
     # every row of the generator is a cyclic shift, hence a codeword
     assert code.contains(code.generator.row_tuple(5))
 
@@ -295,7 +295,7 @@ def test_ingest_round_trip(tmp_path):
     parity = FieldMatrix.from_rows(4, [[1, 0, 1, 1, 1], [0, 1, 1, W, W2]])
     path.write_text(parity.to_text({"kind": "parity", "n": 5, "k": 3, "d": 3}))
     code, claimed = ingest(path)
-    assert code.params() == (5, 3)
+    assert (code.n, code.k) == (5, 3)
     assert claimed == 3 and code.min_distance().d == 3
 
 
@@ -322,7 +322,7 @@ def test_ingest_returns_the_claimed_d_and_computes_no_distance(tmp_path, monkeyp
     forbid_distance_and_weights(monkeypatch)
     with caplog.at_level(logging.WARNING):
         code, claimed = ingest(path)
-    assert (code.params(), claimed) == ((3, 1), 2)
+    assert ((code.n, code.k), claimed) == ((3, 1), 2)
     assert caplog.records == []
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_repair as reference
+from conftest import permuted_hamming_lrc
 from scalar_elimination import col_tuple
 from gf4lrc import gf4, matrix, repair
 from gf4lrc.code import LinearCode
@@ -42,15 +43,26 @@ def test_splitmix64_reference_stream():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(-(2**130), 2**130), st.integers(0, 300))
-def test_lanes_match_scalar_stream(seed, m):
+@given(st.integers(-(2**130), 2**130), st.integers(0, 300), st.data())
+def test_lanes_match_scalar_stream(seed, m, data):
     """Lane j holds the (j+1)-th output with a zero top half, and the
-    state moves on as after m scalar draws."""
+    state moves on as after m scalar draws.  In a permuted layout of c
+    streams, lane i*m + j holds output layout[j] + 1 of stream i."""
     bulk, scalar = SplitMix64(seed), SplitMix64(seed)
-    lanes = bulk.lanes(m)
+    lanes = bulk.lanes(range(m))
     assert lanes == sum(reference.next_u64(scalar) << 128 * j for j in range(m))
     assert bulk.state == scalar.state
     assert reference.next_u64(bulk) == reference.next_u64(scalar)
+    layout = tuple(data.draw(st.permutations(range(min(m, 40)))))
+    streams = data.draw(st.integers(1, 4))
+    outputs = []
+    for i in range(streams):
+        stream = SplitMix64(seed + i)
+        drawn = [reference.next_u64(stream) for _ in layout]
+        outputs += [drawn[j] for j in layout]
+    bulk = SplitMix64(seed)
+    assert bulk.lanes(layout, streams) == sum(u << 128 * l for l, u in enumerate(outputs))
+    assert bulk.state == SplitMix64(seed + len(layout) * 0x9E3779B97F4A7C15).state
 
 
 def _unshift(y: int, k: int) -> int:
@@ -76,10 +88,13 @@ def test_per_symbol_draw_at_threshold_edges(p, lane):
     edge = math.ceil(p * 2**53) << 11
     for u in {u for u in (0, edge - 1, edge, 2**64 - 1) if 0 <= u < 2**64}:
         seed = _state_of(u) - (lane + 1) * 0x9E3779B97F4A7C15
-        assert SplitMix64(seed).lanes(lane + 1) >> 128 * lane == u
-        pattern = PerSymbolErasures(p).draw(SplitMix64(seed), 4)
-        assert pattern == reference.draw(PerSymbolErasures(p), SplitMix64(seed), 4)
-        assert (lane in pattern) == ((u >> 11) * 2.0**-53 < p), hex(u)
+        assert SplitMix64(seed).lanes(range(lane + 1)) >> 128 * lane == u
+        positions = reference.draw(PerSymbolErasures(p), SplitMix64(seed), 4)
+        below = (u >> 11) * 2.0**-53 < p
+        for order in (range(4), (3, 0, 2, 1)):
+            flags = PerSymbolErasures(p).draw(SplitMix64(seed), order).flags
+            assert flags == bytes(q in positions for q in order)
+            assert flags[order.index(lane)] == below, hex(u)
 
 
 def test_local_repair_parity_forced(lrc):
@@ -214,13 +229,12 @@ def test_simulate_trial_stays_packed(lrc, monkeypatch):
 
 
 def test_simulate_draws_once_per_block_and_decodes_each_set_once(lrc, monkeypatch):
-    """Each block of trials calls its model's ``draw`` once, the sizes
-    ``draw`` returns sum to the run's erasure count, and the rank check
-    runs once per distinct still-erased set, the erasures that no group
-    repairs locally, and never for a set repaired wholly locally."""
+    """Each block of trials calls its model's ``draw`` once, the ``len``s
+    of the flags ``draw`` returns sum to the run's erasure count, and the
+    rank check runs once per distinct still-erased set, the erasures that
+    no group repairs locally, and never for a set repaired wholly locally.
+    The same holds where the slot table is not the identity."""
     trials, seed = 150, 3
-    block = repair._BLOCK_LANES // lrc.n
-    assert 1 < block < trials and trials % block
     calls = collections.Counter()
     solved = repair._solved
 
@@ -232,38 +246,41 @@ def test_simulate_draws_once_per_block_and_decodes_each_set_once(lrc, monkeypatc
     for cls in (RandomErasures, PerSymbolErasures):
         draw = cls.__dict__["draw"]
 
-        def counted_draw(self, rng, n, trials=1, draw=draw):
-            cells = draw(self, rng, n, trials)
+        def counted_draw(self, rng, order, trials=1, draw=draw):
+            drawn = draw(self, rng, order, trials)
             calls["draw"] += 1
-            calls["erasures"] += len(cells)
-            return cells
+            calls["erasures"] += len(drawn)
+            return drawn
 
         monkeypatch.setattr(cls, "draw", counted_draw)
-    distinct = {}
-    for model in (RandomErasures(2), RandomErasures(7), PerSymbolErasures(0.3)):
-        still_erased = set()
-        erasures = 0
-        for trial in range(trials):
-            rng = SplitMix64(seed + trial)
-            for _ in range(lrc.k):
-                reference.next_u64(rng)
-            pattern = reference.draw(model, rng, lrc.n)
-            erasures += len(pattern)
-            groups = [pattern & set(g) for g in lrc.groups]
-            still = frozenset().union(*(e for e in groups if len(e) > 1))
-            if still:
-                still_erased.add(still)
-        calls.clear()
-        simulate(lrc, trials, model, seed)
-        assert calls == {
-            "draw": -(-trials // block),
-            "erasures": erasures,
-            "_solved": len(still_erased),
-        }, model
-        distinct[model] = len(still_erased)
-    # Two erasures leave a still-erased set only inside one of the five
-    # groups, so at most 15 sets: far fewer rank checks than trials.
-    assert 0 < distinct[RandomErasures(2)] <= 15
+    for code in (lrc, permuted_hamming_lrc()):
+        block = repair._BLOCK_LANES // code.n
+        assert 1 < block < trials and trials % block
+        distinct = {}
+        for model in (RandomErasures(2), RandomErasures(7), PerSymbolErasures(0.3)):
+            still_erased = set()
+            erasures = 0
+            for trial in range(trials):
+                rng = SplitMix64(seed + trial)
+                for _ in range(code.k):
+                    reference.next_u64(rng)
+                pattern = reference.draw(model, rng, code.n)
+                erasures += len(pattern)
+                groups = [pattern & set(g) for g in code.groups]
+                still = frozenset().union(*(e for e in groups if len(e) > 1))
+                if still:
+                    still_erased.add(still)
+            calls.clear()
+            simulate(code, trials, model, seed)
+            assert calls == {
+                "draw": -(-trials // block),
+                "erasures": erasures,
+                "_solved": len(still_erased),
+            }, (code.groups, model)
+            distinct[model] = len(still_erased)
+        # Two erasures leave a still-erased set only inside one of the five
+        # groups, so at most 15 sets: far fewer rank checks than trials.
+        assert 0 < distinct[RandomErasures(2)] <= 15
 
 
 def _count_syndromes(monkeypatch) -> collections.Counter:
@@ -358,6 +375,11 @@ def test_model_validation(lrc):
         PerSymbolErasures(1.5)
     with pytest.raises(ValueError):
         simulate(lrc, 1, RandomErasures(lrc.n + 1))
+    # t > n raises before anything is drawn.
+    rng = SplitMix64(3)
+    with pytest.raises(ValueError, match="cannot erase 16 of 15 positions"):
+        RandomErasures(16).draw(rng, range(15), 2)
+    assert rng.state == 3
 
 
 def test_two_full_groups_decode_on_hexacode_lrc():

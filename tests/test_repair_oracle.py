@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_repair as reference
+from conftest import permuted_hamming_lrc
 from gf4lrc import repair
 from gf4lrc.code import LinearCode
 from gf4lrc.concat import BinaryLrc, concatenate
@@ -33,27 +34,12 @@ def _reordered_hexacode_lrc() -> BinaryLrc:
     return BinaryLrc(lrc.code, ((g0, g2, g1),) + lrc.groups[1:], lrc.d)
 
 
-def _permuted_hamming_lrc() -> BinaryLrc:
-    """The [15,6,6;2] LRC with position p moved to 7p + 3 mod 15, its
-    columns and its groups alike, so no group is three consecutive
-    positions."""
-    lrc = concatenate(hamming4(2))
-    n = lrc.n
-    moved = [(7 * p + 3) % n for p in range(n)]
-    columns = [0] * n
-    for p, column in zip(moved, lrc.code.parity_check.transpose().rows):
-        columns[p] = column
-    h = FieldMatrix(2, n, n - lrc.k, columns).transpose()
-    groups = [tuple(moved[p] for p in g) for g in lrc.groups]
-    return BinaryLrc(LinearCode.from_parity(h), groups, lrc.d)
-
-
 LRCS = {
     "ham15": concatenate(hamming4(2)),
     "hex18": concatenate(hexacode()),
     "rs15": concatenate(mds_rs(5, 3)),
     "hex18_reordered": _reordered_hexacode_lrc(),
-    "ham15_permuted": _permuted_hamming_lrc(),
+    "ham15_permuted": permuted_hamming_lrc(),
 }
 
 
@@ -111,15 +97,38 @@ def test_simulate_across_blocks_matches_reference(name, data):
     assert ours == reference.simulate(lrc, trials, model, seed)
 
 
+def _reference_flags(model, seed: int, order, trials: int) -> bytes:
+    """Byte i*n + s is 1 exactly when the reference draw of the stream
+    seeded at seed + i erases order[s]."""
+    n = len(order)
+    draws = [reference.draw(model, SplitMix64(seed + i), n) for i in range(trials)]
+    return bytes(p in erased for erased in draws for p in order)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(-(2**130), 2**130), st.integers(1, 40), st.integers(1, 12), st.data())
 def test_block_draw_is_the_union_of_trial_draws(seed, n, trials, data):
     """Trial i of a block draws from the stream seeded at seed + i, and
-    its erased positions p come back as the cells i*n + p."""
+    its erased positions p come back as the flag bytes i*n + p."""
     model = data.draw(models(n))
-    cells = model.draw(SplitMix64(seed), n, trials)
-    for draw in (model.draw, lambda rng, n: reference.draw(model, rng, n)):
-        assert cells == {i * n + p for i in range(trials) for p in draw(SplitMix64(seed + i), n)}
+    flags = model.draw(SplitMix64(seed), range(n), trials).flags
+    ours = b"".join(model.draw(SplitMix64(seed + i), range(n)).flags for i in range(trials))
+    assert flags == ours == _reference_flags(model, seed, range(n), trials)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-(2**130), 2**130), st.integers(1, 40), st.integers(1, 12), st.data())
+def test_slot_ordered_draw_flags_the_position_at_each_slot(seed, n, trials, data):
+    """In any slot order, byte i*n + s of a block's draw is 1 exactly when
+    trial i erases order[s], and its ``len`` is the block's erasure count."""
+    order = tuple(data.draw(st.permutations(range(n))))
+    edges = [RandomErasures(0), RandomErasures(n), PerSymbolErasures(0.0), PerSymbolErasures(1.0)]
+    model = data.draw(st.sampled_from(edges) | models(n))
+    drawn = model.draw(SplitMix64(seed), order, trials)
+    assert drawn.flags == _reference_flags(model, seed, order, trials)
+    assert len(drawn) == sum(
+        len(reference.draw(model, SplitMix64(seed + i), n)) for i in range(trials)
+    )
 
 
 @pytest.mark.parametrize("name", sorted(LRCS))
@@ -129,7 +138,9 @@ def test_simulate_erasing_nothing_or_everything(name, everything, kind, monkeypa
     lrc = LRCS[name]
     n = lrc.n
     model = kind(n * everything) if kind is RandomErasures else kind(float(everything))
-    assert model.draw(SplitMix64(5), n, 3) == frozenset(range(3 * n) if everything else ())
+    order = tuple(p for g in lrc.groups for p in g)
+    drawn = model.draw(SplitMix64(5), order, 3)
+    assert (drawn.flags, len(drawn)) == (bytes([everything]) * 3 * n, 3 * n * everything)
     monkeypatch.setattr(repair, "_BLOCK_LANES", 3 * n)
     assert simulate(lrc, 10, model, 5) == reference.simulate(lrc, 10, model, 5)
 
@@ -143,7 +154,10 @@ def test_simulate_erasing_nothing_or_everything(name, everything, kind, monkeypa
 def test_single_trial_draw_is_the_erased_positions(model):
     for seed in range(-3, 4):
         positions = reference.draw(model, SplitMix64(seed), 15)
-        assert model.draw(SplitMix64(seed), 15, 1) == model.draw(SplitMix64(seed), 15) == positions
+        drawn = model.draw(SplitMix64(seed), range(15), 1)
+        assert drawn == model.draw(SplitMix64(seed), range(15))
+        assert drawn.flags == bytes(p in positions for p in range(15))
+        assert len(drawn) == len(positions)
 
 
 @pytest.mark.parametrize("name", sorted(LRCS))
