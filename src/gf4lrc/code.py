@@ -1,19 +1,21 @@
 """Linear codes over GF(2)/GF(4): distance, weight enumerator, duality.
 
-A code keeps the matrix it was built from and derives the rest on first
-read.  ``from_parity`` checks H's rank with one elimination
-(``rows_rank``) and derives G as H's nullspace only when G is first read,
-checking there that G is orthogonal to H; ``from_generator`` derives H at
-once, since every caller needs it.  A dual holds its code's two matrices
-swapped.  The binary view is derived the same way: ``bit_rows``,
-``check_rows`` and ``bit_columns`` are the pair expansions (r, w*r over
-GF(4), r over GF(2)) of G's rows, H's rows and H's columns, over which a
-packed message or word is a bit vector, so encoding and the syndrome are
-each one ``xor_combine``.  Codewords are enumerated
-in binary-reflected Gray-step order: step m stands for the message bits
-gray(m) = m ^ (m >> 1).  Since sum_i gray(m)_i r_i equals
-sum_i m_i (r_i ^ r_(i-1)), step m's codeword is the XOR of the step rows
-r_i ^ r_(i-1) over the set bits of m.
+A code keeps what it was built with and derives the rest on first read.
+``from_parity`` checks H's rank with one elimination (``rows_rank``) and
+derives G as H's nullspace only when G is first read, checking there that
+G is orthogonal to H; ``from_generator`` derives H at once, since every
+caller needs it.  A builder that knows both matrices (``cyclic4``) holds
+both, and the constructor checks that they are orthogonal.  A dual holds
+its code's two matrices swapped.  A concatenation holds only H's columns,
+``bit_columns``, and derives H's rows from them when they are first read.
+The binary view is derived the same way: ``bit_rows``, ``check_rows`` and
+``bit_columns`` are the pair expansions (r, w*r over GF(4), r over GF(2))
+of G's rows, H's rows and H's columns, over which a packed message or word
+is a bit vector, so encoding and the syndrome are each one
+``xor_combine``.  Codewords are enumerated in binary-reflected Gray-step
+order: step m stands for the message bits gray(m) = m ^ (m >> 1).  Since
+sum_i gray(m)_i r_i equals sum_i m_i (r_i ^ r_(i-1)), step m's codeword is
+the XOR of the step rows r_i ^ r_(i-1) over the set bits of m.
 
 The enumerator is bit-sliced (Biham 1997): it handles aligned blocks of
 2^BLOCK_BITS steps, one big-int bit plane per codeword bit, where bit x of
@@ -21,11 +23,15 @@ a plane is that codeword bit at step base + x.  A plane is a fixed truth
 table of the low step bits, complemented when the block's high bits flip
 it.  The step rows' columns come from one ``transpose``, and a column's
 table is the XOR of the cached planes of the low step bits it holds
-(plane i has bit x set when bit i of x is).  The coordinates' nonzero
-planes are summed into a bit-sliced counter, which splits into one plane
-per weight.  A pass walks every step of the rows it is given: a code's
-q^k, whose one cached pass serves both exhaustive distance and the weight
-distribution, or the smaller side that ``side_weights`` picks.
+(plane i has bit x set when bit i of x is), read as one entry from each of
+two tables of such XORs, over the low and the high half of those bits.
+The coordinates' nonzero planes are summed into a bit-sliced counter,
+which splits into one plane per weight.  A pass walks every step of the
+rows it is given: a code's q^k, whose one cached pass serves both
+exhaustive distance and the weight distribution, or the smaller side that
+``side_weights`` picks.  The weights of a dual side come from its walk by
+the MacWilliams identity, in one Horner pass over a polynomial
+(``krawtchouk_transform``).
 """
 
 from __future__ import annotations
@@ -93,9 +99,10 @@ class WeightDistribution:
 
 
 class LinearCode:
-    """An [n, k] linear code: it holds its parity-check matrix H, and its
-    generator G once given or derived on first read (see the module
-    docstring).  The constructor holds both and checks them at once."""
+    """An [n, k] linear code: it holds its parity-check matrix H, or H's
+    columns, and its generator G once given or derived on first read (see
+    the module docstring).  The constructor holds both and checks them at
+    once."""
 
     def __init__(self, generator: FieldMatrix, parity_check: FieldMatrix):
         if generator.q != parity_check.q:
@@ -155,6 +162,12 @@ class LinearCode:
         generator = self.parity_check.nullspace()
         self._check_orthogonal(generator)
         return generator
+
+    @cached_property
+    def parity_check(self) -> FieldMatrix:
+        """H, when only its columns are held: their transpose."""
+        cols = self.bit_columns[:: 1 if self.q == 2 else 2]  # the pairs' c of (c, w*c)
+        return FieldMatrix(self.q, self.n, self.n - self.k, cols).transpose()
 
     @cached_property
     def bit_rows(self) -> list[int]:
@@ -323,6 +336,14 @@ def _step_bit_planes(low: int) -> tuple[int, ...]:
     )
 
 
+def _subset_xors(planes: Sequence[int]) -> list[int]:
+    """Entry m is the XOR of ``planes[i]`` over the set bits i of m."""
+    table = [0]
+    for plane in planes:
+        table += [entry ^ plane for entry in table]
+    return table
+
+
 def weight_planes(rows: Sequence[int], n: int, width: int):
     """Bit-sliced enumeration of the 2^len(rows) steps over packed binary
     rows of n symbols, each ``width`` bits wide.
@@ -339,16 +360,28 @@ def weight_planes(rows: Sequence[int], n: int, width: int):
     # Bit i of column c is bit c of step row i; bit x of its table is
     # parity(x & col) for x < 2^low, the XOR of the planes of col's bits.
     cols = FieldMatrix(2, len(steps), width * n, steps).transpose().rows
-    columns = [(xor_combine(bit_planes, col & below), col >> low) for col in cols]
+    # That XOR is one entry of each of two tables, over the planes of the
+    # low and the high half of the low bits, each built by doubling.
+    half = low // 2
+    lo_table, hi_table = _subset_xors(bit_planes[:half]), _subset_xors(bit_planes[half:])
+    lo_bits = (1 << half) - 1
+    columns = [
+        (lo_table[col & lo_bits] ^ hi_table[(col & below) >> half], col >> low) for col in cols
+    ]
     # A symbol is nonzero where either of its two bits is (at width 1
     # both are its one bit), and a block complements a bit's table when
-    # the block's high bits flip it: one plane per pair of flips.
+    # the block's high bits flip it: one plane per pair of flips.  A walk
+    # of one block flips nothing.
+    blocks = 1 << (len(steps) - low)
     symbols = []
     for (t0, h0), (t1, h1) in zip(columns[::width], columns[width - 1 :: width]):
-        n0, n1 = t0 ^ full, t1 ^ full
-        symbols.append(((t0 | t1, n0 | t1, t0 | n1, n0 | n1), h0, h1))
+        if blocks == 1:
+            symbols.append(((t0 | t1,), h0, h1))
+        else:
+            n0, n1 = t0 ^ full, t1 ^ full
+            symbols.append(((t0 | t1, n0 | t1, t0 | n1, n0 | n1), h0, h1))
     levels = n.bit_length()
-    for h in range(1 << (len(steps) - low)):
+    for h in range(blocks):
         nonzero = [
             by_flips[(h & h0).bit_count() & 1 | ((h & h1).bit_count() & 1) << 1]
             for by_flips, h0, h1 in symbols
@@ -385,17 +418,6 @@ def weight_histogram(walk, n: int) -> tuple[tuple[int, ...], tuple[Optional[int]
     return tuple(counts), tuple(first)
 
 
-def krawtchouk_column(i: int, n: int, q: int) -> list[int]:
-    """K_0(i)..K_n(i) of K_j(i; n; q) by the three-term recurrence (j+1) K_(j+1)
-    = ((q-1)(n-j) + j - q*i) K_j - (q-1)(n-j+1) K_(j-1), dividing exactly."""
-    column, before = [1], 0
-    for j in range(n):
-        step = ((q - 1) * (n - j) + j - q * i) * column[j] - (q - 1) * (n - j + 1) * before
-        before = column[j]
-        column.append(step // (j + 1))
-    return column
-
-
 def macwilliams(
     dual_weights: WeightDistribution, dual_size: int, n: int, q: int
 ) -> WeightDistribution:
@@ -420,18 +442,32 @@ def macwilliams(
 def krawtchouk_transform(
     dual_counts: Sequence[int], dual_size: int, n: int, q: int
 ) -> tuple[int, ...]:
-    """A_j = (1/dual_size) * sum_i A_i(dual) K_j(i; n; q), exactly, or NonIntegerResult.
-    Over GF(4) dual_size may be any power of 2: an additive code and its dual
-    under the binary dot product on symbol pairs obey the same identity."""
-    columns = [
-        [a_i * value for value in krawtchouk_column(i, n, q)]
-        for i, a_i in enumerate(dual_counts)
-        if a_i
-    ]
+    """A_j = (1/dual_size) * sum_i B_i K_j(i; n; q), exactly, or NonIntegerResult,
+    from the dual's counts B_0..B_n.  Over GF(4) dual_size may be any power
+    of 2: an additive code and its dual under the binary dot product on
+    symbol pairs obey the same identity.
+
+    Since sum_j K_j(i) y^j = (1 - y)^i (1 + (q-1) y)^(n-i), dual_size * A_j
+    is the y^j coefficient of P(y) = sum_i B_i (1 - y)^i (1 + (q-1) y)^(n-i),
+    which one Horner pass from i = n down evaluates at y = 2^s: one int
+    whose s-bit slots hold P's signed coefficients.  No coefficient exceeds
+    q^n * sum_i B_i in size, so while the slots below are nonnegative, a
+    slot read low first is its coefficient, or that plus 2^s, with the top
+    bit set, when the coefficient is negative.  The first negative one
+    ends the decode, so no borrow reaches a slot that is read.
+    """
+    s = (q**n * sum(dual_counts)).bit_length() + 2
+    acc, power = 0, 1  # power = (1 + (q-1) y)^(n-i)
+    for b_i in reversed(dual_counts):
+        acc = acc - (acc << s) + b_i * power
+        power += (q - 1) * power << s
+    mask, sign = (1 << s) - 1, 1 << (s - 1)
     counts = []
-    for j, total in enumerate(map(sum, zip(*columns))):
+    for j in range(n + 1):
+        total = acc & mask
+        acc >>= s
         value, rem = divmod(total, dual_size)
-        if rem or value < 0:
+        if rem or total & sign:
             raise NonIntegerResult(f"transform gives non-integer A_{j}")
         counts.append(value)
     return tuple(counts)

@@ -8,7 +8,9 @@ below it each group contributes the columns (0, e1, e2) where e1, e2 are
 the GF(2) expansions of the outer parity-check column h and of w*h.  A
 packed GF(4) vector is its own GF(2) expansion (bit 2j is the coordinate
 on 1 and bit 2j+1 the coordinate on w of symbol j), so (e1, e2) is the
-pair the outer code's ``bit_columns`` holds for h, as plain ints.
+pair the outer code's ``bit_columns`` holds for h, as plain ints.  The
+concatenation holds these columns as its code's ``bit_columns`` and checks
+H's rank as the outer H's; H's rows are derived only when first read.
 """
 
 from __future__ import annotations
@@ -27,8 +29,14 @@ from .code import (
     step_word,
     weight_planes,
 )
-from .errors import BudgetExceeded, FieldMismatch, ParseError, SubsetBudgetExceeded
-from .matrix import FieldMatrix, unpack_row, xor_insert
+from .errors import (
+    BudgetExceeded,
+    FieldMismatch,
+    ParseError,
+    RankDeficient,
+    SubsetBudgetExceeded,
+)
+from .matrix import FieldMatrix, rows_rank, unpack_row, xor_insert
 
 #: Default cap on repair-group subsets examined by the distance certifier.
 DEFAULT_SUBSET_BUDGET = 10_000_000
@@ -170,13 +178,22 @@ def concatenate(outer: LinearCode) -> BinaryLrc:
     """
     if outer.q != 4:
         raise FieldMismatch("outer code must be over GF(4)")
-    ell, u = outer.n, 2 * (outer.n - outer.k)
+    # The group rows are independent of the lower block, which is 0 at
+    # each group's first position, and the lower block is the pair
+    # expansion of the outer H: the LRC's H has full rank exactly when
+    # the outer H does.
+    ell = outer.n
+    if rows_rank(4, outer.parity_check.rows, ell) != ell - outer.k:
+        raise RankDeficient("parity-check rows are linearly dependent")
     pairs = outer.bit_columns
     cols = []
     for i, (e1, e2) in enumerate(zip(pairs[::2], pairs[1::2])):
         top = 1 << i
         cols += [top, top | e1 << ell, top | e2 << ell]
-    code = LinearCode.from_parity(FieldMatrix(2, 3 * ell, ell + u, cols).transpose())
+    # The code holds H's columns; H's rows are derived when first read.
+    code = LinearCode.__new__(LinearCode)
+    code._hold(2, 3 * ell, 2 * outer.k)
+    code.bit_columns = cols
     cached = outer.cached_distance
     d = 2 * cached.d if cached is not None else None
     groups = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(ell)]

@@ -4,7 +4,8 @@ Every builder returns a :class:`~gf4lrc.code.LinearCode` over GF(4) and
 re-verifies its advertised parameters with an independent distance
 computation, ``LinearCode.min_distance``, which reads d from the side rule.
 Generators are packed rows, so no builder does GF(4) arithmetic one symbol
-at a time: ``cyclic4`` checks that g divides x^n - 1 by one syndrome.
+at a time: ``cyclic4`` divides x^n - 1 by g on packed rows, and writes H
+from the check polynomial (x^n - 1)/g, with no elimination.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import (
     UnsupportedParameters,
     UnsupportedSubspaceLayout,
 )
-from .matrix import FieldMatrix
+from .matrix import FieldMatrix, lo_mask, row_digits, scale_row
 from .projective import CapSet, pg_points, subspace_points
 
 logger = logging.getLogger(__name__)
@@ -191,10 +192,12 @@ def cap_code(cap: CapSet) -> LinearCode:
 def cyclic4(n: int, gen_poly: Sequence[int]) -> LinearCode:
     """Cyclic code of length n generated by gen_poly (ascending coefficients).
 
-    gen_poly must divide x^n - 1 over GF(4); the generator matrix holds the
-    k = n - deg(g) shifts x^i g.  They span a cyclic code exactly when g
-    divides x^n - 1, which holds exactly when the next shift x^k g, whose
-    top coefficient wraps to position 0, is a codeword: one syndrome.
+    gen_poly must divide x^n - 1 over GF(4): one division on packed rows
+    gives the check polynomial h = (x^n - 1)/g or a nonzero remainder.  G
+    holds the k = n - deg(g) shifts x^i g, whose RREF pivots are 0..k-1.
+    The dual is generated by the monic reciprocal h* of h, so row f of H,
+    for f = k..n-1, is x^f + (x^f mod h*): the one dual word that is 1 at
+    f and 0 at the other positions from k, as row f of G's nullspace is.
     """
     g = FieldMatrix.from_rows(4, [gen_poly]).rows[0]  # checks every symbol
     if not g:
@@ -203,10 +206,27 @@ def cyclic4(n: int, gen_poly: Sequence[int]) -> LinearCode:
     if deg >= n:
         raise InvalidParameters(f"deg(g)={deg} must be < n={n}")
     k = n - deg
-    code = LinearCode.from_generator(FieldMatrix(4, k, n, [g << 2 * i for i in range(k)]))
-    if code.syndrome((g << 2 * k) & ((1 << 2 * n) - 1) | g >> 2 * deg):
+    # Divide x^n - 1 by g made monic (a^-1 = a^2 in GF(4)); the quotient
+    # is h up to a scalar, which the monic h* drops.
+    lead, lo = g >> 2 * deg, lo_mask(deg + 1)
+    monic = scale_row(4, g, scale_row(4, lead, lead), lo)
+    rem, h = 1 | 1 << 2 * n, 0
+    for s in range(k, -1, -1):
+        c = rem >> 2 * (s + deg) & 3
+        h |= c << 2 * s
+        rem ^= scale_row(4, monic, c, lo) << 2 * s
+    if rem:
         raise NotADivisor(f"generator polynomial does not divide x^{n} - 1")
-    return code
+    lo = lo_mask(k + 1)
+    reciprocal = int(row_digits(4, h, k + 1), 4)
+    h_star = scale_row(4, reciprocal, scale_row(4, h & 3, h & 3), lo)
+    rows, r = [], h_star ^ 1 << 2 * k  # r = x^f mod h*, from f = k
+    for f in range(k, n):
+        rows.append(1 << 2 * f | r)
+        r <<= 2
+        r ^= scale_row(4, h_star, r >> 2 * k, lo)
+    generator = FieldMatrix(4, k, n, [g << 2 * i for i in range(k)])
+    return LinearCode(generator, FieldMatrix(4, n - k, n, rows))
 
 
 def ingest(path: str | Path) -> tuple[LinearCode, Optional[int]]:

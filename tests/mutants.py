@@ -1,0 +1,208 @@
+"""A catalogue of mutants of the fast paths, and the runner that replays them.
+
+Each entry breaks one fast path in one place: it replaces ``old``, which
+must occur exactly once in ``file``, by ``new``.  ``tests`` names the test
+ids that must fail on the mutant, and ``breaks`` says what it breaks.
+
+Usage, from the root of a checkout (needs pytest and hypothesis):
+
+    python tests/mutants.py [ID ...]
+
+For each entry (all of them by default) the runner copies ``src/`` and
+``tests/`` to a temporary directory, applies the entry there, and runs only
+the entry's tests against the copy with ``--hypothesis-seed=0``.  It
+reports the entry as
+
+- ``killed`` when every named test fails;
+- ``survived`` when one of them passes;
+- ``stale`` when ``old`` does not occur exactly once, or pytest finds no
+  test of a named id.
+
+The exit status is 0 only when every entry is killed.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    id: str
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+    breaks: str
+
+
+MUTANTS = (
+    Mutant(
+        "cyclic4-remainder",
+        "src/gf4lrc/families.py",
+        "    if rem:\n        raise NotADivisor",
+        "    if rem >> 2:\n        raise NotADivisor",
+        ("tests/test_families.py::test_cyclic_accepts_exactly_the_divisors",),
+        "a g whose remainder is a nonzero constant, such as x, passes as a divisor",
+    ),
+    Mutant(
+        "cyclic4-h-row-step",
+        "src/gf4lrc/families.py",
+        "        r ^= scale_row(4, h_star, r >> 2 * k, lo)",
+        "        r ^= h_star if r >> 2 * k else 0",
+        ("tests/test_families.py::test_cyclic_accepts_exactly_the_divisors",),
+        "x * (x^f mod h*) reduces by h* unscaled, so a row is wrong when the carry is w or w^2",
+    ),
+    Mutant(
+        "transform-slot-sign",
+        "src/gf4lrc/code.py",
+        "        if rem or total & sign:",
+        "        if rem:",
+        ("tests/test_code.py::test_horner_transform_matches_the_column_sums",),
+        "a negative coefficient reads as its slot's unsigned value, a count 2^s too high",
+    ),
+    Mutant(
+        "transform-slot-width",
+        "src/gf4lrc/code.py",
+        "    s = (q**n * sum(dual_counts)).bit_length() + 2",
+        "    s = (q**n).bit_length() + 2",
+        ("tests/test_code.py::test_horner_transform_matches_the_column_sums",),
+        "slots sized without the dual's word count overflow into their neighbours",
+    ),
+    Mutant(
+        "walk-half-table-index",
+        "src/gf4lrc/code.py",
+        "hi_table[(col & below) >> half]",
+        "hi_table[(col >> half) & lo_bits]",
+        (
+            "tests/test_enumerator.py::test_histogram_and_certificate_match_gray_walk",
+            "tests/test_side_weights.py::test_either_side_of_a_plain_code_weighs_as_its_enumeration",
+        ),
+        "at an odd number of low step bits the high half loses its top bit",
+    ),
+    Mutant(
+        "concat-outer-rank",
+        "src/gf4lrc/concat.py",
+        "    if rows_rank(4, outer.parity_check.rows, ell) != ell - outer.k:",
+        "    if rows_rank(2, outer.parity_check.rows, ell) != ell - outer.k:",
+        (
+            "tests/test_concat.py::test_an_outer_code_with_a_dependent_parity_check_is_refused",
+            "tests/test_concat.py::test_a_concatenation_holds_its_columns_and_ranks_only_the_outer_h",
+        ),
+        "the outer H is ranked as binary rows, so rows that differ by a scalar w pass",
+    ),
+    Mutant(
+        "repair-lanes-in-position-order",
+        "src/gf4lrc/repair.py",
+        "below = (top - rng.lanes(order, trials))",
+        "below = (top - rng.lanes(range(len(order)), trials))",
+        (
+            "tests/test_repair.py::test_per_symbol_draw_at_threshold_edges",
+            "tests/test_repair_oracle.py::test_slot_ordered_draw_flags_the_position_at_each_slot",
+        ),
+        "per-symbol lanes come in position order, so a lane's flag lands on another slot",
+    ),
+    Mutant(
+        "repair-pool-from-positions",
+        "src/gf4lrc/repair.py",
+        "            pool = slots.copy()",
+        "            pool = list(range(n))",
+        (
+            "tests/test_repair_oracle.py::test_slot_ordered_draw_flags_the_position_at_each_slot",
+            "tests/test_repair_oracle.py::test_simulate_matches_reference",
+        ),
+        "Fisher-Yates runs over positions, not slot labels, so flags land on the wrong slots",
+    ),
+    Mutant(
+        "repair-lane-output-offset",
+        "src/gf4lrc/repair.py",
+        "(i + (j + 1) * _GAMMA).to_bytes(16, \"little\")",
+        "(i + j * _GAMMA).to_bytes(16, \"little\")",
+        (
+            "tests/test_repair.py::test_lanes_match_scalar_stream",
+            "tests/test_repair.py::test_simulate_matches_golden_report",
+        ),
+        "lane j holds output layout[j] of its stream, not layout[j] + 1",
+    ),
+    Mutant(
+        "repair-slot-table-not-inverted",
+        "src/gf4lrc/repair.py",
+        "    return sorted(range(len(order)), key=order.__getitem__)",
+        "    return list(order)",
+        (
+            "tests/test_repair_oracle.py::test_slot_ordered_draw_flags_the_position_at_each_slot",
+            "tests/test_repair_oracle.py::test_simulate_matches_reference",
+        ),
+        "the slot table is the order itself, not its inverse",
+    ),
+)
+
+
+def _failed_ids(output: str) -> list[str]:
+    """The node ids of pytest's -rfE summary lines."""
+    failed = []
+    for line in output.splitlines():
+        for tag in ("FAILED ", "ERROR "):
+            if line.startswith(tag):
+                failed.append(line[len(tag) :].split(" - ")[0].strip())
+    return failed
+
+
+def run(mutant: Mutant) -> tuple[str, str]:
+    """The entry's verdict and one line of detail."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        shutil.copytree(ROOT / "src", work / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copytree(ROOT / "tests", work / "tests", ignore=shutil.ignore_patterns("__pycache__"))
+        target = work / mutant.file
+        text = target.read_text()
+        if text.count(mutant.old) != 1:
+            return "stale", f"its text occurs {text.count(mutant.old)} times in {mutant.file}"
+        target.write_text(text.replace(mutant.old, mutant.new))
+        env = {**os.environ, "PYTHONPATH": str(work / "src")}
+        where = subprocess.run(
+            [sys.executable, "-c", "import gf4lrc; print(gf4lrc.__file__)"],
+            cwd=work, env=env, capture_output=True, text=True,
+        )
+        if where.returncode:
+            return "stale", "the mutated package does not import"
+        if not Path(where.stdout.strip()).resolve().is_relative_to(work.resolve()):
+            raise SystemExit(f"error: gf4lrc imports from {where.stdout.strip()}, not the copy")
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+             "--hypothesis-seed=0", *mutant.tests],
+            cwd=work, env=env, capture_output=True, text=True,
+        )
+    if done.returncode in (4, 5):  # a named id matched no test
+        return "stale", done.stdout.strip().splitlines()[-1] if done.stdout.strip() else "no tests"
+    failed = _failed_ids(done.stdout)
+    passing = [t for t in mutant.tests if not any(f == t or f.startswith(t + "[") for f in failed)]
+    if passing:
+        return "survived", "passes " + ", ".join(passing)
+    return "killed", f"{len(failed)} failed"
+
+
+def main(argv: list[str]) -> int:
+    by_id = {m.id: m for m in MUTANTS}
+    unknown = [i for i in argv if i not in by_id]
+    if unknown:
+        print(f"error: unknown mutant id(s) {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    verdicts = []
+    for mutant in [by_id[i] for i in argv] or MUTANTS:
+        verdict, detail = run(mutant)
+        verdicts.append(verdict)
+        print(f"{verdict:9s} {mutant.id}: {detail}", flush=True)
+    return 0 if all(v == "killed" for v in verdicts) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -10,8 +10,10 @@ checked against.
 
 ``gf4_inv`` is the former ``gf4.gf4_inv``, the scalar inverse that
 normalizes pivots here, and ``poly_divmod`` the former
-``families.poly_divmod``, GF(4)[x] division one coefficient at a time,
-against which ``cyclic4``'s one-syndrome divisibility check is tested.
+``families.poly_divmod``, GF(4)[x] division one coefficient at a time:
+the reference for ``cyclic4``'s division of x^n - 1 by g on packed rows,
+whose remainder decides divisibility and whose quotient writes H, which
+is tested against ``nullspace`` here.
 """
 
 from gf4lrc import gf4

@@ -4,14 +4,17 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_code_corpus, random_linear_code
+from krawtchouk_columns import column_sum_transform, krawtchouk_column
 from gf4lrc import gf4
 from gf4lrc.code import (
     LinearCode,
     WeightDistribution,
     _step_bit_planes,
-    krawtchouk_column,
+    krawtchouk_transform,
     macwilliams,
     weight_planes,
 )
@@ -254,6 +257,36 @@ def test_macwilliams_rejects_dual_weights_of_another_length_or_field(dual, n, q)
     with pytest.raises(Gf4LrcError) as raised:
         macwilliams(dual, dual.q**dual.k, n, q)
     assert raised.type is ShapeMismatch
+
+
+@st.composite
+def transform_inputs(draw):
+    """(counts, dual_size, n, q): n <= 64, q in {2, 4}, dual_size any power
+    of 2, and counts up to q^n in size: arbitrary, or multiples of
+    dual_size, whose A_j are integers that may still be negative."""
+    q = draw(st.sampled_from((2, 4)))
+    n = draw(st.integers(0, 64))
+    dual_size = 1 << draw(st.integers(0, (q // 2) * n + 2))
+    scale = draw(st.sampled_from((1, dual_size)))
+    count = st.integers(0, q**n // scale) | st.integers(0, 3)
+    counts = draw(st.lists(count, min_size=n + 1, max_size=n + 1))
+    return [c * scale for c in counts], dual_size, n, q
+
+
+@settings(max_examples=300, deadline=None)
+@given(transform_inputs())
+@example(([1, 0, 0, 0, 15, 0], 16, 5, 4))  # the [5,3,3]_4 Hamming code's dual
+@example(([0, 0, 0, 1], 1, 3, 2))  # A_j = K_j(3) = 1, -3, 3, -1
+@example(([4**6, 0, 0, 0, 0, 0, 0], 1, 6, 4))  # A_j = 4^6 C(6,j) 3^j, the widest slots
+def test_horner_transform_matches_the_column_sums(case):
+    counts, dual_size, n, q = case
+    try:
+        expected = column_sum_transform(counts, dual_size, n, q)
+    except NonIntegerResult as exc:
+        with pytest.raises(NonIntegerResult, match=f"^{exc}$"):
+            krawtchouk_transform(counts, dual_size, n, q)
+    else:
+        assert krawtchouk_transform(counts, dual_size, n, q) == expected
 
 
 def test_macwilliams_involution_on_random_codes():

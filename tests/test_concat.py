@@ -18,7 +18,7 @@ from gf4lrc.concat import (
     locality_check,
     lrc_weights_from_outer,
 )
-from gf4lrc.errors import FieldMismatch, ParseError, SubsetBudgetExceeded
+from gf4lrc.errors import FieldMismatch, ParseError, RankDeficient, SubsetBudgetExceeded
 from gf4lrc.families import (
     cap_code,
     cyclic4,
@@ -266,6 +266,41 @@ def test_concatenate_matches_tuple_assembly(outer_corpus, family_outers):
         assert lrc.e_vectors == tuple(
             (pack_row(2, e1), pack_row(2, e2)) for e1, e2 in e_vectors
         )
+
+
+def test_a_concatenation_holds_its_columns_and_ranks_only_the_outer_h(
+    monkeypatch, outer_corpus, family_outers
+):
+    calls = []
+    real_rank, real_transpose = concat_module.rows_rank, FieldMatrix.transpose
+
+    def counted(q, rows, ncols):
+        calls.append((q, len(rows), ncols))
+        return real_rank(q, rows, ncols)
+
+    def forbidden(*args):
+        raise AssertionError("from_parity ran")
+
+    monkeypatch.setattr(concat_module, "rows_rank", counted)
+    monkeypatch.setattr(FieldMatrix, "transpose", lambda m: calls.append("T") or real_transpose(m))
+    monkeypatch.setattr(LinearCode, "from_parity", classmethod(forbidden))
+    for outer in outer_corpus + family_outers:
+        outer.bit_columns  # the outer code's own columns, read before
+        calls.clear()
+        lrc = concatenate(outer)
+        assert calls == [(4, outer.n - outer.k, outer.n)]
+        # H's rows, read later, are derived by one transpose.
+        assert lrc.code.parity_check == reference_concatenate(outer)[0]
+        assert calls[1:] == ["T"]
+
+
+def test_an_outer_code_with_a_dependent_parity_check_is_refused():
+    # G H^T = 0 and H has n - k rows, but its rows span only one dimension.
+    generator = FieldMatrix.from_rows(4, [[1, 0, 0]])
+    for h_rows in ([[0, 1, 0], [0, W, 0]], [[0, 1, W], [0, 0, 0]]):
+        outer = LinearCode(generator, FieldMatrix.from_rows(4, h_rows))
+        with pytest.raises(RankDeficient, match="^parity-check rows are linearly dependent$"):
+            concatenate(outer)
 
 
 def test_a_concatenation_weighs_its_outer_code_lifted_after_a_json_round_trip(

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from cap_search import cap_search
 from conftest import forbid_distance_and_weights
-from scalar_elimination import col_tuple, poly_divmod, poly_trim
+from scalar_elimination import col_tuple, nullspace, poly_divmod, poly_trim
 from gf4lrc import gf4
 from gf4lrc.bounds import griesmer_classical_min_n
 from gf4lrc.cli import main
@@ -240,6 +240,8 @@ def cyclic_generators(draw):
 @example((2, [1, 0, W]))  # deg g = n
 @example((1, []))
 @example((3, [W]))
+@example((43, [1, 0, W2, 1, 1, W, 0, 1]))
+@example((43, [W, 0, 1, W, W, W2, 0, W]))  # the same code, g not monic
 def test_cyclic_accepts_exactly_the_divisors(case):
     n, g = case
     trimmed = poly_trim(g)
@@ -259,6 +261,20 @@ def test_cyclic_accepts_exactly_the_divisors(case):
         assert code.generator.row_tuple(i) == tuple([0] * i + trimmed + [0] * (k - 1 - i))
     top = code.generator.row_tuple(k - 1)
     assert code.contains(top[-1:] + top[:-1])  # the wrapped shift x^k g
+    # H, written from the check polynomial, is G's nullspace row for row.
+    assert code.parity_check.rows == nullspace(code.generator).rows
+    assert code.parity_check.nrows == n - k
+
+
+def test_cyclic_writes_h_without_an_elimination(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("an elimination ran")
+
+    monkeypatch.setattr(FieldMatrix, "nullspace", forbidden)
+    monkeypatch.setattr(FieldMatrix, "rref", forbidden)
+    for n, g in [(43, [1, 0, W2, 1, 1, W, 0, 1]), (7, [1, 1, 0, 1]), (5, [W]), (3, [1, 1, 1])]:
+        code = cyclic4(n, g)
+        assert code.parity_check.nrows == n - code.k
 
 
 @pytest.mark.parametrize(
