@@ -31,7 +31,9 @@ rows it is given: a code's q^k, whose one cached pass serves both
 exhaustive distance and the weight distribution, or the smaller side that
 ``side_weights`` picks.  The weights of a dual side come from its walk by
 the MacWilliams identity, in one Horner pass over a polynomial
-(``krawtchouk_transform``).
+(``krawtchouk_transform``).  A plain code and an LRC's pair code take d
+from those weights, and a witness from a walk or from the one certifier,
+``certify_dependent_set``, lifted to a word of the code.
 """
 
 from __future__ import annotations
@@ -246,7 +248,7 @@ class LinearCode:
                 self._cheapest = self.weight_distribution(budget)
             else:
                 width = 1 if self.q == 2 else 2
-                counts = side_weights(self.check_rows, self.n, width, width * self.k, budget)
+                counts, _ = side_weights(self.check_rows, self.n, width, width * self.k, budget)
                 self._cheapest = WeightDistribution(self.n, self.k, self.q, counts)
         return self._cheapest
 
@@ -256,10 +258,10 @@ class LinearCode:
         """Exact minimum distance with witness, d from ``cheapest_weights``.
 
         The witness is C's first minimum-weight word when C was enumerated,
-        else the first dependent set of d parity-check columns.  When neither
-        side fits the budget, the column search examines at most ``budget``
-        full-size sets from size 1; BudgetExceeded's ``lower`` is the proven
-        lower bound and ``upper`` None.
+        else the first dependent set of d parity-check columns, each symbol
+        its own digit.  When neither side fits the budget, the column search
+        examines at most ``budget`` full-size sets from size 1;
+        BudgetExceeded's ``lower`` is the proven lower bound and ``upper`` None.
         """
         if self._distance is not None:
             return self._distance
@@ -272,7 +274,9 @@ class LinearCode:
         if self._pass is not None:
             cert = self._min_distance_exhaustive()
         else:
-            cert = self._min_distance_columns(budget, start)
+            width, cols = (1 if self.q == 2 else 2), self.bit_columns
+            blocks = [cols[i : i + width] for i in range(0, len(cols), width)]
+            cert = certify_dependent_set(self, blocks, tuple, budget, start, METHOD_COLUMN)
         self._distance = cert
         return cert
 
@@ -283,45 +287,44 @@ class LinearCode:
         word = step_word(self.q, self.bit_rows, first[d], self.n)
         return DistanceCertificate(d, word, METHOD_EXHAUSTIVE)
 
-    def _min_distance_columns(self, set_budget: int, start: int = 1) -> DistanceCertificate:
-        """Smallest dependent parity-check column set, as a codeword."""
-        width, cols = (1 if self.q == 2 else 2), self.bit_columns
-        blocks = [cols[i : i + width] for i in range(0, len(cols), width)]
-        placed = dict(dependent_symbols(blocks, set_budget, start))
-        witness = tuple(placed.get(i, 0) for i in range(self.n))
-        if not self.contains(witness):
-            raise AssertionError("column-search witness is not a codeword")
-        d = sum(1 for c in witness if c)
-        return DistanceCertificate(d, witness, METHOD_COLUMN)
-
 
 def step_word(q: int, rows: Sequence[int], m: int, n: int) -> tuple[int, ...]:
     """The word at step m of a walk over ``rows``: of the row bits gray(m)."""
     return unpack_row(q, xor_combine(rows, m ^ m >> 1), n)
 
 
-def side_weights(dual_rows: Sequence, n: int, width: int, k: int, budget: int) -> tuple[int, ...]:
+def certify_dependent_set(code, blocks, lift, budget: int, start: int, method: str):
+    """The first smallest dependent set of width-bit symbol ``blocks`` from
+    ``start``, its coefficients (block i's at symbol i) lifted by ``lift`` to a
+    word of ``code``: ``tuple`` for a plain code, ``BinaryLrc.lift`` for an LRC."""
+    found = smallest_dependent_set(blocks, budget, start)
+    if found is None:
+        raise AssertionError("no dependent set found in a k>0 code")
+    (indices, mask), width = found, len(blocks[0])
+    placed = {i: mask >> width * j & (1 << width) - 1 for j, i in enumerate(indices)}
+    if not all(placed.values()):
+        raise AssertionError("dependency skips a block; smaller set missed")
+    witness = tuple(lift([placed.get(i, 0) for i in range(len(blocks))]))
+    if not code.contains(witness):
+        raise AssertionError(f"{method} witness is not a codeword")
+    return DistanceCertificate(sum(1 for c in witness if c), witness, method)
+
+
+def side_weights(dual_rows: Sequence, n: int, width: int, k: int, budget: int) -> tuple:
     """A_0..A_n of the binary dimension-k code of n width-bit symbols whose
     dual the c independent ``dual_rows`` span (H's in pair expansion, or an
     LRC's lower block), from its smaller side: their nullspace when k <= c,
-    else their 2^c words by ``krawtchouk_transform`` at q = 2^width."""
+    else their 2^c words by ``krawtchouk_transform`` at q = 2^width; and
+    the walk of the code itself, its rows and each weight's first step, or None."""
     c = len(dual_rows)
     total = 1 << min(k, c)
     if total > budget:
         raise BudgetExceeded(f"{total} codewords exceed enumeration budget {budget}")
     rows = FieldMatrix(2, c, width * n, dual_rows).nullspace().rows if k <= c else dual_rows
-    counts, _ = weight_histogram(weight_planes(rows, n, width), n)
-    return counts if k <= c else krawtchouk_transform(counts, total, n, 1 << width)
-
-
-def dependent_symbols(blocks: Sequence, budget: int, start: int) -> list[tuple[int, int]]:
-    """``smallest_dependent_set`` of ``blocks`` as (index, symbol) pairs, the
-    symbol the block's width-bit coefficient in the dependency found."""
-    found = smallest_dependent_set(blocks, budget, start)
-    if found is None:
-        raise AssertionError("no dependent set found in a k>0 code")
-    (indices, mask), width = found, len(blocks[0])
-    return [(i, mask >> width * j & (1 << width) - 1) for j, i in enumerate(indices)]
+    counts, first = weight_histogram(weight_planes(rows, n, width), n)
+    if k <= c:
+        return counts, (rows, first)
+    return krawtchouk_transform(counts, total, n, 1 << width), None
 
 
 @cache

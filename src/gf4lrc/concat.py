@@ -11,6 +11,7 @@ on 1 and bit 2j+1 the coordinate on w of symbol j), so (e1, e2) is the
 pair the outer code's ``bit_columns`` holds for h, as plain ints.  The
 concatenation holds these columns as its code's ``bit_columns`` and checks
 H's rank as the outer H's; H's rows are derived only when first read.
+An LRC's distance takes a plain code's route (see ``code``) over its pair code.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ from typing import Optional, Sequence
 
 from .code import (
     DEFAULT_ENUM_BUDGET,
+    METHOD_EXHAUSTIVE,
     METHOD_GROUP_RANK,
     DistanceCertificate,
     LinearCode,
     WeightDistribution,
-    dependent_symbols,
+    certify_dependent_set,
     side_weights,
     step_word,
     weight_planes,
@@ -59,7 +61,7 @@ class BinaryLrc:
     ):
         if code.q != 2:
             raise FieldMismatch("BinaryLrc requires a GF(2) code")
-        self.code = code
+        self.code, self.n, self.k = code, code.n, code.k
         self.ell = len(groups)
         self.u = code.n - code.k - self.ell
         self.groups = tuple(tuple(g) for g in groups)
@@ -68,6 +70,7 @@ class BinaryLrc:
         lower = [col >> self.ell for col in code.bit_columns]
         self.e_vectors = tuple((lower[b], lower[c]) for _, b, c in self.groups)
         self._weights: Optional[WeightDistribution] = None
+        self._walk: Optional[tuple] = None  # the weights' walk of P itself: rows, first steps
 
     def _validate(self) -> None:
         if not self.groups:
@@ -93,33 +96,44 @@ class BinaryLrc:
                 raise ValueError(f"lower block under group {i} position 0 not zero")
 
     def cheapest_weights(self, budget: int = DEFAULT_ENUM_BUDGET) -> WeightDistribution:
-        """Exact weights from P by ``side_weights`` over the lower block:
-        A'_{2j} = A_j, P's words of symbol weight j; a cached result is read
-        whatever the budget."""
+        """Exact weights from P by ``side_weights`` over the lower block, and
+        its walk of P itself: A'_{2j} = A_j, P's words of symbol weight j; a
+        cached result is read whatever the budget."""
         if self._weights is None:
             dual = FieldMatrix(2, 2 * self.ell, self.u, sum(self.e_vectors, ())).transpose()
-            self._weights = _lifted(side_weights(dual.rows, self.ell, 2, self.k, budget), self.k)
+            counts, self._walk = side_weights(dual.rows, self.ell, 2, self.k, budget)
+            self._weights = _lifted(counts, self.k)
         return self._weights
 
     def min_distance(
         self, budget: int = DEFAULT_ENUM_BUDGET, subset_budget: int = DEFAULT_SUBSET_BUDGET
     ) -> DistanceCertificate:
         """Exact distance by ``certify_distance``, started at d/2 groups when
-        the weights fit ``budget`` (they prove no smaller set dependent), as
-        ``LinearCode.min_distance`` starts at d; else at 1 group."""
+        the weights fit ``budget`` (they prove no smaller set dependent), else
+        at 1 group.  Out of ``subset_budget``, a walk of P itself gives the
+        witness, as a plain code's does: its first word of weight d/2, lifted."""
         try:
             d = self.cheapest_weights(budget).distance()
         except BudgetExceeded:  # nothing proven below one group
             d = None
-        return certify_distance(self, subset_budget, start=d // 2 if d else 1)
+        try:
+            return certify_distance(self, subset_budget, start=d // 2 if d else 1)
+        except SubsetBudgetExceeded:
+            if self._walk is None:
+                raise
+        rows, first = self._walk
+        word = self.lift(step_word(4, rows, first[d // 2], self.ell))
+        return DistanceCertificate(d, word, METHOD_EXHAUSTIVE)
 
-    @property
-    def n(self) -> int:
-        return self.code.n
-
-    @property
-    def k(self) -> int:
-        return self.code.k
+    def lift(self, symbols: Sequence[int]) -> tuple[int, ...]:
+        """The codeword of a pair word: a group's coefficients (a, b) on (e1, e2)
+        are met by its inner codeword (a+b, a, b), whose top-row parity cancels."""
+        word = [0] * self.n
+        for group, alpha in zip(self.groups, symbols):
+            a, b = alpha & 1, alpha >> 1
+            for pos, bit in zip(group, (a ^ b, a, b)):
+                word[pos] = bit
+        return tuple(word)
 
     def __repr__(self) -> str:
         return f"BinaryLrc([{self.n},{self.k},{self.d};2], ell={self.ell})"
@@ -174,7 +188,7 @@ def concatenate(outer: LinearCode) -> BinaryLrc:
     symbolwise inner encodings of outer codewords, so its pair code is the
     outer code and its weights walk the outer code's smaller side.  The
     distance field is filled from the outer code's cached distance
-    certificate when present.
+    certificate when present; the outer code's cached weights (lifted) and walk are P's.
     """
     if outer.q != 4:
         raise FieldMismatch("outer code must be over GF(4)")
@@ -197,7 +211,12 @@ def concatenate(outer: LinearCode) -> BinaryLrc:
     cached = outer.cached_distance
     d = 2 * cached.d if cached is not None else None
     groups = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(ell)]
-    return BinaryLrc(code, groups, d=d)
+    lrc = BinaryLrc(code, groups, d=d)
+    if outer._cheapest is not None:  # P is the outer code, walked in the same steps
+        lrc._weights = lrc_weights_from_outer(outer._cheapest)
+        if outer._pass is not None:
+            lrc._walk = outer.bit_rows, outer._pass[1]
+    return lrc
 
 
 def group_subspaces(lrc: BinaryLrc) -> list[list[tuple[int, ...]]]:
@@ -212,39 +231,20 @@ def group_subspaces(lrc: BinaryLrc) -> list[list[tuple[int, ...]]]:
 def certify_distance(
     lrc: BinaryLrc, subset_budget: int = DEFAULT_SUBSET_BUDGET, start: int = 1
 ) -> DistanceCertificate:
-    """Exact distance from repair-group subspace ranks.
-
-    The distance is 2s where s is the smallest number of groups whose 2s
-    lower-block columns are dependent; the certificate carries a weight-2s
-    codeword built from the lexicographically first such set, found by
-    ``dependent_symbols`` over the groups' (e1, e2) pairs.  Every
-    set of ``start`` or more groups and below s is examined to prove the
-    lower bound, one unit of ``subset_budget`` per set; a ``start`` above 1
-    must come from a proof that no codeword has weight below 2 * start,
-    such as the weight distribution's d (start = d/2).  On exhaustion the
-    bracket holds only the proven lower bound; its upper end is None.
-    """
+    """Exact distance 2s, s the fewest groups whose (e1, e2) pairs are dependent
+    (``certify_dependent_set``).  Each set of ``start`` to s groups spends one
+    unit of ``subset_budget``; a ``start`` above 1 must be proven, as the weights'
+    d proves d/2.  The bracket on exhaustion holds only the proven lower bound."""
     if lrc.k == 0:
         raise ValueError("zero-dimensional code has no nonzero codeword")
     try:
-        members = dependent_symbols(lrc.e_vectors, subset_budget, start)
+        return certify_dependent_set(
+            lrc.code, lrc.e_vectors, lrc.lift, subset_budget, start, METHOD_GROUP_RANK
+        )
     except BudgetExceeded as exc:
         raise SubsetBudgetExceeded(
             f"group-subset enumeration exceeded {subset_budget}", lower=2 * exc.lower
         ) from exc
-    word = [0] * lrc.n
-    # A group's coefficients (a, b) on (e1, e2) are met by its inner
-    # codeword (a+b, a, b), whose top-row parity cancels.
-    for i, alpha in members:
-        if alpha == 0:
-            raise AssertionError("dependency skips a group; smaller subset missed")
-        a, b = alpha & 1, alpha >> 1
-        for pos, bit in zip(lrc.groups[i], (a ^ b, a, b)):
-            word[pos] = bit
-    witness = tuple(word)
-    if not lrc.code.contains(witness):
-        raise AssertionError("group-rank witness is not a codeword")
-    return DistanceCertificate(2 * len(members), witness, METHOD_GROUP_RANK)
 
 
 @dataclass(frozen=True)

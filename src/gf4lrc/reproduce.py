@@ -74,8 +74,6 @@ class _Row:
     expected: dict
     #: Stated values that only ``--heavy`` computes.
     heavy: dict = field(default_factory=dict)
-    #: False takes the LRC's d as 2 * d1 instead of certifying it.
-    certify: bool = True
 
 
 @dataclass
@@ -98,7 +96,7 @@ class _Facts:
 
     @cached_property
     def d(self) -> int:
-        return concat.certify_distance(self.lrc).d if self.row.certify else 2 * self.d1
+        return self.lrc.min_distance().d
 
     @cached_property
     def report(self) -> bounds.BoundReport:
@@ -227,8 +225,6 @@ _ITEMS = {
             "lrc": [129, 72, 10],
             "lrc_gap": 14,
         },
-        # Certifying d on [129,72,10;2] would take several times the whole run.
-        certify=False,
     ),
     "example6.1": _Row(
         lambda: families.hexacode(),

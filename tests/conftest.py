@@ -1,9 +1,11 @@
 import random
+from unittest import mock
 
 import pytest
 
+from gf4lrc import code as code_module
 from gf4lrc import concat
-from gf4lrc.code import LinearCode
+from gf4lrc.code import METHOD_COLUMN, LinearCode, certify_dependent_set
 from gf4lrc.families import hamming4
 from gf4lrc.matrix import FieldMatrix, rows_rank
 
@@ -15,6 +17,28 @@ def random_linear_code(rng: random.Random, q: int, n: int, k: int) -> LinearCode
         mat = FieldMatrix.from_rows(q, rows)
         if rows_rank(q, mat.rows, n) == k:
             return LinearCode.from_generator(mat)
+
+
+def walked(ask):
+    """``ask()`` and the (symbol count, word count) of every walk it made,
+    of a code or of an LRC's pair code."""
+    walks = []
+    walk = code_module.weight_planes
+
+    def counted(rows, n, width):
+        walks.append((n, 1 << len(rows)))
+        return walk(rows, n, width)
+
+    with mock.patch.object(code_module, "weight_planes", counted):
+        return ask(), walks
+
+
+def column_certificate(code: LinearCode, budget: int, start: int = 1):
+    """A plain code's column search: the one certifier over its parity-check
+    columns, a GF(4) column as its pair (c, w*c), each symbol its own digit."""
+    width, cols = (1 if code.q == 2 else 2), code.bit_columns
+    blocks = [cols[i : i + width] for i in range(0, len(cols), width)]
+    return certify_dependent_set(code, blocks, tuple, budget, start, METHOD_COLUMN)
 
 
 def forbid_distance_and_weights(monkeypatch) -> None:

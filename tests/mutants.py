@@ -100,6 +100,68 @@ MUTANTS = (
         "the outer H is ranked as binary rows, so rows that differ by a scalar w pass",
     ),
     Mutant(
+        "lrc-lift-order",
+        "src/gf4lrc/concat.py",
+        "            for pos, bit in zip(group, (a ^ b, a, b)):",
+        "            for pos, bit in zip(group, (a, a ^ b, b)):",
+        (
+            "tests/test_dependent_set.py::test_certifier_matches_reference_subset_loop",
+            "tests/test_enumerator.py::test_out_of_subsets_an_lrc_takes_its_pair_walks_first_word",
+        ),
+        "a group's pair (a, b) lifts to (a, a+b, b), which breaks the group's lower-block sum",
+    ),
+    Mutant(
+        "plain-lift-digit",
+        "src/gf4lrc/code.py",
+        "certify_dependent_set(self, blocks, tuple, budget, start, METHOD_COLUMN)",
+        "certify_dependent_set(self, blocks, lambda s: [min(a, 1) for a in s], budget, start, "
+        "METHOD_COLUMN)",
+        (
+            "tests/test_dependent_set.py::"
+            "test_plain_column_search_from_any_start_up_to_d_gives_the_same_certificate",
+            "tests/test_code.py::test_smallest_dependent_column_set_matches_distance",
+        ),
+        "a GF(4) coefficient w or w^2 is placed as 1, so the column witness is not a codeword",
+    ),
+    Mutant(
+        "walk-witness-weight-index",
+        "src/gf4lrc/concat.py",
+        "first[d // 2]",
+        "first[d]",
+        ("tests/test_enumerator.py::test_out_of_subsets_an_lrc_takes_its_pair_walks_first_word",),
+        "the fallback reads the pair walk's first word of symbol weight d, not d/2",
+    ),
+    Mutant(
+        "carried-weights-unlifted",
+        "src/gf4lrc/concat.py",
+        "        lrc._weights = lrc_weights_from_outer(outer._cheapest)",
+        "        lrc._weights = outer._cheapest",
+        ("tests/test_concat.py::test_a_concatenation_carries_its_outer_weights_and_walk_lifted",),
+        "a concatenation holds its outer code's GF(4) weights as its own binary ones",
+    ),
+    Mutant(
+        "dependent-set-two-block-pair",
+        "src/gf4lrc/matrix.py",
+        "        p, q = min(pairs, default=(len(idx) - 1,) * 2)",
+        "        p, q = max(pairs, default=(len(idx) - 1,) * 2)",
+        (
+            "tests/test_dependent_set.py::test_engine_matches_subset_loop_on_random_blocks",
+            "tests/test_dependent_set.py::test_column_search_matches_reference_dfs",
+        ),
+        "the two-block step takes the last pair of blocks with a shared vector, not the first",
+    ),
+    Mutant(
+        "row-digits-odd-pad",
+        "src/gf4lrc/matrix.py",
+        '    return format(row, f"0{(ncols + 1) // 2}x")',
+        '    return format(row, f"0{ncols // 2}x")',
+        (
+            "tests/test_layout.py::test_layout_matches_the_per_symbol_loops",
+            "tests/test_layout.py::test_unpack_drops_symbols_beyond_ncols",
+        ),
+        "an odd GF(4) row is padded to one hex digit too few, so a zero top symbol is lost",
+    ),
+    Mutant(
         "repair-lanes-in-position-order",
         "src/gf4lrc/repair.py",
         "below = (top - rng.lanes(order, trials))",

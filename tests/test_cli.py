@@ -334,17 +334,35 @@ def test_default_analyze_starts_the_group_search_where_the_weights_leave_it(tmp_
     assert run_cli(capsys, "analyze", lrc, "--distance", "--max-subsets", "3")[0] == 0
 
 
-def test_analyze_distance_out_of_subsets_at_half_d_brackets_from_d(tmp_path, capsys):
-    # The weights fit, so the search starts at d/2 = 4 groups and its first
-    # set runs out of --max-subsets 0: d = 8 is proven, not yet attained.
-    base = tmp_path / "hex"
-    run_cli(capsys, "construct", "hexacode", "--concat", "--output", str(base))
+def test_analyze_distance_out_of_subsets_at_half_d_brackets_from_d(capsys):
+    # The weights fit, so the search starts at d/2 = 5 groups and its first
+    # set runs out of --max-subsets 0.  With k = 72 > u = 14 the weights
+    # walked the pair code's dual, which holds no witness: d = 10 is
+    # proven, not yet attained.
     code, out, _ = run_cli(
-        capsys, "analyze", str(tmp_path / "hex.lrc.json"), "--distance", "--max-subsets", "0"
+        capsys, "analyze", str(DATA / "cyc.lrc.json"), "--distance", "--max-subsets", "0"
     )
     assert code == 3
     report = json.loads(out)
-    assert report["distance"]["bracket"] == [8, None]
+    assert report["distance"]["bracket"] == [10, None]
+    assert "weights" not in report
+
+
+def test_analyze_distance_out_of_subsets_takes_the_pair_walks_witness(tmp_path, capsys):
+    # The hexacode LRC has k = 6 <= u = 6, so its weights walked the pair
+    # code itself: its first word of symbol weight d/2, lifted, is the witness.
+    base = tmp_path / "hex"
+    run_cli(capsys, "construct", "hexacode", "--concat", "--output", str(base))
+    path = str(tmp_path / "hex.lrc.json")
+    code, out, _ = run_cli(capsys, "analyze", path, "--distance", "--max-subsets", "0")
+    assert code == 0
+    report = json.loads(out)
+    distance = report["distance"]
+    assert (distance["d"], distance["method"]) == (8, "exhaustive")
+    assert sum(distance["witness"]) == 8
+    assert BinaryLrc.from_json(json.loads(Path(path).read_text())).code.contains(
+        distance["witness"]
+    )
     assert "weights" not in report
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_code_corpus, random_linear_code
+from conftest import column_certificate, random_code_corpus, random_linear_code
 from krawtchouk_columns import column_sum_transform, krawtchouk_column
 from gf4lrc import gf4
 from gf4lrc.code import (
@@ -100,7 +100,7 @@ def test_distance_witness_is_a_codeword():
 def test_column_search_agrees_with_exhaustive():
     for code in random_code_corpus(seed=31337, count=25, max_n=9, max_k=4):
         exhaustive = code._min_distance_exhaustive()
-        column = code._min_distance_columns(10**6)
+        column = column_certificate(code, 10**6)
         assert column.d == exhaustive.d
         assert code.contains(column.witness)
 
@@ -301,7 +301,7 @@ def test_macwilliams_involution_on_random_codes():
 def test_smallest_dependent_column_set_matches_distance():
     for code in random_code_corpus(seed=77, count=15, max_n=10, max_k=4):
         d = code.min_distance().d
-        cert = code._min_distance_columns(10**6)
+        cert = column_certificate(code, 10**6)
         assert cert.d == d
 
 

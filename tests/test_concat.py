@@ -2,14 +2,14 @@ import json
 
 import pytest
 
-from conftest import random_code_corpus
+from conftest import random_code_corpus, walked
 from inner_code import INNER, encode_outer_word, reference_concatenate
 from scalar_elimination import col_tuple
 from gf4lrc import code as code_module
 from gf4lrc import concat as concat_module
 from gf4lrc import gf4
 from gf4lrc import matrix as matrix_module
-from gf4lrc.code import LinearCode
+from gf4lrc.code import METHOD_EXHAUSTIVE, LinearCode
 from gf4lrc.concat import (
     BinaryLrc,
     certify_distance,
@@ -310,7 +310,30 @@ def test_a_concatenation_weighs_its_outer_code_lifted_after_a_json_round_trip(
         lrc = concatenate(outer)
         again = BinaryLrc.from_json(json.loads(json.dumps(lrc.to_json())))
         assert again.e_vectors == lrc.e_vectors
-        assert again.cheapest_weights() == lrc_weights_from_outer(outer.cheapest_weights())
+        # The loaded LRC carries nothing of the outer code: it walks P.
+        got, walks = walked(again.cheapest_weights)
+        assert len(walks) == 1
+        assert got == lrc_weights_from_outer(outer.cheapest_weights())
+
+
+def test_a_concatenation_carries_its_outer_weights_and_walk_lifted(outer_corpus, family_outers):
+    """What an outer code has cached is its pair code's: the weights, which
+    ``concatenate`` lifts, and, when k <= u, the walk of the outer code
+    itself, whose first word of weight d/2 lifts to a witness.  An outer
+    code with nothing cached gives a concatenation that walks P itself."""
+    for outer in outer_corpus + family_outers:
+        uncached = concatenate(LinearCode(outer.generator, outer.parity_check))
+        expected, walks = walked(uncached.cheapest_weights)
+        assert len(walks) == 1
+        outer.cheapest_weights()
+        lrc = concatenate(outer)
+        got, walks = walked(lrc.cheapest_weights)
+        assert walks == [] and got == expected
+        if lrc.k <= lrc.u:
+            cert, walks = walked(lambda: lrc.min_distance(subset_budget=0))
+            assert walks == [] and cert.method == METHOD_EXHAUSTIVE
+            assert cert.d == expected.distance() == sum(cert.witness)
+            assert lrc.code.contains(cert.witness)
 
 
 def _with_group_reordered(obj, i, order):

@@ -3,7 +3,8 @@
 ``reference_certify`` is the former group-rank certifier (every group subset
 in lexicographic order, rank recomputed from scratch, witness from a
 nullspace) and ``reference_columns`` the former GF(4)-scalar elimination DFS
-of ``LinearCode._min_distance_columns``, its budget now counted in the
+of a plain code's column search (``column_certificate``, the one
+certifier over parity-check columns), its budget now counted in the
 engine's unit: one per full-size set examined.  Both return the certificate
 together with the number of sets they examined, so every budget boundary
 can be checked.
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_code_corpus
+from conftest import column_certificate, random_code_corpus
 from inner_code import g_unmap
 from scalar_elimination import col_tuple, gf4_inv, leading_column, row_entry
 from gf4lrc import gf4
@@ -194,9 +195,9 @@ def codes(draw, q):
 @given(st.one_of(codes(2), codes(4)))
 def test_column_search_matches_reference_dfs(code):
     expected, examined = reference_columns(code, UNLIMITED)
-    assert code._min_distance_columns(UNLIMITED) == expected
+    assert column_certificate(code, UNLIMITED) == expected
     _check_budgets(
-        code._min_distance_columns, lambda b: reference_columns(code, b), examined
+        lambda b: column_certificate(code, b), lambda b: reference_columns(code, b), examined
     )
 
 
@@ -240,13 +241,13 @@ def test_plain_column_search_from_any_start_up_to_d_gives_the_same_certificate(c
     assert cert.method == METHOD_COLUMN and cert.d == d
     for start in range(1, d + 1):
         fresh = LinearCode(code.generator, code.parity_check)
-        assert fresh._min_distance_columns(budget, start) == cert
+        assert column_certificate(fresh, budget, start) == cert
 
 
 def test_engines_match_references_on_code_corpora():
     for q in (2, 4):
         for code in random_code_corpus(seed=2605 + q, count=40, max_n=10, max_k=5, q=q):
-            assert code._min_distance_columns(UNLIMITED) == reference_columns(code, UNLIMITED)[0]
+            assert column_certificate(code, UNLIMITED) == reference_columns(code, UNLIMITED)[0]
             if q == 4:
                 lrc = concatenate(code)
                 assert certify_distance(lrc) == reference_certify(lrc, UNLIMITED)[0]

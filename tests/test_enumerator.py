@@ -24,9 +24,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gray_walk as gray
+from conftest import walked
 from scalar_elimination import col_tuple
 from gf4lrc import code as code_module
-from gf4lrc.code import BLOCK_BITS, METHOD_COLUMN, LinearCode
+from gf4lrc.code import (
+    BLOCK_BITS,
+    METHOD_COLUMN,
+    METHOD_EXHAUSTIVE,
+    METHOD_GROUP_RANK,
+    LinearCode,
+)
 from gf4lrc.concat import BinaryLrc, certify_distance, concatenate, locality_check
 from gf4lrc.errors import BudgetExceeded
 from gf4lrc.families import hexacode
@@ -68,20 +75,6 @@ def with_block_bits(bits: int):
 
 def fresh(code: LinearCode) -> LinearCode:
     return LinearCode(code.generator, code.parity_check)
-
-
-def walked(ask):
-    """``ask()`` and the (symbol count, word count) of every walk it made,
-    of a code or of an LRC's pair code."""
-    walks = []
-    walk = code_module.weight_planes
-
-    def counted(rows, n, width):
-        walks.append((n, 1 << len(rows)))
-        return walk(rows, n, width)
-
-    with mock.patch.object(code_module, "weight_planes", counted):
-        return ask(), walks
 
 
 def assert_matches_gray_walk(code: LinearCode) -> None:
@@ -322,6 +315,21 @@ def test_an_lrc_walks_its_pair_code_once_for_weights_and_distance(lrc):
     assert len(walks) == 1
     assert cert.d == weights.distance()
     assert lrc.cheapest_weights(budget=0) is weights
+
+
+# k <= u: the weights walk P itself.  An odd k has no GF(4)-linear outer code.
+@settings(max_examples=300, deadline=None)
+@given(lrcs().filter(lambda lrc: 0 < lrc.k <= lrc.u))
+@example(_lrc(3, [1, 2, 4, 8, 16], list(range(9)), [False] * 3))  # k = 1: P = {0, (0, 0, w)}
+@example(_lrc(3, [1, 2, 3 << 2 | 16], list(range(9)), [False, True, False]))  # k = 3
+def test_out_of_subsets_an_lrc_takes_its_pair_walks_first_word(lrc):
+    cert, walks = walked(lambda: lrc.min_distance(subset_budget=0))
+    assert len(walks) == 1 and cert.method == METHOD_EXHAUSTIVE
+    assert lrc.code.contains(cert.witness)
+    assert sum(1 for c in cert.witness if c) == cert.d
+    searched = BinaryLrc(fresh(lrc.code), lrc.groups).min_distance(subset_budget=1 << 30)
+    assert searched.method == METHOD_GROUP_RANK
+    assert cert.d == searched.d == lrc.code.weight_distribution().distance()
 
 
 def test_the_reordered_hexacode_lrc_walks_its_pair_code():

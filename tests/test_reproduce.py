@@ -63,15 +63,23 @@ def _forbidden(*args, **kwargs):
     raise AssertionError("a forbidden computation ran")
 
 
-def test_example_5_2_certifies_no_lrc_distance(monkeypatch):
-    """Its LRC d is 2 * d1 from the certified outer d: the group search on
-    [129,72,10;2] would cost more than the rest of a full run."""
-    monkeypatch.setattr(concat, "certify_distance", _forbidden)
+def test_example_5_2_certifies_its_lrc_from_five_groups_without_a_pair_walk(monkeypatch):
+    """Its LRC's d is certified as every row's is, by ``BinaryLrc.min_distance``:
+    the outer weights that ``concatenate`` carries start the group search at
+    d/2 = 5 groups of [129,72,10;2], so the pair code is not walked again."""
+    starts = []
+    certify = concat.certify_distance
+
+    def recorded(lrc, subset_budget, start):
+        starts.append(start)
+        return certify(lrc, subset_budget, start)
+
+    monkeypatch.setattr(concat, "certify_distance", recorded)
+    monkeypatch.setattr(concat, "side_weights", _forbidden)
     [item] = reproduce.run(["example5.2"])
     assert item.status == reproduce.MATCH
     assert item.computed["lrc"] == [129, 72, 10]
-    with pytest.raises(AssertionError, match="forbidden"):
-        reproduce.run(["table1.row1"])  # the other rows certify through it
+    assert starts == [5]
 
 
 def test_table1_enumerates_no_lrc_and_classifies_nothing(monkeypatch):
