@@ -144,7 +144,14 @@ class LinearCode:
         n = parity_check.ncols
         if rows_rank(parity_check.q, parity_check.rows, n) != parity_check.nrows:
             raise RankDeficient("parity-check rows are linearly dependent")
+        return cls._holding(parity_check)
+
+    @classmethod
+    def _holding(cls, parity_check: FieldMatrix) -> "LinearCode":
+        """A code holding H, whose full rank the caller proves: ``from_parity``
+        by one elimination, an LRC's loader by its lower block's."""
         code = cls.__new__(cls)
+        n = parity_check.ncols
         code._hold(parity_check.q, n, n - parity_check.nrows)
         code.parity_check = parity_check
         return code

@@ -11,7 +11,10 @@ on 1 and bit 2j+1 the coordinate on w of symbol j), so (e1, e2) is the
 pair the outer code's ``bit_columns`` holds for h, as plain ints.  The
 concatenation holds these columns as its code's ``bit_columns`` and checks
 H's rank as the outer H's; H's rows are derived only when first read.
-An LRC's distance takes a plain code's route (see ``code``) over its pair code.
+An LRC's distance takes a plain code's route (see ``code``) over its pair code,
+and a concatenation keeps its outer code's column certificate, lifted.  A
+loaded LRC holds H as read: once its groups check, the group parities are
+independent of the rest, so only the lower block's u rows are ranked.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from typing import Optional, Sequence
 
 from .code import (
     DEFAULT_ENUM_BUDGET,
+    METHOD_COLUMN,
     METHOD_EXHAUSTIVE,
     METHOD_GROUP_RANK,
     DistanceCertificate,
@@ -71,6 +75,7 @@ class BinaryLrc:
         self.e_vectors = tuple((lower[b], lower[c]) for _, b, c in self.groups)
         self._weights: Optional[WeightDistribution] = None
         self._walk: Optional[tuple] = None  # the weights' walk of P itself: rows, first steps
+        self._distance: Optional[DistanceCertificate] = None  # carried from an outer code
 
     def _validate(self) -> None:
         if not self.groups:
@@ -111,7 +116,10 @@ class BinaryLrc:
         """Exact distance by ``certify_distance``, started at d/2 groups when
         the weights fit ``budget`` (they prove no smaller set dependent), else
         at 1 group.  Out of ``subset_budget``, a walk of P itself gives the
-        witness, as a plain code's does: its first word of weight d/2, lifted."""
+        witness, as a plain code's does: its first word of weight d/2, lifted.
+        A certificate carried from the outer code is read whatever the budgets."""
+        if self._distance is not None:
+            return self._distance
         try:
             d = self.cheapest_weights(budget).distance()
         except BudgetExceeded:  # nothing proven below one group
@@ -167,11 +175,16 @@ class BinaryLrc:
         if obj.get("d") is not None and type(obj["d"]) is not int:
             raise ParseError('"d" must be an integer or null')
         h, _ = FieldMatrix.from_text(obj["H"])
-        code = LinearCode.from_parity(h)
         try:
-            lrc = cls(code, groups, d=obj.get("d"))
+            lrc = cls(LinearCode._holding(h), groups, d=obj.get("d"))
         except ValueError as exc:
+            LinearCode.from_parity(h)  # a dependent H is named first, whatever else is wrong
             raise ParseError(f"not a locality-2 LRC: {exc}") from exc
+        # The group checks make column g[0] of group i the unit vector of top
+        # row i, so a dependency among H's rows holds no top row: H has full
+        # rank exactly when the lower block's u rows do.
+        if rows_rank(2, h.rows[lrc.ell :], lrc.n) != lrc.u:
+            raise RankDeficient("parity-check rows are linearly dependent")
         if obj.get("n") != lrc.n or obj.get("k") != lrc.k:
             raise ParseError("stored n/k disagree with the parity-check matrix")
         # The other stored fields are optional; one that is present must hold.
@@ -189,6 +202,9 @@ def concatenate(outer: LinearCode) -> BinaryLrc:
     outer code and its weights walk the outer code's smaller side.  The
     distance field is filled from the outer code's cached distance
     certificate when present; the outer code's cached weights (lifted) and walk are P's.
+    A column certificate is the LRC's too, lifted: the group search runs over
+    the same blocks (``e_vectors`` are the outer ``bit_columns`` pairs) from
+    the same start d1, so it would find the same set.
     """
     if outer.q != 4:
         raise FieldMismatch("outer code must be over GF(4)")
@@ -212,6 +228,11 @@ def concatenate(outer: LinearCode) -> BinaryLrc:
     d = 2 * cached.d if cached is not None else None
     groups = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(ell)]
     lrc = BinaryLrc(code, groups, d=d)
+    if cached is not None and cached.method == METHOD_COLUMN:
+        word = lrc.lift(cached.witness)
+        if not code.contains(word):
+            raise AssertionError("carried witness is not a codeword")
+        lrc._distance = DistanceCertificate(d, word, METHOD_GROUP_RANK)
     if outer._cheapest is not None:  # P is the outer code, walked in the same steps
         lrc._weights = lrc_weights_from_outer(outer._cheapest)
         if outer._pass is not None:

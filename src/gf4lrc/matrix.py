@@ -26,7 +26,8 @@ Matrix text format (strict): a header line
 
 followed by r lines of c whitespace-separated symbols from the alphabet
 ``0 1 w W`` (GF(2) uses only ``0`` and ``1``), read by ``read_symbol_rows``,
-which also reads the points of a cap file.
+which also reads the points of a cap file.  A line written as ``to_text``
+writes it, with single spaces, is read as one slice of its characters.
 """
 
 from __future__ import annotations
@@ -161,20 +162,27 @@ def rows_rank(q: int, rows: Iterable[int], ncols: int) -> int:
 
 
 def read_symbol_rows(q: int, lines: Iterable[str], ncols: int) -> list[int]:
-    """Packed rows of text lines of exactly ncols symbols each (strict)."""
+    """Packed rows of text lines of exactly ncols symbols each (strict).
+
+    A line as ``row_text`` writes it, symbols at the even indices and one
+    space between each two, is read by one slice; any other spacing is split.
+    """
     rows = []
     alphabet = set(gf4.SYMBOLS[:q])
+    width, gaps = 2 * ncols - 1, " " * (ncols - 1)
     for ln in lines:
-        syms = ln.split()
-        if len(syms) != ncols:
-            raise ParseError(f"expected {ncols} symbols, found {len(syms)}")
-        joined = "".join(syms)
-        if len(joined) != ncols or not alphabet.issuperset(joined):
-            try:  # some symbol is not in the alphabet: name the first
-                for sym in syms:
-                    gf4.symbol_to_value(sym, q)
-            except ValueError as exc:
-                raise ParseError(str(exc)) from exc
+        joined = ln[::2]
+        if len(ln) != width or ln[1::2] != gaps or not alphabet.issuperset(joined):
+            syms = ln.split()
+            if len(syms) != ncols:
+                raise ParseError(f"expected {ncols} symbols, found {len(syms)}")
+            joined = "".join(syms)
+            if len(joined) != ncols or not alphabet.issuperset(joined):
+                try:  # some symbol is not in the alphabet: name the first
+                    for sym in syms:
+                        gf4.symbol_to_value(sym, q)
+                except ValueError as exc:
+                    raise ParseError(str(exc)) from exc
         # The symbols are base-q digits, symbol j the one of weight q^j.
         rows.append(int(joined.translate(_DIGITS)[::-1], q))
     return rows

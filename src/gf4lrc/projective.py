@@ -11,7 +11,9 @@ Cap file format: a header line ``pg=<n> q=4 size=<k>`` followed by one
 normalized point per line, coordinates whitespace-separated in the
 ``0 1 w W`` alphabet, read by the matrix text format's row reader.  A cap
 is checked by the one dependent-set search, so this module holds no line
-geometry; the test-only cap search carries its own.
+geometry; the test-only cap search carries its own.  ``families.cap_code``
+proves a cap by its code's weights instead, and runs the search only where
+the weights do not prove it, or to name a collinear triple.
 """
 
 from __future__ import annotations
@@ -72,19 +74,7 @@ class CapSet:
 
     def verify(self) -> None:
         """Recheck the cap property; raises NotACap with a violating triple."""
-        seen = set()
-        for i, p in enumerate(self.points):
-            if len(p) != self.ambient + 1:
-                raise NotACap(f"point {i} has wrong length", triple=None)
-            if any(c not in range(4) for c in p):
-                raise NotACap(f"point {i} has a coordinate outside GF(4)", triple=None)
-            if not any(p):
-                raise NotACap(f"point {i} is the zero vector", triple=None)
-            if next(c for c in p if c) != 1:
-                raise NotACap(f"point {i} is not normalized", triple=None)
-            if p in seen:
-                raise NotACap(f"duplicate point {p}", triple=None)
-            seen.add(p)
+        self.check_points()
         # Distinct normalized points are pairwise independent, so a
         # dependent set of three points, each entering as its pair (p, w*p),
         # is a collinear triple; the search from size 3 finds the first in
@@ -98,6 +88,23 @@ class CapSet:
         if found is not None and len(found[0]) == 3:
             triple = found[0]
             raise NotACap(f"collinear triple at indices {triple}", triple=triple)
+
+    def check_points(self) -> None:
+        """Check each point: of the right length over GF(4), nonzero,
+        normalized and new; raises NotACap naming the first that is not."""
+        seen = set()
+        for i, p in enumerate(self.points):
+            if len(p) != self.ambient + 1:
+                raise NotACap(f"point {i} has wrong length", triple=None)
+            if any(c not in range(4) for c in p):
+                raise NotACap(f"point {i} has a coordinate outside GF(4)", triple=None)
+            if not any(p):
+                raise NotACap(f"point {i} is the zero vector", triple=None)
+            if next(c for c in p if c) != 1:
+                raise NotACap(f"point {i} is not normalized", triple=None)
+            if p in seen:
+                raise NotACap(f"duplicate point {p}", triple=None)
+            seen.add(p)
 
     @classmethod
     def from_text(cls, text: str) -> "CapSet":

@@ -92,6 +92,7 @@ class _Facts:
 
     @cached_property
     def lrc(self) -> concat.BinaryLrc:
+        self.outer.min_distance()  # first, so that the concatenation carries it
         return concat.concatenate(self.outer)
 
     @cached_property

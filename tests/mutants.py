@@ -162,6 +162,59 @@ MUTANTS = (
         "an odd GF(4) row is padded to one hex digit too few, so a zero top symbol is lost",
     ),
     Mutant(
+        "carried-cert-unlifted",
+        "src/gf4lrc/concat.py",
+        "        word = lrc.lift(cached.witness)",
+        "        word = cached.witness",
+        (
+            "tests/test_concat.py::test_a_carried_certificate_is_the_loaded_lrcs_group_search",
+            "tests/test_reproduce.py::"
+            "test_example_5_2_carries_its_outer_certificate_without_a_group_search",
+        ),
+        "a concatenation carries its outer code's GF(4) witness as its own binary one",
+    ),
+    Mutant(
+        "cap-weights-threshold",
+        "src/gf4lrc/families.py",
+        "        if d is not None and d < 4:",
+        "        if d is not None and d < 3:",
+        (
+            "tests/test_families.py::"
+            "test_cap_code_refuses_and_certifies_as_the_triple_search_does",
+        ),
+        "a spanning point set with a collinear triple, a code with d = 3, passes as a cap",
+    ),
+    Mutant(
+        "lrc-lower-rank-slice",
+        "src/gf4lrc/concat.py",
+        "h.rows[lrc.ell :]",
+        "h.rows[lrc.ell + 1 :]",
+        (
+            "tests/test_concat.py::test_loading_runs_one_rank_elimination_and_no_nullspace",
+            "tests/test_concat.py::test_lrc_json_round_trip",
+        ),
+        "a loaded LRC ranks one lower row too few, so every LRC file is refused as dependent",
+    ),
+    Mutant(
+        "canonical-line-width",
+        "src/gf4lrc/matrix.py",
+        "    width, gaps = 2 * ncols - 1,",
+        "    width, gaps = 2 * ncols - 2,",
+        ("tests/test_layout.py::test_symbol_rows_read_as_the_split_reader_reads_them",),
+        "a line one symbol short with a trailing space is read by the slice, as a short row",
+    ),
+    Mutant(
+        "xor-reduce-provenance",
+        "src/gf4lrc/matrix.py",
+        "            mask ^= pmask",
+        "            mask |= pmask",
+        (
+            "tests/test_kernel.py::test_provenance_names_the_inputs",
+            "tests/test_dependent_set.py::test_engine_matches_subset_loop_on_random_blocks",
+        ),
+        "an input that two reducing entries both name stays in the provenance mask",
+    ),
+    Mutant(
         "repair-lanes-in-position-order",
         "src/gf4lrc/repair.py",
         "below = (top - rng.lanes(order, trials))",

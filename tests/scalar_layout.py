@@ -4,10 +4,12 @@ These are the former ``matrix.pack_row`` and ``matrix.unpack_row``, the
 former ``FieldMatrix.transpose`` (one symbol at a time, over every column),
 and the former ``FieldMatrix.to_text`` and ``CapSet.to_text``, one symbol
 lookup per entry.  They use nothing of the codec, so they stay here as the
-reference it is checked against.
+reference it is checked against.  ``split_symbol_rows`` is the former
+``matrix.read_symbol_rows``, which splits every line.
 """
 
-from gf4lrc.gf4 import SYMBOLS
+from gf4lrc.errors import ParseError
+from gf4lrc.gf4 import SYMBOLS, symbol_to_value
 
 
 def pack_row(q: int, symbols) -> int:
@@ -53,3 +55,22 @@ def cap_text(ambient: int, points) -> str:
     lines = [f"pg={ambient} q=4 size={len(points)}"]
     lines += [" ".join(SYMBOLS[v] for v in p) for p in points]
     return "\n".join(lines) + "\n"
+
+
+def split_symbol_rows(q: int, lines, ncols: int) -> list[int]:
+    """Packed rows of text lines of exactly ncols symbols each, each line split."""
+    rows = []
+    alphabet = set(SYMBOLS[:q])
+    for ln in lines:
+        syms = ln.split()
+        if len(syms) != ncols:
+            raise ParseError(f"expected {ncols} symbols, found {len(syms)}")
+        joined = "".join(syms)
+        if len(joined) != ncols or not alphabet.issuperset(joined):
+            try:  # some symbol is not in the alphabet: name the first
+                for sym in syms:
+                    symbol_to_value(sym, q)
+            except ValueError as exc:
+                raise ParseError(str(exc)) from exc
+        rows.append(pack_row(q, [symbol_to_value(sym, q) for sym in syms]))
+    return rows

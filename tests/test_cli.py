@@ -777,6 +777,45 @@ def test_an_lrc_whose_h_repeats_a_row_exits_2(lrc_files, tmp_path, capsys, argv)
     assert err == "error: parity-check rows are linearly dependent\n"
 
 
+@pytest.mark.parametrize("argv", [["analyze"], ["repair", "--random-t", "2"]])
+def test_an_lrc_whose_h_is_over_gf4_exits_2(lrc_files, tmp_path, capsys, argv):
+    # Its 0/1 rows read as GF(4) rows keep their full rank, so only the
+    # field refuses the file.
+    obj = json.loads(Path(lrc_files[0]).read_text())
+    obj["H"] = obj["H"].replace("field=2", "field=4", 1)
+    path = tmp_path / "gf4.lrc.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: not a locality-2 LRC: BinaryLrc requires a GF(2) code\n"
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+@pytest.mark.parametrize("argv", [["analyze"], ["repair", "--random-t", "2"]])
+def test_a_dependent_lower_row_at_any_position_exits_2(lrc_files, tmp_path, capsys, argv, data):
+    """A lower-block row replaced by the sum of other rows of H, group
+    parities included, is refused whatever its position."""
+    obj = json.loads(Path(lrc_files[0]).read_text())
+    h, _ = FieldMatrix.from_text(obj["H"])
+    ell = len(obj["groups"])
+    rows = list(h.rows)
+    at = data.draw(st.integers(ell, h.nrows - 1), label="position")
+    others = [i for i in range(h.nrows) if i != at]
+    summed = data.draw(st.lists(st.sampled_from(others), min_size=1, unique=True), label="sum of")
+    rows[at] = 0
+    for i in summed:
+        rows[at] ^= rows[i]
+    obj["H"] = FieldMatrix(2, h.nrows, h.ncols, rows).to_text()
+    path = tmp_path / "dependent.lrc.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: parity-check rows are linearly dependent\n"
+
+
 @pytest.mark.parametrize("argv", [["analyze"], ["repair", "--random-t", "1"]])
 @pytest.mark.parametrize(
     "text, message",

@@ -1,15 +1,18 @@
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_code_corpus, walked
+from conftest import random_code_corpus, random_linear_code, walked
 from inner_code import INNER, encode_outer_word, reference_concatenate
 from scalar_elimination import col_tuple
 from gf4lrc import code as code_module
 from gf4lrc import concat as concat_module
 from gf4lrc import gf4
 from gf4lrc import matrix as matrix_module
-from gf4lrc.code import METHOD_EXHAUSTIVE, LinearCode
+from gf4lrc.code import METHOD_COLUMN, METHOD_EXHAUSTIVE, LinearCode
 from gf4lrc.concat import (
     BinaryLrc,
     certify_distance,
@@ -336,6 +339,47 @@ def test_a_concatenation_carries_its_outer_weights_and_walk_lifted(outer_corpus,
             assert lrc.code.contains(cert.witness)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_a_carried_certificate_is_the_loaded_lrcs_group_search(seed, data):
+    """An outer code with k1 > n1 - k1 is certified by the column search.
+    Its concatenation carries that certificate, lifted, and it is the group
+    search from 1 group of the same LRC loaded back from its JSON: the same
+    d, witness and method."""
+    n = data.draw(st.integers(2, 9), label="n1")
+    k = data.draw(st.integers(n // 2 + 1, n), label="k1")
+    outer = random_linear_code(random.Random(seed), 4, n, k)
+    assert outer.min_distance().method == METHOD_COLUMN
+    lrc = concatenate(outer)
+    loaded = BinaryLrc.from_json(json.loads(json.dumps(lrc.to_json())))
+    assert lrc.min_distance() == certify_distance(loaded)
+
+
+def test_a_family_lrc_searches_only_where_its_outer_code_enumerated(monkeypatch, family_outers):
+    """A concatenation of a column-certified outer code runs no group search;
+    one of an enumerated outer code searches from d/2 groups.  Either way the
+    certificate is the loaded LRC's group search from 1 group."""
+    searched = []
+    certify = concat_module.certify_distance
+
+    def recorded(lrc, *args, **kwargs):
+        searched.append(lrc)
+        return certify(lrc, *args, **kwargs)
+
+    monkeypatch.setattr(concat_module, "certify_distance", recorded)
+    methods = set()
+    for built in family_outers:
+        outer = LinearCode(built.generator, built.parity_check)  # nothing cached
+        methods.add(outer.min_distance().method)
+        lrc = concatenate(outer)
+        searched.clear()
+        cert = lrc.min_distance()
+        assert searched == ([] if outer.cached_distance.method == METHOD_COLUMN else [lrc])
+        loaded = BinaryLrc.from_json(json.loads(json.dumps(lrc.to_json())))
+        assert cert == certify(loaded)
+    assert methods == {METHOD_COLUMN, METHOD_EXHAUSTIVE}
+
+
 def _with_group_reordered(obj, i, order):
     obj = dict(obj)
     obj["groups"] = [list(g) for g in obj["groups"]]
@@ -379,22 +423,26 @@ def test_loading_makes_no_entry_calls(monkeypatch):
 
 
 def test_loading_runs_one_rank_elimination_and_no_nullspace(monkeypatch):
-    # H's rank is checked at load; G, H's nullspace, is derived when read.
+    # Once the groups check, H's rank is its lower block's: one elimination
+    # over the u = 14 rows below the 43 group parities.  G, H's nullspace,
+    # is derived when read.
     obj = json.loads(json.dumps(concatenate(cyclic4(43, [1, 0, W2, 1, 1, W, 0, 1])).to_json()))
     calls = []
-    real_rank, real_nullspace = code_module.rows_rank, FieldMatrix.nullspace
+    real_rank, real_nullspace = matrix_module.rows_rank, FieldMatrix.nullspace
 
     def counted(q, rows, ncols):
-        calls.append(ncols)
+        rows = list(rows)
+        calls.append((q, len(rows), ncols))
         return real_rank(q, rows, ncols)
 
-    monkeypatch.setattr(code_module, "rows_rank", counted)
+    for module in (code_module, concat_module):
+        monkeypatch.setattr(module, "rows_rank", counted)
     monkeypatch.setattr(FieldMatrix, "nullspace", lambda h: calls.append("G") or real_nullspace(h))
     lrc = BinaryLrc.from_json(obj)
-    assert (lrc.n, lrc.k) == (129, 72)
-    assert calls == [129]
+    assert (lrc.n, lrc.k, lrc.u) == (129, 72, 14)
+    assert calls == [(2, 14, 129)]
     assert lrc.code.generator.nrows == 72
-    assert calls == [129, "G"]
+    assert calls == [(2, 14, 129), "G"]
 
 
 def test_lrc_json_top_row_with_a_one_outside_its_group():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cap_search import cap_search
+from cap_search import cap_search, collinear_companions
 from conftest import forbid_distance_and_weights
 from scalar_elimination import col_tuple, nullspace, poly_divmod, poly_trim
 from gf4lrc import gf4
@@ -16,6 +16,7 @@ from gf4lrc.errors import (
     NotACap,
     NotADivisor,
     ParseError,
+    RankDeficient,
     UnsupportedParameters,
     UnsupportedSubspaceLayout,
 )
@@ -31,7 +32,7 @@ from gf4lrc.families import (
     solomon_stiffler,
 )
 from gf4lrc.matrix import FieldMatrix
-from gf4lrc.projective import CapSet, bundled_cap_pg3_17
+from gf4lrc.projective import CapSet, bundled_cap_pg3_17, pg_points
 
 W, W2 = gf4.W, gf4.W2
 
@@ -190,6 +191,73 @@ def test_cap_code_from_bundled_17_cap():
 def test_cap_code_rejects_collinear_points():
     with pytest.raises(NotACap):
         cap_code(CapSet(2, ((1, 0, 0), (0, 1, 0), (1, 1, 0))))
+
+
+def reference_cap_code(cap: CapSet) -> LinearCode:
+    """The cap code as it was built before its weights proved the cap: the
+    whole ``verify``, its triple search included, then H's rank, then d."""
+    cap.verify()
+    try:
+        code = LinearCode.from_parity(FieldMatrix.from_cols(4, cap.points))
+    except RankDeficient as exc:
+        raise InvalidParameters(
+            f"the {cap.size()} cap points do not span PG({cap.ambient}, 4)"
+        ) from exc
+    code.min_distance()
+    return code
+
+
+PG3 = pg_points(3)
+BUNDLED = bundled_cap_pg3_17().points
+
+
+@st.composite
+def pg3_point_lists(draw):
+    """Point lists in PG(3, 4): sub-caps of the 17-cap, with points on the
+    line through two of them, with repeats, in a plane, or anywhere; some
+    with a point scaled off its normal form or zeroed."""
+    kind = draw(st.sampled_from(["cap", "collinear", "repeat", "plane", "any"]))
+    if kind == "plane":
+        points = draw(st.lists(st.sampled_from([p for p in PG3 if not p[3]]), unique=True,
+                               max_size=8))
+    elif kind == "any":
+        points = draw(st.lists(st.sampled_from(PG3), unique=True, max_size=10))
+    else:
+        points = draw(st.lists(st.sampled_from(BUNDLED), unique=True, max_size=17))
+    if kind == "collinear" and len(points) >= 2:
+        a, b = draw(st.lists(st.sampled_from(points), min_size=2, max_size=2, unique=True))
+        points.append(draw(st.sampled_from(collinear_companions(a, b))))
+    if kind == "repeat" and points:
+        points.append(draw(st.sampled_from(points)))
+    points = draw(st.permutations(points))
+    if points and draw(st.integers(0, 9)) == 0:
+        i = draw(st.integers(0, len(points) - 1))
+        scale = draw(st.sampled_from([0, W]))
+        points[i] = tuple(gf4.gf4_mul(scale, c) for c in points[i])
+    return CapSet(3, tuple(points))
+
+
+def _outcome(build, cap):
+    try:
+        code = build(cap)
+    except Exception as exc:  # the same kind of refusal, text and triple
+        return type(exc), str(exc), getattr(exc, "triple", None)
+    return code.parity_check, code.k, code.cached_distance
+
+
+@settings(max_examples=300, deadline=None)
+@given(pg3_point_lists())
+@example(CapSet(3, ()))
+@example(CapSet(3, tuple(BUNDLED[:4])))  # spans PG(3, 4): k = 0
+@example(CapSet(3, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 0, 0))))
+def test_cap_code_refuses_and_certifies_as_the_triple_search_does(cap):
+    assert _outcome(cap_code, cap) == _outcome(reference_cap_code, cap)
+
+
+def test_cap_code_of_the_bundled_cap_makes_no_triple_search(monkeypatch):
+    monkeypatch.setattr(CapSet, "verify", lambda cap: pytest.fail("the triple search ran"))
+    code = cap_code(bundled_cap_pg3_17())
+    assert (code.n, code.k, code.cached_distance.d) == (17, 13, 4)
 
 
 def test_cap_code_distance_confirmed_by_transform():

@@ -4,13 +4,13 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalar_layout
 from cap_search import cap_text
-from gf4lrc.errors import ShapeMismatch
-from gf4lrc.matrix import FieldMatrix, pack_row, row_digits, unpack_row
+from gf4lrc.errors import ParseError, ShapeMismatch
+from gf4lrc.matrix import FieldMatrix, pack_row, read_symbol_rows, row_digits, unpack_row
 from gf4lrc.projective import CapSet
 
 
@@ -91,3 +91,48 @@ def test_a_row_wider_than_ncols_or_negative_is_refused_when_built(q):
             FieldMatrix(q, 2, 3, [1, row])
     with pytest.raises(ShapeMismatch):
         FieldMatrix(q, 1, 0, [1])
+
+
+#: Mostly the single space that ``to_text`` writes, so that many lines take
+#: the one-slice read.
+SEPARATORS = [" "] * 6 + ["  ", "\t", " \t", "\x0c", "\u00a0"]
+
+
+@st.composite
+def symbol_lines(draw):
+    """Lines of about ncols symbols, foreign ones among them, separated,
+    led and trailed by random whitespace."""
+    q = draw(st.sampled_from([2, 4]))
+    ncols = draw(st.integers(0, 6))
+    symbols = st.sampled_from(["0", "1", "w", "W"][:q] * 3 + ["w", "2", "x", "ww", "10", ""])
+    lines = []
+    for _ in range(draw(st.integers(1, 3))):
+        count = max(0, ncols + draw(st.sampled_from([0, 0, 0, -1, 1])))
+        syms = draw(st.lists(symbols, min_size=count, max_size=count))
+        gaps = draw(st.lists(st.sampled_from(SEPARATORS), min_size=count, max_size=count))
+        lead = draw(st.sampled_from(["", "", "", " ", "\t"]))
+        trail = draw(st.sampled_from(["", "", " "]))
+        line = lead + "".join(g + s for g, s in zip(["", *gaps], syms)) + trail
+        lines.append(line if line.strip() else "0")
+    return q, lines, ncols
+
+
+def _rows_or_error(read, q, lines, ncols):
+    try:
+        return read(q, lines, ncols)
+    except ParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(symbol_lines())
+@example((2, ["1 0 "], 3))  # single spaces, one symbol short, one space trailing
+@example((2, [" 1 0"], 3))
+@example((2, ["1 0 1 "], 3))
+@example((4, ["1 w W", "W\tw 0"], 3))
+@example((2, ["1 w 1"], 3))
+@example((4, ["1 x 1 2"], 3))
+def test_symbol_rows_read_as_the_split_reader_reads_them(case):
+    q, lines, ncols = case
+    expected = _rows_or_error(scalar_layout.split_symbol_rows, q, lines, ncols)
+    assert _rows_or_error(read_symbol_rows, q, lines, ncols) == expected

@@ -63,23 +63,22 @@ def _forbidden(*args, **kwargs):
     raise AssertionError("a forbidden computation ran")
 
 
-def test_example_5_2_certifies_its_lrc_from_five_groups_without_a_pair_walk(monkeypatch):
-    """Its LRC's d is certified as every row's is, by ``BinaryLrc.min_distance``:
-    the outer weights that ``concatenate`` carries start the group search at
-    d/2 = 5 groups of [129,72,10;2], so the pair code is not walked again."""
-    starts = []
+def test_example_5_2_carries_its_outer_certificate_without_a_group_search(monkeypatch):
+    """Its [43,36,5] outer code took the column search, over the blocks that
+    the LRC's group search takes, from the same start d1 = 5: ``concatenate``
+    carries that certificate, lifted, so neither the group search nor a pair
+    walk runs, and the certificate is the one a fresh search from 5 groups
+    of [129,72,10;2] gives."""
     certify = concat.certify_distance
-
-    def recorded(lrc, subset_budget, start):
-        starts.append(start)
-        return certify(lrc, subset_budget, start)
-
-    monkeypatch.setattr(concat, "certify_distance", recorded)
+    monkeypatch.setattr(concat, "certify_distance", _forbidden)
     monkeypatch.setattr(concat, "side_weights", _forbidden)
     [item] = reproduce.run(["example5.2"])
     assert item.status == reproduce.MATCH
     assert item.computed["lrc"] == [129, 72, 10]
-    assert starts == [5]
+    lrc = reproduce._Facts(reproduce._ITEMS["example5.2"]).lrc
+    cert = lrc.min_distance()
+    assert cert.method == "group_rank"
+    assert cert == certify(lrc, start=5)
 
 
 def test_table1_enumerates_no_lrc_and_classifies_nothing(monkeypatch):
