@@ -16,6 +16,7 @@ import math
 import sys
 from datetime import datetime, timezone
 from decimal import Decimal
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from .concat import (
     DEFAULT_SUBSET_BUDGET,
     BinaryLrc,
     concatenate,
-    group_subspaces,
+    group_bases,
     locality_check,
 )
 from .errors import BudgetExceeded, Gf4LrcError, ParseError
@@ -38,48 +39,120 @@ from .repair import PerSymbolErasures, RandomErasures, simulate
 #: other byte value, which the translation deletes.
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 _NOT_DIGITS = bytes(range(10, 256))
+#: The item types of a list of rows that ``_rows_text`` writes.
+_ROW_TYPES = {list, tuple, type(None)}
+#: Stands for "no item yet" when a list's items are compared by identity.
+_NO_ITEM = object()
 
 
 def _json_text(obj, indent: str = "\n") -> str:
     """What ``json.dumps`` writes with sorted keys and a two-space indent,
-    for a value with str keys.  Keys and scalars are written as the
-    stdlib's encoder writes them (``_json_scalar``).  A flat list of plain
-    ints (no bools) is joined in one step, not item by item as the
-    pure-Python encoder that an indent selects does.  When every item is
-    0..9, as in a report's bit and GF(4) symbol rows, the items are one
-    digit string, made by one ``bytes(...).translate`` pass; otherwise
-    each is written by ``int.__repr__``, or by ``_json_scalar`` when one
-    has more digits than ``int.__repr__`` allows."""
-    inner = indent + "  "
-    sep = "," + inner
+    for a value with str keys.  ``_write_json`` appends the text in pieces,
+    joined once here, so no nested text is copied into its parent's.  Keys
+    and scalars are written as the stdlib's encoder writes them
+    (``_json_scalar``).  A flat list of plain ints (no bools) is written in
+    one step (``_int_joiner``), not item by item as the pure-Python encoder
+    that an indent selects does.  A list of such rows and None, such as a
+    report's ``covering`` and ``groups``, is written in one pass over all
+    its rows' items (``_rows_text``).  In any list, an item that is the
+    same object as the one before it, as each group's row is at its three
+    positions of ``covering``, is written once and its text reused."""
+    out: list[str] = []
+    _write_json(obj, indent, out)
+    return "".join(out)
+
+
+def _write_json(obj, indent: str, out: list) -> None:
+    """Append the pieces of ``_json_text(obj, indent)`` to ``out``."""
     if isinstance(obj, dict):
         if not obj:
-            return "{}"
-        items = []
+            out.append("{}")
+            return
+        inner = indent + "  "
+        lead, sep = "{" + inner, "," + inner
         for key, value in sorted(obj.items()):
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(encode_basestring_ascii(key) + ": " + _json_text(value, inner))
-        return "{" + inner + sep.join(items) + indent + "}"
-    if isinstance(obj, (list, tuple)):
+            out.append(lead + encode_basestring_ascii(key) + ": ")
+            lead = sep
+            _write_json(value, inner, out)
+        out.append(indent + "}")
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
-        if set(map(type, obj)) == {int}:
-            try:
-                digits = bytes(obj).translate(_DIGITS, _NOT_DIGITS)
-            except ValueError:  # an item outside 0..255
-                digits = b""
-            if len(digits) == len(obj):
-                items = digits.decode()
-            else:
-                try:
-                    items = list(map(int.__repr__, obj))
-                except ValueError:  # an item beyond the int-to-str digit limit
-                    items = map(_json_scalar, obj)
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "," + inner
+        out.append("[" + inner)
+        kinds = set(map(type, obj))
+        if kinds == {int}:
+            out.append(_int_joiner(obj, sep)(0, len(obj)))
+        elif kinds <= _ROW_TYPES and (texts := _rows_text(obj, inner)) is not None:
+            out.append(sep.join(texts))
         else:
-            items = [_json_text(x, inner) for x in obj]
-        return "[" + inner + sep.join(items) + indent + "]"
-    return _json_scalar(obj)
+            texts = []
+            last = text = _NO_ITEM
+            for x in obj:
+                if x is not last:
+                    last, text = x, _json_text(x, inner)
+                texts.append(text)
+            out.append(sep.join(texts))
+        out.append(indent + "]")
+    else:
+        out.append(_json_scalar(obj))
+
+
+def _int_joiner(ints, sep: str):
+    """The function of (start, end) that writes ``ints[start:end]``, plain
+    ints, joined by ``sep``.  When every item is 0..9, as in a report's bit
+    and GF(4) symbol rows, all items are one digit string, made by one
+    ``bytes(...).translate`` pass and spread by one ``str.replace``, which
+    puts ``sep`` before and after each digit, and a run is one slice of it.
+    Otherwise each item is written by ``int.__repr__``, or by
+    ``_json_scalar`` when one has more digits than ``int.__repr__`` allows,
+    and a run is joined."""
+    try:
+        digits = bytes(ints).translate(_DIGITS, _NOT_DIGITS)
+    except ValueError:  # an item outside 0..255
+        digits = b""
+    if len(digits) == len(ints):
+        spread, gap, step = digits.decode().replace("", sep), len(sep), len(sep) + 1
+        return lambda start, end: spread[start * step + gap : end * step]
+    try:
+        items = list(map(int.__repr__, ints))
+    except ValueError:  # an item beyond the int-to-str digit limit
+        items = list(map(_json_scalar, ints))
+    return lambda start, end: sep.join(items[start:end])
+
+
+def _rows_text(rows, indent: str):
+    """The texts of a list of flat rows of plain ints and None, or None when
+    a row holds anything else.  A row that is the same object as the one
+    before it is written once; the other rows' items are written together
+    by one ``_int_joiner`` and cut apart by the rows' lengths."""
+    distinct, at = [], []
+    last = _NO_ITEM
+    for row in rows:
+        if row is not last:
+            last = row
+            distinct.append(row)
+        at.append(len(distinct) - 1)
+    flat = list(chain.from_iterable([row for row in distinct if row]))
+    if list(map(type, flat)).count(int) != len(flat):
+        return None
+    inner = indent + "  "
+    join = _int_joiner(flat, "," + inner)
+    texts, start = [], 0
+    for row in distinct:
+        if row is None:
+            texts.append("null")
+        elif row:
+            end = start + len(row)
+            texts.append("[" + inner + join(start, end) + indent + "]")
+            start = end
+        else:
+            texts.append("[]")
+    return [texts[i] for i in at]
 
 
 def _json_scalar(obj) -> str:
@@ -258,7 +331,7 @@ def _cmd_analyze(args) -> int:
             exit_code = 3
     if args.locality or run_all:
         try:
-            coverage = locality_check(loaded, r or 2, budget=args.max_enum)
+            coverage = locality_check(loaded, r or 2, args.max_enum, args.max_subsets)
             report["locality"] = {
                 "r": r or 2,
                 "ok": coverage.ok,
@@ -267,9 +340,7 @@ def _cmd_analyze(args) -> int:
             }
             if is_lrc:
                 report["groups"] = [list(g) for g in loaded.groups]
-                report["group_subspace_dims"] = [
-                    len(b) for b in group_subspaces(loaded)
-                ]
+                report["group_subspace_dims"] = [len(b) for b in group_bases(loaded)]
         except BudgetExceeded as exc:
             report["locality"] = {"error": str(exc)}
             exit_code = 3

@@ -13,13 +13,21 @@ concatenation holds these columns as its code's ``bit_columns`` and checks
 H's rank as the outer H's; H's rows are derived only when first read.
 An LRC's distance takes a plain code's route (see ``code``) over its pair code,
 and a concatenation keeps its outer code's column certificate, lifted.  A
-loaded LRC holds H as read: once its groups check, the group parities are
-independent of the rest, so only the lower block's u rows are ranked.
+loaded LRC holds H as read and checks it by rows: its groups in bulk as a
+partition, top row i against group i's indicator, and its lower rows
+against the mask of each group's first position.  It assembles H's columns
+from the lower block's u rows, as a concatenation assembles them; a column
+scan runs only to name the position at fault.  Once its groups check, the
+group parities are independent of the rest, so only the u lower rows are
+ranked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain, repeat
+from operator import or_
 from typing import Optional, Sequence
 
 from .code import (
@@ -42,7 +50,16 @@ from .errors import (
     RankDeficient,
     SubsetBudgetExceeded,
 )
-from .matrix import FieldMatrix, rows_rank, unpack_row, xor_insert
+from .matrix import (
+    FieldMatrix,
+    binary_expansion,
+    pack_row,
+    rows_rank,
+    unpack_row,
+    xor_combine,
+    xor_insert,
+    xor_reduce,
+)
 
 #: Default cap on repair-group subsets examined by the distance certifier.
 DEFAULT_SUBSET_BUDGET = 10_000_000
@@ -63,34 +80,44 @@ class BinaryLrc:
     def __init__(
         self, code: LinearCode, groups: Sequence[tuple[int, int, int]], d: Optional[int] = None
     ):
+        self._hold(code, groups, d)
+        self._check_groups()
+        self._check_columns()
+        lower = [col >> self.ell for col in code.bit_columns]
+        self.e_vectors = tuple((lower[b], lower[c]) for _, b, c in self.groups)
+
+    def _hold(self, code: LinearCode, groups, d: Optional[int]) -> None:
         if code.q != 2:
             raise FieldMismatch("BinaryLrc requires a GF(2) code")
         self.code, self.n, self.k = code, code.n, code.k
         self.ell = len(groups)
         self.u = code.n - code.k - self.ell
-        self.groups = tuple(tuple(g) for g in groups)
+        self.groups = tuple(map(tuple, groups))
         self.d = d
-        self._validate()
-        lower = [col >> self.ell for col in code.bit_columns]
-        self.e_vectors = tuple((lower[b], lower[c]) for _, b, c in self.groups)
         self._weights: Optional[WeightDistribution] = None
         self._walk: Optional[tuple] = None  # the weights' walk of P itself: rows, first steps
         self._distance: Optional[DistanceCertificate] = None  # carried from an outer code
 
-    def _validate(self) -> None:
+    def _check_groups(self) -> None:
+        """The groups partition the coordinates, checked in bulk: every
+        coordinate in range first, so that no check builds a mask of a
+        coordinate beyond n, then no coordinate twice."""
         if not self.groups:
             raise ValueError("at least one repair group is required")
         if self.code.n != 3 * self.ell:
             raise ValueError("length must be 3 * group count")
         if self.u < 0:
             raise ValueError("negative auxiliary row count")
-        seen: set[int] = set()
-        for g in self.groups:
-            if len(g) != 3:
-                raise ValueError("groups must have exactly 3 coordinates")
-            seen.update(g)
-        if seen != set(range(self.code.n)):
+        if set(map(len, self.groups)) != {3}:
+            raise ValueError("groups must have exactly 3 coordinates")
+        flat = list(chain.from_iterable(self.groups))
+        if min(flat) < 0 or max(flat) >= self.n or len(set(flat)) != self.n:
             raise ValueError("groups must partition the coordinates")
+
+    def _check_columns(self) -> None:
+        """Group by group, each position's top rows are the group's parity and
+        the lower block under its first position is 0, read from H's columns:
+        the scan that names the first position at fault."""
         cols = self.code.bit_columns
         top = (1 << self.ell) - 1
         for i, g in enumerate(self.groups):
@@ -99,6 +126,26 @@ class BinaryLrc:
                     raise ValueError(f"top rows at coordinate {pos} are not the group-{i} parity")
             if cols[g[0]] >> self.ell:
                 raise ValueError(f"lower block under group {i} position 0 not zero")
+
+    def _take_rows(self, h: FieldMatrix) -> None:
+        """The column checks of ``_check_columns`` on H's rows: top row i is
+        group i's indicator, and no lower row meets a group's first position.
+        Then H's columns are assembled as ``concatenate`` assembles them, each
+        group's top bit over its lower-block column, from the u lower rows."""
+        ell, groups = self.ell, self.groups
+        lower = h.rows[ell:]
+        indicators = tuple(1 << a | 1 << b | 1 << c for a, b, c in groups)
+        firsts = sum(1 << g[0] for g in groups)
+        if h.rows[:ell] != indicators or reduce(or_, lower, 0) & firsts:
+            self._check_columns()
+            raise AssertionError("the row checks fail where the column scan passes")
+        columns = FieldMatrix(2, self.u, self.n, lower).transpose().rows
+        cols = [col << ell for col in columns]
+        for i, g in enumerate(groups):
+            for pos in g:
+                cols[pos] |= 1 << i
+        self.code.bit_columns = cols
+        self.e_vectors = tuple((columns[b], columns[c]) for _, b, c in groups)
 
     def cheapest_weights(self, budget: int = DEFAULT_ENUM_BUDGET) -> WeightDistribution:
         """Exact weights from P by ``side_weights`` over the lower block, and
@@ -165,9 +212,10 @@ class BinaryLrc:
         if not isinstance(obj, dict) or not isinstance(obj.get("H"), str):
             raise ParseError('LRC JSON must be an object with matrix text under "H"')
         groups = obj.get("groups")
-        if not isinstance(groups, list) or not all(
-            isinstance(g, list) and len(g) == 3 and all(type(i) is int and i >= 0 for i in g)
-            for g in groups
+        listed = isinstance(groups, list) and all(map(isinstance, groups, repeat(list)))
+        flat = list(chain.from_iterable(groups)) if listed else []
+        if not listed or set(map(len, groups)) - {3} or set(map(type, flat)) - {int} or (
+            min(flat, default=0) < 0
         ):
             raise ParseError('"groups" must be a list of three-coordinate lists')
         if type(obj.get("n")) is not int or type(obj.get("k")) is not int:
@@ -175,8 +223,11 @@ class BinaryLrc:
         if obj.get("d") is not None and type(obj["d"]) is not int:
             raise ParseError('"d" must be an integer or null')
         h, _ = FieldMatrix.from_text(obj["H"])
+        lrc = cls.__new__(cls)
         try:
-            lrc = cls(LinearCode._holding(h), groups, d=obj.get("d"))
+            lrc._hold(LinearCode._holding(h), groups, obj.get("d"))
+            lrc._check_groups()
+            lrc._take_rows(h)
         except ValueError as exc:
             LinearCode.from_parity(h)  # a dependent H is named first, whatever else is wrong
             raise ParseError(f"not a locality-2 LRC: {exc}") from exc
@@ -240,13 +291,18 @@ def concatenate(outer: LinearCode) -> BinaryLrc:
     return lrc
 
 
-def group_subspaces(lrc: BinaryLrc) -> list[list[tuple[int, ...]]]:
-    """Per group, a basis of the span of its two lower-block columns."""
+def group_bases(lrc: BinaryLrc) -> list[list[int]]:
+    """Per group, a basis of the span of its two lower-block columns, packed."""
     bases = []
     for pair in lrc.e_vectors:
         kernel: list = []
-        bases.append([unpack_row(2, v, lrc.u) for v in pair if xor_insert(kernel, v)[0]])
+        bases.append([v for v in pair if xor_insert(kernel, v)[0]])
     return bases
+
+
+def group_subspaces(lrc: BinaryLrc) -> list[list[tuple[int, ...]]]:
+    """``group_bases``, each vector unpacked to its u bits."""
+    return [[unpack_row(2, v, lrc.u) for v in basis] for basis in group_bases(lrc)]
 
 
 def certify_distance(
@@ -281,25 +337,33 @@ class CoverageReport:
 
 
 def locality_check(
-    code: LinearCode | BinaryLrc, r: int, budget: int = DEFAULT_ENUM_BUDGET
+    code: LinearCode | BinaryLrc,
+    r: int,
+    budget: int = DEFAULT_ENUM_BUDGET,
+    subset_budget: int = DEFAULT_SUBSET_BUDGET,
 ) -> CoverageReport:
     """Check that every coordinate is covered by a dual word of weight <= r+1.
 
-    For a BinaryLrc with r >= 2 the group parity rows cover structurally;
-    otherwise it walks the words H's pair rows span, within budget.
+    For a BinaryLrc with r >= 2 the group parity rows cover structurally:
+    top row i of H is group i's indicator, as the LRC's checks prove.
+    Otherwise it walks the words H's pair rows span, within ``budget``;
+    when they exceed it, each coordinate is decided by ``_covering_sets``
+    within ``subset_budget``.
     """
     if isinstance(code, BinaryLrc):
         if r >= 2:
             covering: list[Optional[tuple[int, ...]]] = [None] * code.n
-            for i, g in enumerate(code.groups):
-                row = code.code.parity_check.row_tuple(i)
+            for g in code.groups:
+                row = [0] * code.n
+                for pos in g:
+                    row[pos] = 1
+                row = tuple(row)
                 for pos in g:
                     covering[pos] = row
             return CoverageReport(r, tuple(covering), True)
         code = code.code
-    total = code.q ** (code.n - code.k)
-    if total > budget:
-        raise BudgetExceeded(f"dual enumeration of {total} words exceeds {budget}")
+    if code.q ** (code.n - code.k) > budget:
+        return _covering_sets(code, r, subset_budget)
     rows = code.check_rows
     covering = [None] * code.n
     remaining = code.n
@@ -321,6 +385,67 @@ def locality_check(
         if remaining == 0:
             break
     return CoverageReport(r, tuple(covering), remaining == 0)
+
+
+def _covering_sets(code: LinearCode, r: int, budget: int) -> CoverageReport:
+    """``locality_check`` without the dual walk.  A dual word of weight at
+    most r+1 holding coordinate j is a dependency among at most r+1 of G's
+    columns that holds column j.  So coordinate j takes the first set T of
+    at most r other coordinates, by size and then in lexicographic order,
+    whose G-columns span j's, and its word is 1 at j and, at each t in T,
+    t's coefficient in that span.  Such a T is independent, else a subset
+    would span as much and come first, so a set with a dependent prefix is
+    skipped, and every coefficient is nonzero.  One unit of ``budget`` is
+    spent per set of full size examined; BudgetExceeded is raised instead
+    of examining set budget + 1."""
+    width = 1 if code.q == 2 else 2
+    # G's columns, a GF(4) column as its pair (c, w*c): a word x is in the
+    # dual when the XOR of the pairs over x's packed bits is 0.
+    cols = binary_expansion(code.q, code.generator.transpose().rows)
+    blocks = [cols[t : t + width] for t in range(0, len(cols), width)]
+    examined = 0
+
+    def first_span(j: int, start: int, basis: list, chosen: tuple, need: int):
+        nonlocal examined
+        for t in range(start, code.n):
+            if t == j:
+                continue
+            grown = basis.copy()
+            shift = width * len(chosen)
+            if not all(xor_insert(grown, v, 1 << (shift + b))[0] for b, v in enumerate(blocks[t])):
+                continue  # t's column lies in the span of the chosen ones
+            if need > 1:
+                found = first_span(j, t + 1, grown, chosen + (t,), need - 1)
+                if found is not None:
+                    return found
+                continue
+            examined += 1
+            if examined > budget:
+                raise BudgetExceeded(f"covering-set search exceeded {budget} sets")
+            rest, mask = xor_reduce(grown, blocks[j][0])
+            if not rest:
+                return chosen + (t,), mask
+        return None
+
+    covering: list[Optional[tuple[int, ...]]] = []
+    for j in range(code.n):
+        found = None if blocks[j][0] else ((), 0)  # a zero column: e_j is a dual word
+        for size in range(1, r + 1):
+            if found is None:
+                found = first_span(j, 0, [], (), size)
+        if found is None:
+            covering.append(None)
+            continue
+        word = [0] * code.n
+        word[j] = 1
+        chosen, mask = found
+        for at, t in enumerate(chosen):
+            word[t] = mask >> width * at & (1 << width) - 1
+        word = tuple(word)
+        if xor_combine(cols, pack_row(code.q, word)) or sum(1 for x in word if x) > r + 1:
+            raise AssertionError("covering word is not a light dual word")
+        covering.append(word)
+    return CoverageReport(r, tuple(covering), None not in covering)
 
 
 def lrc_weights_from_outer(outer_weights: WeightDistribution) -> WeightDistribution:

@@ -26,8 +26,11 @@ Matrix text format (strict): a header line
 
 followed by r lines of c whitespace-separated symbols from the alphabet
 ``0 1 w W`` (GF(2) uses only ``0`` and ``1``), read by ``read_symbol_rows``,
-which also reads the points of a cap file.  A line written as ``to_text``
-writes it, with single spaces, is read as one slice of its characters.
+which also reads the points of a cap file.  A canonical body, every line
+as ``to_text`` writes it with single spaces, is read in one pass: one
+comparison of its odd characters, one ``bytes.translate`` alphabet check,
+and one ``int`` of all its symbols, cut into rows by shifts.  Any other
+body is read line by line, which also names the first fault.
 """
 
 from __future__ import annotations
@@ -48,6 +51,10 @@ _HEX_TO_BASE4 = str.maketrans({f"{v:x}": f"{v >> 2}{v & 3}" for v in range(16)})
 #: Symbol values as base-q digit bytes, and back.
 _VALUE_TO_DIGIT = bytes.maketrans(b"\0\1\2\3", b"0123")
 _DIGIT_TO_VALUE = bytes.maketrans(b"0123", b"\0\1\2\3")
+#: Each field's symbols, which ``bytes.translate`` deletes, and the symbols
+#: as bytes of their base-4 digits.
+_ALPHABETS = {2: b"01", 4: b"01wW"}
+_SYMBOL_BYTE_DIGITS = bytes.maketrans(b"wW", b"23")
 
 
 def lo_mask(ncols: int) -> int:
@@ -161,12 +168,40 @@ def rows_rank(q: int, rows: Iterable[int], ncols: int) -> int:
     return len(basis) if q == 2 else len(basis) // 2
 
 
-def read_symbol_rows(q: int, lines: Iterable[str], ncols: int) -> list[int]:
+def read_symbol_rows(q: int, lines: Sequence[str], ncols: int) -> list[int]:
     """Packed rows of text lines of exactly ncols symbols each (strict).
 
-    A line as ``row_text`` writes it, symbols at the even indices and one
-    space between each two, is read by one slice; any other spacing is split.
+    A body whose every line is as ``row_text`` writes it, symbols at the
+    even indices and one space between each two, is read in one pass:
+    joined by single spaces, its odd characters are compared once, its
+    symbols are checked against the alphabet by one ``bytes.translate``,
+    and the rows are the base-q numeral of all its symbols, parsed by one
+    ``int`` and cut apart by shifts.  Any other body, and a canonical one
+    holding a foreign symbol, is read line by line (``_read_lines``),
+    which names the first fault.
     """
+    width = 2 * ncols - 1
+    if lines and set(map(len, lines)) == {width}:
+        body = " ".join(lines)
+        symbols = body[::2]
+        if body[1::2] == " " * (len(symbols) - 1) and symbols.isascii():
+            digits = symbols.encode()
+            if not digits.translate(None, _ALPHABETS[q]):
+                # Symbol j of row i is the digit of weight q^(i*ncols + j).
+                numeral = int(digits.translate(_SYMBOL_BYTE_DIGITS)[::-1], q)
+                bits = ncols * (q // 2)
+                mask = (1 << bits) - 1
+                rows = []
+                for _ in lines:
+                    rows.append(numeral & mask)
+                    numeral >>= bits
+                return rows
+    return _read_lines(q, lines, ncols)
+
+
+def _read_lines(q: int, lines: Sequence[str], ncols: int) -> list[int]:
+    """``read_symbol_rows`` one line at a time: a line as ``row_text`` writes
+    it is read by one slice, and any other spacing is split."""
     rows = []
     alphabet = set(gf4.SYMBOLS[:q])
     width, gaps = 2 * ncols - 1, " " * (ncols - 1)

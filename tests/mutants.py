@@ -215,6 +215,78 @@ MUTANTS = (
         "an input that two reducing entries both name stays in the provenance mask",
     ),
     Mutant(
+        "json-text-digit-run",
+        "src/gf4lrc/cli.py",
+        "    if len(digits) == len(ints):",
+        "    if digits:",
+        ("tests/test_cli.py::test_json_text_is_the_stdlib_indented_text",),
+        "a run of ints with one outside 0..9 is written as the digits of the others only",
+    ),
+    Mutant(
+        "json-text-row-reuse",
+        "src/gf4lrc/cli.py",
+        "        if row is not last:",
+        "        if type(row) is not type(last):",
+        ("tests/test_cli.py::test_json_text_is_the_stdlib_indented_text",),
+        "the writer reuses one row's text for the next row of the same type, a different row",
+    ),
+    Mutant(
+        "body-reader-row-order",
+        "src/gf4lrc/matrix.py",
+        "                    rows.append(numeral & mask)",
+        "                    rows.insert(0, numeral & mask)",
+        (
+            "tests/test_layout.py::test_a_body_is_read_as_the_split_reader_reads_it",
+            "tests/test_concat.py::test_lrc_json_round_trip",
+        ),
+        "a canonical body's rows are cut from the numeral last row first",
+    ),
+    Mutant(
+        "body-reader-alphabet",
+        "src/gf4lrc/matrix.py",
+        "            if not digits.translate(None, _ALPHABETS[q]):",
+        "            if not digits.translate(None, _ALPHABETS[4]):",
+        (
+            "tests/test_layout.py::test_a_body_is_read_as_the_split_reader_reads_it",
+            "tests/test_layout.py::test_symbol_rows_read_as_the_split_reader_reads_them",
+        ),
+        "a canonical GF(2) body passes the alphabet check with w or W in it",
+    ),
+    Mutant(
+        "loader-top-block",
+        "src/gf4lrc/concat.py",
+        "        if h.rows[:ell] != indicators or",
+        "        if h.rows[1:ell] != indicators[1:] or",
+        (
+            "tests/test_concat.py::"
+            "test_a_loaded_lrcs_refusals_name_the_fault_as_the_column_scan_did",
+            "tests/test_concat.py::test_lrc_json_top_row_with_a_one_outside_its_group",
+        ),
+        "a loaded LRC compares its top block from row 1, so a 1 outside group 0 in row 0 loads",
+    ),
+    Mutant(
+        "side-weights-transform-field",
+        "src/gf4lrc/code.py",
+        "    return krawtchouk_transform(counts, total, n, 1 << width), None",
+        "    return krawtchouk_transform(counts, total, n, 2), None",
+        (
+            "tests/test_side_weights.py::test_either_side_of_a_plain_code_weighs_as_its_enumeration",
+            "tests/test_side_weights.py::"
+            "test_a_concatenation_weighs_as_its_outer_code_through_one_function",
+        ),
+        "a dual side of GF(4) symbols is transformed at q = 2, so its weights are wrong",
+    ),
+    Mutant(
+        "covering-word-coefficient",
+        "src/gf4lrc/concat.py",
+        "            word[t] = mask >> width * at & (1 << width) - 1",
+        "            word[t] = 1",
+        (
+            "tests/test_enumerator.py::test_covering_sets_decide_locality_as_the_dual_walk_does",
+        ),
+        "a covering set's GF(4) coefficients w and w^2 are written as 1, off the dual",
+    ),
+    Mutant(
         "repair-lanes-in-position-order",
         "src/gf4lrc/repair.py",
         "below = (top - rng.lanes(order, trials))",

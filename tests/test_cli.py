@@ -271,8 +271,9 @@ def test_analyze_budget_exhaustion_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize("strip", [False, True], ids=["as-written", "without-d"])
 def test_out_of_budget_weights_and_locality_build_no_dual(tmp_path, capsys, monkeypatch, strip):
     # Both codes are the larger side: their weights come from dual words,
-    # which ``side_weights`` walks without building a dual, and coverage
-    # checks q^(n-k) before a dual is built.
+    # which ``side_weights`` walks without building a dual.  Past the
+    # budget, coverage is decided by G's columns, with no dual built, and
+    # gives the verdict of the default run's walk.
     run_cli(capsys, "construct", "cyclic4", "--n", "43", "--poly", "1 0 W 1 1 w 0 1",
             "--concat", "--output", str(tmp_path / "cyc"))
     run_cli(capsys, "construct", "cap", "--output", str(tmp_path / "cap"))
@@ -281,6 +282,7 @@ def test_out_of_budget_weights_and_locality_build_no_dual(tmp_path, capsys, monk
     cap = tmp_path / "cap.code"
     if strip:
         cap.write_text(cap.read_text().replace(" d=4", ""))
+    walked = json.loads(run_cli(capsys, "analyze", str(cap), "--locality")[1])["locality"]
     built = []
     dual = code_module.LinearCode.dual
     monkeypatch.setattr(code_module.LinearCode, "dual", lambda self: built.append(self) or dual(self))
@@ -294,7 +296,9 @@ def test_out_of_budget_weights_and_locality_build_no_dual(tmp_path, capsys, monk
     assert code == 3
     report = json.loads(out)
     assert report["weights"] == {"error": "256 codewords exceed enumeration budget 100"}
-    assert report["locality"] == {"error": "dual enumeration of 256 words exceeds 100"}
+    locality = report["locality"]
+    assert (locality["ok"], locality["uncovered"]) == (walked["ok"], walked["uncovered"]) == (
+        False, list(range(17)))
     assert built == []
 
 
@@ -1042,12 +1046,43 @@ _DIGIT_ROWS = (
     | st.lists(_DIGIT | st.booleans(), min_size=1)
     | st.lists(_DIGIT | _EDGES | st.booleans(), min_size=1, max_size=1)
 )
+# Rows of ints above 9, of bools and of floats, beside the digit rows, all
+# of random and unequal lengths.
+_ROWS = (
+    _DIGIT_ROWS | st.lists(st.integers(0, 300)) | st.lists(st.integers())
+    | st.lists(_DIGIT | st.floats(), max_size=3) | st.just([])
+)
+
+
+def _copy(row):
+    """An equal row that is not the same object."""
+    return tuple(list(row)) if isinstance(row, tuple) else list(row)
+
+
+@st.composite
+def _row_lists(draw):
+    """A list of rows in which a row object repeats consecutively, as
+    covering rows do, or after None or an equal but distinct row between."""
+    pool = draw(st.lists(_ROWS | _ROWS.map(tuple), min_size=1, max_size=4))
+    rows = []
+    for pick in draw(st.lists(st.integers(-2, len(pool) - 1), max_size=12)):
+        if pick == -1:
+            rows.append(None)
+        elif pick == -2 and rows and rows[-1] is not None:
+            rows.append(_copy(rows[-1]))
+        else:
+            rows += [pool[max(pick, 0)]] * draw(st.integers(1, 3))
+    return rows
+
+
 _JSON_VALUES = st.recursive(
-    _SCALARS | st.lists(st.integers()) | _DIGIT_ROWS | _DIGIT_ROWS.map(tuple),
+    _SCALARS | st.lists(st.integers()) | _DIGIT_ROWS | _DIGIT_ROWS.map(tuple) | _row_lists(),
     lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
     | st.dictionaries(_STRINGS, inner),
     max_leaves=40,
 )
+_ROW = [1, 0, 1]
+_WIDE = (12, 3, 300)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1062,6 +1097,10 @@ _JSON_VALUES = st.recursive(
 @example([True, 0, 1])
 @example((False,))
 @example({"covering": [(0, 1, 1), None, (2, 3, 0)], "witness": (1, 0, 1)})
+@example([_ROW, _ROW, _ROW, None, _ROW, _copy(_ROW), _ROW])
+@example([_WIDE, _WIDE, (1, 2), _WIDE, [], [], None, None, (True, 0), (True, 0)])
+@example([(12, 3), (12, 3), (1.5, 2)])
+@example([[[1, 2]], [[1, 2]], (0,)])
 def test_json_text_is_the_stdlib_indented_text(value):
     assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
 
@@ -1072,6 +1111,15 @@ def test_json_text_writes_a_flat_int_list_beyond_the_digit_limit():
     text = _json_text([10**5000, 3])
     assert text == "[\n  1" + "0" * 5000 + ",\n  3\n]"
     assert json.loads(text, parse_int=str) == ["1" + "0" * 5000, "3"]
+
+
+def test_json_text_writes_rows_beyond_the_digit_limit():
+    # A repeated row, written once, and a row after it, cut from the same
+    # run of items, each written as _json_scalar does.
+    row = (10**5000, 3)
+    text = _json_text([row, row, (4, 12)])
+    big = "\n    1" + "0" * 5000 + ",\n    3\n  "
+    assert text == "[\n  [" + big + "],\n  [" + big + "],\n  [\n    4,\n    12\n  ]\n]"
 
 
 def test_json_text_rejects_a_key_that_is_not_a_str():
@@ -1086,3 +1134,21 @@ def test_reports_and_lrc_files_are_the_stdlib_indented_text(tmp_path, capsys):
     for argv in (["analyze", str(tmp_path / "hex.lrc.json")], ["reproduce", "--json"]):
         out = run_cli(capsys, *argv)[1]
         assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+def test_plain_code_locality_past_the_walk_takes_covering_sets(tmp_path, capsys):
+    # The [20,3,15]_4 MacDonald code's dual has 4^17 words, beyond
+    # --max-enum: each coordinate takes its first pair of other columns
+    # that spans its own, a dual word of weight 3, within --max-subsets.
+    base = tmp_path / "mac"
+    run_cli(capsys, "construct", "macdonald", "--m", "3", "--u", "1", "--output", str(base))
+    code, out, _ = run_cli(capsys, "analyze", str(base.with_suffix(".code")))
+    assert code == 0
+    report = json.loads(out)
+    assert report["distance"]["d"] == 15
+    locality = report["locality"]
+    assert locality["ok"] and locality["uncovered"] == []
+    assert all(sum(map(bool, w)) == 3 and w[j] == 1 for j, w in enumerate(locality["covering"]))
+    code, out, _ = run_cli(capsys, "analyze", str(base.with_suffix(".code")), "--max-subsets", "5")
+    assert code == 3
+    assert json.loads(out)["locality"] == {"error": "covering-set search exceeded 5 sets"}

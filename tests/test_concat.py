@@ -461,3 +461,93 @@ def test_lrc_json_lower_block_nonzero_under_position_0():
     # listing (b, a, c) puts the nonzero column e1 at position 0
     with pytest.raises(ParseError, match="position 0 not zero"):
         BinaryLrc.from_json(_with_group_reordered(obj, 1, (1, 0, 2)))
+
+
+def _moved(lrc, perm, order):
+    """The LRC's JSON with position p moved to perm[p] and group order[i]
+    listed i-th: H's columns, its top rows and the groups alike."""
+    n, ell, h = lrc.n, lrc.ell, lrc.code.parity_check
+    cols = [0] * n
+    for p, col in zip(perm, h.transpose().rows):
+        cols[p] = col
+    rows = list(FieldMatrix(2, n, h.nrows, cols).transpose().rows)
+    rows[:ell] = [rows[i] for i in order]
+    obj = lrc.to_json()
+    obj["H"] = FieldMatrix(2, h.nrows, n, rows).to_text()
+    obj["groups"] = [[perm[p] for p in lrc.groups[i]] for i in order]
+    return obj
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_a_loaded_lrc_holds_what_the_transpose_route_reads(seed, data):
+    """A loaded LRC checks its top block as rows and assembles H's columns
+    from its lower rows; they are the columns, pairs and rank verdict of
+    H's transpose, also with permuted positions and groups and with a lower
+    row replaced by a sum of the others."""
+    n1 = data.draw(st.integers(1, 7), label="n1")
+    k1 = data.draw(st.integers(1, n1), label="k1")
+    lrc = concatenate(random_linear_code(random.Random(seed), 4, n1, k1))
+    perm = data.draw(st.permutations(range(lrc.n)), label="perm")
+    order = data.draw(st.permutations(range(lrc.ell)), label="order")
+    obj = _moved(lrc, perm, order)
+    if lrc.u and data.draw(st.booleans(), label="dependent"):
+        header, *lines = obj["H"].splitlines()
+        rows = [pack_row(2, [int(x) for x in ln.split()]) for ln in lines]
+        lower = range(lrc.ell, len(rows))
+        target = data.draw(st.sampled_from(lower), label="row")
+        rest = [i for i in lower if i != target]
+        picks = data.draw(st.lists(st.sampled_from(rest), unique=True) if rest else st.just([]))
+        rows[target] = 0
+        for i in picks:
+            rows[target] ^= rows[i]
+        obj["H"] = FieldMatrix(2, len(rows), lrc.n, rows).to_text()
+    h, _ = FieldMatrix.from_text(obj["H"])
+    try:
+        reference = LinearCode.from_parity(h)
+    except RankDeficient as exc:
+        with pytest.raises(RankDeficient, match=str(exc)):
+            BinaryLrc.from_json(obj)
+        return
+    loaded = BinaryLrc.from_json(obj)
+    assert loaded.code.bit_columns == reference.bit_columns
+    lower = [col >> lrc.ell for col in reference.bit_columns]
+    assert loaded.e_vectors == tuple((lower[b], lower[c]) for _, b, c in loaded.groups)
+    assert loaded.cheapest_weights() == lrc.cheapest_weights()
+
+
+def _faulted(fault):
+    """The [15,6,6;2] LRC's JSON with one fault."""
+    obj = concatenate(hamming4(2)).to_json()
+    header, *lines = obj["H"].splitlines()
+    rows = [ln.split() for ln in lines]
+    if fault == "top-row-outside-its-group":
+        rows[0][3] = "1"  # coordinate 3 belongs to group 1
+    elif fault == "lower-entry-under-position-0":
+        rows[5][3] = "1" if rows[5][3] == "0" else "0"  # lower row 0 at group 1's first position
+    elif fault == "repeated-coordinate":
+        obj["groups"][1] = list(obj["groups"][0])
+    elif fault == "coordinate-n":
+        obj["groups"][4][2] = 15
+    elif fault == "coordinate-10**18":
+        obj["groups"][4][2] = 10**18
+    obj["H"] = "\n".join([header] + [" ".join(r) for r in rows]) + "\n"
+    return obj
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("top-row-outside-its-group", "top rows at coordinate 3 are not the group-1 parity"),
+        ("lower-entry-under-position-0", "lower block under group 1 position 0 not zero"),
+        ("repeated-coordinate", "groups must partition the coordinates"),
+        ("coordinate-n", "groups must partition the coordinates"),
+        ("coordinate-10**18", "groups must partition the coordinates"),
+    ],
+)
+def test_a_loaded_lrcs_refusals_name_the_fault_as_the_column_scan_did(fault, message):
+    # A coordinate of 10**18 is refused by the range check, before any
+    # mask of a coordinate is built.
+    with pytest.raises(ParseError) as exc:
+        BinaryLrc.from_json(_faulted(fault))
+    assert str(exc.value) == "not a locality-2 LRC: " + message

@@ -16,6 +16,7 @@ reads its d from those weights, so the tests that use it as the
 exhaustive oracle call ``_min_distance_exhaustive``.
 """
 
+import itertools
 import math
 from unittest import mock
 
@@ -119,6 +120,50 @@ def test_locality_coverings_match_gray_walk(code, bits, r):
         with mock.patch.object(FieldMatrix, "nullspace", counted):
             assert locality_check(held, r) == expected
     assert nullspaces == []
+
+
+#: GF(4) products under w^2 = w + 1, for the covering-set oracle.
+_MUL = ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2))
+
+
+def first_covering_word(cols: list, q: int, j: int, r: int):
+    """By brute force over G's columns: the word of the first set T of at
+    most r other coordinates, by size and then in lexicographic order, with
+    g_j + sum_t c_t g_t = 0 for nonzero c_t, which is 1 at j and c_t on T;
+    None when there is none."""
+    others = [t for t in range(len(cols)) if t != j]
+    for size in range(r + 1):
+        for chosen in itertools.combinations(others, size):
+            for coefs in itertools.product(range(1, q), repeat=size):
+                total = list(cols[j])
+                for t, c in zip(chosen, coefs):
+                    total = [x ^ _MUL[c][y] for x, y in zip(total, cols[t])]
+                if not any(total):
+                    word = [0] * len(cols)
+                    word[j] = 1
+                    for t, c in zip(chosen, coefs):
+                        word[t] = c
+                    return tuple(word)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(codes(st.integers(1, 4), max_redundancy=6), st.integers(0, 3))
+def test_covering_sets_decide_locality_as_the_dual_walk_does(code, r):
+    # Past the walk's budget (0 here), each coordinate takes its first
+    # spanning set of G-columns: the brute-force words, and the walk's
+    # verdict, coordinate by coordinate.
+    walk, sets = locality_check(code, r), locality_check(code, r, budget=0)
+    assert (sets.ok, sets.uncovered()) == (walk.ok, walk.uncovered())
+    cols = [col_tuple(code.generator, t) for t in range(code.n)]
+    assert list(sets.covering) == [first_covering_word(cols, code.q, j, r) for j in range(code.n)]
+
+
+def test_covering_sets_spend_the_subset_budget():
+    code = hexacode()  # [6,3,4]_4: every coordinate needs 3 other columns
+    assert locality_check(code, 3, budget=0).ok
+    with pytest.raises(BudgetExceeded, match="covering-set search exceeded 0 sets"):
+        locality_check(code, 3, budget=0, subset_budget=0)
 
 
 @settings(max_examples=12, deadline=None)

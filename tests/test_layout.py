@@ -136,3 +136,45 @@ def test_symbol_rows_read_as_the_split_reader_reads_them(case):
     q, lines, ncols = case
     expected = _rows_or_error(scalar_layout.split_symbol_rows, q, lines, ncols)
     assert _rows_or_error(read_symbol_rows, q, lines, ncols) == expected
+
+
+@st.composite
+def symbol_bodies(draw):
+    """A matrix body as ``to_text`` writes it, odd and even widths, empty
+    shapes included, with no line, one line or every line re-spaced, and
+    maybe one foreign symbol on any line."""
+    q = draw(st.sampled_from([2, 4]))
+    ncols = draw(st.integers(0, 7))
+    nrows = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.integers(0, q**ncols - 1), min_size=nrows, max_size=nrows))
+    lines = [scalar_layout.row_text(q, row, ncols) for row in rows]
+    respaced = draw(st.sampled_from(["none", "one", "all"]))
+    for i in range(nrows):
+        if respaced == "all" or (respaced == "one" and i == draw(st.integers(0, nrows - 1))):
+            gaps = draw(st.lists(st.sampled_from(SEPARATORS[6:]), min_size=ncols, max_size=ncols))
+            lines[i] = "".join(g + s for g, s in zip(["", *gaps], lines[i].split()))
+    if lines and ncols and draw(st.booleans()):
+        i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, ncols - 1))
+        syms = lines[i].split()
+        syms[j] = draw(st.sampled_from(["2", "x", "ww", "W", "w", "é", "1"]))
+        lines[i] = " ".join(syms)
+    # A body with no symbol per line has no nonblank line to read.
+    return q, lines if ncols else ["0"] * min(nrows, 1), ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(symbol_bodies())
+@example((2, [], 0))
+@example((4, [], 3))
+@example((2, ["0"], 0))
+@example((2, ["1 0 1", "0 w 1"], 3))  # a bad symbol on a later line of a canonical body
+@example((4, ["1 w W", "W w 0 1"], 3))  # a canonical width, then one line too long
+@example((4, ["1 w", "W 0", "0\tW"], 2))  # the last line re-spaced
+def test_a_body_is_read_as_the_split_reader_reads_it(case):
+    q, lines, ncols = case
+    expected = _rows_or_error(scalar_layout.split_symbol_rows, q, lines, ncols)
+    assert _rows_or_error(read_symbol_rows, q, lines, ncols) == expected
+    body = "\n".join(lines)
+    if not isinstance(expected, str) and body.splitlines() == lines:  # no \x0c line breaks
+        text = f"field={q} rows={len(lines)} cols={ncols}\n{body}\n"
+        assert FieldMatrix.from_text(text)[0].rows == tuple(expected)
