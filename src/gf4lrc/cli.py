@@ -41,7 +41,7 @@ _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 _NOT_DIGITS = bytes(range(10, 256))
 #: The item types of a list of rows that ``_rows_text`` writes.
 _ROW_TYPES = {list, tuple, type(None)}
-#: Stands for "no item yet" when a list's items are compared by identity.
+#: Stands for "no row yet" when ``_rows_text`` compares rows by identity.
 _NO_ITEM = object()
 
 
@@ -54,9 +54,9 @@ def _json_text(obj, indent: str = "\n") -> str:
     one step (``_int_joiner``), not item by item as the pure-Python encoder
     that an indent selects does.  A list of such rows and None, such as a
     report's ``covering`` and ``groups``, is written in one pass over all
-    its rows' items (``_rows_text``).  In any list, an item that is the
-    same object as the one before it, as each group's row is at its three
-    positions of ``covering``, is written once and its text reused."""
+    its rows' items (``_rows_text``); a row that is the same object as the
+    one before it, as each group's row is at its three positions of
+    ``covering``, is written once and its text reused."""
     out: list[str] = []
     _write_json(obj, indent, out)
     return "".join(out)
@@ -90,13 +90,11 @@ def _write_json(obj, indent: str, out: list) -> None:
         elif kinds <= _ROW_TYPES and (texts := _rows_text(obj, inner)) is not None:
             out.append(sep.join(texts))
         else:
-            texts = []
-            last = text = _NO_ITEM
+            lead = ""
             for x in obj:
-                if x is not last:
-                    last, text = x, _json_text(x, inner)
-                texts.append(text)
-            out.append(sep.join(texts))
+                out.append(lead)
+                lead = sep
+                _write_json(x, inner, out)
         out.append(indent + "]")
     else:
         out.append(_json_scalar(obj))

@@ -16,8 +16,9 @@ and a concatenation keeps its outer code's column certificate, lifted.  A
 loaded LRC holds H as read and checks it by rows: its groups in bulk as a
 partition, top row i against group i's indicator, and its lower rows
 against the mask of each group's first position.  It assembles H's columns
-from the lower block's u rows, as a concatenation assembles them; a column
-scan runs only to name the position at fault.  Once its groups check, the
+from the lower block's u rows by ``_lrc_columns``, as a concatenation
+assembles them from its outer columns; a column scan runs only to name the
+position at fault.  Once its groups check, the
 group parities are independent of the rest, so only the u lower rows are
 ranked.
 """
@@ -130,8 +131,7 @@ class BinaryLrc:
     def _take_rows(self, h: FieldMatrix) -> None:
         """The column checks of ``_check_columns`` on H's rows: top row i is
         group i's indicator, and no lower row meets a group's first position.
-        Then H's columns are assembled as ``concatenate`` assembles them, each
-        group's top bit over its lower-block column, from the u lower rows."""
+        Then H's columns are assembled (``_lrc_columns``) from the u lower rows."""
         ell, groups = self.ell, self.groups
         lower = h.rows[ell:]
         indicators = tuple(1 << a | 1 << b | 1 << c for a, b, c in groups)
@@ -140,12 +140,7 @@ class BinaryLrc:
             self._check_columns()
             raise AssertionError("the row checks fail where the column scan passes")
         columns = FieldMatrix(2, self.u, self.n, lower).transpose().rows
-        cols = [col << ell for col in columns]
-        for i, g in enumerate(groups):
-            for pos in g:
-                cols[pos] |= 1 << i
-        self.code.bit_columns = cols
-        self.e_vectors = tuple((columns[b], columns[c]) for _, b, c in groups)
+        self.code.bit_columns, self.e_vectors = _lrc_columns(groups, columns, ell)
 
     def cheapest_weights(self, budget: int = DEFAULT_ENUM_BUDGET) -> WeightDistribution:
         """Exact weights from P by ``side_weights`` over the lower block, and
@@ -245,6 +240,17 @@ class BinaryLrc:
         return lrc
 
 
+def _lrc_columns(groups, lower: Sequence[int], ell: int) -> tuple[list[int], tuple]:
+    """H's columns and the groups' (e1, e2) pairs, from ``lower[j]``, the
+    lower-block column at coordinate j: each column is its group's top bit
+    over its lower column."""
+    cols = [col << ell for col in lower]
+    for i, g in enumerate(groups):
+        for pos in g:
+            cols[pos] |= 1 << i
+    return cols, tuple((lower[b], lower[c]) for _, b, c in groups)
+
+
 def concatenate(outer: LinearCode) -> BinaryLrc:
     """Concatenate a GF(4) outer code with the [3,2,2] inner code.
 
@@ -267,17 +273,16 @@ def concatenate(outer: LinearCode) -> BinaryLrc:
     if rows_rank(4, outer.parity_check.rows, ell) != ell - outer.k:
         raise RankDeficient("parity-check rows are linearly dependent")
     pairs = outer.bit_columns
-    cols = []
-    for i, (e1, e2) in enumerate(zip(pairs[::2], pairs[1::2])):
-        top = 1 << i
-        cols += [top, top | e1 << ell, top | e2 << ell]
+    lower = []
+    for e1, e2 in zip(pairs[::2], pairs[1::2]):
+        lower += [0, e1, e2]
+    groups = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(ell)]
     # The code holds H's columns; H's rows are derived when first read.
     code = LinearCode.__new__(LinearCode)
     code._hold(2, 3 * ell, 2 * outer.k)
-    code.bit_columns = cols
+    code.bit_columns, _ = _lrc_columns(groups, lower, ell)
     cached = outer.cached_distance
     d = 2 * cached.d if cached is not None else None
-    groups = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(ell)]
     lrc = BinaryLrc(code, groups, d=d)
     if cached is not None and cached.method == METHOD_COLUMN:
         word = lrc.lift(cached.witness)

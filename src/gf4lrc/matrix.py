@@ -29,8 +29,8 @@ followed by r lines of c whitespace-separated symbols from the alphabet
 which also reads the points of a cap file.  A canonical body, every line
 as ``to_text`` writes it with single spaces, is read in one pass: one
 comparison of its odd characters, one ``bytes.translate`` alphabet check,
-and one ``int`` of all its symbols, cut into rows by shifts.  Any other
-body is read line by line, which also names the first fault.
+and one ``int`` per row of its slice of the digits.  Any other body is
+split line by line, which also names the first fault.
 """
 
 from __future__ import annotations
@@ -174,10 +174,10 @@ def read_symbol_rows(q: int, lines: Sequence[str], ncols: int) -> list[int]:
     A body whose every line is as ``row_text`` writes it, symbols at the
     even indices and one space between each two, is read in one pass:
     joined by single spaces, its odd characters are compared once, its
-    symbols are checked against the alphabet by one ``bytes.translate``,
-    and the rows are the base-q numeral of all its symbols, parsed by one
-    ``int`` and cut apart by shifts.  Any other body, and a canonical one
-    holding a foreign symbol, is read line by line (``_read_lines``),
+    symbols are checked against the alphabet by one ``bytes.translate``
+    and turned into base-q digits by another, and each row is one ``int``
+    of its slice of the reversed digits.  Any other body, and a canonical one
+    holding a foreign symbol, is split line by line (``_read_lines``),
     which names the first fault.
     """
     width = 2 * ncols - 1
@@ -187,37 +187,29 @@ def read_symbol_rows(q: int, lines: Sequence[str], ncols: int) -> list[int]:
         if body[1::2] == " " * (len(symbols) - 1) and symbols.isascii():
             digits = symbols.encode()
             if not digits.translate(None, _ALPHABETS[q]):
-                # Symbol j of row i is the digit of weight q^(i*ncols + j).
-                numeral = int(digits.translate(_SYMBOL_BYTE_DIGITS)[::-1], q)
-                bits = ncols * (q // 2)
-                mask = (1 << bits) - 1
-                rows = []
-                for _ in lines:
-                    rows.append(numeral & mask)
-                    numeral >>= bits
-                return rows
+                # The symbols are base-q digits, symbol j the one of weight q^j:
+                # reversed, the body is the rows' numerals, last row first.
+                numerals = digits.translate(_SYMBOL_BYTE_DIGITS)[::-1]
+                ends = range(len(numerals), 0, -ncols)
+                return [int(numerals[end - ncols : end], q) for end in ends]
     return _read_lines(q, lines, ncols)
 
 
 def _read_lines(q: int, lines: Sequence[str], ncols: int) -> list[int]:
-    """``read_symbol_rows`` one line at a time: a line as ``row_text`` writes
-    it is read by one slice, and any other spacing is split."""
+    """``read_symbol_rows`` one line at a time, each line split."""
     rows = []
     alphabet = set(gf4.SYMBOLS[:q])
-    width, gaps = 2 * ncols - 1, " " * (ncols - 1)
     for ln in lines:
-        joined = ln[::2]
-        if len(ln) != width or ln[1::2] != gaps or not alphabet.issuperset(joined):
-            syms = ln.split()
-            if len(syms) != ncols:
-                raise ParseError(f"expected {ncols} symbols, found {len(syms)}")
-            joined = "".join(syms)
-            if len(joined) != ncols or not alphabet.issuperset(joined):
-                try:  # some symbol is not in the alphabet: name the first
-                    for sym in syms:
-                        gf4.symbol_to_value(sym, q)
-                except ValueError as exc:
-                    raise ParseError(str(exc)) from exc
+        syms = ln.split()
+        if len(syms) != ncols:
+            raise ParseError(f"expected {ncols} symbols, found {len(syms)}")
+        joined = "".join(syms)
+        if len(joined) != ncols or not alphabet.issuperset(joined):
+            try:  # some symbol is not in the alphabet: name the first
+                for sym in syms:
+                    gf4.symbol_to_value(sym, q)
+            except ValueError as exc:
+                raise ParseError(str(exc)) from exc
         # The symbols are base-q digits, symbol j the one of weight q^j.
         rows.append(int(joined.translate(_DIGITS)[::-1], q))
     return rows

@@ -196,14 +196,6 @@ MUTANTS = (
         "a loaded LRC ranks one lower row too few, so every LRC file is refused as dependent",
     ),
     Mutant(
-        "canonical-line-width",
-        "src/gf4lrc/matrix.py",
-        "    width, gaps = 2 * ncols - 1,",
-        "    width, gaps = 2 * ncols - 2,",
-        ("tests/test_layout.py::test_symbol_rows_read_as_the_split_reader_reads_them",),
-        "a line one symbol short with a trailing space is read by the slice, as a short row",
-    ),
-    Mutant(
         "xor-reduce-provenance",
         "src/gf4lrc/matrix.py",
         "            mask ^= pmask",
@@ -233,13 +225,13 @@ MUTANTS = (
     Mutant(
         "body-reader-row-order",
         "src/gf4lrc/matrix.py",
-        "                    rows.append(numeral & mask)",
-        "                    rows.insert(0, numeral & mask)",
+        "for end in ends]",
+        "for end in reversed(ends)]",
         (
             "tests/test_layout.py::test_a_body_is_read_as_the_split_reader_reads_it",
             "tests/test_concat.py::test_lrc_json_round_trip",
         ),
-        "a canonical body's rows are cut from the numeral last row first",
+        "a canonical body's rows are cut from its digits last row first",
     ),
     Mutant(
         "body-reader-alphabet",

@@ -93,8 +93,8 @@ def test_a_row_wider_than_ncols_or_negative_is_refused_when_built(q):
         FieldMatrix(q, 1, 0, [1])
 
 
-#: Mostly the single space that ``to_text`` writes, so that many lines take
-#: the one-slice read.
+#: Mostly the single space that ``to_text`` writes, so that many bodies take
+#: the one-pass read.
 SEPARATORS = [" "] * 6 + ["  ", "\t", " \t", "\x0c", "\u00a0"]
 
 
