@@ -33,7 +33,6 @@ from .concat import (
     BinaryLrc,
     certify_distance,
     concatenate,
-    group_subspaces,
     locality_check,
     lrc_weights_from_outer,
 )

@@ -290,12 +290,11 @@ def _cmd_analyze(args) -> int:
     if is_lrc and args.r not in (None, 2):
         raise Gf4LrcError(f"an LRC input has locality 2, got --r {args.r}")
     r = 2 if is_lrc else args.r
-    code = loaded.code if is_lrc else loaded
     if args.bounds and r is None:
         raise Gf4LrcError("--bounds on a plain code needs --r")
-    if args.bounds and code.q != 2:
+    if args.bounds and loaded.q != 2:
         raise Gf4LrcError("bounds apply to binary codes only")
-    report: dict = {"n": code.n, "k": code.k, "q": code.q, "is_lrc": is_lrc}
+    report: dict = {"n": loaded.n, "k": loaded.k, "q": loaded.q, "is_lrc": is_lrc}
     exit_code = 0
     run_all = not (args.distance or args.weights or args.locality or args.bounds)
     d = None  # only a distance certified here feeds the bounds
@@ -314,7 +313,7 @@ def _cmd_analyze(args) -> int:
             if is_lrc:
                 cert = loaded.min_distance(args.max_enum, args.max_subsets)
             else:
-                cert = code.min_distance(budget=args.max_enum)
+                cert = loaded.min_distance(budget=args.max_enum)
             d = exact_d = cert.d
             report["distance"] = {
                 "d": cert.d,
@@ -342,13 +341,13 @@ def _cmd_analyze(args) -> int:
         except BudgetExceeded as exc:
             report["locality"] = {"error": str(exc)}
             exit_code = 3
-    if args.bounds or (run_all and code.q == 2 and r is not None):
+    if args.bounds or (run_all and loaded.q == 2 and r is not None):
         if d is None:
             report["bounds"] = {"error": "distance unavailable within budget"}
             exit_code = max(exit_code, 3)
         else:
             kopt = bounds.kopt_from_table(args.kopt_table) if args.kopt_table else None
-            report["bounds"] = bounds.classify(code.n, code.k, d, r, kopt).to_json()
+            report["bounds"] = bounds.classify(loaded.n, loaded.k, d, r, kopt).to_json()
     families.check_claim(args.path, claimed, exact_d)
     _emit(args, report)
     return exit_code

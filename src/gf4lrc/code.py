@@ -6,7 +6,7 @@ derives G as H's nullspace only when G is first read, checking there that
 G is orthogonal to H; ``from_generator`` derives H at once, since every
 caller needs it.  A builder that knows both matrices (``cyclic4``) holds
 both, and the constructor checks that they are orthogonal.  A dual holds
-its code's two matrices swapped.  A concatenation holds only H's columns,
+its code's two matrices swapped.  An LRC's code holds only H's columns,
 ``bit_columns``, and derives H's rows from them when they are first read.
 The binary view is derived the same way: ``bit_rows``, ``check_rows`` and
 ``bit_columns`` are the pair expansions (r, w*r over GF(4), r over GF(2))
@@ -144,14 +144,7 @@ class LinearCode:
         n = parity_check.ncols
         if rows_rank(parity_check.q, parity_check.rows, n) != parity_check.nrows:
             raise RankDeficient("parity-check rows are linearly dependent")
-        return cls._holding(parity_check)
-
-    @classmethod
-    def _holding(cls, parity_check: FieldMatrix) -> "LinearCode":
-        """A code holding H, whose full rank the caller proves: ``from_parity``
-        by one elimination, an LRC's loader by its lower block's."""
         code = cls.__new__(cls)
-        n = parity_check.ncols
         code._hold(parity_check.q, n, n - parity_check.nrows)
         code.parity_check = parity_check
         return code

@@ -2,33 +2,31 @@
 
 A GF(4) symbol a with basis coordinates (x0, x1) encodes to the inner
 codeword (x0+x1, x0, x1), so every nonzero symbol occupies exactly two of
-its group's three binary coordinates.  The assembled parity check has the
-disjoint-repair-group block form: one all-ones row per group on top, and
-below it each group contributes the columns (0, e1, e2) where e1, e2 are
-the GF(2) expansions of the outer parity-check column h and of w*h.  A
-packed GF(4) vector is its own GF(2) expansion (bit 2j is the coordinate
-on 1 and bit 2j+1 the coordinate on w of symbol j), so (e1, e2) is the
-pair the outer code's ``bit_columns`` holds for h, as plain ints.  The
-concatenation holds these columns as its code's ``bit_columns`` and checks
-H's rank as the outer H's; H's rows are derived only when first read.
-An LRC's distance takes a plain code's route (see ``code``) over its pair code,
-and a concatenation keeps its outer code's column certificate, lifted.  A
-loaded LRC holds H as read and checks it by rows: its groups in bulk as a
-partition, top row i against group i's indicator, and its lower rows
-against the mask of each group's first position.  It assembles H's columns
-from the lower block's u rows by ``_lrc_columns``, as a concatenation
-assembles them from its outer columns; a column scan runs only to name the
-position at fault.  Once its groups check, the
-group parities are independent of the rest, so only the u lower rows are
-ranked.
+its group's three binary coordinates.  An LRC is fixed by its groups and
+by the dual of its pair code P: the u rows below the group parities of its
+parity check H, each group's 2nd and 3rd bits gathered into bits 2i and
+2i+1.  ``BinaryLrc`` holds those two things and derives the rest on first
+read: the groups' pairs (e1, e2) (``e_vectors``) are the columns of the
+gathered rows, and H's columns are each group's top bit over (0, e1, e2).
+A packed GF(4) vector is its own GF(2) expansion (bit 2j is the coordinate
+on 1 and bit 2j+1 the coordinate on w of symbol j), so a concatenation's
+gathered rows are its outer code's ``check_rows``: (h, w*h) for each row h
+of the outer H, whose rank is the LRC's, and its pairs are the outer
+``bit_columns`` pairs.  A loaded LRC checks H by rows:
+its groups in bulk as a partition, top row i against group i's indicator,
+and its lower rows against the mask of each group's first position.  Once
+its groups check, the group parities are independent of the rest, so only
+the u gathered rows are ranked.  An LRC's distance takes a plain code's
+route (see ``code``) over P, and a concatenation keeps its outer code's
+column certificate, lifted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain, repeat
-from operator import or_
+from operator import or_, xor
 from typing import Optional, Sequence
 
 from .code import (
@@ -55,8 +53,8 @@ from .matrix import (
     FieldMatrix,
     binary_expansion,
     pack_row,
+    row_digits,
     rows_rank,
-    unpack_row,
     xor_combine,
     xor_insert,
     xor_reduce,
@@ -69,86 +67,105 @@ DEFAULT_SUBSET_BUDGET = 10_000_000
 class BinaryLrc:
     """A binary code with disjoint 3-coordinate repair groups (locality 2).
 
-    It is fixed by its parity check and its groups: the top ``ell`` rows
-    are the group parities, and in the ``u`` rows below, group i's columns
-    are (0, e1, e2).  ``e_vectors[i]`` is that pair, packed.  A codeword
-    is 0 or (a+b, a, b) on group i, (a, b) its bits at the 2nd and 3rd
-    listed positions, so it weighs twice its pair word's symbol weight.
-    The pair words form the pair code P: sum_i a_i e1_i + b_i e2_i = 0.
-    The lower block's u rows (group i at bits 2i, 2i+1) span P's dual.
+    It holds its groups and ``dual_rows``: the u rows below the group
+    parities of its parity check H, group i's 2nd and 3rd listed positions
+    gathered into bits 2i and 2i+1.  A codeword is 0 or (a+b, a, b) on
+    group i, (a, b) its bits at those positions, so it weighs twice its
+    pair word's symbol weight.  The pair words form the pair code P, whose
+    dual ``dual_rows`` span.  ``e_vectors`` and ``code`` are derived from
+    them on first read.
     """
+
+    q = 2
 
     def __init__(
         self, code: LinearCode, groups: Sequence[tuple[int, int, int]], d: Optional[int] = None
     ):
-        self._hold(code, groups, d)
-        self._check_groups()
-        self._check_columns()
-        lower = [col >> self.ell for col in code.bit_columns]
-        self.e_vectors = tuple((lower[b], lower[c]) for _, b, c in self.groups)
+        self._hold(code.n, code.k, groups, d)
+        self._read(code.parity_check)
+        self.code = code
 
-    def _hold(self, code: LinearCode, groups, d: Optional[int]) -> None:
-        if code.q != 2:
-            raise FieldMismatch("BinaryLrc requires a GF(2) code")
-        self.code, self.n, self.k = code, code.n, code.k
+    def _hold(self, n: int, k: int, groups, d: Optional[int]) -> None:
+        self.n, self.k = n, k
         self.ell = len(groups)
-        self.u = code.n - code.k - self.ell
+        self.u = n - k - self.ell
         self.groups = tuple(map(tuple, groups))
         self.d = d
         self._weights: Optional[WeightDistribution] = None
         self._walk: Optional[tuple] = None  # the weights' walk of P itself: rows, first steps
         self._distance: Optional[DistanceCertificate] = None  # carried from an outer code
 
-    def _check_groups(self) -> None:
-        """The groups partition the coordinates, checked in bulk: every
-        coordinate in range first, so that no check builds a mask of a
-        coordinate beyond n, then no coordinate twice."""
-        if not self.groups:
+    def _read(self, h: FieldMatrix) -> None:
+        """Check the groups and H, and hold H's lower rows, gathered, as
+        ``dual_rows``.  The groups must partition the coordinates, checked
+        in bulk: every coordinate in range first, so that no check builds a
+        mask of a coordinate beyond n, then no coordinate twice.  Top row i
+        must be group i's indicator, and no lower row may meet a group's
+        first position: a fault is named at the first group, in group
+        order, that holds a bit of either mask."""
+        rows, ell, n, groups = h.rows, self.ell, self.n, self.groups
+        if h.q != 2:
+            raise FieldMismatch("BinaryLrc requires a GF(2) code")
+        if not groups:
             raise ValueError("at least one repair group is required")
-        if self.code.n != 3 * self.ell:
+        if n != 3 * ell:
             raise ValueError("length must be 3 * group count")
         if self.u < 0:
             raise ValueError("negative auxiliary row count")
-        if set(map(len, self.groups)) != {3}:
+        if set(map(len, groups)) != {3}:
             raise ValueError("groups must have exactly 3 coordinates")
-        flat = list(chain.from_iterable(self.groups))
-        if min(flat) < 0 or max(flat) >= self.n or len(set(flat)) != self.n:
+        flat = list(chain.from_iterable(groups))
+        if min(flat) < 0 or max(flat) >= n or len(set(flat)) != n:
             raise ValueError("groups must partition the coordinates")
+        lower = rows[ell:]
+        indicators = [1 << a | 1 << b | 1 << c for a, b, c in groups]
+        bad_top = reduce(or_, map(xor, rows[:ell], indicators), 0)
+        bad_first = reduce(or_, lower, 0) & sum(1 << g[0] for g in groups)
+        if bad_top | bad_first:
+            for i, g in enumerate(groups):
+                for pos in g:
+                    if bad_top >> pos & 1:
+                        raise ValueError(
+                            f"top rows at coordinate {pos} are not the group-{i} parity"
+                        )
+                if bad_first >> g[0] & 1:
+                    raise ValueError(f"lower block under group {i} position 0 not zero")
+        # Lower row t's digits are text[t*n : (t+1)*n], so the gathered
+        # rows' digit j, the listed position p, is the strided slice text[p::n].
+        text = "".join([row_digits(2, row, n) for row in lower]).encode()
+        width = 2 * ell
+        gathered = bytearray(len(lower) * width)
+        for j, pos in enumerate([p for _, b, c in groups for p in (b, c)]):
+            gathered[j::width] = text[pos::n]
+        numerals = gathered[::-1]  # the rows' base-2 numerals, last row first
+        ends = range(len(numerals), 0, -width)
+        self.dual_rows = tuple(int(numerals[end - width : end], 2) for end in ends)
 
-    def _check_columns(self) -> None:
-        """Group by group, each position's top rows are the group's parity and
-        the lower block under its first position is 0, read from H's columns:
-        the scan that names the first position at fault."""
-        cols = self.code.bit_columns
-        top = (1 << self.ell) - 1
-        for i, g in enumerate(self.groups):
-            for pos in g:
-                if cols[pos] & top != 1 << i:
-                    raise ValueError(f"top rows at coordinate {pos} are not the group-{i} parity")
-            if cols[g[0]] >> self.ell:
-                raise ValueError(f"lower block under group {i} position 0 not zero")
+    @cached_property
+    def e_vectors(self) -> tuple[tuple[int, int], ...]:
+        """Group i's pair (e1, e2): columns 2i and 2i+1 of ``dual_rows``."""
+        cols = FieldMatrix(2, self.u, 2 * self.ell, self.dual_rows).transpose().rows
+        return tuple(zip(cols[::2], cols[1::2]))
 
-    def _take_rows(self, h: FieldMatrix) -> None:
-        """The column checks of ``_check_columns`` on H's rows: top row i is
-        group i's indicator, and no lower row meets a group's first position.
-        Then H's columns are assembled (``_lrc_columns``) from the u lower rows."""
-        ell, groups = self.ell, self.groups
-        lower = h.rows[ell:]
-        indicators = tuple(1 << a | 1 << b | 1 << c for a, b, c in groups)
-        firsts = sum(1 << g[0] for g in groups)
-        if h.rows[:ell] != indicators or reduce(or_, lower, 0) & firsts:
-            self._check_columns()
-            raise AssertionError("the row checks fail where the column scan passes")
-        columns = FieldMatrix(2, self.u, self.n, lower).transpose().rows
-        self.code.bit_columns, self.e_vectors = _lrc_columns(groups, columns, ell)
+    @cached_property
+    def code(self) -> LinearCode:
+        """The LRC as a binary code holding H's columns, each its group's top
+        bit over its lower column: 0 at the group's first position, e1 and e2
+        at the others.  H's rows are derived when first read."""
+        cols = [0] * self.n
+        for i, ((a, b, c), (e1, e2)) in enumerate(zip(self.groups, self.e_vectors)):
+            cols[a], cols[b], cols[c] = 1 << i, e1 << self.ell | 1 << i, e2 << self.ell | 1 << i
+        code = LinearCode.__new__(LinearCode)
+        code._hold(2, self.n, self.k)
+        code.bit_columns = cols
+        return code
 
     def cheapest_weights(self, budget: int = DEFAULT_ENUM_BUDGET) -> WeightDistribution:
-        """Exact weights from P by ``side_weights`` over the lower block, and
+        """Exact weights from P by ``side_weights`` over ``dual_rows``, and
         its walk of P itself: A'_{2j} = A_j, P's words of symbol weight j; a
         cached result is read whatever the budget."""
         if self._weights is None:
-            dual = FieldMatrix(2, 2 * self.ell, self.u, sum(self.e_vectors, ())).transpose()
-            counts, self._walk = side_weights(dual.rows, self.ell, 2, self.k, budget)
+            counts, self._walk = side_weights(self.dual_rows, self.ell, 2, self.k, budget)
             self._weights = _lifted(counts, self.k)
         return self._weights
 
@@ -220,16 +237,15 @@ class BinaryLrc:
         h, _ = FieldMatrix.from_text(obj["H"])
         lrc = cls.__new__(cls)
         try:
-            lrc._hold(LinearCode._holding(h), groups, obj.get("d"))
-            lrc._check_groups()
-            lrc._take_rows(h)
+            lrc._hold(h.ncols, h.ncols - h.nrows, groups, obj.get("d"))
+            lrc._read(h)
         except ValueError as exc:
             LinearCode.from_parity(h)  # a dependent H is named first, whatever else is wrong
             raise ParseError(f"not a locality-2 LRC: {exc}") from exc
         # The group checks make column g[0] of group i the unit vector of top
         # row i, so a dependency among H's rows holds no top row: H has full
-        # rank exactly when the lower block's u rows do.
-        if rows_rank(2, h.rows[lrc.ell :], lrc.n) != lrc.u:
+        # rank exactly when its u lower rows do, and so their gathered bits.
+        if rows_rank(2, lrc.dual_rows, 2 * lrc.ell) != lrc.u:
             raise RankDeficient("parity-check rows are linearly dependent")
         if obj.get("n") != lrc.n or obj.get("k") != lrc.k:
             raise ParseError("stored n/k disagree with the parity-check matrix")
@@ -240,28 +256,19 @@ class BinaryLrc:
         return lrc
 
 
-def _lrc_columns(groups, lower: Sequence[int], ell: int) -> tuple[list[int], tuple]:
-    """H's columns and the groups' (e1, e2) pairs, from ``lower[j]``, the
-    lower-block column at coordinate j: each column is its group's top bit
-    over its lower column."""
-    cols = [col << ell for col in lower]
-    for i, g in enumerate(groups):
-        for pos in g:
-            cols[pos] |= 1 << i
-    return cols, tuple((lower[b], lower[c]) for _, b, c in groups)
-
-
 def concatenate(outer: LinearCode) -> BinaryLrc:
     """Concatenate a GF(4) outer code with the [3,2,2] inner code.
 
     Produces the [3*n1, 2*k1, 2*d1; r=2] code whose codewords are the
     symbolwise inner encodings of outer codewords, so its pair code is the
-    outer code and its weights walk the outer code's smaller side.  The
-    distance field is filled from the outer code's cached distance
-    certificate when present; the outer code's cached weights (lifted) and walk are P's.
-    A column certificate is the LRC's too, lifted: the group search runs over
-    the same blocks (``e_vectors`` are the outer ``bit_columns`` pairs) from
-    the same start d1, so it would find the same set.
+    outer code: its ``dual_rows`` are the outer ``check_rows``, its
+    ``e_vectors`` the outer ``bit_columns`` pairs, and its weights walk the
+    outer code's smaller side.  The distance field is
+    filled from the outer code's cached distance certificate when present;
+    the outer code's cached weights (lifted) and walk are P's.  A column
+    certificate is the LRC's too, lifted: the group search runs over the
+    same blocks (``e_vectors`` are the outer ``bit_columns`` pairs) from the
+    same start d1, so it would find the same set.
     """
     if outer.q != 4:
         raise FieldMismatch("outer code must be over GF(4)")
@@ -272,23 +279,18 @@ def concatenate(outer: LinearCode) -> BinaryLrc:
     ell = outer.n
     if rows_rank(4, outer.parity_check.rows, ell) != ell - outer.k:
         raise RankDeficient("parity-check rows are linearly dependent")
-    pairs = outer.bit_columns
-    lower = []
-    for e1, e2 in zip(pairs[::2], pairs[1::2]):
-        lower += [0, e1, e2]
-    groups = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(ell)]
-    # The code holds H's columns; H's rows are derived when first read.
-    code = LinearCode.__new__(LinearCode)
-    code._hold(2, 3 * ell, 2 * outer.k)
-    code.bit_columns, _ = _lrc_columns(groups, lower, ell)
     cached = outer.cached_distance
-    d = 2 * cached.d if cached is not None else None
-    lrc = BinaryLrc(code, groups, d=d)
+    lrc = BinaryLrc.__new__(BinaryLrc)
+    groups = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(ell)]
+    lrc._hold(3 * ell, 2 * outer.k, groups, 2 * cached.d if cached is not None else None)
+    lrc.dual_rows = tuple(outer.check_rows)
+    pairs = outer.bit_columns  # already read where the outer G was checked against H
+    lrc.e_vectors = tuple(zip(pairs[::2], pairs[1::2]))
     if cached is not None and cached.method == METHOD_COLUMN:
         word = lrc.lift(cached.witness)
-        if not code.contains(word):
+        if not lrc.code.contains(word):
             raise AssertionError("carried witness is not a codeword")
-        lrc._distance = DistanceCertificate(d, word, METHOD_GROUP_RANK)
+        lrc._distance = DistanceCertificate(lrc.d, word, METHOD_GROUP_RANK)
     if outer._cheapest is not None:  # P is the outer code, walked in the same steps
         lrc._weights = lrc_weights_from_outer(outer._cheapest)
         if outer._pass is not None:
@@ -303,11 +305,6 @@ def group_bases(lrc: BinaryLrc) -> list[list[int]]:
         kernel: list = []
         bases.append([v for v in pair if xor_insert(kernel, v)[0]])
     return bases
-
-
-def group_subspaces(lrc: BinaryLrc) -> list[list[tuple[int, ...]]]:
-    """``group_bases``, each vector unpacked to its u bits."""
-    return [[unpack_row(2, v, lrc.u) for v in basis] for basis in group_bases(lrc)]
 
 
 def certify_distance(

@@ -55,7 +55,13 @@ def _with_body(obj: dict, header: str, lines: list[str]) -> dict:
 
 
 def _spaced(sep: str):
-    return lambda obj: _with_body(obj, _body(obj)[0], [sep.join(r) for r in _body(obj)[1]])
+    """Every line's symbols joined by ``sep``."""
+
+    def variant(obj: dict) -> dict:
+        header, rows = _body(obj)
+        return _with_body(obj, header, [sep.join(r) for r in rows])
+
+    return variant
 
 
 def _alternating(obj: dict) -> dict:

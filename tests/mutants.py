@@ -95,7 +95,8 @@ MUTANTS = (
         "    if rows_rank(2, outer.parity_check.rows, ell) != ell - outer.k:",
         (
             "tests/test_concat.py::test_an_outer_code_with_a_dependent_parity_check_is_refused",
-            "tests/test_concat.py::test_a_concatenation_holds_its_columns_and_ranks_only_the_outer_h",
+            "tests/test_concat.py::"
+            "test_a_concatenation_holds_the_outer_check_rows_and_ranks_only_the_outer_h",
         ),
         "the outer H is ranked as binary rows, so rows that differ by a scalar w pass",
     ),
@@ -187,8 +188,8 @@ MUTANTS = (
     Mutant(
         "lrc-lower-rank-slice",
         "src/gf4lrc/concat.py",
-        "h.rows[lrc.ell :]",
-        "h.rows[lrc.ell + 1 :]",
+        "rows_rank(2, lrc.dual_rows, 2 * lrc.ell)",
+        "rows_rank(2, lrc.dual_rows[1:], 2 * lrc.ell)",
         (
             "tests/test_concat.py::test_loading_runs_one_rank_elimination_and_no_nullspace",
             "tests/test_concat.py::test_lrc_json_round_trip",
@@ -247,14 +248,40 @@ MUTANTS = (
     Mutant(
         "loader-top-block",
         "src/gf4lrc/concat.py",
-        "        if h.rows[:ell] != indicators or",
-        "        if h.rows[1:ell] != indicators[1:] or",
+        "map(xor, rows[:ell], indicators)",
+        "map(xor, rows[1:ell], indicators[1:])",
         (
             "tests/test_concat.py::"
             "test_a_loaded_lrcs_refusals_name_the_fault_as_the_column_scan_did",
             "tests/test_concat.py::test_lrc_json_top_row_with_a_one_outside_its_group",
         ),
         "a loaded LRC compares its top block from row 1, so a 1 outside group 0 in row 0 loads",
+    ),
+    Mutant(
+        "lrc-gather-pair-order",
+        "src/gf4lrc/concat.py",
+        "for p in (b, c)]",
+        "for p in (c, b)]",
+        (
+            "tests/test_concat.py::test_lrc_json_round_trip",
+            "tests/test_concat.py::test_a_loaded_lrc_holds_what_the_transpose_route_reads",
+        ),
+        "a loaded LRC gathers each group's 3rd position into bit 2i and its 2nd into 2i+1",
+    ),
+    Mutant(
+        "lrc-fault-first-position",
+        "src/gf4lrc/concat.py",
+        "& sum(1 << g[0] for g in groups)",
+        "& sum(1 << g[1] for g in groups)",
+        (
+            "tests/test_concat.py::"
+            "test_a_loaded_lrcs_refusals_name_the_fault_as_the_column_scan_did",
+            "tests/test_concat.py::test_lrc_json_lower_block_nonzero_under_position_0",
+            "tests/golden/test_golden.py::"
+            "test_every_corpus_run_gives_its_expected_output_byte_for_byte",
+        ),
+        "the first-position mask is built from each group's 2nd position, so a lower"
+        " row that meets a group's first position loads",
     ),
     Mutant(
         "side-weights-transform-field",

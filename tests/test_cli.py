@@ -1075,10 +1075,14 @@ def _row_lists(draw):
     return rows
 
 
+# Containers of at most 5 items keep nearly every tree within max_leaves, and
+# a dict built from (key, value) pairs keeps the last value of a repeated key:
+# neither throws a draw away, where unbounded lists outgrew max_leaves and
+# st.dictionaries redrew repeated keys, about half of all draws.
 _JSON_VALUES = st.recursive(
     _SCALARS | st.lists(st.integers()) | _DIGIT_ROWS | _DIGIT_ROWS.map(tuple) | _row_lists(),
-    lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
-    | st.dictionaries(_STRINGS, inner),
+    lambda inner: st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+    | st.lists(st.tuples(_STRINGS, inner), max_size=5).map(dict),
     max_leaves=40,
 )
 _ROW = [1, 0, 1]

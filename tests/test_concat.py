@@ -17,7 +17,7 @@ from gf4lrc.concat import (
     BinaryLrc,
     certify_distance,
     concatenate,
-    group_subspaces,
+    group_bases,
     locality_check,
     lrc_weights_from_outer,
 )
@@ -31,7 +31,7 @@ from gf4lrc.families import (
     mds_rs,
     solomon_stiffler,
 )
-from gf4lrc.matrix import FieldMatrix, pack_row
+from gf4lrc.matrix import FieldMatrix, pack_row, unpack_row
 from gf4lrc.projective import bundled_cap_pg3_17
 
 W, W2 = gf4.W, gf4.W2
@@ -116,9 +116,14 @@ def test_codewords_are_symbolwise_inner_encodings():
         assert lrc.code.contains(encode_outer_word(word))
 
 
+def _group_subspaces(lrc):
+    """``group_bases``, each vector unpacked to its u bits."""
+    return [[unpack_row(2, v, lrc.u) for v in basis] for basis in group_bases(lrc)]
+
+
 def test_group_subspaces_full_rank_for_hexacode():
     lrc = concatenate(hexacode())
-    assert [len(b) for b in group_subspaces(lrc)] == [2] * 6
+    assert [len(b) for b in _group_subspaces(lrc)] == [2] * 6
 
 
 def test_group_subspace_collapses_on_zero_parity_column():
@@ -127,14 +132,14 @@ def test_group_subspace_collapses_on_zero_parity_column():
     outer = LinearCode.from_generator(FieldMatrix.from_rows(4, [[1, 0]]))
     assert col_tuple(outer.parity_check, 0) == (0,)
     lrc = concatenate(outer)
-    dims = [len(b) for b in group_subspaces(lrc)]
+    dims = [len(b) for b in _group_subspaces(lrc)]
     assert dims[0] == 0 and dims[1] == 2
     assert certify_distance(lrc).d == 2
 
 
 def test_group_subspaces_match_published_first_group():
     lrc = concatenate(hamming4(2))
-    bases = group_subspaces(lrc)
+    bases = _group_subspaces(lrc)
     assert bases[0] == [(1, 0, 0, 0), (0, 1, 0, 0)]
 
 
@@ -271,7 +276,50 @@ def test_concatenate_matches_tuple_assembly(outer_corpus, family_outers):
         )
 
 
-def test_a_concatenation_holds_its_columns_and_ranks_only_the_outer_h(
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_a_concatenations_dual_rows_are_its_outer_check_rows(seed, data):
+    """Lower row t of the concatenation, group i's 2nd and 3rd bits at 2i
+    and 2i+1, is bit t of the reference pairs (e1, e2) of the outer H's
+    column i; those rows are the outer ``check_rows``, and the pairs are
+    their columns."""
+    n1 = data.draw(st.integers(1, 9), label="n1")
+    k1 = data.draw(st.integers(1, n1), label="k1")
+    outer = random_linear_code(random.Random(seed), 4, n1, k1)
+    lrc = concatenate(outer)
+    pairs = reference_concatenate(outer)[3]
+    rows = tuple(
+        sum(e1[t] << 2 * i | e2[t] << 2 * i + 1 for i, (e1, e2) in enumerate(pairs))
+        for t in range(lrc.u)
+    )
+    assert lrc.dual_rows == rows == tuple(outer.check_rows)
+    columns = [pack_row(2, e) for pair in pairs for e in pair]
+    assert lrc.e_vectors == tuple(zip(columns[::2], columns[1::2]))
+    packed = [v for pair in lrc.e_vectors for v in pair]
+    assert FieldMatrix(2, 2 * n1, lrc.u, packed).transpose().rows == lrc.dual_rows
+
+
+def test_a_loaded_lrc_weighs_its_dual_rows_and_builds_no_columns(monkeypatch):
+    """Loading gathers H's lower rows with no transpose, and the weights walk
+    them with none but the walk's own; neither they nor the structural
+    locality builds H's 3*ell columns."""
+    outer = cyclic4(43, [1, 0, W2, 1, 1, W, 0, 1])
+    obj = json.loads(json.dumps(concatenate(outer).to_json()))
+    calls = []
+    real_transpose = FieldMatrix.transpose
+    monkeypatch.setattr(
+        FieldMatrix, "transpose", lambda m: calls.append(m.nrows) or real_transpose(m)
+    )
+    lrc = BinaryLrc.from_json(obj)
+    assert calls == []
+    weights = lrc.cheapest_weights()
+    assert calls == [lrc.u]  # the walk's step rows, one column per bit
+    assert locality_check(lrc, 2).ok
+    assert "code" not in vars(lrc) and "e_vectors" not in vars(lrc)
+    assert weights == lrc_weights_from_outer(outer.cheapest_weights())
+
+
+def test_a_concatenation_holds_the_outer_check_rows_and_ranks_only_the_outer_h(
     monkeypatch, outer_corpus, family_outers
 ):
     calls = []
@@ -287,11 +335,13 @@ def test_a_concatenation_holds_its_columns_and_ranks_only_the_outer_h(
     monkeypatch.setattr(concat_module, "rows_rank", counted)
     monkeypatch.setattr(FieldMatrix, "transpose", lambda m: calls.append("T") or real_transpose(m))
     monkeypatch.setattr(LinearCode, "from_parity", classmethod(forbidden))
-    for outer in outer_corpus + family_outers:
-        outer.bit_columns  # the outer code's own columns, read before
+    for built in outer_corpus + family_outers:
+        outer = LinearCode(built.generator, built.parity_check)  # no certificate to carry
         calls.clear()
         lrc = concatenate(outer)
         assert calls == [(4, outer.n - outer.k, outer.n)]
+        assert lrc.dual_rows == tuple(outer.check_rows)
+        assert "code" not in vars(lrc)
         # H's rows, read later, are derived by one transpose.
         assert lrc.code.parity_check == reference_concatenate(outer)[0]
         assert calls[1:] == ["T"]
@@ -369,7 +419,7 @@ def test_a_family_lrc_searches_only_where_its_outer_code_enumerated(monkeypatch,
     monkeypatch.setattr(concat_module, "certify_distance", recorded)
     methods = set()
     for built in family_outers:
-        outer = LinearCode(built.generator, built.parity_check)  # nothing cached
+        outer = LinearCode(built.generator, built.parity_check)  # no certificate to carry
         methods.add(outer.min_distance().method)
         lrc = concatenate(outer)
         searched.clear()
@@ -412,7 +462,8 @@ def test_loading_makes_no_entry_calls(monkeypatch):
         calls.append(ncols)
         return real_unpack(q, row, ncols)
 
-    for module in (matrix_module, code_module, concat_module):
+    assert not hasattr(concat_module, "unpack_row")
+    for module in (matrix_module, code_module):
         monkeypatch.setattr(module, "unpack_row", counted)
     lrc = BinaryLrc.from_json(obj)
     again = LinearCode.from_parity(FieldMatrix.from_text(outer_text)[0])
@@ -424,8 +475,8 @@ def test_loading_makes_no_entry_calls(monkeypatch):
 
 def test_loading_runs_one_rank_elimination_and_no_nullspace(monkeypatch):
     # Once the groups check, H's rank is its lower block's: one elimination
-    # over the u = 14 rows below the 43 group parities.  G, H's nullspace,
-    # is derived when read.
+    # over the u = 14 rows below the 43 group parities, gathered to 86
+    # bits.  G, H's nullspace, is derived when read.
     obj = json.loads(json.dumps(concatenate(cyclic4(43, [1, 0, W2, 1, 1, W, 0, 1])).to_json()))
     calls = []
     real_rank, real_nullspace = matrix_module.rows_rank, FieldMatrix.nullspace
@@ -440,9 +491,9 @@ def test_loading_runs_one_rank_elimination_and_no_nullspace(monkeypatch):
     monkeypatch.setattr(FieldMatrix, "nullspace", lambda h: calls.append("G") or real_nullspace(h))
     lrc = BinaryLrc.from_json(obj)
     assert (lrc.n, lrc.k, lrc.u) == (129, 72, 14)
-    assert calls == [(2, 14, 129)]
+    assert calls == [(2, 14, 86)]
     assert lrc.code.generator.nrows == 72
-    assert calls == [(2, 14, 129), "G"]
+    assert calls == [(2, 14, 86), "G"]
 
 
 def test_lrc_json_top_row_with_a_one_outside_its_group():
@@ -481,10 +532,10 @@ def _moved(lrc, perm, order):
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.data())
 def test_a_loaded_lrc_holds_what_the_transpose_route_reads(seed, data):
-    """A loaded LRC checks its top block as rows and assembles H's columns
-    from its lower rows; they are the columns, pairs and rank verdict of
-    H's transpose, also with permuted positions and groups and with a lower
-    row replaced by a sum of the others."""
+    """A loaded LRC checks its top block as rows and gathers its lower rows;
+    they are the gathered rows, columns, pairs and rank verdict that H's
+    transpose gives, also with permuted positions and groups and with a
+    lower row replaced by a sum of the others."""
     n1 = data.draw(st.integers(1, 7), label="n1")
     k1 = data.draw(st.integers(1, n1), label="k1")
     lrc = concatenate(random_linear_code(random.Random(seed), 4, n1, k1))
@@ -510,9 +561,11 @@ def test_a_loaded_lrc_holds_what_the_transpose_route_reads(seed, data):
             BinaryLrc.from_json(obj)
         return
     loaded = BinaryLrc.from_json(obj)
-    assert loaded.code.bit_columns == reference.bit_columns
     lower = [col >> lrc.ell for col in reference.bit_columns]
+    pairs = [lower[p] for _, b, c in loaded.groups for p in (b, c)]
+    assert loaded.dual_rows == FieldMatrix(2, 2 * lrc.ell, lrc.u, pairs).transpose().rows
     assert loaded.e_vectors == tuple((lower[b], lower[c]) for _, b, c in loaded.groups)
+    assert loaded.code.bit_columns == reference.bit_columns
     assert loaded.cheapest_weights() == lrc.cheapest_weights()
 
 
