@@ -52,16 +52,30 @@ that a trial which encodes a real codeword draws first, by starting the
 state at seed + i + k*gamma, what k draws add to it.  So the erased sets,
 and every report, equal those of such a trial.
 
-``simulate`` takes a block of consecutive trials at a time, at most about
-``_BLOCK_LANES`` lanes, and lays each trial out in slots: slot 3i + j
-holds position groups[i][j], so group i fills slots 3i..3i+2 (for every
-``concatenate`` output ``order``, the positions listed group by group, is
-the identity).  The model's ``draw(rng, order, c)`` draws the erasures of
-all c trials of a block from one ``lanes`` call, trial i of the block
+``simulate`` takes a block of consecutive trials at a time and lays each
+trial out in slots: slot 3i + j holds position groups[i][j], so group i
+fills slots 3i..3i+2 (for every ``concatenate`` output ``order``, the
+positions listed group by group, is the identity).  A block is sized by
+the m lanes each of its trials draws, ``model.lanes_per_trial(n)``: t
+for ``RandomErasures``, n for ``PerSymbolErasures``, taken as 1 when it
+is 0.  It holds _BLOCK_LANES // m trials, but at most _BLOCK_FLAGS // n
+so that its flag bytes stay under _BLOCK_FLAGS, at least one and at most
+the run.  The model's ``draw(rng, order, c)`` draws the erasures of all
+c trials of a block from one ``rng.lanes`` call, trial i of the block
 taking stream i, its outputs after the skipped ones, and writes them
 straight into flag bytes: byte i*n + s is 1 exactly when trial i erases
 position order[s].  It returns them as an ``ErasureFlags``, whose ``len``
 is the block's erasure count.
+
+The rng of a run's draws carries one lane vector across its blocks.
+Block b's trial i is the stream seeded at s + b*block + i, with
+s = seed + k*gamma, so its pre-mix lanes are block b - 1's plus block in
+every lane: the run builds (s*L + S) & M64 once, for a full block, and
+each block after it adds the cached block*L and masks by M64.  The last
+block of c < block trials takes the low 128*m*c bits of that vector,
+since lanes are trial-major, and its other lanes, now 0, mix to 0.  Each
+block's lanes are thus ``SplitMix64(s + b*block).lanes(layout, c)``, and
+so the stream, and every report, equals a draw-by-draw generator's.
 
 - ``RandomErasures`` runs Fisher-Yates on each trial's t lanes, in
   ``range(t)`` layout, swapping entry j with j + u_ij mod (n - j).  Its
@@ -111,17 +125,18 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-#: A block of ``simulate`` holds _BLOCK_LANES // n trials (at least one),
-#: so a draw takes at most about this many lanes: n per trial for
-#: ``PerSymbolErasures``, t <= n for ``RandomErasures``.  The lane ints of
-#: a block, 16 bytes a lane, stay in cache.
+#: A block of ``simulate`` draws at most _BLOCK_LANES lanes, 16 bytes
+#: each, and flags at most _BLOCK_FLAGS bytes, n a trial, so that its ints
+#: stay in cache: _BLOCK_LANES // m trials, m the lanes a trial draws, or
+#: _BLOCK_FLAGS // n if fewer (see the module docstring).
 _BLOCK_LANES = 1024
+_BLOCK_FLAGS = 1 << 15
 
 
 @functools.lru_cache(maxsize=64)
 def _lane_constants(layout: Sequence[int], streams: int) -> tuple[int, int, int]:
     """(L, S, M64) for streams laid out as ``layout`` each; see the module
-    docstring.  Bounded: the last, shorter block of each run adds a key."""
+    docstring.  Bounded: a run shorter than a block adds a key."""
     count = len(layout) * streams
     ones = int.from_bytes(b"\1".ljust(16, b"\0") * count, "little")
     starts = b"".join(
@@ -133,7 +148,8 @@ def _lane_constants(layout: Sequence[int], streams: int) -> tuple[int, int, int]
 @functools.lru_cache(maxsize=64)
 def _threshold_lanes(p: float, layout: Sequence[int], streams: int) -> int:
     """p's 2^64-scaled threshold plus 2^64 - 1 in every lane of
-    ``_lane_constants(layout, streams)``; bounded like it."""
+    ``_lane_constants(layout, streams)``.  Bounded: the last, shorter
+    block of each run adds a key."""
     return ((math.ceil(p * 2**53) << 11) + _MASK64) * _lane_constants(layout, streams)[0]
 
 
@@ -160,9 +176,38 @@ class SplitMix64:
         ones, starts, mask = _lane_constants(layout, streams)
         z = (self.state * ones + starts) & mask
         self.state = (self.state + len(layout) * _GAMMA) & _MASK64
-        z = ((z ^ (z >> 30)) & mask) * _MIX1 & mask
-        z = ((z ^ (z >> 27)) & mask) * _MIX2 & mask
-        return (z ^ (z >> 31)) & mask
+        return _mix(z, mask)
+
+
+class _RunStreams:
+    """The rng of a run's blocks of ``block`` trials: call b of
+    ``lanes(layout, c)``, c <= block, returns what
+    ``SplitMix64(state + b*block).lanes(layout, c)`` does, for the one
+    layout of the run.  Its pre-mix lanes are built on the first call and
+    move on by ``block`` in every lane per call; see the module docstring."""
+
+    def __init__(self, state: int, block: int):
+        self.state, self.block, self.z = state, block, None
+
+    def lanes(self, layout: Sequence[int], streams: int) -> int:
+        if self.z is None:
+            ones, starts, self.mask = _lane_constants(layout, self.block)
+            self.z = (self.state * ones + starts) & self.mask
+            self.step = self.block * ones
+        z = self.z
+        self.z = (z + self.step) & self.mask
+        if streams < self.block:
+            # Lanes are trial-major, so the first streams are the low lanes;
+            # the high ones mix from 0 to 0.
+            z &= (1 << 128 * len(layout) * streams) - 1
+        return _mix(z, self.mask)
+
+
+def _mix(z: int, mask: int) -> int:
+    """SplitMix64's output function in every 128-bit lane of ``mask``."""
+    z = ((z ^ (z >> 30)) & mask) * _MIX1 & mask
+    z = ((z ^ (z >> 27)) & mask) * _MIX2 & mask
+    return (z ^ (z >> 31)) & mask
 
 
 @dataclass(frozen=True)
@@ -289,6 +334,10 @@ class RandomErasures:
                 pool[j] = pool[r]
         return ErasureFlags(bytes(flags))
 
+    def lanes_per_trial(self, n: int) -> int:
+        """The lanes ``draw`` takes per trial: one per erasure."""
+        return self.t
+
     def to_json(self) -> dict:
         return {"name": "random_t_erasures", "t": self.t}
 
@@ -311,6 +360,10 @@ class PerSymbolErasures:
         top = _threshold_lanes(self.p, order, trials)
         below = (top - rng.lanes(order, trials)).to_bytes(16 * count, "little")[8::16]
         return ErasureFlags(below)
+
+    def lanes_per_trial(self, n: int) -> int:
+        """The lanes ``draw`` takes per trial: one per position."""
+        return n
 
     def to_json(self) -> dict:
         return {"name": "per_symbol_prob", "p": self.p}
@@ -341,16 +394,18 @@ def simulate(lrc: BinaryLrc, trials: int, model, seed: int = 0) -> SimulationRep
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n, k = lrc.n, lrc.k
-    block = max(1, _BLOCK_LANES // n)
+    lanes = max(1, model.lanes_per_trial(n))
+    block = max(1, min(_BLOCK_LANES // lanes, _BLOCK_FLAGS // n, trials))
     # Slot 3i + j holds position groups[i][j].
     order = tuple(p for g in lrc.groups for p in g)
     columns = [lrc.code.bit_columns[p] for p in order]
     firsts = int.from_bytes(b"\1\0\0" * (n // 3 * block), "little")
     solved: dict[bytes, int] = {}
     failures = erased_total = local_total = global_total = global_accessed = 0
+    streams = _RunStreams((seed + k * _GAMMA) & _MASK64, block)
     for first in range(0, trials, block):
         size = min(block, trials - first)
-        drawn = model.draw(SplitMix64(seed + first + k * _GAMMA), order, size)
+        drawn = model.draw(streams, order, size)
         flags = drawn.flags
         erased = int.from_bytes(flags, "little")
         a, b, c = erased & firsts, erased >> 8 & firsts, erased >> 16 & firsts

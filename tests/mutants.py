@@ -349,6 +349,37 @@ MUTANTS = (
         ),
         "the slot table is the order itself, not its inverse",
     ),
+    Mutant(
+        "repair-carry-step",
+        "src/gf4lrc/repair.py",
+        "            self.step = self.block * ones",
+        "            self.step = (self.block + 1) * ones",
+        (
+            "tests/test_repair_oracle.py::test_simulate_across_blocks_matches_reference",
+            "tests/test_repair.py::test_simulate_matches_golden_report",
+        ),
+        "each block's lanes move on by one trial more than a block, so block b draws"
+        " the streams of trials b*(block + 1) + i",
+    ),
+    Mutant(
+        "repair-short-block-full-lanes",
+        "src/gf4lrc/repair.py",
+        "            z &= (1 << 128 * len(layout) * streams) - 1",
+        "            pass",
+        (
+            "tests/test_repair_oracle.py::test_simulate_across_blocks_matches_reference",
+            "tests/test_repair.py::test_simulate_matches_golden_report",
+        ),
+        "a run's last, shorter block reads the full block's lanes, not their low-lane prefix",
+    ),
+    Mutant(
+        "repair-block-by-n-t",
+        "src/gf4lrc/repair.py",
+        "one per erasure.\"\"\"\n        return self.t",
+        "one per erasure.\"\"\"\n        return n * self.t",
+        ("tests/test_repair.py::test_simulate_draws_once_per_block_and_decodes_each_set_once",),
+        "a RandomErasures block is sized by n*t lanes a trial, not the t it draws",
+    ),
 )
 
 

@@ -233,8 +233,11 @@ def test_simulate_draws_once_per_block_and_decodes_each_set_once(lrc, monkeypatc
     of the flags ``draw`` returns sum to the run's erasure count, and the
     rank check runs once per distinct still-erased set, the erasures that
     no group repairs locally, and never for a set repaired wholly locally.
-    The same holds where the slot table is not the identity."""
-    trials, seed = 150, 3
+    The same holds where the slot table is not the identity.  A block
+    holds the trials whose draws fill _BLOCK_LANES lanes, t per trial for
+    ``RandomErasures`` (at least 1) and n for ``PerSymbolErasures``, unless
+    their flag bytes, n a trial, would pass _BLOCK_FLAGS first."""
+    trials, seed = 1100, 3
     calls = collections.Counter()
     solved = repair._solved
 
@@ -254,10 +257,16 @@ def test_simulate_draws_once_per_block_and_decodes_each_set_once(lrc, monkeypatc
 
         monkeypatch.setattr(cls, "draw", counted_draw)
     for code in (lrc, permuted_hamming_lrc()):
-        block = repair._BLOCK_LANES // code.n
-        assert 1 < block < trials and trials % block
+        n = code.n
         distinct = {}
-        for model in (RandomErasures(2), RandomErasures(7), PerSymbolErasures(0.3)):
+        for model, lanes in (
+            (RandomErasures(0), 1),
+            (RandomErasures(2), 2),
+            (RandomErasures(7), 7),
+            (PerSymbolErasures(0.3), n),
+        ):
+            block = min(repair._BLOCK_LANES // lanes, repair._BLOCK_FLAGS // n)
+            assert 1 < block < trials and trials % block, (model, block)
             still_erased = set()
             erasures = 0
             for trial in range(trials):
@@ -272,15 +281,18 @@ def test_simulate_draws_once_per_block_and_decodes_each_set_once(lrc, monkeypatc
                     still_erased.add(still)
             calls.clear()
             simulate(code, trials, model, seed)
-            assert calls == {
-                "draw": -(-trials // block),
-                "erasures": erasures,
-                "_solved": len(still_erased),
-            }, (code.groups, model)
+            assert calls == collections.Counter(
+                draw=-(-trials // block), erasures=erasures, _solved=len(still_erased)
+            ), (code.groups, model)
             distinct[model] = len(still_erased)
         # Two erasures leave a still-erased set only inside one of the five
         # groups, so at most 15 sets: far fewer rank checks than trials.
         assert 0 < distinct[RandomErasures(2)] <= 15
+    # Where the flag bytes bind first, they size the block.
+    monkeypatch.setattr(repair, "_BLOCK_FLAGS", 40 * lrc.n)
+    calls.clear()
+    simulate(lrc, trials, RandomErasures(2), seed)
+    assert calls["draw"] == -(-trials // 40)
 
 
 def _count_syndromes(monkeypatch) -> collections.Counter:
