@@ -1,8 +1,9 @@
 """Every run of the golden CLI corpus gives its expected text, byte for byte,
 and the expected texts keep the relations between runs that the loader
-promises."""
+promises and the values that the locality scan and the bound reports pin."""
 
 import json
+from fractions import Fraction
 
 import corpus
 
@@ -34,3 +35,19 @@ def test_permuted_positions_keep_the_distance_weights_and_verdicts():
     assert (perm["distance"]["d"], perm["distance"]["method"]) == (6, "group_rank")
     assert perm["weights"]["A"] == ham["weights"]["A"]
     assert perm["bounds"]["verdicts"] == ham["bounds"]["verdicts"]
+
+
+def test_the_pinned_locality_and_bound_values_hold():
+    # The locality scan walks the words H's pair rows span: each
+    # coordinate's first covering word in step order, at GF(4).
+    locality = json.loads(_report("analyze ham.code --locality --r 3"))["locality"]
+    assert locality["ok"] and locality["covering"] == [[3, 1, 2, 1, 0]] * 4 + [[3, 3, 0, 2, 1]]
+    # omega' at (3000, 10, 2000) lies beyond float range: "value" is null
+    # and the exact denominator is kept.
+    denominators = json.loads(_report("bounds --n 3000 --k 10 --d 2000"))["denominators"]
+    for name in ("omega_prime_improved", "omega_prime_original"):
+        assert denominators[name]["value"] is None
+        assert Fraction(denominators[name]["exact"]) > 2**1024
+    # n < r + 1 admits no C-M tau: the report leaves out the cm entry.
+    bounds = json.loads(_report("bounds --n 2 --k 1 --d 2"))["bounds"]
+    assert "cm" not in [b["name"] for b in bounds]
