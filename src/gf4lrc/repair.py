@@ -101,10 +101,23 @@ groups with exactly one erasure, and its product with 0x10101 (the mark
 copied to the group's three bytes), masked by B, is L, the locally
 repaired cells of all trials.  ``len`` of the drawn flags and
 ``L.bit_count()`` count the erased and the locally repaired symbols.
-Only trials whose still-erased flags B ^ L are nonzero, found with
+
+A ``RandomErasures`` run with t below the LRC's distance d is tallied
+with no per-trial work.  Every d - 1 columns of H are linearly
+independent, and a trial's still-erased set lies inside its t erased
+positions, so every trial decodes: a block adds (B ^ L).bit_count()
+global repairs, each reading the n - t intact symbols, and no failure.
+d is certified by the walk of ``cheapest_weights``, given as many words
+as the run draws lanes, trials * t, so the walk is never longer than the
+draw it saves; a k = 0 code has no nonzero word, so every set decodes.
+A file's "d" is a claim that loading does not check and is never read.
+
+In every other run (t >= d, a walk over budget, ``PerSymbolErasures``)
+only trials whose still-erased flags B ^ L are nonzero, found with
 ``bytes.find``, are visited one by one: the still-erased flag bytes key a
 memo of the XOR-basis rank check over ``bit_columns`` in slot order, so
-each distinct set reaches the kernel once.
+each distinct set reaches the kernel once.  H's columns are built for
+the first rank check, so a run that ranks no set never builds them.
 """
 
 from __future__ import annotations
@@ -117,7 +130,7 @@ from itertools import compress
 from typing import Optional, Sequence
 
 from .concat import BinaryLrc
-from .errors import AmbiguousDecode, GroupDamaged
+from .errors import AmbiguousDecode, BudgetExceeded, GroupDamaged
 from .matrix import row_support, unpack_row, xor_insert, xor_reduce
 
 _MASK64 = (1 << 64) - 1
@@ -387,7 +400,8 @@ def simulate(lrc: BinaryLrc, trials: int, model, seed: int = 0) -> SimulationRep
 
     Each block of trials is one int of erasure flags: local repairs come
     from the group layout for all its trials at once, and the rank check
-    runs once per distinct still-erased set.  local_fraction counts
+    runs once per distinct still-erased set, or not at all when every
+    trial erases fewer positions than the certified d.  local_fraction counts
     locally repaired symbols over all erased symbols; mean_accessed
     averages the per-symbol access counts over all repaired symbols.
     """
@@ -398,7 +412,15 @@ def simulate(lrc: BinaryLrc, trials: int, model, seed: int = 0) -> SimulationRep
     block = max(1, min(_BLOCK_LANES // lanes, _BLOCK_FLAGS // n, trials))
     # Slot 3i + j holds position groups[i][j].
     order = tuple(p for g in lrc.groups for p in g)
-    columns = [lrc.code.bit_columns[p] for p in order]
+    columns: list[int] = []  # H's columns in slot order, built for the first rank check
+    below_d = False
+    if isinstance(model, RandomErasures):
+        try:
+            d = lrc.cheapest_weights(trials * model.t).distance()
+        except BudgetExceeded:  # the walk is longer than the draw it would save
+            pass
+        else:
+            below_d = d is None or model.t < d
     firsts = int.from_bytes(b"\1\0\0" * (n // 3 * block), "little")
     solved: dict[bytes, int] = {}
     failures = erased_total = local_total = global_total = global_accessed = 0
@@ -414,6 +436,12 @@ def simulate(lrc: BinaryLrc, trials: int, model, seed: int = 0) -> SimulationRep
         local = (a ^ b ^ c ^ (a & b & c)) * 0x10101 & erased
         erased_total += len(drawn)
         local_total += local.bit_count()
+        if below_d:
+            # Every still-erased set, at most t < d positions, is solved whole.
+            still = (erased ^ local).bit_count()
+            global_total += still
+            global_accessed += still * (n - model.t)
+            continue
         rest = (erased ^ local).to_bytes(n * size, "little")
         start = rest.find(1)
         while start >= 0:
@@ -422,6 +450,7 @@ def simulate(lrc: BinaryLrc, trials: int, model, seed: int = 0) -> SimulationRep
             key = rest[start:end]
             still = solved.get(key)
             if still is None:
+                columns = columns or [lrc.code.bit_columns[p] for p in order]
                 still = solved[key] = _solved(columns, key)
             if still:
                 global_total += still

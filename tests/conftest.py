@@ -6,6 +6,7 @@ import pytest
 from gf4lrc import code as code_module
 from gf4lrc import concat
 from gf4lrc.code import METHOD_COLUMN, LinearCode, certify_dependent_set
+from gf4lrc.errors import BudgetExceeded
 from gf4lrc.families import hamming4
 from gf4lrc.matrix import FieldMatrix, rows_rank
 
@@ -53,6 +54,11 @@ def forbid_distance_and_weights(monkeypatch) -> None:
     for name in ("min_distance", "cheapest_weights"):
         monkeypatch.setattr(concat.BinaryLrc, name, forbidden)
     monkeypatch.setattr(concat, "certify_distance", forbidden)
+
+
+def refuse_weights(self, budget):
+    """A stand-in for ``BinaryLrc.cheapest_weights`` whose walk never fits."""
+    raise BudgetExceeded(f"refused at budget {budget}")
 
 
 def random_code_corpus(seed: int, count: int, max_n: int, max_k: int, q: int = 4):

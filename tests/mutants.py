@@ -380,6 +380,43 @@ MUTANTS = (
         ("tests/test_repair.py::test_simulate_draws_once_per_block_and_decodes_each_set_once",),
         "a RandomErasures block is sized by n*t lanes a trial, not the t it draws",
     ),
+    Mutant(
+        "repair-bulk-at-d",
+        "src/gf4lrc/repair.py",
+        "            below_d = d is None or model.t < d",
+        "            below_d = d is None or model.t <= d",
+        (
+            "tests/test_repair_oracle.py::"
+            "test_a_run_below_d_is_tallied_as_the_reference_and_the_visiting_path",
+            "tests/test_repair.py::test_simulated_failure_rate_at_t_equal_d_on_15_6_6",
+            "tests/golden/test_golden.py::"
+            "test_every_corpus_run_gives_its_expected_output_byte_for_byte",
+        ),
+        "a run of t = d erasures a trial is tallied in bulk, so the trials that erase"
+        " a weight-d support count as decoded",
+    ),
+    Mutant(
+        "repair-bulk-accessed",
+        "src/gf4lrc/repair.py",
+        "            global_accessed += still * (n - model.t)",
+        "            global_accessed += still * (n - model.t + 1)",
+        (
+            "tests/test_repair_oracle.py::"
+            "test_a_run_below_d_is_tallied_as_the_reference_and_the_visiting_path",
+            "tests/test_repair.py::test_simulate_matches_golden_report",
+        ),
+        "a run tallied in bulk counts n - t + 1 symbols read per global repair, one more"
+        " than the intact ones",
+    ),
+    Mutant(
+        "repair-bulk-file-d",
+        "src/gf4lrc/repair.py",
+        "            d = lrc.cheapest_weights(trials * model.t).distance()",
+        "            d = lrc.d",
+        ("tests/test_repair_oracle.py::test_a_files_d_changes_no_report",),
+        "a run is certified by the file's stored d, a claim, so an overstated or null d"
+        " tallies failing trials as decoded",
+    ),
 )
 
 

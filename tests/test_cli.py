@@ -158,7 +158,7 @@ def test_repair_of_a_plain_code_exits_2_without_a_distance_call(tmp_path, capsys
         2, "", "error: repair needs an LRC JSON file (construct --concat)\n")
 
 
-def test_lrc_locality_and_repair_compute_no_weights_or_distance(tmp_path, capsys, monkeypatch):
+def test_lrc_locality_computes_no_weights_or_distance(tmp_path, capsys, monkeypatch):
     base = tmp_path / "ham"
     run_cli(capsys, "construct", "hamming4", "--t", "2", "--concat", "--output", str(base))
     path = str(tmp_path / "ham.lrc.json")
@@ -173,8 +173,31 @@ def test_lrc_locality_and_repair_compute_no_weights_or_distance(tmp_path, capsys
     assert code == 0
     report = json.loads(out)
     assert report["locality"]["ok"] and "weights" not in report and "distance" not in report
+
+
+def test_lrc_repair_computes_no_distance_and_walks_weights_within_its_draw(
+    tmp_path, capsys, monkeypatch
+):
+    """repair runs no distance search.  A --random-t run walks the LRC's
+    weights, to certify t < d, only within the lanes it draws, trials * t;
+    a --prob run walks none."""
+    base = tmp_path / "ham"
+    run_cli(capsys, "construct", "hamming4", "--t", "2", "--concat", "--output", str(base))
+    path = str(tmp_path / "ham.lrc.json")
+    weights = BinaryLrc.cheapest_weights
+    forbid_distance_and_weights(monkeypatch)
+    budgets = []
+
+    def bounded(self, budget):
+        budgets.append(budget)
+        return weights(self, budget)
+
+    monkeypatch.setattr(BinaryLrc, "cheapest_weights", bounded)
     code, out, _ = run_cli(capsys, "repair", path, "--random-t", "2", "--trials", "20")
     assert code == 0 and json.loads(out)["success_rate"] == 1.0
+    code, out, _ = run_cli(capsys, "repair", path, "--prob", "0.3", "--trials", "20")
+    assert code == 0
+    assert budgets == [40]
 
 
 def claim_warnings(caplog) -> list[str]:

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_repair as reference
-from conftest import permuted_hamming_lrc
+from conftest import permuted_hamming_lrc, refuse_weights
 from scalar_elimination import col_tuple
 from gf4lrc import gf4, matrix, repair
 from gf4lrc.code import LinearCode
-from gf4lrc.concat import concatenate
+from gf4lrc.concat import BinaryLrc, concatenate
 from gf4lrc.errors import AmbiguousDecode, GroupDamaged
 from gf4lrc.families import cyclic4, hamming4, hexacode
 from gf4lrc.matrix import FieldMatrix, rows_rank
@@ -232,7 +232,8 @@ def test_simulate_draws_once_per_block_and_decodes_each_set_once(lrc, monkeypatc
     """Each block of trials calls its model's ``draw`` once, the ``len``s
     of the flags ``draw`` returns sum to the run's erasure count, and the
     rank check runs once per distinct still-erased set, the erasures that
-    no group repairs locally, and never for a set repaired wholly locally.
+    no group repairs locally, and never for a set repaired wholly locally,
+    nor in a run of t < d erasures a trial, d = 6 certified by the weights.
     The same holds where the slot table is not the identity.  A block
     holds the trials whose draws fill _BLOCK_LANES lanes, t per trial for
     ``RandomErasures`` (at least 1) and n for ``PerSymbolErasures``, unless
@@ -258,12 +259,11 @@ def test_simulate_draws_once_per_block_and_decodes_each_set_once(lrc, monkeypatc
         monkeypatch.setattr(cls, "draw", counted_draw)
     for code in (lrc, permuted_hamming_lrc()):
         n = code.n
-        distinct = {}
-        for model, lanes in (
-            (RandomErasures(0), 1),
-            (RandomErasures(2), 2),
-            (RandomErasures(7), 7),
-            (PerSymbolErasures(0.3), n),
+        for model, lanes, ranked in (
+            (RandomErasures(0), 1, False),
+            (RandomErasures(2), 2, False),
+            (RandomErasures(7), 7, True),
+            (PerSymbolErasures(0.3), n, True),
         ):
             block = min(repair._BLOCK_LANES // lanes, repair._BLOCK_FLAGS // n)
             assert 1 < block < trials and trials % block, (model, block)
@@ -282,17 +282,36 @@ def test_simulate_draws_once_per_block_and_decodes_each_set_once(lrc, monkeypatc
             calls.clear()
             simulate(code, trials, model, seed)
             assert calls == collections.Counter(
-                draw=-(-trials // block), erasures=erasures, _solved=len(still_erased)
+                draw=-(-trials // block),
+                erasures=erasures,
+                _solved=len(still_erased) if ranked else 0,
             ), (code.groups, model)
-            distinct[model] = len(still_erased)
-        # Two erasures leave a still-erased set only inside one of the five
-        # groups, so at most 15 sets: far fewer rank checks than trials.
-        assert 0 < distinct[RandomErasures(2)] <= 15
+            if model == RandomErasures(2):
+                # Refused its certificate, the run ranks each set.  Two
+                # erasures leave a still-erased set only inside one of the
+                # five groups, so at most 15 sets: far fewer rank checks
+                # than trials.
+                with monkeypatch.context() as patch:
+                    patch.setattr(BinaryLrc, "cheapest_weights", refuse_weights)
+                    calls.clear()
+                    simulate(code, trials, model, seed)
+                assert calls["_solved"] == len(still_erased)
+                assert 0 < len(still_erased) <= 15
     # Where the flag bytes bind first, they size the block.
     monkeypatch.setattr(repair, "_BLOCK_FLAGS", 40 * lrc.n)
     calls.clear()
     simulate(lrc, trials, RandomErasures(2), seed)
     assert calls["draw"] == -(-trials // 40)
+
+
+def test_a_run_below_d_builds_no_columns():
+    """A run of t < d erasures a trial reads neither H's columns nor
+    ``e_vectors``; a run of t = d builds them for its first rank check."""
+    lrc = BinaryLrc.from_json(concatenate(hamming4(2)).to_json())
+    simulate(lrc, 200, RandomErasures(5), 7)
+    assert not {"code", "e_vectors"} & vars(lrc).keys()
+    simulate(lrc, 200, RandomErasures(6), 7)
+    assert {"code", "e_vectors"} <= vars(lrc).keys()
 
 
 def _count_syndromes(monkeypatch) -> collections.Counter:

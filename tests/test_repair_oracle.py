@@ -6,12 +6,15 @@ decode results (or the same exception type and message) and equal
 membership answers.
 """
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_repair as reference
-from conftest import permuted_hamming_lrc
+from conftest import permuted_hamming_lrc, random_linear_code, refuse_weights
 from gf4lrc import repair
 from gf4lrc.code import LinearCode
 from gf4lrc.concat import BinaryLrc, concatenate
@@ -95,6 +98,69 @@ def test_simulate_across_blocks_matches_reference(name, data):
         patch.setattr(repair, "_BLOCK_LANES", data.draw(st.integers(1, 40 * lrc.n)))
         ours = simulate(lrc, trials, model, seed)
     assert ours == reference.simulate(lrc, trials, model, seed)
+
+
+@st.composite
+def small_concatenations(draw):
+    """A random [3n, 2k; 2] concatenation, n <= 6 and k <= 3, and its
+    distance d, the least weight of its 2^(2k) - 1 nonzero words."""
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(1, min(3, n)))
+    lrc = concatenate(random_linear_code(random.Random(draw(st.integers(0, 2**32))), 4, n, k))
+    words = itertools.product((0, 1), repeat=lrc.k)
+    d = min(sum(lrc.code.encode(m)) for m in words if any(m))
+    return lrc, d
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_concatenations(), st.sampled_from([-1, 0, 1]), st.data())
+def test_a_run_below_d_is_tallied_as_the_reference_and_the_visiting_path(case, offset, data):
+    """At t = d - 1, d and d + 1, over blocks of 1 to 40 trials, a run
+    equals the reference, and the run whose weights are refused, which
+    visits every trial with a still-erased set."""
+    lrc, d = case
+    model = RandomErasures(min(d + offset, lrc.n))
+    seed = data.draw(st.integers(-(2**130), 2**130))
+    trials = data.draw(st.integers(1, 150))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(repair, "_BLOCK_LANES", data.draw(st.integers(1, 40 * lrc.n)))
+        ours = simulate(lrc, trials, model, seed)
+        patch.setattr(BinaryLrc, "cheapest_weights", refuse_weights)
+        visited = simulate(lrc, trials, model, seed)
+    assert ours == visited == reference.simulate(lrc, trials, model, seed)
+
+
+@pytest.mark.parametrize("t", [5, 6, 7])
+def test_a_files_d_changes_no_report(t):
+    """A stored "d" is a claim that loading does not check: a file that
+    overstates the [15,6,6;2] LRC's d as 8, and one that leaves it null,
+    give the honest file's reports, failures at t = 6 and 7 included."""
+    obj = LRCS["ham15"].to_json()
+    honest = BinaryLrc.from_json({**obj, "d": 6})
+    report = simulate(honest, 3000, RandomErasures(t), 11)
+    assert (report.success_rate < 1) == (t >= 6)
+    assert simulate(honest, 40, RandomErasures(t), -1) == reference.simulate(
+        honest, 40, RandomErasures(t), -1
+    )
+    for claim in (8, None):
+        lrc = BinaryLrc.from_json({**obj, "d": claim})
+        assert simulate(lrc, 3000, RandomErasures(t), 11) == report, claim
+
+
+def test_a_k0_lrc_decodes_every_set():
+    """With k = 0 there is no nonzero word, so no distance, and every
+    erased set decodes."""
+    rows = ["1 1 1 0 0 0", "0 0 0 1 1 1"] + [
+        " ".join("1" if c == p else "0" for c in range(6)) for p in (1, 2, 4, 5)
+    ]
+    h = "field=2 rows=6 cols=6\n" + "\n".join(rows) + "\n"
+    obj = {"n": 6, "k": 0, "d": None, "groups": [[0, 1, 2], [3, 4, 5]], "H": h}
+    assert BinaryLrc.from_json(obj).cheapest_weights().distance() is None
+    lrc = BinaryLrc.from_json(obj)
+    for t in range(7):
+        report = simulate(lrc, 50, RandomErasures(t), 9)
+        assert report.success_rate == 1.0
+        assert report == reference.simulate(lrc, 50, RandomErasures(t), 9)
 
 
 def _reference_flags(model, seed: int, order, trials: int) -> bytes:
