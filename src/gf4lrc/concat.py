@@ -192,6 +192,25 @@ class BinaryLrc:
         word = self.lift(step_word(4, rows, first[d // 2], self.ell))
         return DistanceCertificate(d, word, METHOD_EXHAUSTIVE)
 
+    def light_words(self, t: int) -> list[tuple[tuple[int, int], ...]]:
+        """The nonzero codewords of weight at most t, each as its (group, α)
+        pairs, α its nonzero pair symbol: P's words of symbol weight j with
+        2j <= t, from one walk of P's rows, the held walk's or else the
+        nullspace of ``dual_rows``, in step order."""
+        if self._walk is not None:
+            rows = self._walk[0]
+        else:
+            rows = FieldMatrix(2, self.u, 2 * self.ell, self.dual_rows).nullspace().rows
+        words = []
+        for base, planes, _ in weight_planes(rows, self.ell, 2):
+            light = reduce(or_, [plane for j, plane in enumerate(planes) if 0 < 2 * j <= t], 0)
+            while light:
+                low = light & -light
+                symbols = step_word(4, rows, base + low.bit_length() - 1, self.ell)
+                words.append(tuple((g, alpha) for g, alpha in enumerate(symbols) if alpha))
+                light ^= low
+        return words
+
     def lift(self, symbols: Sequence[int]) -> tuple[int, ...]:
         """The codeword of a pair word: a group's coefficients (a, b) on (e1, e2)
         are met by its inner codeword (a+b, a, b), whose top-row parity cancels."""

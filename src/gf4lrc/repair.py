@@ -102,21 +102,42 @@ copied to the group's three bytes), masked by B, is L, the locally
 repaired cells of all trials.  ``len`` of the drawn flags and
 ``L.bit_count()`` count the erased and the locally repaired symbols.
 
-A ``RandomErasures`` run with t below the LRC's distance d is tallied
-with no per-trial work.  Every d - 1 columns of H are linearly
-independent, and a trial's still-erased set lies inside its t erased
-positions, so every trial decodes: a block adds (B ^ L).bit_count()
-global repairs, each reading the n - t intact symbols, and no failure.
-d is certified by the walk of ``cheapest_weights``, given as many words
-as the run draws lanes, trials * t, so the walk is never longer than the
-draw it saves; a k = 0 code has no nonzero word, so every set decodes.
-A file's "d" is a claim that loading does not check and is never read.
+A ``RandomErasures`` run whose light words are known, the LRC's nonzero
+codewords of weight at most t, is tallied with no per-trial work.  An
+erased set is unrecoverable exactly when it holds the support of a
+nonzero codeword (Wei 1991), and a codeword inside t positions is light;
+the rank check of its still-erased set fails exactly then, as every
+codeword is 0 at a group's lone erasure.  Each light word is held as its (group, α) pairs, and a
+nonzero symbol α of group g lifts to two of slots 3g..3g+2: 3g and 3g+1
+for α = 1, 3g and 3g+2 for α = 2, 3g+1 and 3g+2 for α = 3.  Byte i of
+the int of the slice ``flags[s::n]`` is trial i's flag at slot s, so the
+AND of two slots' ints flags the trials that erase both, and a block's
+failing trials are the OR, over the light words, of the AND of each
+word's pair masks.  This is exact at any t, also from τ = d + d/2 on,
+where one erased set can hold two supports.  The block adds
+(B ^ L).bit_count() global repairs, less the still-erased symbols of its
+failing trials, each reading the n - t intact symbols.
 
-In every other run (t >= d, a walk over budget, ``PerSymbolErasures``)
-only trials whose still-erased flags B ^ L are nonzero, found with
-``bytes.find``, are visited one by one: the still-erased flag bytes key a
-memo of the XOR-basis rank check over ``bit_columns`` in slot order, so
-each distinct set reaches the kernel once.  H's columns are built for
+The light words are none when t lies below the LRC's distance d.  Every
+d is even and at least 2, so t <= 1 lies below it.  A weight-2 codeword
+is one pair symbol alone, a word of P exactly when its group has e1 = 0,
+e2 = 0 or e1 = e2, bits 2g and 2g + 1 of ``dual_rows``.  So with O the
+OR of the rows, X the OR of r ^ r >> 1 over them and M = 0b0101...01,
+there is none, and d >= 4, when O & M, O >> 1 & M and X & M all equal M:
+a certificate of u big-int ORs, under which t <= 3 needs no walk either.
+Otherwise d comes from the walk of ``cheapest_weights``, and at t >= d
+the light words from ``BinaryLrc.light_words``, a walk of P's 2^k words.
+Each walk is given as many words as the run draws lanes, trials * t, so
+it is never longer than the draw it saves.  A k = 0 code has no nonzero
+word, so every set decodes.  A file's "d" is a claim that loading does
+not check and is never read.  Such a run never builds H's columns.
+
+In every other run (a walk over budget, and ``PerSymbolErasures``, whose
+trials can hold any of the 2^k - 1 nonzero words) only trials whose
+still-erased flags B ^ L are nonzero, found with ``bytes.find``, are
+visited one by one: the still-erased flag bytes key a memo of the
+XOR-basis rank check over ``bit_columns`` in slot order, so each
+distinct set reaches the kernel once.  H's columns are built for
 the first rank check, so a run that ranks no set never builds them.
 """
 
@@ -127,6 +148,7 @@ import math
 import struct
 from dataclasses import asdict, dataclass
 from itertools import compress
+from operator import or_
 from typing import Optional, Sequence
 
 from .concat import BinaryLrc
@@ -399,9 +421,11 @@ def simulate(lrc: BinaryLrc, trials: int, model, seed: int = 0) -> SimulationRep
     """Batch failure injection; deterministic under a fixed seed.
 
     Each block of trials is one int of erasure flags: local repairs come
-    from the group layout for all its trials at once, and the rank check
-    runs once per distinct still-erased set, or not at all when every
-    trial erases fewer positions than the certified d.  local_fraction counts
+    from the group layout for all its trials at once.  A ``RandomErasures``
+    run whose light words are known, none below the certified d or by the
+    weight-2 certificate, takes its failures from them, the trials whose
+    erasures hold a light word's support, with no rank check; any other
+    run ranks each distinct still-erased set once.  local_fraction counts
     locally repaired symbols over all erased symbols; mean_accessed
     averages the per-symbol access counts over all repaired symbols.
     """
@@ -413,15 +437,11 @@ def simulate(lrc: BinaryLrc, trials: int, model, seed: int = 0) -> SimulationRep
     # Slot 3i + j holds position groups[i][j].
     order = tuple(p for g in lrc.groups for p in g)
     columns: list[int] = []  # H's columns in slot order, built for the first rank check
-    below_d = False
+    light = None  # the light words, when known: see _light_words
     if isinstance(model, RandomErasures):
-        try:
-            d = lrc.cheapest_weights(trials * model.t).distance()
-        except BudgetExceeded:  # the walk is longer than the draw it would save
-            pass
-        else:
-            below_d = d is None or model.t < d
+        light = _light_words(lrc, model.t, trials * model.t)
     firsts = int.from_bytes(b"\1\0\0" * (n // 3 * block), "little")
+    spread = int.from_bytes(b"\1" * n, "little")  # a trial's flag copied to its n bytes
     solved: dict[bytes, int] = {}
     failures = erased_total = local_total = global_total = global_accessed = 0
     streams = _RunStreams((seed + k * _GAMMA) & _MASK64, block)
@@ -436,11 +456,34 @@ def simulate(lrc: BinaryLrc, trials: int, model, seed: int = 0) -> SimulationRep
         local = (a ^ b ^ c ^ (a & b & c)) * 0x10101 & erased
         erased_total += len(drawn)
         local_total += local.bit_count()
-        if below_d:
-            # Every still-erased set, at most t < d positions, is solved whole.
-            still = (erased ^ local).bit_count()
-            global_total += still
-            global_accessed += still * (n - model.t)
+        if light is not None:
+            # A trial fails exactly when its erasures hold a light word's
+            # support; every other trial's still-erased set is solved whole.
+            still = erased ^ local
+            if light:
+                # Byte i of slot s's int is trial i's flag there.  Symbol α
+                # of group g lifts to (a+b, a, b) on slots 3g..3g+2, so it
+                # lies in a trial's erasures when both its slots do: 3g and
+                # 3g+1 for α = 1, 3g and 3g+2 for α = 2, 3g+1 and 3g+2 for 3.
+                slots = [int.from_bytes(flags[s::n], "little") for s in range(n)]
+                triples = zip(slots[::3], slots[1::3], slots[2::3])
+                pairs = [(x & y, x & z, y & z) for x, y, z in triples]
+                failing = 0
+                for word in light:
+                    held = -1
+                    for g, alpha in word:
+                        held &= pairs[g][alpha - 1]
+                    failing |= held
+                if failing:
+                    failures += failing.bit_count()
+                    # Copy each failing trial's flag to its n bytes, and
+                    # take its still-erased symbols out of the repaired ones.
+                    lost = bytearray(n * size)
+                    lost[::n] = failing.to_bytes(size, "little")
+                    still &= ~(int.from_bytes(lost, "little") * spread)
+            repaired = still.bit_count()
+            global_total += repaired
+            global_accessed += repaired * (n - model.t)
             continue
         rest = (erased ^ local).to_bytes(n * size, "little")
         start = rest.find(1)
@@ -468,6 +511,37 @@ def simulate(lrc: BinaryLrc, trials: int, model, seed: int = 0) -> SimulationRep
         local_fraction=local_total / erased_total if erased_total else 1.0,
         mean_accessed=accessed_total / repaired_total if repaired_total else 0.0,
     )
+
+
+def _light_words(lrc: BinaryLrc, t: int, budget: int) -> Optional[list]:
+    """``lrc.light_words(t)``, or [] when t lies below the LRC's distance
+    d, or None when deciding that takes a walk of more than ``budget``
+    words.  Every d is even and at least 2, and at least 4 when the
+    certificate of ``_weight_two_free`` holds, so such a t needs no walk.
+    Else d comes from the ``cheapest_weights`` walk, and the light words
+    from a walk of P's 2^k words."""
+    if t < 2 or t < 4 and _weight_two_free(lrc.dual_rows, lrc.ell):
+        return []
+    try:
+        d = lrc.cheapest_weights(budget).distance()
+    except BudgetExceeded:  # the walk is longer than the draw it would save
+        return None
+    if d is None or t < d:
+        return []
+    return lrc.light_words(t) if 1 << lrc.k <= budget else None
+
+
+def _weight_two_free(rows: Sequence[int], ell: int) -> bool:
+    """Whether the LRC whose ``dual_rows`` are ``rows`` has no codeword of
+    weight 2, one pair symbol alone.  Symbol α of group g is a word of P
+    exactly when α's combination of the group's columns (e1, e2), bits 2g
+    and 2g + 1 of the rows, is 0: when e1 = 0, e2 = 0 or e1 = e2.  So there
+    is none when every bit 2g is set in O, the OR of the rows (e1 != 0),
+    in O >> 1 (e2 != 0) and in the OR of r ^ r >> 1 (e1 != e2)."""
+    ones = int("01" * ell, 2)
+    either = functools.reduce(or_, rows, 0)
+    differ = functools.reduce(or_, [r ^ r >> 1 for r in rows], 0)
+    return either & ones == either >> 1 & ones == differ & ones == ones
 
 
 def _solved(columns: Sequence[int], flags: bytes) -> int:

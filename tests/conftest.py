@@ -22,7 +22,7 @@ def random_linear_code(rng: random.Random, q: int, n: int, k: int) -> LinearCode
 
 def walked(ask):
     """``ask()`` and the (symbol count, word count) of every walk it made,
-    of a code or of an LRC's pair code."""
+    of a code or of an LRC's pair code, weights and light words alike."""
     walks = []
     walk = code_module.weight_planes
 
@@ -30,7 +30,9 @@ def walked(ask):
         walks.append((n, 1 << len(rows)))
         return walk(rows, n, width)
 
-    with mock.patch.object(code_module, "weight_planes", counted):
+    with mock.patch.object(code_module, "weight_planes", counted), mock.patch.object(
+        concat, "weight_planes", counted
+    ):
         return ask(), walks
 
 

@@ -5,7 +5,8 @@ the lines run in order through ``gf4lrc.cli.main``, in-process, in one
 working directory, so that the files a ``construct`` line writes are the
 inputs of the lines after it.  A line ``variant NAME SOURCE TARGET`` is not
 a run: it writes TARGET, the LRC JSON file SOURCE changed by
-``VARIANTS[NAME]``.  Blank lines and lines starting with ``#`` are skipped.
+``VARIANTS[NAME]``, or the text that variant gives when it gives text.
+Blank lines and lines starting with ``#`` are skipped.
 
 A run is rendered as one text: its argv, exit code, stdout and stderr, and
 the text of every file it wrote or changed.  The expected text of a run is
@@ -24,6 +25,7 @@ import shlex
 from pathlib import Path
 
 from gf4lrc import cli
+from gf4lrc.concat import BinaryLrc
 
 HERE = Path(__file__).resolve().parent
 COMMANDS = HERE / "commands.txt"
@@ -167,6 +169,12 @@ def _without(key: str):
     return lambda obj: {k: v for k, v in obj.items() if k != key}
 
 
+def _plain_code(obj: dict) -> str:
+    """The LRC as a plain binary code file: its parity check."""
+    lrc = BinaryLrc.from_json(obj)
+    return lrc.code.parity_check.to_text({"kind": "parity", "n": lrc.n, "k": lrc.k})
+
+
 VARIANTS = {
     "tabs": _spaced("\t"),
     "doubled-spaces": _spaced("  "),
@@ -192,6 +200,7 @@ VARIANTS = {
     "bool-group": _group_changed(_set(0, 0, False)),
     "short-group": _group_changed(lambda g: g[4].pop()),
     "missing-groups": _without("groups"),
+    "plain-code": _plain_code,
 }
 
 
@@ -211,7 +220,8 @@ def replay(where: Path) -> dict[str, str]:
             if argv[0] == "variant":
                 name, source, target = argv[1:]
                 obj = json.loads(Path(source).read_text())
-                Path(target).write_text(json.dumps(VARIANTS[name](obj)))
+                text = VARIANTS[name](obj)
+                Path(target).write_text(text if isinstance(text, str) else json.dumps(text))
                 continue
             before = _snapshot(where)
             out, err = io.StringIO(), io.StringIO()

@@ -51,3 +51,26 @@ def test_the_pinned_locality_and_bound_values_hold():
     # n < r + 1 admits no C-M tau: the report leaves out the cm entry.
     bounds = json.loads(_report("bounds --n 2 --k 1 --d 2"))["bounds"]
     assert "cm" not in [b["name"] for b in bounds]
+
+
+def test_the_pinned_values_of_the_plain_spc_code_hold():
+    # At GF(2), each coordinate is covered by its group's parity row.
+    locality = json.loads(_report("analyze spc-bin.code --locality"))["locality"]
+    assert locality["ok"] and locality["uncovered"] == []
+    assert locality["covering"] == [[int(i // 3 == j // 3) for i in range(24)] for j in range(24)]
+    # Its 2^10 dual words fit --max-enum 1024, and the column search
+    # starts at d = 4.
+    distance = json.loads(_report("analyze spc-bin.code --distance --max-enum 1024"))["distance"]
+    assert (distance["d"], distance["method"]) == (4, "column_dependence")
+    # Its weights, through the GF(2) dual side, equal the LRC's, which
+    # come from its pair code.
+    runs = ("analyze spc-bin.code --weights --max-enum 1024", "analyze spc.lrc.json --weights")
+    plain, lrc = (json.loads(_report(line))["weights"]["A"] for line in runs)
+    expected = [1, 0, 0, 0, 84, 0, 336, 0, 1470, 0, 3360, 0, 5124, 0, 4368, 0, 1641]
+    assert plain == lrc == expected + [0] * 8
+    # One word short of the budget, the run exits 3 and names it.
+    text = corpus.expected()[corpus.stem("analyze spc-bin.code --weights --max-enum 1023")]
+    assert text.splitlines()[1] == "exit 3"
+    assert '"1024 codewords exceed enumeration budget 1023"' in _report(
+        "analyze spc-bin.code --weights --max-enum 1023"
+    )

@@ -383,8 +383,8 @@ MUTANTS = (
     Mutant(
         "repair-bulk-at-d",
         "src/gf4lrc/repair.py",
-        "            below_d = d is None or model.t < d",
-        "            below_d = d is None or model.t <= d",
+        "    if d is None or t < d:",
+        "    if d is None or t <= d:",
         (
             "tests/test_repair_oracle.py::"
             "test_a_run_below_d_is_tallied_as_the_reference_and_the_visiting_path",
@@ -392,14 +392,14 @@ MUTANTS = (
             "tests/golden/test_golden.py::"
             "test_every_corpus_run_gives_its_expected_output_byte_for_byte",
         ),
-        "a run of t = d erasures a trial is tallied in bulk, so the trials that erase"
-        " a weight-d support count as decoded",
+        "a run of t = d erasures a trial is tallied with no light word, so the trials that"
+        " erase a weight-d support count as decoded",
     ),
     Mutant(
         "repair-bulk-accessed",
         "src/gf4lrc/repair.py",
-        "            global_accessed += still * (n - model.t)",
-        "            global_accessed += still * (n - model.t + 1)",
+        "            global_accessed += repaired * (n - model.t)",
+        "            global_accessed += repaired * (n - model.t + 1)",
         (
             "tests/test_repair_oracle.py::"
             "test_a_run_below_d_is_tallied_as_the_reference_and_the_visiting_path",
@@ -411,11 +411,59 @@ MUTANTS = (
     Mutant(
         "repair-bulk-file-d",
         "src/gf4lrc/repair.py",
-        "            d = lrc.cheapest_weights(trials * model.t).distance()",
-        "            d = lrc.d",
+        "        d = lrc.cheapest_weights(budget).distance()",
+        "        d = lrc.d",
         ("tests/test_repair_oracle.py::test_a_files_d_changes_no_report",),
         "a run is certified by the file's stored d, a claim, so an overstated or null d"
         " tallies failing trials as decoded",
+    ),
+    Mutant(
+        "repair-bulk-pair-slots",
+        "src/gf4lrc/repair.py",
+        "                pairs = [(x & y, x & z, y & z) for x, y, z in triples]",
+        "                pairs = [(x & z, x & y, y & z) for x, y, z in triples]",
+        (
+            "tests/test_repair_oracle.py::"
+            "test_every_t_from_d_to_n_is_tallied_as_the_visiting_path",
+            "tests/test_repair_oracle.py::"
+            "test_failures_at_t_equal_d_are_the_trials_that_erase_a_weight_d_support",
+        ),
+        "symbols 1 and 2 of a light word lift to each other's slot pairs, so the bulk"
+        " tally fails the trials that erase the wrong supports",
+    ),
+    Mutant(
+        "repair-bulk-failing-still",
+        "src/gf4lrc/repair.py",
+        "                    still &= ~(int.from_bytes(lost, \"little\") * spread)\n",
+        "",
+        (
+            "tests/test_repair_oracle.py::"
+            "test_every_t_from_d_to_n_is_tallied_as_the_visiting_path",
+        ),
+        "a failing trial's still-erased symbols count as globally repaired, so"
+        " mean_accessed is off wherever a trial fails",
+    ),
+    Mutant(
+        "lrc-light-word-bound",
+        "src/gf4lrc/concat.py",
+        "if 0 < 2 * j <= t]",
+        "if 0 < 2 * j < t]",
+        (
+            "tests/test_repair_oracle.py::"
+            "test_failures_at_t_equal_d_are_the_trials_that_erase_a_weight_d_support",
+            "tests/golden/test_golden.py::"
+            "test_every_corpus_run_gives_its_expected_output_byte_for_byte",
+        ),
+        "the light words leave out those of weight exactly t, so at t = d no trial fails",
+    ),
+    Mutant(
+        "repair-weight-two-equal-pair",
+        "src/gf4lrc/repair.py",
+        "    return either & ones == either >> 1 & ones == differ & ones == ones",
+        "    return either & ones == either >> 1 & ones == ones",
+        ("tests/test_repair_oracle.py::test_weight_two_certificate_matches_brute_force",),
+        "a group whose e1 = e2 passes the certificate, so a weight-2 word of symbol 3"
+        " is missed and a t = 2 or 3 run that erases it counts it as decoded",
     ),
 )
 

@@ -179,8 +179,9 @@ def test_lrc_repair_computes_no_distance_and_walks_weights_within_its_draw(
     tmp_path, capsys, monkeypatch
 ):
     """repair runs no distance search.  A --random-t run walks the LRC's
-    weights, to certify t < d, only within the lanes it draws, trials * t;
-    a --prob run walks none."""
+    weights, to certify t < d, only within the lanes it draws, trials * t,
+    and not at all at t = 2, which lies below the d >= 4 that the weight-2
+    certificate proves; a --prob run walks none."""
     base = tmp_path / "ham"
     run_cli(capsys, "construct", "hamming4", "--t", "2", "--concat", "--output", str(base))
     path = str(tmp_path / "ham.lrc.json")
@@ -193,11 +194,12 @@ def test_lrc_repair_computes_no_distance_and_walks_weights_within_its_draw(
         return weights(self, budget)
 
     monkeypatch.setattr(BinaryLrc, "cheapest_weights", bounded)
-    code, out, _ = run_cli(capsys, "repair", path, "--random-t", "2", "--trials", "20")
-    assert code == 0 and json.loads(out)["success_rate"] == 1.0
+    for t in ("2", "4"):
+        code, out, _ = run_cli(capsys, "repair", path, "--random-t", t, "--trials", "20")
+        assert code == 0 and json.loads(out)["success_rate"] == 1.0
     code, out, _ = run_cli(capsys, "repair", path, "--prob", "0.3", "--trials", "20")
     assert code == 0
-    assert budgets == [40]
+    assert budgets == [80]
 
 
 def claim_warnings(caplog) -> list[str]:

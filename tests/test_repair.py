@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_repair as reference
-from conftest import permuted_hamming_lrc, refuse_weights
+from conftest import permuted_hamming_lrc, refuse_weights, walked
 from scalar_elimination import col_tuple
 from gf4lrc import gf4, matrix, repair
 from gf4lrc.code import LinearCode
@@ -220,24 +220,35 @@ def test_simulate_trial_stays_packed(lrc, monkeypatch):
         for module in [m for key, m in sys.modules.items() if key.startswith("gf4lrc")]:
             if getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, counted(name, fn))
-    # Seven erasures in five groups always leave a group to the global solve.
-    assert simulate(lrc, 50, RandomErasures(7), seed=3).local_fraction < 1
+    # Seven erasures in five groups always leave a group to the global
+    # solve.  Refused its walk, the run visits its trials.
+    with monkeypatch.context() as patch:
+        patch.setattr(BinaryLrc, "cheapest_weights", refuse_weights)
+        assert simulate(lrc, 50, RandomErasures(7), seed=3).local_fraction < 1
     simulate(lrc, 50, PerSymbolErasures(0.3), seed=3)
     assert calls == {}
     global_decode(lrc, [None] + [0] * (lrc.n - 1))
     assert calls == {"unpack_row": 1, "row_support": 1}
+    # Tallied in bulk, the run's only such calls are those of its one
+    # light-word walk, P's nullspace, so no trial adds one.
+    for trials in (50, 1000):
+        calls.clear()
+        assert simulate(lrc, trials, RandomErasures(7), seed=3).local_fraction < 1
+        assert calls == {"row_support": lrc.u}, trials
 
 
 def test_simulate_draws_once_per_block_and_decodes_each_set_once(lrc, monkeypatch):
     """Each block of trials calls its model's ``draw`` once, the ``len``s
     of the flags ``draw`` returns sum to the run's erasure count, and the
     rank check runs once per distinct still-erased set, the erasures that
-    no group repairs locally, and never for a set repaired wholly locally,
-    nor in a run of t < d erasures a trial, d = 6 certified by the weights.
-    The same holds where the slot table is not the identity.  A block
-    holds the trials whose draws fill _BLOCK_LANES lanes, t per trial for
-    ``RandomErasures`` (at least 1) and n for ``PerSymbolErasures``, unless
-    their flag bytes, n a trial, would pass _BLOCK_FLAGS first."""
+    no group repairs locally, and never for a set repaired wholly locally.
+    A ``RandomErasures`` run ranks no set when its light words are known:
+    below d = 4 by the weight-2 certificate, with no walk; at t = 7 >= d =
+    6 from walks of at most trials * t words.  Refused those, it ranks each
+    set once.  The same holds where the slot table is not the identity.  A
+    block holds the trials whose draws fill _BLOCK_LANES lanes, t per trial
+    for ``RandomErasures`` (at least 1) and n for ``PerSymbolErasures``,
+    unless their flag bytes, n a trial, would pass _BLOCK_FLAGS first."""
     trials, seed = 1100, 3
     calls = collections.Counter()
     solved = repair._solved
@@ -262,7 +273,7 @@ def test_simulate_draws_once_per_block_and_decodes_each_set_once(lrc, monkeypatc
         for model, lanes, ranked in (
             (RandomErasures(0), 1, False),
             (RandomErasures(2), 2, False),
-            (RandomErasures(7), 7, True),
+            (RandomErasures(7), 7, False),
             (PerSymbolErasures(0.3), n, True),
         ):
             block = min(repair._BLOCK_LANES // lanes, repair._BLOCK_FLAGS // n)
@@ -279,20 +290,30 @@ def test_simulate_draws_once_per_block_and_decodes_each_set_once(lrc, monkeypatc
                 still = frozenset().union(*(e for e in groups if len(e) > 1))
                 if still:
                     still_erased.add(still)
+            expected = collections.Counter(draw=-(-trials // block), erasures=erasures)
             calls.clear()
-            simulate(code, trials, model, seed)
-            assert calls == collections.Counter(
-                draw=-(-trials // block),
-                erasures=erasures,
-                _solved=len(still_erased) if ranked else 0,
+            _, walks = walked(lambda: simulate(code, trials, model, seed))
+            assert calls == expected + collections.Counter(
+                _solved=len(still_erased) if ranked else 0
             ), (code.groups, model)
-            if model == RandomErasures(2):
-                # Refused its certificate, the run ranks each set.  Two
-                # erasures leave a still-erased set only inside one of the
-                # five groups, so at most 15 sets: far fewer rank checks
-                # than trials.
+            if model in (RandomErasures(0), RandomErasures(2)):
+                assert walks == [], model
+            if model == RandomErasures(7):
+                assert walks and all(words <= trials * 7 for _, words in walks)
+                # Refused its walk, the run ranks each set once.
                 with monkeypatch.context() as patch:
                     patch.setattr(BinaryLrc, "cheapest_weights", refuse_weights)
+                    calls.clear()
+                    simulate(code, trials, model, seed)
+                assert calls == expected + collections.Counter(_solved=len(still_erased))
+            if model == RandomErasures(2):
+                # Refused its certificate and its walk, the run ranks each
+                # set.  Two erasures leave a still-erased set only inside
+                # one of the five groups, so at most 15 sets: far fewer
+                # rank checks than trials.
+                with monkeypatch.context() as patch:
+                    patch.setattr(BinaryLrc, "cheapest_weights", refuse_weights)
+                    patch.setattr(repair, "_weight_two_free", lambda rows, ell: False)
                     calls.clear()
                     simulate(code, trials, model, seed)
                 assert calls["_solved"] == len(still_erased)
@@ -304,14 +325,36 @@ def test_simulate_draws_once_per_block_and_decodes_each_set_once(lrc, monkeypatc
     assert calls["draw"] == -(-trials // 40)
 
 
-def test_a_run_below_d_builds_no_columns():
-    """A run of t < d erasures a trial reads neither H's columns nor
-    ``e_vectors``; a run of t = d builds them for its first rank check."""
-    lrc = BinaryLrc.from_json(concatenate(hamming4(2)).to_json())
-    simulate(lrc, 200, RandomErasures(5), 7)
-    assert not {"code", "e_vectors"} & vars(lrc).keys()
-    simulate(lrc, 200, RandomErasures(6), 7)
-    assert {"code", "e_vectors"} <= vars(lrc).keys()
+def test_a_run_below_d_builds_no_columns(monkeypatch):
+    """No run that knows its light words reads H's columns or
+    ``e_vectors``, nor ranks a set: t < d, and t >= d when the walk of P's
+    2^k = 64 words fits the run's trials * t draws, as at 10 trials of 7.
+    A run whose walk is refused (t = 6) or over that budget (9 trials of 7,
+    63 draws) visits its trials and builds them for its first rank check."""
+    obj = concatenate(hamming4(2)).to_json()
+    ranked = collections.Counter()
+    solved = repair._solved
+
+    def counted_solved(columns, flags):
+        ranked["_solved"] += 1
+        return solved(columns, flags)
+
+    monkeypatch.setattr(repair, "_solved", counted_solved)
+    for t, trials in ((5, 200), (6, 200), (7, 10)):
+        lrc = BinaryLrc.from_json(obj)
+        _, walks = walked(lambda: simulate(lrc, trials, RandomErasures(t), 7))
+        assert not {"code", "e_vectors"} & vars(lrc).keys()
+        assert walks and all(words <= trials * t for _, words in walks)
+        assert ranked["_solved"] == 0
+    for t, trials, refused in ((6, 200, True), (7, 9, False)):
+        lrc = BinaryLrc.from_json(obj)
+        with monkeypatch.context() as patch:
+            if refused:
+                patch.setattr(BinaryLrc, "cheapest_weights", refuse_weights)
+            simulate(lrc, trials, RandomErasures(t), 7)
+        assert {"code", "e_vectors"} <= vars(lrc).keys()
+        assert ranked["_solved"] > 0
+        ranked.clear()
 
 
 def _count_syndromes(monkeypatch) -> collections.Counter:

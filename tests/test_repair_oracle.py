@@ -6,6 +6,7 @@ decode results (or the same exception type and message) and equal
 membership answers.
 """
 
+import collections
 import itertools
 import random
 
@@ -128,6 +129,114 @@ def test_a_run_below_d_is_tallied_as_the_reference_and_the_visiting_path(case, o
         patch.setattr(BinaryLrc, "cheapest_weights", refuse_weights)
         visited = simulate(lrc, trials, model, seed)
     assert ours == visited == reference.simulate(lrc, trials, model, seed)
+
+
+def _counted_ranks(patch) -> collections.Counter:
+    """Count ``repair._solved`` calls, the visiting path's rank checks."""
+    calls = collections.Counter()
+    solved = repair._solved
+
+    def counted(columns, flags):
+        calls["_solved"] += 1
+        return solved(columns, flags)
+
+    patch.setattr(repair, "_solved", counted)
+    return calls
+
+
+def _bulk_visiting_and_reference(lrc, t: int, trials: int, seed: int, lanes: int):
+    """A run at t tallied in bulk, with no rank check, the same run refused
+    its walk, which visits its trials, and the reference run."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(repair, "_BLOCK_LANES", lanes)
+        calls = _counted_ranks(patch)
+        ours = simulate(lrc, trials, RandomErasures(t), seed)
+        assert calls["_solved"] == 0, t
+        patch.setattr(BinaryLrc, "cheapest_weights", refuse_weights)
+        visited = simulate(lrc, trials, RandomErasures(t), seed)
+    return ours, visited, reference.simulate(lrc, trials, RandomErasures(t), seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_concatenations(), st.data())
+def test_every_t_from_d_to_n_is_tallied_as_the_visiting_path(case, data):
+    """At every t from d to n, over blocks of 1 to 40 trials, the bulk
+    tally from the light words equals the run that visits its trials and
+    the reference.  40 or more trials draw the 2^k <= 64 words of P's walk."""
+    lrc, d = case
+    seed = data.draw(st.integers(-(2**130), 2**130))
+    trials = data.draw(st.integers(40, 80))
+    lanes = data.draw(st.integers(1, 40 * lrc.n))
+    for t in range(d, lrc.n + 1):
+        ours, visited, theirs = _bulk_visiting_and_reference(lrc, t, trials, seed, lanes)
+        assert ours == visited == theirs, t
+
+
+@pytest.mark.parametrize("name", ["hex18_reordered", "ham15_permuted"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_every_t_from_d_to_n_on_reordered_groups(name, data):
+    """The same where a group's positions are listed out of order, or no
+    group is three consecutive positions."""
+    lrc = LRCS[name]
+    seed = data.draw(st.integers(-(2**130), 2**130))
+    trials = data.draw(st.integers(40, 80))
+    lanes = data.draw(st.integers(1, 40 * lrc.n))
+    for t in range(lrc.d, lrc.n + 1):
+        ours, visited, theirs = _bulk_visiting_and_reference(lrc, t, trials, seed, lanes)
+        assert ours == visited == theirs, t
+
+
+def test_failures_at_t_equal_d_are_the_trials_that_erase_a_weight_d_support():
+    """On [15,6,6;2] at t = 6, trial i fails exactly when its six erased
+    positions are one of the 30 weight-6 supports.  Trial i of a run seeded
+    s is trial 0 of the run seeded s + i, so a run of 12 trials from
+    s + i has one more failure than the run of 11 from s + i + 1 exactly
+    when trial i fails; both runs draw at least the 64 words of P's walk,
+    so both are tallied in bulk."""
+    lrc = LRCS["ham15"]
+    words = (lrc.code.encode(m) for m in itertools.product((0, 1), repeat=lrc.k))
+    supports = {frozenset(p for p, x in enumerate(w) if x) for w in words if sum(w) == 6}
+    assert len(supports) == 30
+
+    def failures(seed, trials):
+        return round((1 - simulate(lrc, trials, RandomErasures(6), seed).success_rate) * trials)
+
+    seed, failing, expected = 11, [], []
+    for i in range(1200):
+        if failures(seed + i, 12) - failures(seed + i + 1, 11):
+            failing.append(i)
+        rng = SplitMix64(seed + i)
+        for _ in range(lrc.k):
+            reference.next_u64(rng)
+        if frozenset(reference.draw(RandomErasures(6), rng, lrc.n)) in supports:
+            expected.append(i)
+    assert failing == expected and len(expected) > 2
+
+
+def _has_weight_two(rows, ell: int) -> bool:
+    """Whether some pair symbol alone, α at group g, is orthogonal to every row."""
+    return any(
+        all(((row >> 2 * g & 3) & alpha).bit_count() % 2 == 0 for row in rows)
+        for g in range(ell)
+        for alpha in (1, 2, 3)
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda ell: st.tuples(st.just(ell), st.lists(st.integers(0, 4**ell - 1), max_size=5))
+))
+def test_weight_two_certificate_matches_brute_force(case):
+    ell, rows = case
+    assert repair._weight_two_free(rows, ell) == (not _has_weight_two(rows, ell))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_concatenations())
+def test_weight_two_certificate_holds_exactly_when_d_is_at_least_4(case):
+    lrc, d = case
+    assert repair._weight_two_free(lrc.dual_rows, lrc.ell) == (d >= 4)
 
 
 @pytest.mark.parametrize("t", [5, 6, 7])
