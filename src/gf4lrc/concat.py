@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, repeat
 from operator import or_, xor
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .code import (
     DEFAULT_ENUM_BUDGET,
@@ -192,24 +192,22 @@ class BinaryLrc:
         word = self.lift(step_word(4, rows, first[d // 2], self.ell))
         return DistanceCertificate(d, word, METHOD_EXHAUSTIVE)
 
-    def light_words(self, t: int) -> list[tuple[tuple[int, int], ...]]:
+    def light_words(self, t: int) -> Iterator[tuple[tuple[int, int], ...]]:
         """The nonzero codewords of weight at most t, each as its (group, α)
         pairs, α its nonzero pair symbol: P's words of symbol weight j with
-        2j <= t, from one walk of P's rows, the held walk's or else the
-        nullspace of ``dual_rows``, in step order."""
+        2j <= t, yielded in step order from one walk of P's rows, the held
+        walk's or else the nullspace of ``dual_rows``."""
         if self._walk is not None:
             rows = self._walk[0]
         else:
             rows = FieldMatrix(2, self.u, 2 * self.ell, self.dual_rows).nullspace().rows
-        words = []
         for base, planes, _ in weight_planes(rows, self.ell, 2):
             light = reduce(or_, [plane for j, plane in enumerate(planes) if 0 < 2 * j <= t], 0)
             while light:
                 low = light & -light
                 symbols = step_word(4, rows, base + low.bit_length() - 1, self.ell)
-                words.append(tuple((g, alpha) for g, alpha in enumerate(symbols) if alpha))
+                yield tuple((g, alpha) for g, alpha in enumerate(symbols) if alpha)
                 light ^= low
-        return words
 
     def lift(self, symbols: Sequence[int]) -> tuple[int, ...]:
         """The codeword of a pair word: a group's coefficients (a, b) on (e1, e2)

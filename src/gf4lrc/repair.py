@@ -58,14 +58,12 @@ fills slots 3i..3i+2 (for every ``concatenate`` output ``order``, the
 positions listed group by group, is the identity).  A block is sized by
 the m lanes each of its trials draws, ``model.lanes_per_trial(n)``: t
 for ``RandomErasures``, n for ``PerSymbolErasures``, taken as 1 when it
-is 0.  It holds _BLOCK_LANES // m trials, but at most _BLOCK_FLAGS // n
-so that its flag bytes stay under _BLOCK_FLAGS, at least one and at most
-the run.  The model's ``draw(rng, order, c)`` draws the erasures of all
-c trials of a block from one ``rng.lanes`` call, trial i of the block
-taking stream i, its outputs after the skipped ones, and writes them
-straight into flag bytes: byte i*n + s is 1 exactly when trial i erases
-position order[s].  It returns them as an ``ErasureFlags``, whose ``len``
-is the block's erasure count.
+is 0.  It holds _BLOCK_LANES // m trials, at least one and at most the
+run.  The model's ``draw(rng, order, c)`` draws the erasures of all c
+trials of a block from one ``rng.lanes`` call, trial i of the block
+taking stream i, its outputs after the skipped ones, and returns them as
+bare flag bytes: byte i*n + s is 1 exactly when trial i erases position
+order[s], else 0, so ``count(1)`` is the block's erasure count.
 
 The rng of a run's draws carries one lane vector across its blocks.
 Block b's trial i is the stream seeded at s + b*block + i, with
@@ -99,7 +97,7 @@ b = B >> 8 & M0 and c = B >> 16 & M0 hold the flags of each group's
 three slots in bit 0 of its byte 3i, a ^ b ^ c ^ (a & b & c) marks the
 groups with exactly one erasure, and its product with 0x10101 (the mark
 copied to the group's three bytes), masked by B, is L, the locally
-repaired cells of all trials.  ``len`` of the drawn flags and
+repaired cells of all trials.  ``count(1)`` of the drawn flags and
 ``L.bit_count()`` count the erased and the locally repaired symbols.
 
 A ``RandomErasures`` run whose light words are known, the LRC's nonzero
@@ -132,13 +130,20 @@ it is never longer than the draw it saves.  A k = 0 code has no nonzero
 word, so every set decodes.  A file's "d" is a claim that loading does
 not check and is never read.  Such a run never builds H's columns.
 
-In every other run (a walk over budget, and ``PerSymbolErasures``, whose
-trials can hold any of the 2^k - 1 nonzero words) only trials whose
-still-erased flags B ^ L are nonzero, found with ``bytes.find``, are
-visited one by one: the still-erased flag bytes key a memo of the
-XOR-basis rank check over ``bit_columns`` in slot order, so each
-distinct set reaches the kernel once.  H's columns are built for
-the first rank check, so a run that ranks no set never builds them.
+The tally ANDs each light word's pair masks in every block, so its cost
+grows with their (group, α) symbols: they are read, in step order, only
+while they hold at most _LIGHT_SYMBOLS = 1024.  Bulk over visiting time
+was 0.74 at 90 symbols ([15,6,6;2], t = 6), 0.89-0.94 at 852, 1.04 at
+1224, 1.3-1.4 at 4752, 10 at 68172 and 19 at 139995 (LRCs of 12 and 13
+points of the bundled 17-cap, t = 8 to 14).
+
+In every other run (a walk over budget, light words over that bound, and
+``PerSymbolErasures``, whose trials can hold any of the 2^k - 1 nonzero
+words) only trials whose still-erased flags B ^ L are nonzero, found
+with ``bytes.find``, are visited one by one: the flag bytes key a memo
+of the XOR-basis rank check over ``bit_columns`` in slot order, so each
+distinct set reaches the kernel once.  H's columns are built for the
+first rank check, so a run that ranks no set never builds them.
 """
 
 from __future__ import annotations
@@ -161,11 +166,12 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 #: A block of ``simulate`` draws at most _BLOCK_LANES lanes, 16 bytes
-#: each, and flags at most _BLOCK_FLAGS bytes, n a trial, so that its ints
-#: stay in cache: _BLOCK_LANES // m trials, m the lanes a trial draws, or
-#: _BLOCK_FLAGS // n if fewer (see the module docstring).
+#: each, so that its ints stay in cache: _BLOCK_LANES // m trials, m the
+#: lanes a trial draws (see the module docstring).
 _BLOCK_LANES = 1024
-_BLOCK_FLAGS = 1 << 15
+#: The most (group, α) symbols the light words of a bulk tally hold, the
+#: measured crossover past which visiting the trials is cheaper.
+_LIGHT_SYMBOLS = 1024
 
 
 @functools.lru_cache(maxsize=64)
@@ -325,18 +331,6 @@ def global_decode(lrc: BinaryLrc, word: Sequence[Optional[int]]) -> RepairOutcom
 
 
 @dataclass(frozen=True)
-class ErasureFlags:
-    """A block's erasures as ``draw`` writes them: byte i*n + s is 1
-    exactly when trial i erases the position at slot s, else 0.  Its
-    ``len`` is the number of erasures."""
-
-    flags: bytes
-
-    def __len__(self) -> int:
-        return self.flags.count(1)
-
-
-@dataclass(frozen=True)
 class RandomErasures:
     """Erase exactly t positions chosen uniformly without replacement."""
 
@@ -346,12 +340,11 @@ class RandomErasures:
         if self.t < 0:
             raise ValueError("erasure count must be >= 0")
 
-    def draw(self, rng: SplitMix64, order: Sequence[int], trials: int = 1) -> ErasureFlags:
+    def draw(self, rng: SplitMix64, order: Sequence[int], trials: int = 1) -> bytes:
         """The erasures of ``trials`` trials, trial i drawn from stream i of
         ``rng.lanes``, flagged at byte i*n + s for the position order[s]."""
-        t, n = self.t, len(order)
-        if t > n:
-            raise ValueError(f"cannot erase {t} of {n} positions")
+        n = len(order)
+        t = self.lanes_per_trial(n)
         count = t * trials
         lanes = rng.lanes(range(t), trials).to_bytes(16 * count, "little")
         # A lane's output is its low 8 bytes.
@@ -367,10 +360,12 @@ class RandomErasures:
                 j = r + u % size
                 flags[base + pool[j]] = 1
                 pool[j] = pool[r]
-        return ErasureFlags(bytes(flags))
+        return bytes(flags)
 
     def lanes_per_trial(self, n: int) -> int:
-        """The lanes ``draw`` takes per trial: one per erasure."""
+        """The lanes ``draw`` takes per trial: one per erasure, t <= n."""
+        if self.t > n:
+            raise ValueError(f"cannot erase {self.t} of {n} positions")
         return self.t
 
     def to_json(self) -> dict:
@@ -387,14 +382,13 @@ class PerSymbolErasures:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("erasure probability must lie in [0, 1]")
 
-    def draw(self, rng: SplitMix64, order: Sequence[int], trials: int = 1) -> ErasureFlags:
+    def draw(self, rng: SplitMix64, order: Sequence[int], trials: int = 1) -> bytes:
         """The erasures of ``trials`` trials, trial i drawn from stream i of
         ``rng.lanes``, flagged at byte i*n + s for the position order[s]."""
         count = len(order) * trials
         # Byte 8 of lane l holds its bit 64: 1 exactly when unit() < p.
         top = _threshold_lanes(self.p, order, trials)
-        below = (top - rng.lanes(order, trials)).to_bytes(16 * count, "little")[8::16]
-        return ErasureFlags(below)
+        return (top - rng.lanes(order, trials)).to_bytes(16 * count, "little")[8::16]
 
     def lanes_per_trial(self, n: int) -> int:
         """The lanes ``draw`` takes per trial: one per position."""
@@ -425,15 +419,16 @@ def simulate(lrc: BinaryLrc, trials: int, model, seed: int = 0) -> SimulationRep
     run whose light words are known, none below the certified d or by the
     weight-2 certificate, takes its failures from them, the trials whose
     erasures hold a light word's support, with no rank check; any other
-    run ranks each distinct still-erased set once.  local_fraction counts
-    locally repaired symbols over all erased symbols; mean_accessed
-    averages the per-symbol access counts over all repaired symbols.
+    run ranks each distinct still-erased set once.  A t > n is refused
+    before any walk.  local_fraction counts locally repaired symbols over
+    all erased symbols; mean_accessed averages the per-symbol access
+    counts over all repaired symbols.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n, k = lrc.n, lrc.k
     lanes = max(1, model.lanes_per_trial(n))
-    block = max(1, min(_BLOCK_LANES // lanes, _BLOCK_FLAGS // n, trials))
+    block = min(max(1, _BLOCK_LANES // lanes), trials)
     # Slot 3i + j holds position groups[i][j].
     order = tuple(p for g in lrc.groups for p in g)
     columns: list[int] = []  # H's columns in slot order, built for the first rank check
@@ -447,14 +442,13 @@ def simulate(lrc: BinaryLrc, trials: int, model, seed: int = 0) -> SimulationRep
     streams = _RunStreams((seed + k * _GAMMA) & _MASK64, block)
     for first in range(0, trials, block):
         size = min(block, trials - first)
-        drawn = model.draw(streams, order, size)
-        flags = drawn.flags
+        flags = model.draw(streams, order, size)
         erased = int.from_bytes(flags, "little")
         a, b, c = erased & firsts, erased >> 8 & firsts, erased >> 16 & firsts
         # A group with exactly one erasure repairs it locally: a ^ b ^ c
         # flags an odd count, and a & b & c takes out the count 3.
         local = (a ^ b ^ c ^ (a & b & c)) * 0x10101 & erased
-        erased_total += len(drawn)
+        erased_total += flags.count(1)
         local_total += local.bit_count()
         if light is not None:
             # A trial fails exactly when its erasures hold a light word's
@@ -514,12 +508,12 @@ def simulate(lrc: BinaryLrc, trials: int, model, seed: int = 0) -> SimulationRep
 
 
 def _light_words(lrc: BinaryLrc, t: int, budget: int) -> Optional[list]:
-    """``lrc.light_words(t)``, or [] when t lies below the LRC's distance
-    d, or None when deciding that takes a walk of more than ``budget``
-    words.  Every d is even and at least 2, and at least 4 when the
-    certificate of ``_weight_two_free`` holds, so such a t needs no walk.
-    Else d comes from the ``cheapest_weights`` walk, and the light words
-    from a walk of P's 2^k words."""
+    """``lrc.light_words(t)``, [] when t lies below the LRC's distance d,
+    or None when deciding that takes a walk of more than ``budget`` words
+    or the words hold more than _LIGHT_SYMBOLS symbols.  Every d is even
+    and at least 2, and at least 4 under ``_weight_two_free``'s
+    certificate, so such a t needs no walk; else d comes from the
+    ``cheapest_weights`` walk, and the light words from P's 2^k words."""
     if t < 2 or t < 4 and _weight_two_free(lrc.dual_rows, lrc.ell):
         return []
     try:
@@ -528,7 +522,15 @@ def _light_words(lrc: BinaryLrc, t: int, budget: int) -> Optional[list]:
         return None
     if d is None or t < d:
         return []
-    return lrc.light_words(t) if 1 << lrc.k <= budget else None
+    if 1 << lrc.k > budget:
+        return None
+    words, symbols = [], 0
+    for word in lrc.light_words(t):
+        symbols += len(word)
+        if symbols > _LIGHT_SYMBOLS:  # visiting is cheaper than the tally
+            return None
+        words.append(word)
+    return words
 
 
 def _weight_two_free(rows: Sequence[int], ell: int) -> bool:

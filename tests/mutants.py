@@ -308,8 +308,8 @@ MUTANTS = (
     Mutant(
         "repair-lanes-in-position-order",
         "src/gf4lrc/repair.py",
-        "below = (top - rng.lanes(order, trials))",
-        "below = (top - rng.lanes(range(len(order)), trials))",
+        "return (top - rng.lanes(order, trials))",
+        "return (top - rng.lanes(range(len(order)), trials))",
         (
             "tests/test_repair.py::test_per_symbol_draw_at_threshold_edges",
             "tests/test_repair_oracle.py::test_slot_ordered_draw_flags_the_position_at_each_slot",
@@ -375,10 +375,32 @@ MUTANTS = (
     Mutant(
         "repair-block-by-n-t",
         "src/gf4lrc/repair.py",
-        "one per erasure.\"\"\"\n        return self.t",
-        "one per erasure.\"\"\"\n        return n * self.t",
+        "positions\")\n        return self.t",
+        "positions\")\n        return n * self.t",
         ("tests/test_repair.py::test_simulate_draws_once_per_block_and_decodes_each_set_once",),
         "a RandomErasures block is sized by n*t lanes a trial, not the t it draws",
+    ),
+    Mutant(
+        "repair-block-lanes-off-by-one",
+        "src/gf4lrc/repair.py",
+        "    block = min(max(1, _BLOCK_LANES // lanes), trials)",
+        "    block = min(max(1, _BLOCK_LANES // lanes + 1), trials)",
+        (
+            "tests/test_repair.py::test_simulate_draws_once_per_block_and_decodes_each_set_once",
+            "tests/test_repair.py::"
+            "test_the_repair_workload_kinds_keep_their_blocks_and_tally_paths",
+        ),
+        "a block holds one trial more than its lanes fit, so every block draws past"
+        " _BLOCK_LANES lanes",
+    ),
+    Mutant(
+        "repair-refusal-after-light-words",
+        "src/gf4lrc/repair.py",
+        "    lanes = max(1, model.lanes_per_trial(n))",
+        "    lanes = max(1, getattr(model, \"t\", n))",
+        ("tests/test_repair.py::test_model_validation",),
+        "simulate sizes its block without the t <= n check, so a t > n run walks the"
+        " weights, and the light words, before draw refuses it",
     ),
     Mutant(
         "repair-bulk-at-d",
@@ -455,6 +477,18 @@ MUTANTS = (
             "test_every_corpus_run_gives_its_expected_output_byte_for_byte",
         ),
         "the light words leave out those of weight exactly t, so at t = d no trial fails",
+    ),
+    Mutant(
+        "repair-light-symbol-bound",
+        "src/gf4lrc/repair.py",
+        "        if symbols > _LIGHT_SYMBOLS:",
+        "        if False:",
+        (
+            "tests/test_repair_oracle.py::"
+            "test_light_words_past_the_symbol_bound_send_the_run_to_the_visiting_path",
+        ),
+        "the light words are read whole however many symbols they hold, so the [39,18,8;2]"
+        " LRC at t = 14 ANDs 139995 symbols' pair masks a block, 19 times the visiting time",
     ),
     Mutant(
         "repair-weight-two-equal-pair",

@@ -14,8 +14,9 @@ from gf4lrc import gf4, matrix, repair
 from gf4lrc.code import LinearCode
 from gf4lrc.concat import BinaryLrc, concatenate
 from gf4lrc.errors import AmbiguousDecode, GroupDamaged
-from gf4lrc.families import cyclic4, hamming4, hexacode
+from gf4lrc.families import cap_code, cyclic4, hamming4, hexacode
 from gf4lrc.matrix import FieldMatrix, rows_rank
+from gf4lrc.projective import bundled_cap_pg3_17
 from gf4lrc.repair import (
     PerSymbolErasures,
     RandomErasures,
@@ -92,7 +93,7 @@ def test_per_symbol_draw_at_threshold_edges(p, lane):
         positions = reference.draw(PerSymbolErasures(p), SplitMix64(seed), 4)
         below = (u >> 11) * 2.0**-53 < p
         for order in (range(4), (3, 0, 2, 1)):
-            flags = PerSymbolErasures(p).draw(SplitMix64(seed), order).flags
+            flags = PerSymbolErasures(p).draw(SplitMix64(seed), order)
             assert flags == bytes(q in positions for q in order)
             assert flags[order.index(lane)] == below, hex(u)
 
@@ -237,8 +238,28 @@ def test_simulate_trial_stays_packed(lrc, monkeypatch):
         assert calls == {"row_support": lrc.u}, trials
 
 
+def _recorded_draws(monkeypatch) -> list:
+    """The (trials, erasures) of each model ``draw`` call, in call order."""
+    draws = []
+    for cls in (RandomErasures, PerSymbolErasures):
+        draw = cls.__dict__["draw"]
+
+        def recorded(self, rng, order, trials=1, draw=draw):
+            flags = draw(self, rng, order, trials)
+            draws.append((trials, flags.count(1)))
+            return flags
+
+        monkeypatch.setattr(cls, "draw", recorded)
+    return draws
+
+
+def _block_sizes(trials: int, block: int) -> list:
+    """The trials of each block of a run: full blocks, then the rest."""
+    return [block] * (trials // block) + [trials % block] * (trials % block > 0)
+
+
 def test_simulate_draws_once_per_block_and_decodes_each_set_once(lrc, monkeypatch):
-    """Each block of trials calls its model's ``draw`` once, the ``len``s
+    """Each block of trials calls its model's ``draw`` once, the 1 bytes
     of the flags ``draw`` returns sum to the run's erasure count, and the
     rank check runs once per distinct still-erased set, the erasures that
     no group repairs locally, and never for a set repaired wholly locally.
@@ -248,7 +269,7 @@ def test_simulate_draws_once_per_block_and_decodes_each_set_once(lrc, monkeypatc
     set once.  The same holds where the slot table is not the identity.  A
     block holds the trials whose draws fill _BLOCK_LANES lanes, t per trial
     for ``RandomErasures`` (at least 1) and n for ``PerSymbolErasures``,
-    unless their flag bytes, n a trial, would pass _BLOCK_FLAGS first."""
+    at least one trial and at most the run."""
     trials, seed = 1100, 3
     calls = collections.Counter()
     solved = repair._solved
@@ -258,16 +279,15 @@ def test_simulate_draws_once_per_block_and_decodes_each_set_once(lrc, monkeypatc
         return solved(columns, flags)
 
     monkeypatch.setattr(repair, "_solved", counted_solved)
-    for cls in (RandomErasures, PerSymbolErasures):
-        draw = cls.__dict__["draw"]
+    draws = _recorded_draws(monkeypatch)
 
-        def counted_draw(self, rng, order, trials=1, draw=draw):
-            drawn = draw(self, rng, order, trials)
-            calls["draw"] += 1
-            calls["erasures"] += len(drawn)
-            return drawn
+    def run(code, model):
+        calls.clear()
+        draws.clear()
+        simulate(code, trials, model, seed)
+        erasures = sum(count for _, count in draws)
+        return calls + collections.Counter(draw=len(draws), erasures=erasures)
 
-        monkeypatch.setattr(cls, "draw", counted_draw)
     for code in (lrc, permuted_hamming_lrc()):
         n = code.n
         for model, lanes, ranked in (
@@ -276,7 +296,7 @@ def test_simulate_draws_once_per_block_and_decodes_each_set_once(lrc, monkeypatc
             (RandomErasures(7), 7, False),
             (PerSymbolErasures(0.3), n, True),
         ):
-            block = min(repair._BLOCK_LANES // lanes, repair._BLOCK_FLAGS // n)
+            block = repair._BLOCK_LANES // lanes
             assert 1 < block < trials and trials % block, (model, block)
             still_erased = set()
             erasures = 0
@@ -291,11 +311,11 @@ def test_simulate_draws_once_per_block_and_decodes_each_set_once(lrc, monkeypatc
                 if still:
                     still_erased.add(still)
             expected = collections.Counter(draw=-(-trials // block), erasures=erasures)
-            calls.clear()
-            _, walks = walked(lambda: simulate(code, trials, model, seed))
-            assert calls == expected + collections.Counter(
+            tally, walks = walked(lambda: run(code, model))
+            assert tally == expected + collections.Counter(
                 _solved=len(still_erased) if ranked else 0
             ), (code.groups, model)
+            assert [size for size, _ in draws] == _block_sizes(trials, block), model
             if model in (RandomErasures(0), RandomErasures(2)):
                 assert walks == [], model
             if model == RandomErasures(7):
@@ -303,9 +323,8 @@ def test_simulate_draws_once_per_block_and_decodes_each_set_once(lrc, monkeypatc
                 # Refused its walk, the run ranks each set once.
                 with monkeypatch.context() as patch:
                     patch.setattr(BinaryLrc, "cheapest_weights", refuse_weights)
-                    calls.clear()
-                    simulate(code, trials, model, seed)
-                assert calls == expected + collections.Counter(_solved=len(still_erased))
+                    tally = run(code, model)
+                assert tally == expected + collections.Counter(_solved=len(still_erased))
             if model == RandomErasures(2):
                 # Refused its certificate and its walk, the run ranks each
                 # set.  Two erasures leave a still-erased set only inside
@@ -314,15 +333,52 @@ def test_simulate_draws_once_per_block_and_decodes_each_set_once(lrc, monkeypatc
                 with monkeypatch.context() as patch:
                     patch.setattr(BinaryLrc, "cheapest_weights", refuse_weights)
                     patch.setattr(repair, "_weight_two_free", lambda rows, ell: False)
-                    calls.clear()
-                    simulate(code, trials, model, seed)
-                assert calls["_solved"] == len(still_erased)
+                    tally = run(code, model)
+                assert tally["_solved"] == len(still_erased)
                 assert 0 < len(still_erased) <= 15
-    # Where the flag bytes bind first, they size the block.
-    monkeypatch.setattr(repair, "_BLOCK_FLAGS", 40 * lrc.n)
-    calls.clear()
-    simulate(lrc, trials, RandomErasures(2), seed)
-    assert calls["draw"] == -(-trials // 40)
+    # A run shorter than a block is one block; a trial that draws more
+    # lanes than a block holds is a block of its own.
+    for model, lanes, size in ((RandomErasures(2), 102, 50), (PerSymbolErasures(0.3), 14, 1)):
+        monkeypatch.setattr(repair, "_BLOCK_LANES", lanes)
+        draws.clear()
+        simulate(lrc, 50, model, seed)
+        assert [size for size, _ in draws] == _block_sizes(50, size), model
+
+
+#: The benchmark's ten repair kinds, (code, model, trials, block, bulk):
+#: each block's trials, and whether the run is tallied in bulk from its
+#: light words or visits its trials.
+REPAIR_WORKLOAD_KINDS = (
+    ("ham15", RandomErasures(2), 3500, 512, True),
+    ("cap51", RandomErasures(2), 950, 512, True),
+    ("cyc129", RandomErasures(2), 250, 250, True),
+    ("ham15", RandomErasures(5), 2300, 204, True),
+    ("cap51", RandomErasures(7), 620, 146, True),
+    ("cyc129", RandomErasures(9), 165, 113, False),
+    ("ham15", RandomErasures(6), 2000, 170, True),
+    ("ham15", PerSymbolErasures(0.03), 4400, 68, False),
+    ("cap51", PerSymbolErasures(0.03), 900, 20, False),
+    ("cyc129", PerSymbolErasures(0.03), 200, 7, False),
+)
+
+
+def test_the_repair_workload_kinds_keep_their_blocks_and_tally_paths(monkeypatch):
+    lrcs = {**GOLDEN_LRCS, "cap51": concatenate(cap_code(bundled_cap_pg3_17()))}
+    draws, known = _recorded_draws(monkeypatch), []
+    light_words = repair._light_words
+
+    def recorded(*args):
+        words = light_words(*args)
+        known.append(words is not None)
+        return words
+
+    monkeypatch.setattr(repair, "_light_words", recorded)
+    for name, model, trials, block, bulk in REPAIR_WORKLOAD_KINDS:
+        draws.clear()
+        known.clear()
+        simulate(lrcs[name], trials, model, 1)
+        assert [size for size, _ in draws] == _block_sizes(trials, block), (name, model)
+        assert any(known) == bulk, (name, model)
 
 
 def test_a_run_below_d_builds_no_columns(monkeypatch):
@@ -442,18 +498,29 @@ def test_simulate_validates_trials(lrc):
         simulate(lrc, 0, RandomErasures(1))
 
 
-def test_model_validation(lrc):
+def test_model_validation(lrc, monkeypatch):
     with pytest.raises(ValueError):
         RandomErasures(-1)
     with pytest.raises(ValueError):
         PerSymbolErasures(1.5)
-    with pytest.raises(ValueError):
-        simulate(lrc, 1, RandomErasures(lrc.n + 1))
     # t > n raises before anything is drawn.
     rng = SplitMix64(3)
     with pytest.raises(ValueError, match="cannot erase 16 of 15 positions"):
         RandomErasures(16).draw(rng, range(15), 2)
     assert rng.state == 3
+    # simulate refuses it before the weights' walk, which the light words'
+    # walk follows, however many trials the run asks for.
+    asked = []
+
+    def refused(self, budget):
+        asked.append(budget)
+        refuse_weights(self, budget)
+
+    monkeypatch.setattr(BinaryLrc, "cheapest_weights", refused)
+    for trials in (1, 2_000_000):
+        with pytest.raises(ValueError, match="cannot erase 16 of 15 positions"):
+            simulate(lrc, trials, RandomErasures(lrc.n + 1))
+    assert asked == []
 
 
 def test_two_full_groups_decode_on_hexacode_lrc():

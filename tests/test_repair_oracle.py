@@ -20,8 +20,9 @@ from gf4lrc import repair
 from gf4lrc.code import LinearCode
 from gf4lrc.concat import BinaryLrc, concatenate
 from gf4lrc.errors import AmbiguousDecode
-from gf4lrc.families import hamming4, hexacode, mds_rs
+from gf4lrc.families import cap_code, hamming4, hexacode, mds_rs
 from gf4lrc.matrix import FieldMatrix, rows_rank
+from gf4lrc.projective import CapSet, bundled_cap_pg3_17
 from gf4lrc.repair import (
     PerSymbolErasures,
     RandomErasures,
@@ -187,6 +188,49 @@ def test_every_t_from_d_to_n_on_reordered_groups(name, data):
         assert ours == visited == theirs, t
 
 
+def _read_light_words(patch) -> list:
+    """The light words each ``BinaryLrc.light_words`` walk yields, in the
+    order the run reads them."""
+    read = []
+    light_words = BinaryLrc.light_words
+
+    def counted(self, t):
+        for word in light_words(self, t):
+            read.append(word)
+            yield word
+
+    patch.setattr(BinaryLrc, "light_words", counted)
+    return read
+
+
+def test_light_words_past_the_symbol_bound_send_the_run_to_the_visiting_path():
+    """The [39,18,8;2] LRC of the first 13 points of the bundled 17-cap at
+    t = 14: 18725 trials draw the 2^18 words of its walks, but its light
+    words hold 139995 (group, α) symbols, so the run stops reading them at
+    the first word past _LIGHT_SYMBOLS and visits its trials, with the
+    report of the refused-walk run and of the reference.  The [15,6,6;2]
+    LRC's 30 light words at t = 6, 90 symbols, are read whole and tallied
+    in bulk."""
+    cap = bundled_cap_pg3_17()
+    lrc = concatenate(cap_code(CapSet(cap.ambient, cap.points[:13])))
+    assert (lrc.n, lrc.k, lrc.d) == (39, 18, 8)
+    model = RandomErasures(14)
+    with pytest.MonkeyPatch.context() as patch:
+        calls, read = _counted_ranks(patch), _read_light_words(patch)
+        ours = simulate(lrc, 18725, model, 0)
+        assert calls["_solved"] > 0
+        symbols = [len(word) for word in read]
+        assert sum(symbols[:-1]) <= repair._LIGHT_SYMBOLS < sum(symbols)
+        patch.setattr(BinaryLrc, "cheapest_weights", refuse_weights)
+        visited = simulate(lrc, 18725, model, 0)
+    assert ours == visited == reference.simulate(lrc, 18725, model, 0)
+    with pytest.MonkeyPatch.context() as patch:
+        calls, read = _counted_ranks(patch), _read_light_words(patch)
+        simulate(LRCS["ham15"], 2000, RandomErasures(6), 11)
+        assert calls["_solved"] == 0
+        assert (len(read), sum(map(len, read))) == (30, 90)
+
+
 def test_failures_at_t_equal_d_are_the_trials_that_erase_a_weight_d_support():
     """On [15,6,6;2] at t = 6, trial i fails exactly when its six erased
     positions are one of the 30 weight-6 supports.  Trial i of a run seeded
@@ -286,8 +330,8 @@ def test_block_draw_is_the_union_of_trial_draws(seed, n, trials, data):
     """Trial i of a block draws from the stream seeded at seed + i, and
     its erased positions p come back as the flag bytes i*n + p."""
     model = data.draw(models(n))
-    flags = model.draw(SplitMix64(seed), range(n), trials).flags
-    ours = b"".join(model.draw(SplitMix64(seed + i), range(n)).flags for i in range(trials))
+    flags = model.draw(SplitMix64(seed), range(n), trials)
+    ours = b"".join(model.draw(SplitMix64(seed + i), range(n)) for i in range(trials))
     assert flags == ours == _reference_flags(model, seed, range(n), trials)
 
 
@@ -295,13 +339,14 @@ def test_block_draw_is_the_union_of_trial_draws(seed, n, trials, data):
 @given(st.integers(-(2**130), 2**130), st.integers(1, 40), st.integers(1, 12), st.data())
 def test_slot_ordered_draw_flags_the_position_at_each_slot(seed, n, trials, data):
     """In any slot order, byte i*n + s of a block's draw is 1 exactly when
-    trial i erases order[s], and its ``len`` is the block's erasure count."""
+    trial i erases order[s], and its count of 1s is the block's erasure
+    count."""
     order = tuple(data.draw(st.permutations(range(n))))
     edges = [RandomErasures(0), RandomErasures(n), PerSymbolErasures(0.0), PerSymbolErasures(1.0)]
     model = data.draw(st.sampled_from(edges) | models(n))
     drawn = model.draw(SplitMix64(seed), order, trials)
-    assert drawn.flags == _reference_flags(model, seed, order, trials)
-    assert len(drawn) == sum(
+    assert drawn == _reference_flags(model, seed, order, trials)
+    assert drawn.count(1) == sum(
         len(reference.draw(model, SplitMix64(seed + i), n)) for i in range(trials)
     )
 
@@ -315,7 +360,7 @@ def test_simulate_erasing_nothing_or_everything(name, everything, kind, monkeypa
     model = kind(n * everything) if kind is RandomErasures else kind(float(everything))
     order = tuple(p for g in lrc.groups for p in g)
     drawn = model.draw(SplitMix64(5), order, 3)
-    assert (drawn.flags, len(drawn)) == (bytes([everything]) * 3 * n, 3 * n * everything)
+    assert (drawn, drawn.count(1)) == (bytes([everything]) * 3 * n, 3 * n * everything)
     monkeypatch.setattr(repair, "_BLOCK_LANES", 3 * n)
     assert simulate(lrc, 10, model, 5) == reference.simulate(lrc, 10, model, 5)
 
@@ -331,8 +376,8 @@ def test_single_trial_draw_is_the_erased_positions(model):
         positions = reference.draw(model, SplitMix64(seed), 15)
         drawn = model.draw(SplitMix64(seed), range(15), 1)
         assert drawn == model.draw(SplitMix64(seed), range(15))
-        assert drawn.flags == bytes(p in positions for p in range(15))
-        assert len(drawn) == len(positions)
+        assert drawn == bytes(p in positions for p in range(15))
+        assert drawn.count(1) == len(positions)
 
 
 @pytest.mark.parametrize("name", sorted(LRCS))
