@@ -18,7 +18,8 @@ and its lower rows against the mask of each group's first position.  Once
 its groups check, the group parities are independent of the rest, so only
 the u gathered rows are ranked.  An LRC's distance takes a plain code's
 route (see ``code``) over P, and a concatenation keeps its outer code's
-column certificate, lifted.
+column certificate, lifted.  A plain code's locality past its dual walk
+runs the same dependent-set search, anchored at each coordinate.
 """
 
 from __future__ import annotations
@@ -52,12 +53,12 @@ from .errors import (
 from .matrix import (
     FieldMatrix,
     binary_expansion,
+    dependent_sets,
     pack_row,
     row_digits,
     rows_rank,
     xor_combine,
     xor_insert,
-    xor_reduce,
 )
 
 #: Default cap on repair-group subsets examined by the distance certifier.
@@ -372,13 +373,10 @@ def locality_check(
     if isinstance(code, BinaryLrc):
         if r >= 2:
             covering: list[Optional[tuple[int, ...]]] = [None] * code.n
-            for g in code.groups:
+            for a, b, c in code.groups:
                 row = [0] * code.n
-                for pos in g:
-                    row[pos] = 1
-                row = tuple(row)
-                for pos in g:
-                    covering[pos] = row
+                row[a] = row[b] = row[c] = 1
+                covering[a] = covering[b] = covering[c] = tuple(row)
             return CoverageReport(r, tuple(covering), True)
         code = code.code
     if code.q ** (code.n - code.k) > budget:
@@ -389,9 +387,7 @@ def locality_check(
     # Each coordinate takes the first dual word in step order of weight
     # 1..r+1 whose support holds it.
     for base, planes, nonzero in weight_planes(rows, code.n, 1 if code.q == 2 else 2):
-        short = 0
-        for w in range(1, min(r + 1, code.n) + 1):
-            short |= planes[w]
+        short = reduce(or_, planes[1 : r + 2], 0)  # planes runs past weight n
         if not short:
             continue
         for j in range(code.n):
@@ -409,14 +405,12 @@ def locality_check(
 def _covering_sets(code: LinearCode, r: int, budget: int) -> CoverageReport:
     """``locality_check`` without the dual walk.  A dual word of weight at
     most r+1 holding coordinate j is a dependency among at most r+1 of G's
-    columns that holds column j.  So coordinate j takes the first set T of
-    at most r other coordinates, by size and then in lexicographic order,
-    whose G-columns span j's, and its word is 1 at j and, at each t in T,
-    t's coefficient in that span.  Such a T is independent, else a subset
-    would span as much and come first, so a set with a dependent prefix is
-    skipped, and every coefficient is nonzero.  One unit of ``budget`` is
-    spent per set of full size examined; BudgetExceeded is raised instead
-    of examining set budget + 1."""
+    columns that holds column j.  So j takes the first set T of at most r
+    other coordinates, by size and then lexicographically, whose columns
+    span j's: of the sets ``dependent_sets`` yields with j as anchor, the
+    first whose elimination, T's vectors and then j's column, first becomes
+    dependent at j's column.  Its word is 1 at j and each t's coefficient
+    on T.  ``budget`` counts the full-size sets passed, as the search does."""
     width = 1 if code.q == 2 else 2
     # G's columns, a GF(4) column as its pair (c, w*c): a word x is in the
     # dual when the XOR of the pairs over x's packed bits is 0.
@@ -424,34 +418,27 @@ def _covering_sets(code: LinearCode, r: int, budget: int) -> CoverageReport:
     blocks = [cols[t : t + width] for t in range(0, len(cols), width)]
     examined = 0
 
-    def first_span(j: int, start: int, basis: list, chosen: tuple, need: int):
+    def spend(sets: int) -> None:
         nonlocal examined
-        for t in range(start, code.n):
-            if t == j:
-                continue
-            grown = basis.copy()
-            shift = width * len(chosen)
-            if not all(xor_insert(grown, v, 1 << (shift + b))[0] for b, v in enumerate(blocks[t])):
-                continue  # t's column lies in the span of the chosen ones
-            if need > 1:
-                found = first_span(j, t + 1, grown, chosen + (t,), need - 1)
-                if found is not None:
-                    return found
-                continue
-            examined += 1
-            if examined > budget:
-                raise BudgetExceeded(f"covering-set search exceeded {budget} sets")
-            rest, mask = xor_reduce(grown, blocks[j][0])
-            if not rest:
-                return chosen + (t,), mask
+        examined += sets
+        if examined > budget:
+            raise BudgetExceeded(f"covering-set search exceeded {budget} sets")
+
+    def first_cover(j: int) -> Optional[tuple[tuple[int, ...], int]]:
+        for size in range(1, r + 1):
+            for chosen in dependent_sets(blocks, size, spend, anchor=j):
+                basis: list = []
+                for at, v in enumerate([v for t in chosen for v in blocks[t]] + [blocks[j][0]]):
+                    v, mask = xor_insert(basis, v, 1 << at)
+                    if not v:
+                        break
+                if not v and at == width * size:
+                    return chosen, mask
         return None
 
     covering: list[Optional[tuple[int, ...]]] = []
     for j in range(code.n):
-        found = None if blocks[j][0] else ((), 0)  # a zero column: e_j is a dual word
-        for size in range(1, r + 1):
-            if found is None:
-                found = first_span(j, 0, [], (), size)
+        found = first_cover(j) if blocks[j][0] else ((), 0)  # a zero column: e_j is a dual word
         if found is None:
             covering.append(None)
             continue

@@ -10,6 +10,8 @@ decoding) runs on one binary XOR-basis kernel, ``xor_reduce`` and
 ``xor_insert``, over a list of ``(pivot bit, vector, provenance mask)``
 entries: each vector has the pivots of the entries before it clear and its
 lowest set bit as pivot, and its mask names the inputs that XOR to it.
+The one dependent-set search, ``dependent_sets``, keeps its frames on a
+list, not the call stack; every search for dependent sets runs it.
 GF(4) enters through its binary pair expansion: the GF(4) span of packed
 rows r is the GF(2) span of the pairs (r, w*r), so a GF(4) rank is half a
 binary rank, and sum_i c_i r_i is one ``xor_combine``: the XOR of the pairs
@@ -36,7 +38,7 @@ split line by line, which also names the first fault.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import gf4
 from .errors import BudgetExceeded, FieldMismatch, ParseError, ShapeMismatch
@@ -63,9 +65,7 @@ def lo_mask(ncols: int) -> int:
 
 
 def _lo_for(row: int) -> int:
-    bits = row.bit_length()
-    bits += bits & 1
-    return ((1 << bits) - 1) // 3
+    return lo_mask((row.bit_length() + 1) // 2)
 
 
 def row_digits(q: int, row: int, ncols: int) -> str:
@@ -153,6 +153,16 @@ def xor_insert(basis: list, v: int, mask: int = 0) -> tuple[int, int]:
     return v, mask
 
 
+def xor_basis(vecs: Iterable[int], independent: bool = False) -> list | None:
+    """The kernel basis of ``vecs`` inserted in order; when they must be
+    ``independent``, None at the first that depends on those before it."""
+    basis: list = []
+    for v in vecs:
+        if not xor_insert(basis, v)[0] and independent:
+            return None
+    return basis
+
+
 def binary_expansion(q: int, rows: Iterable[int], lo: int | None = None) -> list[int]:
     """Packed GF(2) vectors spanning the rows' GF(q) span: r, or r and w*r."""
     if q == 2:
@@ -162,9 +172,7 @@ def binary_expansion(q: int, rows: Iterable[int], lo: int | None = None) -> list
 
 def rows_rank(q: int, rows: Iterable[int], ncols: int) -> int:
     """Rank of packed rows; over GF(4), half the rank of the pair expansion."""
-    basis: list = []
-    for v in binary_expansion(q, rows, lo_mask(ncols) if q == 4 else None):
-        xor_insert(basis, v)
+    basis = xor_basis(binary_expansion(q, rows, lo_mask(ncols) if q == 4 else None))
     return len(basis) if q == 2 else len(basis) // 2
 
 
@@ -295,9 +303,7 @@ class FieldMatrix:
         binary RREF; over GF(4) it holds each RREF row R (pivot bit 2j) and
         w*R (pivot bit 2j + 1), so the GF(4) RREF is its even-pivot rows.
         """
-        basis: list = []
-        for v in binary_expansion(self.q, self.rows, self._lo):
-            xor_insert(basis, v)
+        basis = xor_basis(binary_expansion(self.q, self.rows, self._lo))
         # An entry holds no pivot bit of the entries before it, so reducing
         # from the last entry back clears every other pivot from each one.
         reduced: list = []
@@ -388,34 +394,92 @@ class FieldMatrix:
         return f"FieldMatrix(GF({self.q}), {self.nrows}x{self.ncols})"
 
 
-def smallest_dependent_set(
-    blocks: Sequence[Sequence[int]], budget: int, start: int = 1
-) -> tuple[tuple[int, ...], int] | None:
-    """Lexicographically first smallest set of blocks whose vectors are dependent.
+def dependent_sets(
+    blocks: Sequence[Sequence[int]],
+    size: int,
+    spend: Callable[[int], None],
+    anchor: int | None = None,
+) -> Iterator[tuple[int, ...]]:
+    """In lexicographic order, every set T of ``size`` blocks other than
+    ``anchor`` that is dependent together with the anchor while its proper
+    subsets are not, and no T independent together with it.  ``spend(m)``
+    is called as m sets of ``size`` blocks are passed: at a yield the sum
+    spent is T's rank, and at the end C(m, size) for m blocks.
 
-    A block is a tuple of packed GF(2) vectors, all blocks of one width: a
-    repair group enters as its pair (e1, e2), a GF(4) column c as
-    (c, w*c), whose packed forms are its GF(2) expansion, and a binary
-    column as (c,).  Sizes are searched in increasing order from ``start``
-    and the sets of one size in lexicographic order; a caller passes a
-    ``start`` above 1 only when it already knows every smaller set to be
-    independent, so the answer is the one a search from 1 finds.  One unit
-    of ``budget`` is spent per full-size set examined; BudgetExceeded
-    (``lower`` = the size being searched) is raised instead of examining
-    set budget + 1.
-
-    Returns ``(indices, mask)``, where bit width*j + b of ``mask`` is the
-    coefficient of vector b of block indices[j] in the dependency found by
-    eliminating the set's vectors in order, or None if no set is dependent.
+    A block is a tuple of packed GF(2) vectors, all of one width: a repair
+    group as its pair (e1, e2), a GF(4) column c as (c, w*c), a binary
+    column as (c,).  A frame's candidate p has its vector b, reduced
+    against the anchor and the prefix, at ``cols[b][p]``: a combination
+    lies in their span exactly when it reduces to 0.  The reduced vectors
+    fit in the bits their pivots leave; when they are all independent, the
+    frame's sets are passed unvisited.  A candidate dependent on its own is
+    a set when one block is needed, and completes no minimal set otherwise.
     """
-    blocks = [tuple(b) for b in blocks]
     bits = max((v.bit_length() for b in blocks for v in b), default=0)
-    examined = 0
+    basis = xor_basis(blocks[anchor] if anchor is not None else ())
+    idx = [i for i in range(len(blocks)) if i != anchor]
+    cols = [list(col) for col in zip(*[blocks[i] for i in idx])]
+    for low, p, _ in basis:
+        cols = [[v ^ p if v & low else v for v in col] for col in cols]
+    # A frame: (next candidate, candidates, their reduced cols, chosen prefix).
+    stack = [(0, idx, cols, ())]
+    while stack:
+        pos, idx, cols, prefix = stack.pop()
+        need = size - len(prefix)
+        if pos == 0:  # the frame is entered; each prefix block took len(cols) pivots
+            fits = len(cols) * (len(idx) + len(prefix)) <= bits - len(basis)
+            if fits and xor_basis([v for col in cols for v in col], True) is not None:
+                spend(math.comb(len(idx), need))
+                continue
+            if need == 2:
+                # Two candidates, each independent on its own, are dependent
+                # together exactly when their reduced spans share a nonzero
+                # vector; one dependent on its own is skipped.
+                spans = [[0] * len(idx)]
+                for col in cols:
+                    spans += [[x ^ y for x, y in zip(s, col)] for s in spans]
+                own = [span if 0 not in span else () for span in zip(*spans[1:])]
+                carriers: dict[int, list[int]] = {}
+                for p, span in enumerate(own):
+                    for v in span:
+                        carriers.setdefault(v, []).append(p)
+                passed = 0
+                for p in sorted({p for ps in carriers.values() for p in ps[:-1]}):
+                    for q in sorted({q for v in own[p] for q in carriers[v] if q > p}):
+                        rank = p * (len(idx) - 1) - p * (p - 1) // 2 + q - p  # of (p, q)
+                        spend(rank - passed)
+                        passed = rank
+                        yield prefix + (idx[p], idx[q])
+                spend(math.comb(len(idx), 2) - passed)
+                continue
+        if pos > len(idx) - need:
+            continue
+        stack.append((pos + 1, idx, cols, prefix))
+        head = xor_basis([col[pos] for col in cols], independent=True)
+        if head is None or need == 1:
+            spend(math.comb(len(idx) - pos - 1, need - 1))
+            if head is None and need == 1:
+                yield prefix + (idx[pos],)
+            continue
+        rest = [col[pos + 1 :] for col in cols]
+        for low, p, _ in head:
+            rest = [[v ^ p if v & low else v for v in col] for col in rest]
+        stack.append((0, idx[pos + 1 :], rest, prefix + (idx[pos],)))
 
-    def basis_of(vecs) -> list | None:
-        """Kernel basis of vecs inserted in order; None if they are dependent."""
-        basis: list = []
-        return basis if all(xor_insert(basis, v)[0] for v in vecs) else None
+
+def smallest_dependent_set(
+    blocks: Sequence[Sequence[int]], budget: int, start: int = 1, stop: int | None = None
+) -> tuple[tuple[int, ...], int] | None:
+    """The first set ``dependent_sets`` yields, sizes from ``start`` to
+    ``stop`` (default: every block) in increasing order; a ``start`` above
+    1 must be proven, every smaller set independent.  A unit of ``budget``
+    is spent per full-size set passed; BudgetExceeded (``lower`` = the
+    size searched) is raised instead of passing set budget + 1.  Returns
+    ``(indices, mask)``, bit width*j + b of ``mask`` the coefficient of
+    vector b of block indices[j] in the dependency found by eliminating the
+    set's vectors in order, or None if no set is dependent.
+    """
+    examined = 0
 
     def spend(sets: int) -> None:
         nonlocal examined
@@ -423,57 +487,11 @@ def smallest_dependent_set(
         if examined > budget:
             raise BudgetExceeded(f"dependent-set search exceeded {budget} sets", lower=size)
 
-    def extend(idx: list[int], cols: list[list[int]], need: int, room: int):
-        # Candidate p is block idx[p]; its vector b, reduced against the
-        # chosen prefix, is cols[b][p].  Pivots are eliminated in insertion
-        # order, so reduced forms are canonical: a combination of vectors
-        # lies in the span of the prefix exactly when it reduces to 0.  The
-        # reduced vectors have the prefix's pivot bits clear, so they fit in
-        # ``room`` dimensions; when they are all independent, no set of them
-        # is dependent and their sets are counted without being visited.
-        if len(cols) * len(idx) <= room and basis_of([v for c in cols for v in c]) is not None:
-            spend(math.comb(len(idx), need))
-            return None
-        if need == 1:  # nothing is chosen yet
-            bad = [p for p, vecs in enumerate(zip(*cols)) if basis_of(vecs) is None]
-            spend(bad[0] + 1 if bad else len(idx))
-            return (idx[bad[0]],) if bad else None
-        if need > 2:
-            for pos in range(len(idx) - need + 1):
-                rest = [col[pos + 1 :] for col in cols]
-                for low, p, _ in basis_of([col[pos] for col in cols]):
-                    rest = [[v ^ p if v & low else v for v in col] for col in rest]
-                found = extend(idx[pos + 1 :], rest, need - 1, room - len(cols))
-                if found is not None:
-                    return (idx[pos],) + found
-            return None
-        # Two more blocks complete a dependent set exactly when their
-        # reduced spans share a nonzero vector.  The least such pair (p, q)
-        # pairs the first carrier of a shared vector with a later one.
-        spans = [[0] * len(idx)]
-        for col in cols:
-            spans += [[x ^ y for x, y in zip(s, col)] for s in spans]
-        first: dict[int, int] = {}
-        pairs = []
-        for pos, span in enumerate(zip(*spans[1:])):
-            for v in span:
-                p = first.setdefault(v, pos)
-                if p != pos:
-                    pairs.append((p, pos))
-        # The pairs before (p, q) in lexicographic order, then (p, q) itself;
-        # with no pair, the sentinel (last, last) counts every pair.
-        p, q = min(pairs, default=(len(idx) - 1,) * 2)
-        spend(p * (len(idx) - 1) - p * (p - 1) // 2 + q - p)
-        return (idx[p], idx[q]) if p < q else None
-
-    for size in range(start, len(blocks) + 1):
-        chosen = extend(list(range(len(blocks))), [list(c) for c in zip(*blocks)], size, bits)
-        if chosen is None:
-            continue
-        basis: list = []
-        for t, v in enumerate([v for i in chosen for v in blocks[i]]):
-            v, mask = xor_insert(basis, v, 1 << t)
-            if not v:
-                return chosen, mask
+    for size in range(start, (len(blocks) if stop is None else stop) + 1):
+        for chosen in dependent_sets(blocks, size, spend):
+            basis: list = []
+            for t, v in enumerate([v for i in chosen for v in blocks[i]]):
+                v, mask = xor_insert(basis, v, 1 << t)
+                if not v:
+                    return chosen, mask
     return None
-

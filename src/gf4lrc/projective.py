@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import gf4
-from .errors import BudgetExceeded, NotACap, ParseError
+from .errors import NotACap, ParseError
 from .matrix import (
     pack_row,
     read_symbol_rows,
@@ -75,19 +75,14 @@ class CapSet:
     def verify(self) -> None:
         """Recheck the cap property; raises NotACap with a violating triple."""
         self.check_points()
-        # Distinct normalized points are pairwise independent, so a
-        # dependent set of three points, each entering as its pair (p, w*p),
-        # is a collinear triple; the search from size 3 finds the first in
-        # lexicographic order, and spending all C(m, 3) sets proves none.
+        # Distinct normalized points are pairwise independent, so a dependent
+        # set of three points, each as its pair (p, w*p), is a collinear
+        # triple: the size-3 search finds the first, or passes all C(m, 3).
         packed = [pack_row(4, p) for p in self.points]
         blocks = [(v, scale_row(4, v, gf4.W)) for v in packed]
-        try:
-            found = smallest_dependent_set(blocks, math.comb(len(blocks), 3), start=3)
-        except BudgetExceeded:
-            return
-        if found is not None and len(found[0]) == 3:
-            triple = found[0]
-            raise NotACap(f"collinear triple at indices {triple}", triple=triple)
+        found = smallest_dependent_set(blocks, math.comb(len(blocks), 3), start=3, stop=3)
+        if found is not None:
+            raise NotACap(f"collinear triple at indices {found[0]}", triple=found[0])
 
     def check_points(self) -> None:
         """Check each point: of the right length over GF(4), nonzero,

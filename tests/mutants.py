@@ -143,13 +143,67 @@ MUTANTS = (
     Mutant(
         "dependent-set-two-block-pair",
         "src/gf4lrc/matrix.py",
-        "        p, q = min(pairs, default=(len(idx) - 1,) * 2)",
-        "        p, q = max(pairs, default=(len(idx) - 1,) * 2)",
+        "for q in sorted({q for v in own[p] for q in carriers[v] if q > p}):",
+        "for q in sorted({q for v in own[p] for q in carriers[v] if q > p}, reverse=True):",
         (
             "tests/test_dependent_set.py::test_engine_matches_subset_loop_on_random_blocks",
             "tests/test_dependent_set.py::test_column_search_matches_reference_dfs",
         ),
-        "the two-block step takes the last pair of blocks with a shared vector, not the first",
+        "the two-block step pairs a block with its last partner sharing a vector, not its first",
+    ),
+    Mutant(
+        "dependent-set-resume-after-child",
+        "src/gf4lrc/matrix.py",
+        "        stack.append((pos + 1, idx, cols, prefix))\n"
+        "        head = xor_basis([col[pos] for col in cols], independent=True)\n"
+        "        if head is None or need == 1:\n"
+        "            spend(math.comb(len(idx) - pos - 1, need - 1))\n"
+        "            if head is None and need == 1:\n"
+        "                yield prefix + (idx[pos],)\n"
+        "            continue\n"
+        "        rest = [col[pos + 1 :] for col in cols]\n"
+        "        for low, p, _ in head:\n"
+        "            rest = [[v ^ p if v & low else v for v in col] for col in rest]\n"
+        "        stack.append((0, idx[pos + 1 :], rest, prefix + (idx[pos],)))\n",
+        "        head = xor_basis([col[pos] for col in cols], independent=True)\n"
+        "        if head is None or need == 1:\n"
+        "            spend(math.comb(len(idx) - pos - 1, need - 1))\n"
+        "            if head is None and need == 1:\n"
+        "                yield prefix + (idx[pos],)\n"
+        "            stack.append((pos + 1, idx, cols, prefix))\n"
+        "            continue\n"
+        "        rest = [col[pos + 1 :] for col in cols]\n"
+        "        for low, p, _ in head:\n"
+        "            rest = [[v ^ p if v & low else v for v in col] for col in rest]\n"
+        "        stack.append((0, idx[pos + 1 :], rest, prefix + (idx[pos],)))\n"
+        "        stack.append((pos + 1, idx, cols, prefix))\n",
+        (
+            "tests/test_dependent_set.py::test_engine_matches_subset_loop_on_random_blocks",
+            "tests/test_dependent_set.py::"
+            "test_dependent_sets_lie_between_the_minimal_and_the_dependent_sets",
+        ),
+        "a frame's next candidate is pushed after its child, so its siblings run first",
+    ),
+    Mutant(
+        "covering-set-dependent-without-anchor",
+        "src/gf4lrc/concat.py",
+        "                if not v and at == width * size:",
+        "                if not v:",
+        (
+            "tests/test_enumerator.py::test_covering_sets_decide_locality_as_the_dual_walk_does",
+        ),
+        "an anchored set whose own vectors are dependent is taken as coordinate j's covering set",
+    ),
+    Mutant(
+        "cap-verify-unstopped",
+        "src/gf4lrc/projective.py",
+        "start=3, stop=3)",
+        "start=3)",
+        (
+            "tests/test_projective.py::test_verify_makes_one_dependent_set_search",
+            "tests/test_projective.py::test_bundled_cap_matches_fresh_search",
+        ),
+        "cap verification searches past size 3, so a cap runs out of its budget of C(m, 3) sets",
     ),
     Mutant(
         "row-digits-odd-pad",

@@ -1165,6 +1165,30 @@ def test_reports_and_lrc_files_are_the_stdlib_indented_text(tmp_path, capsys):
         assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
+def test_a_group_search_deeper_than_the_recursion_limit_exits_0(tmp_path, capsys):
+    """The [252,8,126;2] MacDonald m = 4 LRC's group search starts at 63
+    groups, and it runs out of --max-subsets 3 only at a full-size set.
+    With the recursion limit 40 frames above this test's depth, the run
+    gives the report it gives at the normal limit: the search holds its
+    frames on a list, not on the call stack."""
+    base = tmp_path / "mac4"
+    run_cli(capsys, "construct", "macdonald", "--m", "4", "--u", "1", "--concat",
+            "--output", str(base))
+    argv = ["analyze", str(tmp_path / "mac4.lrc.json"), "--distance", "--max-subsets", "3"]
+    expected = run_cli(capsys, *argv)
+    assert expected[0] == 0
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        got = run_cli(capsys, *argv)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == expected
+
+
 def test_plain_code_locality_past_the_walk_takes_covering_sets(tmp_path, capsys):
     # The [20,3,15]_4 MacDonald code's dual has 4^17 words, beyond
     # --max-enum: each coordinate takes its first pair of other columns

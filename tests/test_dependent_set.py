@@ -26,6 +26,7 @@ from gf4lrc.concat import certify_distance, concatenate
 from gf4lrc.errors import BudgetExceeded, SubsetBudgetExceeded
 from gf4lrc.matrix import (
     FieldMatrix,
+    dependent_sets,
     lo_mask,
     pack_row,
     rows_rank,
@@ -179,6 +180,43 @@ def test_a_later_start_finds_the_same_set_and_spends_only_its_sizes(blocks):
             with pytest.raises(BudgetExceeded) as exc:
                 smallest_dependent_set(blocks, budget, start=start)
             assert exc.value.lower >= start
+
+
+@settings(max_examples=150, deadline=None)
+@given(blocks_lists)
+def test_dependent_sets_lie_between_the_minimal_and_the_dependent_sets(blocks):
+    """Against every set by a rank test, with every anchor and every size:
+    each set dependent together with the anchor whose proper subsets are
+    all independent together with it is yielded, each yielded set is
+    dependent together with it, in lexicographic order, and the amount
+    spent at a yield is the set's rank, C(m, size) at the end."""
+    nbits = max([v.bit_length() for b in blocks for v in b] + [1])
+
+    def dependent(subset):
+        vecs = [v for i in subset for v in blocks[i]]
+        return rows_rank(2, vecs, nbits) < len(vecs)
+
+    for anchor in [None, *range(len(blocks))]:
+        base = () if anchor is None else (anchor,)
+        others = [i for i in range(len(blocks)) if i != anchor]
+        for size in range(1, len(others) + 1):
+            ranks = {t: rank for rank, t in enumerate(combinations(others, size), 1)}
+            spent = []
+            yielded = []
+            for found in dependent_sets(blocks, size, spent.append, anchor):
+                assert sum(spent) == ranks[found]
+                yielded.append(found)
+            assert min(spent, default=0) >= 0
+            assert sum(spent) == math.comb(len(others), size)
+            assert yielded == sorted(set(yielded), key=ranks.get)
+            assert all(dependent(base + t) for t in yielded)
+            minimal = [
+                t
+                for t in ranks
+                if dependent(base + t)
+                and not any(dependent(base + s) for k in range(size) for s in combinations(t, k))
+            ]
+            assert set(minimal) <= set(yielded)
 
 
 @st.composite

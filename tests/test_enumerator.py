@@ -25,7 +25,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gray_walk as gray
-from conftest import walked
+from conftest import random_code_corpus, walked
 from scalar_elimination import col_tuple
 from gf4lrc import code as code_module
 from gf4lrc.code import (
@@ -38,7 +38,7 @@ from gf4lrc.code import (
 from gf4lrc.concat import BinaryLrc, certify_distance, concatenate, locality_check
 from gf4lrc.errors import BudgetExceeded
 from gf4lrc.families import hexacode
-from gf4lrc.matrix import FieldMatrix, scale_row
+from gf4lrc.matrix import FieldMatrix, pack_row, rows_rank, scale_row
 
 
 @st.composite
@@ -159,11 +159,44 @@ def test_covering_sets_decide_locality_as_the_dual_walk_does(code, r):
     assert list(sets.covering) == [first_covering_word(cols, code.q, j, r) for j in range(code.n)]
 
 
+def covering_sets_passed(code, r):
+    """By brute force, the full-size sets a covering search passes: for each
+    coordinate j with a nonzero column, the sets of each size 1..r of the
+    other coordinates in lexicographic order, up to and including the
+    first independent one that spans j's column."""
+    cols = [pack_row(code.q, col_tuple(code.generator, t)) for t in range(code.n)]
+    passed = 0
+    for j in (j for j in range(code.n) if cols[j]):
+        for size in range(1, r + 1):
+            sets = itertools.combinations([t for t in range(code.n) if t != j], size)
+            for rank, chosen in enumerate(sets, 1):
+                span = [cols[t] for t in chosen]
+                if rows_rank(code.q, span, code.k) == size == rows_rank(
+                    code.q, span + [cols[j]], code.k
+                ):
+                    passed += rank
+                    break
+            else:
+                passed += math.comb(code.n - 1, size)
+                continue
+            break
+    return passed
+
+
 def test_covering_sets_spend_the_subset_budget():
     code = hexacode()  # [6,3,4]_4: every coordinate needs 3 other columns
     assert locality_check(code, 3, budget=0).ok
     with pytest.raises(BudgetExceeded, match="covering-set search exceeded 0 sets"):
         locality_check(code, 3, budget=0, subset_budget=0)
+    # Each full-size set passed in lexicographic order spends one unit, the
+    # independent ones and those that are not alike.
+    corpus = random_code_corpus(seed=913, count=12, max_n=8, max_k=4, q=2)
+    for code, r in [(code, 3), (code, 2)] + [(c, 1 + i % 3) for i, c in enumerate(corpus)]:
+        passed = covering_sets_passed(code, r)
+        expected = locality_check(code, r, budget=0)
+        assert locality_check(code, r, budget=0, subset_budget=passed) == expected
+        with pytest.raises(BudgetExceeded, match=f"exceeded {passed - 1} sets"):
+            locality_check(code, r, budget=0, subset_budget=passed - 1)
 
 
 @settings(max_examples=12, deadline=None)
