@@ -1,13 +1,14 @@
 """Linear codes over GF(2)/GF(4): distance, weight enumerator, duality.
 
-A code keeps what it was built with and derives the rest on first read.
-``from_parity`` checks H's rank with one elimination (``rows_rank``) and
-derives G as H's nullspace only when G is first read, checking there that
-G is orthogonal to H; ``from_generator`` derives H at once, since every
-caller needs it.  A builder that knows both matrices (``cyclic4``) holds
-both, and the constructor checks that they are orthogonal.  A dual holds
-its code's two matrices swapped.  An LRC's code holds only H's columns,
-``bit_columns``, and derives H's rows from them when they are first read.
+A code keeps what it was built with and derives the rest on first read;
+its G and H have full rank, proven once by the entry that builds it.
+``from_parity`` proves H's by one elimination (``rows_rank``) and derives
+G as H's nullspace only when G is first read, checking there that G is
+orthogonal to H; ``from_generator`` derives H at once, since every caller
+needs it, and the nullspace's row count proves G's rank.  ``cyclic4``
+proves both by construction and ``LinearCode(G, H)`` by eliminating both.
+A dual holds its code's two proven matrices swapped.  An LRC's code holds
+only H's columns, ``bit_columns``, and derives H's rows from them.
 The binary view is derived the same way: ``bit_rows``, ``check_rows`` and
 ``bit_columns`` are the pair expansions (r, w*r over GF(4), r over GF(2))
 of G's rows, H's rows and H's columns, over which a packed message or word
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Optional, Sequence
 
-from .errors import BudgetExceeded, NonIntegerResult, RankDeficient, ShapeMismatch
+from .errors import BudgetExceeded, FieldMismatch, NonIntegerResult, RankDeficient, ShapeMismatch
 from .matrix import (
     FieldMatrix,
     binary_expansion,
@@ -103,20 +104,28 @@ class WeightDistribution:
 class LinearCode:
     """An [n, k] linear code: it holds its parity-check matrix H, or H's
     columns, and its generator G once given or derived on first read (see
-    the module docstring).  The constructor holds both and checks them at
-    once."""
+    the module docstring).  The constructor ranks both and checks that they
+    are orthogonal."""
 
     def __init__(self, generator: FieldMatrix, parity_check: FieldMatrix):
         if generator.q != parity_check.q:
-            raise ValueError("generator and parity check over different fields")
+            raise FieldMismatch("generator and parity check over different fields")
         if generator.ncols != parity_check.ncols:
-            raise ValueError("generator and parity check lengths differ")
+            raise ShapeMismatch("generator and parity check lengths differ")
         if parity_check.nrows != generator.ncols - generator.nrows:
             raise RankDeficient("parity check must have n-k rows")
+        for matrix, rows in ((parity_check, "parity-check rows"), (generator, "generator rows")):
+            if rows_rank(matrix.q, matrix.rows, matrix.ncols) != matrix.nrows:
+                raise RankDeficient(f"{rows} are linearly dependent")
+        self._keep(generator, parity_check)
+
+    def _keep(self, generator: FieldMatrix, parity_check: FieldMatrix) -> "LinearCode":
+        """Holds G and H of proven full rank, checking only that they are orthogonal."""
         self._hold(generator.q, generator.ncols, generator.nrows)
         self.generator = generator
         self.parity_check = parity_check
         self._check_orthogonal(generator)
+        return self
 
     def _hold(self, q: int, n: int, k: int) -> None:
         self.q, self.n, self.k = q, n, k
@@ -137,7 +146,7 @@ class LinearCode:
         parity_check = generator.nullspace()
         if parity_check.nrows != generator.ncols - generator.nrows:
             raise RankDeficient("generator rows are linearly dependent")
-        return cls(generator, parity_check)
+        return cls.__new__(cls)._keep(generator, parity_check)
 
     @classmethod
     def from_parity(cls, parity_check: FieldMatrix) -> "LinearCode":

@@ -281,26 +281,20 @@ def concatenate(outer: LinearCode) -> BinaryLrc:
     symbolwise inner encodings of outer codewords, so its pair code is the
     outer code: its ``dual_rows`` are the outer ``check_rows``, its
     ``e_vectors`` the outer ``bit_columns`` pairs, and its weights walk the
-    outer code's smaller side.  The distance field is
-    filled from the outer code's cached distance certificate when present;
-    the outer code's cached weights (lifted) and walk are P's.  A column
-    certificate is the LRC's too, lifted: the group search runs over the
-    same blocks (``e_vectors`` are the outer ``bit_columns`` pairs) from the
-    same start d1, so it would find the same set.
+    outer code's smaller side.  Its H has full rank as the outer H has: a
+    group's row is alone at its first position, and the lower block is the
+    outer H's pair expansion.  The distance field is filled from the outer
+    code's cached distance certificate when present; the outer code's cached
+    weights (lifted) and walk are P's.  A column certificate is the LRC's
+    too, lifted: the group search runs over the same blocks, the outer
+    ``bit_columns`` pairs, from the same start d1, so it finds the same set.
     """
     if outer.q != 4:
         raise FieldMismatch("outer code must be over GF(4)")
-    # The group rows are independent of the lower block, which is 0 at
-    # each group's first position, and the lower block is the pair
-    # expansion of the outer H: the LRC's H has full rank exactly when
-    # the outer H does.
-    ell = outer.n
-    if rows_rank(4, outer.parity_check.rows, ell) != ell - outer.k:
-        raise RankDeficient("parity-check rows are linearly dependent")
     cached = outer.cached_distance
     lrc = BinaryLrc.__new__(BinaryLrc)
-    groups = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(ell)]
-    lrc._hold(3 * ell, 2 * outer.k, groups, 2 * cached.d if cached is not None else None)
+    groups = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(outer.n)]
+    lrc._hold(3 * outer.n, 2 * outer.k, groups, 2 * cached.d if cached is not None else None)
     lrc.dual_rows = tuple(outer.check_rows)
     pairs = outer.bit_columns  # already read where the outer G was checked against H
     lrc.e_vectors = tuple(zip(pairs[::2], pairs[1::2]))

@@ -216,6 +216,8 @@ def cyclic4(n: int, gen_poly: Sequence[int]) -> LinearCode:
     The dual is generated by the monic reciprocal h* of h, so row f of H,
     for f = k..n-1, is x^f + (x^f mod h*): the one dual word that is 1 at
     f and 0 at the other positions from k, as row f of G's nullspace is.
+    Both have full rank by construction: g(0) != 0, as g divides x^n - 1,
+    so shift i has its lowest symbol at i, and row f of H its highest at f.
     """
     g = FieldMatrix.from_rows(4, [gen_poly]).rows[0]  # checks every symbol
     if not g:
@@ -244,7 +246,7 @@ def cyclic4(n: int, gen_poly: Sequence[int]) -> LinearCode:
         r <<= 2
         r ^= scale_row(4, h_star, r >> 2 * k, lo)
     generator = FieldMatrix(4, k, n, [g << 2 * i for i in range(k)])
-    return LinearCode(generator, FieldMatrix(4, n - k, n, rows))
+    return LinearCode.__new__(LinearCode)._keep(generator, FieldMatrix(4, n - k, n, rows))
 
 
 def ingest(path: str | Path) -> tuple[LinearCode, Optional[int]]:

@@ -89,16 +89,17 @@ MUTANTS = (
         "at an odd number of low step bits the high half loses its top bit",
     ),
     Mutant(
-        "concat-outer-rank",
-        "src/gf4lrc/concat.py",
-        "    if rows_rank(4, outer.parity_check.rows, ell) != ell - outer.k:",
-        "    if rows_rank(2, outer.parity_check.rows, ell) != ell - outer.k:",
+        "constructor-rank",
+        "src/gf4lrc/code.py",
+        "            if rows_rank(matrix.q, matrix.rows, matrix.ncols) != matrix.nrows:",
+        "            if rows_rank(2, matrix.rows, matrix.ncols) != matrix.nrows:",
         (
+            "tests/test_code.py::"
+            "test_the_constructor_refuses_a_dependent_generator_or_parity_check",
+            "tests/test_code.py::test_a_row_summed_from_other_rows_is_refused_by_every_entry",
             "tests/test_concat.py::test_an_outer_code_with_a_dependent_parity_check_is_refused",
-            "tests/test_concat.py::"
-            "test_a_concatenation_holds_the_outer_check_rows_and_ranks_only_the_outer_h",
         ),
-        "the outer H is ranked as binary rows, so rows that differ by a scalar w pass",
+        "G and H are ranked as binary rows, so rows that differ by a scalar w pass",
     ),
     Mutant(
         "lrc-lift-order",

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import column_certificate, random_code_corpus, random_linear_code
 from krawtchouk_columns import column_sum_transform, krawtchouk_column
+from test_enumerator import codes
+from gf4lrc import code as code_module
 from gf4lrc import gf4
 from gf4lrc.code import (
     LinearCode,
@@ -20,13 +22,14 @@ from gf4lrc.code import (
 )
 from gf4lrc.errors import (
     BudgetExceeded,
+    FieldMismatch,
     Gf4LrcError,
     NonIntegerResult,
     RankDeficient,
     ShapeMismatch,
 )
-from gf4lrc.families import hexacode
-from gf4lrc.matrix import FieldMatrix, rows_rank
+from gf4lrc.families import cyclic4, hexacode
+from gf4lrc.matrix import FieldMatrix, rows_rank, scale_row
 
 W, W2 = gf4.W, gf4.W2
 
@@ -57,6 +60,67 @@ def test_make_code_rejects_dependent_rows():
             LinearCode.from_generator(mat)
         with pytest.raises(RankDeficient, match="^parity-check rows are linearly dependent$"):
             LinearCode.from_parity(mat)
+
+
+def test_the_constructor_refuses_a_dependent_generator_or_parity_check():
+    # Each pair has n - k check rows orthogonal to G; before the constructor
+    # ranked them, the first gave A = (1, 6, 9, 0), 16 words for a G that
+    # spans 4, and the second a ValueError from the weight distribution.
+    for g_rows, h_rows, rows in (
+        ([[1, 0, 0], [W, 0, 0]], [[0, 1, 0]], "generator"),
+        ([[1, 0, 0], [0, 1, 0]], [[0, 0, 0]], "parity-check"),
+    ):
+        g, h = FieldMatrix.from_rows(4, g_rows), FieldMatrix.from_rows(4, h_rows)
+        with pytest.raises(RankDeficient, match=f"^{rows} rows are linearly dependent$"):
+            LinearCode(g, h)
+
+
+def test_the_constructor_refuses_matrices_of_different_fields_or_lengths():
+    g = FieldMatrix.from_rows(2, [[1, 1, 1]])
+    with pytest.raises(FieldMismatch, match="^generator and parity check over different fields$"):
+        LinearCode(g, FieldMatrix.from_rows(4, [[1, 1, 0], [0, 1, 1]]))
+    with pytest.raises(ShapeMismatch, match="^generator and parity check lengths differ$"):
+        LinearCode(g, FieldMatrix.from_rows(2, [[1, 1]]))
+    assert issubclass(FieldMismatch, ValueError) and issubclass(ShapeMismatch, ValueError)
+
+
+def test_builders_that_prove_full_rank_by_construction_rank_nothing(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("rows_rank ran")
+
+    monkeypatch.setattr(code_module, "rows_rank", forbidden)
+    cyclic = cyclic4(43, [1, 0, W2, 1, 1, W, 0, 1])
+    assert (cyclic.n, cyclic.k) == (43, 36)
+    assert LinearCode.from_generator(cyclic.generator).parity_check.nrows == 7
+
+
+@settings(max_examples=150, deadline=None)
+@given(codes(st.integers(1, 6)), st.data())
+def test_a_row_summed_from_other_rows_is_refused_by_every_entry(code, data):
+    """Oracle: a G or H with one row replaced by a GF(q) combination of the
+    others (none gives a zero row) is dependent, so every entry that takes a
+    matrix refuses it, and no code with it reaches a dual or a concatenation."""
+    sides = ["generator", "parity-check"] if code.n > code.k else ["generator"]
+    side = data.draw(st.sampled_from(sides), label="side")
+    matrix = code.generator if side == "generator" else code.parity_check
+    target = data.draw(st.integers(0, matrix.nrows - 1), label="row")
+    others = [i for i in range(matrix.nrows) if i != target]
+    picks = data.draw(st.lists(st.sampled_from(others), unique=True) if others else st.just([]))
+    rows = list(matrix.rows)
+    rows[target] = 0
+    for i in picks:
+        rows[target] ^= scale_row(code.q, rows[i], data.draw(st.integers(1, code.q - 1)))
+    dependent = FieldMatrix(code.q, matrix.nrows, code.n, rows)
+    if side == "generator":
+        pair = dependent, code.parity_check
+    else:
+        pair = code.generator, dependent
+    with pytest.raises(RankDeficient, match=f"^{side} rows are linearly dependent$"):
+        LinearCode(*pair)
+    with pytest.raises(RankDeficient, match="^parity-check rows are linearly dependent$"):
+        LinearCode.from_parity(dependent)
+    with pytest.raises(RankDeficient, match="^generator rows are linearly dependent$"):
+        LinearCode.from_generator(dependent)
 
 
 def test_min_distance_full_space():
