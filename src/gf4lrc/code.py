@@ -305,7 +305,8 @@ def step_word(q: int, rows: Sequence[int], m: int, n: int) -> tuple[int, ...]:
 def certify_dependent_set(code, blocks, lift, budget: int, start: int, method: str):
     """The first smallest dependent set of width-bit symbol ``blocks`` from
     ``start``, its coefficients (block i's at symbol i) lifted by ``lift`` to a
-    word of ``code``: ``tuple`` for a plain code, ``BinaryLrc.lift`` for an LRC."""
+    word of ``code``, which ``code.contains`` checks: ``tuple`` for a plain
+    code, ``BinaryLrc.lift`` for an LRC."""
     found = smallest_dependent_set(blocks, budget, start)
     if found is None:
         raise AssertionError("no dependent set found in a k>0 code")

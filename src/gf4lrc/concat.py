@@ -18,8 +18,9 @@ and its lower rows against the mask of each group's first position.  Once
 its groups check, the group parities are independent of the rest, so only
 the u gathered rows are ranked.  An LRC's distance takes a plain code's
 route (see ``code``) over P, and a concatenation keeps its outer code's
-column certificate, lifted.  A plain code's locality past its dual walk
-runs the same dependent-set search, anchored at each coordinate.
+column certificate, lifted.  A witness is checked on P too (``contains``),
+so no certificate builds H's columns.  A plain code's locality past its
+dual walk runs the same dependent-set search, anchored at each coordinate.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .errors import (
     FieldMismatch,
     ParseError,
     RankDeficient,
+    ShapeMismatch,
     SubsetBudgetExceeded,
 )
 from .matrix import (
@@ -136,7 +138,7 @@ class BinaryLrc:
         text = "".join([row_digits(2, row, n) for row in lower]).encode()
         width = 2 * ell
         gathered = bytearray(len(lower) * width)
-        for j, pos in enumerate([p for _, b, c in groups for p in (b, c)]):
+        for j, pos in enumerate(_pair_positions(groups)):
             gathered[j::width] = text[pos::n]
         numerals = gathered[::-1]  # the rows' base-2 numerals, last row first
         ends = range(len(numerals), 0, -width)
@@ -220,6 +222,21 @@ class BinaryLrc:
                 word[pos] = bit
         return tuple(word)
 
+    def contains(self, word: Sequence[int]) -> bool:
+        """Whether a bit list is a codeword, checked on P: each group's three
+        bits sum to 0, and the pair word, group i's bits at its 2nd and 3rd
+        positions in bits 2i and 2i+1, is orthogonal to ``dual_rows``.  That
+        is H's check, since no lower row meets a group's first position."""
+        if set(word) - {0, 1}:
+            bad = next(v for v in word if v not in (0, 1))
+            raise ValueError(f"symbol {bad} invalid over GF(2)")
+        if len(word) != self.n:
+            raise ShapeMismatch(f"{self.n - self.k}x{self.n} times {len(word)}x1")
+        if any(word[a] ^ word[b] ^ word[c] for a, b, c in self.groups):
+            return False
+        pair = pack_row(2, [word[p] for p in _pair_positions(self.groups)])
+        return not any((row & pair).bit_count() & 1 for row in self.dual_rows)
+
     def __repr__(self) -> str:
         return f"BinaryLrc([{self.n},{self.k},{self.d};2], ell={self.ell})"
 
@@ -274,6 +291,12 @@ class BinaryLrc:
         return lrc
 
 
+def _pair_positions(groups) -> list[int]:
+    """Each group's 2nd and 3rd listed positions, in group order: where a
+    pair word's bits 2i and 2i+1 sit in a word of the LRC."""
+    return [p for _, b, c in groups for p in (b, c)]
+
+
 def concatenate(outer: LinearCode) -> BinaryLrc:
     """Concatenate a GF(4) outer code with the [3,2,2] inner code.
 
@@ -300,7 +323,7 @@ def concatenate(outer: LinearCode) -> BinaryLrc:
     lrc.e_vectors = tuple(zip(pairs[::2], pairs[1::2]))
     if cached is not None and cached.method == METHOD_COLUMN:
         word = lrc.lift(cached.witness)
-        if not lrc.code.contains(word):
+        if not lrc.contains(word):
             raise AssertionError("carried witness is not a codeword")
         lrc._distance = DistanceCertificate(lrc.d, word, METHOD_GROUP_RANK)
     if outer._cheapest is not None:  # P is the outer code, walked in the same steps
@@ -330,7 +353,7 @@ def certify_distance(
         raise ValueError("zero-dimensional code has no nonzero codeword")
     try:
         return certify_dependent_set(
-            lrc.code, lrc.e_vectors, lrc.lift, subset_budget, start, METHOD_GROUP_RANK
+            lrc, lrc.e_vectors, lrc.lift, subset_budget, start, METHOD_GROUP_RANK
         )
     except BudgetExceeded as exc:
         raise SubsetBudgetExceeded(

@@ -4,9 +4,13 @@ A code-backed item is one row of ``_ITEMS``: a recipe for its GF(4) outer
 code and the values the paper states.  Only the stated keys are computed,
 each by its ``_FACTS`` entry, from a ``_Facts`` context that builds each
 code, distance, weight table and bound report on first read.  A new item is
-a new row there.  Examples 4.1 and 6.3 are bound arithmetic, kept as code;
-6.3's published arithmetic is internally inconsistent, so it is reported as
-``paper_discrepancy_noted`` with both readings and does not fail a run.
+a new row there.  Each distance, d1 or the LRC's d, is read from exact
+weights (``cheapest_weights``): the outer code's, which the concatenation
+carries lifted.  No item prints a witness, so none runs a dependent-set
+search past the family builders' own checks.  Examples 4.1 and 6.3 are
+bound arithmetic, kept as code; 6.3's published arithmetic is internally
+inconsistent, so it is reported as ``paper_discrepancy_noted`` with both
+readings and does not fail a run.
 """
 
 from __future__ import annotations
@@ -88,16 +92,16 @@ class _Facts:
 
     @cached_property
     def d1(self) -> int:
-        return self.outer.min_distance().d
+        return self.outer.cheapest_weights().distance()
 
     @cached_property
     def lrc(self) -> concat.BinaryLrc:
-        self.outer.min_distance()  # first, so that the concatenation carries it
+        self.outer.cheapest_weights()  # first, so that the concatenation carries them
         return concat.concatenate(self.outer)
 
     @cached_property
     def d(self) -> int:
-        return self.lrc.min_distance().d
+        return self.lrc.cheapest_weights().distance()
 
     @cached_property
     def report(self) -> bounds.BoundReport:

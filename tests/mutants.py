@@ -224,10 +224,40 @@ MUTANTS = (
         "        word = cached.witness",
         (
             "tests/test_concat.py::test_a_carried_certificate_is_the_loaded_lrcs_group_search",
-            "tests/test_reproduce.py::"
-            "test_example_5_2_carries_its_outer_certificate_without_a_group_search",
+            "tests/test_concat.py::test_a_family_lrc_searches_only_where_its_outer_code_enumerated",
         ),
         "a concatenation carries its outer code's GF(4) witness as its own binary one",
+    ),
+    Mutant(
+        "pair-check-no-parity",
+        "src/gf4lrc/concat.py",
+        "        if any(word[a] ^ word[b] ^ word[c] for a, b, c in self.groups):\n"
+        "            return False\n",
+        "",
+        ("tests/test_concat.py::test_the_pair_code_check_agrees_with_h",),
+        "a word whose pair word is in P passes with a group's three bits summing to 1",
+    ),
+    Mutant(
+        "reproduce-d-outer-weights",
+        "src/gf4lrc/reproduce.py",
+        "        return self.lrc.cheapest_weights().distance()",
+        "        return self.outer.cheapest_weights().distance()",
+        (
+            "tests/test_reproduce.py::test_all_items_match_or_are_noted",
+            "tests/test_reproduce.py::test_a_full_run_makes_no_group_search",
+        ),
+        "an LRC's d reads the outer weights, d1, where the LRC's d is 2 * d1",
+    ),
+    Mutant(
+        "walk-counter-carry",
+        "src/gf4lrc/code.py",
+        "                carry &= held\n",
+        "",
+        (
+            "tests/test_enumerator.py::test_histogram_and_certificate_match_gray_walk",
+            "tests/test_side_weights.py::test_either_side_of_a_plain_code_weighs_as_its_enumeration",
+        ),
+        "the bit-sliced counter adds without carrying, so a weight's planes count the wrong steps",
     ),
     Mutant(
         "cap-weights-threshold",

@@ -25,6 +25,7 @@ from gf4lrc.families import hexacode
 from gf4lrc.matrix import FieldMatrix
 
 DATA = Path(__file__).parent / "data"
+GOLDEN = Path(__file__).parent / "golden" / "out"
 
 
 def run_cli(capsys, *argv):
@@ -361,6 +362,20 @@ def test_default_analyze_starts_the_group_search_where_the_weights_leave_it(tmp_
     assert code == 0
     assert json.loads(out)["distance"]["d"] == 8
     assert run_cli(capsys, "analyze", lrc, "--distance", "--max-subsets", "3")[0] == 0
+
+
+@pytest.mark.parametrize("name", ["cap", "cyc"])
+@pytest.mark.parametrize("flags, run", [([], ""), (["--distance", "--bounds"], "_--bounds")],
+                         ids=["default", "distance-bounds"])
+def test_an_lrc_analysis_builds_no_h_columns(capsys, monkeypatch, name, flags, run):
+    """The witness is checked on the pair code, so the report, the golden
+    corpus's for the same file (``--bounds`` runs the distance too), comes
+    without ``BinaryLrc.code``."""
+    monkeypatch.setattr(BinaryLrc, "code", property(lambda self: pytest.fail("built H")))
+    code, out, _ = run_cli(capsys, "analyze", str(DATA / f"{name}.lrc.json"), *flags)
+    golden = (GOLDEN / f"analyze_{name}.lrc.json{run}.txt").read_text()
+    assert code == 0
+    assert out == golden[golden.index("--- stdout\n") + 11 : golden.index("--- stderr\n")]
 
 
 def test_analyze_distance_out_of_subsets_at_half_d_brackets_from_d(capsys):

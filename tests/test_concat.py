@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_code_corpus, random_linear_code, walked
+from conftest import permuted_hamming_lrc, random_code_corpus, random_linear_code, walked
 from inner_code import INNER, encode_outer_word, reference_concatenate
 from scalar_elimination import col_tuple
 from gf4lrc import code as code_module
@@ -449,6 +450,64 @@ def test_a_swapped_group_keeps_the_weights_of_its_code():
     assert swapped.e_vectors[2] == lrc.e_vectors[2][::-1]
     assert swapped.cheapest_weights() == lrc.cheapest_weights()
     assert swapped.cheapest_weights() == lrc.code.weight_distribution()
+
+
+def _words_to_check(lrc, rng):
+    """Codewords of ``lrc`` (every one when k <= 8, else 64 at random), each
+    also with one group's first bit flipped, and 64 random bit lists."""
+    h = lrc.code
+    if lrc.k <= 8:
+        messages = itertools.product((0, 1), repeat=lrc.k)
+    else:
+        messages = [[rng.randrange(2) for _ in range(lrc.k)] for _ in range(64)]
+    words = []
+    for message in messages:
+        word = list(h.encode(message))
+        words.append(word)
+        flipped = list(word)
+        flipped[rng.choice(lrc.groups)[0]] ^= 1  # breaks a parity, keeps the pair word
+        words.append(flipped)
+    words += [[rng.randrange(2) for _ in range(lrc.n)] for _ in range(64)]
+    return words
+
+
+def _reordered_lrcs():
+    """LRCs whose groups are not each (h, w*h) on consecutive positions: a
+    group listed (a, c, b), which keeps its first position, and the
+    permuted Hamming LRC."""
+    ham = concatenate(hamming4(2)).to_json()
+    cap = concatenate(cap_code(bundled_cap_pg3_17())).to_json()
+    return [
+        BinaryLrc.from_json(_with_group_reordered(ham, 2, (0, 2, 1))),
+        BinaryLrc.from_json(_with_group_reordered(cap, 5, (0, 2, 1))),
+        permuted_hamming_lrc(),
+    ]
+
+
+def test_the_pair_code_check_agrees_with_h(outer_corpus):
+    """``BinaryLrc.contains``, run on P, answers as H's syndrome does on
+    codewords, on codewords with a broken group parity and on random words,
+    for every corpus concatenation and for LRCs with reordered groups."""
+    rng = random.Random(0xC4EC)
+    lrcs = [concatenate(outer) for outer in outer_corpus] + _reordered_lrcs()
+    for lrc in lrcs:
+        for word in _words_to_check(lrc, rng):
+            assert lrc.contains(word) == lrc.code.contains(word), (lrc, word)
+    lrc = lrcs[-1]
+    for word in ([0] * (lrc.n - 1), [0] * (lrc.n - 1) + [2]):
+        for check in (lrc.contains, lrc.code.contains):
+            with pytest.raises(ValueError):
+                check(word)
+
+
+def test_a_certificate_is_checked_on_the_pair_code(monkeypatch):
+    """A group search's witness and a carried one are checked by
+    ``BinaryLrc.contains``, so neither builds H's columns."""
+    monkeypatch.setattr(BinaryLrc, "code", property(lambda self: pytest.fail("built H")))
+    for outer in (hexacode(), hamming4(2), cyclic4(43, [1, 0, W2, 1, 1, W, 0, 1])):
+        lrc = concatenate(outer)
+        cert = certify_distance(lrc, start=lrc.cheapest_weights().distance() // 2)
+        assert lrc.contains(cert.witness) and sum(cert.witness) == cert.d
 
 
 def test_loading_makes_no_entry_calls(monkeypatch):

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from gf4lrc import bounds, cli, concat, reproduce
+from gf4lrc import code as code_module
 from gf4lrc.code import LinearCode
 from gf4lrc.errors import InvalidParameters
 
@@ -63,22 +64,48 @@ def _forbidden(*args, **kwargs):
     raise AssertionError("a forbidden computation ran")
 
 
-def test_example_5_2_carries_its_outer_certificate_without_a_group_search(monkeypatch):
-    """Its [43,36,5] outer code took the column search, over the blocks that
-    the LRC's group search takes, from the same start d1 = 5: ``concatenate``
-    carries that certificate, lifted, so neither the group search nor a pair
-    walk runs, and the certificate is the one a fresh search from 5 groups
-    of [129,72,10;2] gives."""
-    certify = concat.certify_distance
+def test_example_5_2_runs_no_group_search_and_no_pair_walk(monkeypatch):
+    """Its [129,72,10;2] LRC takes d from the weights that the [43,36,5]
+    outer code's dual walk gave, carried lifted: neither the group search
+    nor a walk of P runs."""
     monkeypatch.setattr(concat, "certify_distance", _forbidden)
     monkeypatch.setattr(concat, "side_weights", _forbidden)
     [item] = reproduce.run(["example5.2"])
     assert item.status == reproduce.MATCH
     assert item.computed["lrc"] == [129, 72, 10]
-    lrc = reproduce._Facts(reproduce._ITEMS["example5.2"]).lrc
-    cert = lrc.min_distance()
-    assert cert.method == "group_rank"
-    assert cert == certify(lrc, start=5)
+
+
+def test_a_full_run_makes_no_group_search(monkeypatch):
+    """Every LRC distance is read from its weights, so no item certifies
+    one by a group search."""
+    monkeypatch.setattr(concat, "certify_distance", _forbidden)
+    statuses = {it.id: it.status for it in reproduce.run()}
+    assert statuses.pop("example6.3") == reproduce.NOTED
+    assert set(statuses.values()) == {reproduce.MATCH}
+
+
+def test_example_5_2_runs_no_dependent_set_search(monkeypatch):
+    """Its cyclic outer code proves d1 by the weights of its dual walk, not
+    by the column search that ``min_distance`` would add for a witness."""
+    monkeypatch.setattr(code_module, "smallest_dependent_set", _forbidden)
+    [item] = reproduce.run(["example5.2"])
+    assert item.status == reproduce.MATCH
+    assert item.computed["outer"] == [43, 36, 5]
+
+
+def test_a_full_run_makes_three_dependent_set_searches(monkeypatch):
+    """The family builders' own checks: ``mds_rs(5, 3)``, ``hamming4(2)``
+    and ``cap_code``, each a column search of its outer code."""
+    searched = []
+    search = code_module.smallest_dependent_set
+
+    def recorded(blocks, *args, **kwargs):
+        searched.append(len(blocks))
+        return search(blocks, *args, **kwargs)
+
+    monkeypatch.setattr(code_module, "smallest_dependent_set", recorded)
+    reproduce.run()
+    assert searched == [5, 5, 17]
 
 
 def test_table1_enumerates_no_lrc_and_classifies_nothing(monkeypatch):
