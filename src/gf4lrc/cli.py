@@ -247,7 +247,7 @@ def _cmd_construct(args) -> int:
     else:
         outer, claimed = _build_outer(args), None
     try:
-        d1 = outer.min_distance(budget=args.max_enum).d
+        d1 = outer.exact_distance(args.max_enum)
     except BudgetExceeded:
         d1 = None
     families.check_claim(args.file, claimed, d1)

@@ -5,7 +5,8 @@ its G and H have full rank, proven once by the entry that builds it.
 ``from_parity`` proves H's by one elimination (``rows_rank``) and derives
 G as H's nullspace only when G is first read, checking there that G is
 orthogonal to H; ``from_generator`` derives H at once, since every caller
-needs it, and the nullspace's row count proves G's rank.  ``cyclic4``
+needs it, by one kernel pass over G's pair columns, which proves G's rank
+and against which H's rows are checked.  ``cyclic4``
 proves both by construction and ``LinearCode(G, H)`` by eliminating both.
 A dual holds its code's two proven matrices swapped.  An LRC's code holds
 only H's columns, ``bit_columns``, and derives H's rows from them.
@@ -92,10 +93,7 @@ class WeightDistribution:
             raise ValueError("counts must sum to q^k")
 
     def distance(self) -> Optional[int]:
-        for i in range(1, self.n + 1):
-            if self.counts[i]:
-                return i
-        return None
+        return next((w for w in range(1, self.n + 1) if self.counts[w]), None)
 
     def to_json(self) -> dict:
         return {"n": self.n, "k": self.k, "q": self.q, "A": list(self.counts)}
@@ -121,18 +119,20 @@ class LinearCode:
 
     def _keep(self, generator: FieldMatrix, parity_check: FieldMatrix) -> "LinearCode":
         """Holds G and H of proven full rank, checking only that they are orthogonal."""
-        self._hold(generator.q, generator.ncols, generator.nrows)
-        self.generator = generator
-        self.parity_check = parity_check
+        q, n, k = generator.q, generator.ncols, generator.nrows
+        self._hold(q, n, k, generator=generator, parity_check=parity_check)
         self._check_orthogonal(generator)
         return self
 
-    def _hold(self, q: int, n: int, k: int) -> None:
+    def _hold(self, q: int, n: int, k: int, **sides) -> "LinearCode":
+        """Holds [n, k] over GF(q) and the proven ``sides`` by name, nothing cached."""
         self.q, self.n, self.k = q, n, k
         self._distance: Optional[DistanceCertificate] = None
         self._cheapest: Optional[WeightDistribution] = None
         #: The one enumeration pass, read by distance and weights.
         self._pass: Optional[tuple[tuple[int, ...], tuple[Optional[int], ...]]] = None
+        vars(self).update(sides)
+        return self
 
     def _check_orthogonal(self, generator: FieldMatrix) -> None:
         if any(self.syndrome(g) for g in generator.rows):
@@ -140,30 +140,29 @@ class LinearCode:
 
     # -- construction --------------------------------------------------------
 
-    # A nullspace has ncols - rank rows: one elimination also checks the rank.
+    # A nullspace has ncols - rank rows: one pass also checks the rank.
     @classmethod
     def from_generator(cls, generator: FieldMatrix) -> "LinearCode":
-        parity_check = generator.nullspace()
+        columns, parity_check = generator.kernel()
         if parity_check.nrows != generator.ncols - generator.nrows:
             raise RankDeficient("generator rows are linearly dependent")
-        return cls.__new__(cls)._keep(generator, parity_check)
+        if any(xor_combine(columns, h) for h in parity_check.rows):  # H's rows, G's columns
+            raise ValueError("generator rows are not orthogonal to parity check")
+        q, n, k = generator.q, generator.ncols, generator.nrows
+        return cls.__new__(cls)._hold(q, n, k, generator=generator, parity_check=parity_check)
 
     @classmethod
     def from_parity(cls, parity_check: FieldMatrix) -> "LinearCode":
         n = parity_check.ncols
         if rows_rank(parity_check.q, parity_check.rows, n) != parity_check.nrows:
             raise RankDeficient("parity-check rows are linearly dependent")
-        code = cls.__new__(cls)
-        code._hold(parity_check.q, n, n - parity_check.nrows)
-        code.parity_check = parity_check
-        return code
+        k = n - parity_check.nrows
+        return cls.__new__(cls)._hold(parity_check.q, n, k, parity_check=parity_check)
 
     def dual(self) -> "LinearCode":
         """The dual, holding this code's G and H (read here) swapped."""
-        code = LinearCode.__new__(LinearCode)
-        code._hold(self.q, self.n, self.n - self.k)
-        code.generator, code.parity_check = self.parity_check, self.generator
-        return code
+        sides = {"generator": self.parity_check, "parity_check": self.generator}
+        return LinearCode.__new__(LinearCode)._hold(self.q, self.n, self.n - self.k, **sides)
 
     # -- the sides and their binary views, each derived on first read -------
 
@@ -262,6 +261,14 @@ class LinearCode:
         return self._cheapest
 
     # -- minimum distance --------------------------------------------------
+
+    def exact_distance(self, budget: int = DEFAULT_ENUM_BUDGET) -> int:
+        """d from ``cheapest_weights``, no witness; else ``min_distance``'s (it refuses k = 0)."""
+        try:
+            d = self.cheapest_weights(budget).distance()
+        except BudgetExceeded:
+            d = None
+        return self.min_distance(budget).d if d is None else d
 
     def min_distance(self, budget: int = DEFAULT_ENUM_BUDGET) -> DistanceCertificate:
         """Exact minimum distance with witness, d from ``cheapest_weights``.

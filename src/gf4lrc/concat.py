@@ -12,15 +12,13 @@ A packed GF(4) vector is its own GF(2) expansion (bit 2j is the coordinate
 on 1 and bit 2j+1 the coordinate on w of symbol j), so a concatenation's
 gathered rows are its outer code's ``check_rows``: (h, w*h) for each row h
 of the outer H, whose rank is the LRC's, and its pairs are the outer
-``bit_columns`` pairs.  A loaded LRC checks H by rows:
-its groups in bulk as a partition, top row i against group i's indicator,
-and its lower rows against the mask of each group's first position.  Once
-its groups check, the group parities are independent of the rest, so only
+``bit_columns`` pairs.  A loaded LRC checks H by rows (``_read``); once its
+groups check, the group parities are independent of the rest, so only
 the u gathered rows are ranked.  An LRC's distance takes a plain code's
-route (see ``code``) over P, and a concatenation keeps its outer code's
-column certificate, lifted.  A witness is checked on P too (``contains``),
-so no certificate builds H's columns.  A plain code's locality past its
-dual walk runs the same dependent-set search, anchored at each coordinate.
+route (see ``code``) over P, and a concatenation takes its outer code's
+d, and any column certificate, lifted.  A witness is checked on P too
+(``contains``), so no certificate builds H's columns.  A plain code's
+locality past its dual walk runs the same search, at each coordinate.
 """
 
 from __future__ import annotations
@@ -70,10 +68,9 @@ DEFAULT_SUBSET_BUDGET = 10_000_000
 class BinaryLrc:
     """A binary code with disjoint 3-coordinate repair groups (locality 2).
 
-    It holds its groups and ``dual_rows``: the u rows below the group
-    parities of its parity check H, group i's 2nd and 3rd listed positions
-    gathered into bits 2i and 2i+1.  A codeword is 0 or (a+b, a, b) on
-    group i, (a, b) its bits at those positions, so it weighs twice its
+    It holds its groups and ``dual_rows``, H's lower rows gathered (see the
+    module docstring).  A codeword is 0 or (a+b, a, b) on group i, (a, b)
+    its bits at the 2nd and 3rd listed positions, so it weighs twice its
     pair word's symbol weight.  The pair words form the pair code P, whose
     dual ``dual_rows`` span.  ``e_vectors`` and ``code`` are derived from
     them on first read.
@@ -158,10 +155,7 @@ class BinaryLrc:
         cols = [0] * self.n
         for i, ((a, b, c), (e1, e2)) in enumerate(zip(self.groups, self.e_vectors)):
             cols[a], cols[b], cols[c] = 1 << i, e1 << self.ell | 1 << i, e2 << self.ell | 1 << i
-        code = LinearCode.__new__(LinearCode)
-        code._hold(2, self.n, self.k)
-        code.bit_columns = cols
-        return code
+        return LinearCode.__new__(LinearCode)._hold(2, self.n, self.k, bit_columns=cols)
 
     def cheapest_weights(self, budget: int = DEFAULT_ENUM_BUDGET) -> WeightDistribution:
         """Exact weights from P by ``side_weights`` over ``dual_rows``, and
@@ -306,28 +300,30 @@ def concatenate(outer: LinearCode) -> BinaryLrc:
     ``e_vectors`` the outer ``bit_columns`` pairs, and its weights walk the
     outer code's smaller side.  Its H has full rank as the outer H has: a
     group's row is alone at its first position, and the lower block is the
-    outer H's pair expansion.  The distance field is filled from the outer
-    code's cached distance certificate when present; the outer code's cached
-    weights (lifted) and walk are P's.  A column certificate is the LRC's
-    too, lifted: the group search runs over the same blocks, the outer
-    ``bit_columns`` pairs, from the same start d1, so it finds the same set.
+    outer H's pair expansion.  The distance field is twice the outer d of
+    a cached certificate, else of cached weights, else None; the outer
+    code's cached weights (lifted) and walk are P's.  A column certificate
+    is the LRC's too, lifted: the group search runs over the same blocks,
+    the outer ``bit_columns`` pairs, from the same start d1, so it finds
+    the same set.
     """
     if outer.q != 4:
         raise FieldMismatch("outer code must be over GF(4)")
-    cached = outer.cached_distance
+    cached, weights = outer.cached_distance, outer._cheapest
+    d1 = cached.d if cached is not None else weights.distance() if weights else None
     lrc = BinaryLrc.__new__(BinaryLrc)
     groups = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(outer.n)]
-    lrc._hold(3 * outer.n, 2 * outer.k, groups, 2 * cached.d if cached is not None else None)
+    lrc._hold(3 * outer.n, 2 * outer.k, groups, 2 * d1 if d1 is not None else None)
     lrc.dual_rows = tuple(outer.check_rows)
-    pairs = outer.bit_columns  # already read where the outer G was checked against H
+    pairs = outer.bit_columns
     lrc.e_vectors = tuple(zip(pairs[::2], pairs[1::2]))
     if cached is not None and cached.method == METHOD_COLUMN:
         word = lrc.lift(cached.witness)
         if not lrc.contains(word):
             raise AssertionError("carried witness is not a codeword")
         lrc._distance = DistanceCertificate(lrc.d, word, METHOD_GROUP_RANK)
-    if outer._cheapest is not None:  # P is the outer code, walked in the same steps
-        lrc._weights = lrc_weights_from_outer(outer._cheapest)
+    if weights is not None:  # P is the outer code, walked in the same steps
+        lrc._weights = lrc_weights_from_outer(weights)
         if outer._pass is not None:
             lrc._walk = outer.bit_rows, outer._pass[1]
     return lrc

@@ -1,8 +1,8 @@
 """Builders for the GF(4) outer codes that feed the concatenation.
 
 Every builder returns a :class:`~gf4lrc.code.LinearCode` over GF(4) and
-re-verifies its advertised parameters with an independent distance
-computation, ``LinearCode.min_distance``, which reads d from the side rule.
+checks its advertised d against the exact weights of its smaller side
+(``LinearCode.exact_distance``), which make no witness and no search.
 Generators are packed rows, so no builder does GF(4) arithmetic one symbol
 at a time: ``cyclic4`` divides x^n - 1 by g on packed rows, and writes H
 from the check polynomial (x^n - 1)/g, with no elimination.  ``cap_code``
@@ -44,12 +44,10 @@ _MDS_GENERATORS = {
 }
 
 
-def _verified(code: LinearCode, expect_d: int) -> LinearCode:
-    cert = code.min_distance()
-    if cert.d != expect_d:
-        raise AssertionError(
-            f"builder produced d={cert.d}, expected {expect_d} for [{code.n},{code.k}]"
-        )
+def _verified(code: LinearCode, expect: int) -> LinearCode:
+    d = code.exact_distance()
+    if d != expect:
+        raise AssertionError(f"builder produced d={d}, expected {expect} for [{code.n},{code.k}]")
     return code
 
 
@@ -188,9 +186,8 @@ def cap_code(cap: CapSet) -> LinearCode:
     refusal is the one that checking the cap before building H gives.
     """
     cap.check_points()
-    parity = FieldMatrix.from_cols(4, cap.points)
     try:
-        code = LinearCode.from_parity(parity)
+        code = LinearCode.from_parity(FieldMatrix.from_cols(4, cap.points))
     except RankDeficient as exc:
         cap.verify()
         raise InvalidParameters(
@@ -203,7 +200,7 @@ def cap_code(cap: CapSet) -> LinearCode:
     else:
         if d is not None and d < 4:  # k = 0 leaves d None: no word at all
             cap.verify()
-    code.min_distance()
+    code.exact_distance()  # refuses k = 0, as ``min_distance`` does
     return code
 
 

@@ -5,11 +5,12 @@ per symbol over GF(4) (bit 2j = coordinate on 1, bit 2j+1 = coordinate on w
 of column j).  Row addition is XOR in both cases, which keeps row
 operations O(1) per machine word regardless of width.
 
-All elimination (rank, RREF, nullspace, the dependent-set search, erasure
-decoding) runs on one binary XOR-basis kernel, ``xor_reduce`` and
+All elimination (rank, RREF, the nullspace, the dependent-set search,
+erasure decoding) runs on one binary XOR-basis kernel, ``xor_reduce`` and
 ``xor_insert``, over a list of ``(pivot bit, vector, provenance mask)``
 entries: each vector has the pivots of the entries before it clear and its
-lowest set bit as pivot, and its mask names the inputs that XOR to it.
+lowest set bit as pivot, and its mask names the inputs that XOR to it, so
+the nullspace is one pass over the columns: a free column's mask is its row.
 The one dependent-set search, ``dependent_sets``, keeps its frames on a
 list, not the call stack; every search for dependent sets runs it.
 GF(4) enters through its binary pair expansion: the GF(4) span of packed
@@ -28,11 +29,8 @@ Matrix text format (strict): a header line
 
 followed by r lines of c whitespace-separated symbols from the alphabet
 ``0 1 w W`` (GF(2) uses only ``0`` and ``1``), read by ``read_symbol_rows``,
-which also reads the points of a cap file.  A canonical body, every line
-as ``to_text`` writes it with single spaces, is read in one pass: one
-comparison of its odd characters, one ``bytes.translate`` alphabet check,
-and one ``int`` per row of its slice of the digits.  Any other body is
-split line by line, which also names the first fault.
+which also reads the points of a cap file: a canonical body in one pass,
+any other line by line.
 """
 
 from __future__ import annotations
@@ -109,12 +107,10 @@ def scale_row(q: int, row: int, scalar: int, lo: int | None = None) -> int:
     return (lo_part ^ hi_part) | (lo_part << 1)
 
 
-def row_support(q: int, row: int, lo: int | None = None) -> Iterator[tuple[int, int]]:
+def row_support(q: int, row: int) -> Iterator[tuple[int, int]]:
     """``(j, symbol)`` for each nonzero symbol of a packed row, by column."""
-    if q == 2:
-        width, support = 1, row
-    else:
-        width, support = 2, (row | (row >> 1)) & (_lo_for(row) if lo is None else lo)
+    width = 1 if q == 2 else 2
+    support = row if q == 2 else (row | row >> 1) & _lo_for(row)
     while support:
         low = support & -support
         bit = low.bit_length() - 1
@@ -316,20 +312,24 @@ class FieldMatrix:
         return FieldMatrix(self.q, self.nrows, self.ncols, packed), len(rows), pivots
 
     def nullspace(self) -> "FieldMatrix":
-        """Basis (as rows) of {x : self @ x^T = 0}; has ncols - rank rows.
+        """Basis (as rows) of {x : self @ x^T = 0}; has ncols - rank rows."""
+        return self.kernel()[1]
 
-        Row f sets free column f to 1 and pivot column p_i to entry (i, f)
-        of the RREF, built by one pass over the RREF rows' nonzero entries.
-        """
-        reduced, _, pivots = self.rref()
+    def kernel(self) -> tuple[list[int], "FieldMatrix"]:
+        """The columns' pair expansion (c, or c and w*c) and the nullspace, by
+        one ``xor_insert`` pass over it in column order, a vector's mask its
+        bit of a packed x: column f reduces to 0 exactly when f is free, and its
+        mask is nullspace row f, 1 at f and nonzero only at pivot columns."""
         width = 1 if self.q == 2 else 2
-        pivot_set = set(pivots)
-        basis = {j: 1 << (width * j) for j in range(self.ncols) if j not in pivot_set}
-        for p, row in zip(pivots, reduced.rows):
-            for j, value in row_support(self.q, row, self._lo):
-                if j != p:
-                    basis[j] |= value << (width * p)
-        return FieldMatrix(self.q, len(basis), self.ncols, list(basis.values()))
+        cols = binary_expansion(self.q, self.transpose().rows, lo_mask(self.nrows))
+        basis, free = [], []
+        for at in range(0, len(cols), width):
+            v, mask = xor_insert(basis, cols[at], 1 << at)
+            if not v:
+                free.append(mask)
+            elif width == 2:  # a free c's w*c is in the span too: skipped
+                xor_insert(basis, cols[at + 1], 2 << at)
+        return cols, FieldMatrix(self.q, len(free), self.ncols, free)
 
     # -- text format -------------------------------------------------------
 

@@ -6,11 +6,11 @@ each by its ``_FACTS`` entry, from a ``_Facts`` context that builds each
 code, distance, weight table and bound report on first read.  A new item is
 a new row there.  Each distance, d1 or the LRC's d, is read from exact
 weights (``cheapest_weights``): the outer code's, which the concatenation
-carries lifted.  No item prints a witness, so none runs a dependent-set
-search past the family builders' own checks.  Examples 4.1 and 6.3 are
-bound arithmetic, kept as code; 6.3's published arithmetic is internally
-inconsistent, so it is reported as ``paper_discrepancy_noted`` with both
-readings and does not fail a run.
+carries lifted.  No item prints a witness, and the family builders check d
+by the same weights, so no item runs a dependent-set search.  Examples 4.1
+and 6.3 are bound arithmetic, kept as code; 6.3's published arithmetic is
+internally inconsistent, so it is reported as ``paper_discrepancy_noted``
+with both readings and does not fail a run.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 import random
+import sys
 from unittest import mock
 
 import pytest
 
 from gf4lrc import code as code_module
-from gf4lrc import concat
+from gf4lrc import concat, matrix
 from gf4lrc.code import METHOD_COLUMN, LinearCode, certify_dependent_set
 from gf4lrc.errors import BudgetExceeded
 from gf4lrc.families import hamming4
@@ -56,6 +57,20 @@ def forbid_distance_and_weights(monkeypatch) -> None:
     for name in ("min_distance", "cheapest_weights"):
         monkeypatch.setattr(concat.BinaryLrc, name, forbidden)
     monkeypatch.setattr(concat, "certify_distance", forbidden)
+
+
+def forbid_dependent_set_search(monkeypatch) -> None:
+    """Make every dependent-set search raise AssertionError, through every
+    module binding of ``smallest_dependent_set`` and ``dependent_sets``."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a dependent-set search ran")
+
+    for name in ("smallest_dependent_set", "dependent_sets"):
+        fn = getattr(matrix, name)
+        for module in [m for key, m in sys.modules.items() if key.startswith("gf4lrc")]:
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, forbidden)
 
 
 def refuse_weights(self, budget):

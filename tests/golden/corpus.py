@@ -211,11 +211,14 @@ def _snapshot(where: Path) -> dict:
     return {e.name: (e.stat().st_mtime_ns, e.stat().st_size) for e in os.scandir(where)}
 
 
-def replay(where: Path) -> dict[str, str]:
-    """Every run of the corpus, replayed in ``where``, rendered, by stem."""
+def replay(where: Path, keep=None) -> dict[str, str]:
+    """Every run of the corpus, or those whose line ``keep`` accepts,
+    replayed in ``where``, rendered, by stem."""
     rendered: dict[str, str] = {}
     with _chdir(where):
         for line in lines():
+            if keep is not None and not keep(line):
+                continue
             argv = shlex.split(line)
             if argv[0] == "variant":
                 name, source, target = argv[1:]

@@ -6,6 +6,8 @@ import json
 from fractions import Fraction
 
 import corpus
+from conftest import forbid_dependent_set_search
+from gf4lrc.code import LinearCode
 
 
 def test_every_corpus_run_gives_its_expected_output_byte_for_byte(tmp_path):
@@ -14,6 +16,43 @@ def test_every_corpus_run_gives_its_expected_output_byte_for_byte(tmp_path):
     assert sorted(rendered) == sorted(expected), "commands.txt and out/ list other runs"
     differ = [key for key in rendered if rendered[key] != expected[key]]
     assert not differ, f"{len(differ)} runs differ from out/, the first: {differ[0]}"
+
+
+def _assert_replays(tmp_path, keep) -> None:
+    """The runs whose line ``keep`` accepts give their expected text."""
+    rendered = corpus.replay(tmp_path, keep)
+    expected = corpus.expected()
+    assert rendered and all(rendered[key] == expected[key] for key in rendered)
+
+
+def test_every_construct_run_makes_no_dependent_set_search(tmp_path, monkeypatch):
+    # Each family builder and construct read d from exact weights.  Only
+    # weights beyond --max-enum send construct to the column search, as the
+    # corpus's one --max-enum 1 construct run does, so it is left out.
+    forbid_dependent_set_search(monkeypatch)
+    _assert_replays(
+        tmp_path, lambda line: line.startswith("construct") and "--max-enum" not in line
+    )
+
+
+def test_a_code_read_from_its_generator_builds_no_h_columns(tmp_path, monkeypatch):
+    # from_generator checks H's rows against G's columns from the nullspace
+    # pass, so H's columns are built only when a run reads them, and the
+    # reports of every generator file the corpus analyzes stay the same.
+    built = []
+    from_generator = LinearCode.from_generator.__func__
+
+    def checked(cls, generator):
+        code = from_generator(cls, generator)
+        assert "bit_columns" not in vars(code)
+        built.append(code)
+        return code
+
+    monkeypatch.setattr(LinearCode, "from_generator", classmethod(checked))
+    _assert_replays(tmp_path, lambda line: line.startswith(("construct", "variant")) or (
+        line.startswith("analyze") and ".code" in line and "--distance" in line
+    ))
+    assert len(built) >= 8
 
 
 def _report(line: str) -> str:

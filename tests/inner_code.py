@@ -8,7 +8,8 @@ former symbolwise [3,2,2] inner encoding of ``gf4lrc.concat``.
 ``reference_concatenate`` is the former assembly of ``concatenate``: each
 outer parity-check column is read entry by entry, expanded with
 ``vector_map``, and the binary parity check is assembled column by column
-from symbol lists.  They stay here as the reference the packed
+from symbol lists; d is twice the outer d of a cached certificate, or else
+of cached weights.  They stay here as the reference the packed
 construction is checked against.
 """
 
@@ -101,7 +102,8 @@ def reference_concatenate(outer):
         cols += [top + [0] * u, top + list(e1), top + list(e2)]
     rows = [[col[r] for col in cols] for r in range(ell + u)]
     parity = FieldMatrix.from_rows(2, rows)
-    cached = outer.cached_distance
-    d = 2 * cached.d if cached is not None else None
+    cached, weights = outer.cached_distance, outer._cheapest
+    d1 = cached.d if cached is not None else weights.distance() if weights is not None else None
+    d = 2 * d1 if d1 is not None else None
     groups = tuple((3 * i, 3 * i + 1, 3 * i + 2) for i in range(ell))
     return parity, groups, d, tuple(e_vectors)

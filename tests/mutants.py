@@ -136,8 +136,8 @@ MUTANTS = (
     Mutant(
         "carried-weights-unlifted",
         "src/gf4lrc/concat.py",
-        "        lrc._weights = lrc_weights_from_outer(outer._cheapest)",
-        "        lrc._weights = outer._cheapest",
+        "        lrc._weights = lrc_weights_from_outer(weights)",
+        "        lrc._weights = weights",
         ("tests/test_concat.py::test_a_concatenation_carries_its_outer_weights_and_walk_lifted",),
         "a concatenation holds its outer code's GF(4) weights as its own binary ones",
     ),
@@ -583,6 +583,49 @@ MUTANTS = (
         ("tests/test_repair_oracle.py::test_weight_two_certificate_matches_brute_force",),
         "a group whose e1 = e2 passes the certificate, so a weight-2 word of symbol 3"
         " is missed and a t = 2 or 3 run that erases it counts it as decoded",
+    ),
+    Mutant(
+        "nullspace-pivot-w-column",
+        "src/gf4lrc/matrix.py",
+        "                xor_insert(basis, cols[at + 1], 2 << at)",
+        "                pass",
+        (
+            "tests/test_kernel.py::test_kernel_matches_scalar_elimination",
+            "tests/test_kernel.py::"
+            "test_nullspace_pass_matches_scalar_elimination_on_wide_matrices",
+        ),
+        "a pivot column's w*c never enters the basis, so over GF(4) a later column in"
+        " the GF(4) span reduces to a nonzero vector and its nullspace row is lost",
+    ),
+    Mutant(
+        "builder-d-unchecked",
+        "src/gf4lrc/families.py",
+        "    if d != expect:",
+        "    if False:",
+        ("tests/test_families.py::test_a_builder_whose_code_misses_its_d_is_refused",),
+        "a builder returns a code whose exact d is not the one its family advertises",
+    ),
+    Mutant(
+        "concat-d-unlifted",
+        "src/gf4lrc/concat.py",
+        "groups, 2 * d1 if d1 is not None else None)",
+        "groups, d1)",
+        (
+            "tests/test_concat.py::test_concatenate_matches_tuple_assembly",
+            "tests/golden/test_golden.py::"
+            "test_every_corpus_run_gives_its_expected_output_byte_for_byte",
+        ),
+        "a concatenation's d is its outer code's d1, not 2*d1, in construct's report"
+        " and in the written LRC file",
+    ),
+    Mutant(
+        "cap-code-k0-accepted",
+        "src/gf4lrc/families.py",
+        "    code.exact_distance()  # refuses k = 0, as ``min_distance`` does\n",
+        "",
+        ("tests/test_families.py::test_cap_code_refuses_and_certifies_as_the_triple_search_does",),
+        "a cap of independent points gives a k = 0 code, returned where min_distance"
+        " refuses it",
     ),
 )
 

@@ -123,7 +123,7 @@ def test_criterion_05_cap_pipeline():
             triples += 1
         assert triples == 680
         outer = cap_code(cap)
-        assert (outer.n, outer.k, outer.cached_distance.d) == (17, 13, 4)
+        assert (outer.n, outer.k, outer.min_distance().d) == (17, 13, 4)
         lrc = concatenate(outer)
         cert = certify_distance(lrc)
         assert (lrc.n, lrc.k, cert.d) == (51, 26, 8)

@@ -7,7 +7,9 @@ of a plain code's column search (``column_certificate``, the one
 certifier over parity-check columns), its budget now counted in the
 engine's unit: one per full-size set examined.  Both return the certificate
 together with the number of sets they examined, so every budget boundary
-can be checked.
+can be checked.  Their witnesses come from the scalar ``nullspace`` of
+``scalar_elimination``, since the package's own nullspace runs the
+engine's kernel with its provenance masks.
 """
 
 import math
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 from conftest import column_certificate, random_code_corpus
 from inner_code import g_unmap
-from scalar_elimination import col_tuple, gf4_inv, leading_column, row_entry
+from scalar_elimination import col_tuple, gf4_inv, leading_column, nullspace, row_entry
 from gf4lrc import gf4
 from gf4lrc.code import METHOD_COLUMN, METHOD_GROUP_RANK, DistanceCertificate, LinearCode
 from gf4lrc.concat import certify_distance, concatenate
@@ -41,7 +43,7 @@ UNLIMITED = 10**9
 def _nullspace_mask(vecs, nbits):
     """Row 0 of the nullspace of the matrix with columns vecs, as a mask."""
     cols = [unpack_row(2, v, nbits) for v in vecs]
-    kernel = FieldMatrix.from_cols(2, cols).nullspace()
+    kernel = nullspace(FieldMatrix.from_cols(2, cols))
     return pack_row(2, kernel.row_tuple(0))
 
 
@@ -70,7 +72,7 @@ def reference_certify(lrc, budget):
             vecs = [v for i in subset for v in pairs[i]]
             if rows_rank(2, vecs, lrc.u) < 2 * s:
                 cols = [unpack_row(2, e, lrc.u) for i in subset for e in pairs[i]]
-                coeffs = FieldMatrix.from_cols(2, cols).nullspace().row_tuple(0)
+                coeffs = nullspace(FieldMatrix.from_cols(2, cols)).row_tuple(0)
                 word = [0] * lrc.n
                 pair_to_positions = {1: (0, 1), gf4.W: (0, 2), gf4.W2: (1, 2)}
                 for j, i in enumerate(subset):
@@ -121,7 +123,7 @@ def reference_columns(code: LinearCode, budget):
         chosen: list[int] = []
         if dfs(w, 0, 0, [], chosen):
             sub = FieldMatrix.from_cols(q, [col_tuple(h, j) for j in chosen])
-            coeffs = sub.nullspace().row_tuple(0)
+            coeffs = nullspace(sub).row_tuple(0)
             word = [0] * n
             for j, c in zip(chosen, coeffs):
                 word[j] = c

@@ -5,9 +5,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cap_search import cap_search, collinear_companions
-from conftest import forbid_distance_and_weights
+from conftest import forbid_dependent_set_search, forbid_distance_and_weights
 from scalar_elimination import col_tuple, nullspace, poly_divmod, poly_trim
-from gf4lrc import gf4
+from gf4lrc import families, gf4
 from gf4lrc.bounds import griesmer_classical_min_n
 from gf4lrc.cli import main
 from gf4lrc.code import LinearCode, macwilliams
@@ -52,6 +52,47 @@ def test_mds_trivial_and_parity():
     assert mds_rs(2, 1).min_distance().d == 2
 
 
+def _builder(name: str, build, d: int):
+    return pytest.param(build, d, id=name)
+
+
+BUILDERS = [
+    *[_builder(f"mds_rs{nk}", lambda nk=nk: mds_rs(*nk), nk[0] - nk[1] + 1)
+      for nk in [(4, 2), (5, 2), (5, 3), (6, 3), (4, 4), (5, 4), (2, 1)]],
+    _builder("hamming4(2)", lambda: hamming4(2), 3),
+    _builder("hamming4(3)", lambda: hamming4(3), 3),
+    _builder("hexacode", hexacode, 4),
+    *[_builder(f"macdonald{a}", lambda a=a: macdonald(*a), d)
+      for a, d in [((2, 1, 1), 3), ((3, 1, 1), 15), ((3, 2, 1), 12), ((2, 1, 4), 15)]],
+    *[_builder(f"solomon_stiffler{a}", lambda a=a: solomon_stiffler(*a), d)
+      for a, d in [((2, [1]), 3), ((3, [1, 1, 1]), 13), ((3, [2]), 12), ((3, [2, 1]), 11)]],
+    _builder("cap_code(5)", lambda: cap_code(cap_search(2, 5)), 4),
+    _builder("cap_code(17)", lambda: cap_code(bundled_cap_pg3_17()), 4),
+    _builder("cyclic4(43)", lambda: cyclic4(43, [1, 0, W2, 1, 1, W, 0, 1]), 5),
+]
+
+
+@pytest.mark.parametrize("build,d", BUILDERS)
+def test_every_builder_checks_d_with_no_dependent_set_search(build, d, monkeypatch):
+    """A builder reads d from the exact weights and makes no witness; the
+    certificate that ``min_distance`` makes later has the same d."""
+    with monkeypatch.context() as patch:
+        forbid_dependent_set_search(patch)
+        code = build()
+        assert code.cached_distance is None
+        assert code.exact_distance() == d
+    cert = code.min_distance()
+    assert cert.d == d and code.contains(cert.witness)
+
+
+def test_a_builder_whose_code_misses_its_d_is_refused(monkeypatch):
+    # A [5,3,2] generator in place of the [5,3,3] MDS one.
+    monkeypatch.setitem(families._MDS_GENERATORS, (5, 3), [[1, 0, 0, 0, 1], [0, 1, 0, 0, 1],
+                                                          [0, 0, 1, 1, 0]])
+    with pytest.raises(AssertionError, match=r"^builder produced d=2, expected 3 for \[5,3\]$"):
+        mds_rs(5, 3)
+
+
 def test_mds_unsupported_parameters():
     for n1, k1 in [(6, 2), (7, 3), (5, 1), (9, 2)]:
         with pytest.raises(UnsupportedParameters):
@@ -70,10 +111,12 @@ def test_hamming_t2_matches_reference_parity_columns():
 def test_hamming_t3():
     code = hamming4(3)
     assert (code.n, code.k) == (21, 18)
-    assert code.cached_distance.d == 3
-    # the message space is far beyond enumeration, so the certificate must
-    # come from the dependent-column search
-    assert code.cached_distance.method == "column_dependence"
+    # the builder checks d by the weights and keeps no certificate; the
+    # message space is far beyond enumeration, so the one that min_distance
+    # makes on demand comes from the dependent-column search
+    assert code.cached_distance is None
+    cert = code.min_distance()
+    assert (cert.d, cert.method) == (3, "column_dependence")
 
 
 def test_hamming_degenerate_t():
@@ -178,14 +221,14 @@ def test_cap_code_from_small_cap():
     cap = cap_search(2, 5)
     code = cap_code(cap)
     assert (code.n, code.k) == (5, 2)
-    assert code.cached_distance.d == 4
+    assert code.min_distance().d == 4
 
 
 def test_cap_code_from_bundled_17_cap():
     code = cap_code(bundled_cap_pg3_17())
     assert (code.n, code.k) == (17, 13)
-    assert code.cached_distance.d == 4
-    assert code.cached_distance.method == "column_dependence"
+    cert = code.min_distance()
+    assert (cert.d, cert.method) == (4, "column_dependence")
 
 
 def test_cap_code_rejects_collinear_points():
@@ -242,7 +285,7 @@ def _outcome(build, cap):
         code = build(cap)
     except Exception as exc:  # the same kind of refusal, text and triple
         return type(exc), str(exc), getattr(exc, "triple", None)
-    return code.parity_check, code.k, code.cached_distance
+    return code.parity_check, code.k, code.min_distance()
 
 
 @settings(max_examples=300, deadline=None)
@@ -257,7 +300,7 @@ def test_cap_code_refuses_and_certifies_as_the_triple_search_does(cap):
 def test_cap_code_of_the_bundled_cap_makes_no_triple_search(monkeypatch):
     monkeypatch.setattr(CapSet, "verify", lambda cap: pytest.fail("the triple search ran"))
     code = cap_code(bundled_cap_pg3_17())
-    assert (code.n, code.k, code.cached_distance.d) == (17, 13, 4)
+    assert (code.n, code.k, code.min_distance().d) == (17, 13, 4)
 
 
 def test_cap_code_distance_confirmed_by_transform():
@@ -419,7 +462,10 @@ def test_ingest_propagates_engine_failures(tmp_path, monkeypatch, capsys):
     def broken(self, budget=None):
         raise AssertionError("column-search witness is not a codeword")
 
+    # construct reads d from the weights, analyze --distance certifies it:
+    # both entries to the engine fail.
     monkeypatch.setattr(LinearCode, "min_distance", broken)
+    monkeypatch.setattr(LinearCode, "cheapest_weights", broken)
     for argv in (["analyze", str(path), "--distance"], ["construct", "ingest", "--file", str(path)]):
         with pytest.raises(AssertionError):
             main(argv)

@@ -4,7 +4,10 @@
 ``nullspace``, which normalize GF(4) pivots one symbol at a time.  RREF is
 unique, so the kernel's results must be identical, not merely equivalent:
 the same reduced rows, rank, pivot columns and nullspace basis.  The
-packed ``transpose`` is checked against the entry-by-entry one it replaced.
+nullspace, one pass over the columns, is checked again on wider matrices
+whose columns are built dependent, and as the H of ``from_generator``.
+The packed ``transpose`` is checked against the entry-by-entry one it
+replaced.
 """
 
 from functools import reduce
@@ -14,6 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalar_elimination as scalar
+from gf4lrc import gf4
+from gf4lrc.code import LinearCode
 from gf4lrc.concat import concatenate
 from gf4lrc.matrix import FieldMatrix, pack_row, rows_rank, xor_insert, xor_reduce
 
@@ -28,6 +33,33 @@ def matrices(draw):
     extra = st.one_of(st.just([0] * ncols), st.sampled_from(rows)) if rows else st.just([0] * ncols)
     rows = draw(st.permutations(rows + draw(st.lists(extra, max_size=3))))
     return FieldMatrix(q, len(rows), ncols, [pack_row(q, r) for r in rows])
+
+
+@st.composite
+def column_matrices(draw):
+    """GF(2)/GF(4) matrices of up to 16 rows and 24 columns, built column
+    by column: random, zero, a repeat, or a combination of those before."""
+    q = draw(st.sampled_from([2, 4]))
+    nrows = draw(st.integers(0, 16))
+    symbol = st.integers(0, q - 1)
+    cols: list[list[int]] = []
+    for _ in range(draw(st.integers(0, 24))):
+        kind = draw(st.sampled_from(["random", "zero", "repeat", "combination"]))
+        if kind == "zero" or (kind != "random" and not cols):
+            col = [0] * nrows
+        elif kind == "repeat":
+            col = list(draw(st.sampled_from(cols)))
+        elif kind == "combination":
+            col = [0] * nrows
+            for other in draw(st.lists(st.sampled_from(cols), min_size=1, max_size=4)):
+                c = draw(symbol)
+                col = [a ^ gf4.gf4_mul(c, b) for a, b in zip(col, other)]
+        else:
+            col = draw(st.lists(symbol, min_size=nrows, max_size=nrows))
+        cols.append(col)
+    cols = draw(st.permutations(cols))
+    rows = [[col[i] for col in cols] for i in range(nrows)]
+    return FieldMatrix(q, nrows, len(cols), [pack_row(q, r) for r in rows])
 
 
 def assert_matches_scalar(m: FieldMatrix) -> None:
@@ -55,6 +87,29 @@ def test_transpose_matches_entrywise_transpose(m):
     assert t == scalar.transpose(m)
     assert (t.q, t.nrows, t.ncols) == (m.q, m.ncols, m.nrows)
     assert t.transpose() == m
+
+
+@settings(max_examples=300, deadline=None)
+@given(column_matrices())
+@example(FieldMatrix(4, 16, 24, [0] * 16))
+@example(FieldMatrix.from_rows(4, [[1, 2, 3, 1, 2, 3], [2, 1, 1, 2, 1, 1]]))
+def test_nullspace_pass_matches_scalar_elimination_on_wide_matrices(m):
+    columns, null = m.kernel()
+    assert null == m.nullspace() == scalar.nullspace(m)
+    # The pass's vectors: each column c, and over GF(4) then w*c.
+    pairs = []
+    for j in range(m.ncols):
+        col = scalar.col_tuple(m, j)
+        pairs.append(pack_row(m.q, col))
+        if m.q == 4:
+            pairs.append(pack_row(4, [gf4.gf4_mul(gf4.W, c) for c in col]))
+    assert columns == pairs
+
+
+def test_from_generator_parity_check_is_the_scalar_nullspace(outer_corpus):
+    for outer in outer_corpus:
+        code = LinearCode.from_generator(outer.generator)
+        assert code.parity_check == scalar.nullspace(outer.generator)
 
 
 def test_kernel_matches_scalar_elimination_on_code_corpus(outer_corpus):

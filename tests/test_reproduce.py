@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import forbid_dependent_set_search
 from gf4lrc import bounds, cli, concat, reproduce
 from gf4lrc import code as code_module
 from gf4lrc.code import LinearCode
@@ -93,19 +94,13 @@ def test_example_5_2_runs_no_dependent_set_search(monkeypatch):
     assert item.computed["outer"] == [43, 36, 5]
 
 
-def test_a_full_run_makes_three_dependent_set_searches(monkeypatch):
-    """The family builders' own checks: ``mds_rs(5, 3)``, ``hamming4(2)``
-    and ``cap_code``, each a column search of its outer code."""
-    searched = []
-    search = code_module.smallest_dependent_set
-
-    def recorded(blocks, *args, **kwargs):
-        searched.append(len(blocks))
-        return search(blocks, *args, **kwargs)
-
-    monkeypatch.setattr(code_module, "smallest_dependent_set", recorded)
-    reproduce.run()
-    assert searched == [5, 5, 17]
+def test_a_full_run_makes_no_dependent_set_search(monkeypatch):
+    """The family builders check d by the weights too, ``mds_rs(5, 3)``,
+    ``hamming4(2)`` and ``cap_code`` among them, so no item searches."""
+    forbid_dependent_set_search(monkeypatch)
+    statuses = {it.id: it.status for it in reproduce.run()}
+    assert statuses.pop("example6.3") == reproduce.NOTED
+    assert set(statuses.values()) == {reproduce.MATCH}
 
 
 def test_table1_enumerates_no_lrc_and_classifies_nothing(monkeypatch):
