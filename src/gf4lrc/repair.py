@@ -75,11 +75,14 @@ since lanes are trial-major, and its other lanes, now 0, mix to 0.  Each
 block's lanes are thus ``SplitMix64(s + b*block).lanes(layout, c)``, and
 so the stream, and every report, equals a draw-by-draw generator's.
 
-- ``RandomErasures`` runs Fisher-Yates on each trial's t lanes, in
-  ``range(t)`` layout, swapping entry j with j + u_ij mod (n - j).  Its
-  pool starts as the slot table, entry p the slot of position p, so each
-  step flags the slot of the position it picks: the swaps move the same
-  entries as over positions, only their labels differ.
+- ``RandomErasures`` runs Fisher-Yates in ``range(t)`` layout.  Step j of
+  trial i flags the slot at entry j' = j + u_ij mod (n - j) of its pool
+  and moves entry j there; entry j is never read again, so the swap's
+  other half is skipped.  A pool starts as the slot table, entry p the
+  slot of position p, so only labels differ from a draw over positions.
+  A block's pools are one list, trial i's at i*n, and step j runs in every
+  trial before step j + 1: trials share no entry and each takes its steps
+  in order, so every flag is the one a trial-by-trial draw sets.
 - ``PerSymbolErasures`` erases position j of trial i when u_ij drawn as a
   float, (u_ij >> 11) * 2^-53, is below p.  Scaling by 2^53 is exact for
   p in [0, 1], so for the integer u_ij >> 11 the test is (u_ij >> 11) < T
@@ -347,19 +350,16 @@ class RandomErasures:
         t = self.lanes_per_trial(n)
         count = t * trials
         lanes = rng.lanes(range(t), trials).to_bytes(16 * count, "little")
-        # A lane's output is its low 8 bytes.
-        draws = iter(struct.unpack("<" + "Q8x" * count, lanes))
-        steps, sizes = range(t), range(n, n - t, -1)
-        slots = _slot_table(order)
-        flags = bytearray(n * trials)
-        for base in range(0, n * trials, n):
-            # Fisher-Yates over slot labels; entry r is final once step r
-            # has run, so the swap only moves the old entry r to j.
-            pool = slots.copy()
-            for r, u, size in zip(steps, draws, sizes):
-                j = r + u % size
+        # A lane's output is its low 8 bytes: draws[i*t + r] is trial i's step r.
+        draws = struct.unpack("<" + "Q8x" * count, lanes)
+        flags = bytearray(end := n * trials)
+        # Step r of every trial in turn, trial i's pool at i*n: see the module docstring.
+        pool = _slot_table(order) * trials
+        for r, size in zip(range(t), range(n, n - t, -1)):
+            for u, start, base in zip(draws[r::t], range(r, end, n), range(0, end, n)):
+                j = start + u % size
                 flags[base + pool[j]] = 1
-                pool[j] = pool[r]
+                pool[j] = pool[start]
         return bytes(flags)
 
     def lanes_per_trial(self, n: int) -> int:

@@ -90,10 +90,14 @@ def random_code_corpus(seed: int, count: int, max_n: int, max_k: int, q: int = 4
 
 
 def permuted_hamming_lrc() -> concat.BinaryLrc:
-    """The [15,6,6;2] LRC with position p moved to 7p + 3 mod 15, its
-    columns and its groups alike, so no group is three consecutive
-    positions."""
-    lrc = concat.concatenate(hamming4(2))
+    """The [15,6,6;2] LRC, permuted as ``permuted_lrc`` does."""
+    return permuted_lrc(concat.concatenate(hamming4(2)))
+
+
+def permuted_lrc(lrc: concat.BinaryLrc) -> concat.BinaryLrc:
+    """``lrc`` with position p moved to 7p + 3 mod n, n prime to 7, its
+    columns and its groups alike, so that the simulator's slot table is
+    not the identity."""
     n = lrc.n
     moved = [(7 * p + 3) % n for p in range(n)]
     columns = [0] * n

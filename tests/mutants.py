@@ -404,13 +404,36 @@ MUTANTS = (
     Mutant(
         "repair-pool-from-positions",
         "src/gf4lrc/repair.py",
-        "            pool = slots.copy()",
-        "            pool = list(range(n))",
+        "        pool = _slot_table(order) * trials",
+        "        pool = list(range(n)) * trials",
         (
             "tests/test_repair_oracle.py::test_slot_ordered_draw_flags_the_position_at_each_slot",
             "tests/test_repair_oracle.py::test_simulate_matches_reference",
         ),
         "Fisher-Yates runs over positions, not slot labels, so flags land on the wrong slots",
+    ),
+    Mutant(
+        "repair-step-start-without-base",
+        "src/gf4lrc/repair.py",
+        "range(r, end, n), range(0, end, n)",
+        "[r] * trials, range(0, end, n)",
+        (
+            "tests/test_repair_oracle.py::test_full_size_blocks_draw_as_the_reference",
+            "tests/test_repair.py::test_the_repair_workload_kinds_match_the_reference_at_full_size",
+        ),
+        "every trial's step swaps inside trial 0's pool window, so later trials pick"
+        " from a pool that earlier trials have shuffled",
+    ),
+    Mutant(
+        "repair-step-size-off-by-one",
+        "src/gf4lrc/repair.py",
+        "zip(range(t), range(n, n - t, -1))",
+        "zip(range(t), range(n - 1, n - t - 1, -1))",
+        (
+            "tests/test_repair_oracle.py::test_full_size_blocks_draw_as_the_reference",
+            "tests/test_repair.py::test_the_repair_workload_kinds_match_the_reference_at_full_size",
+        ),
+        "step r picks among n - r - 1 entries, so the window's last entry is never picked",
     ),
     Mutant(
         "repair-lane-output-offset",

@@ -1,4 +1,5 @@
 import collections
+import inspect
 import itertools
 import math
 import sys
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_repair as reference
-from conftest import permuted_hamming_lrc, refuse_weights, walked
+from conftest import permuted_hamming_lrc, permuted_lrc, refuse_weights, walked
 from scalar_elimination import col_tuple
 from gf4lrc import gf4, matrix, repair
 from gf4lrc.code import LinearCode
@@ -253,6 +254,16 @@ def _recorded_draws(monkeypatch) -> list:
     return draws
 
 
+@pytest.mark.parametrize("cls", [RandomErasures, PerSymbolErasures])
+def test_draw_is_defined_on_each_model_class(cls):
+    """The benchmark's tracer patches ``draw`` by name in each model's own
+    ``__dict__``, so the method stays there, with this signature."""
+    params = inspect.signature(cls.__dict__["draw"]).parameters
+    assert list(params) == ["self", "rng", "order", "trials"]
+    assert params["trials"].default == 1
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params.values())
+
+
 def _block_sizes(trials: int, block: int) -> list:
     """The trials of each block of a run: full blocks, then the rest."""
     return [block] * (trials // block) + [trials % block] * (trials % block > 0)
@@ -362,8 +373,13 @@ REPAIR_WORKLOAD_KINDS = (
 )
 
 
-def test_the_repair_workload_kinds_keep_their_blocks_and_tally_paths(monkeypatch):
-    lrcs = {**GOLDEN_LRCS, "cap51": concatenate(cap_code(bundled_cap_pg3_17()))}
+@pytest.fixture(scope="module")
+def workload_lrcs():
+    """The repair workload's LRCs by name."""
+    return {**GOLDEN_LRCS, "cap51": concatenate(cap_code(bundled_cap_pg3_17()))}
+
+
+def test_the_repair_workload_kinds_keep_their_blocks_and_tally_paths(workload_lrcs, monkeypatch):
     draws, known = _recorded_draws(monkeypatch), []
     light_words = repair._light_words
 
@@ -376,9 +392,22 @@ def test_the_repair_workload_kinds_keep_their_blocks_and_tally_paths(monkeypatch
     for name, model, trials, block, bulk in REPAIR_WORKLOAD_KINDS:
         draws.clear()
         known.clear()
-        simulate(lrcs[name], trials, model, 1)
+        simulate(workload_lrcs[name], trials, model, 1)
         assert [size for size, _ in draws] == _block_sizes(trials, block), (name, model)
         assert any(known) == bulk, (name, model)
+
+
+@pytest.mark.parametrize("permuted", [False, True], ids=["listed", "permuted"])
+@pytest.mark.parametrize("name, model, trials", [k[:3] for k in REPAIR_WORKLOAD_KINDS], ids=repr)
+def test_the_repair_workload_kinds_match_the_reference_at_full_size(
+    workload_lrcs, name, model, trials, permuted
+):
+    """Each kind at its full trial count and seed 1, in blocks of the
+    simulator's full size, reports what the trial-by-trial reference
+    does, also on a copy of its LRC whose groups are not consecutive
+    positions."""
+    lrc = permuted_lrc(workload_lrcs[name]) if permuted else workload_lrcs[name]
+    assert simulate(lrc, trials, model, 1) == reference.simulate(lrc, trials, model, 1)
 
 
 def test_a_run_below_d_builds_no_columns(monkeypatch):

@@ -351,6 +351,28 @@ def test_slot_ordered_draw_flags_the_position_at_each_slot(seed, n, trials, data
     )
 
 
+@pytest.mark.parametrize("share", [None, 0, 1], ids=["any t", "t = 0", "t = n"])
+@settings(max_examples=30, deadline=None)
+@given(st.integers(-(2**130), 2**130), st.integers(1, 140), st.data())
+def test_full_size_blocks_draw_as_the_reference(share, seed, n, data):
+    """Blocks as large as the simulator's, up to _BLOCK_LANES // t trials
+    of t erasures in any slot order, flag what the trial-by-trial
+    reference erases; so does a run of two blocks, the second shorter
+    unless the first holds one trial, drawn from the run's rng as
+    ``simulate`` draws it."""
+    order = tuple(data.draw(st.permutations(range(n))))
+    model = RandomErasures(data.draw(st.integers(0, n)) if share is None else share * n)
+    full = repair._BLOCK_LANES // max(model.t, 1)
+    block = data.draw(st.sampled_from([full]) | st.integers(1, full))
+    assert model.draw(SplitMix64(seed), order, block) == _reference_flags(
+        model, seed, order, block
+    )
+    rest = data.draw(st.integers(1, max(block - 1, 1)))
+    streams = repair._RunStreams(seed & (2**64 - 1), block)
+    drawn = model.draw(streams, order, block) + model.draw(streams, order, rest)
+    assert drawn == _reference_flags(model, seed, order, block + rest)
+
+
 @pytest.mark.parametrize("name", sorted(LRCS))
 @pytest.mark.parametrize("everything", [False, True])
 @pytest.mark.parametrize("kind", [RandomErasures, PerSymbolErasures])
