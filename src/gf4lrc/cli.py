@@ -29,7 +29,7 @@ from .concat import (
     group_bases,
     locality_check,
 )
-from .errors import BudgetExceeded, Gf4LrcError, ParseError
+from .errors import BudgetExceeded, Gf4LrcError, ParseError, UnsupportedLocality
 from .gf4 import symbol_to_value
 from .projective import CapSet, bundled_cap_pg3_17
 from .repair import PerSymbolErasures, RandomErasures, simulate
@@ -288,7 +288,7 @@ def _cmd_analyze(args) -> int:
     loaded, claimed = _load_input(args.path)
     is_lrc = isinstance(loaded, BinaryLrc)
     if is_lrc and args.r not in (None, 2):
-        raise Gf4LrcError(f"an LRC input has locality 2, got --r {args.r}")
+        raise UnsupportedLocality(f"an LRC input has locality 2, got --r {args.r}")
     r = 2 if is_lrc else args.r
     if args.bounds and r is None:
         raise Gf4LrcError("--bounds on a plain code needs --r")

@@ -3,8 +3,9 @@
 A code keeps what it was built with and derives the rest on first read;
 its G and H have full rank, proven once by the entry that builds it.
 ``from_parity`` proves H's by one elimination (``rows_rank``) and derives
-G as H's nullspace only when G is first read, checking there that G is
-orthogonal to H; ``from_generator`` derives H at once, since every caller
+G as H's nullspace only when G is first read, by one kernel pass over H's
+pair columns, against which G is checked and which are kept as
+``bit_columns``; ``from_generator`` derives H at once, since every caller
 needs it, by one kernel pass over G's pair columns, which proves G's rank
 and against which H's rows are checked.  ``cyclic4``
 proves both by construction and ``LinearCode(G, H)`` by eliminating both.
@@ -168,8 +169,11 @@ class LinearCode:
 
     @cached_property
     def generator(self) -> FieldMatrix:
-        """G, when not held: H's nullspace, checked here."""
-        generator = self.parity_check.nullspace()
+        """G, when not held: H's nullspace, from the one kernel pass that
+        also gives H's pair columns, kept as ``bit_columns``, which G is
+        checked against."""
+        columns, generator = self.parity_check.kernel()
+        vars(self).setdefault("bit_columns", columns)
         self._check_orthogonal(generator)
         return generator
 

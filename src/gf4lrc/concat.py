@@ -8,17 +8,20 @@ parity check H, each group's 2nd and 3rd bits gathered into bits 2i and
 2i+1.  ``BinaryLrc`` holds those two things and derives the rest on first
 read: the groups' pairs (e1, e2) (``e_vectors``) are the columns of the
 gathered rows, and H's columns are each group's top bit over (0, e1, e2).
-A packed GF(4) vector is its own GF(2) expansion (bit 2j is the coordinate
-on 1 and bit 2j+1 the coordinate on w of symbol j), so a concatenation's
-gathered rows are its outer code's ``check_rows``: (h, w*h) for each row h
-of the outer H, whose rank is the LRC's, and its pairs are the outer
-``bit_columns`` pairs.  A loaded LRC checks H by rows (``_read``); once its
-groups check, the group parities are independent of the rest, so only
-the u gathered rows are ranked.  An LRC's distance takes a plain code's
-route (see ``code``) over P, and a concatenation takes its outer code's
-d, and any column certificate, lifted.  A witness is checked on P too
-(``contains``), so no certificate builds H's columns.  A plain code's
-locality past its dual walk runs the same search, at each coordinate.
+H's text is written from the groups and the gathered rows alone
+(``to_json``), by byte-slice assignment, with no column built.  A packed
+GF(4) vector is its own GF(2) expansion (bit 2j is the coordinate on 1 and
+bit 2j+1 the coordinate on w of symbol j), so a concatenation's gathered
+rows are its outer code's ``check_rows``: (h, w*h) for each row h of the
+outer H, whose rank is the LRC's.  Its pairs are derived from them when
+first read, as any LRC's are, and equal the outer ``bit_columns`` pairs.
+A loaded LRC checks H by rows (``_read``); once its groups check, the
+group parities are independent of the rest, so only the u gathered rows
+are ranked.  An LRC's distance takes a plain code's route (see ``code``)
+over P, and a concatenation takes its outer code's d, and any column
+certificate, lifted.  A witness is checked on P too (``contains``), so no
+certificate builds H's columns.  A plain code's locality past its dual
+walk runs the same search, at each coordinate.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from .errors import (
     RankDeficient,
     ShapeMismatch,
     SubsetBudgetExceeded,
+    UnsupportedLocality,
 )
 from .matrix import (
     FieldMatrix,
@@ -245,8 +249,38 @@ class BinaryLrc:
             "ell": self.ell,
             "u": self.u,
             "groups": [list(g) for g in self.groups],
-            "H": self.code.parity_check.to_text(),
+            "H": self._h_text(),
         }
+
+    def _h_text(self) -> str:
+        """H as ``FieldMatrix.to_text`` writes it, from the groups and
+        ``dual_rows``, by byte-slice assignment into one buffer of lines of
+        "0".  A line is n digits, each followed by a space or the newline,
+        so H's digit (row, p) sits at row * 2n + 2p past the header.  Top
+        row i is 1 at group i's positions.  Below, the gathered rows' digits
+        are one string, digit j of row t at x = t * 2ell + j, and it goes to
+        H's lower row t at byte P_j = 2 * (pair position j) of the line:
+        offset 3x + (P_j - 3j) past the lower block's start, since a line,
+        2n = 6ell bytes, is three gathered rows long.  So when P_j - 3j
+        repeats with period s, the digits of each residue j < s are one
+        slice assignment with stride 3s: s = 2 for a concatenation's groups,
+        and at most 2ell for any."""
+        n, ell, width = self.n, self.ell, 2 * self.ell
+        header = f"field=2 rows={n - self.k} cols={n}\n".encode()
+        text = bytearray(b"0 " * (n - 1) + b"0\n") * (n - self.k)
+        text[:0] = header
+        top = len(header)
+        for i, group in enumerate(self.groups):
+            for pos in group:
+                text[top + 2 * (i * n + pos)] = ord("1")
+        digits = "".join([row_digits(2, row, width) for row in self.dual_rows]).encode()
+        lower = top + 2 * ell * n
+        places = [2 * pos for pos in _pair_positions(self.groups)]
+        shifts = [place - 3 * j for j, place in enumerate(places)]
+        period = next(s for s in range(1, width + 1) if shifts == shifts[:s] * (width // s))
+        for j in range(period):
+            text[lower + places[j] :: 3 * period] = digits[j::period]
+        return text.decode("ascii")
 
     @classmethod
     def from_json(cls, obj: dict) -> "BinaryLrc":
@@ -296,9 +330,10 @@ def concatenate(outer: LinearCode) -> BinaryLrc:
 
     Produces the [3*n1, 2*k1, 2*d1; r=2] code whose codewords are the
     symbolwise inner encodings of outer codewords, so its pair code is the
-    outer code: its ``dual_rows`` are the outer ``check_rows``, its
-    ``e_vectors`` the outer ``bit_columns`` pairs, and its weights walk the
-    outer code's smaller side.  Its H has full rank as the outer H has: a
+    outer code: its ``dual_rows`` are the outer ``check_rows``, and its
+    weights walk the outer code's smaller side.  Its ``e_vectors``, derived
+    from those rows when a search or a repair first reads them, are the
+    outer ``bit_columns`` pairs.  Its H has full rank as the outer H has: a
     group's row is alone at its first position, and the lower block is the
     outer H's pair expansion.  The distance field is twice the outer d of
     a cached certificate, else of cached weights, else None; the outer
@@ -315,8 +350,6 @@ def concatenate(outer: LinearCode) -> BinaryLrc:
     groups = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(outer.n)]
     lrc._hold(3 * outer.n, 2 * outer.k, groups, 2 * d1 if d1 is not None else None)
     lrc.dual_rows = tuple(outer.check_rows)
-    pairs = outer.bit_columns
-    lrc.e_vectors = tuple(zip(pairs[::2], pairs[1::2]))
     if cached is not None and cached.method == METHOD_COLUMN:
         word = lrc.lift(cached.witness)
         if not lrc.contains(word):
@@ -377,21 +410,22 @@ def locality_check(
 ) -> CoverageReport:
     """Check that every coordinate is covered by a dual word of weight <= r+1.
 
-    For a BinaryLrc with r >= 2 the group parity rows cover structurally:
-    top row i of H is group i's indicator, as the LRC's checks prove.
-    Otherwise it walks the words H's pair rows span, within ``budget``;
-    when they exceed it, each coordinate is decided by ``_covering_sets``
-    within ``subset_budget``.
+    For a BinaryLrc the group parity rows cover structurally at r >= 2:
+    top row i of H is group i's indicator, as the LRC's checks prove.  An
+    r below its locality 2 is refused with ``UnsupportedLocality``, as
+    ``analyze`` refuses it.  A plain code walks the words H's pair rows
+    span, within ``budget``; when they exceed it, each coordinate is
+    decided by ``_covering_sets`` within ``subset_budget``.
     """
     if isinstance(code, BinaryLrc):
-        if r >= 2:
-            covering: list[Optional[tuple[int, ...]]] = [None] * code.n
-            for a, b, c in code.groups:
-                row = [0] * code.n
-                row[a] = row[b] = row[c] = 1
-                covering[a] = covering[b] = covering[c] = tuple(row)
-            return CoverageReport(r, tuple(covering), True)
-        code = code.code
+        if r < 2:
+            raise UnsupportedLocality(f"an LRC has locality 2, got r = {r}")
+        covering: list[Optional[tuple[int, ...]]] = [None] * code.n
+        for a, b, c in code.groups:
+            row = [0] * code.n
+            row[a] = row[b] = row[c] = 1
+            covering[a] = covering[b] = covering[c] = tuple(row)
+        return CoverageReport(r, tuple(covering), True)
     if code.q ** (code.n - code.k) > budget:
         return _covering_sets(code, r, subset_budget)
     rows = code.check_rows

@@ -71,6 +71,10 @@ class NotADivisor(Gf4LrcError, ValueError):
     """Generator polynomial does not divide x^n - 1."""
 
 
+class UnsupportedLocality(Gf4LrcError, ValueError):
+    """A locality other than an LRC's own 2 was asked of it."""
+
+
 class GroupDamaged(Gf4LrcError):
     """Local repair impossible: another symbol of the group is also erased."""
 

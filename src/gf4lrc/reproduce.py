@@ -21,9 +21,10 @@ from functools import cached_property
 from typing import Callable
 
 from . import bounds, concat, families
-from .code import LinearCode, WeightDistribution
+from .code import LinearCode, WeightDistribution, weight_histogram, weight_planes
 from .errors import InvalidParameters
 from .gf4 import W, W2
+from .matrix import pack_row, scale_row, unpack_row
 from .projective import bundled_cap_pg3_17
 
 MATCH = "match"
@@ -109,7 +110,17 @@ class _Facts:
 
     @cached_property
     def lrc_weights(self) -> WeightDistribution:
-        return self.lrc.code.weight_distribution()
+        """The LRC's weights by enumerating its binary code itself, spanned
+        by lift(g) and lift(w*g) over the outer generator rows g: a check of
+        ``_lifted``, the map from outer to LRC weights, that reads no H."""
+        generator, n = self.outer.generator, self.lrc.n
+        rows = [
+            pack_row(2, self.lrc.lift(unpack_row(4, row, generator.ncols)))
+            for g in generator.rows
+            for row in (g, scale_row(4, g, W))
+        ]
+        counts, _ = weight_histogram(weight_planes(rows, n, 1), n)
+        return WeightDistribution(n, self.lrc.k, 2, counts)
 
     @cached_property
     def sphere_packing(self) -> tuple[int, int]:

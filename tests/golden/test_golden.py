@@ -7,7 +7,10 @@ from fractions import Fraction
 
 import corpus
 from conftest import forbid_dependent_set_search
+from gf4lrc import cli
 from gf4lrc.code import LinearCode
+from gf4lrc.concat import BinaryLrc, concatenate
+from gf4lrc.matrix import FieldMatrix
 
 
 def test_every_corpus_run_gives_its_expected_output_byte_for_byte(tmp_path):
@@ -53,6 +56,47 @@ def test_a_code_read_from_its_generator_builds_no_h_columns(tmp_path, monkeypatc
         line.startswith("analyze") and ".code" in line and "--distance" in line
     ))
     assert len(built) >= 8
+
+
+def test_construct_concat_builds_no_h_columns_no_transpose_and_no_outer_pairs(
+    tmp_path, monkeypatch
+):
+    # concatenate holds the outer check_rows, and to_json writes H's text
+    # from the groups and dual_rows, so no run builds an LRC's code, and
+    # neither step transposes a matrix or reads the outer bit_columns; the
+    # written files stay the same.
+    inside, seen = [], []
+    transpose, bit_columns = FieldMatrix.transpose, LinearCode.bit_columns
+
+    def watched(step):
+        def run(*args):
+            inside.append(step.__name__)
+            seen.append(step.__name__)
+            try:
+                return step(*args)
+            finally:
+                inside.pop()
+
+        return run
+
+    def guarded_transpose(matrix):
+        assert not inside, f"{inside[-1]} transposed a matrix"
+        return transpose(matrix)
+
+    def guarded_bit_columns(code):
+        assert not inside, f"{inside[-1]} read bit_columns"
+        return bit_columns.__get__(code, LinearCode)
+
+    def no_code(lrc):
+        raise AssertionError("an LRC's code was built")
+
+    monkeypatch.setattr(cli, "concatenate", watched(concatenate))
+    monkeypatch.setattr(BinaryLrc, "to_json", watched(BinaryLrc.to_json))
+    monkeypatch.setattr(FieldMatrix, "transpose", guarded_transpose)
+    monkeypatch.setattr(LinearCode, "bit_columns", property(guarded_bit_columns))
+    monkeypatch.setattr(BinaryLrc, "code", property(no_code))
+    _assert_replays(tmp_path, lambda line: line.startswith("construct") and "--concat" in line)
+    assert seen.count("concatenate") == seen.count("to_json") >= 10
 
 
 def _report(line: str) -> str:

@@ -650,6 +650,68 @@ MUTANTS = (
         "a cap of independent points gives a k = 0 code, returned where min_distance"
         " refuses it",
     ),
+    Mutant(
+        "lrc-writer-pair-swap",
+        "src/gf4lrc/concat.py",
+        "            text[lower + places[j] :: 3 * period] = digits[j::period]",
+        "            text[lower + places[j] :: 3 * period] = digits[j ^ 1 :: period]",
+        (
+            "tests/test_concat.py::test_the_h_writer_gives_the_text_of_h_built_by_columns",
+            "tests/golden/test_golden.py::"
+            "test_every_corpus_run_gives_its_expected_output_byte_for_byte",
+        ),
+        "H's writer puts a dual row's bit 2i at group i's 3rd position and bit 2i+1 at"
+        " its 2nd, so every written LRC file holds the pair code with e1 and e2 swapped",
+    ),
+    Mutant(
+        "lrc-writer-indicator-position",
+        "src/gf4lrc/concat.py",
+        '                text[top + 2 * (i * n + pos)] = ord("1")',
+        '                text[top + 2 * i * n + pos] = ord("1")',
+        (
+            "tests/test_concat.py::test_the_h_writer_gives_the_text_of_h_built_by_columns",
+            "tests/golden/test_golden.py::"
+            "test_every_corpus_run_gives_its_expected_output_byte_for_byte",
+        ),
+        "a top row's 1 is written at byte 2i*n + p, not at position p's digit 2(i*n + p),"
+        " so group indicators land on other positions or on the spaces between digits",
+    ),
+    Mutant(
+        "reproduce-oracle-lift-reversed",
+        "src/gf4lrc/reproduce.py",
+        "            for row in (g, scale_row(4, g, W))",
+        "            for row in (g, (g & generator._lo) << 1 | g >> 1 & generator._lo)",
+        (
+            "tests/test_reproduce.py::test_full_run_output_is_pinned",
+            "tests/test_reproduce.py::test_all_items_match_or_are_noted",
+        ),
+        "the weights oracle lifts g with each symbol's pair reversed, (a, b) as (b, a),"
+        " in place of w*g; that map is not GF(4)-linear, so the rows span another code",
+    ),
+    Mutant(
+        "lrc-load-derives-generator",
+        "src/gf4lrc/concat.py",
+        "        if rows_rank(2, lrc.dual_rows, 2 * lrc.ell) != lrc.u:\n",
+        "        lrc.code.generator\n        if rows_rank(2, lrc.dual_rows, 2 * lrc.ell) != lrc.u:\n",
+        (
+            "tests/test_concat.py::test_loading_runs_one_rank_elimination_and_no_nullspace",
+            "tests/test_cli.py::test_an_lrc_run_derives_no_generator",
+        ),
+        "loading an LRC derives G, H's nullspace, by the kernel pass that reading"
+        " ``generator`` runs, which no nullspace call shows",
+    ),
+    Mutant(
+        "locality-scan-derives-generator",
+        "src/gf4lrc/concat.py",
+        "    rows = code.check_rows\n",
+        "    code.generator\n    rows = code.check_rows\n",
+        (
+            "tests/test_cli.py::test_in_budget_locality_builds_no_dual",
+            "tests/test_enumerator.py::test_locality_coverings_match_gray_walk",
+        ),
+        "the dual scan of a code read from H derives its G first, by the kernel pass"
+        " that reading ``generator`` runs, which no nullspace call shows",
+    ),
 )
 
 

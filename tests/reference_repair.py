@@ -7,7 +7,9 @@ parity-check columns, and each trial encodes, erases and checks a tuple.
 Its erasure draws take one scalar ``next_u64`` output per step, as the
 models drew them before ``SplitMix64.lanes``.  ``next_u64`` is written here
 from the recurrence, so the oracle shares no draw code with the package.
-The tests compare the packed path of ``gf4lrc.repair`` against it.
+H's columns are taken once per run (``columns``) and passed down, so a
+trial transposes nothing.  The tests compare the packed path of
+``gf4lrc.repair`` against it.
 """
 
 from gf4lrc.errors import AmbiguousDecode, ShapeMismatch
@@ -33,16 +35,22 @@ def next_u64(rng: SplitMix64) -> int:
     return z ^ (z >> 31)
 
 
-def syndrome(code, word) -> int:
-    """The XOR of x_j times column j of H, symbol by symbol."""
+def columns(code) -> tuple:
+    """The columns of ``code``'s H, by one transpose."""
+    return code.parity_check.transpose().rows
+
+
+def syndrome(code, word, cols=None) -> int:
+    """The XOR of x_j times column j of H (``cols``, else taken here),
+    symbol by symbol."""
     total, lo = 0, lo_mask(code.n - code.k)
-    for x, col in zip(word, code.parity_check.transpose().rows):
+    for x, col in zip(word, cols or columns(code)):
         if x:
             total ^= scale_row(code.q, col, x, lo)
     return total
 
 
-def contains(code, word) -> bool:
+def contains(code, word, cols=None) -> bool:
     """Whether a symbol list's per-symbol syndrome is 0."""
     q = code.q
     for x in word:
@@ -50,12 +58,13 @@ def contains(code, word) -> bool:
             raise ValueError(f"symbol {x} invalid over GF({q})")
     if len(word) != code.n:
         raise ShapeMismatch(f"{code.n - code.k}x{code.n} times {len(word)}x1")
-    return not syndrome(code, word)
+    return not syndrome(code, word, cols)
 
 
-def decode(lrc, word):
-    """(recovered word or None, solution-space dim, methods, accessed)."""
-    n = lrc.n
+def decode(lrc, word, cols=None):
+    """(recovered word or None, solution-space dim, methods, accessed),
+    over H's columns ``cols``, else taken here."""
+    n, cols = lrc.n, cols or columns(lrc.code)
     if len(word) != n:
         raise ValueError(f"word length {len(word)} != n = {n}")
     erased = frozenset(i for i in range(n) if word[i] is None)
@@ -72,12 +81,11 @@ def decode(lrc, word):
             accessed[p] = 2
     rest = sorted(p for p in erased if p not in methods)
     if rest:
-        cols = lrc.code.parity_check.transpose().rows
         basis: list = []
         dependent = 0
         for i, p in enumerate(rest):
             dependent += not xor_insert(basis, cols[p], 1 << i)[0]
-        residual, solution = xor_reduce(basis, syndrome(lrc.code, values))
+        residual, solution = xor_reduce(basis, syndrome(lrc.code, values, cols))
         if residual:
             raise ValueError("word is not consistent with any codeword")
         if dependent:
@@ -87,7 +95,7 @@ def decode(lrc, word):
             methods[p] = "global"
             accessed[p] = n - len(erased)
     recovered = tuple(values)
-    if not contains(lrc.code, recovered):
+    if not contains(lrc.code, recovered, cols):
         raise ValueError("word is not consistent with any codeword")
     return recovered, 0, methods, accessed
 
@@ -124,6 +132,7 @@ def simulate(lrc, trials: int, model, seed: int = 0) -> SimulationReport:
     local_total = 0
     accessed_total = 0
     repaired_total = 0
+    cols = columns(lrc.code)
     for trial in range(trials):
         rng = SplitMix64(seed + trial)
         message = [next_u64(rng) & 1 for _ in range(lrc.k)]
@@ -131,7 +140,7 @@ def simulate(lrc, trials: int, model, seed: int = 0) -> SimulationReport:
         pattern = draw(model, rng, lrc.n)
         erased_total += len(pattern)
         word = [None if i in pattern else codeword[i] for i in range(lrc.n)]
-        recovered, solution_dim, methods, accessed = decode(lrc, word)
+        recovered, solution_dim, methods, accessed = decode(lrc, word, cols)
         for p, method in methods.items():
             repaired_total += 1
             accessed_total += accessed[p]

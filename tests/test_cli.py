@@ -339,13 +339,14 @@ def test_in_budget_locality_builds_no_dual(tmp_path, capsys, monkeypatch):
     spc = tmp_path / "spc.code"
     spc.write_text(lrc.code.parity_check.to_text({"kind": "parity", "n": lrc.n, "k": lrc.k}))
     built, nullspaces = [], []
-    dual, nullspace = code_module.LinearCode.dual, FieldMatrix.nullspace
+    dual, kernel = code_module.LinearCode.dual, FieldMatrix.kernel
     monkeypatch.setattr(code_module.LinearCode, "dual", lambda self: built.append(self) or dual(self))
 
     code, out, _ = run_cli(capsys, "analyze", str(tmp_path / "cap.code"))
     assert code == 0
     assert json.loads(out)["locality"]["r"] == 2
-    monkeypatch.setattr(FieldMatrix, "nullspace", lambda m: nullspaces.append(m) or nullspace(m))
+    # Every nullspace, G's derivation among them, is one kernel pass.
+    monkeypatch.setattr(FieldMatrix, "kernel", lambda m: nullspaces.append(m) or kernel(m))
     code, out, _ = run_cli(capsys, "analyze", str(spc), "--locality")
     assert code == 0
     assert json.loads(out)["locality"]["ok"]
@@ -788,15 +789,16 @@ def lrc_files(tmp_path_factory):
                          ids=["analyze", "analyze-distance-bounds", "repair"])
 def test_an_lrc_run_derives_no_generator(lrc_files, capsys, monkeypatch, flags):
     """Every answer about an LRC reads H's columns or the outer code's
-    dual, so loading H computes its rank and no nullspace."""
+    dual, so loading H computes its rank and no nullspace: no kernel pass,
+    the elimination behind every nullspace, G's derivation among them."""
     calls = collections.Counter()
-    nullspace = FieldMatrix.nullspace
+    kernel = FieldMatrix.kernel
 
     def counted(self):
         calls["nullspace"] += 1
-        return nullspace(self)
+        return kernel(self)
 
-    monkeypatch.setattr(FieldMatrix, "nullspace", counted)
+    monkeypatch.setattr(FieldMatrix, "kernel", counted)
     command = "repair" if "--random-t" in flags else "analyze"
     for path in lrc_files:
         assert run_cli(capsys, command, path, *flags)[0] == 0

@@ -22,7 +22,14 @@ from gf4lrc.concat import (
     locality_check,
     lrc_weights_from_outer,
 )
-from gf4lrc.errors import FieldMismatch, ParseError, RankDeficient, SubsetBudgetExceeded
+from gf4lrc.errors import (
+    FieldMismatch,
+    Gf4LrcError,
+    ParseError,
+    RankDeficient,
+    SubsetBudgetExceeded,
+    UnsupportedLocality,
+)
 from gf4lrc.families import (
     cap_code,
     cyclic4,
@@ -211,6 +218,16 @@ def test_locality_structural_for_lrc():
         assert sum(report.covering[pos]) == 3
 
 
+def test_locality_below_2_is_refused_for_an_lrc():
+    # An LRC's groups answer r >= 2; a smaller r is refused as analyze
+    # refuses it, with a typed package error.
+    lrc = concatenate(hamming4(2))
+    for r in (0, 1):
+        with pytest.raises(UnsupportedLocality, match=f"^an LRC has locality 2, got r = {r}$"):
+            locality_check(lrc, r)
+    assert issubclass(UnsupportedLocality, Gf4LrcError)
+
+
 def test_locality_repetition_code_r1():
     code = LinearCode.from_generator(FieldMatrix.from_rows(2, [[1, 1, 1]]))
     report = locality_check(code, 1)
@@ -234,8 +251,11 @@ def test_every_concatenation_has_locality_2(outer_corpus):
 
 
 def test_lrc_json_round_trip():
+    # The written H is the LRC's H, so a writer and a reader that share a
+    # mistake cannot round-trip it unseen.
     lrc = concatenate(hexacode())
     obj = json.loads(json.dumps(lrc.to_json()))
+    assert obj["H"] == lrc.code.parity_check.to_text()
     again = BinaryLrc.from_json(obj)
     assert again.code.parity_check == lrc.code.parity_check
     assert again.groups == lrc.groups
@@ -345,10 +365,11 @@ def test_a_concatenation_holds_the_outer_check_rows_and_ranks_nothing(
         lrc = concatenate(outer)
         assert calls == []
         assert lrc.dual_rows == tuple(outer.check_rows)
-        assert "code" not in vars(lrc)
-        # H's rows, read later, are derived by one transpose.
+        assert "code" not in vars(lrc) and "e_vectors" not in vars(lrc)
+        # H's rows, read later, are derived by two transposes: the pairs
+        # from the gathered rows, then H's rows from its columns.
         assert lrc.code.parity_check == reference_concatenate(outer)[0]
-        assert calls == ["T"]
+        assert calls == ["T", "T"]
 
 
 def test_an_outer_code_with_a_dependent_parity_check_is_refused():
@@ -538,10 +559,11 @@ def test_loading_makes_no_entry_calls(monkeypatch):
 def test_loading_runs_one_rank_elimination_and_no_nullspace(monkeypatch):
     # Once the groups check, H's rank is its lower block's: one elimination
     # over the u = 14 rows below the 43 group parities, gathered to 86
-    # bits.  G, H's nullspace, is derived when read.
+    # bits.  G, H's nullspace, is derived when read, by one kernel pass,
+    # the elimination behind every nullspace.
     obj = json.loads(json.dumps(concatenate(cyclic4(43, [1, 0, W2, 1, 1, W, 0, 1])).to_json()))
     calls = []
-    real_rank, real_nullspace = matrix_module.rows_rank, FieldMatrix.nullspace
+    real_rank, real_kernel = matrix_module.rows_rank, FieldMatrix.kernel
 
     def counted(q, rows, ncols):
         rows = list(rows)
@@ -550,7 +572,7 @@ def test_loading_runs_one_rank_elimination_and_no_nullspace(monkeypatch):
 
     for module in (code_module, concat_module):
         monkeypatch.setattr(module, "rows_rank", counted)
-    monkeypatch.setattr(FieldMatrix, "nullspace", lambda h: calls.append("G") or real_nullspace(h))
+    monkeypatch.setattr(FieldMatrix, "kernel", lambda h: calls.append("G") or real_kernel(h))
     lrc = BinaryLrc.from_json(obj)
     assert (lrc.n, lrc.k, lrc.u) == (129, 72, 14)
     assert calls == [(2, 14, 86)]
@@ -629,6 +651,50 @@ def test_a_loaded_lrc_holds_what_the_transpose_route_reads(seed, data):
     assert loaded.e_vectors == tuple((lower[b], lower[c]) for _, b, c in loaded.groups)
     assert loaded.code.bit_columns == reference.bit_columns
     assert loaded.cheapest_weights() == lrc.cheapest_weights()
+
+
+def h_from_pairs(lrc) -> FieldMatrix:
+    """H rebuilt from the groups and ``e_vectors`` by columns: group i's
+    columns are its top bit i over 0, e1 and e2."""
+    cols = [0] * lrc.n
+    for i, ((a, b, c), (e1, e2)) in enumerate(zip(lrc.groups, lrc.e_vectors)):
+        top = 1 << i
+        cols[a], cols[b], cols[c] = top, e1 << lrc.ell | top, e2 << lrc.ell | top
+    return FieldMatrix(2, lrc.n, lrc.n - lrc.k, cols).transpose()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_the_h_writer_gives_the_text_of_h_built_by_columns(seed, data):
+    """``to_json`` writes H from the groups and ``dual_rows``: the text of
+    H built by columns, for a concatenation and for a loaded LRC with its
+    positions and groups permuted and some groups listing (a, c, b), whose
+    text it writes back byte for byte."""
+    n1 = data.draw(st.integers(1, 9), label="n1")
+    k1 = data.draw(st.integers(1, n1), label="k1")
+    lrc = concatenate(random_linear_code(random.Random(seed), 4, n1, k1))
+    assert lrc.to_json()["H"] == h_from_pairs(lrc).to_text()
+    perm = data.draw(st.permutations(range(lrc.n)), label="perm")
+    order = data.draw(st.permutations(range(lrc.ell)), label="order")
+    obj = _moved(lrc, perm, order)
+    swaps = data.draw(st.lists(st.booleans(), min_size=lrc.ell, max_size=lrc.ell), label="swaps")
+    obj["groups"] = [[a, c, b] if swap else [a, b, c] for (a, b, c), swap in zip(obj["groups"], swaps)]
+    loaded = BinaryLrc.from_json(obj)
+    assert loaded.to_json()["H"] == h_from_pairs(loaded).to_text() == obj["H"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_a_concatenations_pairs_are_derived_when_read_as_the_outer_bit_column_pairs(seed, data):
+    """``concatenate`` holds no pairs; read, they come from the gathered
+    rows, and they are the pair expansion (c, w*c) of each outer H column."""
+    n1 = data.draw(st.integers(1, 9), label="n1")
+    k1 = data.draw(st.integers(1, n1), label="k1")
+    outer = random_linear_code(random.Random(seed), 4, n1, k1)
+    lrc = concatenate(outer)
+    assert "e_vectors" not in vars(lrc)
+    pairs = outer.bit_columns
+    assert lrc.e_vectors == tuple(zip(pairs[::2], pairs[1::2]))
 
 
 def _faulted(fault):

@@ -110,14 +110,15 @@ def test_multi_block_codes_match_gray_walk(code):
 @given(codes(st.integers(1, 4), max_redundancy=6), block_bits, st.integers(0, 3))
 def test_locality_coverings_match_gray_walk(code, bits, r):
     # A code that holds only H covers alike, deriving no generator; the
-    # oracle's dual reads G, so only the scan's own nullspaces are counted.
+    # oracle's dual reads G, so only the scan's own kernel passes, the
+    # elimination behind every nullspace, are counted.
     held = LinearCode.from_parity(code.parity_check)
-    nullspaces, nullspace = [], FieldMatrix.nullspace
-    counted = lambda m: nullspaces.append(m) or nullspace(m)
+    nullspaces, kernel = [], FieldMatrix.kernel
+    counted = lambda m: nullspaces.append(m) or kernel(m)
     with with_block_bits(bits):
         expected = gray.locality_dual_scan(code, r)
         assert locality_check(code, r) == expected
-        with mock.patch.object(FieldMatrix, "nullspace", counted):
+        with mock.patch.object(FieldMatrix, "kernel", counted):
             assert locality_check(held, r) == expected
     assert nullspaces == []
 

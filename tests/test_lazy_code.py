@@ -52,14 +52,16 @@ def test_lazy_codes_answer_as_the_eager_code(built, matrices_first):
 
 
 def _count_nullspaces(monkeypatch) -> list:
+    """The matrices whose nullspace is taken from now on: each is one
+    ``kernel`` pass, whichever caller, ``generator`` among them, asks."""
     calls = []
-    nullspace = FieldMatrix.nullspace
+    kernel = FieldMatrix.kernel
 
     def counted(self):
         calls.append(self)
-        return nullspace(self)
+        return kernel(self)
 
-    monkeypatch.setattr(FieldMatrix, "nullspace", counted)
+    monkeypatch.setattr(FieldMatrix, "kernel", counted)
     return calls
 
 
@@ -92,7 +94,8 @@ def test_a_derived_generator_not_orthogonal_to_h_raises_on_first_read(monkeypatc
     h = FieldMatrix.from_rows(2, [[1, 1, 1]])
     code = LinearCode.from_parity(h)  # the rank check passes
     wrong = FieldMatrix.from_rows(2, [[1, 0, 0], [0, 1, 1]])
-    monkeypatch.setattr(FieldMatrix, "nullspace", lambda self: wrong)
+    kernel = FieldMatrix.kernel
+    monkeypatch.setattr(FieldMatrix, "kernel", lambda self: (kernel(self)[0], wrong))
     for read in (lambda: code.generator, lambda: code.bit_rows, code.weight_distribution,
                  lambda: code.dual().parity_check):
         with pytest.raises(ValueError, match="not orthogonal to parity check"):

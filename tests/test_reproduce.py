@@ -5,7 +5,6 @@ import pytest
 from conftest import forbid_dependent_set_search
 from gf4lrc import bounds, cli, concat, reproduce
 from gf4lrc import code as code_module
-from gf4lrc.code import LinearCode
 from gf4lrc.errors import InvalidParameters
 
 DATA = Path(__file__).parent / "data"
@@ -105,24 +104,26 @@ def test_a_full_run_makes_no_dependent_set_search(monkeypatch):
 
 def test_table1_enumerates_no_lrc_and_classifies_nothing(monkeypatch):
     """A table row reads only the Griesmer-like bound: no ``classify`` and
-    no binary weight enumeration (the GF(4) outer codes are enumerated
-    when their builders verify d)."""
-    fields = []
-    weight_distribution = LinearCode.weight_distribution
+    no binary weight enumeration, which walks symbols one bit wide (the
+    GF(4) outer codes are enumerated when their builders verify d, and a
+    pair code's walk takes two bits a symbol)."""
+    widths = []
+    walk = code_module.weight_planes
 
-    def recorded(self, *args, **kwargs):
-        fields.append(self.q)
-        return weight_distribution(self, *args, **kwargs)
+    def recorded(rows, n, width):
+        widths.append(width)
+        return walk(rows, n, width)
 
-    monkeypatch.setattr(LinearCode, "weight_distribution", recorded)
+    for module in (code_module, concat, reproduce):
+        monkeypatch.setattr(module, "weight_planes", recorded)
     reproduce.run(["example5.1"])
-    assert 2 in fields  # an LRC's enumeration is seen
+    assert 1 in widths  # an LRC's enumeration is seen
     monkeypatch.setattr(bounds, "classify", _forbidden)
     with pytest.raises(AssertionError, match="forbidden"):
         reproduce.run(["example6.1"])  # a classify call is seen
-    fields.clear()
+    widths.clear()
     assert {it.status for it in reproduce.run(["table1"])} == {reproduce.MATCH}
-    assert 2 not in fields
+    assert widths and 1 not in widths
 
 
 def test_every_fact_is_stated_by_some_row():
