@@ -26,7 +26,7 @@ from .concat import (
     DEFAULT_SUBSET_BUDGET,
     BinaryLrc,
     concatenate,
-    group_bases,
+    group_subspace_dims,
     locality_check,
 )
 from .errors import BudgetExceeded, Gf4LrcError, ParseError, UnsupportedLocality
@@ -43,61 +43,74 @@ _NOT_DIGITS = bytes(range(10, 256))
 _ROW_TYPES = {list, tuple, type(None)}
 #: Stands for "no row yet" when ``_rows_text`` compares rows by identity.
 _NO_ITEM = object()
+#: A str is escaped and passed on in slices of this many characters, so
+#: a long one, such as an LRC's H text, is never copied whole.
+_STR_SLICE = 1 << 20
 
 
 def _json_text(obj, indent: str = "\n") -> str:
     """What ``json.dumps`` writes with sorted keys and a two-space indent,
-    for a value with str keys.  ``_write_json`` appends the text in pieces,
-    joined once here, so no nested text is copied into its parent's.  Keys
-    and scalars are written as the stdlib's encoder writes them
-    (``_json_scalar``).  A flat list of plain ints (no bools) is written in
-    one step (``_int_joiner``), not item by item as the pure-Python encoder
-    that an indent selects does.  A list of such rows and None, such as a
+    for a value with str keys.  ``_write_json`` gives the text in pieces,
+    joined once here, so no nested text is copied into its parent's, or
+    written one by one to a file, as ``construct --output`` does; a str
+    is its quotes and one piece per slice of ``_STR_SLICE`` characters.
+    Keys, strs and other scalars are written as the stdlib's encoder
+    writes them (``encode_basestring_ascii``, ``_json_scalar``).  A flat
+    list of plain ints (no bools) is written in one step (``_int_joiner``),
+    not item by item as the pure-Python encoder that an indent selects
+    does.  A list of such rows and None, such as a
     report's ``covering`` and ``groups``, is written in one pass over all
     its rows' items (``_rows_text``); a row that is the same object as the
     one before it, as each group's row is at its three positions of
     ``covering``, is written once and its text reused."""
     out: list[str] = []
-    _write_json(obj, indent, out)
+    _write_json(obj, indent, out.append)
     return "".join(out)
 
 
-def _write_json(obj, indent: str, out: list) -> None:
-    """Append the pieces of ``_json_text(obj, indent)`` to ``out``."""
+def _write_json(obj, indent: str, put) -> None:
+    """Pass the pieces of ``_json_text(obj, indent)``, in order, to ``put``."""
     if isinstance(obj, dict):
         if not obj:
-            out.append("{}")
+            put("{}")
             return
         inner = indent + "  "
         lead, sep = "{" + inner, "," + inner
         for key, value in sorted(obj.items()):
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(lead + encode_basestring_ascii(key) + ": ")
+            put(lead + encode_basestring_ascii(key) + ": ")
             lead = sep
-            _write_json(value, inner, out)
-        out.append(indent + "}")
+            _write_json(value, inner, put)
+        put(indent + "}")
     elif isinstance(obj, (list, tuple)):
         if not obj:
-            out.append("[]")
+            put("[]")
             return
         inner = indent + "  "
         sep = "," + inner
-        out.append("[" + inner)
+        put("[" + inner)
         kinds = set(map(type, obj))
         if kinds == {int}:
-            out.append(_int_joiner(obj, sep)(0, len(obj)))
+            put(_int_joiner(obj, sep)(0, len(obj)))
         elif kinds <= _ROW_TYPES and (texts := _rows_text(obj, inner)) is not None:
-            out.append(sep.join(texts))
+            put(sep.join(texts))
         else:
             lead = ""
             for x in obj:
-                out.append(lead)
+                put(lead)
                 lead = sep
-                _write_json(x, inner, out)
-        out.append(indent + "]")
+                _write_json(x, inner, put)
+        put(indent + "]")
+    elif isinstance(obj, str):
+        # Escaping maps each character alone, so the slices' escapes
+        # joined are the string's, and no whole escaped copy is made.
+        put('"')
+        for start in range(0, len(obj), _STR_SLICE):
+            put(encode_basestring_ascii(obj[start : start + _STR_SLICE])[1:-1])
+        put('"')
     else:
-        out.append(_json_scalar(obj))
+        put(_json_scalar(obj))
 
 
 def _int_joiner(ints, sep: str):
@@ -154,9 +167,7 @@ def _rows_text(rows, indent: str):
 
 
 def _json_scalar(obj) -> str:
-    """A str, None, bool, int or float as ``json.dumps`` writes it."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
+    """None, a bool, an int or a float as ``json.dumps`` writes it."""
     if obj is None:
         return "null"
     if obj is True:
@@ -272,7 +283,9 @@ def _cmd_construct(args) -> int:
         summary["code_file"] = str(code_path)
         if lrc_json is not None:
             lrc_path = base.with_suffix(".lrc.json")
-            lrc_path.write_text(_json_text(lrc_json) + "\n")
+            with lrc_path.open("w") as file:  # the pieces as they come, no joined copy
+                _write_json(lrc_json, "\n", file.write)
+                file.write("\n")
             summary["lrc_file"] = str(lrc_path)
     else:
         summary["code_text"] = code_text
@@ -337,7 +350,7 @@ def _cmd_analyze(args) -> int:
             }
             if is_lrc:
                 report["groups"] = [list(g) for g in loaded.groups]
-                report["group_subspace_dims"] = [len(b) for b in group_bases(loaded)]
+                report["group_subspace_dims"] = group_subspace_dims(loaded)
         except BudgetExceeded as exc:
             report["locality"] = {"error": str(exc)}
             exit_code = 3

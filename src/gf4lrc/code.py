@@ -25,18 +25,21 @@ The enumerator is bit-sliced (Biham 1997): it handles aligned blocks of
 a plane is that codeword bit at step base + x.  A plane is a fixed truth
 table of the low step bits, complemented when the block's high bits flip
 it.  The step rows' columns come from one ``transpose``, and a column's
-table is the XOR of the cached planes of the low step bits it holds
-(plane i has bit x set when bit i of x is), read as one entry from each of
-two tables of such XORs, over the low and the high half of those bits.
-The coordinates' nonzero planes are summed into a bit-sliced counter,
-which splits into one plane per weight.  A pass walks every step of the
-rows it is given: a code's q^k, whose one cached pass serves both
-exhaustive distance and the weight distribution, or the smaller side that
-``side_weights`` picks.  The weights of a dual side come from its walk by
-the MacWilliams identity, in one Horner pass over a polynomial
-(``krawtchouk_transform``).  A plain code and an LRC's pair code take d
-from those weights, and a witness from a walk or from the one certifier,
-``certify_dependent_set``, lifted to a word of the code.
+table is the XOR of the planes of the low step bits it holds (plane i
+has bit x set when bit i of x is), read as one entry from each of two
+tables of such XORs, over the low and the high half of those bits.  The
+tables depend on the block size alone, so they are built once per
+process and block size (``_step_tables``), and a walk after the first
+at its size starts from the transpose.  The coordinates' nonzero planes
+are summed into a bit-sliced counter, which splits into one plane per
+weight.  A pass walks every step of the rows it is given: a code's q^k,
+whose one cached pass serves both exhaustive distance and the weight
+distribution, or the smaller side that ``side_weights`` picks.  The
+weights of a dual side come from its walk by the MacWilliams identity, in
+one Horner pass over a polynomial (``krawtchouk_transform``).  A plain
+code and an LRC's pair code take d from those weights, and a witness from
+a walk or from the one certifier, ``certify_dependent_set``, lifted to a
+word of the code.
 """
 
 from __future__ import annotations
@@ -348,7 +351,6 @@ def side_weights(dual_rows: Sequence, n: int, width: int, k: int, budget: int) -
     return krawtchouk_transform(counts, total, n, 1 << width), None
 
 
-@cache
 def _step_bit_planes(low: int) -> tuple[int, ...]:
     """Plane i, for i < low: bit x is set, for x < 2^low, when bit i of x is."""
     full = (1 << (1 << low)) - 1
@@ -368,6 +370,14 @@ def _subset_xors(planes: Sequence[int]) -> list[int]:
     return table
 
 
+@cache
+def _step_tables(low: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The ``_subset_xors`` tables of the low and the high half of the
+    ``_step_bit_planes(low)``, built once per block size."""
+    planes, half = _step_bit_planes(low), low // 2
+    return tuple(_subset_xors(planes[:half])), tuple(_subset_xors(planes[half:]))
+
+
 def weight_planes(rows: Sequence[int], n: int, width: int):
     """Bit-sliced enumeration of the 2^len(rows) steps over packed binary
     rows of n symbols, each ``width`` bits wide.
@@ -379,15 +389,14 @@ def weight_planes(rows: Sequence[int], n: int, width: int):
     """
     steps = [r ^ prev for r, prev in zip(rows, (0, *rows))]
     low = min(len(steps), BLOCK_BITS)
-    full = (1 << (1 << low)) - 1
-    bit_planes, below = _step_bit_planes(low), (1 << low) - 1
+    full, below = (1 << (1 << low)) - 1, (1 << low) - 1
     # Bit i of column c is bit c of step row i; bit x of its table is
     # parity(x & col) for x < 2^low, the XOR of the planes of col's bits.
     cols = FieldMatrix(2, len(steps), width * n, steps).transpose().rows
-    # That XOR is one entry of each of two tables, over the planes of the
-    # low and the high half of the low bits, each built by doubling.
+    # That XOR is one entry of each of two cached tables, over the planes
+    # of the low and the high half of the low bits.
     half = low // 2
-    lo_table, hi_table = _subset_xors(bit_planes[:half]), _subset_xors(bit_planes[half:])
+    lo_table, hi_table = _step_tables(low)
     lo_bits = (1 << half) - 1
     columns = [
         (lo_table[col & lo_bits] ^ hi_table[(col & below) >> half], col >> low) for col in cols

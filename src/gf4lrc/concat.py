@@ -362,13 +362,25 @@ def concatenate(outer: LinearCode) -> BinaryLrc:
     return lrc
 
 
-def group_bases(lrc: BinaryLrc) -> list[list[int]]:
-    """Per group, a basis of the span of its two lower-block columns, packed."""
-    bases = []
-    for pair in lrc.e_vectors:
-        kernel: list = []
-        bases.append([v for v in pair if xor_insert(kernel, v)[0]])
-    return bases
+def pair_masks(rows: Sequence[int], ell: int) -> tuple[int, int, int]:
+    """Of an LRC whose ``dual_rows`` are ``rows``, three masks whose bit 2g
+    is set when group g's pair (e1, e2), bits 2g and 2g + 1 of the rows,
+    has e1 != 0, e2 != 0 and e1 != e2 respectively: bit 2g of the OR of
+    the rows, of that OR shifted down by one, and of the OR of r ^ r >> 1."""
+    ones = int("01" * ell, 2)
+    either = reduce(or_, rows, 0)
+    differ = reduce(or_, [r ^ r >> 1 for r in rows], 0)
+    return either & ones, either >> 1 & ones, differ & ones
+
+
+def group_subspace_dims(lrc: BinaryLrc) -> list[int]:
+    """Per group, the dimension of the span of its pair (e1, e2): 2 when
+    e1 and e2 are nonzero and differ, 0 when both are 0, else 1."""
+    e1, e2, differ = pair_masks(lrc.dual_rows, lrc.ell)
+    # s[::-2] of a 2*ell-digit numeral puts bit 2g at position g.
+    some = format(e1 | e2, f"0{2 * lrc.ell}b")[::-2]
+    full = format(e1 & e2 & differ, f"0{2 * lrc.ell}b")[::-2]
+    return [int(a) + int(b) for a, b in zip(some, full)]
 
 
 def certify_distance(

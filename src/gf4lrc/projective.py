@@ -18,6 +18,7 @@ the weights do not prove it, or to name a collinear triple.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import math
 from dataclasses import dataclass
@@ -125,8 +126,12 @@ class CapSet:
         return cls(ambient, tuple(unpack_row(4, row, ambient + 1) for row in rows))
 
 
+@functools.cache
 def bundled_cap_pg3_17() -> CapSet:
-    """The shipped 17-point cap in PG(3, 4) (one representative)."""
+    """The shipped 17-point cap in PG(3, 4) (one representative), read and
+    parsed once per process: a ``CapSet`` is frozen and holds its points as
+    tuples, so every caller may share it.  Reading it proves nothing;
+    ``families.cap_code`` checks and proves the cap on each build."""
     text = (
         importlib.resources.files("gf4lrc")
         .joinpath("data/cap_pg3_size17.txt")

@@ -156,10 +156,9 @@ import math
 import struct
 from dataclasses import asdict, dataclass
 from itertools import compress
-from operator import or_
 from typing import Optional, Sequence
 
-from .concat import BinaryLrc
+from .concat import BinaryLrc, pair_masks
 from .errors import AmbiguousDecode, BudgetExceeded, GroupDamaged
 from .matrix import row_support, unpack_row, xor_insert, xor_reduce
 
@@ -538,12 +537,9 @@ def _weight_two_free(rows: Sequence[int], ell: int) -> bool:
     weight 2, one pair symbol alone.  Symbol α of group g is a word of P
     exactly when α's combination of the group's columns (e1, e2), bits 2g
     and 2g + 1 of the rows, is 0: when e1 = 0, e2 = 0 or e1 = e2.  So there
-    is none when every bit 2g is set in O, the OR of the rows (e1 != 0),
-    in O >> 1 (e2 != 0) and in the OR of r ^ r >> 1 (e1 != e2)."""
-    ones = int("01" * ell, 2)
-    either = functools.reduce(or_, rows, 0)
-    differ = functools.reduce(or_, [r ^ r >> 1 for r in rows], 0)
-    return either & ones == either >> 1 & ones == differ & ones == ones
+    is none when every group has bit 2g set in all three ``pair_masks``."""
+    e1, e2, differ = pair_masks(rows, ell)
+    return (e1 & e2 & differ).bit_count() == ell
 
 
 def _solved(columns: Sequence[int], flags: bytes) -> int:

@@ -601,8 +601,8 @@ MUTANTS = (
     Mutant(
         "repair-weight-two-equal-pair",
         "src/gf4lrc/repair.py",
-        "    return either & ones == either >> 1 & ones == differ & ones == ones",
-        "    return either & ones == either >> 1 & ones == ones",
+        "    return (e1 & e2 & differ).bit_count() == ell",
+        "    return (e1 & e2).bit_count() == ell",
         ("tests/test_repair_oracle.py::test_weight_two_certificate_matches_brute_force",),
         "a group whose e1 = e2 passes the certificate, so a weight-2 word of symbol 3"
         " is missed and a t = 2 or 3 run that erases it counts it as decoded",
@@ -711,6 +711,56 @@ MUTANTS = (
         ),
         "the dual scan of a code read from H derives its G first, by the kernel pass"
         " that reading ``generator`` runs, which no nullspace call shows",
+    ),
+    Mutant(
+        "step-tables-swapped",
+        "src/gf4lrc/code.py",
+        "    return tuple(_subset_xors(planes[:half])), tuple(_subset_xors(planes[half:]))",
+        "    return tuple(_subset_xors(planes[half:])), tuple(_subset_xors(planes[:half]))",
+        (
+            "tests/test_enumerator.py::test_step_tables_are_the_subset_xors_of_the_plane_halves",
+            "tests/test_enumerator.py::test_histogram_and_certificate_match_gray_walk",
+        ),
+        "the cached low-half table holds the high half's XORs and the high one the low's,"
+        " so a column's truth table mixes its bits with the wrong planes",
+    ),
+    Mutant(
+        "step-tables-wrong-block",
+        "src/gf4lrc/code.py",
+        "    lo_table, hi_table = _step_tables(low)",
+        "    lo_table, hi_table = _step_tables(BLOCK_BITS)",
+        (
+            "tests/test_enumerator.py::test_two_walks_at_one_block_size_build_the_step_tables_once",
+            "tests/test_enumerator.py::test_histogram_and_certificate_match_gray_walk",
+        ),
+        "a walk of fewer than 2^BLOCK_BITS steps reads the tables of a full block,"
+        " whose halves split the step bits at another place",
+    ),
+    Mutant(
+        "group-dims-ignore-equal-pair",
+        "src/gf4lrc/concat.py",
+        '    full = format(e1 & e2 & differ, f"0{2 * lrc.ell}b")[::-2]',
+        '    full = format(e1 & e2, f"0{2 * lrc.ell}b")[::-2]',
+        ("tests/test_concat.py::test_group_subspace_dims_are_the_ranks_of_the_group_pairs",),
+        "a group whose pair has e1 = e2 != 0 reports dimension 2, not 1",
+    ),
+    Mutant(
+        "json-slice-keeps-quotes",
+        "src/gf4lrc/cli.py",
+        "            put(encode_basestring_ascii(obj[start : start + _STR_SLICE])[1:-1])",
+        "            put(encode_basestring_ascii(obj[start : start + _STR_SLICE]))",
+        ("tests/test_cli.py::test_a_long_string_is_escaped_slice_by_slice_as_the_stdlib_escapes_it",),
+        "each slice of a string keeps its own quotes, so a string of more than one"
+        " slice is written with quotes inside it",
+    ),
+    Mutant(
+        "json-slice-step-off-by-one",
+        "src/gf4lrc/cli.py",
+        "        for start in range(0, len(obj), _STR_SLICE):",
+        "        for start in range(0, len(obj), _STR_SLICE + 1):",
+        ("tests/test_cli.py::test_a_long_string_is_escaped_slice_by_slice_as_the_stdlib_escapes_it",),
+        "the slices step one character past their length, so a string of more than"
+        " one slice loses the character after each slice",
     ),
 )
 

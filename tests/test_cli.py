@@ -8,6 +8,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -1149,6 +1150,14 @@ _WIDE = (12, 3, 300)
 @example([[[1, 2]], [[1, 2]], (0,)])
 def test_json_text_is_the_stdlib_indented_text(value):
     assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_STRINGS, st.integers(1, 4))
+@example("ab\ncd\u00e9\U0001f600\\\"", 1)
+def test_a_long_string_is_escaped_slice_by_slice_as_the_stdlib_escapes_it(text, size):
+    with mock.patch.object(cli, "_STR_SLICE", size):
+        assert _json_text({"H": text}) == json.dumps({"H": text}, sort_keys=True, indent=2)
 
 
 def test_json_text_writes_a_flat_int_list_beyond_the_digit_limit():

@@ -18,7 +18,7 @@ from gf4lrc.concat import (
     BinaryLrc,
     certify_distance,
     concatenate,
-    group_bases,
+    group_subspace_dims,
     locality_check,
     lrc_weights_from_outer,
 )
@@ -39,7 +39,7 @@ from gf4lrc.families import (
     mds_rs,
     solomon_stiffler,
 )
-from gf4lrc.matrix import FieldMatrix, pack_row, unpack_row
+from gf4lrc.matrix import FieldMatrix, pack_row, unpack_row, xor_insert
 from gf4lrc.projective import bundled_cap_pg3_17
 
 W, W2 = gf4.W, gf4.W2
@@ -124,6 +124,16 @@ def test_codewords_are_symbolwise_inner_encodings():
         assert lrc.code.contains(encode_outer_word(word))
 
 
+def group_bases(lrc) -> list[list[int]]:
+    """The reference of ``group_subspace_dims``: per group, a basis of the
+    span of its pair (e1, e2), packed, by elimination."""
+    bases = []
+    for pair in lrc.e_vectors:
+        kernel: list = []
+        bases.append([v for v in pair if xor_insert(kernel, v)[0]])
+    return bases
+
+
 def _group_subspaces(lrc):
     """``group_bases``, each vector unpacked to its u bits."""
     return [[unpack_row(2, v, lrc.u) for v in basis] for basis in group_bases(lrc)]
@@ -131,7 +141,7 @@ def _group_subspaces(lrc):
 
 def test_group_subspaces_full_rank_for_hexacode():
     lrc = concatenate(hexacode())
-    assert [len(b) for b in _group_subspaces(lrc)] == [2] * 6
+    assert [len(b) for b in _group_subspaces(lrc)] == group_subspace_dims(lrc) == [2] * 6
 
 
 def test_group_subspace_collapses_on_zero_parity_column():
@@ -141,8 +151,51 @@ def test_group_subspace_collapses_on_zero_parity_column():
     assert col_tuple(outer.parity_check, 0) == (0,)
     lrc = concatenate(outer)
     dims = [len(b) for b in _group_subspaces(lrc)]
-    assert dims[0] == 0 and dims[1] == 2
+    assert dims == group_subspace_dims(lrc) == [0, 2]
     assert certify_distance(lrc).d == 2
+
+
+#: Ways to set a group's pair from two drawn vectors.
+_PAIR_KINDS = {
+    "drawn": lambda e1, e2: (e1, e2),
+    "e1 = 0": lambda e1, e2: (0, e2),
+    "e2 = 0": lambda e1, e2: (e1, 0),
+    "both 0": lambda e1, e2: (0, 0),
+    "e1 = e2": lambda e1, e2: (e1, e1),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_group_subspace_dims_are_the_ranks_of_the_group_pairs(data):
+    """``group_subspace_dims``, read from the rows' masks, is the rank of
+    each group's pair, as elimination gives it, also where e1 = 0, e2 = 0
+    or e1 = e2, for groups listed in any order at permuted positions.  A
+    run of unit pairs gives the lower rows full rank."""
+    u = data.draw(st.integers(1, 5), label="u")
+    vectors = st.integers(0, (1 << u) - 1)
+    drawn = data.draw(
+        st.lists(st.tuples(st.sampled_from(sorted(_PAIR_KINDS)), vectors, vectors), max_size=6),
+        label="pairs",
+    )
+    units = [1 << t for t in range(u)] + [0]
+    pairs = [_PAIR_KINDS[kind](e1, e2) for kind, e1, e2 in drawn]
+    pairs += zip(units[0:u:2], units[1 : u + 1 : 2])
+    order = data.draw(st.permutations(range(len(pairs))), label="order")
+    pairs = [pairs[i] for i in order]
+    ell, n = len(pairs), 3 * len(pairs)
+    perm = data.draw(st.permutations(range(n)), label="perm")
+    groups = [perm[3 * i : 3 * i + 3] for i in range(ell)]
+    cols = [0] * n
+    for i, ((a, b, c), (e1, e2)) in enumerate(zip(groups, pairs)):
+        cols[a], cols[b], cols[c] = 1 << i, e1 << ell | 1 << i, e2 << ell | 1 << i
+    h = FieldMatrix(2, n, ell + u, cols).transpose()
+    obj = {"n": n, "k": n - ell - u, "d": None, "groups": groups, "H": h.to_text()}
+    lrc = BinaryLrc.from_json(obj)
+    assert lrc.e_vectors == tuple(pairs)
+    dims = group_subspace_dims(lrc)
+    assert dims == [len(basis) for basis in group_bases(lrc)]
+    assert dims == [len({e1, e2} - {0}) for e1, e2 in pairs]
 
 
 def test_group_subspaces_match_published_first_group():

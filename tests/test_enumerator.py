@@ -34,6 +34,11 @@ from gf4lrc.code import (
     METHOD_EXHAUSTIVE,
     METHOD_GROUP_RANK,
     LinearCode,
+    _step_bit_planes,
+    _step_tables,
+    _subset_xors,
+    weight_histogram,
+    weight_planes,
 )
 from gf4lrc.concat import BinaryLrc, certify_distance, concatenate, locality_check
 from gf4lrc.errors import BudgetExceeded
@@ -437,3 +442,31 @@ def test_an_lrc_with_an_odd_lower_block_walks_the_smaller_side_of_its_pair_code(
     assert got == lrc.code.weight_distribution()
     assert got.counts == (1, 0, 1, 0, 0, 0, 10, 0, 65, 0, 21, 0, 30, 0, 0, 0, 0, 0, 0)
     assert lrc.min_distance() == certify_distance(lrc)
+
+
+@pytest.mark.parametrize("low", range(BLOCK_BITS + 1))
+def test_step_tables_are_the_subset_xors_of_the_plane_halves(low):
+    """The cached tables are the doubling tables of the low and the high
+    half of the planes, and tuples, which no walk can change."""
+    planes, half = _step_bit_planes(low), low // 2
+    lo_table, hi_table = _step_tables(low)
+    assert type(lo_table) is tuple and type(hi_table) is tuple
+    assert lo_table == tuple(_subset_xors(planes[:half]))
+    assert hi_table == tuple(_subset_xors(planes[half:]))
+
+
+@pytest.mark.parametrize("low", [5, BLOCK_BITS])
+def test_two_walks_at_one_block_size_build_the_step_tables_once(monkeypatch, low):
+    """A second walk at one block size reads the tables the first built."""
+    fresh, built = code_module._subset_xors, []
+
+    def counted(planes):
+        built.append(len(planes))
+        return fresh(planes)
+
+    monkeypatch.setattr(code_module, "_subset_xors", counted)
+    code_module._step_tables.cache_clear()
+    rows = [3 << i for i in range(low)]  # a walk of 2^low steps, one block
+    walks = [weight_histogram(weight_planes(rows, 16, 1), 16) for _ in range(2)]
+    assert walks[0] == walks[1] and sum(walks[0][0]) == 1 << low
+    assert built == [low // 2, low - low // 2]

@@ -187,6 +187,13 @@ def test_bundled_cap_writes_its_own_file():
     assert cap_text(bundled_cap_pg3_17()) == text
 
 
+def test_the_bundled_cap_is_read_once_per_process():
+    first = bundled_cap_pg3_17()
+    assert bundled_cap_pg3_17() is first
+    text = importlib.resources.files("gf4lrc").joinpath("data/cap_pg3_size17.txt").read_text()
+    assert first == CapSet.from_text(text)
+
+
 def test_cap_text_parse_errors():
     with pytest.raises(ParseError):
         CapSet.from_text("pg=2 q=2 size=0\n")
